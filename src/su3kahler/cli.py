@@ -40,7 +40,10 @@ def _load_json_source(source: str) -> dict:
         path = Path(source)
         if not path.exists():
             raise InputError(f"config file not found: {source}")
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read config {source}: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -110,6 +113,8 @@ def _monomial(v) -> str:
 
 
 def cmd_check(args) -> tuple[int, dict, bool]:
+    if args.interp_steps < 1:
+        raise InputError("--interp-steps must be >= 1")
     ws, d = _problem(args.config)
     report = wt.check_cone_condition(d)
     results = {
@@ -211,10 +216,13 @@ def cmd_generate(args) -> tuple[int, dict, bool]:
 def cmd_enumerate(args) -> tuple[int, dict, bool]:
     if args.bound < 0:
         raise InputError("--bound must be >= 0")
+    try:
+        systems = wt.enumerate_admissible_systems(args.bound)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     count = 0
     free_count = 0
-    for ws in wt.enumerate_admissible_systems(args.bound):
-        d = wt.derive(ws)
+    for ws in systems:
         classification = iso.classify_quotient(ws)
         free = classification is iso.Classification.FREE_FLAG_CASE
         count += 1

@@ -2,9 +2,17 @@
 
 Everything here is exact: scalars are Python ints or `fractions.Fraction`,
 vectors are plain ``(x, y)`` tuples, and predicates are decided by sign
-tests on cross products. Floats are rejected on input. Cone membership on
-a boundary ray must be *decided*, not approximated, because the downstream
-condition checks distinguish strict from non-strict membership.
+tests on cross products. Floats and bools are rejected on input. Cone
+membership on a boundary ray must be *decided*, not approximated, because
+the downstream condition checks distinguish strict from non-strict
+membership.
+
+Every membership decision goes through one integer sign table,
+:func:`cone_member`. It uses only ring operations and comparisons, so the
+same expression decides Python ints, Fractions and, elementwise, numpy
+int64 arrays; the batched form is exact while every product fits in
+int64 (see :data:`INT64_MAX`). Fractions are built only for the witness
+coefficients that :func:`in_cone2` returns.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ __all__ = [
     "is_zero",
     "scalar_to_json",
     "vec_to_json",
+    "INT64_MAX",
+    "cone_member",
     "in_cone2",
     "in_cone_many",
     "find_apex_functional",
@@ -39,6 +49,8 @@ Vec2 = tuple[Scalar, Scalar]
 
 
 def _scalar(x) -> Scalar:
+    if isinstance(x, bool):
+        raise TypeError(f"exact rational expected, got bool: {x!r}")
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, str):
@@ -126,62 +138,72 @@ _OUTSIDE = ConeMembership(MembershipStatus.OUTSIDE)
 _F0 = Fraction(0)
 
 
-def _ray_coefficient(c: Vec2, g: Vec2) -> Fraction | None:
-    """Exact t with c == t*g, or None when c is off the line of g (g != 0)."""
-    if cross(c, g) != 0:
-        return None
-    return _div(dot(c, g), dot(g, g))
+# Largest magnitude an int64 holds; the batched sign table is exact while
+# every entry product (and the difference of two) stays within it.
+INT64_MAX = 2**63 - 1
+
+
+def cone_member(c, g1, g2):
+    """Whether ``c`` lies in ``{l1*g1 + l2*g2 : l1, l2 >= 0}``, from signs only.
+
+    With ``d = cross(g1, g2)``, ``n1 = cross(c, g2)`` and
+    ``n2 = cross(g1, c)`` (so ``l1 = n1/d`` and ``l2 = n2/d`` when
+    ``d != 0``), ``c`` is a member iff ``n1`` and ``n2`` share the sign of
+    ``d``, or ``c`` lies on ``ray(g1)`` or ``ray(g2)``, or ``c == 0``. The
+    ray clauses are sound for every configuration and complete when the
+    generators are dependent (zero, parallel or antiparallel), where the
+    cone is a ray, a line or the origin.
+
+    Branch-free over ``&``/``|`` of comparisons: vector components may be
+    ints or Fractions (the result is a bool) or broadcastable int64 arrays
+    (the result is a bool array). Entries bounded by ``E`` in magnitude
+    keep every intermediate within ``2*E**2``.
+    """
+    cx, cy = c
+    x1, y1 = g1
+    x2, y2 = g2
+    d = x1 * y2 - y1 * x2
+    n1 = cx * y2 - cy * x2
+    n2 = x1 * cy - y1 * cx
+    return (
+        ((d > 0) & (n1 >= 0) & (n2 >= 0))
+        | ((d < 0) & (n1 <= 0) & (n2 <= 0))
+        | ((n1 == 0) & (cx * x2 + cy * y2 > 0))
+        | ((n2 == 0) & (cx * x1 + cy * y1 > 0))
+        | ((cx == 0) & (cy == 0))
+    )
 
 
 def in_cone2(c: Vec2, g1: Vec2, g2: Vec2) -> ConeMembership:
     """Decide whether ``c`` lies in ``{l1*g1 + l2*g2 : l1, l2 >= 0}``.
 
     Total on degenerate input: zero or parallel generators reduce to ray,
-    line or origin membership.
+    line or origin membership. The decision is :func:`cone_member`; exact
+    witness coefficients are computed only for members.
     """
+    if not cone_member(c, g1, g2):
+        return _OUTSIDE
     d = cross(g1, g2)
     if d != 0:
-        n1 = cross(c, g2)  # lam1 = n1 / d
-        n2 = cross(g1, c)  # lam2 = n2 / d
-        if d > 0:
-            inside = n1 >= 0 and n2 >= 0
-            strict = n1 > 0 and n2 > 0
-        else:
-            inside = n1 <= 0 and n2 <= 0
-            strict = n1 < 0 and n2 < 0
-        if not inside:
-            return _OUTSIDE
-        status = MembershipStatus.INTERIOR if strict else MembershipStatus.ON_BOUNDARY_RAY
+        n1 = cross(c, g2)
+        n2 = cross(g1, c)
+        status = (
+            MembershipStatus.INTERIOR
+            if n1 != 0 and n2 != 0
+            else MembershipStatus.ON_BOUNDARY_RAY
+        )
         return ConeMembership(status, (_div(n1, d), _div(n2, d)))
-
-    g1_zero = is_zero(g1)
-    g2_zero = is_zero(g2)
-    if g1_zero and g2_zero:
-        if is_zero(c):
-            return ConeMembership(MembershipStatus.ON_BOUNDARY_RAY, (_F0, _F0))
-        return _OUTSIDE
-    if g2_zero:
-        t = _ray_coefficient(c, g1)
-        if t is None or t < 0:
-            return _OUTSIDE
-        return ConeMembership(MembershipStatus.ON_BOUNDARY_RAY, (t, _F0))
-    if g1_zero:
-        t = _ray_coefficient(c, g2)
-        if t is None or t < 0:
-            return _OUTSIDE
-        return ConeMembership(MembershipStatus.ON_BOUNDARY_RAY, (_F0, t))
-
-    # parallel nonzero generators: a ray when aligned, the full line otherwise
-    t = _ray_coefficient(c, g1)
-    if t is None:
-        return _OUTSIDE
-    if t >= 0:
-        return ConeMembership(MembershipStatus.ON_BOUNDARY_RAY, (t, _F0))
-    if dot(g1, g2) < 0:
-        u = _ray_coefficient(c, g2)
-        assert u is not None and u > 0
-        return ConeMembership(MembershipStatus.ON_BOUNDARY_RAY, (_F0, u))
-    return _OUTSIDE
+    # dependent generators: c is 0 or lies on ray(g1) or ray(g2); the
+    # witness uses g1 whenever it can
+    if is_zero(c):
+        return ConeMembership(MembershipStatus.ON_BOUNDARY_RAY, (_F0, _F0))
+    if cross(c, g1) == 0 and dot(c, g1) > 0:
+        return ConeMembership(
+            MembershipStatus.ON_BOUNDARY_RAY, (_div(dot(c, g1), dot(g1, g1)), _F0)
+        )
+    return ConeMembership(
+        MembershipStatus.ON_BOUNDARY_RAY, (_F0, _div(dot(c, g2), dot(g2, g2)))
+    )
 
 
 _RANK = {
@@ -237,7 +259,7 @@ def find_apex_functional(gens: list[Vec2]) -> Vec2 | None:
             d = cross(gens[i], gens[j])
             if d == 0:
                 continue
-            if all(in_cone2(g, gens[i], gens[j]).member for g in gens):
+            if all(cone_member(g, gens[i], gens[j]) for g in gens):
                 gi, gj = gens[i], gens[j]
                 # dual basis: u(gi)=1, u(gj)=0 and v(gi)=0, v(gj)=1
                 alpha = (_div(gj[1] - gi[1], d), _div(gi[0] - gj[0], d))

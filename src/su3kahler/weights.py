@@ -16,20 +16,28 @@ compactness of the moment-map level set, checked independently by
 checked by :func:`check_interpolation_path`.
 
 All checks are exact rational arithmetic; nothing here touches floats.
+Boolean decisions go through the integer sign table
+:func:`~su3kahler.conegeom.cone_member`; the enumerator evaluates it on
+int64 arrays, one outer wL block against every wR at once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator
 
+import numpy as np
+
 from .conegeom import (
+    INT64_MAX,
     ConeMembership,
     MembershipStatus,
     Vec2,
+    cone_member,
     cross,
     dot,
     find_apex_functional,
@@ -69,7 +77,7 @@ IVec2 = tuple[int, int]
 
 def _ivec(v) -> IVec2:
     x, y = v
-    if not isinstance(x, int) or not isinstance(y, int):
+    if type(x) is not int or type(y) is not int:  # rejects bools and floats
         raise ValueError(f"integer weight vector expected, got {v!r}")
     return (x, y)
 
@@ -95,8 +103,8 @@ class WeightSystem:
     @classmethod
     def from_json(cls, obj: dict) -> "WeightSystem":
         try:
-            wl = tuple((int(a), int(b)) for a, b in obj["wL"])
-            wr = tuple((int(a), int(b)) for a, b in obj["wR"])
+            wl = tuple(_ivec(v) for v in obj["wL"])
+            wr = tuple(_ivec(v) for v in obj["wR"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed weight system object: {exc}") from exc
         return cls(wl, wr)
@@ -310,20 +318,23 @@ def cone_condition_holds(d: DerivedConeData) -> bool:
     return _condition_holds_raw(*d.a, *d.b, d.c)
 
 
-def _condition_holds_raw(a1, a2, a3, b1, b2, b3, c) -> bool:
-    aa = (a1, a2, a3)
-    bb = (b1, b2, b3)
-    for i in range(3):
-        for j in range(i, 3):  # pair cones are symmetric in (i, j)
-            if in_cone2(c, aa[i], aa[j]).member:
-                return False
-            if in_cone2(c, bb[i], bb[j]).member:
-                return False
-    for i in range(3):
-        for j in range(3):
-            if not in_cone2(c, aa[i], bb[j]).member:
-                return False
-    return True
+# The condition as 15 membership tests (g, h, inside) on the generators
+# (A_1, A_2, A_3, B_1, B_2, B_3): C must lie in cone(g, h) exactly when
+# `inside`. Pair cones are symmetric and contain the rays of both
+# generators, so i < j also covers the rays cone(A_i, A_i) and cone(B_i, B_i).
+_CONDITION_TESTS = tuple(
+    (off + i, off + j, False) for i in range(3) for j in range(i + 1, 3) for off in (0, 3)
+) + tuple((i, 3 + j, True) for i in range(3) for j in range(3))
+
+
+def _condition_holds_raw(a1, a2, a3, b1, b2, b3, c):
+    """The condition on int or Fraction vectors (a bool), or elementwise on
+    vectors of int64 component arrays (a bool array)."""
+    gens = (a1, a2, a3, b1, b2, b3)
+    ok = True
+    for g, h, inside in _CONDITION_TESTS:
+        ok = ok & (cone_member(c, gens[g], gens[h]) == inside)
+    return ok
 
 
 @dataclass(frozen=True)
@@ -408,15 +419,6 @@ def interpolation_spec(d: DerivedConeData, times=None) -> InterpolationSpec:
     return InterpolationSpec(m.coefficients[0], m.coefficients[1], ts)
 
 
-def _primitive_direction(v: Vec2) -> Vec2:
-    """Integer vector on the same ray; cone tests only see directions."""
-    fx, fy = Fraction(v[0]), Fraction(v[1])
-    m = lcm(fx.denominator, fy.denominator)
-    x, y = int(fx * m), int(fy * m)
-    g = gcd(x, y)
-    return (x // g, y // g) if g > 1 else (x, y)
-
-
 def check_interpolation_path(d: DerivedConeData, spec: InterpolationSpec) -> bool:
     """Whether the straight-line deformation toward the round configuration
     keeps the separating cone condition at every sample time.
@@ -424,16 +426,52 @@ def check_interpolation_path(d: DerivedConeData, spec: InterpolationSpec) -> boo
     At time t the generators are A_j(t) = t*A_j + (1-t)*a*A_1 and
     B_j(t) = t*B_j + (1-t)*b*B_1 while C stays fixed; t = 1 restores the
     input and t = 0 collapses each family onto a single ray.
+
+    Cone tests see only directions, so denominators are cleared once: with
+    n the lcm of every denominator in the data, the spec and the times,
+    n**3 * A_j(t) = (n*t)*n*(n*A_j) + (n - n*t)*(n*a)*(n*A_1) is an integer
+    vector on the same ray as A_j(t), and likewise for B_j(t) and n*C.
     """
-    a0 = vscale(spec.a, d.a[0])
-    b0 = vscale(spec.b, d.b[0])
+    n = lcm(
+        *(x.denominator for x in (spec.a, spec.b, *spec.times)),
+        *(x.denominator for v in (*d.a, *d.b, d.c) for x in v),
+    )
+
+    def cleared(x) -> int:
+        return x.numerator * (n // x.denominator)
+
+    a = [(cleared(x), cleared(y)) for x, y in d.a]
+    b = [(cleared(x), cleared(y)) for x, y in d.b]
+    c = (cleared(d.c[0]), cleared(d.c[1]))
+    a0 = vscale(cleared(spec.a), a[0])
+    b0 = vscale(cleared(spec.b), b[0])
     for t in spec.times:
-        s = 1 - t
-        at = [_primitive_direction(vadd(vscale(t, aj), vscale(s, a0))) for aj in d.a]
-        bt = [_primitive_direction(vadd(vscale(t, bj), vscale(s, b0))) for bj in d.b]
-        if not _condition_holds_raw(*at, *bt, d.c):
+        nt = cleared(t)
+        tn, s = nt * n, n - nt
+        at = [vadd(vscale(tn, aj), vscale(s, a0)) for aj in a]
+        bt = [vadd(vscale(tn, bj), vscale(s, b0)) for bj in b]
+        if not _condition_holds_raw(*at, *bt, c):
             return False
     return True
+
+
+@functools.lru_cache(maxsize=2)
+def _weight_grid(bound: int):
+    """Every zero-sum weight triple with entries in [-bound, bound], in
+    lexicographic order of (w_1, w_2), and int64 columns (x1, y1, x3, y3).
+
+    Both sides of a weight system range over this grid. Built on first use
+    per bound; the columns are read-only because the cache shares them.
+    """
+    rng = range(-bound, bound + 1)
+    rows = tuple(
+        ((x1, y1), (x2, y2), (-x1 - x2, -y1 - y2))
+        for x1, y1, x2, y2 in itertools.product(rng, rng, rng, rng)
+        if abs(x1 + x2) <= bound and abs(y1 + y2) <= bound
+    )
+    cols = np.array([(*w1, *w3) for w1, _, w3 in rows], dtype=np.int64).T.copy()
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def enumerate_admissible_systems(
@@ -445,35 +483,33 @@ def enumerate_admissible_systems(
     ``part=(k, n)`` yields the k-th of n deterministic slices (split over
     the outer wL blocks); merging and sorting the slices reproduces the
     full stream, so the enumeration parallelizes over processes.
+
+    Each outer wL block is decided at once against every wR with the int64
+    sign table; survivors come out in grid order, so the stream stays
+    lexicographic. Arguments are checked when this is called, so a bound
+    whose products could leave int64 is rejected before anything is
+    allocated.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    # entries of A, B, C are at most 2*bound, so every cross product and
+    # dot product is at most 8*bound**2: exact in int64 below this bound
+    if 8 * bound * bound > INT64_MAX:
+        raise ValueError(f"bound {bound} too large for exact int64 sign tests")
     if part is not None:
         k, n = part
         if not (n >= 1 and 0 <= k < n):
             raise ValueError(f"invalid partition {part!r}")
-    rng = range(-bound, bound + 1)
-    block_id = -1
-    for x1, y1, x2, y2 in itertools.product(rng, rng, rng, rng):
-        x3, y3 = -x1 - x2, -y1 - y2
-        if abs(x3) > bound or abs(y3) > bound:
-            continue
-        block_id += 1
+    return _admissible_stream(bound, part)
+
+
+def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[WeightSystem]:
+    rows, (u1, v1, u3, v3) = _weight_grid(bound)
+    c = (u3 - u1, v3 - v1)
+    for block_id, wl in enumerate(rows):
         if part is not None and block_id % part[1] != part[0]:
             continue
-        for u1, v1, u2, v2 in itertools.product(rng, rng, rng, rng):
-            u3, v3 = -u1 - u2, -v1 - v2
-            if abs(u3) > bound or abs(v3) > bound:
-                continue
-            a1 = (x1 - u1, y1 - v1)
-            a2 = (x2 - u1, y2 - v1)
-            a3 = (x3 - u1, y3 - v1)
-            b1 = (u3 - x1, v3 - y1)
-            b2 = (u3 - x2, v3 - y2)
-            b3 = (u3 - x3, v3 - y3)
-            c = (u3 - u1, v3 - v1)
-            if _condition_holds_raw(a1, a2, a3, b1, b2, b3, c):
-                yield WeightSystem(
-                    ((x1, y1), (x2, y2), (x3, y3)),
-                    ((u1, v1), (u2, v2), (u3, v3)),
-                )
+        a = tuple((x - u1, y - v1) for x, y in wl)
+        b = tuple((u3 - x, v3 - y) for x, y in wl)
+        for i in np.flatnonzero(_condition_holds_raw(*a, *b, c)).tolist():
+            yield WeightSystem(wl, rows[i])

@@ -55,6 +55,30 @@ def test_check_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_check_directory_config_exits_2(tmp_path, capsys):
+    code, out = run(capsys, "check", "--config", str(tmp_path))
+    assert code == 2
+    assert "error" in json.loads(out)["results"]
+
+
+def test_check_nonpositive_interp_steps_exit_2(capsys):
+    for steps in ("0", "-3"):
+        code, out = run(capsys, "check", "--interp-steps", steps, "--config", ORBIFOLD_CONFIG)
+        assert code == 2
+        assert "interp-steps" in json.loads(out)["results"]["error"]
+
+
+def test_check_non_integer_weights_exit_2(capsys):
+    for config in (
+        '{"wL": [[-1.5,1],[-1,1],[2,-2]], "wR": [[-4,1],[5,-5],[-1,4]]}',
+        '{"wL": [[-1,true],[-1,1],[2,-2]], "wR": [[-4,1],[5,-5],[-1,4]]}',
+        '{"A": [[true,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}',
+    ):
+        code, out = run(capsys, "check", "--config", config)
+        assert code == 2
+        assert "error" in json.loads(out)["results"]
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["check"]) == 2  # --config required
     assert main(["bogus"]) == 2
@@ -173,6 +197,12 @@ def test_enumerate_deterministic_output(capsys):
 def test_enumerate_negative_bound_exits_2(capsys):
     code, _ = run(capsys, "enumerate", "--bound", "-1")
     assert code == 2
+
+
+def test_enumerate_bound_past_int64_exits_2(capsys):
+    code, out = run(capsys, "enumerate", "--bound", str(2**30))
+    assert code == 2
+    assert "int64" in json.loads(out)["results"]["error"]
 
 
 def test_cohomology_default(capsys):

@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su3kahler.conegeom import (
+    INT64_MAX,
+    ConeMembership,
     MembershipStatus,
+    cone_member,
     cross,
     dot,
     find_apex_functional,
@@ -15,6 +19,7 @@ from su3kahler.conegeom import (
     is_zero,
     smith_invariant_factors,
     vadd,
+    vec2,
     vscale,
 )
 
@@ -119,6 +124,121 @@ def test_in_cone2_witness_reconstructs(c, g1, g2):
         assert reconstructs(m, c, g1, g2)
         if m.status is MembershipStatus.INTERIOR:
             assert l1 > 0 and l2 > 0 and cross(g1, g2) != 0
+
+
+# --- the sign kernel --------------------------------------------------------
+# Generator pairs drawn with the degenerate cases on purpose: zero
+# generators, equal or positively parallel ones, antiparallel ones and
+# arbitrary pairs, over small ints and Fractions alike.
+
+multipliers = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def generator_pairs(draw):
+    g1 = draw(st.one_of(vectors, st.just((0, 0))))
+    kind = draw(st.sampled_from(("free", "zero", "multiple")))
+    if kind == "free":
+        g2 = draw(vectors)
+    elif kind == "zero":
+        g2 = (0, 0)
+    else:
+        g2 = vscale(draw(multipliers), g1)
+    return (g1, g2) if draw(st.booleans()) else (g2, g1)
+
+
+points = st.one_of(vectors, st.just((0, 0)))
+
+
+def in_cone2_reference(c, g1, g2):
+    """The branching decision with eager Fraction coefficients that
+    in_cone2 used before the sign kernel; its statuses and witnesses are
+    the reference the kernel-backed in_cone2 must reproduce."""
+
+    def ray(c, g):
+        if cross(c, g) != 0:
+            return None
+        return F(dot(c, g)) / F(dot(g, g))
+
+    outside = ConeMembership(MembershipStatus.OUTSIDE)
+    boundary = MembershipStatus.ON_BOUNDARY_RAY
+    d = cross(g1, g2)
+    if d != 0:
+        n1, n2 = cross(c, g2), cross(g1, c)
+        if d > 0:
+            inside, strict = n1 >= 0 and n2 >= 0, n1 > 0 and n2 > 0
+        else:
+            inside, strict = n1 <= 0 and n2 <= 0, n1 < 0 and n2 < 0
+        if not inside:
+            return outside
+        status = MembershipStatus.INTERIOR if strict else boundary
+        return ConeMembership(status, (F(n1) / F(d), F(n2) / F(d)))
+    if is_zero(g1) and is_zero(g2):
+        return ConeMembership(boundary, (F(0), F(0))) if is_zero(c) else outside
+    if is_zero(g2) or is_zero(g1):
+        t = ray(c, g1 if is_zero(g2) else g2)
+        if t is None or t < 0:
+            return outside
+        return ConeMembership(boundary, (t, F(0)) if is_zero(g2) else (F(0), t))
+    t = ray(c, g1)
+    if t is None:
+        return outside
+    if t >= 0:
+        return ConeMembership(boundary, (t, F(0)))
+    if dot(g1, g2) < 0:
+        return ConeMembership(boundary, (F(0), ray(c, g2)))
+    return outside
+
+
+@given(points, generator_pairs())
+@settings(max_examples=300)
+def test_cone_member_matches_oracle(c, pair):
+    g1, g2 = pair
+    assert cone_member(c, g1, g2) == member_oracle(c, [g1, g2])
+
+
+@given(points, generator_pairs())
+@settings(max_examples=300)
+def test_in_cone2_statuses_and_witnesses_unchanged(c, pair):
+    m = in_cone2(c, *pair)
+    ref = in_cone2_reference(c, *pair)
+    assert m == ref
+    assert m.to_json() == ref.to_json()
+
+
+def test_cone_member_degenerate_examples():
+    assert cone_member((0, 0), (0, 0), (0, 0))
+    assert not cone_member((1, 0), (0, 0), (0, 0))
+    assert cone_member((2, 0), (1, 0), (3, 0))
+    assert not cone_member((-2, 0), (1, 0), (3, 0))
+    assert cone_member((-2, 0), (1, 0), (-3, 0))
+    assert not cone_member((0, 1), (1, 0), (-3, 0))
+    assert cone_member((F(1, 2), 1), (0, 0), (1, 2))
+
+
+def _random_components(rng, magnitude, n):
+    """int64 arrays rich in zeros, ties and parallels when magnitude is small."""
+    return [rng.integers(-magnitude, magnitude + 1, size=n, dtype=np.int64) for _ in range(6)]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0, 1, 2, 5, 1000, 2**31 - 1)))
+@settings(max_examples=60, deadline=None)
+def test_batched_kernel_matches_scalar(seed, magnitude):
+    # |entries| <= magnitude keeps every product within 2 * magnitude**2
+    assert 2 * magnitude**2 <= INT64_MAX
+    cx, cy, x1, y1, x2, y2 = _random_components(np.random.default_rng(seed), magnitude, 400)
+    batched = cone_member((cx, cy), (x1, y1), (x2, y2))
+    assert batched.dtype == np.bool_ and batched.shape == (400,)
+    rows = zip(*(a.tolist() for a in (cx, cy, x1, y1, x2, y2)))
+    scalar = [cone_member((a, b), (c, d), (e, f)) for a, b, c, d, e, f in rows]
+    assert batched.tolist() == scalar
+
+
+def test_scalars_reject_bools_and_floats():
+    with pytest.raises(TypeError):
+        vec2(True, 0)
+    with pytest.raises(TypeError):
+        vec2(1.0, 0)
 
 
 # --- in_cone_many ---------------------------------------------------------

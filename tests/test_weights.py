@@ -1,14 +1,17 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su3kahler.conegeom import MembershipStatus, vadd, vscale, vsub
+from su3kahler import weights
+from su3kahler.conegeom import INT64_MAX, MembershipStatus, in_cone2, vadd, vscale, vsub
 from su3kahler.weights import (
     DerivedConeData,
+    InterpolationSpec,
     WeightSystem,
     check_interpolation_path,
     check_level_set_conditions,
@@ -29,6 +32,7 @@ F = Fraction
 # test_enumerate_bound1_against_slow_oracle for bound 1)
 BOUND1_COUNT = 24
 BOUND2_COUNT = 2856
+BOUND3_COUNT = 64656
 
 
 # --- weight systems and derivation ------------------------------------------
@@ -44,6 +48,21 @@ def test_weight_system_validates_sums():
 def test_weight_system_json_round_trip(orbifold_ws):
     blob = json.dumps(orbifold_ws.to_json())
     assert WeightSystem.from_json(json.loads(blob)) == orbifold_ws
+
+
+@pytest.mark.parametrize("index, bad", [(0, -1.5), (0, -1.0), (1, True)])
+def test_weight_system_json_rejects_non_integers(index, bad):
+    # int() would read each of these as the entry it replaces (-1 or 1),
+    # so the system would still sum to zero
+    obj = {"wL": [[-1, 1], [-1, 1], [2, -2]], "wR": [[-4, 1], [5, -5], [-1, 4]]}
+    obj["wL"][0][index] = bad
+    with pytest.raises(ValueError):
+        WeightSystem.from_json(obj)
+
+
+def test_weight_system_rejects_bools():
+    with pytest.raises(ValueError):
+        WeightSystem(((0, 0),) * 3, ((True, 0), (0, 1), (-1, -1)))
 
 
 def test_derive_scaled_example(orbifold_ws):
@@ -154,6 +173,8 @@ def test_generate_rejects_inconsistent_sums():
 
 
 small_vec = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+small_rat = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=5))
+small_rat_vec = st.tuples(small_rat, small_rat)
 
 
 @given(st.tuples(small_vec, small_vec, small_vec), small_vec)
@@ -192,6 +213,44 @@ def test_interpolation_requires_interior():
 def test_interpolation_rejects_bad_times(orbifold_data):
     with pytest.raises(ValueError):
         interpolation_spec(orbifold_data, [F(3, 2)])
+
+
+def condition_by_in_cone2(a, b, c):
+    """The separating cone condition decided test by test with in_cone2."""
+    pairs = [(g, h) for gens in (a, b) for i, g in enumerate(gens) for h in gens[i:]]
+    return not any(in_cone2(c, g, h).member for g, h in pairs) and all(
+        in_cone2(c, g, h).member for g in a for h in b
+    )
+
+
+def interpolation_reference(d, spec):
+    """The path check in Fraction arithmetic at every sample time."""
+    a0 = vscale(spec.a, d.a[0])
+    b0 = vscale(spec.b, d.b[0])
+    for t in spec.times:
+        at = [vadd(vscale(t, aj), vscale(1 - t, a0)) for aj in d.a]
+        bt = [vadd(vscale(t, bj), vscale(1 - t, b0)) for bj in d.b]
+        if not condition_by_in_cone2(at, bt, d.c):
+            return False
+    return True
+
+
+positive = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=9)
+unit_times = st.lists(st.fractions(0, 1, max_denominator=12), min_size=1, max_size=3)
+
+
+@given(
+    st.tuples(small_rat_vec, small_rat_vec, small_rat_vec),
+    small_rat_vec,
+    positive,
+    positive,
+    unit_times,
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_interpolation_matches_fractions(a_vectors, c, a, b, times):
+    d = DerivedConeData(a_vectors, tuple(vsub(c, x) for x in a_vectors), c)
+    spec = InterpolationSpec(a, b, tuple(times))
+    assert check_interpolation_path(d, spec) == interpolation_reference(d, spec)
 
 
 def test_default_times():
@@ -252,6 +311,72 @@ def test_enumerate_partitions_merge(bound1_systems):
 def test_enumerate_bound2_count(bound2_systems):
     assert len(bound2_systems) == BOUND2_COUNT
     assert bound2_systems == sorted(bound2_systems)
+
+
+def _weight_triples(bound):
+    rng = range(-bound, bound + 1)
+    return [
+        ((x1, y1), (x2, y2), (-x1 - x2, -y1 - y2))
+        for x1, y1, x2, y2 in itertools.product(rng, repeat=4)
+        if abs(x1 + x2) <= bound and abs(y1 + y2) <= bound
+    ]
+
+
+def reference_stream(bound, blocks=None):
+    """Every candidate (optionally only the given outer wL blocks) filtered
+    with in_cone2, then sorted: the stream the enumerator must produce."""
+    triples = _weight_triples(bound)
+    found = []
+    for k, wl in enumerate(triples):
+        if blocks is not None and k not in blocks:
+            continue
+        for wr in triples:
+            a = [vsub(w, wr[0]) for w in wl]
+            b = [vsub(wr[2], w) for w in wl]
+            if condition_by_in_cone2(a, b, vsub(wr[2], wr[0])):
+                found.append(WeightSystem(wl, wr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_enumerate_matches_in_cone2_filter(bound):
+    assert list(enumerate_admissible_systems(bound)) == reference_stream(bound)
+
+
+def test_enumerate_bound3_blocks_match_in_cone2_filter():
+    n_blocks = len(_weight_triples(3))
+    blocks = sorted(random.Random(20211015).sample(range(n_blocks), 24))
+    streamed = [
+        ws for k in blocks for ws in enumerate_admissible_systems(3, part=(k, n_blocks))
+    ]
+    assert streamed == reference_stream(3, set(blocks))
+
+
+@pytest.fixture(scope="module")
+def bound3_systems():
+    return list(enumerate_admissible_systems(3))
+
+
+def test_enumerate_bound3_count(bound3_systems):
+    assert len(bound3_systems) == BOUND3_COUNT
+    assert bound3_systems == sorted(bound3_systems)
+
+
+def test_enumerate_bound3_partitions_merge(bound3_systems):
+    merged = [ws for k in range(7) for ws in enumerate_admissible_systems(3, part=(k, 7))]
+    assert sorted(merged) == bound3_systems
+
+
+def test_enumerate_int64_guard_fires_before_grid(monkeypatch):
+    def no_grid(bound):
+        raise AssertionError(f"grid requested for bound {bound}")
+
+    monkeypatch.setattr(weights, "_weight_grid", no_grid)
+    # 8 * bound**2 is the largest product; 2**30 is the first bound past int64
+    assert 8 * (2**30 - 1) ** 2 <= INT64_MAX < 8 * (2**30) ** 2
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_admissible_systems(2**30)
+    enumerate_admissible_systems(2**30 - 1)  # accepted; the grid waits for iteration
 
 
 def test_enumerate_bound2_has_nontrivial_left(bound2_systems):
