@@ -46,9 +46,12 @@ from .quadric import (
     action_orbit_map,
     certification_sample,
     certify_point,
+    certify_points,
     embed_su3,
     equivariance_check,
     moment_map,
+    moment_scale,
+    project_points,
     project_to_level,
     random_su3,
     sample_level_point,

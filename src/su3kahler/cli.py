@@ -12,11 +12,15 @@ across reruns; measured wall time is only emitted with --timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import cohomology as coh
 from . import isotropy as iso
@@ -143,8 +147,8 @@ def cmd_isotropy(args) -> tuple[int, dict, bool]:
     if not wt.cone_condition_holds(d):
         return EXIT_FAIL, {"error": "cone condition fails; isotropy analysis requires it"}, False
     verdict = iso.freeness_check(d, ws)
-    if ws is not None:
-        classification = iso.classify_quotient(ws).value
+    if verdict.classification is not None:
+        classification = verdict.classification.value
     else:
         classification = (
             iso.Classification.FREE_FLAG_CASE.value
@@ -171,33 +175,31 @@ def cmd_verify(args) -> tuple[int, dict, bool]:
     # certify even without the cone condition when points exist, so that
     # failures surface as regular=false certificates rather than silence
     try:
-        points = quad.certification_sample(d, args.samples, args.seed)
+        points = quad.certification_sample(d, args.samples, args.seed, tol=tol)
     except (ValueError, RuntimeError) as exc:
         return EXIT_FAIL, {"cone_condition": condition_ok, "error": f"sampling failed: {exc}"}, False
     apex = wt.check_level_set_conditions(d).apex_functional
-    certificates = []
+    certificates = quad.certify_points(d, points, tol=tol)
+    all_passed = condition_ok and all(cert.passed for cert in certificates)
     bound_residual = 0.0
-    all_passed = condition_ok
-    for p in points:
-        cert = quad.certify_point(d, p, tol=tol)
-        certificates.append(cert.to_json())
-        all_passed = all_passed and cert.passed
-        if apex is not None:
-            # apex functional applied to the moment value must return its
-            # value on C: a scale-covariant restatement of the residual
-            phi = quad.moment_map(d, p)
-            lhs = float(apex[0]) * phi[0] + float(apex[1]) * phi[1]
-            rhs = float(apex[0] * Fraction(d.c[0]) + apex[1] * Fraction(d.c[1]))
-            bound_residual = max(bound_residual, abs(lhs - rhs))
-    if apex is not None and bound_residual > 1e-10:
-        all_passed = False
+    if apex is not None:
+        # apex functional applied to the moment values must return its
+        # value on C: a scale-covariant restatement of the residual, held
+        # to 1e-10 relative to |apex| times the moment scale
+        phi = quad.moment_map(d, (np.array([p.z for p in points]), np.array([p.w for p in points])))
+        lhs = float(apex[0]) * phi[:, 0] + float(apex[1]) * phi[:, 1]
+        rhs = float(apex[0] * Fraction(d.c[0]) + apex[1] * Fraction(d.c[1]))
+        bound_residual = float(np.max(np.abs(lhs - rhs)))
+        scale = math.hypot(float(apex[0]), float(apex[1])) * quad.moment_scale(d)
+        if bound_residual > 1e-10 * scale:
+            all_passed = False
     results = {
         "weights": None if ws is None else ws.to_json(),
         "cone_condition": condition_ok,
         "samples": args.samples,
         "seed": args.seed,
         "boundedness_residual": bound_residual,
-        "certificates": certificates,
+        "certificates": [cert.to_json() for cert in certificates],
         "all_passed": all_passed,
     }
     return (EXIT_PASS if all_passed else EXIT_FAIL), results, all_passed
@@ -298,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help=config_help)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9, help="level-set residual tolerance")
+    p.add_argument(
+        "--tol", type=float, default=1e-9,
+        help="level-set residual tolerance for sample points (moment part relative to the data scale)",
+    )
     p.add_argument("--tol-zero", type=float, default=1e-8)
     p.add_argument("--tol-pos", type=float, default=1e-6)
 
@@ -313,6 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=("generic", "degenerate"), default="generic")
 
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of :func:`main`, not at import.
+
+    Parsing keeps no state in the parser, so one instance serves every call.
+    """
+    return build_parser()
 
 
 _COMMANDS = {
@@ -332,7 +346,7 @@ def _config_echo(args) -> dict:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     start = time.perf_counter()

@@ -142,11 +142,20 @@ def isotropy_at_support(d: DerivedConeData, pattern: SupportPattern) -> Isotropy
     return IsotropyGroup.finite(factors)
 
 
+class Classification(enum.Enum):
+    FREE_FLAG_CASE = "FreeFlagCase"
+    ORBIFOLD_CASE = "OrbifoldCase"
+
+
 @dataclass(frozen=True)
 class FreenessVerdict:
+    """Lattice-pair freeness; ``classification`` is set when a weight system
+    was supplied and the cone condition holds (not part of the JSON)."""
+
     free: bool
     failing_pair: tuple[int, int, int] | None  # (i, j, |det(A_i, B_j)|)
     classification_consistent: bool
+    classification: Classification | None = None
 
     def to_json(self) -> dict:
         return {
@@ -156,35 +165,34 @@ class FreenessVerdict:
         }
 
 
+def _failing_pair(d: DerivedConeData) -> tuple[int, int, int] | None:
+    """The first (i, j, |det|) with i != j and (A_i, B_j) not a lattice basis."""
+    for j in range(3):
+        for i in range(3):
+            if i != j:
+                det = cross(d.a[i], d.b[j])
+                if abs(det) != 1:
+                    return (i + 1, j + 1, abs(int(det)))
+    return None
+
+
 def freeness_check(d: DerivedConeData, ws: WeightSystem | None = None) -> FreenessVerdict:
     """The action is free iff every (A_i, B_j) with i != j is a lattice basis.
 
-    When the originating weight system is supplied and passes the cone
+    When the originating weight system is supplied and d passes the cone
     condition, the verdict is cross-checked against the homomorphism-level
-    characterization of :func:`classify_quotient`.
+    characterization of :func:`classify_quotient`, and that classification
+    is returned with it. The lattice-pair test runs once when d is the data
+    derived from ws.
     """
-    failing = None
-    for j in range(3):
-        for i in range(3):
-            if i == j:
-                continue
-            det = cross(d.a[i], d.b[j])
-            if abs(det) != 1:
-                failing = (i + 1, j + 1, abs(int(det)))
-                break
-        if failing is not None:
-            break
+    failing = _failing_pair(d)
     free = failing is None
-    consistent = True
+    classification = None
     if ws is not None and cone_condition_holds(d):
-        classification = classify_quotient(ws)
-        consistent = (classification is Classification.FREE_FLAG_CASE) == free
-    return FreenessVerdict(free, failing, consistent)
-
-
-class Classification(enum.Enum):
-    FREE_FLAG_CASE = "FreeFlagCase"
-    ORBIFOLD_CASE = "OrbifoldCase"
+        derived = derive(ws)
+        classification = _classify(ws, derived, free if derived == d else None)
+    consistent = classification is None or (classification is Classification.FREE_FLAG_CASE) == free
+    return FreenessVerdict(free, failing, consistent, classification)
 
 
 def classify_quotient(ws: WeightSystem) -> Classification:
@@ -195,13 +203,20 @@ def classify_quotient(ws: WeightSystem) -> Classification:
     mismatch with the pairwise lattice-basis criterion cannot occur and is
     raised as an internal error.
     """
-    d = derive(ws)
-    if not cone_condition_holds(d):
-        raise ValueError("classification requires the cone condition to hold")
+    return _classify(ws, derive(ws), None)
+
+
+def _classify(ws: WeightSystem, d: DerivedConeData, by_pairs: bool | None) -> Classification:
+    """Classify ws, whose derived data is d. ``by_pairs`` is the lattice-pair
+    verdict on d when the caller already has it (and knows the cone
+    condition holds); None decides both here."""
+    if by_pairs is None:
+        if not cone_condition_holds(d):
+            raise ValueError("classification requires the cone condition to hold")
+        by_pairs = _failing_pair(d) is None
     left_trivial = all(v == (0, 0) for v in ws.wl)
     right_iso = is_unimodular_pair(ws.wr[0], ws.wr[1])
     by_homs = left_trivial and right_iso
-    by_pairs = freeness_check(d).free
     if by_homs != by_pairs:
         raise RuntimeError(
             f"freeness characterizations disagree on {ws!r}: "

@@ -14,19 +14,26 @@ and for cone data (A, B, C) the moment map is
 Points of the level set Phi = C on the quadric are sampled exactly (one
 coordinate per factor, from a positive cone witness), by Gauss-Newton
 projection of perturbations, or by embedding special unitary matrices when
-the data is the round normalization. :func:`certify_point` then checks the
-linear-algebra content of the transverse Kahler construction at a point:
+the data is the round normalization. :func:`certify_points` then checks the
+linear-algebra content of the transverse Kahler construction at each point:
 constraint regularity, transversality of the rotated frame, the induced
 complex structure squaring to -1 and rotating the orbit directions, omega
 compatibility, and positive semidefiniteness of omega(J_N -, -) with a
 2-dimensional kernel along the orbit.
+
+Projection and certification run as one batch over a stack of points:
+each step is a single stacked numpy/LAPACK call, and the one-point
+functions (:func:`project_to_level`, :func:`certify_point`) are calls of
+the batched ones with a stack of one.
 
 Everything here is float; all exact decisions live in the other modules.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +50,14 @@ __all__ = [
     "moment_map",
     "sample_level_point",
     "project_to_level",
+    "project_points",
+    "moment_scale",
     "action_orbit_map",
     "equivariance_check",
     "transverse_frame",
     "PointCertificate",
     "certify_point",
+    "certify_points",
     "certification_sample",
     "constraint_values",
     "constraint_jacobian",
@@ -63,7 +73,7 @@ ROUND_DATA = cone_data([(1, 0)] * 3, [(0, 1)] * 3)
 class Tolerances:
     """Numerical thresholds; all rank decisions are relative."""
 
-    residual: float = 1e-9       # level-set membership
+    residual: float = 1e-9       # level-set membership, moment part vs moment_scale
     zero: float = 1e-8           # |eigenvalue| treated as 0 in spectra
     pos: float = 1e-6            # smallest positive eigenvalue vs largest
     rank_rel: float = 1e-9       # singular value cutoff vs largest
@@ -86,22 +96,60 @@ class LevelSetPoint:
         }
 
 
-def _weight_arrays(d: DerivedConeData):
-    """Float weight components: (af, ag) for z, (bf, bg) for w."""
-    af = np.array([float(v[0]) for v in d.a])
-    ag = np.array([float(v[1]) for v in d.a])
-    bf = np.array([float(v[0]) for v in d.b])
-    bg = np.array([float(v[1]) for v in d.b])
-    return af, ag, bf, bg
+class _FloatData(NamedTuple):
+    """Float cone data, converted once per call of a batched kernel."""
+
+    af: np.ndarray  # first components of A_j (z weights)
+    ag: np.ndarray  # second components of A_j
+    bf: np.ndarray  # first components of B_j (w weights)
+    bg: np.ndarray  # second components of B_j
+    c: np.ndarray   # C as a float 2-vector
+    scale: float    # moment scale, see :func:`moment_scale`
+
+
+def _weight_arrays(d: DerivedConeData) -> _FloatData:
+    a = np.array(d.a, dtype=float)
+    b = np.array(d.b, dtype=float)
+    c = np.array(d.c, dtype=float)
+    scale = max(math.hypot(*v) for v in (*a.tolist(), *b.tolist(), c.tolist())) or 1.0
+    return _FloatData(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c, scale)
+
+
+def _unit(fd: _FloatData) -> _FloatData:
+    """The same data divided by its moment scale (scale 1).
+
+    Projection and certificates run on it: the level set, its tangent
+    spaces and J_N are unchanged, while ranks, stopping residuals and
+    operator errors become invariant under rescaling the cone data.
+    """
+    return _FloatData(*(x / fd.scale for x in fd[:5]), 1.0)
+
+
+def moment_scale(d: DerivedConeData) -> float:
+    """max(|C|, |A_j|, |B_j|), or 1 for all-zero data.
+
+    Level-set residuals are measured against this scale: rescaling the
+    cone data by s > 0 leaves the level set's points unchanged and
+    multiplies both Phi - C and the scale by s.
+    """
+    return _weight_arrays(d).scale
+
+
+def _moment(fd: _FloatData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Phi over the last axis: (..., 3) complex pairs to (..., 2) floats."""
+    z2 = np.abs(z) ** 2
+    w2 = np.abs(w) ** 2
+    return np.stack([z2 @ fd.af + w2 @ fd.bf, z2 @ fd.ag + w2 @ fd.bg], axis=-1)
 
 
 def moment_map(d: DerivedConeData, p) -> np.ndarray:
-    """Phi(z, w) = sum_j A_j |z_j|^2 + B_j |w_j|^2 as a float 2-vector."""
+    """Phi(z, w) = sum_j A_j |z_j|^2 + B_j |w_j|^2 as a float 2-vector.
+
+    ``p`` may also be a pair of stacked (n, 3) arrays; the result is then
+    (n, 2).
+    """
     z, w = _as_zw(p)
-    af, ag, bf, bg = _weight_arrays(d)
-    z2 = np.abs(z) ** 2
-    w2 = np.abs(w) ** 2
-    return np.array([af @ z2 + bf @ w2, ag @ z2 + bg @ w2])
+    return _moment(_weight_arrays(d), z, w)
 
 
 def _as_zw(p) -> tuple[np.ndarray, np.ndarray]:
@@ -111,25 +159,54 @@ def _as_zw(p) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
 
 
-def _residuals(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    quad = abs(np.sum(z * w))
-    c = np.array([float(d.c[0]), float(d.c[1])])
-    mom = float(np.linalg.norm(moment_map(d, (z, w)) - c))
-    return (float(quad), mom)
+def _nonzero_factors(z: np.ndarray, w: np.ndarray, floor: float) -> np.ndarray:
+    """Per row: max |z_j| and max |w_j| both exceed the floor.
+
+    A non-finite row fails too, so no NaN ever reaches a factorization.
+    """
+    return (np.max(np.abs(z), axis=-1) > floor) & (np.max(np.abs(w), axis=-1) > floor)
+
+
+def _level_points(
+    fd: _FloatData, z: np.ndarray, w: np.ndarray, tol: Tolerances
+) -> list[LevelSetPoint | ValueError]:
+    """Validate stacked (n, 3) rows; a failing row yields its error.
+
+    The quadric residual |sum z_j w_j| is compared with ``tol.residual``
+    and the moment residual |Phi - C| with ``tol.residual`` times the
+    moment scale.
+    """
+    quad = np.abs(np.sum(z * w, axis=-1))
+    mom = np.linalg.norm(_moment(fd, z, w) - fd.c, axis=-1)
+    nonzero = _nonzero_factors(z, w, tol.nonzero_floor)
+    close = (quad <= tol.residual) & (mom <= tol.residual * fd.scale)
+    out: list[LevelSetPoint | ValueError] = []
+    for k in range(len(z)):
+        res = (float(quad[k]), float(mom[k]))
+        if not nonzero[k]:
+            out.append(ValueError("z and w must both be nonzero on the quadric"))
+        elif not close[k]:
+            out.append(ValueError(f"point misses the level set: residuals {res}"))
+        else:
+            out.append(LevelSetPoint(z[k], w[k], res))
+    return out
+
+
+def _first_error(results: list) -> list:
+    """Raise the error of the lowest failing row, as a sequential loop would."""
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return results
 
 
 def level_point(
     d: DerivedConeData, z, w, tol: Tolerances = Tolerances()
 ) -> LevelSetPoint:
     """Validated construction: both factors nonzero, both residuals small."""
-    z = np.asarray(z, dtype=complex).reshape(3)
-    w = np.asarray(w, dtype=complex).reshape(3)
-    if np.max(np.abs(z)) <= tol.nonzero_floor or np.max(np.abs(w)) <= tol.nonzero_floor:
-        raise ValueError("z and w must both be nonzero on the quadric")
-    res = _residuals(d, z, w)
-    if res[0] > tol.residual or res[1] > tol.residual:
-        raise ValueError(f"point misses the level set: residuals {res}")
-    return LevelSetPoint(z, w, res)
+    z = np.asarray(z, dtype=complex).reshape(1, 3)
+    w = np.asarray(w, dtype=complex).reshape(1, 3)
+    return _first_error(_level_points(_weight_arrays(d), z, w, tol))[0]
 
 
 def check_special_unitary(a: np.ndarray, tol: float = 1e-9) -> None:
@@ -191,6 +268,15 @@ def equivariance_check(a: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
     )
 
 
+def _single_support(i: int, j: int, ab) -> tuple[np.ndarray, np.ndarray]:
+    a, b = ab
+    z = np.zeros(3, dtype=complex)
+    w = np.zeros(3, dtype=complex)
+    z[i - 1] = np.sqrt(float(a))
+    w[j - 1] = np.sqrt(float(b))
+    return z, w
+
+
 def sample_level_point(d: DerivedConeData, i: int, j: int) -> LevelSetPoint:
     """The exact level-set point supported on z_i and w_j (1-based, i != j).
 
@@ -205,27 +291,33 @@ def sample_level_point(d: DerivedConeData, i: int, j: int) -> LevelSetPoint:
             f"C admits no positive combination of A_{i} and B_{j}; "
             "the support pattern is not realizable"
         )
-    a, b = ab
-    z = np.zeros(3, dtype=complex)
-    w = np.zeros(3, dtype=complex)
-    z[i - 1] = np.sqrt(float(a))
-    w[j - 1] = np.sqrt(float(b))
-    return level_point(d, z, w)
+    return level_point(d, *_single_support(i, j, ab))
 
 
 # --- real-coordinate plumbing -------------------------------------------
 # Layout: (Re z1, Im z1, ..., Re z3, Im z3, Re w1, Im w1, ..., Im w3).
+# Every helper acts on the last axis, so stacks of points need no loop.
 
 
-def _c2r(v6: np.ndarray) -> np.ndarray:
-    out = np.empty(12)
-    out[0::2] = v6.real
-    out[1::2] = v6.imag
+def _c2r(v: np.ndarray) -> np.ndarray:
+    out = np.empty(v.shape[:-1] + (2 * v.shape[-1],))
+    out[..., 0::2] = v.real
+    out[..., 1::2] = v.imag
     return out
 
 
-def _r2c(x12: np.ndarray) -> np.ndarray:
-    return x12[0::2] + 1j * x12[1::2]
+def _r2c(x: np.ndarray) -> np.ndarray:
+    return x[..., 0::2] + 1j * x[..., 1::2]
+
+
+def _spectral_norm(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a stack (the operator 2-norm)."""
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector product: (..., m, k) @ (..., k) -> (..., m)."""
+    return (a @ v[..., None])[..., 0]
 
 
 def omega_matrix() -> np.ndarray:
@@ -242,32 +334,102 @@ def ambient_complex_structure() -> np.ndarray:
     return omega_matrix()  # same block structure: (re, im) -> (-im, re)
 
 
+def _constraints(fd: _FloatData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    h = np.sum(z * w, axis=-1)
+    m = _moment(fd, z, w) - fd.c
+    return np.stack([h.real, h.imag, m[..., 0], m[..., 1]], axis=-1)
+
+
+def _jacobian(fd: _FloatData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(..., 4, 12) Jacobians; each row is the real form of a complex 6-vector.
+
+    h = sum z_j w_j is complex-bilinear, so d(Re h) = (conj w, conj z) and
+    d(Im h) = i (conj w, conj z); the moment rows are gradients of weighted
+    square moduli, 2 A_j z_j and 2 B_j w_j per component.
+    """
+    zc, wc = np.conj(z), np.conj(w)
+    rows = np.stack(
+        [
+            np.concatenate([wc, zc], axis=-1),
+            np.concatenate([1j * wc, 1j * zc], axis=-1),
+            np.concatenate([2 * fd.af * z, 2 * fd.bf * w], axis=-1),
+            np.concatenate([2 * fd.ag * z, 2 * fd.bg * w], axis=-1),
+        ],
+        axis=-2,
+    )
+    return _c2r(rows)
+
+
 def constraint_values(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """F = (Re sum z_j w_j, Im sum z_j w_j, Phi - C) in R^4."""
-    h = np.sum(z * w)
-    phi = moment_map(d, (z, w))
-    return np.array([h.real, h.imag, phi[0] - float(d.c[0]), phi[1] - float(d.c[1])])
+    return _constraints(_weight_arrays(d), np.asarray(z), np.asarray(w))
 
 
 def constraint_jacobian(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """4 x 12 real Jacobian of :func:`constraint_values`."""
-    af, ag, bf, bg = _weight_arrays(d)
-    jac = np.zeros((4, 12))
-    for k in range(3):
-        zr, zi = z[k].real, z[k].imag
-        wr, wi = w[k].real, w[k].imag
-        col_z, col_w = 2 * k, 6 + 2 * k
-        # d(Re h), d(Im h): h is complex-bilinear in (z, w)
-        jac[0, col_z], jac[0, col_z + 1] = wr, -wi
-        jac[0, col_w], jac[0, col_w + 1] = zr, -zi
-        jac[1, col_z], jac[1, col_z + 1] = wi, wr
-        jac[1, col_w], jac[1, col_w + 1] = zi, zr
-        # d(f), d(g): gradients of weighted square moduli
-        jac[2, col_z], jac[2, col_z + 1] = 2 * af[k] * zr, 2 * af[k] * zi
-        jac[2, col_w], jac[2, col_w + 1] = 2 * bf[k] * wr, 2 * bf[k] * wi
-        jac[3, col_z], jac[3, col_z + 1] = 2 * ag[k] * zr, 2 * ag[k] * zi
-        jac[3, col_w], jac[3, col_w + 1] = 2 * bg[k] * wr, 2 * bg[k] * wi
-    return jac
+    return _jacobian(_weight_arrays(d), np.asarray(z), np.asarray(w))
+
+
+def _project(
+    fd: _FloatData, z0, w0, tol: float, max_iter: int, tolerances: Tolerances
+) -> list[LevelSetPoint | Exception]:
+    """Gauss-Newton on a stack of (n, 3) starts; a failing row yields its error.
+
+    Each row follows the sequential rule: up to ``max_iter`` rounds of
+    "stop once |F| <= tol, else step, then check for a collapsed factor".
+    Converged rows leave the stack, so later rounds only solve for the rest.
+    F and J are taken on the unit-scale data, so ``tol`` is relative.
+    """
+    z = np.array(z0, dtype=complex).reshape(-1, 3)
+    w = np.array(w0, dtype=complex).reshape(-1, 3)
+    floor = tolerances.nonzero_floor
+    start_ok = _nonzero_factors(z, w, floor)
+    out: list = [None if ok else ValueError("starting point must have nonzero z and w") for ok in start_ok]
+    unit = _unit(fd)
+    active = np.flatnonzero(start_ok)
+    converged = np.zeros(len(z), dtype=bool)
+    for _ in range(max_iter):
+        za, wa = z[active], w[active]
+        f = _constraints(unit, za, wa)
+        left = np.linalg.norm(f, axis=-1) > tol
+        converged[active[~left]] = True
+        active, za, wa, f = active[left], za[left], wa[left], f[left]
+        if not active.size:
+            break
+        # pinv keeps lstsq's cutoff: singular values below max(M, N) * eps * s_max
+        step = _mv(np.linalg.pinv(_jacobian(unit, za, wa)), -f)
+        v = _r2c(_c2r(np.concatenate([za, wa], axis=-1)) + step)
+        z[active], w[active] = v[:, :3], v[:, 3:]
+        ok = _nonzero_factors(v[:, :3], v[:, 3:], floor)
+        for k in active[~ok]:
+            out[k] = RuntimeError("projection collapsed a factor toward zero")
+        active = active[ok]
+    for k in active:
+        out[k] = RuntimeError(f"no convergence to {tol} within {max_iter} iterations")
+    done = np.flatnonzero(converged)
+    for k, point in zip(done, _level_points(fd, z[done], w[done], tolerances)):
+        out[k] = point
+    return out
+
+
+def project_points(
+    d: DerivedConeData,
+    z0,
+    w0,
+    tol: float = 1e-12,
+    max_iter: int = 50,
+    tolerances: Tolerances = Tolerances(),
+) -> list[LevelSetPoint]:
+    """Gauss-Newton projection of n ambient points (z0, w0 of shape (n, 3)).
+
+    Takes minimum-norm steps delta = -J^+ F; near a regular point the
+    iteration converges quadratically. The stopping residual ``tol`` is
+    relative: the moment part of F is divided by :func:`moment_scale`.
+    Converged points are accepted against ``tolerances`` as in
+    :func:`level_point`. Raises the error of the lowest-index row that
+    stalls, collapses a factor toward zero or misses the level set.
+    """
+    return _first_error(_project(_weight_arrays(d), z0, w0, tol, max_iter, tolerances))
 
 
 def project_to_level(
@@ -278,28 +440,10 @@ def project_to_level(
     max_iter: int = 50,
     tolerances: Tolerances = Tolerances(),
 ) -> LevelSetPoint:
-    """Gauss-Newton projection of an ambient point onto the level set.
-
-    Takes minimum-norm steps delta = -J^+ F; near a regular point the
-    iteration converges quadratically. Raises when the iteration stalls or
-    a factor collapses toward zero.
-    """
-    z = np.asarray(z0, dtype=complex).reshape(3).copy()
-    w = np.asarray(w0, dtype=complex).reshape(3).copy()
-    if np.max(np.abs(z)) <= tolerances.nonzero_floor or np.max(np.abs(w)) <= tolerances.nonzero_floor:
-        raise ValueError("starting point must have nonzero z and w")
-    for _ in range(max_iter):
-        f = constraint_values(d, z, w)
-        if np.linalg.norm(f) <= tol:
-            return level_point(d, z, w, Tolerances(residual=max(tol * 10, 1e-11)))
-        jac = constraint_jacobian(d, z, w)
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        x = _c2r(np.concatenate([z, w])) + step
-        v = _r2c(x)
-        z, w = v[:3], v[3:]
-        if np.max(np.abs(z)) <= tolerances.nonzero_floor or np.max(np.abs(w)) <= tolerances.nonzero_floor:
-            raise RuntimeError("projection collapsed a factor toward zero")
-    raise RuntimeError(f"no convergence to {tol} within {max_iter} iterations")
+    """:func:`project_points` for one starting point."""
+    z0 = np.asarray(z0, dtype=complex).reshape(1, 3)
+    w0 = np.asarray(w0, dtype=complex).reshape(1, 3)
+    return project_points(d, z0, w0, tol, max_iter, tolerances)[0]
 
 
 def action_orbit_map(d: DerivedConeData, p, angles) -> LevelSetPoint:
@@ -311,10 +455,23 @@ def action_orbit_map(d: DerivedConeData, p, angles) -> LevelSetPoint:
     """
     z, w = _as_zw(p)
     t1, t2 = float(angles[0]), float(angles[1])
-    af, ag, bf, bg = _weight_arrays(d)
-    z_new = z * np.exp(1j * (af * t1 + ag * t2))
-    w_new = w * np.exp(1j * (bf * t1 + bg * t2))
+    fd = _weight_arrays(d)
+    z_new = z * np.exp(1j * (fd.af * t1 + fd.ag * t2))
+    w_new = w * np.exp(1j * (fd.bf * t1 + fd.bg * t2))
     return level_point(d, z_new, w_new, Tolerances(residual=1e-9))
+
+
+def _frame(fd: _FloatData, z: np.ndarray, w: np.ndarray, bc):
+    x6 = np.concatenate([1j * fd.af * z, 1j * fd.bf * w], axis=-1)
+    y6 = np.concatenate([1j * fd.ag * z, 1j * fd.bg * w], axis=-1)
+    if bc is not None:
+        bc = np.asarray(bc, dtype=float)
+        if bc.shape != (2, 2) or abs(np.linalg.det(bc)) < 1e-12:
+            raise ValueError("bc must be an invertible 2x2 real matrix")
+        x6, y6 = bc[0, 0] * x6 + bc[1, 0] * y6, bc[0, 1] * x6 + bc[1, 1] * y6
+    z6 = x6 + 1j * y6
+    w6 = 1j * x6 - y6
+    return x6, y6, z6, w6
 
 
 def transverse_frame(d: DerivedConeData, p, bc: np.ndarray | None = None):
@@ -328,17 +485,7 @@ def transverse_frame(d: DerivedConeData, p, bc: np.ndarray | None = None):
     X -> Y -> -X.
     """
     z, w = _as_zw(p)
-    af, ag, bf, bg = _weight_arrays(d)
-    x6 = np.concatenate([1j * af * z, 1j * bf * w])
-    y6 = np.concatenate([1j * ag * z, 1j * bg * w])
-    if bc is not None:
-        bc = np.asarray(bc, dtype=float)
-        if bc.shape != (2, 2) or abs(np.linalg.det(bc)) < 1e-12:
-            raise ValueError("bc must be an invertible 2x2 real matrix")
-        x6, y6 = bc[0, 0] * x6 + bc[1, 0] * y6, bc[0, 1] * x6 + bc[1, 1] * y6
-    z6 = x6 + 1j * y6
-    w6 = 1j * x6 - y6
-    return x6, y6, z6, w6
+    return _frame(_weight_arrays(d), z, w, bc)
 
 
 @dataclass
@@ -379,125 +526,165 @@ _OMEGA12 = omega_matrix()
 _J12 = ambient_complex_structure()
 
 
+def certify_points(
+    d: DerivedConeData,
+    points,
+    bc: np.ndarray | None = None,
+    tol: Tolerances = Tolerances(),
+) -> list[PointCertificate]:
+    """Run every pointwise check of the transverse Kahler construction.
+
+    Steps, each one stacked call over all points: (a) rank of the 4x12
+    constraint Jacobians (regular iff 4); (b) orthonormal kernel basis Q =
+    tangent space of the level set; (c) thin SVD of [Q | Z W], whose rank
+    decides transversality (iff 10) and whose factors give (d) J_N, the
+    projection of J u back into the kernel along span{Z, W}, as the
+    minimum-norm solve [Q | Z W] coords = J Q; (e) operator errors
+    |J_N^2 + 1|, |J_N X - Y| + |J_N Y + X|, omega compatibility;
+    (f) eigenvalues of the symmetrized omega(J_N -, -).
+
+    All of it runs on the cone data divided by :func:`moment_scale`, which
+    changes no rank, J_N or spectrum but makes the certificate invariant
+    under rescaling the data; |J_N X - Y| + |J_N Y + X| is thereby measured
+    relative to that scale.
+
+    Rank failures are reported in the certificate, not raised; such a
+    point leaves the stack at the step that fails it, so no later
+    factorization sees its degenerate matrices.
+    """
+    certs: list = [None] * len(points)
+    if not certs:
+        return certs
+    fd = _unit(_weight_arrays(d))
+    z = np.array([p.z for p in points])
+    w = np.array([p.w for p in points])
+    _, s, vt = np.linalg.svd(_jacobian(fd, z, w))
+    smax = np.where(s[:, 0] > 0, s[:, 0], 1.0)
+    jac_rank = np.sum(s > tol.rank_rel * smax[:, None], axis=1)
+    for i in np.flatnonzero(jac_rank < 4):
+        certs[i] = PointCertificate(
+            False, False, int(jac_rank[i]), 0, np.inf, np.inf, np.inf, (), False
+        )
+    idx = np.flatnonzero(jac_rank == 4)
+    if not idx.size:
+        return certs
+    q = np.swapaxes(vt[idx, 4:], -1, -2)  # m x 12 x 8 orthonormal tangent bases
+
+    x6, y6, z6, w6 = _frame(fd, z[idx], w[idx], bc)
+    span = np.concatenate([q, _c2r(z6)[..., None], _c2r(w6)[..., None]], axis=-1)
+    u2, s2, vt2 = np.linalg.svd(span, full_matrices=False)
+    combined_rank = np.sum(s2 > tol.rank_rel * s2[:, :1], axis=1)
+    for i, rank in zip(idx, combined_rank):
+        if rank != 10:
+            certs[i] = PointCertificate(
+                True, False, 4, int(rank), np.inf, np.inf, np.inf, (), False
+            )
+    keep = combined_rank == 10
+    if not keep.any():
+        return certs
+    idx, q, u2, s2, vt2 = idx[keep], q[keep], u2[keep], s2[keep], vt2[keep]
+    xr, yr = _c2r(x6[keep]), _c2r(y6[keep])
+
+    # J_N on the kernel basis: coords = V S^-1 U^T (J Q) solves
+    # [Q | Z W] coords = J Q (full column rank); keep the Q-block.
+    coords = np.swapaxes(vt2, -1, -2) @ ((np.swapaxes(u2, -1, -2) @ (_J12 @ q)) / s2[..., None])
+    k = coords[:, :8, :]
+    kt, qt = np.swapaxes(k, -1, -2), np.swapaxes(q, -1, -2)
+
+    jn_square_error = _spectral_norm(k @ k + np.eye(8))
+    xi, eta = _mv(qt, xr), _mv(qt, yr)
+    jn_xy_error = np.linalg.norm(_mv(q, _mv(k, xi)) - yr, axis=-1) + np.linalg.norm(
+        _mv(q, _mv(k, eta)) + xr, axis=-1
+    )
+    omega_n = qt @ _OMEGA12 @ q
+    omega_compat_error = _spectral_norm(kt @ omega_n @ k - omega_n)
+
+    qform = kt @ omega_n  # q(u, v) = omega(J_N u, v) in the kernel basis
+    spectrum = np.linalg.eigvalsh(0.5 * (qform + np.swapaxes(qform, -1, -2)))
+    zero_count = np.sum(np.abs(spectrum) <= tol.zero, axis=1)
+    pos_count = np.sum(spectrum >= tol.pos * spectrum[:, -1:], axis=1)
+    passed = (
+        (jn_square_error <= tol.operator)
+        & (jn_xy_error <= tol.operator)
+        & (omega_compat_error <= tol.operator)
+        & (zero_count == 2)
+        & (pos_count == 6)
+    )
+    for m, i in enumerate(idx):
+        certs[i] = PointCertificate(
+            True,
+            True,
+            4,
+            10,
+            float(jn_square_error[m]),
+            float(jn_xy_error[m]),
+            float(omega_compat_error[m]),
+            tuple(spectrum[m].tolist()),
+            bool(passed[m]),
+        )
+    return certs
+
+
 def certify_point(
     d: DerivedConeData,
     p: LevelSetPoint,
     bc: np.ndarray | None = None,
     tol: Tolerances = Tolerances(),
 ) -> PointCertificate:
-    """Run every pointwise check of the transverse Kahler construction.
-
-    Steps: (a) rank of the 4x12 constraint Jacobian (regular iff 4);
-    (b) orthonormal kernel basis = tangent space of the level set;
-    (c) rank of kernel + span{Z, W} (transversal iff 10); (d) J_N u =
-    projection of J u back into the kernel along span{Z, W}; (e) operator
-    errors |J_N^2 + 1|, |J_N X - Y| + |J_N Y + X|, omega compatibility;
-    (f) eigenvalues of the symmetrized omega(J_N -, -).
-
-    Rank failures are reported in the certificate, not raised.
-    """
-    jac = constraint_jacobian(d, p.z, p.w)
-    _, s, vt = np.linalg.svd(jac)
-    smax = s[0] if s[0] > 0 else 1.0
-    jac_rank = int(np.sum(s > tol.rank_rel * smax))
-    if jac_rank < 4:
-        return PointCertificate(
-            False, False, jac_rank, 0, np.inf, np.inf, np.inf, (), False
-        )
-    q = vt[4:].T  # 12 x 8 orthonormal basis of the tangent space
-
-    x6, y6, z6, w6 = transverse_frame(d, p, bc)
-    xr, yr = _c2r(x6), _c2r(y6)
-    span = np.column_stack([q, _c2r(z6), _c2r(w6)])
-    s2 = np.linalg.svd(span, compute_uv=False)
-    combined_rank = int(np.sum(s2 > tol.rank_rel * s2[0]))
-    transversal = combined_rank == 10
-    if not transversal:
-        return PointCertificate(
-            True, False, jac_rank, combined_rank, np.inf, np.inf, np.inf, (), False
-        )
-
-    # J_N on the kernel basis: solve [Q | Z W] (coords) = J Q, take the
-    # Q-block of the coordinates.
-    jq = _J12 @ q
-    coords, *_ = np.linalg.lstsq(span, jq, rcond=None)
-    k = coords[:8, :]
-
-    jn_square_error = float(np.linalg.norm(k @ k + np.eye(8), 2))
-    xi, eta = q.T @ xr, q.T @ yr
-    jn_xy_error = float(
-        np.linalg.norm(q @ (k @ xi) - yr) + np.linalg.norm(q @ (k @ eta) + xr)
-    )
-    omega_n = q.T @ _OMEGA12 @ q
-    omega_compat_error = float(np.linalg.norm(k.T @ omega_n @ k - omega_n, 2))
-
-    qform = k.T @ omega_n  # q(u, v) = omega(J_N u, v) in the kernel basis
-    spectrum = np.linalg.eigvalsh(0.5 * (qform + qform.T))
-    zero_count = int(np.sum(np.abs(spectrum) <= tol.zero))
-    pos_count = int(np.sum(spectrum >= tol.pos * spectrum[-1]))
-    spectrum_ok = zero_count == 2 and pos_count == 6
-
-    passed = (
-        transversal
-        and jn_square_error <= tol.operator
-        and jn_xy_error <= tol.operator
-        and omega_compat_error <= tol.operator
-        and spectrum_ok
-    )
-    return PointCertificate(
-        True,
-        True,
-        jac_rank,
-        combined_rank,
-        jn_square_error,
-        jn_xy_error,
-        omega_compat_error,
-        tuple(float(v) for v in spectrum),
-        passed,
-    )
+    """:func:`certify_points` for one point."""
+    return certify_points(d, [p], bc, tol)[0]
 
 
-def _support_witnesses(d: DerivedConeData) -> list[tuple[int, int]]:
+def _support_witnesses(d: DerivedConeData) -> list[tuple[int, int, tuple]]:
+    """(i, j, (a, b)) for every i != j with C = a*A_i + b*B_j, a, b > 0."""
     out = []
     for i in range(1, 4):
         for j in range(1, 4):
-            if i != j and positive_combination(d.c, d.a[i - 1], d.b[j - 1]) is not None:
-                out.append((i, j))
+            ab = positive_combination(d.c, d.a[i - 1], d.b[j - 1]) if i != j else None
+            if ab is not None:
+                out.append((i, j, ab))
     return out
 
 
 def certification_sample(
-    d: DerivedConeData, n: int, seed, noise: float = 1e-2
+    d: DerivedConeData, n: int, seed, noise: float = 1e-2, tol: Tolerances = Tolerances()
 ) -> list[LevelSetPoint]:
     """Deterministic batch of n level-set points for certification.
 
     The exact single-support seeds come first, then Gauss-Newton
-    projections of Gaussian perturbations of them; for the round
-    normalization, embedded random special unitary matrices are mixed in.
-    Each point draws from its own spawned RNG stream, so the batch is
-    reproducible and order-independent of evaluation.
+    projections of Gaussian perturbations of them, all in one stacked
+    :func:`project_points` run; for the round normalization, embedded
+    random special unitary matrices are mixed in. Each point draws from its
+    own spawned RNG stream, so the batch is reproducible and
+    order-independent of evaluation. Seeds and projections are accepted
+    against ``tol.residual``; a failure raises the error of the
+    lowest-index point.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    pairs = _support_witnesses(d)
-    if not pairs:
+    witnesses = _support_witnesses(d)
+    if not witnesses:
         raise ValueError("no realizable single-support point; nothing to sample")
-    seeds = [sample_level_point(d, i, j) for i, j in pairs]
+    fd = _weight_arrays(d)
+    seed_z, seed_w = zip(*(_single_support(*wit) for wit in witnesses))
+    seeds = _first_error(_level_points(fd, np.array(seed_z), np.array(seed_w), tol))
     streams = np.random.SeedSequence(seed).spawn(n)
     is_round = d == ROUND_DATA
-    out: list[LevelSetPoint] = []
-    for k in range(n):
-        if k < len(seeds):
-            out.append(seeds[k])
-            continue
-        if is_round and k % 3 == 2:
-            out.append(embed_su3(random_su3(streams[k])))
-            continue
+    embedded = {k for k in range(len(seeds), n) if is_round and k % 3 == 2}
+    perturbed = [k for k in range(len(seeds), n) if k not in embedded]
+    z0 = np.empty((len(perturbed), 3), dtype=complex)
+    w0 = np.empty((len(perturbed), 3), dtype=complex)
+    for row, k in enumerate(perturbed):
         base = seeds[k % len(seeds)]
         rng = np.random.default_rng(streams[k])
         dz = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         dw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        out.append(
-            project_to_level(d, base.z + noise * dz, base.w + noise * dw)
-        )
+        z0[row], w0[row] = base.z + noise * dz, base.w + noise * dw
+    projected = dict(zip(perturbed, _project(fd, z0, w0, tol=1e-12, max_iter=50, tolerances=tol)))
+    out: list[LevelSetPoint] = seeds[:n]
+    for k in range(len(seeds), n):
+        point = embed_su3(random_su3(streams[k])) if k in embedded else projected[k]
+        if isinstance(point, Exception):
+            raise point
+        out.append(point)
     return out

@@ -253,3 +253,76 @@ def test_out_file(tmp_path, capsys):
     code, out = run(capsys, "--out", str(target), "check", "--config", STANDARD_CONFIG)
     assert code == 0
     assert target.read_text() == out
+
+
+# --- cached parser ----------------------------------------------------------------
+
+
+def test_cached_parser_output_matches_fresh_parsers(capsys):
+    """One process, one parser: several subcommands with a usage error in
+    between print exactly what a freshly built parser makes them print."""
+    from su3kahler import cli
+
+    argvs = [
+        ("check", "--config", ORBIFOLD_CONFIG),
+        ("isotropy", "--config", ORBIFOLD_CONE),
+        ("verify", "--config", ORBIFOLD_CONE, "--samples", "8"),
+        ("verify", "--samples", "x"),
+        ("cohomology", "--branch", "degenerate"),
+        ("check", "--config", ZERO_CONFIG, "--interp-steps", "3"),
+        ("enumerate", "--bound", "1"),
+    ]
+
+    def outputs(fresh):
+        got = []
+        for argv in argvs:
+            if fresh:
+                cli._parser.cache_clear()
+            got.append(run(capsys, *argv))
+        return got
+
+    cached = outputs(fresh=False)
+    assert cli._parser.cache_info().hits >= len(argvs) - 1
+    assert [code for code, _ in cached] == [0, 0, 0, 2, 0, 1, 0]
+    assert cached == outputs(fresh=True)
+
+
+# --- one freeness pass ---------------------------------------------------------------
+
+
+def test_isotropy_classifies_in_the_freeness_pass(capsys, monkeypatch):
+    from su3kahler import cli
+
+    code, expected = run(capsys, "isotropy", "--config", ORBIFOLD_CONFIG)
+
+    def refuse(ws):
+        raise AssertionError("classify_quotient re-run")
+
+    monkeypatch.setattr(cli.iso, "classify_quotient", refuse)
+    assert run(capsys, "isotropy", "--config", ORBIFOLD_CONFIG) == (code, expected)
+    assert json.loads(expected)["results"]["classification"] == "OrbifoldCase"
+
+
+# --- verify: tolerances and scale ----------------------------------------------------
+
+
+def test_verify_tol_decides_the_verdict(capsys):
+    argv = ("verify", "--config", ORBIFOLD_CONE, "--samples", "20")
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["pass"]
+    code, out = run(capsys, *argv, "--tol", "1e-300")
+    results = json.loads(out)["results"]
+    assert code == 1 and results["error"].startswith("sampling failed: point misses the level set")
+
+
+def test_verify_is_invariant_under_rescaling_the_cone_data(capsys):
+    ranks = []
+    for scale in (1, 10**3, 10**4, 10**6):
+        a = [[scale * x for x in v] for v in ([1, 0], [1, 0], [2, -1])]
+        b = [[scale * x for x in v] for v in ([0, 1], [0, 1], [-1, 2])]
+        config = json.dumps({"A": a, "B": b})
+        code, out = run(capsys, "verify", "--config", config, "--samples", "30", "--seed", "4")
+        results = json.loads(out)["results"]
+        assert code == 0 and results["all_passed"], scale
+        ranks.append([(c["jacobian_rank"], c["combined_rank"], c["pass"]) for c in results["certificates"]])
+    assert ranks == [[(4, 10, True)] * 30] * 4

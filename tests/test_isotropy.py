@@ -211,3 +211,14 @@ def test_census_json_schema(orbifold_data):
     assert set(entry) == {"I", "J", "isotropy", "realizable", "witness_point"}
     assert entry["isotropy"]["kind"] == "finite"
     assert isinstance(entry["witness_point"][0], str)
+
+
+def test_freeness_verdict_carries_the_classification(bound1_systems, standard_ws, orbifold_data):
+    for ws in bound1_systems:
+        verdict = freeness_check(derive(ws), ws)
+        assert verdict.classification is classify_quotient(ws)
+    assert freeness_check(orbifold_data).classification is None
+    # data other than derive(ws): the cross-check compares two different actions
+    mixed = freeness_check(orbifold_data, standard_ws)
+    assert mixed.classification is Classification.FREE_FLAG_CASE
+    assert not mixed.free and not mixed.classification_consistent
