@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -89,11 +90,89 @@ def _problem(source: str) -> tuple[wt.WeightSystem | None, wt.DerivedConeData]:
     raise InputError("config needs either wL/wR (weights) or A/B (cone data)")
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
-    if out_path:
-        Path(out_path).write_text(text)
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode(o, parts: list, nl: str) -> None:
+    """Append the JSON text of o to parts, byte for byte as
+    ``json.dumps(o, indent=2, sort_keys=True)`` writes it; nl is the
+    newline and indentation of the line o starts on.
+
+    One pass in place of the stdlib's pure-Python generators (its C
+    encoder is not used when an indent is set). Type tests follow the
+    stdlib's order, so subclasses of str/int/float/list/dict (np.float64)
+    encode as their base and other objects (np.int64) raise TypeError.
+    A module-level function, not a closure, so a call leaves no reference
+    cycle behind.
+    """
+    if isinstance(o, str):
+        parts.append(encode_basestring_ascii(o))
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif isinstance(o, int):
+        parts.append(int.__repr__(o))
+    elif isinstance(o, float):
+        parts.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in o:
+            parts.append(sep)
+            sep = "," + inner
+            _encode(item, parts, inner)
+        parts.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            key = key if isinstance(key, str) else _key_text(key)
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _encode(value, parts, inner)
+        parts.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A non-str dict key as the stdlib writes it (sorting sees the
+    original key)."""
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def encode_report(report) -> str:
+    """The report as indented JSON with sorted keys and a final newline."""
+    parts: list = []
+    _encode(report, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _report(command: str, config: dict, results: dict, passed: bool, wall: float) -> dict:
@@ -353,15 +432,20 @@ def main(argv=None) -> int:
     try:
         code, results, passed = _COMMANDS[args.command](args)
     except InputError as exc:
-        wall = time.perf_counter() - start if args.timing else 0.0
-        _emit(_report(args.command, _config_echo(args), {"error": str(exc)}, False, wall), args.out)
-        return EXIT_USAGE
+        code, results, passed = EXIT_USAGE, {"error": str(exc)}, False
     except (ValueError, RuntimeError) as exc:
-        wall = time.perf_counter() - start if args.timing else 0.0
-        _emit(_report(args.command, _config_echo(args), {"error": str(exc)}, False, wall), args.out)
-        return EXIT_FAIL
+        code, results, passed = EXIT_FAIL, {"error": str(exc)}, False
     wall = time.perf_counter() - start if args.timing else 0.0
-    _emit(_report(args.command, _config_echo(args), results, passed, wall), args.out)
+    text = encode_report(_report(args.command, _config_echo(args), results, passed, wall))
+    if args.out:
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            error = {"error": f"cannot write --out {args.out}: {exc}"}
+            code, text = EXIT_USAGE, encode_report(
+                _report(args.command, _config_echo(args), error, False, wall)
+            )
+    sys.stdout.write(text)
     return code
 
 

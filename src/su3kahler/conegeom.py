@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "Scalar",
@@ -41,6 +42,7 @@ __all__ = [
     "in_cone_many",
     "find_apex_functional",
     "is_unimodular_pair",
+    "invariant_factors_from_divisors",
     "smith_invariant_factors",
 ]
 
@@ -285,67 +287,33 @@ def is_unimodular_pair(a: Vec2, b: Vec2) -> bool:
     return abs(ax * by - ay * bx) == 1
 
 
+def invariant_factors_from_divisors(d1: int, d12: int) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors of a k x 2 integer matrix from its
+    determinantal divisors: d1 = gcd of the entries, d12 = d1*d2 = gcd of
+    the 2 x 2 minors (gcd of nothing is 0).
+
+    The rank is 2 if some minor is nonzero, 1 if some entry is, else 0.
+    """
+    if d12:
+        return 2, (d1, d12 // d1)
+    if d1:
+        return 1, (d1,)
+    return 0, ()
+
+
 def smith_invariant_factors(rows) -> tuple[int, tuple[int, ...]]:
     """Rank and invariant factors of an integer matrix with two columns.
 
     Returns ``(rank, (d1, ..., d_rank))`` with the divisibility chain
-    d1 | d2, computed by unimodular row/column elimination.
+    d1 | d2, read off the determinantal divisors by
+    :func:`invariant_factors_from_divisors`.
     """
     mat = [[_as_int(x) for x in row] for row in rows]
     if not mat or any(len(row) != 2 for row in mat):
         raise ValueError("a k x 2 matrix with k >= 1 is required")
-    k = len(mat)
-    diag: list[int] = []
-    r = 0
-    while r < 2:
-        pivot = None
-        for i in range(r, k):
-            for j in range(r, 2):
-                if mat[i][j] != 0 and (pivot is None or abs(mat[i][j]) < abs(mat[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        mat[r], mat[i0] = mat[i0], mat[r]
-        if j0 != r:
-            for row in mat:
-                row[r], row[j0] = row[j0], row[r]
-        while True:
-            clean = True
-            for i in range(r + 1, k):
-                if mat[i][r] != 0:
-                    q = mat[i][r] // mat[r][r]
-                    for j in range(r, 2):
-                        mat[i][j] -= q * mat[r][j]
-                    if mat[i][r] != 0:  # remainder smaller than pivot: swap and retry
-                        mat[r], mat[i] = mat[i], mat[r]
-                        clean = False
-            for j in range(r + 1, 2):
-                if mat[r][j] != 0:
-                    q = mat[r][j] // mat[r][r]
-                    for i in range(r, k):
-                        mat[i][j] -= q * mat[i][r]
-                    if mat[r][j] != 0:
-                        for i in range(k):
-                            mat[i][r], mat[i][j] = mat[i][j], mat[i][r]
-                        clean = False
-            if clean:
-                # pivot must divide the remaining submatrix for the chain
-                fix = None
-                for i in range(r + 1, k):
-                    for j in range(r + 1, 2):
-                        if mat[i][j] % mat[r][r] != 0:
-                            fix = i
-                            break
-                    if fix is not None:
-                        break
-                if fix is None:
-                    break
-                for j in range(r, 2):
-                    mat[r][j] += mat[fix][j]
-        diag.append(abs(mat[r][r]))
-        r += 1
-    rank = len(diag)
-    for a, b in zip(diag, diag[1:]):
-        assert b % a == 0, "invariant factor chain broken"
-    return rank, tuple(diag)
+    minors = (
+        xi * yj - yi * xj
+        for i, (xi, yi) in enumerate(mat)
+        for xj, yj in mat[i + 1:]
+    )
+    return invariant_factors_from_divisors(gcd(*(x for row in mat for x in row)), gcd(*minors))

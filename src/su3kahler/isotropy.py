@@ -3,21 +3,26 @@
 A point of the level set with z supported on I and w supported on J has
 isotropy equal to the joint kernel of the characters t -> t^{A_i} (i in I)
 and t -> t^{B_j} (j in J). Stacking those exponent vectors into an integer
-matrix, the kernel is read off the Smith normal form: full rank gives the
-finite group Z/d1 x Z/d2, a rank drop gives a positive-dimensional
-stabilizer. Freeness of the whole action reduces to every mixed pair
-(A_i, B_j), i != j, being a lattice basis.
+matrix, the kernel is read off its Smith normal form, whose invariant
+factors come from the determinantal divisors: d1 = gcd of the entries and
+d1*d2 = gcd of the 2 x 2 minors. Full rank gives the finite group
+Z/d1 x Z/d2, a rank drop gives a positive-dimensional stabilizer.
+Freeness of the whole action reduces to every mixed pair (A_i, B_j),
+i != j, being a lattice basis.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .conegeom import (
     cross,
+    invariant_factors_from_divisors,
     is_unimodular_pair,
     scalar_to_json,
     smith_invariant_factors,
@@ -26,7 +31,6 @@ from .weights import (
     DerivedConeData,
     WeightSystem,
     derive,
-    positive_combination,
     cone_condition_holds,
 )
 
@@ -117,15 +121,25 @@ class IsotropyGroup:
         return {"kind": "positive-dimensional", "rank_deficit": self.rank_deficit}
 
 
-def _integer_rows(d: DerivedConeData, pattern: SupportPattern) -> list[tuple[int, int]]:
-    rows = [d.a[i - 1] for i in pattern.i_set] + [d.b[j - 1] for j in pattern.j_set]
-    out = []
-    for row in rows:
-        fx, fy = Fraction(row[0]), Fraction(row[1])
-        if fx.denominator != 1 or fy.denominator != 1:
-            raise ValueError("integer cone data required for isotropy computations")
-        out.append((fx.numerator, fy.numerator))
-    return out
+def _integer_rows(vectors) -> list[tuple[int, int]]:
+    """Exact vectors as int pairs (ints and Fractions both carry numerator
+    and denominator)."""
+    if any(x.denominator != 1 for v in vectors for x in v):
+        raise ValueError("integer cone data required for isotropy computations")
+    return [(x.numerator, y.numerator) for x, y in vectors]
+
+
+def _group(rank: int, factors: tuple[int, ...]) -> IsotropyGroup:
+    if rank < 2:
+        return IsotropyGroup.positive_dimensional(2 - rank)
+    return IsotropyGroup.finite(factors)
+
+
+@functools.lru_cache(maxsize=256)
+def _group_from_divisors(d1: int, d12: int) -> IsotropyGroup:
+    """The (immutable, shared) group of rows with determinantal divisors
+    d1 and d12 = d1*d2."""
+    return _group(*invariant_factors_from_divisors(d1, d12))
 
 
 def isotropy_at_support(d: DerivedConeData, pattern: SupportPattern) -> IsotropyGroup:
@@ -135,11 +149,9 @@ def isotropy_at_support(d: DerivedConeData, pattern: SupportPattern) -> Isotropy
     rows E is Z/d1 x Z/d2 when the rows have rank 2 with invariant factors
     (d1, d2); otherwise a subtorus survives.
     """
-    rows = _integer_rows(d, pattern)
-    rank, factors = smith_invariant_factors(rows)
-    if rank < 2:
-        return IsotropyGroup.positive_dimensional(2 - rank)
-    return IsotropyGroup.finite(factors)
+    gens = (*d.a, *d.b)
+    rows = _integer_rows([gens[r] for r in _pattern_rows(pattern)])
+    return _group(*smith_invariant_factors(rows))
 
 
 class Classification(enum.Enum):
@@ -244,8 +256,46 @@ class StratumReport:
         }
 
 
+def _pattern_rows(pattern: SupportPattern) -> tuple[int, ...]:
+    """Indices of the pattern's exponent rows in (A_1, A_2, A_3, B_1, B_2, B_3)."""
+    return tuple(i - 1 for i in pattern.i_set) + tuple(2 + j for j in pattern.j_set)
+
+
+_GENERATOR_PAIRS = tuple(itertools.combinations(range(6), 2))
+
+
+def _census_patterns():
+    """For every valid pattern, in census order: (pattern, its generator
+    rows, the indices of its row pairs in _GENERATOR_PAIRS, (i, j) for a
+    singleton {i} x {j} or None, whether it is the full pattern)."""
+    subsets = [s for size in (1, 2, 3) for s in itertools.combinations((1, 2, 3), size)]
+    patterns = []
+    for i_set in subsets:
+        for j_set in subsets:
+            try:
+                patterns.append(SupportPattern(i_set, j_set))
+            except ValueError:
+                continue  # only I = J = {k} fails the mixed-pair requirement
+    patterns.sort(key=lambda p: (len(p.i_set), len(p.j_set), p.i_set, p.j_set))
+    pair_index = {pair: k for k, pair in enumerate(_GENERATOR_PAIRS)}
+    table = []
+    for pattern in patterns:
+        rows = _pattern_rows(pattern)
+        pairs = tuple(pair_index[pair] for pair in itertools.combinations(rows, 2))
+        singleton = (pattern.i_set[0], pattern.j_set[0]) if pattern.is_singleton else None
+        table.append((pattern, rows, pairs, singleton, pattern.is_full))
+    return tuple(table)
+
+
+_CENSUS_PATTERNS = _census_patterns()
+
+
 def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
     """Isotropy of every support pattern, with realizability where decidable.
+
+    Each pattern's isotropy comes from its determinantal divisors: the gcd
+    of its rows' entries and the gcd of its rows' 2 x 2 minors, read from
+    one table of the 15 pairwise minors of the six generators.
 
     Singleton patterns {i} x {j}, i != j, are realizable exactly when
     C = a*A_i + b*B_j with a, b > 0; the witness stores (a, b) and the
@@ -255,32 +305,22 @@ def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
     nonconvex phase-feasibility argument, so they are reported with
     isotropy only.
     """
-    subsets = [
-        tuple(s)
-        for size in (1, 2, 3)
-        for s in itertools.combinations((1, 2, 3), size)
-    ]
+    gens = _integer_rows((*d.a, *d.b))
+    entry_gcds = [gcd(x, y) for x, y in gens]
+    minors = [cross(gens[p], gens[q]) for p, q in _GENERATOR_PAIRS]
+    witnesses = {(i, j): (a, b) for i, j, a, b in d.mixed_witnesses}
     reports = []
-    patterns = []
-    for i_set in subsets:
-        for j_set in subsets:
-            try:
-                patterns.append(SupportPattern(i_set, j_set))
-            except ValueError:
-                continue  # only I = J = {k} fails the mixed-pair requirement
-    patterns.sort(key=lambda p: (len(p.i_set), len(p.j_set), p.i_set, p.j_set))
-    for pattern in patterns:
-        group = isotropy_at_support(d, pattern)
+    for pattern, rows, pairs, singleton, full in _CENSUS_PATTERNS:
+        group = _group_from_divisors(
+            gcd(*[entry_gcds[r] for r in rows]), gcd(*[minors[k] for k in pairs])
+        )
         realizable: bool | None
         witness = None
-        if pattern.is_singleton:
-            i, j = pattern.i_set[0], pattern.j_set[0]
-            witness = positive_combination(d.c, d.a[i - 1], d.b[j - 1])
+        if singleton is not None:
+            witness = witnesses.get(singleton)
             realizable = witness is not None
-        elif pattern.is_full:
-            realizable = True
         else:
-            realizable = None
+            realizable = True if full else None
         reports.append(StratumReport(pattern, group, realizable, witness))
     return reports
 

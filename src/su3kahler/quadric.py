@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .weights import DerivedConeData, cone_data, positive_combination
+from .weights import DerivedConeData, cone_data, positive_combination  # noqa: F401 (re-exported)
 
 __all__ = [
     "ROUND_DATA",
@@ -285,7 +285,7 @@ def sample_level_point(d: DerivedConeData, i: int, j: int) -> LevelSetPoint:
     """
     if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError("indices must be distinct elements of {1, 2, 3}")
-    ab = positive_combination(d.c, d.a[i - 1], d.b[j - 1])
+    ab = next(((a, b) for i2, j2, a, b in d.mixed_witnesses if (i2, j2) == (i, j)), None)
     if ab is None:
         raise ValueError(
             f"C admits no positive combination of A_{i} and B_{j}; "
@@ -635,17 +635,6 @@ def certify_point(
     return certify_points(d, [p], bc, tol)[0]
 
 
-def _support_witnesses(d: DerivedConeData) -> list[tuple[int, int, tuple]]:
-    """(i, j, (a, b)) for every i != j with C = a*A_i + b*B_j, a, b > 0."""
-    out = []
-    for i in range(1, 4):
-        for j in range(1, 4):
-            ab = positive_combination(d.c, d.a[i - 1], d.b[j - 1]) if i != j else None
-            if ab is not None:
-                out.append((i, j, ab))
-    return out
-
-
 def certification_sample(
     d: DerivedConeData, n: int, seed, noise: float = 1e-2, tol: Tolerances = Tolerances()
 ) -> list[LevelSetPoint]:
@@ -662,11 +651,11 @@ def certification_sample(
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    witnesses = _support_witnesses(d)
+    witnesses = d.mixed_witnesses
     if not witnesses:
         raise ValueError("no realizable single-support point; nothing to sample")
     fd = _weight_arrays(d)
-    seed_z, seed_w = zip(*(_single_support(*wit) for wit in witnesses))
+    seed_z, seed_w = zip(*(_single_support(i, j, (a, b)) for i, j, a, b in witnesses))
     seeds = _first_error(_level_points(fd, np.array(seed_z), np.array(seed_w), tol))
     streams = np.random.SeedSequence(seed).spawn(n)
     is_round = d == ROUND_DATA

@@ -134,6 +134,22 @@ class DerivedConeData:
     def generators(self) -> list[Vec2]:
         return [*self.a, *self.b]
 
+    @functools.cached_property
+    def mixed_witnesses(self) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
+        """(i, j, a, b), in order of (i, j), for every i != j (1-based) with
+        C = a*A_i + b*B_j and a, b > 0.
+
+        The one table of positive mixed combinations, built on first use
+        and cached on the instance; it is not a field, so == and hash
+        ignore it.
+        """
+        return tuple(
+            (i + 1, j + 1, *ab)
+            for i in range(3)
+            for j in range(3)
+            if i != j and (ab := positive_combination(self.c, self.a[i], self.b[j])) is not None
+        )
+
     def to_json(self) -> dict:
         return {
             "A": [vec_to_json(v) for v in self.a],
@@ -237,17 +253,7 @@ def check_level_set_conditions(d: DerivedConeData) -> LevelSetConditions:
     compact:  C outside cone(A_1,A_2,A_3) and cone(B_1,B_2,B_3), all six
               generators nonzero, and the cone of all six has an apex.
     """
-    witness = None
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            ab = positive_combination(d.c, d.a[i], d.b[j])
-            if ab is not None:
-                witness = (i + 1, j + 1, ab[0], ab[1])
-                break
-        if witness is not None:
-            break
+    witness = d.mixed_witnesses[0] if d.mixed_witnesses else None
 
     regular = all(
         cross(d.a[i], d.b[j]) != 0 for i in range(3) for j in range(3) if i != j

@@ -255,6 +255,25 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_out_in_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out = run(capsys, "--out", str(target), "cohomology")
+    assert code == 2
+    report = json.loads(out)  # exactly one JSON document
+    assert not report["pass"] and report["command"] == "cohomology"
+    assert set(report["results"]) == {"error"}
+    assert "cannot write --out" in report["results"]["error"]
+    assert not target.exists()
+
+
+def test_out_at_directory_path_exits_2(tmp_path, capsys):
+    code, out = run(capsys, "--out", str(tmp_path), "check", "--config", STANDARD_CONFIG)
+    assert code == 2
+    report = json.loads(out)
+    assert not report["pass"]
+    assert str(tmp_path) in report["results"]["error"]
+
+
 # --- cached parser ----------------------------------------------------------------
 
 

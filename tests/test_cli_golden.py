@@ -1,0 +1,55 @@
+"""Pinned stdout of every README example: exit code, byte length and
+BLAKE2b digest. A refactor of any layer on the report path must leave
+these bytes unchanged."""
+
+import hashlib
+
+import pytest
+
+from su3kahler.cli import main
+
+ORBIFOLD_CONE = '{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'
+ORBIFOLD_WEIGHTS = '{"wL": [[-1,1],[-1,1],[2,-2]], "wR": [[-4,1],[5,-5],[-1,4]]}'
+
+GOLDEN = [
+    pytest.param(
+        ("check", "--config", ORBIFOLD_WEIGHTS), 0, 3916, "9b27d33463fba3fe69d346808cdc7063", id="check"
+    ),
+    pytest.param(
+        ("isotropy", "--config", ORBIFOLD_CONE), 0, 16143, "997fa15293f87f6050eedecd5469306b",
+        id="isotropy-cone-data",
+    ),
+    pytest.param(
+        ("isotropy", "--config", ORBIFOLD_WEIGHTS), 0, 16483, "871d7e8519bb7bf684e3f536f2181fbe",
+        id="isotropy-weights",
+    ),
+    # float digits: pinned for the numpy/LAPACK build the suite runs on
+    pytest.param(
+        ("verify", "--config", ORBIFOLD_CONE, "--samples", "100", "--seed", "0"),
+        0, 58140, "fb71a2545985180db82997aa6f6a8d0a", id="verify",
+    ),
+    pytest.param(
+        ("generate", "--config", ORBIFOLD_CONE), 0, 1518, "7ebd4bf7f9e2dce38b4911658abcb94f", id="generate"
+    ),
+    pytest.param(("enumerate", "--bound", "1"), 0, 2935, "698cf51e88d66ee90ffba2b2dd69f9a9", id="enumerate"),
+    pytest.param(("cohomology",), 0, 1033, "7f11e965d630b87dcbd2502b909bb884", id="cohomology-generic"),
+    pytest.param(
+        ("cohomology", "--branch", "degenerate"), 0, 1047, "e1c1bd5085bb1abf94cf322196c115fb",
+        id="cohomology-degenerate",
+    ),
+    pytest.param(
+        ("cohomology", "--beta", "1/2,-3/7"), 0, 1044, "e49f21dbe1a79df4b714caac43826613",
+        id="cohomology-beta",
+    ),
+    pytest.param(  # a weight system without wR
+        ("check", "--config", '{"wL": [[0,0],[0,0],[0,0]]}'), 2, 224, "5432f621c2bcc2bfc229a8e7b8579fa4",
+        id="error-envelope",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, length, digest", GOLDEN)
+def test_readme_example_stdout_is_pinned(capsys, argv, code, length, digest):
+    assert main(list(argv)) == code
+    data = capsys.readouterr().out.encode()
+    assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)

@@ -7,6 +7,7 @@ from su3kahler.quadric import (
     ambient_complex_structure,
     certification_sample,
     certify_point,
+    certify_points,
     constraint_jacobian,
     constraint_values,
     embed_su3,
@@ -317,9 +318,12 @@ def test_certificates_on_samples(orbifold_data):
 
 def test_certificates_across_bound2_systems(bound2_systems):
     """Every bound-2 system certifies at its exact seed points; every
-    fiftieth gets the full mixed sample."""
+    fiftieth gets the full mixed sample. Each sample is one batch, and its
+    first point also goes through the batch of one."""
     for k, ws in enumerate(bound2_systems):
         d = derive(ws)
         n = 100 if k % 50 == 0 else 6
-        for p in certification_sample(d, n, 0):
-            assert certify_point(d, p).passed, (ws, p)
+        points = certification_sample(d, n, 0)
+        for p, cert in zip(points, certify_points(d, points), strict=True):
+            assert cert.passed, (ws, p)
+        assert certify_point(d, points[0]).passed, (ws, points[0])

@@ -1,0 +1,126 @@
+"""The one-pass report encoder against ``json.dumps(indent=2, sort_keys=True)``."""
+
+import gc
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from su3kahler import cli
+
+ORBIFOLD_CONE = '{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'
+
+
+def stdlib(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def outcome(encode, obj):
+    """The text, or the exception type when encoding raises."""
+    try:
+        return encode(obj)
+    except TypeError:
+        return TypeError
+
+
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324, 1.7976931348623157e308]),
+)
+texts = st.one_of(
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),  # control characters
+    st.text(st.characters(min_codepoint=0x80)),  # non-ASCII, astral planes included
+)
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    floats,
+    floats.map(np.float64),
+    texts,
+)
+trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(texts, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(trees)
+@settings(max_examples=80, deadline=None)
+def test_encoder_matches_stdlib_bytes(tree):
+    assert cli.encode_report(tree) == stdlib(tree)
+
+
+@given(
+    st.one_of(
+        st.dictionaries(st.integers(), leaves, max_size=4),
+        st.dictionaries(floats.filter(lambda x: x == x), leaves, max_size=4),
+        st.dictionaries(st.one_of(st.none(), st.booleans()), leaves, max_size=3),
+        st.dictionaries(st.one_of(st.integers(), texts), leaves, max_size=4),
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_encoder_matches_stdlib_on_non_string_keys(tree):
+    # mixed key types fail to sort in both encoders
+    assert outcome(cli.encode_report, tree) == outcome(stdlib, tree)
+
+
+@given(trees, st.integers(-(2**63), 2**63 - 1))
+@settings(max_examples=40, deadline=None)
+def test_numpy_int64_raises_like_stdlib(tree, x):
+    for obj in ([tree, np.int64(x)], {"a": tree, "b": {"c": np.int64(x)}}, np.int64(x)):
+        with pytest.raises(TypeError):
+            stdlib(obj)
+        with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+            cli.encode_report(obj)
+
+
+def test_empty_containers_and_nesting():
+    tree = {"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": {"f": []}}, "": ()}
+    assert cli.encode_report(tree) == stdlib(tree)
+    assert cli.encode_report([]) == "[]\n"
+    assert cli.encode_report({}) == "{}\n"
+
+
+def test_unsupported_keys_raise_type_error():
+    with pytest.raises(TypeError):
+        cli.encode_report({(1, 2): 0})
+    with pytest.raises(TypeError):
+        stdlib({(1, 2): 0})
+
+
+def verify_report():
+    args = cli._parser().parse_args(["verify", "--config", ORBIFOLD_CONE, "--samples", "20"])
+    code, results, passed = cli.cmd_verify(args)
+    assert code == 0
+    return cli._report(args.command, cli._config_echo(args), results, passed, 0.0)
+
+
+def test_verify_report_bytes_match_stdlib():
+    report = verify_report()
+    assert cli.encode_report(report) == stdlib(report)
+
+
+def test_encoding_leaves_no_reference_cycle():
+    """A call frees everything it built by reference counting alone: a
+    self-referencing encoder would keep each report's parts until the next
+    cyclic collection."""
+    report = verify_report()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            cli.encode_report(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -139,6 +141,63 @@ def test_positive_combination_branches():
     a, b = positive_combination((-5, 0), (1, 0), (-2, 0))
     assert a > 0 and b > 0 and vadd(vscale(a, (1, 0)), vscale(b, (-2, 0))) == (F(-5), F(0))
     assert positive_combination((0, 1), (1, 0), (2, 0)) is None
+
+
+def expected_mixed_witnesses(d):
+    return [
+        (i, j, *ab)
+        for i in (1, 2, 3)
+        for j in (1, 2, 3)
+        if i != j and (ab := positive_combination(d.c, d.a[i - 1], d.b[j - 1])) is not None
+    ]
+
+
+def test_mixed_witnesses_table(bound1_systems, orbifold_data):
+    configs = [
+        orbifold_data,
+        cone_data([(0, 0)] * 3, [(0, 0)] * 3),
+        cone_data([(1, 0), (2, 0), ("1/2", 0)], [(0, 0), (-1, 0), ("1/2", 0)]),  # one line
+        cone_data([("1/2", 0), (1, 0), (2, -1)], [("1/2", 1), (0, 1), (-1, 2)]),
+        *(derive(ws) for ws in bound1_systems),
+    ]
+    for d in configs:
+        assert list(d.mixed_witnesses) == expected_mixed_witnesses(d)
+        assert d.mixed_witnesses is d.mixed_witnesses  # built once
+        level = check_level_set_conditions(d)
+        assert level.nonempty_witness == (d.mixed_witnesses[0] if d.mixed_witnesses else None)
+
+
+def test_mixed_witnesses_is_not_a_field(orbifold_data):
+    fresh = cone_data(orbifold_data.a, orbifold_data.b)
+    assert "mixed_witnesses" not in {f.name for f in dataclasses.fields(DerivedConeData)}
+    assert orbifold_data.mixed_witnesses  # cached on one side only
+    assert fresh == orbifold_data and hash(fresh) == hash(orbifold_data)
+    assert repr(fresh) == repr(orbifold_data)
+    restored = pickle.loads(pickle.dumps(orbifold_data))
+    assert restored == orbifold_data and restored.mixed_witnesses == orbifold_data.mixed_witnesses
+
+
+def test_mixed_witnesses_computed_once_for_every_reader(monkeypatch, orbifold_data):
+    from su3kahler.isotropy import singular_stratum_census
+    from su3kahler.quadric import certification_sample, sample_level_point
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return positive_combination(*args)
+
+    monkeypatch.setattr(weights, "positive_combination", counted)
+    d = cone_data(orbifold_data.a, orbifold_data.b)
+    level = check_level_set_conditions(d)
+    census = singular_stratum_census(d)
+    certification_sample(d, 5, 0)
+    sample_level_point(d, 3, 1)
+    assert len(calls) == 6  # the six mixed pairs i != j, once
+    assert level.nonempty_witness == (1, 2, F(1), F(1))
+    singletons = {(r.pattern.i_set[0], r.pattern.j_set[0]): r.witness for r in census if r.pattern.is_singleton}
+    expected = {(i, j): (a, b) for i, j, a, b in expected_mixed_witnesses(d)}
+    assert singletons == {ij: expected.get(ij) for ij in singletons}
 
 
 # --- solving for weights -------------------------------------------------------
