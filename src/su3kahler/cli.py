@@ -226,14 +226,9 @@ def cmd_isotropy(args) -> tuple[int, dict, bool]:
     if not wt.cone_condition_holds(d):
         return EXIT_FAIL, {"error": "cone condition fails; isotropy analysis requires it"}, False
     verdict = iso.freeness_check(d, ws)
-    if verdict.classification is not None:
-        classification = verdict.classification.value
-    else:
-        classification = (
-            iso.Classification.FREE_FLAG_CASE.value
-            if verdict.free
-            else iso.Classification.ORBIFOLD_CASE.value
-        )
+    # equals verdict.classification when set: freeness_check raises if they disagree
+    kind = iso.Classification
+    classification = (kind.FREE_FLAG_CASE if verdict.free else kind.ORBIFOLD_CASE).value
     census = iso.singular_stratum_census(d)
     results = {
         "weights": None if ws is None else ws.to_json(),

@@ -18,7 +18,12 @@ decided by the rank of multiplication by beta from bidegree (1, 1) to
 hitting the degenerate branch therefore requires scalars with a primitive
 cube root of unity adjoined, implemented exactly by :class:`Eisenstein`.
 
-All linear algebra is exact (Gaussian elimination over the scalar field).
+Both models are the one complex A tensor Lambda(g0, g1), built in one
+place and graded two ways: by total degree for the de Rham Betti numbers,
+by bidegree for the Hodge numbers (each row p read as the chain over q).
+Every chain goes through :func:`cohomology_of_complex`, which checks that
+d o d = 0. All linear algebra is exact (Gaussian elimination over the
+scalar field).
 """
 
 from __future__ import annotations
@@ -82,10 +87,11 @@ class Eisenstein:
         return Eisenstein.of(other) + (-self)
 
     def __mul__(self, other):
-        o = Eisenstein.of(other)
+        if not isinstance(other, Eisenstein):  # a rational scales both parts
+            return Eisenstein(self.a * Fraction(other), self.b * Fraction(other))
         return Eisenstein(
-            self.a * o.a - self.b * o.b,
-            self.a * o.b + self.b * o.a - self.b * o.b,
+            self.a * other.a - self.b * other.b,
+            self.a * other.b + self.b * other.a - self.b * other.b,
         )
 
     __rmul__ = __mul__
@@ -141,9 +147,10 @@ def exact_rank(rows: list[list]) -> int:
 def _matmul(a: list[list], b: list[list]) -> list[list]:
     if not a or not b:
         return []
+    cols = list(zip(*b))
     return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
-        for i in range(len(a))
+        [sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in cols]
+        for row in a
     ]
 
 
@@ -207,7 +214,6 @@ class GradedAlgebra:
             if left != right:  # all nonzero degrees here are even
                 raise ValueError(f"commutativity fails at {(d1, i1, d2, i2)}")
         for (d1, i1), (d2, i2), (d3, i3) in itertools.product(elems, repeat=3):
-            e2 = [Fraction(1) if k == i2 else Fraction(0) for k in range(self.dim(d2))]
             e3 = [Fraction(1) if k == i3 else Fraction(0) for k in range(self.dim(d3))]
             ab = self.mul_basis(d1, i1, d2, i2)
             bc = self.mul_basis(d2, i2, d3, i3)
@@ -305,47 +311,61 @@ def cohomology_of_complex(dims: list[int], mats: list[list[list]]) -> tuple[int,
 _SUBSETS = ((), (0,), (1,), (0, 1))
 
 
-def _dga_basis(model: DGAModel) -> dict[int, list[tuple[int, int, tuple[int, ...]]]]:
-    algebra = model.algebra
-    out: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+def _total_degree(deg: int, s: tuple[int, ...]) -> tuple[int]:
+    return (deg + len(s),)
+
+
+def _bidegree(deg: int, s: tuple[int, ...]) -> tuple[int, int]:
+    """x_i in (1, 1), the first generator in (1, 0), the second in (0, 1)."""
+    return (deg // 2 + (0 in s), deg // 2 + (1 in s))
+
+
+def _next(grade: tuple) -> tuple:
+    return (*grade[:-1], grade[-1] + 1)
+
+
+def _tensor_exterior(algebra: GradedAlgebra, images, grade) -> tuple[dict, dict]:
+    """The complex A tensor Lambda(g0, g1) with d = 0 on A, d(g_k) = images[k]
+    in A^2 and d(g0 g1) = +d(g0) g1 - d(g1) g0.
+
+    Basis elements (deg, idx, s) are graded by ``grade(deg, s)``, a tuple
+    whose last entry d raises by one. Returns ``(dims, mats)``: the
+    dimension of each grade and the matrix of d out of it (rows indexed by
+    the next grade), over the scalars of ``images``.
+    """
+    basis: dict[tuple, list] = {}
     for deg in algebra.degrees:
         for idx in range(algebra.dim(deg)):
             for s in _SUBSETS:
-                out.setdefault(deg + len(s), []).append((deg, idx, s))
-    return out
+                basis.setdefault(grade(deg, s), []).append((deg, idx, s))
+    index = {g: {e: k for k, e in enumerate(elems)} for g, elems in basis.items()}
+    zero = 0 * images[0][0]
+    mats = {g: [[zero] * len(elems) for _ in basis.get(_next(g), ())] for g, elems in basis.items()}
+    for deg in algebra.degrees:
+        for idx in range(algebra.dim(deg)):
+            unit = [int(k == idx) for k in range(algebra.dim(deg))]
+            for k, img in enumerate(images):
+                if not any(img):
+                    continue
+                prod = algebra.mul_class(deg, unit, 2, img)  # once per (deg, idx, k)
+                for s, tail, sign in (((k,), (), 1), ((0, 1), (1 - k,), 1 - 2 * k)):
+                    g = grade(deg, s)
+                    col, rows = index[g][(deg, idx, s)], index.get(_next(g), {})
+                    for r, c in enumerate(prod):
+                        if c:
+                            mats[g][rows[(deg + 2, r, tail)]][col] += sign * c
+    return {g: len(elems) for g, elems in basis.items()}, mats
+
+
+def _betti_along(dims: dict, mats: dict, grades: list[tuple]) -> tuple[int, ...]:
+    """Betti numbers of the chain through consecutive ``grades``."""
+    return cohomology_of_complex([dims[g] for g in grades], [mats[g] for g in grades[:-1]])
 
 
 def dga_cohomology(model: DGAModel) -> tuple[int, ...]:
     """Betti numbers of the model, exact over Q."""
-    algebra = model.algebra
-    basis = _dga_basis(model)
-    top = max(basis)
-    dims = [len(basis.get(n, [])) for n in range(top + 1)]
-    index = {
-        n: {elem: k for k, elem in enumerate(basis.get(n, []))} for n in range(top + 1)
-    }
-
-    def d_elem(deg: int, idx: int, s: tuple[int, ...]):
-        unit = [Fraction(1) if k == idx else Fraction(0) for k in range(algebra.dim(deg))]
-        if s == ():
-            return []
-        if len(s) == 1:
-            img = algebra.mul_class(deg, unit, 2, model.d_gens[s[0]])
-            return [((deg + 2, k, ()), c) for k, c in enumerate(img) if c]
-        img0 = algebra.mul_class(deg, unit, 2, model.d_gens[0])
-        img1 = algebra.mul_class(deg, unit, 2, model.d_gens[1])
-        out = [((deg + 2, k, (1,)), c) for k, c in enumerate(img0) if c]
-        out += [((deg + 2, k, (0,)), -c) for k, c in enumerate(img1) if c]
-        return out
-
-    mats = []
-    for n in range(top):
-        mat = [[Fraction(0)] * dims[n] for _ in range(dims[n + 1])]
-        for col, (deg, idx, s) in enumerate(basis.get(n, [])):
-            for target, coeff in d_elem(deg, idx, s):
-                mat[index[n + 1][target]][col] += coeff
-        mats.append(mat)
-    return cohomology_of_complex(dims, mats)
+    dims, mats = _tensor_exterior(model.algebra, model.d_gens, _total_degree)
+    return _betti_along(dims, mats, sorted(dims))
 
 
 GENERIC_BETA = (Fraction(1), Fraction(0))
@@ -399,47 +419,12 @@ def hodge_model(beta) -> HodgeTable:
     b = (Eisenstein.of(beta[0]), Eisenstein.of(beta[1]))
     if not (b[0] or b[1]):
         raise ValueError("beta must be nonzero")
-    algebra = basic_model()
     zero = Eisenstein.of(0)
-
-    # Basis elements (alg_deg, idx, s) with s subset of {u, v}; the
-    # bidegree is (alg_deg/2 + [u in s], alg_deg/2 + [v in s]).
-    def bidegree(deg: int, s: tuple[int, ...]) -> tuple[int, int]:
-        return (deg // 2 + (1 if 0 in s else 0), deg // 2 + (1 if 1 in s else 0))
-
-    basis: dict[tuple[int, int], list[tuple[int, int, tuple[int, ...]]]] = {}
-    for deg in algebra.degrees:
-        for idx in range(algebra.dim(deg)):
-            for s in _SUBSETS:
-                basis.setdefault(bidegree(deg, s), []).append((deg, idx, s))
-    index = {pq: {e: k for k, e in enumerate(elems)} for pq, elems in basis.items()}
-
-    def dbar(deg: int, idx: int, s: tuple[int, ...]):
-        if s == () or s == (1,):
-            return []
-        unit = [
-            Eisenstein.of(1) if k == idx else zero for k in range(algebra.dim(deg))
-        ]
-        img = algebra.mul_class(deg, unit, 2, list(b))
-        tail = () if s == (0,) else (1,)
-        return [((deg + 2, k, tail), c) for k, c in enumerate(img) if c]
-
-    mats: dict[tuple[int, int], list[list[Eisenstein]]] = {}
-    for pq, elems in basis.items():
-        target_pq = (pq[0], pq[1] + 1)
-        target = basis.get(target_pq, [])
-        mat = [[zero] * len(elems) for _ in range(len(target))]
-        for col, elem in enumerate(elems):
-            for image_elem, coeff in dbar(*elem):
-                mat[index[target_pq][image_elem]][col] += coeff
-        mats[pq] = mat
-
+    dims, mats = _tensor_exterior(basic_model(), (b, (zero, zero)), _bidegree)
     entries: dict[tuple[int, int], int] = {}
-    for pq, elems in basis.items():
-        rank_out = exact_rank(mats[pq]) if mats[pq] else 0
-        below = (pq[0], pq[1] - 1)
-        rank_in = exact_rank(mats[below]) if basis.get(below) and mats[below] else 0
-        entries[pq] = len(elems) - rank_out - rank_in
+    for p in sorted({p for p, _ in dims}):
+        row = sorted(pq for pq in dims if pq[0] == p)  # its q's are consecutive
+        entries.update(zip(row, _betti_along(dims, mats, row)))
 
     for pq, expected in _FIXED_HODGE.items():
         if entries.get(pq, 0) != expected:

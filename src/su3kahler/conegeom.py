@@ -208,13 +208,6 @@ def in_cone2(c: Vec2, g1: Vec2, g2: Vec2) -> ConeMembership:
     )
 
 
-_RANK = {
-    MembershipStatus.OUTSIDE: 0,
-    MembershipStatus.ON_BOUNDARY_RAY: 1,
-    MembershipStatus.INTERIOR: 2,
-}
-
-
 def in_cone_many(c: Vec2, gens: list[Vec2]) -> ConeMembership:
     """Membership of ``c`` in the cone spanned by any number of generators.
 
@@ -273,7 +266,9 @@ def find_apex_functional(gens: list[Vec2]) -> Vec2 | None:
 
 
 def _as_int(x) -> int:
-    if isinstance(x, int):
+    """The one integer gate of the exact layers: ints and integral
+    Fractions pass; bools, floats and everything else raise ValueError."""
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator

@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from .conegeom import (
+    _as_int,
     cross,
     invariant_factors_from_divisors,
     is_unimodular_pair,
@@ -122,11 +123,11 @@ class IsotropyGroup:
 
 
 def _integer_rows(vectors) -> list[tuple[int, int]]:
-    """Exact vectors as int pairs (ints and Fractions both carry numerator
-    and denominator)."""
-    if any(x.denominator != 1 for v in vectors for x in v):
-        raise ValueError("integer cone data required for isotropy computations")
-    return [(x.numerator, y.numerator) for x, y in vectors]
+    """Exact vectors as int pairs, through the integer gate ``_as_int``."""
+    try:
+        return [(_as_int(x), _as_int(y)) for x, y in vectors]
+    except ValueError:
+        raise ValueError("integer cone data required for isotropy computations") from None
 
 
 def _group(rank: int, factors: tuple[int, ...]) -> IsotropyGroup:

@@ -37,6 +37,7 @@ from .conegeom import (
     ConeMembership,
     MembershipStatus,
     Vec2,
+    _as_int,
     cone_member,
     cross,
     dot,
@@ -128,8 +129,11 @@ class DerivedConeData:
 
     @property
     def is_integer(self) -> bool:
-        entries = [x for v in (*self.a, *self.b, self.c) for x in v]
-        return all(Fraction(x).denominator == 1 for x in entries)
+        try:  # conegeom's integer gate, which a float such as 1.0 fails
+            [_as_int(x) for v in (*self.a, *self.b, self.c) for x in v]
+        except ValueError:
+            return False
+        return True
 
     def generators(self) -> list[Vec2]:
         return [*self.a, *self.b]

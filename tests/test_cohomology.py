@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from su3kahler.cohomology import (
     DEGENERATE_BETA,
     GENERIC_BETA,
     OMEGA,
+    DGAModel,
     SU3_DERHAM_BETTI,
     Eisenstein,
     basic_model,
@@ -201,3 +203,128 @@ def test_hodge_diamond_rows():
     assert rows[3] == [0, 0, 1, 0]
     assert rows[8] == [1]
     assert [len(r) for r in rows] == [1, 2, 3, 4, 5, 4, 3, 2, 1]
+
+
+# --- differential test against the hand-built models the builder replaced -----------------
+
+_SUBSETS = ((), (0,), (1,), (0, 1))
+
+
+def reference_dga_cohomology(model: DGAModel) -> tuple[int, ...]:
+    """Betti numbers from a total-degree basis built by hand."""
+    algebra = model.algebra
+    basis = {}
+    for deg in algebra.degrees:
+        for idx in range(algebra.dim(deg)):
+            for s in _SUBSETS:
+                basis.setdefault(deg + len(s), []).append((deg, idx, s))
+    top = max(basis)
+    dims = [len(basis.get(n, [])) for n in range(top + 1)]
+    index = {n: {elem: k for k, elem in enumerate(basis.get(n, []))} for n in range(top + 1)}
+
+    def d_elem(deg, idx, s):
+        unit = [F(1) if k == idx else F(0) for k in range(algebra.dim(deg))]
+        if s == ():
+            return []
+        if len(s) == 1:
+            img = algebra.mul_class(deg, unit, 2, model.d_gens[s[0]])
+            return [((deg + 2, k, ()), c) for k, c in enumerate(img) if c]
+        img0 = algebra.mul_class(deg, unit, 2, model.d_gens[0])
+        img1 = algebra.mul_class(deg, unit, 2, model.d_gens[1])
+        out = [((deg + 2, k, (1,)), c) for k, c in enumerate(img0) if c]
+        out += [((deg + 2, k, (0,)), -c) for k, c in enumerate(img1) if c]
+        return out
+
+    mats = []
+    for n in range(top):
+        mat = [[F(0)] * dims[n] for _ in range(dims[n + 1])]
+        for col, (deg, idx, s) in enumerate(basis.get(n, [])):
+            for target, coeff in d_elem(deg, idx, s):
+                mat[index[n + 1][target]][col] += coeff
+        mats.append(mat)
+    return cohomology_of_complex(dims, mats)
+
+
+def reference_hodge_entries(beta) -> dict[tuple[int, int], int]:
+    """Hodge numbers from a bidegree basis built by hand, with each
+    differential's rank taken on its own (no d o d check)."""
+    b = (Eisenstein.of(beta[0]), Eisenstein.of(beta[1]))
+    algebra = basic_model()
+    zero = Eisenstein.of(0)
+
+    def bidegree(deg, s):
+        return (deg // 2 + (1 if 0 in s else 0), deg // 2 + (1 if 1 in s else 0))
+
+    basis = {}
+    for deg in algebra.degrees:
+        for idx in range(algebra.dim(deg)):
+            for s in _SUBSETS:
+                basis.setdefault(bidegree(deg, s), []).append((deg, idx, s))
+    index = {pq: {e: k for k, e in enumerate(elems)} for pq, elems in basis.items()}
+
+    def dbar(deg, idx, s):
+        if s == () or s == (1,):
+            return []
+        unit = [Eisenstein.of(1) if k == idx else zero for k in range(algebra.dim(deg))]
+        img = algebra.mul_class(deg, unit, 2, list(b))
+        tail = () if s == (0,) else (1,)
+        return [((deg + 2, k, tail), c) for k, c in enumerate(img) if c]
+
+    mats = {}
+    for pq, elems in basis.items():
+        target_pq = (pq[0], pq[1] + 1)
+        target = basis.get(target_pq, [])
+        mat = [[zero] * len(elems) for _ in range(len(target))]
+        for col, elem in enumerate(elems):
+            for image_elem, coeff in dbar(*elem):
+                mat[index[target_pq][image_elem]][col] += coeff
+        mats[pq] = mat
+
+    entries = {}
+    for pq, elems in basis.items():
+        rank_out = exact_rank(mats[pq]) if mats[pq] else 0
+        below = (pq[0], pq[1] - 1)
+        rank_in = exact_rank(mats[below]) if basis.get(below) and mats[below] else 0
+        entries[pq] = len(elems) - rank_out - rank_in
+    return entries
+
+
+def _image_pairs(entries):
+    return list(itertools.product(itertools.product(entries, repeat=2), repeat=2))
+
+
+# every (dw1, dw2) with entries in {-1, 0, 1} (zero, parallel and independent
+# images), every 11th with entries in [-3, 3], and rational ones
+DERHAM_GRID = _image_pairs((-1, 0, 1)) + _image_pairs(range(-3, 4))[::11] + [
+    ((3, -2), (-3, 2)),
+    ((F(1, 2), 5), (2, F(-7, 3))),
+]
+
+
+def test_derham_matches_reference_on_grid():
+    for dw1, dw2 in DERHAM_GRID:
+        model = build_derham_model(dw1, dw2)
+        assert dga_cohomology(model) == reference_dga_cohomology(model), (dw1, dw2)
+
+
+def _eisenstein_betas():
+    """Rational betas, scalar multiples of the degeneracy-conic points
+    (b1, b2) = (-w b2, b2) and (-w^2 b2, b2), and off-conic Eisenstein pairs."""
+    e = Eisenstein
+    scalars = [e.of(1), e.of(-2), OMEGA, e(F(1, 2), F(3)), e(F(-1), F(1, 3))]
+    yield from [(1, 0), (0, 1), (2, 3), (F(1, 2), F(-3, 7)), (-1, 1), (F(5), F(-5))]
+    for b2 in scalars:
+        yield (-OMEGA * b2, b2)
+        yield (-OMEGA * OMEGA * b2, b2)
+        yield (b2, b2 * e(F(2), F(1)))
+    yield DEGENERATE_BETA
+    yield GENERIC_BETA
+
+
+def test_hodge_matches_reference_on_grid():
+    branches = set()
+    for beta in _eisenstein_betas():
+        table = hodge_model(beta)
+        assert table.entries == reference_hodge_entries(beta), beta
+        branches.add(table.branch)
+    assert branches == {(0, 0, 0), (1, 2, 1)}

@@ -335,6 +335,10 @@ def test_unimodular_examples():
 def test_unimodular_rejects_non_integer():
     with pytest.raises(ValueError):
         is_unimodular_pair((F(1, 2), 0), (0, 1))
+    with pytest.raises(ValueError):
+        is_unimodular_pair((True, 0), (0, True))
+    with pytest.raises(ValueError):
+        is_unimodular_pair((1.0, 0), (0, 1))
 
 
 def test_smith_examples():
@@ -352,6 +356,15 @@ def test_smith_rejects_bad_shapes():
         smith_invariant_factors([])
     with pytest.raises(ValueError):
         smith_invariant_factors([[1, 2, 3]])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(True, False), (False, True)], [(1, 0), (0, True)], [(1.0, 0), (0, 1)], [(F(1, 2), 0), (0, 1)]],
+)
+def test_smith_rejects_bools_floats_and_fractions(rows):
+    with pytest.raises(ValueError):
+        smith_invariant_factors(rows)
 
 
 def gcd_minor_oracle(rows):

@@ -86,6 +86,24 @@ def test_isotropy_rejects_non_integer_data():
         isotropy_at_support(d, SupportPattern((1,), (2,)))
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        DerivedConeData(((1.0, 0.0),) * 3, ((0.0, 1.0),) * 3, (1.0, 1.0)),
+        DerivedConeData(((True, 0),) * 3, ((0, True),) * 3, (1, 1)),
+        cone_data([(F(1, 2), 0)] * 3, [(0, 1)] * 3),
+    ],
+    ids=["floats", "bools", "fraction"],
+)
+def test_float_and_bool_cone_data_are_not_integer(d):
+    # DerivedConeData does not validate its entries; the integer gate decides
+    assert not d.is_integer
+    with pytest.raises(ValueError, match="integer cone data required"):
+        singular_stratum_census(d)
+    with pytest.raises(ValueError):
+        isotropy_at_support(d, SupportPattern((1,), (2,)))
+
+
 def test_isotropy_matches_torsion_oracle_on_bound1(bound1_systems):
     for ws in bound1_systems:
         d = derive(ws)
