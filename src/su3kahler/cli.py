@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from . import cohomology as coh
 from . import isotropy as iso
 from . import quadric as quad
 from . import weights as wt
-from .conegeom import scalar_to_json
+from .conegeom import _scalar, scalar_to_json
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -58,35 +57,23 @@ def _load_json_source(source: str) -> dict:
     return obj
 
 
-def _cone_data(source: str) -> wt.DerivedConeData:
-    obj = _load_json_source(source)
-    if "A" not in obj or "B" not in obj:
-        raise InputError("cone data needs keys 'A' and 'B'")
-    try:
-        return wt.cone_data(obj["A"], obj["B"])
-    except (ValueError, TypeError) as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _problem(source: str) -> tuple[wt.WeightSystem | None, wt.DerivedConeData]:
-    """A weight system config {"wL", "wR"} or raw cone data {"A", "B"}.
+    """The one config parser: a weight system {"wL", "wR"} or raw cone
+    data {"A", "B"}; every rejected entry becomes an InputError.
 
     Cone data describes the weighted torus action directly; a weight
     system additionally pins the homomorphism pair (and may rescale the
     cone data by the integrality denominator).
     """
     obj = _load_json_source(source)
-    if "wL" in obj or "wR" in obj:
-        try:
+    try:
+        if "wL" in obj or "wR" in obj:
             ws = wt.WeightSystem.from_json(obj)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        return ws, wt.derive(ws)
-    if "A" in obj and "B" in obj:
-        try:
+            return ws, wt.derive(ws)
+        if "A" in obj and "B" in obj:
             return None, wt.cone_data(obj["A"], obj["B"])
-        except (ValueError, TypeError) as exc:
-            raise InputError(str(exc)) from exc
+    except (ValueError, TypeError) as exc:
+        raise InputError(str(exc)) from exc
     raise InputError("config needs either wL/wR (weights) or A/B (cone data)")
 
 
@@ -243,6 +230,11 @@ def cmd_isotropy(args) -> tuple[int, dict, bool]:
 def cmd_verify(args) -> tuple[int, dict, bool]:
     if args.samples < 1:
         raise InputError("--samples must be >= 1")
+    if args.seed < 0:
+        raise InputError("--seed must be >= 0")
+    for flag, value in (("--tol", args.tol), ("--tol-zero", args.tol_zero), ("--tol-pos", args.tol_pos)):
+        if not (math.isfinite(value) and value > 0):
+            raise InputError(f"{flag} must be finite and > 0, got {value}")
     ws, d = _problem(args.config)
     condition_ok = wt.cone_condition_holds(d)
     tol = quad.Tolerances(residual=args.tol, zero=args.tol_zero, pos=args.tol_pos)
@@ -262,7 +254,7 @@ def cmd_verify(args) -> tuple[int, dict, bool]:
         # to 1e-10 relative to |apex| times the moment scale
         phi = quad.moment_map(d, (np.array([p.z for p in points]), np.array([p.w for p in points])))
         lhs = float(apex[0]) * phi[:, 0] + float(apex[1]) * phi[:, 1]
-        rhs = float(apex[0] * Fraction(d.c[0]) + apex[1] * Fraction(d.c[1]))
+        rhs = float(apex[0] * d.c[0] + apex[1] * d.c[1])
         bound_residual = float(np.max(np.abs(lhs - rhs)))
         scale = math.hypot(float(apex[0]), float(apex[1])) * quad.moment_scale(d)
         if bound_residual > 1e-10 * scale:
@@ -280,7 +272,9 @@ def cmd_verify(args) -> tuple[int, dict, bool]:
 
 
 def cmd_generate(args) -> tuple[int, dict, bool]:
-    d = _cone_data(args.config)
+    ws, d = _problem(args.config)
+    if ws is not None:
+        raise InputError("cone data needs keys 'A' and 'B'")
     solution = wt.weights_from_cone_data(d.a, d.b)
     results = solution.to_json()
     results["rho_L"] = [_monomial(v) for v in solution.system.wl]
@@ -290,8 +284,6 @@ def cmd_generate(args) -> tuple[int, dict, bool]:
 
 
 def cmd_enumerate(args) -> tuple[int, dict, bool]:
-    if args.bound < 0:
-        raise InputError("--bound must be >= 0")
     try:
         systems = wt.enumerate_admissible_systems(args.bound)
     except ValueError as exc:
@@ -314,8 +306,8 @@ def cmd_enumerate(args) -> tuple[int, dict, bool]:
 def _parse_beta(args):
     if args.beta is not None:
         try:
-            parts = [Fraction(p.strip()) for p in args.beta.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
+            parts = [_scalar(p.strip()) for p in args.beta.split(",")]
+        except ValueError as exc:
             raise InputError(f"bad --beta: {exc}") from exc
         if len(parts) != 2:
             raise InputError("--beta needs two comma-separated rationals")

@@ -32,6 +32,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .conegeom import _scalar
+
 __all__ = [
     "Eisenstein",
     "OMEGA",
@@ -66,7 +68,7 @@ class Eisenstein:
     def of(x) -> "Eisenstein":
         if isinstance(x, Eisenstein):
             return x
-        return Eisenstein(Fraction(x), Fraction(0))
+        return Eisenstein(Fraction(_scalar(x)), Fraction(0))
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -88,7 +90,8 @@ class Eisenstein:
 
     def __mul__(self, other):
         if not isinstance(other, Eisenstein):  # a rational scales both parts
-            return Eisenstein(self.a * Fraction(other), self.b * Fraction(other))
+            o = _scalar(other)
+            return Eisenstein(self.a * o, self.b * o)
         return Eisenstein(
             self.a * other.a - self.b * other.b,
             self.a * other.b + self.b * other.a - self.b * other.b,
@@ -276,9 +279,8 @@ class DGAModel:
 
 def build_derham_model(dw1=(1, 0), dw2=(0, 1)) -> DGAModel:
     algebra = basic_model()
-    img1 = tuple(Fraction(c) for c in dw1)
-    img2 = tuple(Fraction(c) for c in dw2)
-    return DGAModel(algebra, ("w1", "w2"), (img1, img2))
+    images = tuple(tuple(Fraction(_scalar(c)) for c in img) for img in (dw1, dw2))
+    return DGAModel(algebra, ("w1", "w2"), images)
 
 
 def cohomology_of_complex(dims: list[int], mats: list[list[list]]) -> tuple[int, ...]:

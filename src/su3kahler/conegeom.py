@@ -51,12 +51,18 @@ Vec2 = tuple[Scalar, Scalar]
 
 
 def _scalar(x) -> Scalar:
+    """The one rational gate of the exact layers: ints, Fractions and
+    'p/q' strings pass; bools, floats, malformed strings, zero
+    denominators and everything else raise TypeError or ValueError."""
     if isinstance(x, bool):
         raise TypeError(f"exact rational expected, got bool: {x!r}")
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"exact rational expected, got {type(x).__name__}: {x!r}")
 
 

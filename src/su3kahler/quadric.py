@@ -78,7 +78,11 @@ class Tolerances:
     pos: float = 1e-6            # smallest positive eigenvalue vs largest
     rank_rel: float = 1e-9       # singular value cutoff vs largest
     operator: float = 1e-8       # operator identity errors
-    nonzero_floor: float = 1e-8  # max |z_j|, |w_j| must exceed this
+
+
+_NONZERO_FLOOR = 1e-8  # max |z_j|, |w_j| must exceed this on the quadric
+_SU3_TOL = 1e-9        # unitarity and determinant error of an embedded matrix
+_SAMPLE_NOISE = 1e-2   # scale of the perturbations certification_sample projects
 
 
 @dataclass
@@ -86,14 +90,6 @@ class LevelSetPoint:
     z: np.ndarray  # shape (3,), complex
     w: np.ndarray  # shape (3,), complex
     residuals: tuple[float, float]  # (|sum z_j w_j|, |Phi - C|)
-
-    def to_json(self) -> dict:
-        fmt = lambda c: [float(c.real), float(c.imag)]
-        return {
-            "z": [fmt(c) for c in self.z],
-            "w": [fmt(c) for c in self.w],
-            "residuals": [float(r) for r in self.residuals],
-        }
 
 
 class _FloatData(NamedTuple):
@@ -159,12 +155,12 @@ def _as_zw(p) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
 
 
-def _nonzero_factors(z: np.ndarray, w: np.ndarray, floor: float) -> np.ndarray:
-    """Per row: max |z_j| and max |w_j| both exceed the floor.
+def _nonzero_factors(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per row: max |z_j| and max |w_j| both exceed ``_NONZERO_FLOOR``.
 
     A non-finite row fails too, so no NaN ever reaches a factorization.
     """
-    return (np.max(np.abs(z), axis=-1) > floor) & (np.max(np.abs(w), axis=-1) > floor)
+    return (np.max(np.abs(z), axis=-1) > _NONZERO_FLOOR) & (np.max(np.abs(w), axis=-1) > _NONZERO_FLOOR)
 
 
 def _level_points(
@@ -178,7 +174,7 @@ def _level_points(
     """
     quad = np.abs(np.sum(z * w, axis=-1))
     mom = np.linalg.norm(_moment(fd, z, w) - fd.c, axis=-1)
-    nonzero = _nonzero_factors(z, w, tol.nonzero_floor)
+    nonzero = _nonzero_factors(z, w)
     close = (quad <= tol.residual) & (mom <= tol.residual * fd.scale)
     out: list[LevelSetPoint | ValueError] = []
     for k in range(len(z)):
@@ -209,14 +205,14 @@ def level_point(
     return _first_error(_level_points(_weight_arrays(d), z, w, tol))[0]
 
 
-def check_special_unitary(a: np.ndarray, tol: float = 1e-9) -> None:
+def check_special_unitary(a: np.ndarray) -> None:
     a = np.asarray(a, dtype=complex)
     if a.shape != (3, 3):
         raise ValueError("a 3x3 matrix is required")
     err = np.linalg.norm(a.conj().T @ a - np.eye(3))
     det_err = abs(np.linalg.det(a) - 1.0)
-    if err > tol or det_err > tol:
-        raise ValueError(f"not special unitary within {tol}: unitarity {err}, det {det_err}")
+    if err > _SU3_TOL or det_err > _SU3_TOL:
+        raise ValueError(f"not special unitary within {_SU3_TOL}: unitarity {err}, det {det_err}")
 
 
 def random_su3(seed) -> np.ndarray:
@@ -234,18 +230,18 @@ def random_su3(seed) -> np.ndarray:
     return q
 
 
-def embed_su3(a: np.ndarray, tol: float = 1e-9) -> LevelSetPoint:
+def embed_su3(a: np.ndarray) -> LevelSetPoint:
     """Embed a special unitary matrix into the round level set.
 
     z is the first column of A and w the third column of the inverse
     transpose, which for unitary A is the entrywise conjugate, so
     sum |z|^2 = sum |w|^2 = 1 and sum z_j w_j = <col1, col3> = 0.
     """
-    check_special_unitary(a, tol)
+    check_special_unitary(a)
     a = np.asarray(a, dtype=complex)
     z = a[:, 0].copy()
     w = np.conj(a[:, 2])
-    return level_point(ROUND_DATA, z, w, Tolerances(residual=max(tol, 1e-10)))
+    return level_point(ROUND_DATA, z, w, Tolerances(residual=_SU3_TOL))
 
 
 def equivariance_check(a: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
@@ -382,8 +378,7 @@ def _project(
     """
     z = np.array(z0, dtype=complex).reshape(-1, 3)
     w = np.array(w0, dtype=complex).reshape(-1, 3)
-    floor = tolerances.nonzero_floor
-    start_ok = _nonzero_factors(z, w, floor)
+    start_ok = _nonzero_factors(z, w)
     out: list = [None if ok else ValueError("starting point must have nonzero z and w") for ok in start_ok]
     unit = _unit(fd)
     active = np.flatnonzero(start_ok)
@@ -400,7 +395,7 @@ def _project(
         step = _mv(np.linalg.pinv(_jacobian(unit, za, wa)), -f)
         v = _r2c(_c2r(np.concatenate([za, wa], axis=-1)) + step)
         z[active], w[active] = v[:, :3], v[:, 3:]
-        ok = _nonzero_factors(v[:, :3], v[:, 3:], floor)
+        ok = _nonzero_factors(v[:, :3], v[:, 3:])
         for k in active[~ok]:
             out[k] = RuntimeError("projection collapsed a factor toward zero")
         active = active[ok]
@@ -636,7 +631,7 @@ def certify_point(
 
 
 def certification_sample(
-    d: DerivedConeData, n: int, seed, noise: float = 1e-2, tol: Tolerances = Tolerances()
+    d: DerivedConeData, n: int, seed, tol: Tolerances = Tolerances()
 ) -> list[LevelSetPoint]:
     """Deterministic batch of n level-set points for certification.
 
@@ -668,7 +663,7 @@ def certification_sample(
         rng = np.random.default_rng(streams[k])
         dz = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         dw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        z0[row], w0[row] = base.z + noise * dz, base.w + noise * dw
+        z0[row], w0[row] = base.z + _SAMPLE_NOISE * dz, base.w + _SAMPLE_NOISE * dw
     projected = dict(zip(perturbed, _project(fd, z0, w0, tol=1e-12, max_iter=50, tolerances=tol)))
     out: list[LevelSetPoint] = seeds[:n]
     for k in range(len(seeds), n):

@@ -38,6 +38,7 @@ from .conegeom import (
     MembershipStatus,
     Vec2,
     _as_int,
+    _scalar,
     cone_member,
     cross,
     dot,
@@ -104,11 +105,9 @@ class WeightSystem:
     @classmethod
     def from_json(cls, obj: dict) -> "WeightSystem":
         try:
-            wl = tuple(_ivec(v) for v in obj["wL"])
-            wr = tuple(_ivec(v) for v in obj["wR"])
+            return cls(obj["wL"], obj["wR"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed weight system object: {exc}") from exc
-        return cls(wl, wr)
 
     def to_json(self) -> dict:
         return {"wL": [list(v) for v in self.wl], "wR": [list(v) for v in self.wr]}
@@ -162,17 +161,21 @@ class DerivedConeData:
         }
 
 
+def _vector(v) -> Vec2:
+    """An exact vector from a list or tuple of two scalars; a string or a
+    dict would otherwise unpack into its characters or keys."""
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise TypeError(f"vector [x, y] expected, got {v!r}")
+    return vec2(*v)
+
+
 def cone_data(a_vectors, b_vectors) -> DerivedConeData:
     """Build cone data from A's and B's, requiring A_j + B_j constant."""
-    a = tuple(vec2(*v) for v in a_vectors)
-    b = tuple(vec2(*v) for v in b_vectors)
+    a = tuple(_vector(v) for v in a_vectors)
+    b = tuple(_vector(v) for v in b_vectors)
     if len(a) != 3 or len(b) != 3:
         raise ValueError("three A vectors and three B vectors required")
-    c = vadd(a[0], b[0])
-    for j in (1, 2):
-        if vadd(a[j], b[j]) != c:
-            raise ValueError("A_j + B_j must be independent of j")
-    return DerivedConeData(a, b, c)
+    return DerivedConeData(a, b, vadd(a[0], b[0]))  # the type checks A_j + B_j = C
 
 
 def derive(ws: WeightSystem) -> DerivedConeData:
@@ -425,7 +428,7 @@ def interpolation_spec(d: DerivedConeData, times=None) -> InterpolationSpec:
     if m.status is not MembershipStatus.INTERIOR:
         raise ValueError("C must lie in the interior of cone(A_1, B_1)")
     assert m.coefficients is not None
-    ts = default_interpolation_times() if times is None else tuple(Fraction(t) for t in times)
+    ts = default_interpolation_times() if times is None else tuple(_scalar(t) for t in times)
     return InterpolationSpec(m.coefficients[0], m.coefficients[1], ts)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from su3kahler.cli import main
 
 ORBIFOLD_CONFIG = '{"wL": [[-1,1],[-1,1],[2,-2]], "wR": [[-4,1],[5,-5],[-1,4]]}'
@@ -332,6 +334,33 @@ def test_verify_tol_decides_the_verdict(capsys):
     code, out = run(capsys, *argv, "--tol", "1e-300")
     results = json.loads(out)["results"]
     assert code == 1 and results["error"].startswith("sampling failed: point misses the level set")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--seed", "-1"),
+        ("--tol", "nan"),
+        ("--tol", "-1"),
+        ("--tol", "0"),
+        ("--tol", "inf"),
+        ("--tol-zero", "nan"),
+        ("--tol-zero", "-0.5"),
+        ("--tol-pos", "inf"),
+        ("--tol-pos", "0"),
+    ],
+)
+def test_verify_usage_errors_exit_2_before_sampling(capsys, monkeypatch, flag, value):
+    from su3kahler import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled despite a usage error")
+
+    monkeypatch.setattr(cli.quad, "certification_sample", refuse)
+    code, out = run(capsys, "verify", "--config", ORBIFOLD_CONE, flag, value)
+    report = json.loads(out)
+    assert code == 2 and not report["pass"]
+    assert report["results"]["error"].startswith(f"{flag} must be ")
 
 
 def test_verify_is_invariant_under_rescaling_the_cone_data(capsys):

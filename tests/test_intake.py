@@ -1,0 +1,174 @@
+"""Intake of exact input.
+
+Every config the CLI reads goes through one parser, and every scalar the
+exact layers take goes through one rational gate. Whatever a config
+holds, ``main`` returns 0, 1 or 2 and writes exactly one JSON envelope;
+an entry that is not exact (a float, a bool, null, a zero denominator, a
+vector of the wrong length or nesting) ends in exit code 2.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from su3kahler import (
+    Eisenstein,
+    build_derham_model,
+    cone_data,
+    hodge_model,
+    interpolation_spec,
+)
+from su3kahler.cli import main
+
+ENVELOPE_KEYS = {"command", "config", "results", "pass", "wall_time_s"}
+COMMANDS = (("check",), ("isotropy",), ("generate",), ("verify", "--samples", "1"))
+ORBIFOLD_A = [[1, 0], [1, 0], [2, -1]]
+ORBIFOLD_B = [[0, 1], [0, 1], [-1, 2]]
+ZERO_DENOMINATOR = '{"A": [["1/0",0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'
+
+
+def run(command, config):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command[0], "--config", config, *command[1:]])
+    return code, out.getvalue()
+
+
+def rationals():
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def as_entry(x: Fraction, as_string: bool):
+    """An exact JSON entry: an int when integral (unless drawn as a
+    string), else a "p/q" string."""
+    return str(x) if as_string or x.denominator != 1 else x.numerator
+
+
+BAD_SCALARS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["x", "", "1/2/3"]),
+)
+CORRUPTIONS = ("scalar", "zero denominator", "short", "long", "deep", "flat")
+
+
+@st.composite
+def exact_configs(draw):
+    """Cone data with A_j + B_j = C (entries ints or "p/q" strings), or a
+    zero-sum integer weight system."""
+    if draw(st.integers(0, 2)):  # cone data two times in three
+        c = (draw(rationals()), draw(rationals()))
+        a = [(draw(rationals()), draw(rationals())) for _ in range(3)]
+        b = [(c[0] - x, c[1] - y) for x, y in a]
+        strings = st.booleans()
+        return {
+            "A": [[as_entry(x, draw(strings)) for x in v] for v in a],
+            "B": [[as_entry(x, draw(strings)) for x in v] for v in b],
+        }
+    sides = {}
+    for name in ("wL", "wR"):
+        w1, w2 = ([draw(st.integers(-2, 2)) for _ in range(2)] for _ in range(2))
+        sides[name] = [w1, w2, [-w1[0] - w2[0], -w1[1] - w2[1]]]
+    return sides
+
+
+@st.composite
+def corrupted(draw, config, kind):
+    """The config with one non-exact entry: a bad scalar, a zero
+    denominator, a vector of the wrong length, or a vector nested one level
+    too deep or too shallow."""
+    key = draw(st.sampled_from(sorted(config)))
+    vectors = [list(v) for v in config[key]]
+    j = draw(st.integers(0, 2))
+    if kind == "scalar":
+        vectors[j][draw(st.integers(0, 1))] = draw(BAD_SCALARS)
+    elif kind == "zero denominator":
+        vectors[j][draw(st.integers(0, 1))] = draw(st.sampled_from(["1/0", "-3/0", "0/0"]))
+    elif kind == "short":
+        vectors[j] = vectors[j][:1]
+    elif kind == "long":
+        vectors[j] = vectors[j] + [0]
+    elif kind == "deep":
+        vectors[j] = [vectors[j]]
+    else:
+        vectors[j] = vectors[j][0]
+    return {**config, key: vectors}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_every_config_ends_in_one_envelope(data):
+    config = data.draw(exact_configs())
+    bad = data.draw(st.sampled_from((None, *CORRUPTIONS)))
+    if bad:
+        config = data.draw(corrupted(config, bad))
+    text = json.dumps(config)
+    for command in COMMANDS:
+        code, out = run(command, text)
+        report = json.loads(out)  # exactly one JSON document
+        assert set(report) == ENVELOPE_KEYS
+        assert report["command"] == command[0]
+        assert code in (0, 1, 2)
+        if bad:
+            assert code == 2 and "error" in report["results"], (command, text)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_zero_denominator_exits_2(command):
+    code, out = run(command, ZERO_DENOMINATOR)
+    report = json.loads(out)
+    assert code == 2 and set(report) == ENVELOPE_KEYS
+    assert report["results"]["error"] == "zero denominator in '1/0'"
+
+
+def test_generate_rejects_a_weight_system():
+    config = '{"wL": [[-1,1],[-1,1],[2,-2]], "wR": [[-4,1],[5,-5],[-1,4]]}'
+    code, out = run(("generate",), config)
+    assert code == 2
+    assert json.loads(out)["results"]["error"] == "cone data needs keys 'A' and 'B'"
+
+
+def test_cohomology_beta_with_zero_denominator_exits_2():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["cohomology", "--beta", "1/0,1"])
+    assert code == 2
+    assert json.loads(out.getvalue())["results"]["error"] == "bad --beta: zero denominator in '1/0'"
+
+
+API_CALLS = {
+    "cone_data": lambda x: cone_data([(x, 0), (1, 0), (2, -1)], [(0, 1), (0, 1), (-1, 2)]),
+    "interpolation_spec": lambda x: interpolation_spec(cone_data(ORBIFOLD_A, ORBIFOLD_B), [x]),
+    "build_derham_model": lambda x: build_derham_model((x, 0), (0, 1)),
+    "hodge_model": lambda x: hodge_model((x, 1)),
+    "Eisenstein.of": Eisenstein.of,
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1/0"], ids=repr)
+@pytest.mark.parametrize("name", sorted(API_CALLS))
+def test_exact_api_rejects_inexact_scalars(name, bad):
+    with pytest.raises((ValueError, TypeError)):
+        API_CALLS[name](bad)
+
+
+def test_exact_api_accepts_exact_scalars():
+    assert interpolation_spec(cone_data(ORBIFOLD_A, ORBIFOLD_B), ["1/2", 1]).times == (
+        Fraction(1, 2),
+        1,
+    )
+    assert Eisenstein.of("2/4") == Eisenstein(Fraction(1, 2), Fraction(0))
+    assert hodge_model(("1/2", Fraction(-3, 7))).branch == (0, 0, 0)
+    assert build_derham_model(("1", 0), (0, Fraction(1))).d_gens == build_derham_model().d_gens
+
+
+@pytest.mark.parametrize("vector", ["12", {"1": 0, "2": 0}, [1], [1, 2, 3], 7])
+def test_cone_data_rejects_a_malformed_vector(vector):
+    with pytest.raises(TypeError, match=r"vector \[x, y\] expected"):
+        cone_data([vector, (1, 0), (2, -1)], [(0, 1), (0, 1), (-1, 2)])
