@@ -129,29 +129,14 @@ def _encode(o, parts: list, nl: str) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for key, value in sorted(o.items()):
-            key = key if isinstance(key, str) else _key_text(key)
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {key.__class__.__name__}")
             parts.append(sep + encode_basestring_ascii(key) + ": ")
             sep = "," + inner
             _encode(value, parts, inner)
         parts.append(nl + "}")
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """A non-str dict key as the stdlib writes it (sorting sees the
-    original key)."""
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def encode_report(report) -> str:
@@ -182,7 +167,7 @@ def _monomial(v) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def cmd_check(args) -> tuple[int, dict, bool]:
+def cmd_check(args) -> tuple[dict, bool]:
     if args.interp_steps < 1:
         raise InputError("--interp-steps must be >= 1")
     ws, d = _problem(args.config)
@@ -203,31 +188,28 @@ def cmd_check(args) -> tuple[int, dict, bool]:
             "ok": ok,
         }
         passed = passed and ok
-    return (EXIT_PASS if passed else EXIT_FAIL), results, passed
+    return results, passed
 
 
-def cmd_isotropy(args) -> tuple[int, dict, bool]:
+def cmd_isotropy(args) -> tuple[dict, bool]:
     ws, d = _problem(args.config)
     if not d.is_integer:
         raise InputError("isotropy analysis requires integer cone data")
     if not wt.cone_condition_holds(d):
-        return EXIT_FAIL, {"error": "cone condition fails; isotropy analysis requires it"}, False
+        return {"error": "cone condition fails; isotropy analysis requires it"}, False
     verdict = iso.freeness_check(d, ws)
-    # equals verdict.classification when set: freeness_check raises if they disagree
-    kind = iso.Classification
-    classification = (kind.FREE_FLAG_CASE if verdict.free else kind.ORBIFOLD_CASE).value
     census = iso.singular_stratum_census(d)
     results = {
         "weights": None if ws is None else ws.to_json(),
         "derived": d.to_json(),
         "freeness": verdict.to_json(),
-        "classification": classification,
+        "classification": iso.Classification.of(verdict.free).value,
         "census": iso.census_to_json(census),
     }
-    return EXIT_PASS, results, True
+    return results, True
 
 
-def cmd_verify(args) -> tuple[int, dict, bool]:
+def cmd_verify(args) -> tuple[dict, bool]:
     if args.samples < 1:
         raise InputError("--samples must be >= 1")
     if args.seed < 0:
@@ -243,7 +225,7 @@ def cmd_verify(args) -> tuple[int, dict, bool]:
     try:
         points = quad.certification_sample(d, args.samples, args.seed, tol=tol)
     except (ValueError, RuntimeError) as exc:
-        return EXIT_FAIL, {"cone_condition": condition_ok, "error": f"sampling failed: {exc}"}, False
+        return {"cone_condition": condition_ok, "error": f"sampling failed: {exc}"}, False
     apex = wt.check_level_set_conditions(d).apex_functional
     certificates = quad.certify_points(d, points, tol=tol)
     all_passed = condition_ok and all(cert.passed for cert in certificates)
@@ -268,22 +250,22 @@ def cmd_verify(args) -> tuple[int, dict, bool]:
         "certificates": [cert.to_json() for cert in certificates],
         "all_passed": all_passed,
     }
-    return (EXIT_PASS if all_passed else EXIT_FAIL), results, all_passed
+    return results, all_passed
 
 
-def cmd_generate(args) -> tuple[int, dict, bool]:
+def cmd_generate(args) -> tuple[dict, bool]:
     ws, d = _problem(args.config)
     if ws is not None:
         raise InputError("cone data needs keys 'A' and 'B'")
-    solution = wt.weights_from_cone_data(d.a, d.b)
+    solution = wt.weights_from_cone_data(d)
     results = solution.to_json()
     results["rho_L"] = [_monomial(v) for v in solution.system.wl]
     results["rho_R"] = [_monomial(v) for v in solution.system.wr]
     results["derived_check"] = wt.derive(solution.system).to_json()
-    return EXIT_PASS, results, True
+    return results, True
 
 
-def cmd_enumerate(args) -> tuple[int, dict, bool]:
+def cmd_enumerate(args) -> tuple[dict, bool]:
     try:
         systems = wt.enumerate_admissible_systems(args.bound)
     except ValueError as exc:
@@ -300,7 +282,7 @@ def cmd_enumerate(args) -> tuple[int, dict, bool]:
         line["classification"] = classification.value
         sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
     results = {"bound": args.bound, "count": count, "free_count": free_count}
-    return EXIT_PASS, results, True
+    return results, True
 
 
 def _parse_beta(args):
@@ -319,7 +301,7 @@ def _parse_beta(args):
     return coh.GENERIC_BETA
 
 
-def cmd_cohomology(args) -> tuple[int, dict, bool]:
+def cmd_cohomology(args) -> tuple[dict, bool]:
     beta = _parse_beta(args)
     algebra = coh.basic_model()
     basic_betti = [algebra.dim(k) for k in range(algebra.top + 1)]
@@ -338,7 +320,7 @@ def cmd_cohomology(args) -> tuple[int, dict, bool]:
         "hodge": hodge.to_json(),
         "beta": beta_str,
     }
-    return (EXIT_PASS if passed else EXIT_FAIL), results, passed
+    return results, passed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,7 +399,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     start = time.perf_counter()
     try:
-        code, results, passed = _COMMANDS[args.command](args)
+        results, passed = _COMMANDS[args.command](args)
+        code = EXIT_PASS if passed else EXIT_FAIL
     except InputError as exc:
         code, results, passed = EXIT_USAGE, {"error": str(exc)}, False
     except (ValueError, RuntimeError) as exc:

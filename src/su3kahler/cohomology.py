@@ -249,14 +249,6 @@ def basic_model() -> GradedAlgebra:
         (2, 0, 4, 1): (F(1),),
         (2, 1, 4, 0): (F(1),),
         (2, 1, 4, 1): (F(-1),),
-        (2, 0, 6, 0): (),
-        (2, 1, 6, 0): (),
-        (4, 0, 4, 0): (),
-        (4, 0, 4, 1): (),
-        (4, 1, 4, 1): (),
-        (4, 0, 6, 0): (),
-        (4, 1, 6, 0): (),
-        (6, 0, 6, 0): (),
     }
     return GradedAlgebra(basis, products, top=6, lefschetz=(F(2), F(1)))
 
@@ -268,7 +260,6 @@ class DGAModel:
     in degree 2 (the differential vanishes on the algebra itself)."""
 
     algebra: GradedAlgebra
-    gen_labels: tuple[str, str]
     d_gens: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
     def __post_init__(self):
@@ -280,7 +271,7 @@ class DGAModel:
 def build_derham_model(dw1=(1, 0), dw2=(0, 1)) -> DGAModel:
     algebra = basic_model()
     images = tuple(tuple(Fraction(_scalar(c)) for c in img) for img in (dw1, dw2))
-    return DGAModel(algebra, ("w1", "w2"), images)
+    return DGAModel(algebra, images)
 
 
 def cohomology_of_complex(dims: list[int], mats: list[list[list]]) -> tuple[int, ...]:

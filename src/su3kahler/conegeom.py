@@ -2,10 +2,11 @@
 
 Everything here is exact: scalars are Python ints or `fractions.Fraction`,
 vectors are plain ``(x, y)`` tuples, and predicates are decided by sign
-tests on cross products. Floats and bools are rejected on input. Cone
-membership on a boundary ray must be *decided*, not approximated, because
-the downstream condition checks distinguish strict from non-strict
-membership.
+tests on cross products. :func:`vec2` and :func:`scalar_to_json` reject
+floats and bools; the cone predicates, called dozens of times per check,
+trust the vectors that ``vec2`` and ``cone_data`` built. Cone membership
+on a boundary ray must be *decided*, not approximated, because the
+downstream condition checks distinguish strict from non-strict membership.
 
 Every membership decision goes through one integer sign table,
 :func:`cone_member`. It uses only ring operations and comparisons, so the
@@ -96,7 +97,7 @@ def is_zero(u: Vec2) -> bool:
 
 
 def scalar_to_json(s: Scalar) -> str:
-    return str(Fraction(s))
+    return str(_scalar(s))
 
 
 def vec_to_json(u: Vec2) -> list[str]:

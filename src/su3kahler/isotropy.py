@@ -18,7 +18,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .conegeom import (
     _as_int,
@@ -84,33 +84,26 @@ class SupportPattern:
 
 @dataclass(frozen=True)
 class IsotropyGroup:
-    """Either a finite abelian group in invariant-factor form or a marker
-    for a positive-dimensional stabilizer (exponent matrix rank < 2)."""
+    """The stabilizer as the Smith form gives it: the rank of the exponent
+    rows and their invariant factors. Rank 2 is the finite group
+    Z/d1 x Z/d2; a lower rank leaves a positive-dimensional stabilizer."""
 
-    kind: str  # "finite" | "positive-dimensional"
-    factors: tuple[int, ...] = ()
-    rank_deficit: int = 0
-
-    @classmethod
-    def finite(cls, factors: tuple[int, ...]) -> "IsotropyGroup":
-        return cls("finite", factors=factors)
-
-    @classmethod
-    def positive_dimensional(cls, rank_deficit: int) -> "IsotropyGroup":
-        return cls("positive-dimensional", rank_deficit=rank_deficit)
+    rank: int
+    factors: tuple[int, ...]
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == "finite"
+        return self.rank == 2
+
+    @property
+    def rank_deficit(self) -> int:
+        return 2 - self.rank
 
     @property
     def order(self) -> int:
         if not self.is_finite:
             raise ValueError("positive-dimensional stabilizer has no order")
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
+        return prod(self.factors)
 
     @property
     def is_trivial(self) -> bool:
@@ -130,17 +123,11 @@ def _integer_rows(vectors) -> list[tuple[int, int]]:
         raise ValueError("integer cone data required for isotropy computations") from None
 
 
-def _group(rank: int, factors: tuple[int, ...]) -> IsotropyGroup:
-    if rank < 2:
-        return IsotropyGroup.positive_dimensional(2 - rank)
-    return IsotropyGroup.finite(factors)
-
-
 @functools.lru_cache(maxsize=256)
 def _group_from_divisors(d1: int, d12: int) -> IsotropyGroup:
     """The (immutable, shared) group of rows with determinantal divisors
     d1 and d12 = d1*d2."""
-    return _group(*invariant_factors_from_divisors(d1, d12))
+    return IsotropyGroup(*invariant_factors_from_divisors(d1, d12))
 
 
 def isotropy_at_support(d: DerivedConeData, pattern: SupportPattern) -> IsotropyGroup:
@@ -152,12 +139,17 @@ def isotropy_at_support(d: DerivedConeData, pattern: SupportPattern) -> Isotropy
     """
     gens = (*d.a, *d.b)
     rows = _integer_rows([gens[r] for r in _pattern_rows(pattern)])
-    return _group(*smith_invariant_factors(rows))
+    return IsotropyGroup(*smith_invariant_factors(rows))
 
 
 class Classification(enum.Enum):
     FREE_FLAG_CASE = "FreeFlagCase"
     ORBIFOLD_CASE = "OrbifoldCase"
+
+    @classmethod
+    def of(cls, free: bool) -> "Classification":
+        """The quotient is the flag variety exactly when the action is free."""
+        return cls.FREE_FLAG_CASE if free else cls.ORBIFOLD_CASE
 
 
 @dataclass(frozen=True)
@@ -165,10 +157,16 @@ class FreenessVerdict:
     """Lattice-pair freeness; ``classification`` is set when a weight system
     was supplied and the cone condition holds (not part of the JSON)."""
 
-    free: bool
     failing_pair: tuple[int, int, int] | None  # (i, j, |det(A_i, B_j)|)
-    classification_consistent: bool
     classification: Classification | None = None
+
+    @property
+    def free(self) -> bool:
+        return self.failing_pair is None
+
+    @property
+    def classification_consistent(self) -> bool:
+        return self.classification in (None, Classification.of(self.free))
 
     def to_json(self) -> dict:
         return {
@@ -178,34 +176,32 @@ class FreenessVerdict:
         }
 
 
-def _failing_pair(d: DerivedConeData) -> tuple[int, int, int] | None:
+def _failing_pair(a, b) -> tuple[int, int, int] | None:
     """The first (i, j, |det|) with i != j and (A_i, B_j) not a lattice basis."""
     for j in range(3):
         for i in range(3):
             if i != j:
-                det = cross(d.a[i], d.b[j])
+                det = cross(a[i], b[j])
                 if abs(det) != 1:
-                    return (i + 1, j + 1, abs(int(det)))
+                    return (i + 1, j + 1, abs(det))
     return None
 
 
 def freeness_check(d: DerivedConeData, ws: WeightSystem | None = None) -> FreenessVerdict:
     """The action is free iff every (A_i, B_j) with i != j is a lattice basis.
 
-    When the originating weight system is supplied and d passes the cone
-    condition, the verdict is cross-checked against the homomorphism-level
+    Non-integer cone data raise ValueError, as in the census. When the
+    originating weight system is supplied and d passes the cone condition,
+    the verdict is cross-checked against the homomorphism-level
     characterization of :func:`classify_quotient`, and that classification
     is returned with it. The lattice-pair test runs once when d is the data
     derived from ws.
     """
-    failing = _failing_pair(d)
-    free = failing is None
+    failing = _failing_pair(_integer_rows(d.a), _integer_rows(d.b))
     classification = None
     if ws is not None and cone_condition_holds(d):
-        derived = derive(ws)
-        classification = _classify(ws, derived, free if derived == d else None)
-    consistent = classification is None or (classification is Classification.FREE_FLAG_CASE) == free
-    return FreenessVerdict(free, failing, consistent, classification)
+        classification = _classify(ws, failing is None) if derive(ws) == d else classify_quotient(ws)
+    return FreenessVerdict(failing, classification)
 
 
 def classify_quotient(ws: WeightSystem) -> Classification:
@@ -216,26 +212,23 @@ def classify_quotient(ws: WeightSystem) -> Classification:
     mismatch with the pairwise lattice-basis criterion cannot occur and is
     raised as an internal error.
     """
-    return _classify(ws, derive(ws), None)
+    d = derive(ws)
+    if not cone_condition_holds(d):
+        raise ValueError("classification requires the cone condition to hold")
+    return _classify(ws, _failing_pair(d.a, d.b) is None)
 
 
-def _classify(ws: WeightSystem, d: DerivedConeData, by_pairs: bool | None) -> Classification:
-    """Classify ws, whose derived data is d. ``by_pairs`` is the lattice-pair
-    verdict on d when the caller already has it (and knows the cone
-    condition holds); None decides both here."""
-    if by_pairs is None:
-        if not cone_condition_holds(d):
-            raise ValueError("classification requires the cone condition to hold")
-        by_pairs = _failing_pair(d) is None
-    left_trivial = all(v == (0, 0) for v in ws.wl)
-    right_iso = is_unimodular_pair(ws.wr[0], ws.wr[1])
-    by_homs = left_trivial and right_iso
+def _classify(ws: WeightSystem, by_pairs: bool) -> Classification:
+    """Classify ws by its homomorphisms (left trivial, right a torus
+    isomorphism); ``by_pairs`` is the lattice-pair verdict on derive(ws),
+    which satisfies the cone condition."""
+    by_homs = all(v == (0, 0) for v in ws.wl) and is_unimodular_pair(ws.wr[0], ws.wr[1])
     if by_homs != by_pairs:
         raise RuntimeError(
             f"freeness characterizations disagree on {ws!r}: "
             f"homomorphism test {by_homs}, lattice-pair test {by_pairs}"
         )
-    return Classification.FREE_FLAG_CASE if by_homs else Classification.ORBIFOLD_CASE
+    return Classification.of(by_homs)
 
 
 @dataclass(frozen=True)

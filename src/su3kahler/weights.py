@@ -371,8 +371,9 @@ class WeightSolution:
         }
 
 
-def weights_from_cone_data(a_vectors, b_vectors) -> WeightSolution:
-    """Solve A_j = w_j^L - w_1^R, B_j = -w_j^L + w_3^R for the weights.
+def weights_from_cone_data(d: DerivedConeData) -> WeightSolution:
+    """Solve A_j = w_j^L - w_1^R, B_j = -w_j^L + w_3^R for the weights of
+    the validated cone data d (built by :func:`cone_data`).
 
     The linear system is underdetermined; the zero-sum constraints fix the
     particular solution
@@ -384,7 +385,6 @@ def weights_from_cone_data(a_vectors, b_vectors) -> WeightSolution:
     positive integer clearing every denominator, and the integer system
     derives back to scale * (A, B, C) exactly.
     """
-    d = cone_data(a_vectors, b_vectors)
     third = Fraction(1, 3)
     sa = vadd(vadd(d.a[0], d.a[1]), d.a[2])
     sb = vadd(vadd(d.b[0], d.b[1]), d.b[2])

@@ -140,7 +140,7 @@ def test_model_rejects_wrong_degree_images():
     from su3kahler.cohomology import DGAModel
 
     with pytest.raises(ValueError):
-        DGAModel(basic_model(), ("w1", "w2"), ((F(1),), (F(0), F(1))))
+        DGAModel(basic_model(), ((F(1),), (F(0), F(1))))
 
 
 def test_complex_validation():

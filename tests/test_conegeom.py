@@ -17,6 +17,7 @@ from su3kahler.conegeom import (
     in_cone_many,
     is_unimodular_pair,
     is_zero,
+    scalar_to_json,
     smith_invariant_factors,
     vadd,
     vec2,
@@ -397,3 +398,14 @@ def test_smith_matches_gcd_minors(rows):
     assert (rank, factors) == gcd_minor_oracle([list(r) for r in rows])
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
+
+
+@pytest.mark.parametrize("x", [0.1, 1.0, np.float64(0.5), True, False])
+def test_scalar_to_json_rejects_floats_and_bools(x):
+    with pytest.raises(TypeError, match="exact rational expected"):
+        scalar_to_json(x)
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+def test_scalar_to_json_text_of_ints_and_fractions(x):
+    assert scalar_to_json(x) == str(Fraction(x))

@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
+
+from su3kahler.cli import main
 
 from su3kahler.conegeom import is_unimodular_pair
 from su3kahler.isotropy import (
@@ -130,6 +133,26 @@ def test_freeness_orbifold_example(orbifold_data):
     verdict = freeness_check(orbifold_data)
     assert not verdict.free
     assert verdict.failing_pair == (3, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # the orbifold data halved: |det(A_2, B_1)| = 1/4 used to be reported as 0
+        ([(F(1, 2), 0), (F(1, 2), 0), (1, F(-1, 2))], [(0, F(1, 2)), (0, F(1, 2)), (F(-1, 2), 1)]),
+        # |det(A_3, B_1)| = 5/2 used to be reported as 2
+        ([(1, 0), (1, 0), (F(5, 2), -1)], [(0, 1), (0, 1), (F(-3, 2), 2)]),
+    ],
+    ids=["halved", "five-halves"],
+)
+def test_freeness_rejects_rational_data_like_the_census(a, b, capsys):
+    d = cone_data(a, b)
+    for decide in (freeness_check, singular_stratum_census):
+        with pytest.raises(ValueError, match="integer cone data required"):
+            decide(d)
+    config = json.dumps({"A": [[str(x) for x in v] for v in a], "B": [[str(x) for x in v] for v in b]})
+    assert main(["isotropy", "--config", config]) == 2
+    assert "requires integer cone data" in capsys.readouterr().out
 
 
 def test_freeness_zero_data():

@@ -71,8 +71,10 @@ def test_encoder_matches_stdlib_bytes(tree):
 )
 @settings(max_examples=100, deadline=None)
 def test_encoder_matches_stdlib_on_non_string_keys(tree):
-    # mixed key types fail to sort in both encoders
-    assert outcome(cli.encode_report, tree) == outcome(stdlib, tree)
+    # reports have str keys only: any other key raises TypeError, where the
+    # stdlib would write it as a string
+    expected = stdlib(tree) if all(isinstance(key, str) for key in tree) else TypeError
+    assert outcome(cli.encode_report, tree) == expected
 
 
 @given(trees, st.integers(-(2**63), 2**63 - 1))
@@ -101,8 +103,8 @@ def test_unsupported_keys_raise_type_error():
 
 def verify_report():
     args = cli._parser().parse_args(["verify", "--config", ORBIFOLD_CONE, "--samples", "20"])
-    code, results, passed = cli.cmd_verify(args)
-    assert code == 0
+    results, passed = cli.cmd_verify(args)
+    assert passed
     return cli._report(args.command, cli._config_echo(args), results, passed, 0.0)
 
 

@@ -98,9 +98,7 @@ def reference_census(d, smith=reference_smith):
     for pattern in REFERENCE_PATTERNS:
         rows = tuple(d.a[i - 1] for i in pattern.i_set) + tuple(d.b[j - 1] for j in pattern.j_set)
         rank, factors = smith(rows)
-        group = (
-            IsotropyGroup.finite(factors) if rank == 2 else IsotropyGroup.positive_dimensional(2 - rank)
-        )
+        group = IsotropyGroup(rank, factors)
         witness = None
         if pattern.is_singleton:
             i, j = pattern.i_set[0], pattern.j_set[0]

@@ -204,7 +204,7 @@ def test_mixed_witnesses_computed_once_for_every_reader(monkeypatch, orbifold_da
 
 
 def test_generate_worked_example(orbifold_data):
-    sol = weights_from_cone_data(orbifold_data.a, orbifold_data.b)
+    sol = weights_from_cone_data(cone_data(orbifold_data.a, orbifold_data.b))
     assert sol.wl_rational[0] == (F(-1, 3), F(1, 3))
     assert sol.wl_rational[2] == (F(2, 3), F(-2, 3))
     assert sol.wr_rational[1] == (F(5, 3), F(-5, 3))
@@ -214,21 +214,21 @@ def test_generate_worked_example(orbifold_data):
 
 
 def test_generate_standard_torus():
-    sol = weights_from_cone_data([(-1, 0)] * 3, [(-1, -1)] * 3)
+    sol = weights_from_cone_data(cone_data([(-1, 0)] * 3, [(-1, -1)] * 3))
     assert sol.scale == 1
     assert sol.system.wl == ((0, 0),) * 3
     assert sol.system.wr == ((1, 0), (0, 1), (-1, -1))
 
 
 def test_generate_zero_data():
-    sol = weights_from_cone_data([(0, 0)] * 3, [(0, 0)] * 3)
+    sol = weights_from_cone_data(cone_data([(0, 0)] * 3, [(0, 0)] * 3))
     assert sol.scale == 1
     assert sol.system.wl == ((0, 0),) * 3 and sol.system.wr == ((0, 0),) * 3
 
 
 def test_generate_rejects_inconsistent_sums():
     with pytest.raises(ValueError):
-        weights_from_cone_data([(1, 0), (1, 0), (1, 0)], [(0, 1), (0, 1), (0, 2)])
+        weights_from_cone_data(cone_data([(1, 0), (1, 0), (1, 0)], [(0, 1), (0, 1), (0, 2)]))
 
 
 small_vec = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
@@ -240,7 +240,7 @@ small_rat_vec = st.tuples(small_rat, small_rat)
 @settings(max_examples=200)
 def test_generate_round_trip_exact(a_vectors, c):
     b_vectors = [vsub(c, a) for a in a_vectors]
-    sol = weights_from_cone_data(a_vectors, b_vectors)
+    sol = weights_from_cone_data(cone_data(a_vectors, b_vectors))
     d = derive(sol.system)
     s = sol.scale
     assert d.a == tuple(vscale(s, a) for a in a_vectors)
