@@ -273,13 +273,11 @@ def cmd_enumerate(args) -> tuple[dict, bool]:
     count = 0
     free_count = 0
     for ws in systems:
-        classification = iso.classify_quotient(ws)
-        free = classification is iso.Classification.FREE_FLAG_CASE
         count += 1
-        free_count += 1 if free else 0
-        line = dict(ws.to_json())
-        line["free"] = free
-        line["classification"] = classification.value
+        free_count += ws.free
+        line = ws.to_json()
+        line["free"] = ws.free
+        line["classification"] = iso.Classification.of(ws.free).value
         sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
     results = {"bound": args.bound, "count": count, "free_count": free_count}
     return results, True

@@ -21,16 +21,16 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .conegeom import (
-    _as_int,
     cross,
     invariant_factors_from_divisors,
-    is_unimodular_pair,
     scalar_to_json,
     smith_invariant_factors,
 )
 from .weights import (
+    _MIXED_PAIRS,
     DerivedConeData,
     WeightSystem,
+    _freeness_disagreement,
     derive,
     cone_condition_holds,
 )
@@ -115,12 +115,13 @@ class IsotropyGroup:
         return {"kind": "positive-dimensional", "rank_deficit": self.rank_deficit}
 
 
-def _integer_rows(vectors) -> list[tuple[int, int]]:
-    """Exact vectors as int pairs, through the integer gate ``_as_int``."""
-    try:
-        return [(_as_int(x), _as_int(y)) for x, y in vectors]
-    except ValueError:
-        raise ValueError("integer cone data required for isotropy computations") from None
+def _integer_generators(d: DerivedConeData) -> tuple[tuple[int, int], ...]:
+    """(A_1, A_2, A_3, B_1, B_2, B_3) as int pairs, read from d's one
+    integer view; non-integer data raise ValueError."""
+    gens = d.integer_generators
+    if gens is None:
+        raise ValueError("integer cone data required for isotropy computations")
+    return gens
 
 
 @functools.lru_cache(maxsize=256)
@@ -137,9 +138,8 @@ def isotropy_at_support(d: DerivedConeData, pattern: SupportPattern) -> Isotropy
     rows E is Z/d1 x Z/d2 when the rows have rank 2 with invariant factors
     (d1, d2); otherwise a subtorus survives.
     """
-    gens = (*d.a, *d.b)
-    rows = _integer_rows([gens[r] for r in _pattern_rows(pattern)])
-    return IsotropyGroup(*smith_invariant_factors(rows))
+    gens = _integer_generators(d)
+    return IsotropyGroup(*smith_invariant_factors([gens[r] for r in _pattern_rows(pattern)]))
 
 
 class Classification(enum.Enum):
@@ -176,14 +176,13 @@ class FreenessVerdict:
         }
 
 
-def _failing_pair(a, b) -> tuple[int, int, int] | None:
-    """The first (i, j, |det|) with i != j and (A_i, B_j) not a lattice basis."""
-    for j in range(3):
-        for i in range(3):
-            if i != j:
-                det = cross(a[i], b[j])
-                if abs(det) != 1:
-                    return (i + 1, j + 1, abs(det))
+def _failing_pair(gens) -> tuple[int, int, int] | None:
+    """The first (i, j, |det|) with i != j and (A_i, B_j) not a lattice
+    basis, for the int generators (A_1, A_2, A_3, B_1, B_2, B_3)."""
+    for i, j in _MIXED_PAIRS:
+        det = abs(cross(gens[i], gens[3 + j]))
+        if det != 1:
+            return (i + 1, j + 1, det)
     return None
 
 
@@ -192,15 +191,16 @@ def freeness_check(d: DerivedConeData, ws: WeightSystem | None = None) -> Freene
 
     Non-integer cone data raise ValueError, as in the census. When the
     originating weight system is supplied and d passes the cone condition,
-    the verdict is cross-checked against the homomorphism-level
-    characterization of :func:`classify_quotient`, and that classification
-    is returned with it. The lattice-pair test runs once when d is the data
-    derived from ws.
+    the classification of ws's freeness verdict (:attr:`WeightSystem.free`)
+    is returned with it; when d is the data derived from ws, the failing
+    pair found here must agree with that verdict (RuntimeError otherwise).
     """
-    failing = _failing_pair(_integer_rows(d.a), _integer_rows(d.b))
+    failing = _failing_pair(_integer_generators(d))
     classification = None
     if ws is not None and cone_condition_holds(d):
-        classification = _classify(ws, failing is None) if derive(ws) == d else classify_quotient(ws)
+        if derive(ws) == d and ws.free != (failing is None):
+            raise _freeness_disagreement(ws, ws.free, failing is None)
+        classification = Classification.of(ws.free)
     return FreenessVerdict(failing, classification)
 
 
@@ -208,27 +208,13 @@ def classify_quotient(ws: WeightSystem) -> Classification:
     """Free quotient (the flag variety) versus genuine orbifold quotient.
 
     Under the cone condition the action is free exactly when the left
-    homomorphism is trivial and the right one is a torus isomorphism; a
-    mismatch with the pairwise lattice-basis criterion cannot occur and is
-    raised as an internal error.
+    homomorphism is trivial and the right one is a torus isomorphism, and
+    exactly when every mixed pair (A_i, B_j), i != j, is a lattice basis.
+    :attr:`WeightSystem.free` decides both (ValueError without the cone
+    condition, RuntimeError if they disagree) or carries the enumerator's
+    verdict.
     """
-    d = derive(ws)
-    if not cone_condition_holds(d):
-        raise ValueError("classification requires the cone condition to hold")
-    return _classify(ws, _failing_pair(d.a, d.b) is None)
-
-
-def _classify(ws: WeightSystem, by_pairs: bool) -> Classification:
-    """Classify ws by its homomorphisms (left trivial, right a torus
-    isomorphism); ``by_pairs`` is the lattice-pair verdict on derive(ws),
-    which satisfies the cone condition."""
-    by_homs = all(v == (0, 0) for v in ws.wl) and is_unimodular_pair(ws.wr[0], ws.wr[1])
-    if by_homs != by_pairs:
-        raise RuntimeError(
-            f"freeness characterizations disagree on {ws!r}: "
-            f"homomorphism test {by_homs}, lattice-pair test {by_pairs}"
-        )
-    return Classification.of(by_homs)
+    return Classification.of(ws.free)
 
 
 @dataclass(frozen=True)
@@ -299,7 +285,7 @@ def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
     nonconvex phase-feasibility argument, so they are reported with
     isotropy only.
     """
-    gens = _integer_rows((*d.a, *d.b))
+    gens = _integer_generators(d)
     entry_gcds = [gcd(x, y) for x, y in gens]
     minors = [cross(gens[p], gens[q]) for p, q in _GENERATOR_PAIRS]
     witnesses = {(i, j): (a, b) for i, j, a, b in d.mixed_witnesses}

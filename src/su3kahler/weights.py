@@ -18,7 +18,8 @@ checked by :func:`check_interpolation_path`.
 All checks are exact rational arithmetic; nothing here touches floats.
 Boolean decisions go through the integer sign table
 :func:`~su3kahler.conegeom.cone_member`; the enumerator evaluates it on
-int64 arrays, one outer wL block against every wR at once.
+int64 arrays, one outer wL block against every wR at once, and decides
+the freeness of each survivor in the same block.
 """
 
 from __future__ import annotations
@@ -112,6 +113,26 @@ class WeightSystem:
     def to_json(self) -> dict:
         return {"wL": [list(v) for v in self.wl], "wR": [list(v) for v in self.wr]}
 
+    @functools.cached_property
+    def free(self) -> bool:
+        """Whether the torus action is free (the quotient is the flag variety).
+
+        Decided on first use through the scalar path: derive the cone data,
+        raise ValueError unless the cone condition holds, then require the
+        homomorphism test and the lattice-pair test to agree (RuntimeError
+        otherwise). :func:`enumerate_admissible_systems` fills it in from
+        the same two tests on int64 arrays. It is not a field, so ==, hash
+        and repr ignore it.
+        """
+        d = derive(self)
+        if not cone_condition_holds(d):
+            raise ValueError("classification requires the cone condition to hold")
+        by_homs = _free_by_homs(self.wl, _right_is_isomorphism(self.wr[0], self.wr[2]))
+        by_pairs = _free_by_pairs(d.a, d.b)
+        if by_homs != by_pairs:
+            raise _freeness_disagreement(self, by_homs, by_pairs)
+        return by_homs
+
 
 @dataclass(frozen=True)
 class DerivedConeData:
@@ -126,13 +147,21 @@ class DerivedConeData:
             if vadd(self.a[j], self.b[j]) != self.c:
                 raise ValueError(f"A_{j + 1} + B_{j + 1} != C")
 
+    @functools.cached_property
+    def integer_generators(self) -> tuple[IVec2, ...] | None:
+        """The one integer view of the data: (A_1, A_2, A_3, B_1, B_2, B_3)
+        as int pairs, or None when some entry (C included) fails conegeom's
+        integer gate, as a float such as 1.0 does. Cached on the instance
+        like :attr:`mixed_witnesses`; the isotropy computations read it."""
+        try:
+            rows = tuple((_as_int(x), _as_int(y)) for x, y in (*self.a, *self.b, self.c))
+        except ValueError:
+            return None
+        return rows[:6]
+
     @property
     def is_integer(self) -> bool:
-        try:  # conegeom's integer gate, which a float such as 1.0 fails
-            [_as_int(x) for v in (*self.a, *self.b, self.c) for x in v]
-        except ValueError:
-            return False
-        return True
+        return self.integer_generators is not None
 
     def generators(self) -> list[Vec2]:
         return [*self.a, *self.b]
@@ -178,13 +207,55 @@ def cone_data(a_vectors, b_vectors) -> DerivedConeData:
     return DerivedConeData(a, b, vadd(a[0], b[0]))  # the type checks A_j + B_j = C
 
 
+def _configuration(wl, w1r, w3r):
+    """(A, B, C) with A_j = w_j^L - w_1^R, B_j = -w_j^L + w_3^R and
+    C = w_3^R - w_1^R; w1r and w3r may be vectors of int64 arrays, and then
+    every component is an array."""
+    a = tuple(vsub(w, w1r) for w in wl)
+    b = tuple(vsub(w3r, w) for w in wl)
+    return a, b, vsub(w3r, w1r)
+
+
 def derive(ws: WeightSystem) -> DerivedConeData:
     """Derived cone data A_j = w_j^L - w_1^R, B_j = -w_j^L + w_3^R."""
-    w1r, w3r = ws.wr[0], ws.wr[2]
-    a = tuple(vsub(wl, w1r) for wl in ws.wl)
-    b = tuple(vsub(w3r, wl) for wl in ws.wl)
-    c = vsub(w3r, w1r)
-    return DerivedConeData(a, b, c)  # A_j + B_j = C re-asserted by the type
+    # A_j + B_j = C re-asserted by the type
+    return DerivedConeData(*_configuration(ws.wl, ws.wr[0], ws.wr[2]))
+
+
+# The six mixed pairs (i, j), i != j, 0-based, in the order freeness
+# evidence reports the first failing one.
+_MIXED_PAIRS = tuple((i, j) for j in range(3) for i in range(3) if i != j)
+
+
+def _right_is_isomorphism(w1r, w3r):
+    """Whether the right homomorphism is a torus isomorphism:
+    |det(w_1^R, w_2^R)| = 1, which is |det(w_1^R, w_3^R)| since
+    w_2^R = -w_1^R - w_3^R. On ints or, elementwise, int64 arrays."""
+    return abs(cross(w1r, w3r)) == 1
+
+
+def _free_by_homs(wl, right_iso):
+    """Freeness by the homomorphisms: the left one trivial and the right
+    one an isomorphism (``right_iso``, a bool or a bool array)."""
+    return all(v == (0, 0) for v in wl) & right_iso
+
+
+def _free_by_pairs(a, b):
+    """Freeness by the lattice: every (A_i, B_j) with i != j a lattice
+    basis. On int vectors (a bool) or vectors of int64 arrays (a bool array)."""
+    ok = True
+    for i, j in _MIXED_PAIRS:
+        ok = ok & (abs(cross(a[i], b[j])) == 1)
+    return ok
+
+
+def _freeness_disagreement(ws: WeightSystem, by_homs: bool, by_pairs: bool) -> RuntimeError:
+    """The internal error for a system on which the two freeness
+    characterizations differ; under the cone condition they cannot."""
+    return RuntimeError(
+        f"freeness characterizations disagree on {ws!r}: "
+        f"homomorphism test {by_homs}, lattice-pair test {by_pairs}"
+    )
 
 
 def positive_combination(c: Vec2, g1: Vec2, g2: Vec2) -> tuple[Fraction, Fraction] | None:
@@ -331,13 +402,17 @@ def cone_condition_holds(d: DerivedConeData) -> bool:
     return _condition_holds_raw(*d.a, *d.b, d.c)
 
 
-# The condition as 15 membership tests (g, h, inside) on the generators
+# The condition as 12 membership tests (g, h, inside) on the generators
 # (A_1, A_2, A_3, B_1, B_2, B_3): C must lie in cone(g, h) exactly when
 # `inside`. Pair cones are symmetric and contain the rays of both
 # generators, so i < j also covers the rays cone(A_i, A_i) and cone(B_i, B_i).
+# The diagonal mixed cones need no test: C = A_i + B_i gives
+# cross(C, B_i) = cross(A_i, C) = cross(A_i, B_i), so cone_member's sign
+# clause holds when A_i, B_i are independent, and otherwise
+# dot(C, A_i) + dot(C, B_i) = |C|^2 makes a ray clause (or C = 0) hold.
 _CONDITION_TESTS = tuple(
     (off + i, off + j, False) for i in range(3) for j in range(i + 1, 3) for off in (0, 3)
-) + tuple((i, 3 + j, True) for i in range(3) for j in range(3))
+) + tuple((i, 3 + j, True) for i, j in _MIXED_PAIRS)
 
 
 def _condition_holds_raw(a1, a2, a3, b1, b2, b3, c):
@@ -471,10 +546,12 @@ def check_interpolation_path(d: DerivedConeData, spec: InterpolationSpec) -> boo
 @functools.lru_cache(maxsize=2)
 def _weight_grid(bound: int):
     """Every zero-sum weight triple with entries in [-bound, bound], in
-    lexicographic order of (w_1, w_2), and int64 columns (x1, y1, x3, y3).
+    lexicographic order of (w_1, w_2), its int64 columns (x1, y1, x3, y3)
+    and, per triple taken as wR, whether the right homomorphism is an
+    isomorphism.
 
     Both sides of a weight system range over this grid. Built on first use
-    per bound; the columns are read-only because the cache shares them.
+    per bound; the arrays are read-only because the cache shares them.
     """
     rng = range(-bound, bound + 1)
     rows = tuple(
@@ -483,8 +560,10 @@ def _weight_grid(bound: int):
         if abs(x1 + x2) <= bound and abs(y1 + y2) <= bound
     )
     cols = np.array([(*w1, *w3) for w1, _, w3 in rows], dtype=np.int64).T.copy()
-    cols.setflags(write=False)
-    return rows, cols
+    right_iso = _right_is_isomorphism(cols[:2], cols[2:])
+    for arr in (cols, right_iso):
+        arr.setflags(write=False)
+    return rows, cols, right_iso
 
 
 def enumerate_admissible_systems(
@@ -499,9 +578,11 @@ def enumerate_admissible_systems(
 
     Each outer wL block is decided at once against every wR with the int64
     sign table; survivors come out in grid order, so the stream stays
-    lexicographic. Arguments are checked when this is called, so a bound
-    whose products could leave int64 is rejected before anything is
-    allocated.
+    lexicographic. The block also decides each survivor's freeness by both
+    characterizations on int64 arrays, raises RuntimeError naming the first
+    system on which they disagree, and fills in :attr:`WeightSystem.free`.
+    Arguments are checked when this is called, so a bound whose products
+    could leave int64 is rejected before anything is allocated.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -517,12 +598,23 @@ def enumerate_admissible_systems(
 
 
 def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[WeightSystem]:
-    rows, (u1, v1, u3, v3) = _weight_grid(bound)
-    c = (u3 - u1, v3 - v1)
+    rows, (u1, v1, u3, v3), right_iso = _weight_grid(bound)
     for block_id, wl in enumerate(rows):
         if part is not None and block_id % part[1] != part[0]:
             continue
-        a = tuple((x - u1, y - v1) for x, y in wl)
-        b = tuple((u3 - x, v3 - y) for x, y in wl)
-        for i in np.flatnonzero(_condition_holds_raw(*a, *b, c)).tolist():
-            yield WeightSystem(wl, rows[i])
+        a, b, c = _configuration(wl, (u1, v1), (u3, v3))
+        keep = np.flatnonzero(_condition_holds_raw(*a, *b, c))
+        if not keep.size:
+            continue
+        a, b, _ = _configuration(wl, (u1[keep], v1[keep]), (u3[keep], v3[keep]))
+        by_homs = _free_by_homs(wl, right_iso[keep])
+        by_pairs = _free_by_pairs(a, b)
+        disagree = np.flatnonzero(by_homs != by_pairs)
+        if disagree.size:
+            k = disagree[0]
+            ws = WeightSystem(wl, rows[keep[k]])
+            raise _freeness_disagreement(ws, bool(by_homs[k]), bool(by_pairs[k]))
+        for i, free in zip(keep.tolist(), by_homs.tolist()):
+            ws = WeightSystem(wl, rows[i])
+            ws.__dict__["free"] = free  # the cached property, already decided
+            yield ws

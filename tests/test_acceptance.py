@@ -30,6 +30,7 @@ from su3kahler.quadric import (
     random_su3,
 )
 from su3kahler.weights import (
+    WeightSystem,
     check_cone_condition,
     derive,
     interpolation_spec,
@@ -105,7 +106,9 @@ def test_criterion_3_condition_implies_consequences(bound2_systems, capsys):
 def test_criterion_4_freeness_characterization(bound2_systems, capsys):
     start = time.perf_counter()
     ok = True
-    for ws in bound2_systems:
+    for streamed in bound2_systems:
+        # a fresh instance: the enumerator's verdict is not carried over
+        ws = WeightSystem(streamed.wl, streamed.wr)
         d = derive(ws)
         verdict = freeness_check(d, ws)
         classification = classify_quotient(ws)

@@ -324,6 +324,24 @@ def test_isotropy_classifies_in_the_freeness_pass(capsys, monkeypatch):
     assert json.loads(expected)["results"]["classification"] == "OrbifoldCase"
 
 
+def test_isotropy_gates_its_cone_data_once(capsys, monkeypatch):
+    from su3kahler import conegeom, isotropy, weights
+
+    gated = []
+    original = conegeom._as_int
+
+    def counted(x):
+        gated.append(x)
+        return original(x)
+
+    for module in (conegeom, weights, isotropy):
+        if vars(module).get("_as_int") is original:
+            monkeypatch.setattr(module, "_as_int", counted)
+    code, out = run(capsys, "isotropy", "--config", ORBIFOLD_CONFIG)
+    assert code == 0 and json.loads(out)["results"]["census"]
+    assert len(gated) == 14  # each entry of A, B and C once
+
+
 # --- verify: tolerances and scale ----------------------------------------------------
 
 

@@ -217,6 +217,34 @@ def test_cone_member_degenerate_examples():
     assert cone_member((F(1, 2), 1), (0, 0), (1, 2))
 
 
+@st.composite
+def integer_pairs(draw):
+    """Integer generator pairs, with zero, parallel and antiparallel ones
+    drawn on purpose (a common direction times two integer multipliers)."""
+    kind = draw(st.sampled_from(("free", "zero", "dependent")))
+    if kind == "free":
+        return draw(int_vectors), draw(int_vectors)
+    if kind == "zero":
+        g = draw(int_vectors)
+        return (g, (0, 0)) if draw(st.booleans()) else ((0, 0), g)
+    v, m1, m2 = draw(int_vectors), draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    return vscale(m1, v), vscale(m2, v)
+
+
+# The kernel drops the diagonal mixed tests cone(A_i, B_i) of the cone
+# condition because C = A_i + B_i always lies in that cone.
+@given(integer_pairs())
+def test_sum_of_generators_lies_in_their_cone(pair):
+    a, b = pair
+    assert cone_member(vadd(a, b), a, b)
+
+
+def test_sum_of_generators_lies_in_their_cone_batched():
+    rng = np.arange(-3, 4)
+    x1, y1, x2, y2 = (g.ravel() for g in np.meshgrid(rng, rng, rng, rng, indexing="ij"))
+    assert cone_member((x1 + x2, y1 + y2), (x1, y1), (x2, y2)).all()
+
+
 def _random_components(rng, magnitude, n):
     """int64 arrays rich in zeros, ties and parallels when magnitude is small."""
     return [rng.integers(-magnitude, magnitude + 1, size=n, dtype=np.int64) for _ in range(6)]

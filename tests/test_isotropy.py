@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from su3kahler import weights
 from su3kahler.cli import main
 
 from su3kahler.conegeom import is_unimodular_pair
@@ -16,7 +20,13 @@ from su3kahler.isotropy import (
     isotropy_at_support,
     singular_stratum_census,
 )
-from su3kahler.weights import DerivedConeData, WeightSystem, cone_data, derive
+from su3kahler.weights import (
+    DerivedConeData,
+    WeightSystem,
+    cone_data,
+    derive,
+    enumerate_admissible_systems,
+)
 
 F = Fraction
 
@@ -195,6 +205,65 @@ def test_unimodular_pairs_force_constant_families(bound2_systems):
             assert d.b[0] == d.b[1] == d.b[2]
             checked += 1
     assert checked > 0
+
+
+# --- freeness decided in the enumeration block ----------------------------------
+
+
+def test_stream_verdicts_match_the_scalar_path():
+    """All bound-2 systems and every 50th bound-3 block: the verdict the
+    block stamps equals the scalar path's on a fresh instance, and the
+    stamp changes neither ==, hash nor repr."""
+    streamed = [
+        *enumerate_admissible_systems(2),
+        *enumerate_admissible_systems(3, part=(0, 50)),
+    ]
+    assert len(streamed) == 2856 + 1512
+    for ws in streamed:
+        assert "free" in vars(ws)
+        fresh = WeightSystem(ws.wl, ws.wr)
+        assert "free" not in vars(fresh)
+        assert classify_quotient(fresh) is Classification.of(ws.free)
+        assert fresh == ws and hash(fresh) == hash(ws) and repr(fresh) == repr(ws)
+    assert sum(ws.free for ws in streamed) == 72
+    assert "free" not in {f.name for f in dataclasses.fields(WeightSystem)}
+
+
+def test_stream_names_the_first_disagreeing_system(monkeypatch):
+    # flip the lattice-pair verdict of each block's last survivor, on the
+    # array path only: the first block's last system is the first to disagree
+    honest = list(enumerate_admissible_systems(2))
+    first_block = [ws for ws in honest if ws.wl == honest[0].wl]
+    assert len(first_block) > 1
+    by_pairs = weights._free_by_pairs
+
+    def flip_last(a, b):
+        out = by_pairs(a, b)
+        if isinstance(out, np.ndarray):
+            out[-1] = not out[-1]
+        return out
+
+    monkeypatch.setattr(weights, "_free_by_pairs", flip_last)
+    with pytest.raises(RuntimeError, match="disagree") as info:
+        list(enumerate_admissible_systems(2))
+    assert repr(first_block[-1]) in str(info.value)
+    assert repr(first_block[0]) not in str(info.value)
+
+
+def test_scalar_path_raises_on_a_disagreement(monkeypatch, standard_ws):
+    by_pairs = weights._free_by_pairs
+    monkeypatch.setattr(weights, "_free_by_pairs", lambda a, b: not by_pairs(a, b))
+    fresh = WeightSystem(standard_ws.wl, standard_ws.wr)
+    with pytest.raises(RuntimeError, match=re.escape(repr(fresh))):
+        classify_quotient(fresh)
+
+
+def test_freeness_check_cross_checks_a_stamped_verdict(standard_ws, orbifold_ws):
+    for ws in (standard_ws, orbifold_ws):
+        stamped = WeightSystem(ws.wl, ws.wr)
+        stamped.__dict__["free"] = not ws.free  # a wrong verdict from elsewhere
+        with pytest.raises(RuntimeError, match="lattice-pair test"):
+            freeness_check(derive(ws), stamped)
 
 
 # --- census -------------------------------------------------------------------

@@ -108,6 +108,30 @@ def test_cone_condition_standard_torus(standard_ws):
     assert check_cone_condition(derive(standard_ws)).holds
 
 
+@pytest.mark.parametrize(
+    "wr, rejecting",
+    [
+        # A_j = (-3, 3), B_j = (2, -2), C = (-1, 1): C lies on ray(A_i)
+        (((3, -3), (-5, 5), (2, -2)), "A"),
+        # the mirror image A_j = (2, -2), B_j = (-3, 3): C lies on ray(B_i)
+        (((-2, 2), (5, -5), (-3, 3)), "B"),
+    ],
+)
+def test_pair_clauses_are_needed_beside_the_mixed_ones(wr, rejecting):
+    """A_j and B_j are antiparallel, so every mixed cone is a line through
+    C and contains it; only one family of pair clauses rejects the data."""
+    ws = WeightSystem(((0, 0),) * 3, wr)
+    d = derive(ws)
+    report = check_cone_condition(d)
+    assert all(m.member for m in report.mixed_pairs.values())
+    a_hits = {m.member for m in report.a_pairs.values()}
+    b_hits = {m.member for m in report.b_pairs.values()}
+    assert (a_hits, b_hits) == (({True}, {False}) if rejecting == "A" else ({False}, {True}))
+    assert not report.holds and not cone_condition_holds(d)
+    with pytest.raises(ValueError, match="cone condition"):
+        ws.free
+
+
 def test_cone_condition_zero_data_fails():
     d = DerivedConeData(((0, 0),) * 3, ((0, 0),) * 3, (0, 0))
     assert not check_cone_condition(d).holds
