@@ -69,7 +69,7 @@ def _problem(source: str) -> tuple[wt.WeightSystem | None, wt.DerivedConeData]:
     try:
         if "wL" in obj or "wR" in obj:
             ws = wt.WeightSystem.from_json(obj)
-            return ws, wt.derive(ws)
+            return ws, ws.derived
         if "A" in obj and "B" in obj:
             return None, wt.cone_data(obj["A"], obj["B"])
     except (ValueError, TypeError) as exc:

@@ -31,7 +31,6 @@ from .weights import (
     DerivedConeData,
     WeightSystem,
     _freeness_disagreement,
-    derive,
     cone_condition_holds,
 )
 
@@ -192,13 +191,15 @@ def freeness_check(d: DerivedConeData, ws: WeightSystem | None = None) -> Freene
     Non-integer cone data raise ValueError, as in the census. When the
     originating weight system is supplied and d passes the cone condition,
     the classification of ws's freeness verdict (:attr:`WeightSystem.free`)
-    is returned with it; when d is the data derived from ws, the failing
-    pair found here must agree with that verdict (RuntimeError otherwise).
+    is returned with it; when d is ws's own data (:attr:`WeightSystem.derived`),
+    the failing pair found here must agree with that verdict (RuntimeError
+    otherwise). Both the data and the cone condition's verdict are cached
+    on their objects, so neither is computed again here.
     """
     failing = _failing_pair(_integer_generators(d))
     classification = None
     if ws is not None and cone_condition_holds(d):
-        if derive(ws) == d and ws.free != (failing is None):
+        if ws.derived == d and ws.free != (failing is None):
             raise _freeness_disagreement(ws, ws.free, failing is None)
         classification = Classification.of(ws.free)
     return FreenessVerdict(failing, classification)

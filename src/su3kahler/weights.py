@@ -18,8 +18,9 @@ checked by :func:`check_interpolation_path`.
 All checks are exact rational arithmetic; nothing here touches floats.
 Boolean decisions go through the integer sign table
 :func:`~su3kahler.conegeom.cone_member`; the enumerator evaluates it on
-int64 arrays, one outer wL block against every wR at once, and decides
-the freeness of each survivor in the same block.
+int64 arrays, one outer wL block against every wR at once, each test only
+on the candidates that passed the ones before, and decides the freeness
+of each survivor in the same block.
 """
 
 from __future__ import annotations
@@ -85,6 +86,24 @@ def _ivec(v) -> IVec2:
     return (x, y)
 
 
+def _weight_rows(*named_sides) -> tuple[tuple[IVec2, IVec2, IVec2], ...]:
+    """The one row check, shared by :class:`WeightSystem` and the
+    enumeration grid: each (name, side) pair as three int pairs summing
+    to zero.
+
+    Every entry is checked first (bools and floats are rejected), then
+    every side's length, then each side's sum (``name`` labels it in the
+    message); the first failure raises ValueError.
+    """
+    triples = tuple(tuple(_ivec(v) for v in side) for _, side in named_sides)
+    if any(len(t) != 3 for t in triples):
+        raise ValueError("exactly three weight vectors per side")
+    for (name, _), t in zip(named_sides, triples):
+        if (sum(v[0] for v in t), sum(v[1] for v in t)) != (0, 0):
+            raise ValueError(f"{name} must sum to zero, got {t}")
+    return triples
+
+
 @dataclass(frozen=True, order=True)
 class WeightSystem:
     """Six integer exponent vectors, three per side, each side summing to 0."""
@@ -93,15 +112,17 @@ class WeightSystem:
     wr: tuple[IVec2, IVec2, IVec2]
 
     def __post_init__(self):
-        wl = tuple(_ivec(v) for v in self.wl)
-        wr = tuple(_ivec(v) for v in self.wr)
-        if len(wl) != 3 or len(wr) != 3:
-            raise ValueError("exactly three weight vectors per side")
-        for side, name in ((wl, "wL"), (wr, "wR")):
-            if (sum(v[0] for v in side), sum(v[1] for v in side)) != (0, 0):
-                raise ValueError(f"{name} must sum to zero, got {side}")
+        wl, wr = _weight_rows(("wL", self.wl), ("wR", self.wr))
         object.__setattr__(self, "wl", wl)
         object.__setattr__(self, "wr", wr)
+
+    @classmethod
+    def _from_grid(cls, wl, wr, free: bool) -> "WeightSystem":
+        """The system of two rows of the validated weight grid, with its
+        freeness verdict already decided; nothing is checked again."""
+        ws = object.__new__(cls)
+        ws.__dict__.update(wl=wl, wr=wr, free=free)
+        return ws
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightSystem":
@@ -114,17 +135,23 @@ class WeightSystem:
         return {"wL": [list(v) for v in self.wl], "wR": [list(v) for v in self.wr]}
 
     @functools.cached_property
+    def derived(self) -> "DerivedConeData":
+        """The cone data of this system, built by :func:`derive` on first
+        use and cached on the instance (not a field, like :attr:`free`)."""
+        return derive(self)
+
+    @functools.cached_property
     def free(self) -> bool:
         """Whether the torus action is free (the quotient is the flag variety).
 
-        Decided on first use through the scalar path: derive the cone data,
+        Decided on first use through the scalar path on :attr:`derived`:
         raise ValueError unless the cone condition holds, then require the
         homomorphism test and the lattice-pair test to agree (RuntimeError
         otherwise). :func:`enumerate_admissible_systems` fills it in from
         the same two tests on int64 arrays. It is not a field, so ==, hash
         and repr ignore it.
         """
-        d = derive(self)
+        d = self.derived
         if not cone_condition_holds(d):
             raise ValueError("classification requires the cone condition to hold")
         by_homs = _free_by_homs(self.wl, _right_is_isomorphism(self.wr[0], self.wr[2]))
@@ -165,6 +192,12 @@ class DerivedConeData:
 
     def generators(self) -> list[Vec2]:
         return [*self.a, *self.b]
+
+    @functools.cached_property
+    def _holds(self) -> bool:
+        """The separating cone condition, decided once per instance by the
+        12-test kernel and cached; read it through :func:`cone_condition_holds`."""
+        return _condition_holds_raw(*self.a, *self.b, self.c)
 
     @functools.cached_property
     def mixed_witnesses(self) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
@@ -398,8 +431,9 @@ def check_cone_condition(d: DerivedConeData) -> ConditionReport:
 
 
 def cone_condition_holds(d: DerivedConeData) -> bool:
-    """Early-exit version of :func:`check_cone_condition` (same predicate)."""
-    return _condition_holds_raw(*d.a, *d.b, d.c)
+    """The verdict of :func:`check_cone_condition` without its evidence,
+    decided once per cone data object."""
+    return d._holds
 
 
 # The condition as 12 membership tests (g, h, inside) on the generators
@@ -423,6 +457,25 @@ def _condition_holds_raw(a1, a2, a3, b1, b2, b3, c):
     for g, h, inside in _CONDITION_TESTS:
         ok = ok & (cone_member(c, gens[g], gens[h]) == inside)
     return ok
+
+
+def _block_survivors(a, b, c) -> np.ndarray:
+    """The ascending indices at which vectors of int64 component arrays
+    pass the condition, ``np.flatnonzero(_condition_holds_raw(*a, *b, c))``.
+
+    The first test runs on the whole block; each later one only on the
+    entries still alive, their components gathered by index, and the loop
+    stops once none are left. Each test passes 38-47 % of a bound-3 block.
+    """
+    gens = (*a, *b)
+    (g, h, inside), *rest = _CONDITION_TESTS
+    alive = np.flatnonzero(cone_member(c, gens[g], gens[h]) == inside)
+    for g, h, inside in rest:
+        if not alive.size:
+            break
+        cc, gg, hh = ((x[alive], y[alive]) for x, y in (c, gens[g], gens[h]))
+        alive = alive[cone_member(cc, gg, hh) == inside]
+    return alive
 
 
 @dataclass(frozen=True)
@@ -551,11 +604,13 @@ def _weight_grid(bound: int):
     isomorphism.
 
     Both sides of a weight system range over this grid. Built on first use
-    per bound; the arrays are read-only because the cache shares them.
+    per bound, with every row passed once through the row check of
+    :class:`WeightSystem`; the arrays are read-only because the cache
+    shares them.
     """
     rng = range(-bound, bound + 1)
     rows = tuple(
-        ((x1, y1), (x2, y2), (-x1 - x2, -y1 - y2))
+        _weight_rows(("grid row", ((x1, y1), (x2, y2), (-x1 - x2, -y1 - y2))))[0]
         for x1, y1, x2, y2 in itertools.product(rng, rng, rng, rng)
         if abs(x1 + x2) <= bound and abs(y1 + y2) <= bound
     )
@@ -577,10 +632,12 @@ def enumerate_admissible_systems(
     full stream, so the enumeration parallelizes over processes.
 
     Each outer wL block is decided at once against every wR with the int64
-    sign table; survivors come out in grid order, so the stream stays
-    lexicographic. The block also decides each survivor's freeness by both
-    characterizations on int64 arrays, raises RuntimeError naming the first
-    system on which they disagree, and fills in :attr:`WeightSystem.free`.
+    sign table, each test only on the candidates still alive; survivors
+    come out in grid order, so the stream stays lexicographic. The block
+    also decides each survivor's freeness by both characterizations on
+    int64 arrays, raises RuntimeError naming the first system on which they
+    disagree, and fills in :attr:`WeightSystem.free`. Yielded systems are
+    built from grid rows validated once per bound, without a second check.
     Arguments are checked when this is called, so a bound whose products
     could leave int64 is rejected before anything is allocated.
     """
@@ -599,11 +656,9 @@ def enumerate_admissible_systems(
 
 def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[WeightSystem]:
     rows, (u1, v1, u3, v3), right_iso = _weight_grid(bound)
-    for block_id, wl in enumerate(rows):
-        if part is not None and block_id % part[1] != part[0]:
-            continue
-        a, b, c = _configuration(wl, (u1, v1), (u3, v3))
-        keep = np.flatnonzero(_condition_holds_raw(*a, *b, c))
+    k, n = (0, 1) if part is None else part
+    for wl in rows[k::n]:
+        keep = _block_survivors(*_configuration(wl, (u1, v1), (u3, v3)))
         if not keep.size:
             continue
         a, b, _ = _configuration(wl, (u1[keep], v1[keep]), (u3[keep], v3[keep]))
@@ -615,6 +670,4 @@ def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[Wei
             ws = WeightSystem(wl, rows[keep[k]])
             raise _freeness_disagreement(ws, bool(by_homs[k]), bool(by_pairs[k]))
         for i, free in zip(keep.tolist(), by_homs.tolist()):
-            ws = WeightSystem(wl, rows[i])
-            ws.__dict__["free"] = free  # the cached property, already decided
-            yield ws
+            yield WeightSystem._from_grid(wl, rows[i], free)

@@ -342,6 +342,25 @@ def test_isotropy_gates_its_cone_data_once(capsys, monkeypatch):
     assert len(gated) == 14  # each entry of A, B and C once
 
 
+def test_isotropy_derives_and_decides_once(capsys, monkeypatch):
+    from su3kahler import weights
+
+    calls = {"derive": 0, "_condition_holds_raw": 0}
+    for name in calls:
+        original = getattr(weights, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(weights, name, counted)
+    for config in (ORBIFOLD_CONFIG, STANDARD_CONFIG):
+        calls.update(dict.fromkeys(calls, 0))
+        code, out = run(capsys, "isotropy", "--config", config)
+        assert code == 0 and json.loads(out)["results"]["freeness"]["classification_consistent"]
+        assert calls == {"derive": 1, "_condition_holds_raw": 1}
+
+
 # --- verify: tolerances and scale ----------------------------------------------------
 
 

@@ -93,6 +93,35 @@ def test_positive_dimensional_marker():
         group.order
 
 
+# A_3 = B_1 = B_2 = (0, 1) and A_1 = A_2 = B_3 = (1, 0): the rows of
+# {3} x {1}, {1} x {3} and {3} x {1, 2} span a line. The zero data span
+# nothing at all.
+PARALLEL_DATA = ([(1, 0), (1, 0), (0, 1)], [(0, 1), (0, 1), (1, 0)])
+
+
+@pytest.mark.parametrize(
+    "a, b, index, expected",
+    [
+        (*PARALLEL_DATA, 1,
+         '{"I": [1], "J": [3], "isotropy": {"kind": "positive-dimensional", '
+         '"rank_deficit": 1}, "realizable": false, "witness_point": null}'),
+        (*PARALLEL_DATA, 12,
+         '{"I": [3], "J": [1, 2], "isotropy": {"kind": "positive-dimensional", '
+         '"rank_deficit": 1}, "realizable": "not determined", "witness_point": null}'),
+        ([(0, 0)] * 3, [(0, 0)] * 3, 0,
+         '{"I": [1], "J": [2], "isotropy": {"kind": "positive-dimensional", '
+         '"rank_deficit": 2}, "realizable": true, "witness_point": ["1", "1"]}'),
+    ],
+)
+def test_rank_deficient_stratum_json(a, b, index, expected):
+    """The positive-dimensional entry as the census reports it, key order included."""
+    census = singular_stratum_census(cone_data(a, b))
+    report = census[index]
+    assert not report.isotropy.is_finite
+    assert json.dumps(report.to_json()) == expected
+    assert json.dumps(census_to_json(census)[index]) == expected
+
+
 def test_isotropy_rejects_non_integer_data():
     d = cone_data([(F(1, 2), 0)] * 3, [(0, 1)] * 3)
     with pytest.raises(ValueError):

@@ -5,12 +5,13 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su3kahler import weights
-from su3kahler.conegeom import INT64_MAX, MembershipStatus, in_cone2, vadd, vscale, vsub
+from su3kahler.conegeom import INT64_MAX, MembershipStatus, cone_member, in_cone2, vadd, vscale, vsub
 from su3kahler.weights import (
     DerivedConeData,
     InterpolationSpec,
@@ -464,6 +465,163 @@ def test_enumerate_int64_guard_fires_before_grid(monkeypatch):
 
 def test_enumerate_bound2_has_nontrivial_left(bound2_systems):
     assert any(ws.wl != ((0, 0),) * 3 for ws in bound2_systems)
+
+
+# --- the narrowed block kernel and the validated grid rows ---------------------
+
+
+def _scalar_survivors(wl, rows):
+    survivors = []
+    for i, wr in enumerate(rows):
+        a, b, c = weights._configuration(wl, wr[0], wr[2])
+        if weights._condition_holds_raw(*a, *b, c):
+            survivors.append(i)
+    return survivors
+
+
+def test_narrowed_kernel_on_every_bound2_block():
+    rows, (u1, v1, u3, v3), _ = weights._weight_grid(2)
+    for wl in rows:
+        a, b, c = weights._configuration(wl, (u1, v1), (u3, v3))
+        survivors = weights._block_survivors(a, b, c)
+        assert survivors.tolist() == np.flatnonzero(weights._condition_holds_raw(*a, *b, c)).tolist()
+        assert survivors.tolist() == _scalar_survivors(wl, rows)
+
+
+# Configurations passing the condition: the orbifold, standard-torus and
+# round data as (A_1, A_2, A_3, B_1, B_2, B_3, C).
+ADMISSIBLE_ROWS = [
+    ((1, 0), (1, 0), (2, -1), (0, 1), (0, 1), (-1, 2), (1, 1)),
+    ((-1, 0), (-1, 0), (-1, 0), (-1, -1), (-1, -1), (-1, -1), (-2, -1)),
+    ((1, 0), (1, 0), (1, 0), (0, 1), (0, 1), (0, 1), (1, 1)),
+]
+# Rows failing exactly one test, the k-th mixed one (A_i, B_j) in the
+# order of _CONDITION_TESTS; found by a random search over entries in
+# [-1, 1]. No row failing a single pair test turned up in that search.
+NEAR_MISS_ROWS = [
+    ((-1, 1), (-1, 0), (-1, 1), (1, 0), (1, 1), (1, 1), (0, 1)),
+    ((0, 1), (0, 1), (-1, 1), (1, -1), (1, 0), (1, 0), (1, 1)),
+    ((1, 1), (1, 1), (0, 1), (-1, 0), (-1, -1), (-1, 0), (-1, 1)),
+    ((-1, 0), (-1, 0), (-1, 1), (0, -1), (1, -1), (0, -1), (-1, -1)),
+    ((-1, 0), (-1, 1), (-1, 1), (1, 0), (1, 1), (1, 0), (0, 1)),
+    ((1, -1), (0, -1), (1, -1), (1, 1), (1, 1), (0, 1), (1, 0)),
+]
+zero_sum_triples = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=2).map(
+    lambda w: (*w, (-w[0][0] - w[1][0], -w[0][1] - w[1][1]))
+)
+
+
+@st.composite
+def configuration_rows(draw):
+    """(A_1, A_2, A_3, B_1, B_2, B_3, C): an admissible configuration
+    relabelled, rescaled and possibly with A and B swapped, a near miss, or
+    the configuration of random weights; then possibly edited so that a
+    generator becomes zero, a multiple (parallel, antiparallel or zero) of
+    another, or moves by a small step, or C becomes zero."""
+    source = draw(st.sampled_from(("admissible", "near miss", "weights")))
+    if source == "admissible":
+        row = draw(st.sampled_from(ADMISSIBLE_ROWS))
+        perm, k = draw(st.permutations(range(3))), draw(st.integers(1, 3))
+        a = [vscale(k, row[p]) for p in perm]
+        b = [vscale(k, row[3 + p]) for p in perm]
+        gens, c = (b + a if draw(st.booleans()) else a + b), vscale(k, row[6])
+    elif source == "near miss":
+        *gens, c = draw(st.sampled_from(NEAR_MISS_ROWS))
+    else:
+        a, b, c = weights._configuration(draw(zero_sum_triples), *draw(zero_sum_triples)[::2])
+        gens = [*a, *b]
+    edit = draw(st.sampled_from(("none", "zero", "multiple", "step", "c_zero")))
+    k = draw(st.integers(0, 5))
+    if edit == "step":
+        gens[k] = vadd(gens[k], (draw(st.integers(-1, 1)), draw(st.integers(-1, 1))))
+    elif edit == "zero":
+        gens[k] = (0, 0)
+    elif edit == "multiple":
+        gens[k] = vscale(draw(st.integers(-2, 2)), gens[draw(st.integers(0, 5))])
+    elif edit == "c_zero":
+        c = (0, 0)
+    return (*gens, c)
+
+
+@st.composite
+def int64_blocks(draw):
+    """A block of configuration rows and its int64 component columns."""
+    rows = draw(st.lists(configuration_rows(), max_size=24))
+    cols = [
+        tuple(np.array([r[k][xy] for r in rows], dtype=np.int64) for xy in (0, 1))
+        for k in range(7)
+    ]
+    return rows, cols
+
+
+def test_near_miss_rows_fail_one_mixed_test():
+    for k, row in enumerate(NEAR_MISS_ROWS):
+        gens, c = row[:6], row[6]
+        failing = [
+            t for t, (g, h, inside) in enumerate(weights._CONDITION_TESTS)
+            if cone_member(c, gens[g], gens[h]) != inside
+        ]
+        assert failing == [6 + k]
+
+
+@given(int64_blocks())
+@settings(max_examples=120, deadline=None)
+def test_narrowed_kernel_matches_full_and_scalar(block):
+    rows, cols = block
+    a, b, c = cols[:3], cols[3:6], cols[6]
+    survivors = weights._block_survivors(a, b, c)
+    assert survivors.tolist() == np.flatnonzero(weights._condition_holds_raw(*cols)).tolist()
+    assert survivors.tolist() == [i for i, r in enumerate(rows) if weights._condition_holds_raw(*r)]
+
+
+def test_streamed_systems_equal_validated_ones(bound2_systems):
+    for ws in bound2_systems:
+        fresh = WeightSystem(ws.wl, ws.wr)
+        assert "free" not in vars(fresh)
+        assert ws == fresh and hash(ws) == hash(fresh) and repr(ws) == repr(fresh)
+        assert ws.free == fresh.free  # stamped by the block; the scalar path
+    assert all(type(x) is int for ws in bound2_systems for v in (*ws.wl, *ws.wr) for x in v)
+
+
+@pytest.mark.parametrize(
+    "wl, wr, message",
+    [
+        (((1, 0), (0, 0), (0, 0)), ((0, 0),) * 3, "wL must sum to zero, got ((1, 0), (0, 0), (0, 0))"),
+        (((0, 0),) * 3, ((0, 1), (0, 0), (0, 0)), "wR must sum to zero, got ((0, 1), (0, 0), (0, 0))"),
+        (((1.0, 0), (0, 0), (-1, 0)), ((0, 0),) * 3, "integer weight vector expected, got (1.0, 0)"),
+        (((True, 0), (0, 0), (-1, 0)), ((0, 0),) * 3, "integer weight vector expected, got (True, 0)"),
+        (((0, 0), (0, 0)), ((0, 0),) * 3, "exactly three weight vectors per side"),
+        (((0, 0),) * 3, ((0, 0),) * 4, "exactly three weight vectors per side"),
+        # faults on both sides: entries first, then lengths, then sums
+        (((1, 0), (0, 0), (0, 0)), ((1.5, 0), (0, 0), (0, 0)), "integer weight vector expected, got (1.5, 0)"),
+        (((1, 0), (0, 0), (0, 0)), ((0, 0), (0, 0)), "exactly three weight vectors per side"),
+        (((1, 0), (0, 0), (0, 0)), ((0, 1), (0, 0), (0, 0)), "wL must sum to zero, got ((1, 0), (0, 0), (0, 0))"),
+    ],
+)
+def test_row_check_rejects_bad_triples(wl, wr, message):
+    with pytest.raises(ValueError) as from_helper:
+        weights._weight_rows(("wL", wl), ("wR", wr))
+    with pytest.raises(ValueError) as from_system:
+        WeightSystem(wl, wr)
+    assert str(from_helper.value) == str(from_system.value) == message
+
+
+def test_grid_rows_are_checked_once_when_built(monkeypatch):
+    checked = []
+    original = weights._weight_rows
+
+    def counted(*named_sides):
+        checked.extend(side for _, side in named_sides)
+        return original(*named_sides)
+
+    monkeypatch.setattr(weights, "_weight_rows", counted)
+    rows = weights._weight_grid.__wrapped__(1)[0]  # built afresh, outside the cache
+    assert len(checked) == len(rows) == 49
+    assert list(rows) == _weight_triples(1)
+    weights._weight_grid(1)  # the cached grid, built here unless already built
+    checked.clear()
+    assert len(list(enumerate_admissible_systems(1))) == BOUND1_COUNT
+    assert checked == []  # the stream validates nothing again
 
 
 # --- properties over enumerated systems ----------------------------------------
