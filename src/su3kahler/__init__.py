@@ -9,7 +9,6 @@ from .conegeom import (
     find_apex_functional,
     in_cone2,
     in_cone_many,
-    is_unimodular_pair,
     smith_invariant_factors,
 )
 from .weights import (

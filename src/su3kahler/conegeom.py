@@ -42,7 +42,6 @@ __all__ = [
     "in_cone2",
     "in_cone_many",
     "find_apex_functional",
-    "is_unimodular_pair",
     "invariant_factors_from_divisors",
     "smith_invariant_factors",
 ]
@@ -280,13 +279,6 @@ def _as_int(x) -> int:
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     raise ValueError(f"integer entry expected, got {x!r}")
-
-
-def is_unimodular_pair(a: Vec2, b: Vec2) -> bool:
-    """Whether two integer vectors form a basis of the integer lattice."""
-    ax, ay = _as_int(a[0]), _as_int(a[1])
-    bx, by = _as_int(b[0]), _as_int(b[1])
-    return abs(ax * by - ay * bx) == 1
 
 
 def invariant_factors_from_divisors(d1: int, d12: int) -> tuple[int, tuple[int, ...]]:

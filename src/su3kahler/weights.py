@@ -16,11 +16,11 @@ compactness of the moment-map level set, checked independently by
 checked by :func:`check_interpolation_path`.
 
 All checks are exact rational arithmetic; nothing here touches floats.
-Boolean decisions go through the integer sign table
-:func:`~su3kahler.conegeom.cone_member`; the enumerator evaluates it on
-int64 arrays, one outer wL block against every wR at once, each test only
-on the candidates that passed the ones before, and decides the freeness
-of each survivor in the same block.
+Boolean decisions run the 8 tests of :data:`_CONDITION_TESTS` through
+the integer sign table :func:`~su3kahler.conegeom.cone_member`; the
+enumerator evaluates them on int64 arrays, one outer wL block against
+every wR at once, each test only on the candidates that passed the ones
+before, and decides the freeness of each survivor in the same block.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class DerivedConeData:
     @functools.cached_property
     def _holds(self) -> bool:
         """The separating cone condition, decided once per instance by the
-        12-test kernel and cached; read it through :func:`cone_condition_holds`."""
+        8-test kernel and cached; read it through :func:`cone_condition_holds`."""
         return _condition_holds_raw(*self.a, *self.b, self.c)
 
     @functools.cached_property
@@ -436,22 +436,28 @@ def cone_condition_holds(d: DerivedConeData) -> bool:
     return d._holds
 
 
-# The condition as 12 membership tests (g, h, inside) on the generators
+# The condition as 8 membership tests (g, h, inside) on the generators
 # (A_1, A_2, A_3, B_1, B_2, B_3): C must lie in cone(g, h) exactly when
-# `inside`. Pair cones are symmetric and contain the rays of both
-# generators, so i < j also covers the rays cone(A_i, A_i) and cone(B_i, B_i).
-# The diagonal mixed cones need no test: C = A_i + B_i gives
-# cross(C, B_i) = cross(A_i, C) = cross(A_i, B_i), so cone_member's sign
-# clause holds when A_i, B_i are independent, and otherwise
-# dot(C, A_i) + dot(C, B_i) = |C|^2 makes a ray clause (or C = 0) hold.
-_CONDITION_TESTS = tuple(
-    (off + i, off + j, False) for i in range(3) for j in range(i + 1, 3) for off in (0, 3)
-) + tuple((i, 3 + j, True) for i, j in _MIXED_PAIRS)
+# `inside`. When A_j + B_j is one positive multiple of C they decide all 27
+# memberships of check_cone_condition (proof in the README):
+# - the diagonal mixed cones need no test: C = A_i + B_i gives
+#   cross(C, B_i) = cross(A_i, C) = cross(A_i, B_i), so cone_member's sign
+#   clause holds when A_i, B_i are independent, and otherwise
+#   dot(C, A_i) + dot(C, B_i) = |C|^2 makes a ray clause (or C = 0) hold;
+# - once the 6 off-diagonal mixed tests pass, every A-pair and B-pair
+#   clause (rays included) holds exactly when C avoids cone(A_1, A_2) and
+#   cone(B_1, B_3); an A-pair and a B-pair test on the same index pair,
+#   or a single pair test, would not decide them.
+_CONDITION_TESTS = tuple((i, 3 + j, True) for i, j in _MIXED_PAIRS) + ((0, 1, False), (3, 5, False))
 
 
 def _condition_holds_raw(a1, a2, a3, b1, b2, b3, c):
     """The condition on int or Fraction vectors (a bool), or elementwise on
-    vectors of int64 component arrays (a bool array)."""
+    vectors of int64 component arrays (a bool array).
+
+    Its domain is configurations with A_j + B_j one positive multiple of C
+    for j = 1, 2, 3; elsewhere the 8 tests need not agree with
+    :func:`check_cone_condition`."""
     gens = (a1, a2, a3, b1, b2, b3)
     ok = True
     for g, h, inside in _CONDITION_TESTS:
@@ -465,7 +471,8 @@ def _block_survivors(a, b, c) -> np.ndarray:
 
     The first test runs on the whole block; each later one only on the
     entries still alive, their components gathered by index, and the loop
-    stops once none are left. Each test passes 38-47 % of a bound-3 block.
+    stops once none are left. Over the bound-3 grid each mixed test passes
+    38.6 % of the candidates and each pair test 46.3 %.
     """
     gens = (*a, *b)
     (g, h, inside), *rest = _CONDITION_TESTS
@@ -571,7 +578,8 @@ def check_interpolation_path(d: DerivedConeData, spec: InterpolationSpec) -> boo
     Cone tests see only directions, so denominators are cleared once: with
     n the lcm of every denominator in the data, the spec and the times,
     n**3 * A_j(t) = (n*t)*n*(n*A_j) + (n - n*t)*(n*a)*(n*A_1) is an integer
-    vector on the same ray as A_j(t), and likewise for B_j(t) and n*C.
+    vector on the same ray as A_j(t), and likewise for B_j(t) and n*C. Each
+    cleared A_j(t) + B_j(t) is n**2 * (n*C), in the kernel's domain.
     """
     n = lcm(
         *(x.denominator for x in (spec.a, spec.b, *spec.times)),

@@ -15,7 +15,7 @@ from su3kahler.cohomology import (
     dga_cohomology,
     hodge_model,
 )
-from su3kahler.conegeom import is_unimodular_pair
+from su3kahler.conegeom import cross
 from su3kahler.isotropy import (
     Classification,
     classify_quotient,
@@ -113,9 +113,7 @@ def test_criterion_4_freeness_characterization(bound2_systems, capsys):
         verdict = freeness_check(d, ws)
         classification = classify_quotient(ws)
         agrees = verdict.free == (classification is Classification.FREE_FLAG_CASE)
-        by_homs = all(v == (0, 0) for v in ws.wl) and is_unimodular_pair(
-            ws.wr[0], ws.wr[1]
-        )
+        by_homs = all(v == (0, 0) for v in ws.wl) and abs(cross(ws.wr[0], ws.wr[1])) == 1
         ok = ok and agrees and verdict.classification_consistent and (verdict.free == by_homs)
     elapsed = time.perf_counter() - start
     with capsys.disabled():

@@ -32,6 +32,9 @@ GOLDEN = [
         ("generate", "--config", ORBIFOLD_CONE), 0, 1518, "7ebd4bf7f9e2dce38b4911658abcb94f", id="generate"
     ),
     pytest.param(("enumerate", "--bound", "1"), 0, 2935, "698cf51e88d66ee90ffba2b2dd69f9a9", id="enumerate"),
+    pytest.param(  # the first bound whose stream has orbifold lines
+        ("enumerate", "--bound", "2"), 0, 336753, "e40be11f930d43260cc72e485acb17c1", id="enumerate-bound2"
+    ),
     pytest.param(("cohomology",), 0, 1033, "7f11e965d630b87dcbd2502b909bb884", id="cohomology-generic"),
     pytest.param(
         ("cohomology", "--branch", "degenerate"), 0, 1047, "e1c1bd5085bb1abf94cf322196c115fb",

@@ -15,7 +15,6 @@ from su3kahler.conegeom import (
     find_apex_functional,
     in_cone2,
     in_cone_many,
-    is_unimodular_pair,
     is_zero,
     scalar_to_json,
     smith_invariant_factors,
@@ -355,24 +354,10 @@ def test_apex_matches_oracle(gens):
 # --- lattice primitives -----------------------------------------------------
 
 
-def test_unimodular_examples():
-    assert is_unimodular_pair((1, 0), (0, 1))
-    assert not is_unimodular_pair((2, -1), (0, 1))
-    assert is_unimodular_pair((-1, 0), (-1, -1))
-
-
-def test_unimodular_rejects_non_integer():
-    with pytest.raises(ValueError):
-        is_unimodular_pair((F(1, 2), 0), (0, 1))
-    with pytest.raises(ValueError):
-        is_unimodular_pair((True, 0), (0, True))
-    with pytest.raises(ValueError):
-        is_unimodular_pair((1.0, 0), (0, 1))
-
-
 def test_smith_examples():
     assert smith_invariant_factors([[1, 0], [0, 1]]) == (2, (1, 1))
     assert smith_invariant_factors([[2, -1], [0, 1]]) == (2, (1, 2))
+    assert smith_invariant_factors([[-1, 0], [-1, -1]]) == (2, (1, 1))
     assert smith_invariant_factors([[1, 0], [0, 1], [-1, -1]]) == (2, (1, 1))
     assert smith_invariant_factors([[0, 0], [0, 0]]) == (0, ())
     assert smith_invariant_factors([[4, 6]]) == (1, (2,))

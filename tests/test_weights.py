@@ -496,8 +496,10 @@ ADMISSIBLE_ROWS = [
     ((1, 0), (1, 0), (1, 0), (0, 1), (0, 1), (0, 1), (1, 1)),
 ]
 # Rows failing exactly one test, the k-th mixed one (A_i, B_j) in the
-# order of _CONDITION_TESTS; found by a random search over entries in
-# [-1, 1]. No row failing a single pair test turned up in that search.
+# order of _MIXED_PAIRS; found by a random search over entries in [-1, 1],
+# without A_j + B_j = C. With it, no pair test of the former 12 fails
+# alone: once the mixed tests pass, none or at least 3 of them fail (the
+# proof of the lemma in the README).
 NEAR_MISS_ROWS = [
     ((-1, 1), (-1, 0), (-1, 1), (1, 0), (1, 1), (1, 1), (0, 1)),
     ((0, 1), (0, 1), (-1, 1), (1, -1), (1, 0), (1, 0), (1, 1)),
@@ -505,6 +507,16 @@ NEAR_MISS_ROWS = [
     ((-1, 0), (-1, 0), (-1, 1), (0, -1), (1, -1), (0, -1), (-1, -1)),
     ((-1, 0), (-1, 1), (-1, 1), (1, 0), (1, 1), (1, 0), (0, 1)),
     ((1, -1), (0, -1), (1, -1), (1, 1), (1, 1), (0, 1), (1, 0)),
+]
+# The same with A_j + B_j = C, in the kernel's domain: each mixed test is
+# needed there too. Found by a random search over A, C in [-2, 2]^2.
+CONSTANT_SUM_NEAR_MISS_ROWS = [
+    ((2, 1), (1, 2), (1, 1), (-1, -2), (0, -3), (0, -2), (1, -1)),
+    ((-1, 2), (0, 2), (1, 2), (-1, -3), (-2, -3), (-3, -3), (-2, -1)),
+    ((2, 0), (2, 2), (1, 1), (-2, 2), (-2, 0), (-1, 1), (0, 2)),
+    ((2, 0), (1, -1), (2, 1), (-3, -2), (-2, -1), (-3, -3), (-1, -2)),
+    ((2, 0), (2, -1), (2, -2), (-3, -2), (-3, -1), (-3, 0), (-1, -2)),
+    ((-1, 0), (-2, 2), (-2, -1), (1, -2), (2, -4), (2, -1), (0, -2)),
 ]
 zero_sum_triples = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=2).map(
     lambda w: (*w, (-w[0][0] - w[1][0], -w[0][1] - w[1][1]))
@@ -555,13 +567,14 @@ def int64_blocks(draw):
 
 
 def test_near_miss_rows_fail_one_mixed_test():
-    for k, row in enumerate(NEAR_MISS_ROWS):
+    for k, row in [*enumerate(NEAR_MISS_ROWS), *enumerate(CONSTANT_SUM_NEAR_MISS_ROWS)]:
         gens, c = row[:6], row[6]
         failing = [
             t for t, (g, h, inside) in enumerate(weights._CONDITION_TESTS)
             if cone_member(c, gens[g], gens[h]) != inside
         ]
-        assert failing == [6 + k]
+        i, j = weights._MIXED_PAIRS[k]
+        assert failing == [weights._CONDITION_TESTS.index((i, 3 + j, True))]
 
 
 @given(int64_blocks())
@@ -572,6 +585,109 @@ def test_narrowed_kernel_matches_full_and_scalar(block):
     survivors = weights._block_survivors(a, b, c)
     assert survivors.tolist() == np.flatnonzero(weights._condition_holds_raw(*cols)).tolist()
     assert survivors.tolist() == [i for i, r in enumerate(rows) if weights._condition_holds_raw(*r)]
+
+
+# --- the 8-test kernel against the 12-test table and the 27 memberships -------
+
+# The table the kernel ran before the lemma in the README: the 6 pair tests
+# with i < j and the 6 off-diagonal mixed tests; the reference here.
+TWELVE_TESTS = tuple(
+    (off + i, off + j, False) for i in range(3) for j in range(i + 1, 3) for off in (0, 3)
+) + tuple((i, 3 + j, True) for i, j in weights._MIXED_PAIRS)
+MIXED_TESTS = TWELVE_TESTS[6:]
+
+
+def passes(tests, gens, c):
+    """Whether C passes every test of the table; elementwise on int64 columns."""
+    ok = True
+    for g, h, inside in tests:
+        ok = ok & (cone_member(c, gens[g], gens[h]) == inside)
+    return ok
+
+
+def test_condition_table_is_the_mixed_tests_and_two_pair_tests():
+    tests = weights._CONDITION_TESTS
+    assert len(tests) == 8 and set(MIXED_TESTS) < set(tests)
+    (a1, a2, _), (b1, b2, _) = sorted(t for t in tests if t not in MIXED_TESTS)
+    assert {a1, a2} <= {0, 1, 2} and {b1, b2} <= {3, 4, 5}
+    assert {a1, a2} != {b1 - 3, b2 - 3}
+
+
+@pytest.mark.parametrize("bound, step", [(2, 1), (3, 2)], ids=["bound2-every-block", "bound3-every-2nd"])
+def test_eight_tests_keep_the_twelve_test_survivors(bound, step):
+    rows, (u1, v1, u3, v3), _ = weights._weight_grid(bound)
+    for wl in rows[::step]:
+        a, b, c = weights._configuration(wl, (u1, v1), (u3, v3))
+        twelve = np.flatnonzero(passes(TWELVE_TESTS, (*a, *b), c))
+        assert weights._block_survivors(a, b, c).tolist() == twelve.tolist()
+
+
+@st.composite
+def constant_sum_configurations(draw):
+    """(A_1, A_2, A_3, C) with int or Fraction entries, B_j = C - A_j.
+
+    The start is a rescaled admissible row or random data (C possibly
+    zero). Then each A_j stays, or becomes zero, a multiple of C (A_j and
+    B_j then lie on C's line: parallel, antiparallel or zero, with B_j = 0
+    when A_j = C, and both on ray(C) for a multiple in (0, 1)) or a
+    multiple of an earlier A_i (parallel A's and B's)."""
+    if draw(st.booleans()):
+        row, k = draw(st.sampled_from(ADMISSIBLE_ROWS)), draw(st.fractions(F(1, 3), 3))
+        start, c = [vscale(k, v) for v in row[:3]], vscale(k, row[6])
+    else:
+        start, c = draw(st.lists(small_rat_vec, min_size=3, max_size=3)), draw(
+            st.one_of(st.just((0, 0)), small_rat_vec)
+        )
+    a = []
+    for v in start:
+        kind = draw(st.sampled_from(("kept", "kept", "zero", "on C", "on earlier A")))
+        if kind == "zero":
+            v = (0, 0)
+        elif kind == "on C":
+            v = vscale(draw(st.one_of(small_rat, st.fractions(0, 1, max_denominator=5))), c)
+        elif kind == "on earlier A" and a:
+            v = vscale(draw(small_rat), draw(st.sampled_from(a)))
+        a.append(v)
+    return a, c
+
+
+@given(constant_sum_configurations())
+@settings(max_examples=300, deadline=None)
+def test_eight_tests_agree_with_twelve_and_with_the_27_memberships(config):
+    a, c = config
+    d = cone_data(a, [vsub(c, v) for v in a])
+    holds = check_cone_condition(d).holds
+    assert cone_condition_holds(d) == passes(TWELVE_TESTS, (*d.a, *d.b), d.c) == holds
+
+
+# Rows (A_1, A_2, A_3, B_1, B_2, B_3, C) with A_j + B_j = C that pass the six
+# mixed tests and fail the condition: the README's antiparallel example
+# (every A on ray(C)), its mirror (every B on ray(C)), and, for each k,
+# A_k and B_k both on ray(C) with the other A's and B's off C's line.
+MIXED_ONLY_ROWS = [
+    ((-3, 3),) * 3 + ((2, -2),) * 3 + ((-1, 1),),
+    ((2, -2),) * 3 + ((-3, 3),) * 3 + ((-1, 1),),
+    *(
+        tuple((0, 1) if j == k else (1, 0) for j in range(3))
+        + tuple((0, 1) if j == k else (-1, 2) for j in range(3))
+        + ((0, 2),)
+        for k in range(3)
+    ),
+]
+
+
+def test_no_smaller_pair_table_decides_the_condition():
+    """The mixed tests with one pair test, or with an A-pair and a B-pair
+    test on the same index pair, accept a row the condition rejects."""
+    for row in MIXED_ONLY_ROWS:
+        gens, c = row[:6], row[6]
+        assert not check_cone_condition(cone_data(gens[:3], gens[3:])).holds
+        assert passes(MIXED_TESTS, gens, c)
+        assert not weights._condition_holds_raw(*gens, c)
+    pair_tests = TWELVE_TESTS[:6]
+    same_index_pairs = [(TWELVE_TESTS[k], TWELVE_TESTS[k + 1]) for k in (0, 2, 4)]
+    for extra in [(t,) for t in pair_tests] + same_index_pairs:
+        assert any(passes(MIXED_TESTS + extra, row[:6], row[6]) for row in MIXED_ONLY_ROWS)
 
 
 def test_streamed_systems_equal_validated_ones(bound2_systems):
