@@ -438,16 +438,10 @@ def cone_condition_holds(d: DerivedConeData) -> bool:
 
 # The condition as 8 membership tests (g, h, inside) on the generators
 # (A_1, A_2, A_3, B_1, B_2, B_3): C must lie in cone(g, h) exactly when
-# `inside`. When A_j + B_j is one positive multiple of C they decide all 27
-# memberships of check_cone_condition (proof in the README):
-# - the diagonal mixed cones need no test: C = A_i + B_i gives
-#   cross(C, B_i) = cross(A_i, C) = cross(A_i, B_i), so cone_member's sign
-#   clause holds when A_i, B_i are independent, and otherwise
-#   dot(C, A_i) + dot(C, B_i) = |C|^2 makes a ray clause (or C = 0) hold;
-# - once the 6 off-diagonal mixed tests pass, every A-pair and B-pair
-#   clause (rays included) holds exactly when C avoids cone(A_1, A_2) and
-#   cone(B_1, B_3); an A-pair and a B-pair test on the same index pair,
-#   or a single pair test, would not decide them.
+# `inside`. Where A_j + B_j is one positive multiple of C they decide all 27
+# memberships of check_cone_condition: the diagonal mixed cones always hold
+# C, and once the 6 off-diagonal mixed tests pass, cone(A_1, A_2) and
+# cone(B_1, B_3) decide every pair clause (README, with proof and minimality).
 _CONDITION_TESTS = tuple((i, 3 + j, True) for i, j in _MIXED_PAIRS) + ((0, 1, False), (3, 5, False))
 
 
@@ -578,8 +572,10 @@ def check_interpolation_path(d: DerivedConeData, spec: InterpolationSpec) -> boo
     Cone tests see only directions, so denominators are cleared once: with
     n the lcm of every denominator in the data, the spec and the times,
     n**3 * A_j(t) = (n*t)*n*(n*A_j) + (n - n*t)*(n*a)*(n*A_1) is an integer
-    vector on the same ray as A_j(t), and likewise for B_j(t) and n*C. Each
-    cleared A_j(t) + B_j(t) is n**2 * (n*C), in the kernel's domain.
+    vector on the same ray as A_j(t), and likewise for B_j(t) and n*C.
+    Raises ValueError unless C = a*A_1 + b*B_1, as :func:`interpolation_spec`
+    ensures; this keeps each cleared A_j(t) + B_j(t) at n**2 * (n*C), in the
+    kernel's domain, which other base coefficients leave.
     """
     n = lcm(
         *(x.denominator for x in (spec.a, spec.b, *spec.times)),
@@ -594,6 +590,8 @@ def check_interpolation_path(d: DerivedConeData, spec: InterpolationSpec) -> boo
     c = (cleared(d.c[0]), cleared(d.c[1]))
     a0 = vscale(cleared(spec.a), a[0])
     b0 = vscale(cleared(spec.b), b[0])
+    if vadd(a0, b0) != vscale(n, c):  # n**2 * (a*A_1 + b*B_1) against n**2 * C
+        raise ValueError("base coefficients must satisfy C = a*A_1 + b*B_1")
     for t in spec.times:
         nt = cleared(t)
         tn, s = nt * n, n - nt

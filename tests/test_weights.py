@@ -319,7 +319,7 @@ def interpolation_reference(d, spec):
     return True
 
 
-positive = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=9)
+positive = st.one_of(st.just(F(1)), st.fractions(min_value=F(1, 8), max_value=8, max_denominator=9))
 unit_times = st.lists(st.fractions(0, 1, max_denominator=12), min_size=1, max_size=3)
 
 
@@ -332,9 +332,31 @@ unit_times = st.lists(st.fractions(0, 1, max_denominator=12), min_size=1, max_si
 )
 @settings(max_examples=150, deadline=None)
 def test_integer_interpolation_matches_fractions(a_vectors, c, a, b, times):
+    # Base coefficients with C = a*A_1 + b*B_1 (a = b = 1, or others when
+    # A_1, B_1 are dependent) match the Fraction reference; any others raise.
     d = DerivedConeData(a_vectors, tuple(vsub(c, x) for x in a_vectors), c)
     spec = InterpolationSpec(a, b, tuple(times))
-    assert check_interpolation_path(d, spec) == interpolation_reference(d, spec)
+    if vadd(vscale(a, d.a[0]), vscale(b, d.b[0])) == c:
+        assert check_interpolation_path(d, spec) == interpolation_reference(d, spec)
+    else:
+        with pytest.raises(ValueError):
+            check_interpolation_path(d, spec)
+
+
+def test_interpolation_rejects_base_coefficients_off_c():
+    # With C != a*A_1 + b*B_1 the generators at time t leave the 8-test
+    # kernel's domain: here, at t = 1/2, the kernel accepts A(t), B(t) while
+    # C lies on ray(B_2(t)), so the full condition and the 12 tests reject.
+    d = cone_data([(1, 0), (-1, 2), (1, 0)], [(-1, 2), (1, 0), (-1, 2)])
+    assert d.c == (0, 2)
+    spec = InterpolationSpec(F(3), F(1), (F(1, 2),))
+    with pytest.raises(ValueError, match=r"C = a\*A_1 \+ b\*B_1"):
+        check_interpolation_path(d, spec)
+    at = ((2, 0), (1, 1), (2, 0))
+    bt = ((-1, 2), (0, 1), (-1, 2))
+    assert weights._condition_holds_raw(*at, *bt, d.c)
+    assert not passes(TWELVE_TESTS, (*at, *bt), d.c)
+    assert not interpolation_reference(d, spec)
 
 
 def test_default_times():
