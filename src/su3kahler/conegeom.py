@@ -104,7 +104,7 @@ def vec_to_json(u: Vec2) -> list[str]:
 
 
 def _div(p: Scalar, q: Scalar) -> Fraction:
-    return Fraction(p) / Fraction(q)
+    return Fraction(p, q)
 
 
 class MembershipStatus(enum.Enum):

@@ -132,10 +132,16 @@ def moment_scale(d: DerivedConeData) -> float:
 
 
 def _moment(fd: _FloatData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Phi over the last axis: (..., 3) complex pairs to (..., 2) floats."""
+    """Phi over the last axis: (..., 3) complex pairs to (..., 2) floats.
+
+    Elementwise sums, not BLAS matrix-vector products, whose kernel (and so
+    the last bits of a row) depends on the number of rows in the stack.
+    """
     z2 = np.abs(z) ** 2
     w2 = np.abs(w) ** 2
-    return np.stack([z2 @ fd.af + w2 @ fd.bf, z2 @ fd.ag + w2 @ fd.bg], axis=-1)
+    return np.stack(
+        [np.sum(z2 * fd.af + w2 * fd.bf, axis=-1), np.sum(z2 * fd.ag + w2 * fd.bg, axis=-1)], axis=-1
+    )
 
 
 def moment_map(d: DerivedConeData, p) -> np.ndarray:
@@ -217,7 +223,11 @@ def check_special_unitary(a: np.ndarray) -> None:
 
 def random_su3(seed) -> np.ndarray:
     """Seeded Haar-like special unitary matrix (QR of a complex Gaussian,
-    one column rephased to force determinant 1)."""
+    one column rephased to force determinant 1).
+
+    ``seed`` is anything ``np.random.default_rng`` accepts; a Generator is
+    drawn from in place, so successive calls give successive matrices.
+    """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, r = np.linalg.qr(g)
@@ -306,9 +316,9 @@ def _r2c(x: np.ndarray) -> np.ndarray:
     return x[..., 0::2] + 1j * x[..., 1::2]
 
 
-def _spectral_norm(a: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a stack (the operator 2-norm)."""
-    return np.linalg.svd(a, compute_uv=False)[..., 0]
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
 
 
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -366,6 +376,31 @@ def constraint_jacobian(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> np.
     return _jacobian(_weight_arrays(d), np.asarray(z), np.asarray(w))
 
 
+_PINV_RCOND = 1e-15  # np.linalg.pinv's default cutoff, relative to the largest singular value
+
+
+def _gauss_newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Minimum-norm solutions of J step = -F for (m, 4, 12) J and (m, 4) F.
+
+    With J^T = Q R (thin QR), step = Q y where R^T y = -F, solved by forward
+    substitution. A row whose R has a diagonal entry at or below pinv's
+    cutoff (|J|_F bounding the largest singular value) is rank-deficient or
+    nearly so; it takes the step of ``pinv`` instead, as lstsq would.
+    """
+    q, r = np.linalg.qr(_t(jac))
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    weak = np.any(diag <= _PINV_RCOND * np.linalg.norm(jac, axis=(-2, -1))[:, None], axis=-1)
+    step = np.empty((len(f), 12))
+    if weak.any():
+        step[weak] = _mv(np.linalg.pinv(jac[weak]), -f[weak])
+    strong = ~weak
+    lower, y = _t(r[strong]), -f[strong]
+    for i in range(4):
+        y[:, i] = (y[:, i] - np.sum(lower[:, i, :i] * y[:, :i], axis=-1)) / lower[:, i, i]
+    step[strong] = _mv(q[strong], y)
+    return step
+
+
 def _project(
     fd: _FloatData, z0, w0, tol: float, max_iter: int, tolerances: Tolerances
 ) -> list[LevelSetPoint | Exception]:
@@ -374,7 +409,10 @@ def _project(
     Each row follows the sequential rule: up to ``max_iter`` rounds of
     "stop once |F| <= tol, else step, then check for a collapsed factor".
     Converged rows leave the stack, so later rounds only solve for the rest.
-    F and J are taken on the unit-scale data, so ``tol`` is relative.
+    F and J are taken on the unit-scale data, so ``tol`` is relative. The
+    steps come from one batched QR of J^T per round
+    (:func:`_gauss_newton_steps`); rows are independent, so a row's path
+    does not depend on the rest of the stack.
     """
     z = np.array(z0, dtype=complex).reshape(-1, 3)
     w = np.array(w0, dtype=complex).reshape(-1, 3)
@@ -391,8 +429,7 @@ def _project(
         active, za, wa, f = active[left], za[left], wa[left], f[left]
         if not active.size:
             break
-        # pinv keeps lstsq's cutoff: singular values below max(M, N) * eps * s_max
-        step = _mv(np.linalg.pinv(_jacobian(unit, za, wa)), -f)
+        step = _gauss_newton_steps(_jacobian(unit, za, wa), f)
         v = _r2c(_c2r(np.concatenate([za, wa], axis=-1)) + step)
         z[active], w[active] = v[:, :3], v[:, 3:]
         ok = _nonzero_factors(v[:, :3], v[:, 3:])
@@ -417,9 +454,10 @@ def project_points(
 ) -> list[LevelSetPoint]:
     """Gauss-Newton projection of n ambient points (z0, w0 of shape (n, 3)).
 
-    Takes minimum-norm steps delta = -J^+ F; near a regular point the
-    iteration converges quadratically. The stopping residual ``tol`` is
-    relative: the moment part of F is divided by :func:`moment_scale`.
+    Takes minimum-norm steps delta = -J^+ F, from a QR of J^T (``pinv`` on
+    rank-deficient rows only); near a regular point the iteration converges
+    quadratically. The stopping residual ``tol`` is relative: the moment
+    part of F is divided by :func:`moment_scale`.
     Converged points are accepted against ``tolerances`` as in
     :func:`level_point`. Raises the error of the lowest-index row that
     stalls, collapses a factor toward zero or misses the level set.
@@ -529,14 +567,20 @@ def certify_points(
 ) -> list[PointCertificate]:
     """Run every pointwise check of the transverse Kahler construction.
 
-    Steps, each one stacked call over all points: (a) rank of the 4x12
-    constraint Jacobians (regular iff 4); (b) orthonormal kernel basis Q =
-    tangent space of the level set; (c) thin SVD of [Q | Z W], whose rank
-    decides transversality (iff 10) and whose factors give (d) J_N, the
-    projection of J u back into the kernel along span{Z, W}, as the
-    minimum-norm solve [Q | Z W] coords = J Q; (e) operator errors
-    |J_N^2 + 1|, |J_N X - Y| + |J_N Y + X|, omega compatibility;
-    (f) eigenvalues of the symmetrized omega(J_N -, -).
+    Steps, each one stacked call over all points: (a) the SVD of the 4x12
+    constraint Jacobians, whose rank decides regularity (iff 4) and whose
+    right factor splits R^12 into the tangent basis Q (last 8 rows) and
+    the normal basis N (first 4 rows); (b) transversality, the rank of
+    [Q | Z W] (iff 10), read off a 6x4 matrix: with Q^T [Z W] = P R (thin
+    QR) and Nb = N^T [Z W], the matrix [Q | Z W] is [[I8, P R], [0, Nb]]
+    in the basis (Q, N), so its singular values are six 1's and those of
+    [[I2, R], [0, Nb]]; (c) J_N, the projection of J u back into the kernel
+    along span{Z, W}, from the least-squares solve [Q | Z W] [k; b] = J Q:
+    b minimizes |Nb b - N^T J Q| (QR of Nb) and k = Q^T (J Q - [Z W] b);
+    (d) operator errors |J_N^2 + 1|, |J_N X - Y| + |J_N Y + X| and omega
+    compatibility, the two spectral norms as square roots of the top
+    eigenvalues of A^T A; (e) eigenvalues of the symmetrized
+    omega(J_N -, -). Steps (d) and (e) share one ``eigvalsh`` call.
 
     All of it runs on the cone data divided by :func:`moment_scale`, which
     changes no rank, J_N or spectrum but makes the certificate invariant
@@ -563,12 +607,18 @@ def certify_points(
     idx = np.flatnonzero(jac_rank == 4)
     if not idx.size:
         return certs
-    q = np.swapaxes(vt[idx, 4:], -1, -2)  # m x 12 x 8 orthonormal tangent bases
+    qt, nt = vt[idx, 4:], vt[idx, :4]  # m x 8 x 12 tangent rows, m x 4 x 12 normal rows
 
     x6, y6, z6, w6 = _frame(fd, z[idx], w[idx], bc)
-    span = np.concatenate([q, _c2r(z6)[..., None], _c2r(w6)[..., None]], axis=-1)
-    u2, s2, vt2 = np.linalg.svd(span, full_matrices=False)
-    combined_rank = np.sum(s2 > tol.rank_rel * s2[:, :1], axis=1)
+    zw = np.stack([_c2r(z6), _c2r(w6)], axis=-1)  # m x 12 x 2
+    qzw, nb = qt @ zw, nt @ zw
+    small = np.zeros((len(idx), 6, 4))  # [[I2, R], [0, Nb]] with Q^T [Z W] = P R
+    small[:, :2, :2] = np.eye(2)
+    small[:, :2, 2:] = np.linalg.qr(qzw, mode="r")
+    small[:, 2:, 2:] = nb
+    s2 = np.linalg.svd(small, compute_uv=False)
+    cutoff = tol.rank_rel * np.maximum(s2[:, 0], 1.0)  # the largest of all ten
+    combined_rank = 6 * (cutoff < 1.0) + np.sum(s2 > cutoff[:, None], axis=1)
     for i, rank in zip(idx, combined_rank):
         if rank != 10:
             certs[i] = PointCertificate(
@@ -577,25 +627,32 @@ def certify_points(
     keep = combined_rank == 10
     if not keep.any():
         return certs
-    idx, q, u2, s2, vt2 = idx[keep], q[keep], u2[keep], s2[keep], vt2[keep]
+    idx, qt, nt, qzw, nb = idx[keep], qt[keep], nt[keep], qzw[keep], nb[keep]
+    q = _t(qt)
     xr, yr = _c2r(x6[keep]), _c2r(y6[keep])
 
-    # J_N on the kernel basis: coords = V S^-1 U^T (J Q) solves
-    # [Q | Z W] coords = J Q (full column rank); keep the Q-block.
-    coords = np.swapaxes(vt2, -1, -2) @ ((np.swapaxes(u2, -1, -2) @ (_J12 @ q)) / s2[..., None])
-    k = coords[:, :8, :]
-    kt, qt = np.swapaxes(k, -1, -2), np.swapaxes(q, -1, -2)
+    # J_N on the kernel basis: [Q | Z W] [k; b] = J Q in least squares;
+    # rank 10 makes Nb of rank 2, so its R is invertible
+    jq = _J12 @ q
+    qn, rn = np.linalg.qr(nb)
+    b = np.linalg.solve(rn, _t(qn) @ (nt @ jq))
+    k = qt @ jq - qzw @ b
+    kt = _t(k)
 
-    jn_square_error = _spectral_norm(k @ k + np.eye(8))
     xi, eta = _mv(qt, xr), _mv(qt, yr)
     jn_xy_error = np.linalg.norm(_mv(q, _mv(k, xi)) - yr, axis=-1) + np.linalg.norm(
         _mv(q, _mv(k, eta)) + xr, axis=-1
     )
     omega_n = qt @ _OMEGA12 @ q
-    omega_compat_error = _spectral_norm(kt @ omega_n @ k - omega_n)
-
+    square = k @ k + np.eye(8)
+    compat = kt @ omega_n @ k - omega_n
     qform = kt @ omega_n  # q(u, v) = omega(J_N u, v) in the kernel basis
-    spectrum = np.linalg.eigvalsh(0.5 * (qform + np.swapaxes(qform, -1, -2)))
+    eig = np.linalg.eigvalsh(
+        np.concatenate([_t(square) @ square, _t(compat) @ compat, 0.5 * (qform + _t(qform))])
+    )
+    n = len(idx)
+    jn_square_error, omega_compat_error = np.sqrt(np.maximum(eig[: 2 * n, -1], 0.0)).reshape(2, n)
+    spectrum = eig[2 * n :]
     zero_count = np.sum(np.abs(spectrum) <= tol.zero, axis=1)
     pos_count = np.sum(spectrum >= tol.pos * spectrum[:, -1:], axis=1)
     passed = (
@@ -637,12 +694,15 @@ def certification_sample(
 
     The exact single-support seeds come first, then Gauss-Newton
     projections of Gaussian perturbations of them, all in one stacked
-    :func:`project_points` run; for the round normalization, embedded
-    random special unitary matrices are mixed in. Each point draws from its
-    own spawned RNG stream, so the batch is reproducible and
-    order-independent of evaluation. Seeds and projections are accepted
-    against ``tol.residual``; a failure raises the error of the
-    lowest-index point.
+    :func:`project_points` run; for the round normalization, every third
+    point is instead an embedded random special unitary matrix. Two
+    children of ``SeedSequence(seed)`` feed the batch: one (m, 12) normal
+    draw perturbs the m projected points (row r in the real coordinate
+    layout of the r-th of them), and one generator draws the embedded
+    matrices in order. The batch is therefore reproducible, and the first
+    points of a larger sample equal the smaller sample. Seeds and
+    projections are accepted against ``tol.residual``; a failure raises
+    the error of the lowest-index point.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
@@ -652,22 +712,21 @@ def certification_sample(
     fd = _weight_arrays(d)
     seed_z, seed_w = zip(*(_single_support(i, j, (a, b)) for i, j, a, b in witnesses))
     seeds = _first_error(_level_points(fd, np.array(seed_z), np.array(seed_w), tol))
-    streams = np.random.SeedSequence(seed).spawn(n)
+    if n <= len(seeds):
+        return seeds[:n]
+    noise_seq, su3_seq = np.random.SeedSequence(seed).spawn(2)
     is_round = d == ROUND_DATA
     embedded = {k for k in range(len(seeds), n) if is_round and k % 3 == 2}
     perturbed = [k for k in range(len(seeds), n) if k not in embedded]
-    z0 = np.empty((len(perturbed), 3), dtype=complex)
-    w0 = np.empty((len(perturbed), 3), dtype=complex)
-    for row, k in enumerate(perturbed):
-        base = seeds[k % len(seeds)]
-        rng = np.random.default_rng(streams[k])
-        dz = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        dw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        z0[row], w0[row] = base.z + _SAMPLE_NOISE * dz, base.w + _SAMPLE_NOISE * dw
+    base = _c2r(np.concatenate([seed_z, seed_w], axis=-1))[np.array(perturbed, dtype=int) % len(seeds)]
+    noise = np.random.default_rng(noise_seq).standard_normal((len(perturbed), 12))
+    v0 = _r2c(base + _SAMPLE_NOISE * noise)
+    z0, w0 = v0[:, :3], v0[:, 3:]
     projected = dict(zip(perturbed, _project(fd, z0, w0, tol=1e-12, max_iter=50, tolerances=tol)))
-    out: list[LevelSetPoint] = seeds[:n]
+    su3_rng = np.random.default_rng(su3_seq)
+    out: list[LevelSetPoint] = seeds
     for k in range(len(seeds), n):
-        point = embed_su3(random_su3(streams[k])) if k in embedded else projected[k]
+        point = embed_su3(random_su3(su3_rng)) if k in embedded else projected[k]
         if isinstance(point, Exception):
             raise point
         out.append(point)

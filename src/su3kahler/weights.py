@@ -300,8 +300,8 @@ def positive_combination(c: Vec2, g1: Vec2, g2: Vec2) -> tuple[Fraction, Fractio
     """
     d = cross(g1, g2)
     if d != 0:
-        a = Fraction(cross(c, g2)) / d
-        b = Fraction(cross(g1, c)) / d
+        a = Fraction(cross(c, g2), d)
+        b = Fraction(cross(g1, c), d)
         return (a, b) if a > 0 and b > 0 else None
     g1_zero, g2_zero = is_zero(g1), is_zero(g2)
     if g1_zero and g2_zero:
@@ -310,14 +310,14 @@ def positive_combination(c: Vec2, g1: Vec2, g2: Vec2) -> tuple[Fraction, Fractio
         g = g2 if g1_zero else g1
         if cross(c, g) != 0:
             return None
-        t = Fraction(dot(c, g)) / dot(g, g)
+        t = Fraction(dot(c, g), dot(g, g))
         if t <= 0:
             return None
         return (Fraction(1), t) if g1_zero else (t, Fraction(1))
     if cross(c, g1) != 0:
         return None
-    s = Fraction(dot(c, g1)) / dot(g1, g1)  # c == s * g1
-    t = Fraction(dot(g2, g1)) / dot(g1, g1)  # g2 == t * g1
+    s = Fraction(dot(c, g1), dot(g1, g1))  # c == s * g1
+    t = Fraction(dot(g2, g1), dot(g1, g1))  # g2 == t * g1
     if t > 0:
         if s <= 0:
             return None

@@ -6,11 +6,13 @@ norms and ``eigvalsh``; Gauss-Newton with ``lstsq`` steps), kept here as
 the oracle for :func:`certify_points` and :func:`project_points`.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from su3kahler.cli import main
 from su3kahler.quadric import (
     ROUND_DATA,
     LevelSetPoint,
@@ -202,6 +204,38 @@ def test_all_degenerate_batch_sends_no_nan_to_lapack(monkeypatch):
     assert certify_points(d, []) == []
 
 
+def test_certify_path_keeps_its_factorization_budget(monkeypatch, orbifold_data):
+    """Regular points cost no SVD of the 12 x 10 matrix [Q | Z W], no pinv
+    in a Gauss-Newton step, and no RNG stream per sample point."""
+    z0, w0 = _perturbed_starts(orbifold_data, 20, 7)
+    seen = []
+    for name in ("svd", "pinv", "qr"):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, _real=real, _name=name, **kwargs):
+            seen.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    spawned = []
+
+    class RecordedSeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", RecordedSeedSequence)
+
+    project_points(orbifold_data, z0, w0)
+    assert ("pinv" not in {name for name, _ in seen}) and ("qr" in {name for name, _ in seen})
+    n = 50
+    points = certification_sample(orbifold_data, n, 4)
+    assert spawned and n not in spawned
+    seen.clear()
+    assert all(c.passed for c in certify_points(orbifold_data, points))
+    assert seen and not any(name == "svd" and shape[-2:] == (12, 10) for name, shape in seen)
+
+
 def test_single_point_is_a_batch_of_one(orbifold_data):
     p = sample_level_point(orbifold_data, 2, 3)
     assert certify_point(orbifold_data, p) == certify_points(orbifold_data, [p])[0]
@@ -300,3 +334,41 @@ def test_sample_and_certificates_are_scale_covariant(scale, orbifold_data):
         assert np.allclose(p.z, q.z, rtol=0, atol=1e-9) and np.allclose(p.w, q.w, rtol=0, atol=1e-9)
     certs = certify_points(d, points)
     assert all(c.passed and (c.jacobian_rank, c.combined_rank) == (4, 10) for c in certs)
+
+
+# --- rank-deficient Jacobians ------------------------------------------------------
+
+# Every generator is a multiple of (1, 0): the second moment row of each
+# Jacobian vanishes, so J has rank 3 everywhere and each Gauss-Newton round
+# takes pinv's minimum-norm step.
+COLLINEAR = '{"A": [[1,0],[2,0],[3,0]], "B": [[3,0],[2,0],[1,0]]}'
+
+
+def test_collinear_data_certifies_irregular_points(capsys):
+    assert main(["verify", "--config", COLLINEAR, "--samples", "12", "--seed", "1"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert "error" not in results and results["all_passed"] is False
+    certs = results["certificates"]
+    assert len(certs) == 12
+    assert all(
+        (c["regular"], c["jacobian_rank"], c["pass"]) == (False, 3, False) for c in certs
+    )
+
+
+def test_collinear_projection_matches_reference(monkeypatch):
+    config = json.loads(COLLINEAR)
+    d = cone_data(config["A"], config["B"])
+    z0, w0 = _perturbed_starts(d, 20, 9)
+    pinv_calls = []
+    real = np.linalg.pinv
+
+    def counted(a, *args, **kwargs):
+        pinv_calls.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    batch = project_points(d, z0, w0)
+    assert pinv_calls
+    for p, z, w in zip(batch, z0, w0):
+        zr, wr = reference_project(d, z, w)
+        assert np.allclose(p.z, zr, rtol=0, atol=1e-12) and np.allclose(p.w, wr, rtol=0, atol=1e-12)

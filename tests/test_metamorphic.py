@@ -6,10 +6,18 @@ linear change of coordinates, a common positive scale and the labels j.
 Freeness and the isotropy groups are lattice notions: they survive a
 GL2(Z) change of torus basis and a simultaneous S3 relabelling, but not a
 rescaling, which enlarges stabilizers by a torsion subgroup.
+
+The numerical certificates of ``su3kahler verify`` follow the same
+symmetries: the sampled points move, but the verdicts and ranks do not.
 """
 
+import contextlib
+import io
 import itertools
+import json
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +31,10 @@ from su3kahler import (
     freeness_check,
     singular_stratum_census,
 )
-from su3kahler.conegeom import cross
+from su3kahler.cli import main
+from su3kahler.conegeom import cross, vec_to_json
+from su3kahler.quadric import ROUND_DATA
+from su3kahler.weights import cone_data
 
 # Zero-sum weight triples with entries in [-2, 2]: one side of a bound-2 system.
 TRIPLES = tuple(
@@ -127,3 +138,51 @@ def test_exact_layer_is_invariant_under_basis_change_relabelling_and_rescaling(d
     if pair is not None:  # the same pair of d, by its labels, fails with the same |det|
         i, j, det = pair
         assert det == abs(cross(d.a[perm[i - 1]], d.b[perm[j - 1]])) != 1
+
+
+# One GL2(Z) basis change of each determinant sign, a 3-cycle and a swap.
+BASIS_CHANGES = (((2, 1), (1, 1)), ((1, 2), (0, -1)))
+RELABELLINGS = ((1, 2, 0), (1, 0, 2))
+# All generators on one line: every Jacobian has rank 3, so no point passes.
+COLLINEAR = cone_data([(1, 0), (2, 0), (3, 0)], [(3, 0), (2, 0), (1, 0)])
+
+
+def verify_verdicts(d, samples=12, seed=2):
+    """Exit code, the report's pass and all_passed, and the multiset of
+    per-certificate (regular, transversal, ranks, pass) of `verify` on d."""
+    config = json.dumps({"A": [vec_to_json(v) for v in d.a], "B": [vec_to_json(v) for v in d.b]})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--config", config, "--samples", str(samples), "--seed", str(seed)])
+    report = json.loads(out.getvalue())
+    results = report["results"]
+    certs = Counter(
+        (c["regular"], c["transversal"], c["jacobian_rank"], c["combined_rank"], c["pass"])
+        for c in results["certificates"]
+    )
+    return code, report["pass"], results["all_passed"], certs
+
+
+PASSING = (0, True, True, Counter({(True, True, 4, 10, True): 12}))
+
+
+@pytest.mark.parametrize("name", ["orbifold", "round", "bound2", "collinear"])
+def test_certificate_verdicts_are_invariant_under_basis_change_and_relabelling(
+    name, orbifold_data, bound2_systems
+):
+    cases = {
+        "orbifold": [orbifold_data],
+        "round": [ROUND_DATA],
+        "bound2": [derive(ws) for ws in bound2_systems[::571]],
+        "collinear": [COLLINEAR],
+    }[name]
+    for d in cases:
+        verdicts = verify_verdicts(d)
+        if name == "collinear":
+            assert verdicts == (1, False, False, Counter({(False, False, 3, 0, False): 12}))
+        else:
+            assert verdicts == PASSING
+        for m in BASIS_CHANGES:
+            assert verify_verdicts(basis_change(m, d)) == verdicts, (d, m)
+        for perm in RELABELLINGS:
+            assert verify_verdicts(relabel(perm, d)) == verdicts, (d, perm)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from su3kahler import quadric
 from su3kahler.quadric import (
     ROUND_DATA,
     action_orbit_map,
@@ -8,6 +9,7 @@ from su3kahler.quadric import (
     certification_sample,
     certify_point,
     certify_points,
+    check_special_unitary,
     constraint_jacobian,
     constraint_values,
     embed_su3,
@@ -286,6 +288,38 @@ def test_certification_sample_deterministic(orbifold_data):
         assert np.array_equal(p.z, q.z) and np.array_equal(p.w, q.w)
     c = certification_sample(orbifold_data, 20, 1)
     assert any(not np.array_equal(p.z, q.z) for p, q in zip(a, c))
+
+
+def _same_points(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(p.z, q.z) and np.array_equal(p.w, q.w) for p, q in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("name", ["orbifold", "round"])
+def test_certification_sample_is_seeded_and_prefix_stable(name, orbifold_data, monkeypatch):
+    d = orbifold_data if name == "orbifold" else ROUND_DATA
+    embedded = []
+    real = quadric.embed_su3
+
+    def recorded(a):
+        embedded.append(np.array(a))
+        return real(a)
+
+    monkeypatch.setattr(quadric, "embed_su3", recorded)
+    full = certification_sample(d, 40, 5)
+    assert _same_points(certification_sample(d, 40, 5), full)
+    for m in (1, 7, 8, 23):
+        assert _same_points(certification_sample(d, m, 5), full[:m])
+    embedded.clear()
+    other = certification_sample(d, 40, 6)
+    assert not any(np.array_equal(p.z, q.z) for p, q in zip(full[6:], other[6:]))
+    # after the 6 seeds, the round sample embeds points 8, 11, ..., 38
+    slots = [] if name == "orbifold" else list(range(8, 40, 3))
+    assert len(embedded) == len(slots)
+    for k, a in zip(slots, embedded):
+        check_special_unitary(a)
+        assert np.array_equal(other[k].z, a[:, 0]) and np.array_equal(other[k].w, np.conj(a[:, 2]))
 
 
 def test_certification_sample_rejects_bad_count(orbifold_data):
