@@ -8,7 +8,6 @@ from .conegeom import (
     Vec2,
     find_apex_functional,
     in_cone2,
-    in_cone_many,
     smith_invariant_factors,
 )
 from .weights import (

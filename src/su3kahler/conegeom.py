@@ -40,7 +40,6 @@ __all__ = [
     "INT64_MAX",
     "cone_member",
     "in_cone2",
-    "in_cone_many",
     "find_apex_functional",
     "invariant_factors_from_divisors",
     "smith_invariant_factors",
@@ -121,13 +120,11 @@ class ConeMembership:
     with ``lam1*g1 + lam2*g2 == c`` exactly. ``INTERIOR`` means both
     coefficients are strictly positive and the generators are linearly
     independent; with dependent generators the best status is
-    ``ON_BOUNDARY_RAY``. ``pair`` carries generator indices for
-    multi-generator queries.
+    ``ON_BOUNDARY_RAY``. Decisions that need no witness read :func:`cone_member`.
     """
 
     status: MembershipStatus
     coefficients: tuple[Fraction, Fraction] | None = None
-    pair: tuple[int, int] | None = None
 
     @property
     def member(self) -> bool:
@@ -137,8 +134,6 @@ class ConeMembership:
         out: dict = {"status": self.status.value}
         if self.coefficients is not None:
             out["coefficients"] = [scalar_to_json(c) for c in self.coefficients]
-        if self.pair is not None:
-            out["pair"] = list(self.pair)
         return out
 
 
@@ -212,32 +207,6 @@ def in_cone2(c: Vec2, g1: Vec2, g2: Vec2) -> ConeMembership:
     return ConeMembership(
         MembershipStatus.ON_BOUNDARY_RAY, (_F0, _div(dot(c, g2), dot(g2, g2)))
     )
-
-
-def in_cone_many(c: Vec2, gens: list[Vec2]) -> ConeMembership:
-    """Membership of ``c`` in the cone spanned by any number of generators.
-
-    In the plane it suffices to scan generator pairs and single rays; the
-    returned witness coefficients refer to the generators named in
-    ``pair`` (zero generators are skipped, they do not enlarge the cone).
-    """
-    if not gens:
-        raise ValueError("at least one generator required")
-    live = [i for i, g in enumerate(gens) if not is_zero(g)]
-    if not live:
-        if is_zero(c):
-            return ConeMembership(MembershipStatus.ON_BOUNDARY_RAY, (_F0, _F0), (0, 0))
-        return _OUTSIDE
-    best: ConeMembership | None = None
-    for a in range(len(live)):
-        for b in range(a, len(live)):
-            i, j = live[a], live[b]
-            m = in_cone2(c, gens[i], gens[j])
-            if m.status is MembershipStatus.INTERIOR:
-                return ConeMembership(m.status, m.coefficients, (i, j))
-            if m.member and best is None:
-                best = ConeMembership(m.status, m.coefficients, (i, j))
-    return best if best is not None else _OUTSIDE
 
 
 def find_apex_functional(gens: list[Vec2]) -> Vec2 | None:

@@ -217,7 +217,7 @@ def check_special_unitary(a: np.ndarray) -> None:
         raise ValueError("a 3x3 matrix is required")
     err = np.linalg.norm(a.conj().T @ a - np.eye(3))
     det_err = abs(np.linalg.det(a) - 1.0)
-    if err > _SU3_TOL or det_err > _SU3_TOL:
+    if not (err <= _SU3_TOL and det_err <= _SU3_TOL):  # NaN fails too
         raise ValueError(f"not special unitary within {_SU3_TOL}: unitarity {err}, det {det_err}")
 
 
@@ -263,7 +263,7 @@ def equivariance_check(a: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
     g = np.asarray(g, dtype=complex).reshape(3)
     h = np.asarray(h, dtype=complex).reshape(3)
     for diag in (g, h):
-        if np.max(np.abs(np.abs(diag) - 1)) > 1e-9 or abs(np.prod(diag) - 1) > 1e-9:
+        if not (np.max(np.abs(np.abs(diag) - 1)) <= 1e-9 and abs(np.prod(diag) - 1) <= 1e-9):
             raise ValueError("torus elements must be unit-modulus with product 1")
     moved = embed_su3(np.diag(g) @ np.asarray(a, dtype=complex) @ np.diag(1 / h))
     base = embed_su3(a)
@@ -401,19 +401,28 @@ def _gauss_newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
     return step
 
 
-def _project(
-    fd: _FloatData, z0, w0, tol: float, max_iter: int, tolerances: Tolerances
-) -> list[LevelSetPoint | Exception]:
-    """Gauss-Newton on a stack of (n, 3) starts; a failing row yields its error.
+def project_points(
+    d: DerivedConeData,
+    z0,
+    w0,
+    tol: float = 1e-12,
+    max_iter: int = 50,
+    tolerances: Tolerances = Tolerances(),
+) -> list[LevelSetPoint]:
+    """Gauss-Newton projection of n ambient points (z0, w0 of shape (n, 3)).
 
-    Each row follows the sequential rule: up to ``max_iter`` rounds of
-    "stop once |F| <= tol, else step, then check for a collapsed factor".
-    Converged rows leave the stack, so later rounds only solve for the rest.
-    F and J are taken on the unit-scale data, so ``tol`` is relative. The
-    steps come from one batched QR of J^T per round
-    (:func:`_gauss_newton_steps`); rows are independent, so a row's path
-    does not depend on the rest of the stack.
+    Takes minimum-norm steps delta = -J^+ F, from a QR of J^T (``pinv`` on
+    rank-deficient rows only); near a regular point the iteration converges
+    quadratically. Each row runs up to ``max_iter`` rounds of "stop once
+    |F| <= tol, else step, then check for a collapsed factor"; a start
+    already within ``tol`` is returned unchanged, and a row's path does not
+    depend on the rest of the stack. ``tol`` is relative: F is taken on the
+    cone data divided by :func:`moment_scale`. Converged points are accepted
+    against ``tolerances`` as in :func:`level_point`. Raises the error of
+    the lowest-index row that starts with or collapses to a zero factor,
+    stalls, or misses the level set.
     """
+    fd = _weight_arrays(d)
     z = np.array(z0, dtype=complex).reshape(-1, 3)
     w = np.array(w0, dtype=complex).reshape(-1, 3)
     start_ok = _nonzero_factors(z, w)
@@ -441,28 +450,7 @@ def _project(
     done = np.flatnonzero(converged)
     for k, point in zip(done, _level_points(fd, z[done], w[done], tolerances)):
         out[k] = point
-    return out
-
-
-def project_points(
-    d: DerivedConeData,
-    z0,
-    w0,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    tolerances: Tolerances = Tolerances(),
-) -> list[LevelSetPoint]:
-    """Gauss-Newton projection of n ambient points (z0, w0 of shape (n, 3)).
-
-    Takes minimum-norm steps delta = -J^+ F, from a QR of J^T (``pinv`` on
-    rank-deficient rows only); near a regular point the iteration converges
-    quadratically. The stopping residual ``tol`` is relative: the moment
-    part of F is divided by :func:`moment_scale`.
-    Converged points are accepted against ``tolerances`` as in
-    :func:`level_point`. Raises the error of the lowest-index row that
-    stalls, collapses a factor toward zero or misses the level set.
-    """
-    return _first_error(_project(_weight_arrays(d), z0, w0, tol, max_iter, tolerances))
+    return _first_error(out)
 
 
 def project_to_level(
@@ -491,7 +479,7 @@ def action_orbit_map(d: DerivedConeData, p, angles) -> LevelSetPoint:
     fd = _weight_arrays(d)
     z_new = z * np.exp(1j * (fd.af * t1 + fd.ag * t2))
     w_new = w * np.exp(1j * (fd.bf * t1 + fd.bg * t2))
-    return level_point(d, z_new, w_new, Tolerances(residual=1e-9))
+    return level_point(d, z_new, w_new)
 
 
 def _frame(fd: _FloatData, z: np.ndarray, w: np.ndarray, bc):
@@ -499,7 +487,7 @@ def _frame(fd: _FloatData, z: np.ndarray, w: np.ndarray, bc):
     y6 = np.concatenate([1j * fd.ag * z, 1j * fd.bg * w], axis=-1)
     if bc is not None:
         bc = np.asarray(bc, dtype=float)
-        if bc.shape != (2, 2) or abs(np.linalg.det(bc)) < 1e-12:
+        if bc.shape != (2, 2) or not np.all(np.isfinite(bc)) or not abs(np.linalg.det(bc)) >= 1e-12:
             raise ValueError("bc must be an invertible 2x2 real matrix")
         x6, y6 = bc[0, 0] * x6 + bc[1, 0] * y6, bc[0, 1] * x6 + bc[1, 1] * y6
     z6 = x6 + 1j * y6
@@ -692,42 +680,36 @@ def certification_sample(
 ) -> list[LevelSetPoint]:
     """Deterministic batch of n level-set points for certification.
 
-    The exact single-support seeds come first, then Gauss-Newton
-    projections of Gaussian perturbations of them, all in one stacked
-    :func:`project_points` run; for the round normalization, every third
-    point is instead an embedded random special unitary matrix. Two
-    children of ``SeedSequence(seed)`` feed the batch: one (m, 12) normal
-    draw perturbs the m projected points (row r in the real coordinate
-    layout of the r-th of them), and one generator draws the embedded
-    matrices in order. The batch is therefore reproducible, and the first
-    points of a larger sample equal the smaller sample. Seeds and
-    projections are accepted against ``tol.residual``; a failure raises
-    the error of the lowest-index point.
+    Builds n starts and projects them in one :func:`project_points` call.
+    Start k < m is the k-th exact single-support seed (``mixed_witnesses``
+    order). A later start is seed k % m plus ``_SAMPLE_NOISE`` times one
+    Gaussian row in the real coordinate layout, or, for the round
+    normalization at k % 3 == 2, an embedded random special unitary matrix.
+    Seeds and embeddings already meet the stopping residual, so they stay
+    in place. Only when n > m are two children of ``SeedSequence(seed)``
+    made: one normal draw for the perturbed starts and one generator for
+    the embedded matrices, drawn in order. The first points of a larger
+    sample equal the smaller sample. Every point is accepted against
+    ``tol.residual``; an embedding error raises while its start is built,
+    otherwise the error of the lowest-index point is raised.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     witnesses = d.mixed_witnesses
     if not witnesses:
         raise ValueError("no realizable single-support point; nothing to sample")
-    fd = _weight_arrays(d)
-    seed_z, seed_w = zip(*(_single_support(i, j, (a, b)) for i, j, a, b in witnesses))
-    seeds = _first_error(_level_points(fd, np.array(seed_z), np.array(seed_w), tol))
-    if n <= len(seeds):
-        return seeds[:n]
-    noise_seq, su3_seq = np.random.SeedSequence(seed).spawn(2)
-    is_round = d == ROUND_DATA
-    embedded = {k for k in range(len(seeds), n) if is_round and k % 3 == 2}
-    perturbed = [k for k in range(len(seeds), n) if k not in embedded]
-    base = _c2r(np.concatenate([seed_z, seed_w], axis=-1))[np.array(perturbed, dtype=int) % len(seeds)]
-    noise = np.random.default_rng(noise_seq).standard_normal((len(perturbed), 12))
-    v0 = _r2c(base + _SAMPLE_NOISE * noise)
-    z0, w0 = v0[:, :3], v0[:, 3:]
-    projected = dict(zip(perturbed, _project(fd, z0, w0, tol=1e-12, max_iter=50, tolerances=tol)))
-    su3_rng = np.random.default_rng(su3_seq)
-    out: list[LevelSetPoint] = seeds
-    for k in range(len(seeds), n):
-        point = embed_su3(random_su3(su3_rng)) if k in embedded else projected[k]
-        if isinstance(point, Exception):
-            raise point
-        out.append(point)
-    return out
+    m = len(witnesses)
+    seeds = np.array([np.concatenate(_single_support(i, j, (a, b))) for i, j, a, b in witnesses])
+    starts = seeds[np.arange(n) % m]
+    if n > m:
+        noise_seq, su3_seq = np.random.SeedSequence(seed).spawn(2)
+        later = np.arange(m, n)
+        embed = (later % 3 == 2) & (d == ROUND_DATA)
+        embedded, perturbed = later[embed], later[~embed]
+        noise = np.random.default_rng(noise_seq).standard_normal((len(perturbed), 12))
+        starts[perturbed] = _r2c(_c2r(starts[perturbed]) + _SAMPLE_NOISE * noise)
+        su3_rng = np.random.default_rng(su3_seq)
+        for k in embedded:
+            p = embed_su3(random_su3(su3_rng))
+            starts[k] = np.concatenate([p.z, p.w])
+    return project_points(d, starts[:, :3], starts[:, 3:], tolerances=tol)

@@ -46,7 +46,6 @@ from .conegeom import (
     dot,
     find_apex_functional,
     in_cone2,
-    in_cone_many,
     is_zero,
     scalar_to_json,
     vadd,
@@ -363,6 +362,9 @@ def check_level_set_conditions(d: DerivedConeData) -> LevelSetConditions:
     regular:  A_i, B_j linearly independent for all i != j;
     compact:  C outside cone(A_1,A_2,A_3) and cone(B_1,B_2,B_3), all six
               generators nonzero, and the cone of all six has an apex.
+    In the plane a cone of three generators is the union of the cones of
+    their pairs, so each outside test is :func:`~su3kahler.conegeom.cone_member`
+    on the pairs (1,2), (1,3) and (2,3).
     """
     witness = d.mixed_witnesses[0] if d.mixed_witnesses else None
 
@@ -375,10 +377,8 @@ def check_level_set_conditions(d: DerivedConeData) -> LevelSetConditions:
         compact, apex = False, None
     else:
         apex = find_apex_functional(gens)
-        compact = (
-            apex is not None
-            and not in_cone_many(d.c, list(d.a)).member
-            and not in_cone_many(d.c, list(d.b)).member
+        compact = apex is not None and not any(
+            cone_member(d.c, g[i], g[j]) for g in (d.a, d.b) for i, j in ((0, 1), (0, 2), (1, 2))
         )
     return LevelSetConditions(witness is not None, witness, regular, compact, apex)
 

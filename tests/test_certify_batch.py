@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from su3kahler import quadric
 from su3kahler.cli import main
 from su3kahler.quadric import (
     ROUND_DATA,
@@ -206,7 +207,8 @@ def test_all_degenerate_batch_sends_no_nan_to_lapack(monkeypatch):
 
 def test_certify_path_keeps_its_factorization_budget(monkeypatch, orbifold_data):
     """Regular points cost no SVD of the 12 x 10 matrix [Q | Z W], no pinv
-    in a Gauss-Newton step, and no RNG stream per sample point."""
+    in a Gauss-Newton step, and no RNG stream per sample point; a sample is
+    one projection call, and a sample of seeds only spawns no RNG."""
     z0, w0 = _perturbed_starts(orbifold_data, 20, 7)
     seen = []
     for name in ("svd", "pinv", "qr"):
@@ -226,11 +228,24 @@ def test_certify_path_keeps_its_factorization_budget(monkeypatch, orbifold_data)
 
     monkeypatch.setattr(np.random, "SeedSequence", RecordedSeedSequence)
 
+    projections = []
+
+    def counted(d, z0, w0, *args, **kwargs):
+        projections.append(len(z0))
+        return project_points(d, z0, w0, *args, **kwargs)
+
+    monkeypatch.setattr(quadric, "project_points", counted)
+
     project_points(orbifold_data, z0, w0)
     assert ("pinv" not in {name for name, _ in seen}) and ("qr" in {name for name, _ in seen})
+    m = len(orbifold_data.mixed_witnesses)
+    for n in (1, m):
+        certification_sample(orbifold_data, n, 4)
+    assert projections == [1, m] and not spawned
     n = 50
     points = certification_sample(orbifold_data, n, 4)
-    assert spawned and n not in spawned
+    assert projections == [1, m, n]
+    assert spawned == [2]
     seen.clear()
     assert all(c.passed for c in certify_points(orbifold_data, points))
     assert seen and not any(name == "svd" and shape[-2:] == (12, 10) for name, shape in seen)

@@ -373,6 +373,16 @@ def test_verify_tol_decides_the_verdict(capsys):
     assert code == 1 and results["error"].startswith("sampling failed: point misses the level set")
 
 
+def test_verify_accepts_embedded_points_against_tol(capsys):
+    round_cone = '{"A": [[1,0],[1,0],[1,0]], "B": [[0,1],[0,1],[0,1]]}'
+    argv = ("verify", "--config", round_cone, "--samples", "30", "--seed", "3")
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["pass"]
+    code, out = run(capsys, *argv, "--tol", "1e-15")
+    results = json.loads(out)["results"]
+    assert code == 1 and results["error"].startswith("sampling failed: point misses the level set")
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

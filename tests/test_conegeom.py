@@ -14,14 +14,15 @@ from su3kahler.conegeom import (
     dot,
     find_apex_functional,
     in_cone2,
-    in_cone_many,
     is_zero,
     scalar_to_json,
     smith_invariant_factors,
     vadd,
     vec2,
     vscale,
+    vsub,
 )
+from su3kahler.weights import DerivedConeData, check_level_set_conditions
 
 F = Fraction
 
@@ -269,39 +270,6 @@ def test_scalars_reject_bools_and_floats():
         vec2(1.0, 0)
 
 
-# --- in_cone_many ---------------------------------------------------------
-
-
-def test_many_orbifold_generators_outside():
-    assert not in_cone_many((1, 1), [(1, 0), (1, 0), (2, -1)]).member
-
-
-def test_many_single_ray():
-    m = in_cone_many((3, 0), [(1, 0)])
-    assert m.member
-    assert m.coefficients == (F(3), F(0))
-
-
-def test_many_interior():
-    m = in_cone_many((1, 1), [(1, 0), (0, 1), (2, -1), (-1, 2)])
-    assert m.status is MembershipStatus.INTERIOR
-    assert m.pair is not None
-
-
-def test_many_requires_generators():
-    with pytest.raises(ValueError):
-        in_cone_many((1, 1), [])
-
-
-@given(vectors, st.lists(vectors, min_size=1, max_size=5))
-def test_in_cone_many_matches_oracle(c, gens):
-    m = in_cone_many(c, gens)
-    assert m.member == member_oracle(c, gens)
-    if m.member:
-        i, j = m.pair
-        assert reconstructs(m, c, gens[i], gens[j])
-
-
 # --- find_apex_functional --------------------------------------------------
 
 
@@ -349,6 +317,45 @@ def test_apex_matches_oracle(gens):
     else:
         assert apex_oracle(gens)
         assert all(dot(alpha, g) > 0 for g in gens)
+
+
+# --- compactness -------------------------------------------------------------
+
+
+@st.composite
+def cone_configurations(draw):
+    """Cone data A_j + B_j = C with zero, parallel and antiparallel
+    generators drawn on purpose: A_j or B_j zero, A_j a multiple of C (so
+    B_j is one too) or of A_1."""
+    c = draw(st.one_of(int_vectors, st.just((0, 0))))
+    a: list = []
+    for _ in range(3):
+        kind = draw(st.sampled_from(("free", "zero_a", "zero_b", "along_c", "along_a1")))
+        if kind == "free" or (kind == "along_a1" and not a):
+            a.append(draw(int_vectors))
+        elif kind == "zero_a":
+            a.append((0, 0))
+        elif kind == "zero_b":
+            a.append(c)
+        else:
+            a.append(vscale(draw(multipliers), c if kind == "along_c" else a[0]))
+    return DerivedConeData(tuple(a), tuple(vsub(c, g) for g in a), c)
+
+
+def compact_oracle(d):
+    gens = d.generators()
+    return (
+        not any(is_zero(g) for g in gens)
+        and apex_oracle(gens)
+        and not member_oracle(d.c, list(d.a))
+        and not member_oracle(d.c, list(d.b))
+    )
+
+
+@given(cone_configurations())
+@settings(max_examples=400)
+def test_compactness_matches_oracle(d):
+    assert check_level_set_conditions(d).compact == compact_oracle(d)
 
 
 # --- lattice primitives -----------------------------------------------------

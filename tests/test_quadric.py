@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from su3kahler import quadric
 from su3kahler.quadric import (
     ROUND_DATA,
+    Tolerances,
     action_orbit_map,
     ambient_complex_structure,
     certification_sample,
@@ -16,7 +19,9 @@ from su3kahler.quadric import (
     equivariance_check,
     level_point,
     moment_map,
+    moment_scale,
     omega_matrix,
+    project_points,
     project_to_level,
     random_su3,
     sample_level_point,
@@ -48,6 +53,28 @@ def test_embed_rejects_non_unitary():
         embed_su3(2 * np.eye(3))
     with pytest.raises(ValueError):
         embed_su3(np.diag([1, 1, -1]))  # unitary but det -1
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d, p: check_special_unitary(np.full((3, 3), NAN)), "not special unitary"),
+        (lambda d, p: embed_su3(np.full((3, 3), NAN)), "not special unitary"),
+        (lambda d, p: equivariance_check(np.eye(3), (NAN, 1, 1), (1, 1, 1)), "torus elements"),
+        (lambda d, p: equivariance_check(np.eye(3), (1, 1, 1), (1, INF, 1)), "torus elements"),
+        (lambda d, p: certify_points(d, [p], bc=[[NAN, 0], [0, 1]]), "bc must be"),
+        (lambda d, p: transverse_frame(d, p, bc=[[INF, 0], [0, 1]]), "bc must be"),
+    ],
+    ids=["special_unitary", "embed", "torus_g", "torus_h", "certify_bc", "frame_bc"],
+)
+def test_non_finite_input_raises_the_documented_error(orbifold_data, call, message):
+    p = sample_level_point(orbifold_data, 1, 2)
+    with pytest.raises(ValueError, match=message):
+        call(orbifold_data, p)
 
 
 def test_embed_random_residuals():
@@ -320,6 +347,89 @@ def test_certification_sample_is_seeded_and_prefix_stable(name, orbifold_data, m
     for k, a in zip(slots, embedded):
         check_special_unitary(a)
         assert np.array_equal(other[k].z, a[:, 0]) and np.array_equal(other[k].w, np.conj(a[:, 2]))
+
+
+def _sample_data(name, orbifold_data, bound2_systems):
+    if name == "bound2":
+        return derive(bound2_systems[1000])
+    return orbifold_data if name == "orbifold" else ROUND_DATA
+
+
+@pytest.mark.parametrize("name", ["orbifold", "round", "bound2"])
+def test_certification_sample_provenance_is_bitwise(name, orbifold_data, bound2_systems):
+    """Seeds come from sample_level_point, perturbed points are projections
+    of a seed plus a row of the first child's draw, and embedded points
+    are drawn from the second child, all bit for bit."""
+    d = _sample_data(name, orbifold_data, bound2_systems)
+    seeds = [sample_level_point(d, i, j) for i, j, _, _ in d.mixed_witnesses]
+    m = len(seeds)
+    for n in sorted({3, m, 20, 40}):
+        points = certification_sample(d, n, 11)
+        assert len(points) == n
+        for k in range(min(n, m)):
+            assert _same_points([points[k]], [seeds[k]])
+        if n <= m:
+            continue
+        noise_seq, su3_seq = np.random.SeedSequence(11).spawn(2)
+        embedded = [k for k in range(m, n) if d == ROUND_DATA and k % 3 == 2]
+        perturbed = [k for k in range(m, n) if k not in embedded]
+        noise = np.random.default_rng(noise_seq).standard_normal((len(perturbed), 12))
+        su3_rng = np.random.default_rng(su3_seq)
+        for k in embedded:
+            assert _same_points([points[k]], [embed_su3(random_su3(su3_rng))])
+        z0 = np.empty((len(perturbed), 3), dtype=complex)
+        w0 = np.empty_like(z0)
+        for r, k in enumerate(perturbed):
+            seed = np.concatenate([seeds[k % m].z, seeds[k % m].w])
+            x = np.empty(12)  # the real layout (Re z1, Im z1, ..., Im w3)
+            x[0::2], x[1::2] = seed.real, seed.imag
+            x = x + quadric._SAMPLE_NOISE * noise[r]
+            v = x[0::2] + 1j * x[1::2]
+            z0[r], w0[r] = v[:3], v[3:]
+        assert _same_points([points[k] for k in perturbed], project_points(d, z0, w0))
+
+
+@given(
+    st.sampled_from(["orbifold", "round", "bound2"]),
+    st.sampled_from([1e-9, 1e-12, 1e-14, 1e-15, 1e-16]),
+    st.integers(1, 45),
+    st.integers(0, 2**32 - 1),
+)
+@example("round", 1e-15, 30, 3)  # an embedded point misses 1e-15
+@settings(max_examples=60, deadline=None)
+def test_every_sample_point_meets_the_acceptance_rule(orbifold_data, bound2_systems, name, residual, n, seed):
+    d = _sample_data(name, orbifold_data, bound2_systems)
+    tol = Tolerances(residual=residual)
+    try:
+        points = certification_sample(d, n, seed, tol)
+    except ValueError as exc:
+        assert "misses the level set" in str(exc)
+        return
+    assert len(points) == n
+    for p in points:
+        assert abs(np.sum(p.z * p.w)) <= residual
+        assert np.linalg.norm(moment_map(d, p) - np.array(d.c, dtype=float)) <= residual * moment_scale(d)
+
+
+def test_only_the_returned_seeds_are_validated(orbifold_data):
+    # seed 0 has moment residual 0.0, seed 1 about 4e-16
+    tol = Tolerances(residual=1e-16)
+    assert len(certification_sample(orbifold_data, 1, 0, tol)) == 1
+    with pytest.raises(ValueError, match="point misses the level set"):
+        certification_sample(orbifold_data, 2, 0, tol)
+
+
+def test_embedding_errors_raise_before_projection(monkeypatch):
+    def failing(a):
+        raise ValueError("embedding refused")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("projected despite a failed embedding")
+
+    monkeypatch.setattr(quadric, "embed_su3", failing)
+    monkeypatch.setattr(quadric, "project_points", refuse)
+    with pytest.raises(ValueError, match="embedding refused"):
+        certification_sample(ROUND_DATA, 9, 0)
 
 
 def test_certification_sample_rejects_bad_count(orbifold_data):
