@@ -12,9 +12,11 @@ across reruns; measured wall time is only emitted with --timing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -50,7 +52,7 @@ def _load_json_source(source: str) -> dict:
             raise InputError(f"cannot read config {source}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
         raise InputError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("top-level JSON object expected")
@@ -135,8 +137,94 @@ def _encode(o, parts: list, nl: str) -> None:
             sep = "," + inner
             _encode(value, parts, inner)
         parts.append(nl + "}")
+    elif isinstance(o, _Rendered):
+        parts.append(o.render(nl))
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+class _Rendered:
+    """A report value whose JSON text is ``render(nl)``, for nl the newline
+    and indentation of the line the value starts on."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
+
+
+_GAP = _Rendered(lambda nl: "\0")  # a gap in a template: encoded strings escape "\0"
+
+
+def _template(o, nl: str) -> tuple[str, ...]:
+    """The text of o at nl, split at its gaps."""
+    parts: list = []
+    _encode(o, parts, nl)
+    return tuple("".join(parts).split("\0"))
+
+
+@functools.lru_cache(maxsize=256)
+def _list_template(n: int, nl: str) -> tuple[str, ...]:
+    return _template([_GAP] * n, nl)
+
+
+@functools.lru_cache(maxsize=256)
+def _stratum_template(pattern: iso.SupportPattern, realizable, nl: str) -> tuple[str, ...]:
+    """A census entry of this pattern and verdict, with gaps for its
+    isotropy group and witness point."""
+    probe = iso.StratumReport(pattern, iso.IsotropyGroup(0, ()), realizable, None).to_json()
+    return _template({**probe, "isotropy": _GAP, "witness_point": _GAP}, nl)
+
+
+@functools.lru_cache(maxsize=256)
+def _group_text(group: iso.IsotropyGroup, nl: str) -> str:
+    return _template(group.to_json(), nl)[0]
+
+
+def _census_text(census: list, nl: str) -> str:
+    """``census_to_json(census)`` as encoded text, from cached templates."""
+    inner = nl + "  "
+    value_nl = inner + "  "
+    template = _list_template(len(census), nl)
+    parts: list = []
+    for piece, r in zip(template, census):
+        head, middle, tail = _stratum_template(r.pattern, r.realizable, inner)
+        parts += (piece, head, _group_text(r.isotropy, value_nl), middle)
+        _encode(r.witness_point, parts, value_nl)
+        parts.append(tail)
+    parts.append(template[-1])
+    return "".join(parts)
+
+
+@functools.lru_cache(maxsize=8)
+def _certificate_template(nl: str):
+    """A certificate's text at nl split at its values, and a getter of their
+    fields in that order, read from a probe whose every field holds its name."""
+    probe = quad.PointCertificate(*[(f.name,) for f in dataclasses.fields(quad.PointCertificate)])
+    fields = [value[0] for _, value in sorted(probe.to_json().items())]
+    return _template(dict.fromkeys(probe.to_json(), _GAP), nl), operator.attrgetter(*fields)
+
+
+def _certificates_text(certificates: list, nl: str) -> str:
+    """``[c.to_json() for c in certificates]`` as encoded text."""
+    inner = nl + "  "
+    value_nl = inner + "  "
+    item_nl = value_nl + "  "
+    template = _list_template(len(certificates), nl)
+    cert_template, values = _certificate_template(inner)
+    parts: list = []
+    for piece, cert in zip(template, certificates):
+        parts.append(piece)
+        for key_text, x in zip(cert_template, values(cert)):
+            parts.append(key_text)
+            if type(x) is not tuple:
+                _encode(x, parts, value_nl)
+            else:  # the spectrum, floats only
+                spectrum = ("," + item_nl).join(map(_float_text, x))
+                parts.append("[" + item_nl + spectrum + value_nl + "]" if x else "[]")
+        parts.append(cert_template[-1])
+    parts.append(template[-1])
+    return "".join(parts)
 
 
 def encode_report(report) -> str:
@@ -204,7 +292,7 @@ def cmd_isotropy(args) -> tuple[dict, bool]:
         "derived": d.to_json(),
         "freeness": verdict.to_json(),
         "classification": iso.Classification.of(verdict.free).value,
-        "census": iso.census_to_json(census),
+        "census": _Rendered(functools.partial(_census_text, census)),
     }
     return results, True
 
@@ -247,7 +335,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
         "samples": args.samples,
         "seed": args.seed,
         "boundedness_residual": bound_residual,
-        "certificates": [cert.to_json() for cert in certificates],
+        "certificates": _Rendered(functools.partial(_certificates_text, certificates)),
         "all_passed": all_passed,
     }
     return results, all_passed

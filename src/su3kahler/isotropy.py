@@ -225,15 +225,17 @@ class StratumReport:
     realizable: bool | None  # None: not determined
     witness: tuple[Fraction, Fraction] | None
 
+    @property
+    def witness_point(self) -> list[str] | None:
+        return None if self.witness is None else [scalar_to_json(x) for x in self.witness]
+
     def to_json(self) -> dict:
         return {
             "I": list(self.pattern.i_set),
             "J": list(self.pattern.j_set),
             "isotropy": self.isotropy.to_json(),
             "realizable": "not determined" if self.realizable is None else self.realizable,
-            "witness_point": None
-            if self.witness is None
-            else [scalar_to_json(self.witness[0]), scalar_to_json(self.witness[1])],
+            "witness_point": self.witness_point,
         }
 
 

@@ -362,9 +362,9 @@ def check_level_set_conditions(d: DerivedConeData) -> LevelSetConditions:
     regular:  A_i, B_j linearly independent for all i != j;
     compact:  C outside cone(A_1,A_2,A_3) and cone(B_1,B_2,B_3), all six
               generators nonzero, and the cone of all six has an apex.
-    In the plane a cone of three generators is the union of the cones of
-    their pairs, so each outside test is :func:`~su3kahler.conegeom.cone_member`
-    on the pairs (1,2), (1,3) and (2,3).
+    With an apex and A_j + B_j = C, C is in cone(A) iff it is in cone(B), and
+    the pointed cone(A) is cone(A_1,A_2) | cone(A_1,A_3) (proof in the README),
+    so two :func:`~su3kahler.conegeom.cone_member` calls decide compactness.
     """
     witness = d.mixed_witnesses[0] if d.mixed_witnesses else None
 
@@ -377,8 +377,8 @@ def check_level_set_conditions(d: DerivedConeData) -> LevelSetConditions:
         compact, apex = False, None
     else:
         apex = find_apex_functional(gens)
-        compact = apex is not None and not any(
-            cone_member(d.c, g[i], g[j]) for g in (d.a, d.b) for i, j in ((0, 1), (0, 2), (1, 2))
+        compact = apex is not None and not (
+            cone_member(d.c, d.a[0], d.a[1]) or cone_member(d.c, d.a[0], d.a[2])
         )
     return LevelSetConditions(witness is not None, witness, regular, compact, apex)
 

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from su3kahler import isotropy, quadric
 from su3kahler.cli import main
 
 ORBIFOLD_CONE = '{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'
@@ -53,6 +54,29 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, code, length, digest", GOLDEN)
 def test_readme_example_stdout_is_pinned(capsys, argv, code, length, digest):
+    assert main(list(argv)) == code
+    data = capsys.readouterr().out.encode()
+    assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)
+
+
+RENDERED = [p for p in GOLDEN if p.id in ("isotropy-cone-data", "isotropy-weights", "verify")]
+
+
+@pytest.mark.parametrize("argv, code, length, digest", RENDERED)
+def test_census_and_certificates_skip_their_dict_forms(capsys, monkeypatch, argv, code, length, digest):
+    """The census and the certificates are written from cached templates,
+    not from their dict forms. The templates are read from probes of the
+    dict forms when first used, so a first run builds them; with the dict
+    forms raising, a second run must still give the pinned stdout."""
+    main(list(argv))
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("a dict form was built on the report path")
+
+    monkeypatch.setattr(isotropy, "census_to_json", refuse)
+    monkeypatch.setattr(isotropy.StratumReport, "to_json", refuse)
+    monkeypatch.setattr(quadric.PointCertificate, "to_json", refuse)
     assert main(list(argv)) == code
     data = capsys.readouterr().out.encode()
     assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)

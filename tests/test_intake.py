@@ -127,6 +127,23 @@ def test_zero_denominator_exits_2(command):
     assert report["results"]["error"] == "zero denominator in '1/0'"
 
 
+# json.loads raises a plain ValueError, not JSONDecodeError, for an int
+# literal past the interpreter's 4300-digit conversion limit
+OVERSIZED_INT = '{"A": [[' + "1" * 5000 + ',0],[1,0],[1,0]], "B": [[0,1],[0,1],[0,1]]}'
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_malformed_json_exits_2(command):
+    for config, message in (
+        (OVERSIZED_INT, "malformed JSON: Exceeds the limit (4300 digits)"),
+        ("{not json", "malformed JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ):
+        code, out = run(command, config)
+        report = json.loads(out)
+        assert code == 2 and set(report) == ENVELOPE_KEYS
+        assert report["results"]["error"].startswith(message)
+
+
 def test_generate_rejects_a_weight_system():
     config = '{"wL": [[-1,1],[-1,1],[2,-2]], "wR": [[-4,1],[5,-5],[-1,4]]}'
     code, out = run(("generate",), config)

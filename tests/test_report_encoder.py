@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su3kahler import cli
+from su3kahler import isotropy as iso
+from su3kahler import quadric as quad
 
 ORBIFOLD_CONE = '{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'
 
@@ -101,28 +103,57 @@ def test_unsupported_keys_raise_type_error():
         stdlib({(1, 2): 0})
 
 
-def verify_report():
-    args = cli._parser().parse_args(["verify", "--config", ORBIFOLD_CONE, "--samples", "20"])
-    results, passed = cli.cmd_verify(args)
-    assert passed
-    return cli._report(args.command, cli._config_echo(args), results, passed, 0.0)
+def rendered_report(argv, key, dict_form):
+    """The report of argv as the CLI builds it, with results[key] rendered
+    from templates, and the same report with results[key] replaced by
+    dict_form(args, d), the library's dict form."""
+    args = cli._parser().parse_args(argv)
+    results, passed = cli._COMMANDS[args.command](args)
+    assert passed and isinstance(results[key], cli._Rendered)
+    plain = {**results, key: dict_form(args, cli._problem(args.config)[1])}
+    return [
+        cli._report(args.command, cli._config_echo(args), r, passed, 0.0) for r in (results, plain)
+    ]
+
+
+def verify_reports():
+    def certificates(args, d):
+        tol = quad.Tolerances(residual=args.tol, zero=args.tol_zero, pos=args.tol_pos)
+        points = quad.certification_sample(d, args.samples, args.seed, tol=tol)
+        return [cert.to_json() for cert in quad.certify_points(d, points, tol=tol)]
+
+    argv = ["verify", "--config", ORBIFOLD_CONE, "--samples", "20"]
+    return rendered_report(argv, "certificates", certificates)
+
+
+def isotropy_reports():
+    def census(args, d):
+        return iso.census_to_json(iso.singular_stratum_census(d))
+
+    return rendered_report(["isotropy", "--config", ORBIFOLD_CONE], "census", census)
 
 
 def test_verify_report_bytes_match_stdlib():
-    report = verify_report()
-    assert cli.encode_report(report) == stdlib(report)
+    report, plain = verify_reports()
+    assert cli.encode_report(report) == stdlib(plain)
+
+
+def test_isotropy_report_bytes_match_stdlib():
+    report, plain = isotropy_reports()
+    assert cli.encode_report(report) == stdlib(plain)
 
 
 def test_encoding_leaves_no_reference_cycle():
     """A call frees everything it built by reference counting alone: a
-    self-referencing encoder would keep each report's parts until the next
-    cyclic collection."""
-    report = verify_report()
+    self-referencing encoder or renderer would leave each report's parts
+    to the next cyclic collection."""
+    reports = [verify_reports()[0], isotropy_reports()[0]]
     gc.collect()
     gc.disable()
     try:
         for _ in range(3):
-            cli.encode_report(report)
+            for report in reports:
+                cli.encode_report(report)
         assert gc.collect() == 0
     finally:
         gc.enable()

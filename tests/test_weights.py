@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su3kahler import weights
-from su3kahler.conegeom import INT64_MAX, MembershipStatus, cone_member, in_cone2, vadd, vscale, vsub
+from su3kahler.conegeom import (
+    INT64_MAX,
+    MembershipStatus,
+    cone_member,
+    find_apex_functional,
+    in_cone2,
+    vadd,
+    vscale,
+    vsub,
+)
 from su3kahler.weights import (
     DerivedConeData,
     InterpolationSpec,
@@ -680,6 +689,27 @@ def test_eight_tests_agree_with_twelve_and_with_the_27_memberships(config):
     d = cone_data(a, [vsub(c, v) for v in a])
     holds = check_cone_condition(d).holds
     assert cone_condition_holds(d) == passes(TWELVE_TESTS, (*d.a, *d.b), d.c) == holds
+
+
+def six_call_compactness(d):
+    """The former rule: nonzero generators, an apex, and C outside all six
+    A-pair and B-pair cones."""
+    gens = d.generators()
+    if any(g == (0, 0) for g in gens) or find_apex_functional(gens) is None:
+        return False
+    pairs = ((0, 1), (0, 2), (1, 2))
+    return not any(cone_member(d.c, g[i], g[j]) for g in (d.a, d.b) for i, j in pairs)
+
+
+@given(constant_sum_configurations(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_two_call_compactness_matches_six_calls(config, swap):
+    """cone(A_1, A_2) and cone(A_1, A_3) decide compactness (README lemma),
+    also with the roles of A and B swapped."""
+    a, c = config
+    b = [vsub(c, v) for v in a]
+    d = cone_data(*((b, a) if swap else (a, b)))
+    assert check_level_set_conditions(d).compact == six_call_compactness(d)
 
 
 # Rows (A_1, A_2, A_3, B_1, B_2, B_3, C) with A_j + B_j = C that pass the six
