@@ -33,7 +33,6 @@ from .isotropy import (
     SupportPattern,
     classify_quotient,
     freeness_check,
-    isotropy_at_support,
     singular_stratum_census,
 )
 from .quadric import (
@@ -41,19 +40,15 @@ from .quadric import (
     LevelSetPoint,
     PointCertificate,
     Tolerances,
-    action_orbit_map,
     certification_sample,
     certify_point,
     certify_points,
     embed_su3,
-    equivariance_check,
     moment_map,
     moment_scale,
     project_points,
     project_to_level,
     random_su3,
-    sample_level_point,
-    transverse_frame,
 )
 from .cohomology import (
     BASIC_BETTI,

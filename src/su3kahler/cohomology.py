@@ -28,7 +28,6 @@ scalar field).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,26 +204,6 @@ class GradedAlgebra:
                     if s:
                         out[k] = out[k] + c1 * c2 * s
         return tuple(out)
-
-    def check_multiplication(self) -> None:
-        """Exhaustive unit, commutativity and associativity checks."""
-        if self.basis.get(0, ()) == ():
-            raise ValueError("missing unit degree")
-        elems = [(d, i) for d in self.degrees for i in range(self.dim(d))]
-        for (d1, i1), (d2, i2) in itertools.product(elems, repeat=2):
-            left = self.mul_basis(d1, i1, d2, i2)
-            right = self.mul_basis(d2, i2, d1, i1)
-            if left != right:  # all nonzero degrees here are even
-                raise ValueError(f"commutativity fails at {(d1, i1, d2, i2)}")
-        for (d1, i1), (d2, i2), (d3, i3) in itertools.product(elems, repeat=3):
-            e3 = [Fraction(1) if k == i3 else Fraction(0) for k in range(self.dim(d3))]
-            ab = self.mul_basis(d1, i1, d2, i2)
-            bc = self.mul_basis(d2, i2, d3, i3)
-            left = self.mul_class(d1 + d2, ab, d3, e3)
-            e1 = [Fraction(1) if k == i1 else Fraction(0) for k in range(self.dim(d1))]
-            right = self.mul_class(d1, e1, d2 + d3, bc)
-            if tuple(left) != tuple(right):
-                raise ValueError(f"associativity fails at {(d1, i1, d2, i2, d3, i3)}")
 
 
 def basic_model() -> GradedAlgebra:

@@ -24,7 +24,6 @@ from .conegeom import (
     cross,
     invariant_factors_from_divisors,
     scalar_to_json,
-    smith_invariant_factors,
 )
 from .weights import (
     _MIXED_PAIRS,
@@ -39,7 +38,6 @@ __all__ = [
     "IsotropyGroup",
     "FreenessVerdict",
     "Classification",
-    "isotropy_at_support",
     "freeness_check",
     "classify_quotient",
     "StratumReport",
@@ -128,17 +126,6 @@ def _group_from_divisors(d1: int, d12: int) -> IsotropyGroup:
     """The (immutable, shared) group of rows with determinantal divisors
     d1 and d12 = d1*d2."""
     return IsotropyGroup(*invariant_factors_from_divisors(d1, d12))
-
-
-def isotropy_at_support(d: DerivedConeData, pattern: SupportPattern) -> IsotropyGroup:
-    """Stabilizer of any point whose supports are exactly the given pattern.
-
-    The kernel of t -> (t^{E_1}, ..., t^{E_k}) for the stacked exponent
-    rows E is Z/d1 x Z/d2 when the rows have rank 2 with invariant factors
-    (d1, d2); otherwise a subtorus survives.
-    """
-    gens = _integer_generators(d)
-    return IsotropyGroup(*smith_invariant_factors([gens[r] for r in _pattern_rows(pattern)]))
 
 
 class Classification(enum.Enum):

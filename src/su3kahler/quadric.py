@@ -43,26 +43,18 @@ __all__ = [
     "ROUND_DATA",
     "Tolerances",
     "LevelSetPoint",
-    "level_point",
     "check_special_unitary",
     "random_su3",
     "embed_su3",
     "moment_map",
-    "sample_level_point",
     "project_to_level",
     "project_points",
     "moment_scale",
-    "action_orbit_map",
-    "equivariance_check",
-    "transverse_frame",
     "PointCertificate",
     "certify_point",
     "certify_points",
     "certification_sample",
     "constraint_values",
-    "constraint_jacobian",
-    "omega_matrix",
-    "ambient_complex_structure",
 ]
 
 # Cone data of the round level set {sum |z|^2 = 1, sum |w|^2 = 1}.
@@ -77,11 +69,11 @@ class Tolerances:
     zero: float = 1e-8           # |eigenvalue| treated as 0 in spectra
     pos: float = 1e-6            # smallest positive eigenvalue vs largest
     rank_rel: float = 1e-9       # singular value cutoff vs largest
-    operator: float = 1e-8       # operator identity errors
 
 
 _NONZERO_FLOOR = 1e-8  # max |z_j|, |w_j| must exceed this on the quadric
 _SU3_TOL = 1e-9        # unitarity and determinant error of an embedded matrix
+_OPERATOR_TOL = 1e-8   # operator identity errors of a passing certificate
 _SAMPLE_NOISE = 1e-2   # scale of the perturbations certification_sample projects
 
 
@@ -202,22 +194,15 @@ def _first_error(results: list) -> list:
     return results
 
 
-def level_point(
-    d: DerivedConeData, z, w, tol: Tolerances = Tolerances()
-) -> LevelSetPoint:
-    """Validated construction: both factors nonzero, both residuals small."""
-    z = np.asarray(z, dtype=complex).reshape(1, 3)
-    w = np.asarray(w, dtype=complex).reshape(1, 3)
-    return _first_error(_level_points(_weight_arrays(d), z, w, tol))[0]
-
-
 def check_special_unitary(a: np.ndarray) -> None:
     a = np.asarray(a, dtype=complex)
     if a.shape != (3, 3):
         raise ValueError("a 3x3 matrix is required")
+    if not np.all(np.isfinite(a)):  # before det, which warns on NaN
+        raise ValueError(f"not special unitary within {_SU3_TOL}: non-finite entries")
     err = np.linalg.norm(a.conj().T @ a - np.eye(3))
     det_err = abs(np.linalg.det(a) - 1.0)
-    if not (err <= _SU3_TOL and det_err <= _SU3_TOL):  # NaN fails too
+    if not (err <= _SU3_TOL and det_err <= _SU3_TOL):
         raise ValueError(f"not special unitary within {_SU3_TOL}: unitarity {err}, det {det_err}")
 
 
@@ -249,29 +234,10 @@ def embed_su3(a: np.ndarray) -> LevelSetPoint:
     """
     check_special_unitary(a)
     a = np.asarray(a, dtype=complex)
-    z = a[:, 0].copy()
-    w = np.conj(a[:, 2])
-    return level_point(ROUND_DATA, z, w, Tolerances(residual=_SU3_TOL))
-
-
-def equivariance_check(a: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
-    """Residual between embedding g*A*h^{-1} and acting on the embedding.
-
-    The action on coordinates multiplies z_k by g_k * h_1^{-1} and w_k by
-    g_k^{-1} * h_3, for unit-modulus determinant-one diagonals g, h.
-    """
-    g = np.asarray(g, dtype=complex).reshape(3)
-    h = np.asarray(h, dtype=complex).reshape(3)
-    for diag in (g, h):
-        if not (np.max(np.abs(np.abs(diag) - 1)) <= 1e-9 and abs(np.prod(diag) - 1) <= 1e-9):
-            raise ValueError("torus elements must be unit-modulus with product 1")
-    moved = embed_su3(np.diag(g) @ np.asarray(a, dtype=complex) @ np.diag(1 / h))
-    base = embed_su3(a)
-    z_expected = g * h[0].conjugate() * base.z
-    w_expected = (1 / g) * h[2] * base.w
-    return float(
-        np.linalg.norm(moved.z - z_expected) + np.linalg.norm(moved.w - w_expected)
-    )
+    z = a[:, 0].copy().reshape(1, 3)
+    w = np.conj(a[:, 2]).reshape(1, 3)
+    tol = Tolerances(residual=_SU3_TOL)
+    return _first_error(_level_points(_weight_arrays(ROUND_DATA), z, w, tol))[0]
 
 
 def _single_support(i: int, j: int, ab) -> tuple[np.ndarray, np.ndarray]:
@@ -281,23 +247,6 @@ def _single_support(i: int, j: int, ab) -> tuple[np.ndarray, np.ndarray]:
     z[i - 1] = np.sqrt(float(a))
     w[j - 1] = np.sqrt(float(b))
     return z, w
-
-
-def sample_level_point(d: DerivedConeData, i: int, j: int) -> LevelSetPoint:
-    """The exact level-set point supported on z_i and w_j (1-based, i != j).
-
-    Requires C = a*A_i + b*B_j with a, b > 0; then z_i = sqrt(a),
-    w_j = sqrt(b) satisfies both constraints with one term each.
-    """
-    if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
-        raise ValueError("indices must be distinct elements of {1, 2, 3}")
-    ab = next(((a, b) for i2, j2, a, b in d.mixed_witnesses if (i2, j2) == (i, j)), None)
-    if ab is None:
-        raise ValueError(
-            f"C admits no positive combination of A_{i} and B_{j}; "
-            "the support pattern is not realizable"
-        )
-    return level_point(d, *_single_support(i, j, ab))
 
 
 # --- real-coordinate plumbing -------------------------------------------
@@ -324,20 +273,6 @@ def _t(a: np.ndarray) -> np.ndarray:
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Stacked matrix-vector product: (..., m, k) @ (..., k) -> (..., m)."""
     return (a @ v[..., None])[..., 0]
-
-
-def omega_matrix() -> np.ndarray:
-    """Gram matrix of omega in real coordinates: omega(u, v) = u^T O v."""
-    out = np.zeros((12, 12))
-    for m in range(6):
-        out[2 * m, 2 * m + 1] = -1.0
-        out[2 * m + 1, 2 * m] = 1.0
-    return out
-
-
-def ambient_complex_structure() -> np.ndarray:
-    """Multiplication by i in real coordinates."""
-    return omega_matrix()  # same block structure: (re, im) -> (-im, re)
 
 
 def _constraints(fd: _FloatData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -369,11 +304,6 @@ def _jacobian(fd: _FloatData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
 def constraint_values(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """F = (Re sum z_j w_j, Im sum z_j w_j, Phi - C) in R^4."""
     return _constraints(_weight_arrays(d), np.asarray(z), np.asarray(w))
-
-
-def constraint_jacobian(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """4 x 12 real Jacobian of :func:`constraint_values`."""
-    return _jacobian(_weight_arrays(d), np.asarray(z), np.asarray(w))
 
 
 _PINV_RCOND = 1e-15  # np.linalg.pinv's default cutoff, relative to the largest singular value
@@ -418,7 +348,9 @@ def project_points(
     already within ``tol`` is returned unchanged, and a row's path does not
     depend on the rest of the stack. ``tol`` is relative: F is taken on the
     cone data divided by :func:`moment_scale`. Converged points are accepted
-    against ``tolerances`` as in :func:`level_point`. Raises the error of
+    against ``tolerances``: both factors nonzero, the quadric residual
+    |sum z_j w_j| at most ``tolerances.residual`` and the moment residual
+    |Phi - C| at most that times the moment scale. Raises the error of
     the lowest-index row that starts with or collapses to a zero factor,
     stalls, or misses the level set.
     """
@@ -467,46 +399,19 @@ def project_to_level(
     return project_points(d, z0, w0, tol, max_iter, tolerances)[0]
 
 
-def action_orbit_map(d: DerivedConeData, p, angles) -> LevelSetPoint:
-    """Rotate by the torus element with the given two angles.
-
-    z_j picks up the phase exp(i <A_j, theta>) and w_j the phase
-    exp(i <B_j, theta>); both constraints are preserved because the phases
-    drop from moduli and A_j + B_j is independent of j.
-    """
-    z, w = _as_zw(p)
-    t1, t2 = float(angles[0]), float(angles[1])
-    fd = _weight_arrays(d)
-    z_new = z * np.exp(1j * (fd.af * t1 + fd.ag * t2))
-    w_new = w * np.exp(1j * (fd.bf * t1 + fd.bg * t2))
-    return level_point(d, z_new, w_new)
-
-
-def _frame(fd: _FloatData, z: np.ndarray, w: np.ndarray, bc):
-    x6 = np.concatenate([1j * fd.af * z, 1j * fd.bf * w], axis=-1)
-    y6 = np.concatenate([1j * fd.ag * z, 1j * fd.bg * w], axis=-1)
-    if bc is not None:
-        bc = np.asarray(bc, dtype=float)
-        if bc.shape != (2, 2) or not np.all(np.isfinite(bc)) or not abs(np.linalg.det(bc)) >= 1e-12:
-            raise ValueError("bc must be an invertible 2x2 real matrix")
-        x6, y6 = bc[0, 0] * x6 + bc[1, 0] * y6, bc[0, 1] * x6 + bc[1, 1] * y6
-    z6 = x6 + 1j * y6
-    w6 = 1j * x6 - y6
-    return x6, y6, z6, w6
-
-
-def transverse_frame(d: DerivedConeData, p, bc: np.ndarray | None = None):
+def _frame(fd: _FloatData, z: np.ndarray, w: np.ndarray):
     """Orbit fields X, Y and the transverse frame Z = X + JY, W = JX - Y.
 
     X and Y are the closed-form rotation fields of the two moment-map
     components: the z_j component of X is i * A_j[0] * z_j, of Y is
-    i * A_j[1] * z_j, and likewise with B_j on w. An invertible 2x2 basis
-    change mixes (X, Y) -> (X, Y) @ bc before the frame is formed. W = J Z
-    holds exactly, and the induced structure on the level set rotates
-    X -> Y -> -X.
+    i * A_j[1] * z_j, and likewise with B_j on w. W = J Z holds exactly,
+    and the induced structure on the level set rotates X -> Y -> -X.
     """
-    z, w = _as_zw(p)
-    return _frame(_weight_arrays(d), z, w, bc)
+    x6 = np.concatenate([1j * fd.af * z, 1j * fd.bf * w], axis=-1)
+    y6 = np.concatenate([1j * fd.ag * z, 1j * fd.bg * w], axis=-1)
+    z6 = x6 + 1j * y6
+    w6 = 1j * x6 - y6
+    return x6, y6, z6, w6
 
 
 @dataclass
@@ -543,14 +448,15 @@ class PointCertificate:
         }
 
 
-_OMEGA12 = omega_matrix()
-_J12 = ambient_complex_structure()
+# Multiplication by i in real coordinates, (re, im) -> (-im, re). The Gram
+# matrix of omega, omega(u, v) = u^T _OMEGA12 v, has the same blocks.
+_J12 = np.kron(np.eye(6, dtype=int), [[0, -1], [1, 0]]).astype(float)
+_OMEGA12 = _J12
 
 
 def certify_points(
     d: DerivedConeData,
     points,
-    bc: np.ndarray | None = None,
     tol: Tolerances = Tolerances(),
 ) -> list[PointCertificate]:
     """Run every pointwise check of the transverse Kahler construction.
@@ -597,7 +503,7 @@ def certify_points(
         return certs
     qt, nt = vt[idx, 4:], vt[idx, :4]  # m x 8 x 12 tangent rows, m x 4 x 12 normal rows
 
-    x6, y6, z6, w6 = _frame(fd, z[idx], w[idx], bc)
+    x6, y6, z6, w6 = _frame(fd, z[idx], w[idx])
     zw = np.stack([_c2r(z6), _c2r(w6)], axis=-1)  # m x 12 x 2
     qzw, nb = qt @ zw, nt @ zw
     small = np.zeros((len(idx), 6, 4))  # [[I2, R], [0, Nb]] with Q^T [Z W] = P R
@@ -644,9 +550,9 @@ def certify_points(
     zero_count = np.sum(np.abs(spectrum) <= tol.zero, axis=1)
     pos_count = np.sum(spectrum >= tol.pos * spectrum[:, -1:], axis=1)
     passed = (
-        (jn_square_error <= tol.operator)
-        & (jn_xy_error <= tol.operator)
-        & (omega_compat_error <= tol.operator)
+        (jn_square_error <= _OPERATOR_TOL)
+        & (jn_xy_error <= _OPERATOR_TOL)
+        & (omega_compat_error <= _OPERATOR_TOL)
         & (zero_count == 2)
         & (pos_count == 6)
     )
@@ -668,11 +574,10 @@ def certify_points(
 def certify_point(
     d: DerivedConeData,
     p: LevelSetPoint,
-    bc: np.ndarray | None = None,
     tol: Tolerances = Tolerances(),
 ) -> PointCertificate:
     """:func:`certify_points` for one point."""
-    return certify_points(d, [p], bc, tol)[0]
+    return certify_points(d, [p], tol)[0]
 
 
 def certification_sample(

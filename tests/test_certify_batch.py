@@ -11,6 +11,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import (
+    J12,
+    OMEGA12,
+    basis_change,
+    c2r,
+    constraint_jacobian,
+    seed_point,
+    transverse_frame,
+)
 
 from su3kahler import quadric
 from su3kahler.cli import main
@@ -19,30 +28,18 @@ from su3kahler.quadric import (
     LevelSetPoint,
     PointCertificate,
     Tolerances,
-    ambient_complex_structure,
     certification_sample,
     certify_point,
     certify_points,
-    constraint_jacobian,
     constraint_values,
-    level_point,
     moment_scale,
-    omega_matrix,
     project_points,
     project_to_level,
-    sample_level_point,
-    transverse_frame,
 )
 from su3kahler.weights import cone_data, derive
 
 
-def _c2r(v6):
-    out = np.empty(12)
-    out[0::2], out[1::2] = v6.real, v6.imag
-    return out
-
-
-def reference_certify(d, p, bc=None, tol=Tolerances()):
+def reference_certify(d, p, tol=Tolerances()):
     jac = constraint_jacobian(d, p.z, p.w)
     _, s, vt = np.linalg.svd(jac)
     smax = s[0] if s[0] > 0 else 1.0
@@ -50,21 +47,21 @@ def reference_certify(d, p, bc=None, tol=Tolerances()):
     if jac_rank < 4:
         return PointCertificate(False, False, jac_rank, 0, np.inf, np.inf, np.inf, (), False)
     q = vt[4:].T
-    x6, y6, z6, w6 = transverse_frame(d, p, bc)
-    xr, yr = _c2r(x6), _c2r(y6)
-    span = np.column_stack([q, _c2r(z6), _c2r(w6)])
+    x6, y6, z6, w6 = transverse_frame(d, p)
+    xr, yr = c2r(x6), c2r(y6)
+    span = np.column_stack([q, c2r(z6), c2r(w6)])
     s2 = np.linalg.svd(span, compute_uv=False)
     combined_rank = int(np.sum(s2 > tol.rank_rel * s2[0]))
     if combined_rank != 10:
         return PointCertificate(
             True, False, jac_rank, combined_rank, np.inf, np.inf, np.inf, (), False
         )
-    coords, *_ = np.linalg.lstsq(span, ambient_complex_structure() @ q, rcond=None)
+    coords, *_ = np.linalg.lstsq(span, J12 @ q, rcond=None)
     k = coords[:8, :]
     jn_square_error = float(np.linalg.norm(k @ k + np.eye(8), 2))
     xi, eta = q.T @ xr, q.T @ yr
     jn_xy_error = float(np.linalg.norm(q @ (k @ xi) - yr) + np.linalg.norm(q @ (k @ eta) + xr))
-    omega_n = q.T @ omega_matrix() @ q
+    omega_n = q.T @ OMEGA12 @ q
     omega_compat_error = float(np.linalg.norm(k.T @ omega_n @ k - omega_n, 2))
     qform = k.T @ omega_n
     spectrum = np.linalg.eigvalsh(0.5 * (qform + qform.T))
@@ -73,9 +70,9 @@ def reference_certify(d, p, bc=None, tol=Tolerances()):
         and int(np.sum(spectrum >= tol.pos * spectrum[-1])) == 6
     )
     passed = (
-        jn_square_error <= tol.operator
-        and jn_xy_error <= tol.operator
-        and omega_compat_error <= tol.operator
+        jn_square_error <= quadric._OPERATOR_TOL
+        and jn_xy_error <= quadric._OPERATOR_TOL
+        and omega_compat_error <= quadric._OPERATOR_TOL
         and spectrum_ok
     )
     return PointCertificate(
@@ -145,16 +142,15 @@ def test_batch_matches_reference_on_samples(name, orbifold_data):
 
 
 def test_batch_matches_reference_under_basis_change(orbifold_data):
+    """The cone data in another rational torus basis cut out the same level
+    set, so the orbifold sample certifies against the moved data."""
     points = certification_sample(orbifold_data, 30, 1)
-    rng = np.random.default_rng(8)
-    for _ in range(3):
-        bc = rng.standard_normal((2, 2))
-        while abs(np.linalg.det(bc)) < 0.3:
-            bc = rng.standard_normal((2, 2))
-        assert_same_certificates(
-            certify_points(orbifold_data, points, bc=bc),
-            [reference_certify(orbifold_data, p, bc=bc) for p in points],
-        )
+    f = Fraction
+    for m in (((f(1, 2), 3), (1, f(-2, 3))), ((f(7, 3), f(1, 5)), (f(-1, 4), 1)), ((2, 1), (1, 1))):
+        d = basis_change(m, orbifold_data)
+        certs = certify_points(d, points)
+        assert_same_certificates(certs, [reference_certify(d, p) for p in points])
+        assert all(c.passed for c in certs)
 
 
 def test_mixed_batch_with_irregular_and_non_transversal_points():
@@ -178,7 +174,7 @@ def test_mixed_batch_with_irregular_and_non_transversal_points():
 
 def test_dependent_fields_data_in_a_batch():
     d = cone_data([(1, 0)] * 3, [(1, 0)] * 3)
-    points = [level_point(d, [1, 0, 0], [0, 1, 0]), level_point(d, [0, 1, 0], [0, 0, 1])]
+    points = project_points(d, [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]])
     assert_same_certificates(certify_points(d, points), [reference_certify(d, p) for p in points])
     assert not any(c.regular for c in certify_points(d, points))
 
@@ -252,7 +248,7 @@ def test_certify_path_keeps_its_factorization_budget(monkeypatch, orbifold_data)
 
 
 def test_single_point_is_a_batch_of_one(orbifold_data):
-    p = sample_level_point(orbifold_data, 2, 3)
+    p = seed_point(orbifold_data, 2, 3)
     assert certify_point(orbifold_data, p) == certify_points(orbifold_data, [p])[0]
 
 
@@ -295,7 +291,7 @@ def _first_sequential_error(d, z0, w0, **kwargs):
 @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (2, 0, 1)])
 def test_project_points_raises_the_first_sequential_error(order, orbifold_data):
     """Row kinds: converged at once, no convergence within one step, zero start."""
-    exact = sample_level_point(orbifold_data, 1, 2)
+    exact = seed_point(orbifold_data, 1, 2)
     zs = [exact.z, exact.z + 0.05, np.zeros(3)]
     ws = [exact.w, exact.w + 0.05, exact.w]
     z0 = np.array([zs[k] for k in order])
@@ -323,10 +319,12 @@ def test_moment_residual_is_accepted_relative_to_the_moment_scale(orbifold_data)
     for scale in (1, 10**6):
         d = cone_data([(scale * x, scale * y) for x, y in orbifold_data.a],
                       [(scale * x, scale * y) for x, y in orbifold_data.b])
-        p = level_point(d, z, w, Tolerances(residual=1e-11))
+        # a stopping residual of 1e-11 keeps the start
+        p = project_to_level(d, z, w, tol=1e-11, tolerances=Tolerances(residual=1e-11))
+        assert np.array_equal(p.w, w)
         assert p.residuals[0] == 0 and abs(p.residuals[1] - 2e-12 * scale) <= 1e-15 * scale
         with pytest.raises(ValueError, match="misses the level set"):
-            level_point(d, z, w, Tolerances(residual=1e-13))
+            project_to_level(d, z, w, tol=1e-11, tolerances=Tolerances(residual=1e-13))
 
 
 def test_projection_rejects_a_point_missing_the_acceptance_tolerance(orbifold_data):

@@ -55,8 +55,29 @@ def test_basic_dimensions():
     assert sum(alg.dim(k) for k in range(7)) == 6  # order of the symmetry group
 
 
+def check_multiplication(alg):
+    """Exhaustive unit, commutativity and associativity checks."""
+    if alg.basis.get(0, ()) == ():
+        raise ValueError("missing unit degree")
+    elems = [(d, i) for d in alg.degrees for i in range(alg.dim(d))]
+    for (d1, i1), (d2, i2) in itertools.product(elems, repeat=2):
+        left = alg.mul_basis(d1, i1, d2, i2)
+        right = alg.mul_basis(d2, i2, d1, i1)
+        if left != right:  # all nonzero degrees here are even
+            raise ValueError(f"commutativity fails at {(d1, i1, d2, i2)}")
+    for (d1, i1), (d2, i2), (d3, i3) in itertools.product(elems, repeat=3):
+        e3 = [Fraction(1) if k == i3 else Fraction(0) for k in range(alg.dim(d3))]
+        ab = alg.mul_basis(d1, i1, d2, i2)
+        bc = alg.mul_basis(d2, i2, d3, i3)
+        left = alg.mul_class(d1 + d2, ab, d3, e3)
+        e1 = [Fraction(1) if k == i1 else Fraction(0) for k in range(alg.dim(d1))]
+        right = alg.mul_class(d1, e1, d2 + d3, bc)
+        if tuple(left) != tuple(right):
+            raise ValueError(f"associativity fails at {(d1, i1, d2, i2, d3, i3)}")
+
+
 def test_basic_multiplication_laws():
-    basic_model().check_multiplication()
+    check_multiplication(basic_model())
 
 
 def test_basic_table_against_polynomial_oracle():

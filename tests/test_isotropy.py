@@ -17,7 +17,6 @@ from su3kahler.isotropy import (
     census_to_json,
     classify_quotient,
     freeness_check,
-    isotropy_at_support,
     singular_stratum_census,
 )
 from su3kahler.weights import (
@@ -68,6 +67,11 @@ def test_pattern_validation():
 
 
 # --- isotropy at supports ----------------------------------------------------
+
+
+def isotropy_at_support(d, pattern):
+    """The census's isotropy group of one support pattern."""
+    return next(r.isotropy for r in singular_stratum_census(d) if r.pattern == pattern)
 
 
 def test_orbifold_singleton_strata(orbifold_data):
@@ -149,14 +153,14 @@ def test_float_and_bool_cone_data_are_not_integer(d):
 def test_isotropy_matches_torsion_oracle_on_bound1(bound1_systems):
     for ws in bound1_systems:
         d = derive(ws)
-        for i in range(1, 4):
-            for j in range(1, 4):
-                if i == j:
-                    continue
-                group = isotropy_at_support(d, SupportPattern((i,), (j,)))
-                if group.is_finite and group.order <= 12:
-                    rows = [d.a[i - 1], d.b[j - 1]]
-                    check_group_against_oracle(rows, group)
+        for report in singular_stratum_census(d):
+            if not report.pattern.is_singleton:
+                continue
+            (i,), (j,) = report.pattern.i_set, report.pattern.j_set
+            group = report.isotropy
+            if group.is_finite and group.order <= 12:
+                rows = [d.a[i - 1], d.b[j - 1]]
+                check_group_against_oracle(rows, group)
 
 
 # --- freeness ---------------------------------------------------------------

@@ -16,8 +16,10 @@ import io
 import itertools
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from conftest import basis_change
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,13 +58,6 @@ IDENTITY = (0, 1, 2)
 
 def matmul(m, n):
     return tuple(tuple(sum(m[r][k] * n[k][c] for k in range(2)) for c in range(2)) for r in range(2))
-
-
-def basis_change(m, d):
-    def apply(v):
-        return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
-    return DerivedConeData(tuple(map(apply, d.a)), tuple(map(apply, d.b)), apply(d.c))
 
 
 def relabel(perm, d):
@@ -140,8 +135,15 @@ def test_exact_layer_is_invariant_under_basis_change_relabelling_and_rescaling(d
         assert det == abs(cross(d.a[perm[i - 1]], d.b[perm[j - 1]])) != 1
 
 
-# One GL2(Z) basis change of each determinant sign, a 3-cycle and a swap.
-BASIS_CHANGES = (((2, 1), (1, 1)), ((1, 2), (0, -1)))
+# One GL2(Z) basis change of each determinant sign, two rational GL2(Q)
+# ones, a 3-cycle and a swap. A rational basis change is no lattice map, but
+# the level set and its certificates only see the real plane.
+BASIS_CHANGES = (
+    ((2, 1), (1, 1)),
+    ((1, 2), (0, -1)),
+    ((Fraction(1, 2), 3), (1, Fraction(-2, 3))),
+    ((Fraction(7, 3), Fraction(1, 5)), (Fraction(-1, 4), 1)),
+)
 RELABELLINGS = ((1, 2, 0), (1, 0, 2))
 # All generators on one line: every Jacobian has rank 3, so no point passes.
 COLLINEAR = cone_data([(1, 0), (2, 0), (3, 0)], [(3, 0), (2, 0), (1, 0)])

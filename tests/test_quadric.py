@@ -1,31 +1,37 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from conftest import (
+    J12,
+    OMEGA12,
+    basis_change,
+    constraint_jacobian,
+    equivariance_residual,
+    seed_point,
+    transverse_frame,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su3kahler import quadric
+from su3kahler.isotropy import SupportPattern, singular_stratum_census
 from su3kahler.quadric import (
     ROUND_DATA,
+    LevelSetPoint,
     Tolerances,
-    action_orbit_map,
-    ambient_complex_structure,
     certification_sample,
     certify_point,
     certify_points,
     check_special_unitary,
-    constraint_jacobian,
     constraint_values,
     embed_su3,
-    equivariance_check,
-    level_point,
     moment_map,
     moment_scale,
-    omega_matrix,
     project_points,
     project_to_level,
     random_su3,
-    sample_level_point,
-    transverse_frame,
 )
 from su3kahler.weights import check_level_set_conditions, cone_data, derive
 
@@ -56,25 +62,19 @@ def test_embed_rejects_non_unitary():
 
 
 NAN = float("nan")
-INF = float("inf")
 
 
 @pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda d, p: check_special_unitary(np.full((3, 3), NAN)), "not special unitary"),
-        (lambda d, p: embed_su3(np.full((3, 3), NAN)), "not special unitary"),
-        (lambda d, p: equivariance_check(np.eye(3), (NAN, 1, 1), (1, 1, 1)), "torus elements"),
-        (lambda d, p: equivariance_check(np.eye(3), (1, 1, 1), (1, INF, 1)), "torus elements"),
-        (lambda d, p: certify_points(d, [p], bc=[[NAN, 0], [0, 1]]), "bc must be"),
-        (lambda d, p: transverse_frame(d, p, bc=[[INF, 0], [0, 1]]), "bc must be"),
-    ],
-    ids=["special_unitary", "embed", "torus_g", "torus_h", "certify_bc", "frame_bc"],
+    "call",
+    [check_special_unitary, embed_su3],
+    ids=["special_unitary", "embed"],
 )
-def test_non_finite_input_raises_the_documented_error(orbifold_data, call, message):
-    p = sample_level_point(orbifold_data, 1, 2)
-    with pytest.raises(ValueError, match=message):
-        call(orbifold_data, p)
+def test_non_finite_input_raises_the_documented_error(call):
+    """Rejected before any factorization: numpy warns on nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not special unitary"):
+            call(np.full((3, 3), NAN))
 
 
 def test_embed_random_residuals():
@@ -95,9 +95,9 @@ def test_random_su3_contract():
 
 def test_equivariance_identity_and_closed_form():
     a = random_su3(3)
-    assert equivariance_check(a, np.ones(3), np.ones(3)) == 0.0
+    assert equivariance_residual(a, np.ones(3), np.ones(3)) == 0.0
     g = np.array([1j, 1j, -1])
-    assert equivariance_check(np.eye(3), g, np.ones(3)) <= 1e-15
+    assert equivariance_residual(np.eye(3), g, np.ones(3)) <= 1e-15
 
 
 def test_equivariance_random():
@@ -106,56 +106,70 @@ def test_equivariance_random():
         th = rng.uniform(0, 2 * np.pi, size=(2, 2))
         g = np.exp(1j * np.array([th[0, 0], th[0, 1], -th[0].sum()]))
         h = np.exp(1j * np.array([th[1, 0], th[1, 1], -th[1].sum()]))
-        assert equivariance_check(random_su3(100 + k), g, h) <= 1e-12
+        assert equivariance_residual(random_su3(100 + k), g, h) <= 1e-12
 
 
 # --- moment map and sampling ----------------------------------------------------
 
 
 def test_moment_worked_example_point(orbifold_data):
-    p = sample_level_point(orbifold_data, 1, 2)
+    p = seed_point(orbifold_data, 1, 2)
     assert np.allclose(p.z, [1, 0, 0]) and np.allclose(p.w, [0, 1, 0])
     assert np.allclose(moment_map(orbifold_data, p), [1, 1])
 
 
 def test_sample_point_31(orbifold_data):
-    p = sample_level_point(orbifold_data, 3, 1)
+    p = seed_point(orbifold_data, 3, 1)
     assert np.allclose(p.z, [0, 0, np.sqrt(0.5)])
     assert np.allclose(p.w, [np.sqrt(1.5), 0, 0])
     assert np.allclose(moment_map(orbifold_data, p), [1, 1])
 
 
+def _support(p):
+    return tuple(np.flatnonzero(p.z) + 1), tuple(np.flatnonzero(p.w) + 1)
+
+
 def test_sample_point_rejects_equal_indices(orbifold_data):
-    with pytest.raises(ValueError):
-        sample_level_point(orbifold_data, 1, 1)
+    """sum z_j w_j = 0 leaves no point supported on z_i and w_i alone: every
+    seed of a sample is supported on one z_i and one w_j with i != j."""
+    m = len(orbifold_data.mixed_witnesses)
+    supports = [_support(p) for p in certification_sample(orbifold_data, m, 0)]
+    assert supports == [((i,), (j,)) for i, j, _, _ in orbifold_data.mixed_witnesses]
+    assert all(i != j for (i,), (j,) in supports)
 
 
 def test_sample_point_rejects_unrealizable():
     # C = (1, 1) needs a negative coefficient on B_2 = (0, -1)
     d = cone_data([(1, 0), (1, 2), (1, 0)], [(0, 1), (0, -1), (0, 1)])
-    with pytest.raises(ValueError):
-        sample_level_point(d, 1, 2)
+    m = len(d.mixed_witnesses)
+    supports = {_support(p) for p in certification_sample(d, m, 0)}
+    assert ((1,), (2,)) not in supports and len(supports) == m
+    census = {r.pattern: r.realizable for r in singular_stratum_census(d)}
+    assert census[SupportPattern((1,), (2,))] is False
 
 
 def test_level_point_validation(orbifold_data):
-    with pytest.raises(ValueError):
-        level_point(orbifold_data, [0, 0, 0], [0, 1, 0])
-    with pytest.raises(ValueError):
-        level_point(orbifold_data, [1, 0, 0], [0, 1.1, 0])  # misses the level set
+    """Every returned point passes the acceptance rule: nonzero factors
+    and small residuals."""
+    with pytest.raises(ValueError, match="nonzero"):
+        project_to_level(orbifold_data, [0, 0, 0], [0, 1, 0])
+    with pytest.raises(ValueError, match="misses the level set"):
+        # a stopping residual of 1 keeps the start, which misses the level set
+        project_to_level(orbifold_data, [1, 0, 0], [0, 1.1, 0], tol=1.0)
 
 
 # --- projection ------------------------------------------------------------------
 
 
 def test_project_fixed_point(orbifold_data):
-    p = sample_level_point(orbifold_data, 1, 2)
+    p = seed_point(orbifold_data, 1, 2)
     q = project_to_level(orbifold_data, p.z, p.w)
     assert np.array_equal(q.z, p.z) and np.array_equal(q.w, p.w)
 
 
 def test_project_converges_quadratically(orbifold_data):
     rng = np.random.default_rng(11)
-    p = sample_level_point(orbifold_data, 1, 2)
+    p = seed_point(orbifold_data, 1, 2)
     dz = 1e-2 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
     dw = 1e-2 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
     q = project_to_level(orbifold_data, p.z + dz, p.w + dw, tol=1e-12, max_iter=8)
@@ -170,24 +184,38 @@ def test_project_rejects_zero_factor(orbifold_data):
 # --- torus action ------------------------------------------------------------------
 
 
+def torus_action(d, p, angles):
+    """Rotate by the torus element with the given two angles.
+
+    z_j picks up the phase exp(i <A_j, theta>) and w_j the phase
+    exp(i <B_j, theta>); both constraints are preserved because the phases
+    drop from moduli and A_j + B_j is independent of j.
+    """
+    theta = np.asarray(angles, dtype=float)
+    z = p.z * np.exp(1j * (np.array(d.a, dtype=float) @ theta))
+    w = p.w * np.exp(1j * (np.array(d.b, dtype=float) @ theta))
+    residuals = (abs(np.sum(z * w)), np.linalg.norm(moment_map(d, (z, w)) - np.array(d.c, dtype=float)))
+    return LevelSetPoint(z, w, residuals)
+
+
 def test_action_identity(orbifold_data):
-    p = sample_level_point(orbifold_data, 1, 2)
-    q = action_orbit_map(orbifold_data, p, (0.0, 0.0))
+    p = seed_point(orbifold_data, 1, 2)
+    q = torus_action(orbifold_data, p, (0.0, 0.0))
     assert np.array_equal(q.z, p.z) and np.array_equal(q.w, p.w)
 
 
 def test_action_order_two_element_fixes_stratum(orbifold_data):
     # the Z/2 stabilizer of the (3, 1) stratum contains t = (-1, 1)
-    p = sample_level_point(orbifold_data, 3, 1)
-    q = action_orbit_map(orbifold_data, p, (np.pi, 0.0))
+    p = seed_point(orbifold_data, 3, 1)
+    q = torus_action(orbifold_data, p, (np.pi, 0.0))
     assert np.linalg.norm(q.z - p.z) + np.linalg.norm(q.w - p.w) <= 1e-13
 
 
 def test_action_preserves_level_set(orbifold_data):
     rng = np.random.default_rng(2)
-    p = sample_level_point(orbifold_data, 2, 3)
+    p = seed_point(orbifold_data, 2, 3)
     for _ in range(10):
-        p = action_orbit_map(orbifold_data, p, rng.uniform(0, 2 * np.pi, 2))
+        p = torus_action(orbifold_data, p, rng.uniform(0, 2 * np.pi, 2))
         assert max(p.residuals) <= 1e-13
 
 
@@ -198,15 +226,15 @@ def test_omega_orientation():
     rng = np.random.default_rng(0)
     u = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     assert abs(omega_form(1j * u, u) - np.linalg.norm(u) ** 2) <= 1e-12
-    omega12 = omega_matrix()
     ur = np.empty(12)
     ur[0::2], ur[1::2] = u.real, u.imag
-    ju = ambient_complex_structure() @ ur
-    assert abs(ju @ omega12 @ ur - np.linalg.norm(u) ** 2) <= 1e-12
+    for omega12, j12 in ((OMEGA12, J12), (quadric._OMEGA12, quadric._J12)):
+        assert abs((j12 @ ur) @ omega12 @ ur - np.linalg.norm(u) ** 2) <= 1e-12
+    assert np.array_equal(quadric._J12, J12) and np.array_equal(quadric._OMEGA12, OMEGA12)
 
 
 def test_frame_components_worked_example(orbifold_data):
-    p = sample_level_point(orbifold_data, 1, 2)
+    p = seed_point(orbifold_data, 1, 2)
     x6, y6, z6, w6 = transverse_frame(orbifold_data, p)
     assert np.allclose(x6[:3], [1j, 0, 0]) and np.allclose(x6[3:], 0)
     assert np.allclose(y6[:3], 0) and np.allclose(y6[3:], [0, 1j, 0])
@@ -214,17 +242,12 @@ def test_frame_components_worked_example(orbifold_data):
 
 
 def test_frame_scales_linearly(orbifold_data):
-    p = sample_level_point(orbifold_data, 1, 2)
+    """The frame is linear in the weights: the torus basis 2 * I doubles it."""
+    p = seed_point(orbifold_data, 1, 2)
     base = transverse_frame(orbifold_data, p)
-    doubled = transverse_frame(orbifold_data, p, 2 * np.eye(2))
+    doubled = transverse_frame(basis_change(((2, 0), (0, 2)), orbifold_data), p)
     for u, v in zip(base, doubled):
         assert np.allclose(v, 2 * u)
-
-
-def test_frame_rejects_singular_bc(orbifold_data):
-    p = sample_level_point(orbifold_data, 1, 2)
-    with pytest.raises(ValueError):
-        transverse_frame(orbifold_data, p, np.zeros((2, 2)))
 
 
 def test_hamiltonian_pairing_convention(orbifold_data):
@@ -242,9 +265,8 @@ def test_hamiltonian_pairing_convention(orbifold_data):
     xr[0::2], xr[1::2] = x6.real, x6.imag
     yr = np.empty(12)
     yr[0::2], yr[1::2] = y6.real, y6.imag
-    omega12 = omega_matrix()
-    assert np.linalg.norm(xr @ omega12 - 0.5 * jac[2]) <= 1e-12
-    assert np.linalg.norm(yr @ omega12 - 0.5 * jac[3]) <= 1e-12
+    assert np.linalg.norm(xr @ OMEGA12 - 0.5 * jac[2]) <= 1e-12
+    assert np.linalg.norm(yr @ OMEGA12 - 0.5 * jac[3]) <= 1e-12
 
 
 def test_constraint_jacobian_matches_finite_differences(orbifold_data):
@@ -274,7 +296,7 @@ def test_constraint_jacobian_matches_finite_differences(orbifold_data):
 
 
 def test_certificate_worked_example(orbifold_data):
-    p = sample_level_point(orbifold_data, 1, 2)
+    p = seed_point(orbifold_data, 1, 2)
     cert = certify_point(orbifold_data, p)
     assert cert.regular and cert.jacobian_rank == 4
     assert cert.transversal and cert.combined_rank == 10
@@ -288,13 +310,15 @@ def test_certificate_worked_example(orbifold_data):
 
 
 def test_certificate_passes_under_basis_change(orbifold_data):
-    p = sample_level_point(orbifold_data, 2, 3)
+    """A rational change of torus basis M moves the cone data to M A_j, M B_j,
+    M C and keeps the level set, so the same point certifies."""
+    p = seed_point(orbifold_data, 2, 3)
     rng = np.random.default_rng(4)
     for _ in range(5):
-        bc = rng.standard_normal((2, 2))
-        while abs(np.linalg.det(bc)) < 0.3:
-            bc = rng.standard_normal((2, 2))
-        cert = certify_point(orbifold_data, p, bc=bc)
+        m = [[Fraction(int(x), 4) for x in row] for row in rng.integers(-8, 9, (2, 2))]
+        while abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) < Fraction(1, 3):
+            m = [[Fraction(int(x), 4) for x in row] for row in rng.integers(-8, 9, (2, 2))]
+        cert = certify_point(basis_change(m, orbifold_data), p)
         assert cert.passed
         spectrum = np.array(cert.positivity_spectrum)
         assert np.sum(np.abs(spectrum) <= 1e-8) == 2
@@ -303,7 +327,7 @@ def test_certificate_passes_under_basis_change(orbifold_data):
 def test_certificate_detects_dependent_fields():
     # A_1 = B_2: the two orbit fields degenerate on the (1, 2) stratum
     d = cone_data([(1, 0)] * 3, [(1, 0)] * 3)
-    p = level_point(d, [1, 0, 0], [0, 1, 0])
+    p = project_to_level(d, [1, 0, 0], [0, 1, 0])
     cert = certify_point(d, p)
     assert not cert.regular and not cert.passed
 
@@ -357,11 +381,16 @@ def _sample_data(name, orbifold_data, bound2_systems):
 
 @pytest.mark.parametrize("name", ["orbifold", "round", "bound2"])
 def test_certification_sample_provenance_is_bitwise(name, orbifold_data, bound2_systems):
-    """Seeds come from sample_level_point, perturbed points are projections
+    """Seeds are the exact single-support points z_i = sqrt(a), w_j = sqrt(b)
+    of the mixed witnesses (i, j, a, b), perturbed points are projections
     of a seed plus a row of the first child's draw, and embedded points
     are drawn from the second child, all bit for bit."""
     d = _sample_data(name, orbifold_data, bound2_systems)
-    seeds = [sample_level_point(d, i, j) for i, j, _, _ in d.mixed_witnesses]
+    seeds = []
+    for i, j, a, b in d.mixed_witnesses:
+        z, w = np.zeros(3, dtype=complex), np.zeros(3, dtype=complex)
+        z[i - 1], w[j - 1] = np.sqrt(float(a)), np.sqrt(float(b))
+        seeds.append(LevelSetPoint(z, w, (0.0, 0.0)))
     m = len(seeds)
     for n in sorted({3, m, 20, 40}):
         points = certification_sample(d, n, 11)

@@ -213,7 +213,7 @@ def test_mixed_witnesses_is_not_a_field(orbifold_data):
 
 def test_mixed_witnesses_computed_once_for_every_reader(monkeypatch, orbifold_data):
     from su3kahler.isotropy import singular_stratum_census
-    from su3kahler.quadric import certification_sample, sample_level_point
+    from su3kahler.quadric import certification_sample
 
     calls = []
 
@@ -226,7 +226,6 @@ def test_mixed_witnesses_computed_once_for_every_reader(monkeypatch, orbifold_da
     level = check_level_set_conditions(d)
     census = singular_stratum_census(d)
     certification_sample(d, 5, 0)
-    sample_level_point(d, 3, 1)
     assert len(calls) == 6  # the six mixed pairs i != j, once
     assert level.nonempty_witness == (1, 2, F(1), F(1))
     singletons = {(r.pattern.i_set[0], r.pattern.j_set[0]): r.witness for r in census if r.pattern.is_singleton}
