@@ -5,8 +5,10 @@ stratum census), verify (numerical point certificates), generate (weights
 from cone data), enumerate (search weight systems), cohomology (tables).
 
 Reports are JSON on stdout. Exit codes: 0 all checks pass, 1 a
-mathematical check fails, 2 input or usage error. Reports are byte-stable
-across reruns; measured wall time is only emitted with --timing.
+mathematical check fails or stdout was closed early (a broken pipe, as
+in ``su3kahler enumerate --bound 3 | head``: the rest of the output is
+dropped without a traceback), 2 input or usage error. Reports are
+byte-stable across reruns; measured wall time is only emitted with --timing.
 """
 
 from __future__ import annotations
@@ -14,12 +16,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +33,16 @@ from . import cohomology as coh
 from . import isotropy as iso
 from . import quadric as quad
 from . import weights as wt
-from .conegeom import _scalar, scalar_to_json
+from .conegeom import ConeMembership, MembershipStatus, _scalar, scalar_to_json
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# Ceilings of the counts a command allocates for, checked before anything
+# is allocated.
+MAX_SAMPLES = 10**5
+MAX_INTERP_STEPS = 10**4
 
 
 class InputError(Exception):
@@ -153,7 +163,25 @@ class _Rendered:
         self.render = render
 
 
+def _rendered(text, *args) -> _Rendered:
+    """The report value written by ``text(*args, nl)``."""
+    return _Rendered(functools.partial(text, *args))
+
+
 _GAP = _Rendered(lambda nl: "\0")  # a gap in a template: encoded strings escape "\0"
+_STRING_GAP = _Rendered(lambda nl: '"\0"')  # a gap for the characters of a string
+
+
+def _gaps(o):
+    """o with a gap in place of each leaf, a string gap for a str; None (an
+    absent value) stays."""
+    if isinstance(o, str):
+        return _STRING_GAP
+    if isinstance(o, (list, tuple)):
+        return [_gaps(x) for x in o]
+    if isinstance(o, dict):
+        return {k: _gaps(v) for k, v in o.items()}
+    return None if o is None else _GAP
 
 
 def _template(o, nl: str) -> tuple[str, ...]:
@@ -163,37 +191,171 @@ def _template(o, nl: str) -> tuple[str, ...]:
     return tuple("".join(parts).split("\0"))
 
 
+def _fill(pieces: tuple[str, ...], values) -> str:
+    """A template's text with the values' str() in its gaps, in order. A
+    value is a JSON text, an int (not a bool), whose str() is the encoder's
+    text of it, or, in a string gap, an int or a Fraction, whose str() is
+    ``scalar_to_json`` of it: digits, "-" and "/", which need no escape."""
+    parts: list = [None] * (2 * len(pieces) - 1)
+    parts[::2] = pieces
+    parts[1::2] = map(str, values)
+    return "".join(parts)
+
+
 @functools.lru_cache(maxsize=256)
 def _list_template(n: int, nl: str) -> tuple[str, ...]:
     return _template([_GAP] * n, nl)
 
 
-@functools.lru_cache(maxsize=256)
-def _stratum_template(pattern: iso.SupportPattern, realizable, nl: str) -> tuple[str, ...]:
-    """A census entry of this pattern and verdict, with gaps for its
-    isotropy group and witness point."""
-    probe = iso.StratumReport(pattern, iso.IsotropyGroup(0, ()), realizable, None).to_json()
-    return _template({**probe, "isotropy": _GAP, "witness_point": _GAP}, nl)
+@functools.lru_cache(maxsize=8)
+def _weights_template(nl: str) -> tuple[str, ...]:
+    zero = ((0, 0),) * 3
+    return _template(_gaps(wt.WeightSystem(zero, zero).to_json()), nl)
 
 
-@functools.lru_cache(maxsize=256)
-def _group_text(group: iso.IsotropyGroup, nl: str) -> str:
-    return _template(group.to_json(), nl)[0]
+def _weights_text(ws: wt.WeightSystem, nl: str) -> str:
+    """``ws.to_json()`` as encoded text."""
+    return _fill(_weights_template(nl), itertools.chain(*ws.wl, *ws.wr))
+
+
+@functools.lru_cache(maxsize=8)
+def _derived_template(nl: str) -> tuple[str, ...]:
+    zero = ((0, 0),) * 3
+    return _template(_gaps(wt.DerivedConeData(zero, zero, (0, 0)).to_json()), nl)
+
+
+def _derived_text(d: wt.DerivedConeData, nl: str) -> str:
+    """``d.to_json()`` as encoded text."""
+    return _fill(_derived_template(nl), itertools.chain(*d.a, *d.b, d.c))
+
+
+@functools.lru_cache(maxsize=64)
+def _level_set_template(nonempty, regular, compact, witness: bool, apex: bool, nl: str):
+    """A level-set block of these verdicts, with gaps for the entries of
+    the apex functional and the witness (when present), in key order."""
+    probe = wt.LevelSetConditions(
+        nonempty, (1, 1, 0, 0) if witness else None, regular, compact, (0, 0) if apex else None
+    ).to_json()
+    keys = ("apex_functional", "nonempty_witness")
+    return _template({**probe, **{k: _gaps(probe[k]) for k in keys}}, nl)
+
+
+def _level_set_text(ls: wt.LevelSetConditions, nl: str) -> str:
+    """``ls.to_json()`` as encoded text."""
+    witness, apex = ls.nonempty_witness, ls.apex_functional
+    values = [] if apex is None else [*apex]
+    if witness is not None:
+        i, j, a, b = witness
+        values += (a, b, i, j)  # in key order
+    pieces = _level_set_template(
+        ls.nonempty, ls.regular, ls.compact, witness is not None, apex is not None, nl
+    )
+    return _fill(pieces, values)
+
+
+@functools.lru_cache(maxsize=512)
+def _condition_template(pair_keys, shapes, holds, nl: str):
+    """A condition report whose tables have these pair keys and whose
+    memberships, in table order, have these (status value, coefficients
+    absent) shapes: its text split at its gaps, and what fills each gap in
+    text order, a membership's index (its coefficients) or None (the
+    level-set block). The order is read off a probe whose k-th membership
+    has the coefficients (k, 0)."""
+    shape = iter(enumerate(shapes))
+    tables = []
+    for keys in pair_keys:
+        table = {}
+        for ij in keys:
+            k, (status, absent) = next(shape)
+            table[ij] = ConeMembership(MembershipStatus(status), None if absent else (k, 0))
+        tables.append(table)
+    level_set = wt.LevelSetConditions(False, None, False, False, None)
+    form = wt.ConditionReport(holds, *tables, level_set).to_json()
+    order: list = []
+    for key, value in sorted(form.items()):
+        if key == "level_set":
+            form[key] = _GAP
+            order.append(None)
+        elif isinstance(value, dict):  # a table, its entries in the encoder's order
+            for entry in map(value.get, sorted(value)):
+                if "coefficients" in entry:
+                    order.append(int(entry["coefficients"][0]))
+                    entry["coefficients"] = _gaps(entry["coefficients"])
+    return _template(form, nl), tuple(order)
+
+
+def _condition_text(report: wt.ConditionReport, nl: str) -> str:
+    """``report.to_json()`` as encoded text."""
+    tables = (report.a_pairs, report.b_pairs, report.mixed_pairs)
+    memberships = [m for table in tables for m in table.values()]
+    shapes = tuple([(m.status._value_, m.coefficients is None) for m in memberships])
+    pieces, order = _condition_template(tuple(map(tuple, tables)), shapes, report.holds, nl)
+    values: list = []
+    for k in order:
+        if k is None:
+            values.append(_level_set_text(report.level_set, nl + "  "))
+        else:
+            values += memberships[k].coefficients
+    return _fill(pieces, values)
+
+
+def _interpolation_json(spec: wt.InterpolationSpec, ok: bool) -> dict:
+    """The interpolation block of a ``check`` report."""
+    return {
+        "base_coefficients": [scalar_to_json(spec.a), scalar_to_json(spec.b)],
+        "times": [scalar_to_json(t) for t in spec.times],
+        "ok": ok,
+    }
+
+
+@functools.lru_cache(maxsize=8)
+def _interpolation_template(steps: int, ok: bool, nl: str) -> tuple[str, ...]:
+    """The interpolation block at the default times of ``steps``, with gaps
+    for the base coefficients."""
+    probe = wt.InterpolationSpec(1, 1, wt.default_interpolation_times(steps))
+    form = _interpolation_json(probe, ok)
+    return _template({**form, "base_coefficients": _gaps(form["base_coefficients"])}, nl)
+
+
+def _interpolation_text(spec: wt.InterpolationSpec, ok: bool, steps: int, nl: str) -> str:
+    """``_interpolation_json(spec, ok)`` as encoded text, for spec.times the
+    default times of ``steps``."""
+    return _fill(_interpolation_template(steps, ok, nl), (spec.a, spec.b))
+
+
+@functools.lru_cache(maxsize=64)
+def _census_template(shapes, nl: str) -> tuple[str, ...]:
+    """A census whose entries, in list order, have these (I, J, verdict,
+    group rank, number of factors, witness absent) shapes, with gaps for
+    each group's numbers and each witness point's entries."""
+    entries = []
+    for i_set, j_set, realizable, rank, n_factors, absent in shapes:
+        group = iso.IsotropyGroup(rank, (1,) * n_factors)
+        probe = iso.StratumReport(
+            iso.SupportPattern(i_set, j_set), group, realizable, None if absent else (0, 0)
+        ).to_json()
+        group_form = probe["isotropy"]
+        isotropy = {**_gaps(group_form), "kind": group_form["kind"]}
+        entries.append({**probe, "isotropy": isotropy, "witness_point": _gaps(probe["witness_point"])})
+    return _template(entries, nl)
 
 
 def _census_text(census: list, nl: str) -> str:
-    """``census_to_json(census)`` as encoded text, from cached templates."""
-    inner = nl + "  "
-    value_nl = inner + "  "
-    template = _list_template(len(census), nl)
-    parts: list = []
-    for piece, r in zip(template, census):
-        head, middle, tail = _stratum_template(r.pattern, r.realizable, inner)
-        parts += (piece, head, _group_text(r.isotropy, value_nl), middle)
-        _encode(r.witness_point, parts, value_nl)
-        parts.append(tail)
-    parts.append(template[-1])
-    return "".join(parts)
+    """``census_to_json(census)`` as encoded text, from one cached template
+    per sequence of entry shapes."""
+    shapes, values = [], []
+    for r in census:
+        pattern, group, witness = r.pattern, r.isotropy, r.witness
+        rank, factors = group.rank, group.factors
+        shapes.append((pattern.i_set, pattern.j_set, r.realizable, rank, len(factors), witness is None))
+        if rank == 2:  # finite: keys factors, kind, order
+            values += factors
+            values.append(prod(factors))  # IsotropyGroup.order
+        else:
+            values.append(2 - rank)  # IsotropyGroup.rank_deficit
+        if witness is not None:
+            values += witness
+    return _fill(_census_template(tuple(shapes), nl), values)
 
 
 @functools.lru_cache(maxsize=8)
@@ -258,23 +420,21 @@ def _monomial(v) -> str:
 def cmd_check(args) -> tuple[dict, bool]:
     if args.interp_steps < 1:
         raise InputError("--interp-steps must be >= 1")
+    if args.interp_steps > MAX_INTERP_STEPS:
+        raise InputError(f"--interp-steps must be <= {MAX_INTERP_STEPS}")
     ws, d = _problem(args.config)
     report = wt.check_cone_condition(d)
     results = {
-        "weights": None if ws is None else ws.to_json(),
-        "derived": d.to_json(),
-        "condition": report.to_json(),
+        "weights": None if ws is None else _rendered(_weights_text, ws),
+        "derived": _rendered(_derived_text, d),
+        "condition": _rendered(_condition_text, report),
         "interpolation": None,
     }
     passed = report.holds
     if report.holds:
         spec = wt.interpolation_spec(d, wt.default_interpolation_times(args.interp_steps))
         ok = wt.check_interpolation_path(d, spec)
-        results["interpolation"] = {
-            "base_coefficients": [scalar_to_json(spec.a), scalar_to_json(spec.b)],
-            "times": [scalar_to_json(t) for t in spec.times],
-            "ok": ok,
-        }
+        results["interpolation"] = _rendered(_interpolation_text, spec, ok, args.interp_steps)
         passed = passed and ok
     return results, passed
 
@@ -288,11 +448,11 @@ def cmd_isotropy(args) -> tuple[dict, bool]:
     verdict = iso.freeness_check(d, ws)
     census = iso.singular_stratum_census(d)
     results = {
-        "weights": None if ws is None else ws.to_json(),
-        "derived": d.to_json(),
+        "weights": None if ws is None else _rendered(_weights_text, ws),
+        "derived": _rendered(_derived_text, d),
         "freeness": verdict.to_json(),
         "classification": iso.Classification.of(verdict.free).value,
-        "census": _Rendered(functools.partial(_census_text, census)),
+        "census": _rendered(_census_text, census),
     }
     return results, True
 
@@ -300,6 +460,8 @@ def cmd_isotropy(args) -> tuple[dict, bool]:
 def cmd_verify(args) -> tuple[dict, bool]:
     if args.samples < 1:
         raise InputError("--samples must be >= 1")
+    if args.samples > MAX_SAMPLES:
+        raise InputError(f"--samples must be <= {MAX_SAMPLES}")
     if args.seed < 0:
         raise InputError("--seed must be >= 0")
     for flag, value in (("--tol", args.tol), ("--tol-zero", args.tol_zero), ("--tol-pos", args.tol_pos)):
@@ -330,12 +492,12 @@ def cmd_verify(args) -> tuple[dict, bool]:
         if bound_residual > 1e-10 * scale:
             all_passed = False
     results = {
-        "weights": None if ws is None else ws.to_json(),
+        "weights": None if ws is None else _rendered(_weights_text, ws),
         "cone_condition": condition_ok,
         "samples": args.samples,
         "seed": args.seed,
         "boundedness_residual": bound_residual,
-        "certificates": _Rendered(functools.partial(_certificates_text, certificates)),
+        "certificates": _rendered(_certificates_text, certificates),
         "all_passed": all_passed,
     }
     return results, all_passed
@@ -353,6 +515,45 @@ def cmd_generate(args) -> tuple[dict, bool]:
     return results, True
 
 
+class _RowTexts(dict):
+    """The JSON text of each weight-grid row as a side of a stream line,
+    made on first use."""
+
+    def __missing__(self, row):
+        text = self[row] = json.dumps([list(v) for v in row])
+        return text
+
+
+@functools.lru_cache(maxsize=2)
+def _row_texts(bound: int) -> _RowTexts:
+    return _RowTexts()
+
+
+@functools.lru_cache(maxsize=2)
+def _line_template(free: bool) -> tuple[str, ...]:
+    """A stream line of a system with this verdict, split where its wL and
+    wR texts go."""
+    zero = ((0, 0),) * 3
+    line = dict.fromkeys(wt.WeightSystem(zero, zero).to_json(), "\0")
+    line.update(free=free, classification=iso.Classification.of(free).value)
+    return tuple(json.dumps(line, sort_keys=True).split(json.dumps("\0")))
+
+
+def _stream_blocks(systems, texts: _RowTexts):
+    """For each wL block of the stream: the text of its lines, its system
+    count and its free count. A system's line is ``json.dumps(line,
+    sort_keys=True)`` and a newline, for line its ``to_json()`` with its
+    ``free`` verdict and classification added."""
+    templates = [_line_template(free) for free in (False, True)]
+    end = templates[0][-1] + "\n"
+    for wl, block in itertools.groupby(systems, operator.attrgetter("wl")):
+        wl_text = texts[wl]
+        starts = [head + wl_text + middle for head, middle, _ in templates]  # by verdict
+        block = list(block)
+        lines = [starts[ws.free] + texts[ws.wr] for ws in block]
+        yield end.join(lines) + end, len(block), sum(ws.free for ws in block)
+
+
 def cmd_enumerate(args) -> tuple[dict, bool]:
     try:
         systems = wt.enumerate_admissible_systems(args.bound)
@@ -360,13 +561,11 @@ def cmd_enumerate(args) -> tuple[dict, bool]:
         raise InputError(str(exc)) from exc
     count = 0
     free_count = 0
-    for ws in systems:
-        count += 1
-        free_count += ws.free
-        line = ws.to_json()
-        line["free"] = ws.free
-        line["classification"] = iso.Classification.of(ws.free).value
-        sys.stdout.write(json.dumps(line, sort_keys=True) + "\n")
+    write = sys.stdout.write
+    for text, n, n_free in _stream_blocks(systems, _row_texts(args.bound)):
+        write(text)
+        count += n
+        free_count += n_free
     results = {"bound": args.bound, "count": count, "free_count": free_count}
     return results, True
 
@@ -479,6 +678,20 @@ def _config_echo(args) -> dict:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout (as `su3kahler enumerate ... | head` does):
+        # point stdout at devnull so the flush at exit is quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
+    return code
+
+
+def _run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import su3kahler
+from su3kahler import cli
 from su3kahler.cli import main
 
 ORBIFOLD_CONFIG = '{"wL": [[-1,1],[-1,1],[2,-2]], "wR": [[-4,1],[5,-5],[-1,4]]}'
@@ -141,6 +147,32 @@ def test_verify_zero_samples_exits_2(capsys):
     assert code == 2
 
 
+def test_counts_above_their_ceilings_exit_2_before_reading_the_config(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("read the config despite a count above its ceiling")
+
+    monkeypatch.setattr(cli, "_problem", refuse)
+    for flag, ceiling in (("--samples", cli.MAX_SAMPLES), ("--interp-steps", cli.MAX_INTERP_STEPS)):
+        command = "verify" if flag == "--samples" else "check"
+        code, out = run(capsys, command, "--config", ORBIFOLD_CONFIG, flag, str(ceiling + 1))
+        report = json.loads(out)
+        assert code == 2 and not report["pass"]
+        assert report["results"] == {"error": f"{flag} must be <= {ceiling}"}
+
+
+def test_counts_at_their_ceilings_are_accepted(capsys):
+    steps = cli.MAX_INTERP_STEPS
+    code, out = run(capsys, "check", "--config", ORBIFOLD_CONFIG, "--interp-steps", str(steps))
+    interpolation = json.loads(out)["results"]["interpolation"]
+    assert code == 0 and interpolation["ok"]
+    assert interpolation["times"][:2] == ["0", f"1/{steps}"] and len(interpolation["times"]) == steps + 1
+    # C = 0 is no positive combination of independent A_i and B_j = -A_j:
+    # no seed point, so the count passes its gate and sampling fails at once
+    no_seed = '{"A": [[1,0],[0,1],[-1,-1]], "B": [[-1,0],[0,-1],[1,1]]}'
+    code, out = run(capsys, "verify", "--config", no_seed, "--samples", str(cli.MAX_SAMPLES))
+    assert code == 1 and json.loads(out)["results"]["error"].startswith("sampling failed: ")
+
+
 def test_verify_without_condition_exits_1(capsys):
     code, out = run(capsys, "verify", "--config", ZERO_CONFIG, "--samples", "4")
     assert code == 1
@@ -194,6 +226,23 @@ def test_enumerate_deterministic_output(capsys):
     _, out1 = run(capsys, "enumerate", "--bound", "1")
     _, out2 = run(capsys, "enumerate", "--bound", "1")
     assert out1 == out2
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closes the pipe early (`su3kahler enumerate | head -1`)
+    ends the command with exit 1 and no traceback. Bound 2 writes 336753
+    bytes, more than a pipe buffers, so the writer meets the closed pipe."""
+    src = str(Path(su3kahler.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "su3kahler.cli", "enumerate", "--bound", "2"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first.startswith(b'{"classification": ') and first.endswith(b"}\n")
+    assert b"Traceback" not in stderr, stderr.decode()
 
 
 def test_enumerate_negative_bound_exits_2(capsys):

@@ -6,8 +6,9 @@ import hashlib
 
 import pytest
 
-from su3kahler import isotropy, quadric
+from su3kahler import isotropy, quadric, weights
 from su3kahler.cli import main
+from su3kahler.conegeom import ConeMembership
 
 ORBIFOLD_CONE = '{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'
 ORBIFOLD_WEIGHTS = '{"wL": [[-1,1],[-1,1],[2,-2]], "wR": [[-4,1],[5,-5],[-1,4]]}'
@@ -36,6 +37,9 @@ GOLDEN = [
     pytest.param(  # the first bound whose stream has orbifold lines
         ("enumerate", "--bound", "2"), 0, 336753, "e40be11f930d43260cc72e485acb17c1", id="enumerate-bound2"
     ),
+    pytest.param(  # 64656 lines
+        ("enumerate", "--bound", "3"), 0, 7669127, "4be4665400e3c3c0a2130b0c9d069b80", id="enumerate-bound3"
+    ),
     pytest.param(("cohomology",), 0, 1033, "7f11e965d630b87dcbd2502b909bb884", id="cohomology-generic"),
     pytest.param(
         ("cohomology", "--branch", "degenerate"), 0, 1047, "e1c1bd5085bb1abf94cf322196c115fb",
@@ -59,24 +63,36 @@ def test_readme_example_stdout_is_pinned(capsys, argv, code, length, digest):
     assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)
 
 
-RENDERED = [p for p in GOLDEN if p.id in ("isotropy-cone-data", "isotropy-weights", "verify")]
+RENDERED = [p for p in GOLDEN if p.id in ("check", "isotropy-cone-data", "isotropy-weights", "verify")]
+
+DICT_FORMS = (
+    (isotropy, "census_to_json"),
+    (isotropy.StratumReport, "to_json"),
+    (quadric.PointCertificate, "to_json"),
+    (weights.ConditionReport, "to_json"),
+    (weights.LevelSetConditions, "to_json"),
+    (ConeMembership, "to_json"),
+    (weights.WeightSystem, "to_json"),
+    (weights.DerivedConeData, "to_json"),
+)
 
 
 @pytest.mark.parametrize("argv, code, length, digest", RENDERED)
 def test_census_and_certificates_skip_their_dict_forms(capsys, monkeypatch, argv, code, length, digest):
-    """The census and the certificates are written from cached templates,
-    not from their dict forms. The templates are read from probes of the
-    dict forms when first used, so a first run builds them; with the dict
-    forms raising, a second run must still give the pinned stdout."""
+    """The census, the certificates, the condition report with its
+    level-set block, and the weights and derived blocks are written from
+    cached templates, not from their dict forms. The templates are read
+    from probes of the dict forms when first used, so a first run builds
+    them; with the dict forms raising, a second run must still give the
+    pinned stdout."""
     main(list(argv))
     capsys.readouterr()
 
     def refuse(*args):
         raise AssertionError("a dict form was built on the report path")
 
-    monkeypatch.setattr(isotropy, "census_to_json", refuse)
-    monkeypatch.setattr(isotropy.StratumReport, "to_json", refuse)
-    monkeypatch.setattr(quadric.PointCertificate, "to_json", refuse)
+    for owner, name in DICT_FORMS:
+        monkeypatch.setattr(owner, name, refuse)
     assert main(list(argv)) == code
     data = capsys.readouterr().out.encode()
     assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)

@@ -1,9 +1,13 @@
-"""The census and certificate lists that ``isotropy`` and ``verify`` write
-from cached templates, against the encoder's walk of their dict forms
-(``census_to_json`` and ``PointCertificate.to_json``), at several starting
-indents."""
+"""The report parts that ``check``, ``isotropy``, ``verify`` and
+``enumerate`` write from cached templates, against the encoder's walk of
+their dict forms (``census_to_json``, ``PointCertificate.to_json``,
+``ConditionReport.to_json``, ``LevelSetConditions.to_json``, the
+interpolation block, ``WeightSystem.to_json`` and ``DerivedConeData.to_json``)
+at several starting indents, and the stream lines against ``json.dumps``."""
 
 import functools
+import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 
 from su3kahler import cli
 from su3kahler.isotropy import (
+    Classification,
     IsotropyGroup,
     StratumReport,
     SupportPattern,
@@ -19,7 +24,13 @@ from su3kahler.isotropy import (
     singular_stratum_census,
 )
 from su3kahler.quadric import PointCertificate
-from su3kahler.weights import cone_data
+from su3kahler.weights import (
+    InterpolationSpec,
+    WeightSystem,
+    check_cone_condition,
+    cone_data,
+    default_interpolation_times,
+)
 
 indents = st.integers(0, 5).map(lambda k: "\n" + "  " * k)
 
@@ -129,3 +140,89 @@ def test_rendered_values_encode_inside_a_report(certs, census):
     }
     plain = {"certificates": [c.to_json() for c in certs], "census": [census_to_json(census)]}
     assert cli.encode_report(rendered) == cli.encode_report(plain)
+
+
+rationals = st.one_of(small, st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))
+
+
+@st.composite
+def rational_cone_data(draw):
+    """Integer or rational A_j and C with B_j = C - A_j, each A_j drawn
+    free or as a multiple of one direction (parallel for a positive
+    multiple, antiparallel for a negative one, zero for 0)."""
+    scalars = draw(st.sampled_from((small, rationals)))
+    vec = st.tuples(scalars, scalars)
+    c, direction = draw(vec), draw(vec)
+    multiples = st.builds(lambda t: (t * direction[0], t * direction[1]), scalars)
+    a = draw(st.lists(st.one_of(vec, multiples), min_size=3, max_size=3))
+    return cone_data(a, [(c[0] - x, c[1] - y) for x, y in a])
+
+
+@given(rational_cone_data(), indents)
+@settings(max_examples=300, deadline=None)
+def test_condition_report_renders_its_dict_form(d, nl):
+    report = check_cone_condition(d)
+    assert cli._condition_text(report, nl) == walk(report.to_json(), nl)
+    assert cli._level_set_text(report.level_set, nl) == walk(report.level_set.to_json(), nl)
+    assert cli._derived_text(d, nl) == walk(d.to_json(), nl)
+
+
+positive_rationals = st.one_of(
+    st.fractions(min_value=0, max_value=50, max_denominator=20).filter(bool),
+    st.builds(Fraction, st.integers(1, 10 * big), st.integers(1, big)),
+)
+
+
+@given(positive_rationals, positive_rationals, st.integers(1, 50), st.booleans(), indents)
+@settings(max_examples=150, deadline=None)
+def test_interpolation_block_renders_its_dict_form(a, b, steps, ok, nl):
+    spec = InterpolationSpec(a, b, default_interpolation_times(steps))
+    assert cli._interpolation_text(spec, ok, steps, nl) == walk(cli._interpolation_json(spec, ok), nl)
+
+
+entries = st.integers(-(10**20), 10**20)
+
+
+@st.composite
+def weight_rows(draw, values=entries):
+    """Three integer vectors summing to zero."""
+    (x1, y1), (x2, y2) = draw(st.tuples(st.tuples(values, values), st.tuples(values, values)))
+    return ((x1, y1), (x2, y2), (-x1 - x2, -y1 - y2))
+
+
+@given(weight_rows(st.one_of(st.integers(-3, 3), entries)), weight_rows(), indents)
+@settings(max_examples=150, deadline=None)
+def test_weights_block_renders_its_dict_form(wl, wr, nl):
+    ws = WeightSystem(wl, wr)
+    assert cli._weights_text(ws, nl) == walk(ws.to_json(), nl)
+
+
+@st.composite
+def streams(draw):
+    """A bound and systems of rows with entries in [-bound, bound], zero
+    and negative ones included, with freeness verdicts, in blocks of
+    consecutive equal wL as the enumeration yields them."""
+    bound = draw(st.integers(1, 4))
+    rows = weight_rows(st.integers(-bound, bound)).filter(
+        lambda row: all(abs(x) <= bound for v in row for x in v)
+    )
+    blocks = draw(st.lists(st.tuples(rows, st.lists(st.tuples(rows, st.booleans()), min_size=1, max_size=5)), max_size=6))
+    systems = [WeightSystem._from_grid(wl, wr, free) for wl, tail in blocks for wr, free in tail]
+    return bound, systems
+
+
+@given(streams())
+@settings(max_examples=150, deadline=None)
+def test_stream_lines_match_json_dumps(stream):
+    bound, systems = stream
+    blocks = list(cli._stream_blocks(iter(systems), cli._row_texts(bound)))
+    expected = [
+        {**ws.to_json(), "free": ws.free, "classification": Classification.of(ws.free).value}
+        for ws in systems
+    ]
+    assert "".join(text for text, _, _ in blocks) == "".join(
+        json.dumps(line, sort_keys=True) + "\n" for line in expected
+    )
+    assert sum(n for _, n, _ in blocks) == len(systems)
+    assert sum(n_free for _, _, n_free in blocks) == sum(ws.free for ws in systems)
+    assert len(blocks) == len([wl for wl, _ in itertools.groupby(ws.wl for ws in systems)])

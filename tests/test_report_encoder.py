@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from su3kahler import cli
 from su3kahler import isotropy as iso
 from su3kahler import quadric as quad
+from su3kahler import weights as wt
 
-ORBIFOLD_CONE = '{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'
+ORBIFOLD_WEIGHTS = '{"wL": [[-1,1],[-1,1],[2,-2]], "wR": [[-4,1],[5,-5],[-1,4]]}'
 
 
 def stdlib(obj) -> str:
@@ -103,34 +104,61 @@ def test_unsupported_keys_raise_type_error():
         stdlib({(1, 2): 0})
 
 
-def rendered_report(argv, key, dict_form):
-    """The report of argv as the CLI builds it, with results[key] rendered
-    from templates, and the same report with results[key] replaced by
-    dict_form(args, d), the library's dict form."""
+def rendered_report(argv, dict_forms):
+    """The report of argv as the CLI builds it, with the values of
+    dict_forms' keys in results rendered from templates, and the same
+    report with each of them replaced by dict_form(args, ws, d), the
+    library's dict form."""
     args = cli._parser().parse_args(argv)
     results, passed = cli._COMMANDS[args.command](args)
-    assert passed and isinstance(results[key], cli._Rendered)
-    plain = {**results, key: dict_form(args, cli._problem(args.config)[1])}
+    assert passed
+    ws, d = cli._problem(args.config)
+    plain = dict(results)
+    for key, dict_form in dict_forms.items():
+        assert isinstance(results[key], cli._Rendered)
+        plain[key] = dict_form(args, ws, d)
     return [
         cli._report(args.command, cli._config_echo(args), r, passed, 0.0) for r in (results, plain)
     ]
 
 
+def weights(args, ws, d):
+    return ws.to_json()
+
+
+def derived(args, ws, d):
+    return d.to_json()
+
+
 def verify_reports():
-    def certificates(args, d):
+    def certificates(args, ws, d):
         tol = quad.Tolerances(residual=args.tol, zero=args.tol_zero, pos=args.tol_pos)
         points = quad.certification_sample(d, args.samples, args.seed, tol=tol)
         return [cert.to_json() for cert in quad.certify_points(d, points, tol=tol)]
 
-    argv = ["verify", "--config", ORBIFOLD_CONE, "--samples", "20"]
-    return rendered_report(argv, "certificates", certificates)
+    argv = ["verify", "--config", ORBIFOLD_WEIGHTS, "--samples", "20"]
+    return rendered_report(argv, {"certificates": certificates, "weights": weights})
 
 
 def isotropy_reports():
-    def census(args, d):
+    def census(args, ws, d):
         return iso.census_to_json(iso.singular_stratum_census(d))
 
-    return rendered_report(["isotropy", "--config", ORBIFOLD_CONE], "census", census)
+    argv = ["isotropy", "--config", ORBIFOLD_WEIGHTS]
+    return rendered_report(argv, {"census": census, "weights": weights, "derived": derived})
+
+
+def check_reports():
+    def condition(args, ws, d):
+        return wt.check_cone_condition(d).to_json()
+
+    def interpolation(args, ws, d):
+        spec = wt.interpolation_spec(d, wt.default_interpolation_times(args.interp_steps))
+        return cli._interpolation_json(spec, wt.check_interpolation_path(d, spec))
+
+    argv = ["check", "--config", ORBIFOLD_WEIGHTS, "--interp-steps", "5"]
+    dict_forms = {"condition": condition, "interpolation": interpolation, "weights": weights, "derived": derived}
+    return rendered_report(argv, dict_forms)
 
 
 def test_verify_report_bytes_match_stdlib():
@@ -143,11 +171,16 @@ def test_isotropy_report_bytes_match_stdlib():
     assert cli.encode_report(report) == stdlib(plain)
 
 
+def test_check_report_bytes_match_stdlib():
+    report, plain = check_reports()
+    assert cli.encode_report(report) == stdlib(plain)
+
+
 def test_encoding_leaves_no_reference_cycle():
     """A call frees everything it built by reference counting alone: a
     self-referencing encoder or renderer would leave each report's parts
     to the next cyclic collection."""
-    reports = [verify_reports()[0], isotropy_reports()[0]]
+    reports = [verify_reports()[0], isotropy_reports()[0], check_reports()[0]]
     gc.collect()
     gc.disable()
     try:
