@@ -24,7 +24,6 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -229,74 +228,125 @@ def _derived_text(d: wt.DerivedConeData, nl: str) -> str:
     return _fill(_derived_template(nl), itertools.chain(*d.a, *d.b, d.c))
 
 
-@functools.lru_cache(maxsize=64)
+def _leaves(o):
+    """The leaves of a dict form in the order the encoder writes them."""
+    if isinstance(o, dict):
+        for _, value in sorted(o.items()):
+            yield from _leaves(value)
+    elif isinstance(o, list):
+        for value in o:
+            yield from _leaves(value)
+    else:
+        yield o
+
+
+# The template caches are sized from their distinct keys over one pass of
+# the audit pool (10673 ops, 5335 of them check): 9 level-set shapes, 2
+# condition frames, 93 table shapes.
+@functools.lru_cache(maxsize=32)  # every verdict and presence shape at one nl
 def _level_set_template(nonempty, regular, compact, witness: bool, apex: bool, nl: str):
     """A level-set block of these verdicts, with gaps for the entries of
-    the apex functional and the witness (when present), in key order."""
-    probe = wt.LevelSetConditions(
-        nonempty, (1, 1, 0, 0) if witness else None, regular, compact, (0, 0) if apex else None
+    the witness and the apex functional (when present): its text split at
+    the gaps, and the index in (*witness, *apex) of the entry that fills
+    each gap, in text order. The order is read off a probe whose entries
+    are their indices."""
+    first_apex = 4 if witness else 0
+    form = wt.LevelSetConditions(
+        nonempty,
+        (0, 1, 2, 3) if witness else None,
+        regular,
+        compact,
+        (first_apex, first_apex + 1) if apex else None,
     ).to_json()
-    keys = ("apex_functional", "nonempty_witness")
-    return _template({**probe, **{k: _gaps(probe[k]) for k in keys}}, nl)
+    order: list = []
+    for key, value in sorted(form.items()):
+        if isinstance(value, (dict, list)):  # the witness or the apex functional
+            order += map(int, _leaves(value))
+            form[key] = _gaps(value)
+    return _template(form, nl), tuple(order)
 
 
 def _level_set_text(ls: wt.LevelSetConditions, nl: str) -> str:
     """``ls.to_json()`` as encoded text."""
     witness, apex = ls.nonempty_witness, ls.apex_functional
-    values = [] if apex is None else [*apex]
-    if witness is not None:
-        i, j, a, b = witness
-        values += (a, b, i, j)  # in key order
-    pieces = _level_set_template(
+    pieces, order = _level_set_template(
         ls.nonempty, ls.regular, ls.compact, witness is not None, apex is not None, nl
     )
-    return _fill(pieces, values)
+    entries = (*(witness or ()), *(apex or ()))
+    return _fill(pieces, [entries[k] for k in order])
 
 
-@functools.lru_cache(maxsize=512)
-def _condition_template(pair_keys, shapes, holds, nl: str):
-    """A condition report whose tables have these pair keys and whose
-    memberships, in table order, have these (status value, coefficients
-    absent) shapes: its text split at its gaps, and what fills each gap in
-    text order, a membership's index (its coefficients) or None (the
-    level-set block). The order is read off a probe whose k-th membership
-    has the coefficients (k, 0)."""
-    shape = iter(enumerate(shapes))
-    tables = []
-    for keys in pair_keys:
-        table = {}
-        for ij in keys:
-            k, (status, absent) = next(shape)
-            table[ij] = ConeMembership(MembershipStatus(status), None if absent else (k, 0))
-        tables.append(table)
-    level_set = wt.LevelSetConditions(False, None, False, False, None)
+def _level_set_probe() -> wt.LevelSetConditions:
+    return wt.LevelSetConditions(False, None, False, False, None)
+
+
+@functools.lru_cache(maxsize=4)  # holds or not, at the one nl of a check report
+def _condition_frame(holds: bool, nl: str):
+    """A condition report with a gap for each table and for the level-set
+    block: its text split at the gaps, and what fills each gap in text
+    order, a table's index in (a_pairs, b_pairs, mixed_pairs) or None (the
+    level-set block). Read off a probe whose k-th table holds one
+    membership with the coefficients (k, 0)."""
+    tables = [{(1, 1): ConeMembership(MembershipStatus.INTERIOR, (k, 0))} for k in range(3)]
+    level_set = _level_set_probe()
     form = wt.ConditionReport(holds, *tables, level_set).to_json()
     order: list = []
     for key, value in sorted(form.items()):
-        if key == "level_set":
-            form[key] = _GAP
+        if value == level_set.to_json():
             order.append(None)
-        elif isinstance(value, dict):  # a table, its entries in the encoder's order
-            for entry in map(value.get, sorted(value)):
-                if "coefficients" in entry:
-                    order.append(int(entry["coefficients"][0]))
-                    entry["coefficients"] = _gaps(entry["coefficients"])
+        elif isinstance(value, dict):
+            [entry] = value.values()
+            order.append(int(entry["coefficients"][0]))
+        else:
+            continue
+        form[key] = _GAP
     return _template(form, nl), tuple(order)
+
+
+@functools.lru_cache(maxsize=256)
+def _table_template(pairs, shapes, nl: str):
+    """A condition table with these pair keys whose memberships, in table
+    order, have these (status, coefficients absent) shapes: its text split
+    at its gaps, and the index of the membership whose coefficients fill
+    each gap, in text order. Read off a probe report that holds the table
+    as each of its tables, and whose k-th membership has the coefficients
+    (k, 0)."""
+    table = {
+        ij: ConeMembership(status, None if absent else (k, 0))
+        for k, (ij, (status, absent)) in enumerate(zip(pairs, shapes))
+    }
+    level_set = _level_set_probe()
+    report = wt.ConditionReport(False, table, table, table, level_set).to_json()
+    form = next(v for v in report.values() if isinstance(v, dict) and v != level_set.to_json())
+    order: list = []
+    for entry in map(form.get, sorted(form)):  # in the encoder's order
+        if "coefficients" in entry:
+            order.append(int(entry["coefficients"][0]))
+            entry["coefficients"] = _gaps(entry["coefficients"])
+    return _template(form, nl), tuple(order)
+
+
+def _table_text(table: dict, nl: str) -> str:
+    """A condition table (one of a report's three) as encoded text."""
+    memberships = list(table.values())
+    shapes = tuple([(m.status, m.coefficients is None) for m in memberships])
+    pieces, order = _table_template(tuple(table), shapes, nl)
+    values: list = []
+    for k in order:
+        values += memberships[k].coefficients
+    return _fill(pieces, values)
 
 
 def _condition_text(report: wt.ConditionReport, nl: str) -> str:
     """``report.to_json()`` as encoded text."""
     tables = (report.a_pairs, report.b_pairs, report.mixed_pairs)
-    memberships = [m for table in tables for m in table.values()]
-    shapes = tuple([(m.status._value_, m.coefficients is None) for m in memberships])
-    pieces, order = _condition_template(tuple(map(tuple, tables)), shapes, report.holds, nl)
-    values: list = []
-    for k in order:
-        if k is None:
-            values.append(_level_set_text(report.level_set, nl + "  "))
-        else:
-            values += memberships[k].coefficients
-    return _fill(pieces, values)
+    pieces, order = _condition_frame(report.holds, nl)
+    inner = nl + "  "
+    texts = [
+        _level_set_text(report.level_set, inner) if k is None else _table_text(tables[k], inner)
+        for k in order
+    ]
+    return _fill(pieces, texts)
 
 
 def _interpolation_json(spec: wt.InterpolationSpec, ok: bool) -> dict:
@@ -323,11 +373,17 @@ def _interpolation_text(spec: wt.InterpolationSpec, ok: bool, steps: int, nl: st
     return _fill(_interpolation_template(steps, ok, nl), (spec.a, spec.b))
 
 
-@functools.lru_cache(maxsize=64)
-def _census_template(shapes, nl: str) -> tuple[str, ...]:
+# One census shape over the 3870 census reports of the audit pool, and
+# over all 64656 systems of the bound-3 enumeration.
+@functools.lru_cache(maxsize=8)
+def _census_template(shapes, nl: str):
     """A census whose entries, in list order, have these (I, J, verdict,
-    group rank, number of factors, witness absent) shapes, with gaps for
-    each group's numbers and each witness point's entries."""
+    group rank, number of factors, witness absent) shapes: its text split
+    at the gaps for each group's numbers and each witness point's entries,
+    and, for a positive-dimensional and a finite group, the attributes
+    whose values fill the group's gaps, in text order. Those are the keys
+    of a probe group's dict form that hold numbers, which name its
+    attributes."""
     entries = []
     for i_set, j_set, realizable, rank, n_factors, absent in shapes:
         group = iso.IsotropyGroup(rank, (1,) * n_factors)
@@ -337,25 +393,42 @@ def _census_template(shapes, nl: str) -> tuple[str, ...]:
         group_form = probe["isotropy"]
         isotropy = {**_gaps(group_form), "kind": group_form["kind"]}
         entries.append({**probe, "isotropy": isotropy, "witness_point": _gaps(probe["witness_point"])})
-    return _template(entries, nl)
+    fields = [
+        tuple(k for k, v in sorted(group.to_json().items()) if not isinstance(v, str))
+        for group in (iso.IsotropyGroup(1, ()), iso.IsotropyGroup(2, (1, 1)))
+    ]
+    return _template(entries, nl), fields
+
+
+def _group_numbers(group: iso.IsotropyGroup, fields) -> list:
+    """The values of the attributes that fields names for the group's kind,
+    the factors spread."""
+    numbers: list = []
+    for name in fields[group.is_finite]:
+        value = getattr(group, name)
+        numbers += value if type(value) is tuple else (value,)
+    return numbers
 
 
 def _census_text(census: list, nl: str) -> str:
     """``census_to_json(census)`` as encoded text, from one cached template
     per sequence of entry shapes."""
-    shapes, values = [], []
+    shapes = [
+        (r.pattern.i_set, r.pattern.j_set, r.realizable, r.isotropy.rank, len(r.isotropy.factors),
+         r.witness is None)
+        for r in census
+    ]
+    pieces, fields = _census_template(tuple(shapes), nl)
+    numbers: dict = {}  # by group object; a census shares a few
+    values: list = []
     for r in census:
-        pattern, group, witness = r.pattern, r.isotropy, r.witness
-        rank, factors = group.rank, group.factors
-        shapes.append((pattern.i_set, pattern.j_set, r.realizable, rank, len(factors), witness is None))
-        if rank == 2:  # finite: keys factors, kind, order
-            values += factors
-            values.append(prod(factors))  # IsotropyGroup.order
-        else:
-            values.append(2 - rank)  # IsotropyGroup.rank_deficit
-        if witness is not None:
-            values += witness
-    return _fill(_census_template(tuple(shapes), nl), values)
+        group = r.isotropy
+        if id(group) not in numbers:
+            numbers[id(group)] = _group_numbers(group, fields)
+        values += numbers[id(group)]
+        if r.witness is not None:
+            values += r.witness
+    return _fill(pieces, values)
 
 
 @functools.lru_cache(maxsize=8)
@@ -517,16 +590,15 @@ def cmd_generate(args) -> tuple[dict, bool]:
 
 class _RowTexts(dict):
     """The JSON text of each weight-grid row as a side of a stream line,
-    made on first use."""
+    made on first use. One table serves every bound: a row's text does not
+    depend on it."""
 
     def __missing__(self, row):
         text = self[row] = json.dumps([list(v) for v in row])
         return text
 
 
-@functools.lru_cache(maxsize=2)
-def _row_texts(bound: int) -> _RowTexts:
-    return _RowTexts()
+_ROW_TEXTS = _RowTexts()
 
 
 @functools.lru_cache(maxsize=2)
@@ -539,7 +611,7 @@ def _line_template(free: bool) -> tuple[str, ...]:
     return tuple(json.dumps(line, sort_keys=True).split(json.dumps("\0")))
 
 
-def _stream_blocks(systems, texts: _RowTexts):
+def _stream_blocks(systems):
     """For each wL block of the stream: the text of its lines, its system
     count and its free count. A system's line is ``json.dumps(line,
     sort_keys=True)`` and a newline, for line its ``to_json()`` with its
@@ -547,10 +619,10 @@ def _stream_blocks(systems, texts: _RowTexts):
     templates = [_line_template(free) for free in (False, True)]
     end = templates[0][-1] + "\n"
     for wl, block in itertools.groupby(systems, operator.attrgetter("wl")):
-        wl_text = texts[wl]
+        wl_text = _ROW_TEXTS[wl]
         starts = [head + wl_text + middle for head, middle, _ in templates]  # by verdict
         block = list(block)
-        lines = [starts[ws.free] + texts[ws.wr] for ws in block]
+        lines = [starts[ws.free] + _ROW_TEXTS[ws.wr] for ws in block]
         yield end.join(lines) + end, len(block), sum(ws.free for ws in block)
 
 
@@ -562,7 +634,7 @@ def cmd_enumerate(args) -> tuple[dict, bool]:
     count = 0
     free_count = 0
     write = sys.stdout.write
-    for text, n, n_free in _stream_blocks(systems, _row_texts(args.bound)):
+    for text, n, n_free in _stream_blocks(systems):
         write(text)
         count += n
         free_count += n_free
