@@ -288,11 +288,11 @@ def _condition_frame(holds: bool, nl: str):
     level-set block). Read off a probe whose k-th table holds one
     membership with the coefficients (k, 0)."""
     tables = [{(1, 1): ConeMembership(MembershipStatus.INTERIOR, (k, 0))} for k in range(3)]
-    level_set = _level_set_probe()
-    form = wt.ConditionReport(holds, *tables, level_set).to_json()
+    form = wt.ConditionReport(holds, *tables, _level_set_probe()).to_json()
+    level_set = _level_set_probe().to_json()
     order: list = []
     for key, value in sorted(form.items()):
-        if value == level_set.to_json():
+        if value == level_set:
             order.append(None)
         elif isinstance(value, dict):
             [entry] = value.values()
@@ -306,18 +306,18 @@ def _condition_frame(holds: bool, nl: str):
 @functools.lru_cache(maxsize=256)
 def _table_template(pairs, shapes, nl: str):
     """A condition table with these pair keys whose memberships, in table
-    order, have these (status, coefficients absent) shapes: its text split
-    at its gaps, and the index of the membership whose coefficients fill
-    each gap, in text order. Read off a probe report that holds the table
-    as each of its tables, and whose k-th membership has the coefficients
-    (k, 0)."""
+    order, have these (status value, coefficients absent) shapes: its text
+    split at its gaps, and the index of the membership whose coefficients
+    fill each gap, in text order. Read off a probe report that holds the
+    table as each of its tables, and whose k-th membership has the
+    coefficients (k, 0)."""
     table = {
-        ij: ConeMembership(status, None if absent else (k, 0))
+        ij: ConeMembership(MembershipStatus(status), None if absent else (k, 0))
         for k, (ij, (status, absent)) in enumerate(zip(pairs, shapes))
     }
-    level_set = _level_set_probe()
-    report = wt.ConditionReport(False, table, table, table, level_set).to_json()
-    form = next(v for v in report.values() if isinstance(v, dict) and v != level_set.to_json())
+    report = wt.ConditionReport(False, table, table, table, _level_set_probe()).to_json()
+    level_set = _level_set_probe().to_json()
+    form = next(v for v in report.values() if isinstance(v, dict) and v != level_set)
     order: list = []
     for entry in map(form.get, sorted(form)):  # in the encoder's order
         if "coefficients" in entry:
@@ -329,7 +329,9 @@ def _table_template(pairs, shapes, nl: str):
 def _table_text(table: dict, nl: str) -> str:
     """A condition table (one of a report's three) as encoded text."""
     memberships = list(table.values())
-    shapes = tuple([(m.status, m.coefficients is None) for m in memberships])
+    # status values, not members: a str caches its hash, an enum member
+    # hashes through a Python-level __hash__
+    shapes = tuple([(m.status._value_, m.coefficients is None) for m in memberships])
     pieces, order = _table_template(tuple(table), shapes, nl)
     values: list = []
     for k in order:
