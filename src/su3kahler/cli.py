@@ -482,6 +482,47 @@ def _report(command: str, config: dict, results: dict, passed: bool, wall: float
     }
 
 
+# One pass over the audit pool meets 4 envelopes (check; isotropy with a
+# census or an error; cohomology); six commands with at most three result
+# key sets each fit in 32.
+@functools.lru_cache(maxsize=32)
+def _envelope_template(command: str, config_keys: tuple, result_keys: tuple):
+    """The envelope of a ``command`` report with these config and result
+    keys, as ``encode_report(_report(...))`` writes it: its text split at
+    the gaps where the values go, and for each gap in text order, the index
+    of its value in (*config values, *result values, pass, wall time) and
+    the newline and indentation of the line the value starts on. Both are
+    read off a probe whose gaps record them as the encoder reaches them."""
+    slots: list = []
+
+    def gap(k: int) -> _Rendered:
+        return _Rendered(lambda nl: slots.append((k, nl)) or "\0")
+
+    n, m = len(config_keys), len(result_keys)
+    probe = _report(
+        command,
+        {key: gap(k) for k, key in enumerate(config_keys)},
+        {key: gap(n + k) for k, key in enumerate(result_keys)},
+        gap(n + m),
+        gap(n + m + 1),
+    )
+    return _template(probe, "\n"), tuple(slots)
+
+
+def _report_text(command: str, config: dict, results: dict, passed: bool, wall: float) -> str:
+    """``encode_report(_report(command, config, results, passed, wall))``,
+    from one cached envelope per command and key sets; each value is
+    encoded in its gap."""
+    pieces, slots = _envelope_template(command, tuple(config), tuple(results))
+    values = (*config.values(), *results.values(), passed, wall)
+    parts = [pieces[0]]
+    for (k, nl), piece in zip(slots, pieces[1:]):
+        _encode(values[k], parts, nl)
+        parts.append(piece)
+    parts.append("\n")
+    return "".join(parts)
+
+
 def _monomial(v) -> str:
     parts = []
     for name, e in zip(("t1", "t2"), v):
@@ -779,15 +820,14 @@ def _run(argv) -> int:
     except (ValueError, RuntimeError) as exc:
         code, results, passed = EXIT_FAIL, {"error": str(exc)}, False
     wall = time.perf_counter() - start if args.timing else 0.0
-    text = encode_report(_report(args.command, _config_echo(args), results, passed, wall))
+    config = _config_echo(args)
+    text = _report_text(args.command, config, results, passed, wall)
     if args.out:
         try:
             Path(args.out).write_text(text)
         except OSError as exc:
             error = {"error": f"cannot write --out {args.out}: {exc}"}
-            code, text = EXIT_USAGE, encode_report(
-                _report(args.command, _config_echo(args), error, False, wall)
-            )
+            code, text = EXIT_USAGE, _report_text(args.command, config, error, False, wall)
     sys.stdout.write(text)
     return code
 

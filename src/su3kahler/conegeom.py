@@ -8,12 +8,18 @@ trust the vectors that ``vec2`` and ``cone_data`` built. Cone membership
 on a boundary ray must be *decided*, not approximated, because the
 downstream condition checks distinguish strict from non-strict membership.
 
-Every membership decision goes through one integer sign table,
-:func:`cone_member`. It uses only ring operations and comparisons, so the
-same expression decides Python ints, Fractions and, elementwise, numpy
-int64 arrays; the batched form is exact while every product fits in
-int64 (see :data:`INT64_MAX`). Fractions are built only for the witness
-coefficients that :func:`in_cone2` returns.
+Membership decisions come from the signs of cross products. The batched
+kernel :func:`cone_member` uses only ring operations and comparisons, so
+the same expression decides, elementwise, numpy int64 arrays (exact while
+every product fits in int64, see :data:`INT64_MAX`) as well as Python
+ints and Fractions. Scalar decisions with evidence read one
+:class:`SignTable`: plane vectors cleared of denominators by one positive
+integer, with their pairwise cross products. Cone tests see only
+directions, so the cleared table gives the decisions and, as exact
+quotients, the witness coefficients of the input vectors. A membership
+with its witness is :meth:`SignTable.membership`, which :func:`in_cone2`
+reads off the table of its three vectors; Fractions are built only for
+the coefficients of members.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "Scalar",
@@ -39,6 +45,7 @@ __all__ = [
     "vec_to_json",
     "INT64_MAX",
     "cone_member",
+    "SignTable",
     "in_cone2",
     "find_apex_functional",
     "invariant_factors_from_divisors",
@@ -102,10 +109,6 @@ def vec_to_json(u: Vec2) -> list[str]:
     return [scalar_to_json(u[0]), scalar_to_json(u[1])]
 
 
-def _div(p: Scalar, q: Scalar) -> Fraction:
-    return Fraction(p, q)
-
-
 class MembershipStatus(enum.Enum):
     OUTSIDE = "outside"
     ON_BOUNDARY_RAY = "boundary"
@@ -141,7 +144,7 @@ _OUTSIDE = ConeMembership(MembershipStatus.OUTSIDE)
 _F0 = Fraction(0)
 
 
-# Largest magnitude an int64 holds; the batched sign table is exact while
+# Largest magnitude an int64 holds; the batched sign rule is exact while
 # every entry product (and the difference of two) stays within it.
 INT64_MAX = 2**63 - 1
 
@@ -160,53 +163,145 @@ def cone_member(c, g1, g2):
     Branch-free over ``&``/``|`` of comparisons: vector components may be
     ints or Fractions (the result is a bool) or broadcastable int64 arrays
     (the result is a bool array). Entries bounded by ``E`` in magnitude
-    keep every intermediate within ``2*E**2``.
+    keep every intermediate within ``2*E**2``. The rule itself is
+    :func:`_sign_rule`.
     """
     cx, cy = c
     x1, y1 = g1
     x2, y2 = g2
-    d = x1 * y2 - y1 * x2
-    n1 = cx * y2 - cy * x2
-    n2 = x1 * cy - y1 * cx
+    return _sign_rule(
+        x1 * y2 - y1 * x2,
+        cx * y2 - cy * x2,
+        x1 * cy - y1 * cx,
+        cx * x1 + cy * y1,
+        cx * x2 + cy * y2,
+        (cx == 0) & (cy == 0),
+    )
+
+
+def _sign_rule(d, n1, n2, e1, e2, c_zero):
+    """The decision of :func:`cone_member` from d = cross(g1, g2),
+    n1 = cross(c, g2), n2 = cross(g1, c), e1 = dot(c, g1), e2 = dot(c, g2)
+    and whether c == 0, elementwise on arrays. Scalar callers that know
+    d != 0 read :func:`_independent_member` instead."""
     return (
         ((d > 0) & (n1 >= 0) & (n2 >= 0))
         | ((d < 0) & (n1 <= 0) & (n2 <= 0))
-        | ((n1 == 0) & (cx * x2 + cy * y2 > 0))
-        | ((n2 == 0) & (cx * x1 + cy * y1 > 0))
-        | ((cx == 0) & (cy == 0))
+        | ((n1 == 0) & (e2 > 0))
+        | ((n2 == 0) & (e1 > 0))
+        | c_zero
     )
+
+
+def _independent_member(d, n1, n2) -> bool:
+    """:func:`cone_member` for independent generators, d != 0, from the
+    signs of d = cross(g1, g2), n1 = cross(c, g2) and n2 = cross(g1, c):
+    whether n1 and n2 both have d's sign or are 0. With d != 0 the
+    kernel's ray and origin clauses imply its sign clauses (a c on ray(g2)
+    is t*g2 with t > 0, so n1 = 0 and n2 = t*d), so the signs decide."""
+    return n1 >= 0 and n2 >= 0 if d > 0 else n1 <= 0 and n2 <= 0
+
+
+class SignTable:
+    """Plane vectors cleared of denominators, with their cross products.
+
+    ``vectors`` are the input vectors times one positive integer n, the
+    lcm of every denominator (n = 1, and nothing is cleared, for integer
+    data), as int pairs; ``crosses[k][p]`` is cross(vectors[k], vectors[p]).
+    Scaling every vector by n > 0 keeps every sign, and every quotient of
+    two crosses (or two dots), so the decisions and witness coefficients
+    read here are those of the input vectors. Dot products are computed on
+    use: only dependent generators (a zero cross) read them.
+    """
+
+    __slots__ = ("vectors", "crosses")
+
+    def __init__(self, vectors):
+        vs = tuple(vectors)
+        if not all(type(x) is int and type(y) is int for x, y in vs):
+            n = lcm(*[z.denominator for v in vs for z in v])
+            vs = tuple(
+                (x.numerator * (n // x.denominator), y.numerator * (n // y.denominator)) for x, y in vs
+            )
+        self.vectors = vs
+        self.crosses = [[x1 * y2 - y1 * x2 for x2, y2 in vs] for x1, y1 in vs]
+
+    def member(self, k: int, p: int, q: int) -> bool:
+        """Whether vector k lies in cone(vector p, vector q): the decision
+        of :func:`cone_member`, read through :func:`_independent_member`
+        when cross(g_p, g_q) != 0 and through :func:`_sign_rule` with the
+        dot products otherwise."""
+        row = self.crosses[p]
+        d = row[q]
+        if d:
+            return _independent_member(d, self.crosses[k][q], row[k])
+        c, g1, g2 = self.vectors[k], self.vectors[p], self.vectors[q]
+        return _sign_rule(0, self.crosses[k][q], row[k], dot(c, g1), dot(c, g2), is_zero(c))
+
+    def membership(self, k: int, p: int, q: int) -> ConeMembership:
+        """Vector k against cone(vector p, vector q), decided as
+        :meth:`member` decides, with exact witness coefficients (l1, l2) of
+        the input vectors for members.
+
+        Total on degenerate input: zero or parallel generators reduce to
+        ray, line or origin membership, and the witness then uses g_p
+        whenever it can.
+        """
+        row = self.crosses[p]
+        d = row[q]
+        if d:
+            n1, n2 = self.crosses[k][q], row[k]
+            if not _independent_member(d, n1, n2):
+                return _OUTSIDE
+            status = MembershipStatus.INTERIOR if n1 and n2 else MembershipStatus.ON_BOUNDARY_RAY
+            return ConeMembership(status, (Fraction(n1, d), Fraction(n2, d)))
+        if not self.member(k, p, q):
+            return _OUTSIDE
+        # dependent generators: c is 0 or lies on ray(g_p) or ray(g_q)
+        c, g1, g2 = self.vectors[k], self.vectors[p], self.vectors[q]
+        if is_zero(c):
+            return ConeMembership(MembershipStatus.ON_BOUNDARY_RAY, (_F0, _F0))
+        if row[k] == 0 and dot(c, g1) > 0:
+            return ConeMembership(
+                MembershipStatus.ON_BOUNDARY_RAY, (Fraction(dot(c, g1), dot(g1, g1)), _F0)
+            )
+        return ConeMembership(
+            MembershipStatus.ON_BOUNDARY_RAY, (_F0, Fraction(dot(c, g2), dot(g2, g2)))
+        )
 
 
 def in_cone2(c: Vec2, g1: Vec2, g2: Vec2) -> ConeMembership:
     """Decide whether ``c`` lies in ``{l1*g1 + l2*g2 : l1, l2 >= 0}``.
 
-    Total on degenerate input: zero or parallel generators reduce to ray,
-    line or origin membership. The decision is :func:`cone_member`; exact
-    witness coefficients are computed only for members.
+    :meth:`SignTable.membership` on the table of (c, g1, g2): the decision
+    is :func:`cone_member`'s, and exact witness coefficients are computed
+    only for members.
     """
-    if not cone_member(c, g1, g2):
-        return _OUTSIDE
-    d = cross(g1, g2)
-    if d != 0:
-        n1 = cross(c, g2)
-        n2 = cross(g1, c)
-        status = (
-            MembershipStatus.INTERIOR
-            if n1 != 0 and n2 != 0
-            else MembershipStatus.ON_BOUNDARY_RAY
-        )
-        return ConeMembership(status, (_div(n1, d), _div(n2, d)))
-    # dependent generators: c is 0 or lies on ray(g1) or ray(g2); the
-    # witness uses g1 whenever it can
-    if is_zero(c):
-        return ConeMembership(MembershipStatus.ON_BOUNDARY_RAY, (_F0, _F0))
-    if cross(c, g1) == 0 and dot(c, g1) > 0:
-        return ConeMembership(
-            MembershipStatus.ON_BOUNDARY_RAY, (_div(dot(c, g1), dot(g1, g1)), _F0)
-        )
-    return ConeMembership(
-        MembershipStatus.ON_BOUNDARY_RAY, (_F0, _div(dot(c, g2), dot(g2, g2)))
-    )
+    return SignTable((c, g1, g2)).membership(0, 1, 2)
+
+
+def _apex_functional(table: SignTable, gens) -> Vec2 | None:
+    """:func:`find_apex_functional` of the nonzero generators ``gens``,
+    whose table is ``table`` (it may hold more vectors after them).
+
+    The pair search reads the table's signs; the covector is computed from
+    ``gens`` themselves.
+    """
+    n = len(gens)
+    crosses = table.crosses
+    for i in range(n):
+        row = crosses[i]
+        for j in range(i + 1, n):
+            d = row[j]
+            if d and all(_independent_member(d, crosses[k][j], row[k]) for k in range(n)):
+                gi, gj = gens[i], gens[j]
+                det = cross(gi, gj)
+                # dual basis: u(gi)=1, u(gj)=0 and v(gi)=0, v(gj)=1
+                return (Fraction(gj[1] - gi[1], det), Fraction(gi[0] - gj[0], det))
+    g0 = table.vectors[0]
+    if all(crosses[0][k] == 0 and dot(g0, table.vectors[k]) > 0 for k in range(n)):
+        return (Fraction(gens[0][0]), Fraction(gens[0][1]))
+    return None
 
 
 def find_apex_functional(gens: list[Vec2]) -> Vec2 | None:
@@ -216,28 +311,15 @@ def find_apex_functional(gens: list[Vec2]) -> Vec2 | None:
     (the cone has apex 0). Construction: find a pair of generators whose
     cone contains all the others and return the sum of the dual basis of
     that pair; if all generators share a single ray, the ray direction
-    itself works.
+    itself works. The search is :func:`_apex_functional` on the generators'
+    sign table.
     """
     if not gens:
         raise ValueError("at least one generator required")
     for g in gens:
         if is_zero(g):
             raise ValueError("zero generator has no strictly positive functional")
-    n = len(gens)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = cross(gens[i], gens[j])
-            if d == 0:
-                continue
-            if all(cone_member(g, gens[i], gens[j]) for g in gens):
-                gi, gj = gens[i], gens[j]
-                # dual basis: u(gi)=1, u(gj)=0 and v(gi)=0, v(gj)=1
-                alpha = (_div(gj[1] - gi[1], d), _div(gi[0] - gj[0], d))
-                return alpha
-    g0 = gens[0]
-    if all(cross(g0, g) == 0 and dot(g0, g) > 0 for g in gens):
-        return (Fraction(g0[0]), Fraction(g0[1]))
-    return None
+    return _apex_functional(SignTable(gens), gens)
 
 
 def _as_int(x) -> int:

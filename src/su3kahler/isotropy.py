@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -235,9 +236,11 @@ _GENERATOR_PAIRS = tuple(itertools.combinations(range(6), 2))
 
 
 def _census_patterns():
-    """For every valid pattern, in census order: (pattern, its generator
-    rows, the indices of its row pairs in _GENERATOR_PAIRS, (i, j) for a
-    singleton {i} x {j} or None, whether it is the full pattern)."""
+    """For every valid pattern, in census order: (pattern, a getter of its
+    generator rows, a getter of its row pairs' indices in _GENERATOR_PAIRS,
+    (i, j) for a singleton {i} x {j} or None, whether it is the full
+    pattern). A getter returns a tuple of its indices, the first repeated
+    so that one index gives a tuple too; a gcd does not change."""
     subsets = [s for size in (1, 2, 3) for s in itertools.combinations((1, 2, 3), size)]
     patterns = []
     for i_set in subsets:
@@ -253,11 +256,22 @@ def _census_patterns():
         rows = _pattern_rows(pattern)
         pairs = tuple(pair_index[pair] for pair in itertools.combinations(rows, 2))
         singleton = (pattern.i_set[0], pattern.j_set[0]) if pattern.is_singleton else None
-        table.append((pattern, rows, pairs, singleton, pattern.is_full))
+        getters = (operator.itemgetter(*rows, rows[0]), operator.itemgetter(*pairs, pairs[0]))
+        table.append((pattern, *getters, singleton, pattern.is_full))
     return tuple(table)
 
 
 _CENSUS_PATTERNS = _census_patterns()
+
+
+# One pass over the audit pool (3870 censuses) meets 429 keys.
+@functools.lru_cache(maxsize=512)
+def _shared_report(k: int, d1: int, d12: int) -> StratumReport:
+    """The (immutable, shared) report of the k-th census pattern, not a
+    singleton, whose rows have determinantal divisors d1 and d12: it holds
+    no witness, so these three numbers fix it."""
+    pattern, _, _, _, full = _CENSUS_PATTERNS[k]
+    return StratumReport(pattern, _group_from_divisors(d1, d12), True if full else None, None)
 
 
 def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
@@ -265,7 +279,9 @@ def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
 
     Each pattern's isotropy comes from its determinantal divisors: the gcd
     of its rows' entries and the gcd of its rows' 2 x 2 minors, read from
-    one table of the 15 pairwise minors of the six generators.
+    the 15 pairwise minors of the six generators in d's sign table. The 40
+    patterns that are not singletons carry no witness, so their reports are
+    shared between censuses, one per (pattern, d1, d12).
 
     Singleton patterns {i} x {j}, i != j, are realizable exactly when
     C = a*A_i + b*B_j with a, b > 0; the witness stores (a, b) and the
@@ -275,23 +291,20 @@ def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
     nonconvex phase-feasibility argument, so they are reported with
     isotropy only.
     """
-    gens = _integer_generators(d)
-    entry_gcds = [gcd(x, y) for x, y in gens]
-    minors = [cross(gens[p], gens[q]) for p, q in _GENERATOR_PAIRS]
+    entry_gcds = [gcd(x, y) for x, y in _integer_generators(d)]
+    # the table clears nothing from integer data: its crosses are the minors
+    crosses = d.sign_table.crosses
+    minors = [crosses[p][q] for p, q in _GENERATOR_PAIRS]
     witnesses = {(i, j): (a, b) for i, j, a, b in d.mixed_witnesses}
     reports = []
-    for pattern, rows, pairs, singleton, full in _CENSUS_PATTERNS:
-        group = _group_from_divisors(
-            gcd(*[entry_gcds[r] for r in rows]), gcd(*[minors[k] for k in pairs])
-        )
-        realizable: bool | None
-        witness = None
-        if singleton is not None:
-            witness = witnesses.get(singleton)
-            realizable = witness is not None
+    for k, (pattern, rows, pairs, singleton, _) in enumerate(_CENSUS_PATTERNS):
+        d1, d12 = gcd(*rows(entry_gcds)), gcd(*pairs(minors))
+        if singleton is None:
+            reports.append(_shared_report(k, d1, d12))
         else:
-            realizable = True if full else None
-        reports.append(StratumReport(pattern, group, realizable, witness))
+            witness = witnesses.get(singleton)
+            group = _group_from_divisors(d1, d12)
+            reports.append(StratumReport(pattern, group, witness is not None, witness))
     return reports
 
 

@@ -16,11 +16,18 @@ compactness of the moment-map level set, checked independently by
 checked by :func:`check_interpolation_path`.
 
 All checks are exact rational arithmetic; nothing here touches floats.
-Boolean decisions run the 8 tests of :data:`_CONDITION_TESTS` through
-the integer sign table :func:`~su3kahler.conegeom.cone_member`; the
+The boolean condition runs the 8 tests of :data:`_CONDITION_TESTS`
+through the sign kernel :func:`~su3kahler.conegeom.cone_member`; the
 enumerator evaluates them on int64 arrays, one outer wL block against
 every wR at once, each test only on the candidates that passed the ones
 before, and decides the freeness of each survivor in the same block.
+Evidence reads one integer table per cone data,
+:attr:`DerivedConeData.sign_table` (a :class:`~su3kahler.conegeom.SignTable`):
+the 27 memberships of :func:`check_cone_condition`, the mixed witnesses,
+regularity, compactness and the apex functional, and the base of the
+interpolation path. Only dependent mixed pairs build their witness with
+:func:`positive_combination`, and the path evaluates its 8 tests as
+forms in the time.
 """
 
 from __future__ import annotations
@@ -34,17 +41,20 @@ from typing import Iterator
 
 import numpy as np
 
-from .conegeom import (
+from .conegeom import (  # noqa: F401 (in_cone2 re-exported: the benchmark binds weights.in_cone2)
     INT64_MAX,
     ConeMembership,
     MembershipStatus,
+    SignTable,
     Vec2,
+    _apex_functional,
     _as_int,
+    _independent_member,
     _scalar,
+    _sign_rule,
     cone_member,
     cross,
     dot,
-    find_apex_functional,
     in_cone2,
     is_zero,
     scalar_to_json,
@@ -199,20 +209,55 @@ class DerivedConeData:
         return _condition_holds_raw(*self.a, *self.b, self.c)
 
     @functools.cached_property
+    def sign_table(self) -> SignTable:
+        """The one sign table of this data: A_1, A_2, A_3, B_1, B_2, B_3 and
+        C (rows 0-5 and :data:`_C`) cleared of denominators, with their
+        cross products. Every cone decision and witness of
+        :func:`check_cone_condition`, :func:`check_level_set_conditions`,
+        :func:`interpolation_spec` and the isotropy census reads it. Built
+        on first use and cached on the instance, like
+        :attr:`mixed_witnesses`; it is not a field."""
+        return SignTable((*self.a, *self.b, self.c))
+
+    @functools.cached_property
+    def _mixed_memberships(self) -> dict[tuple[int, int], ConeMembership]:
+        """C against cone(A_i, B_j) by 0-based (i, j), each read off the sign
+        table on first use by :meth:`_mixed_membership`."""
+        return {}
+
+    def _mixed_membership(self, i: int, j: int) -> ConeMembership:
+        """C against cone(A_i, B_j), 0-based, decided once per instance."""
+        cache = self._mixed_memberships
+        m = cache.get((i, j))
+        if m is None:
+            m = cache[i, j] = self.sign_table.membership(_C, i, 3 + j)
+        return m
+
+    @functools.cached_property
     def mixed_witnesses(self) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
         """(i, j, a, b), in order of (i, j), for every i != j (1-based) with
         C = a*A_i + b*B_j and a, b > 0.
 
         The one table of positive mixed combinations, built on first use
         and cached on the instance; it is not a field, so == and hash
-        ignore it.
+        ignore it. For independent A_i, B_j the pair is the coefficients of
+        an INTERIOR mixed membership (strictly positive exactly then); only
+        dependent pairs go through :func:`positive_combination`, which
+        picks a witness from the family of solutions.
         """
-        return tuple(
-            (i + 1, j + 1, *ab)
-            for i in range(3)
-            for j in range(3)
-            if i != j and (ab := positive_combination(self.c, self.a[i], self.b[j])) is not None
-        )
+        crosses = self.sign_table.crosses
+        witnesses = []
+        for i, j in _ORDERED_PAIRS:
+            if i == j:
+                continue
+            if crosses[i][3 + j]:
+                m = self._mixed_membership(i, j)
+                ab = m.coefficients if m.status is MembershipStatus.INTERIOR else None
+            else:
+                ab = positive_combination(self.c, self.a[i], self.b[j])
+            if ab is not None:
+                witnesses.append((i + 1, j + 1, *ab))
+        return tuple(witnesses)
 
     def to_json(self) -> dict:
         return {
@@ -220,6 +265,13 @@ class DerivedConeData:
             "B": [vec_to_json(v) for v in self.b],
             "C": vec_to_json(self.c),
         }
+
+
+# The row of C in a DerivedConeData's sign table, after the six generators.
+_C = 6
+
+# The nine index pairs (i, j), 0-based, in the order of (i, j).
+_ORDERED_PAIRS = tuple(itertools.product(range(3), repeat=2))
 
 
 def _vector(v) -> Vec2:
@@ -364,22 +416,19 @@ def check_level_set_conditions(d: DerivedConeData) -> LevelSetConditions:
               generators nonzero, and the cone of all six has an apex.
     With an apex and A_j + B_j = C, C is in cone(A) iff it is in cone(B), and
     the pointed cone(A) is cone(A_1,A_2) | cone(A_1,A_3) (proof in the README),
-    so two :func:`~su3kahler.conegeom.cone_member` calls decide compactness.
+    so two memberships decide compactness. Every test reads d's sign table;
+    the apex pair is searched in :func:`~su3kahler.conegeom.find_apex_functional`'s
+    order, and the functional is computed from d's own generators.
     """
     witness = d.mixed_witnesses[0] if d.mixed_witnesses else None
-
-    regular = all(
-        cross(d.a[i], d.b[j]) != 0 for i in range(3) for j in range(3) if i != j
-    )
-
-    gens = d.generators()
-    if any(is_zero(g) for g in gens):
+    table = d.sign_table
+    crosses = table.crosses
+    regular = all(crosses[i][3 + j] for i, j in _MIXED_PAIRS)
+    if any(is_zero(g) for g in table.vectors[:_C]):
         compact, apex = False, None
     else:
-        apex = find_apex_functional(gens)
-        compact = apex is not None and not (
-            cone_member(d.c, d.a[0], d.a[1]) or cone_member(d.c, d.a[0], d.a[2])
-        )
+        apex = _apex_functional(table, d.generators())
+        compact = apex is not None and not (table.member(_C, 0, 1) or table.member(_C, 0, 2))
     return LevelSetConditions(witness is not None, witness, regular, compact, apex)
 
 
@@ -413,15 +462,13 @@ class ConditionReport:
 
 
 def check_cone_condition(d: DerivedConeData) -> ConditionReport:
-    """Evaluate the separating cone condition with all 27 sub-results."""
-    a_pairs: dict[tuple[int, int], ConeMembership] = {}
-    b_pairs: dict[tuple[int, int], ConeMembership] = {}
-    mixed: dict[tuple[int, int], ConeMembership] = {}
-    for i in range(3):
-        for j in range(3):
-            a_pairs[(i + 1, j + 1)] = in_cone2(d.c, d.a[i], d.a[j])
-            b_pairs[(i + 1, j + 1)] = in_cone2(d.c, d.b[i], d.b[j])
-            mixed[(i + 1, j + 1)] = in_cone2(d.c, d.a[i], d.b[j])
+    """Evaluate the separating cone condition with all 27 sub-results, each
+    read off d's sign table by :meth:`~su3kahler.conegeom.SignTable.membership`
+    (the mixed ones are shared with :attr:`DerivedConeData.mixed_witnesses`)."""
+    table = d.sign_table
+    a_pairs = {(i + 1, j + 1): table.membership(_C, i, j) for i, j in _ORDERED_PAIRS}
+    b_pairs = {(i + 1, j + 1): table.membership(_C, 3 + i, 3 + j) for i, j in _ORDERED_PAIRS}
+    mixed = {(i + 1, j + 1): d._mixed_membership(i, j) for i, j in _ORDERED_PAIRS}
     holds = (
         all(not m.member for m in a_pairs.values())
         and all(not m.member for m in b_pairs.values())
@@ -547,13 +594,18 @@ class InterpolationSpec:
                 raise ValueError(f"sample time {t} outside [0, 1]")
 
 
+# The audit pool asks for one step count (the default 8); a CLI run for one.
+@functools.lru_cache(maxsize=8)
 def default_interpolation_times(steps: int = 8) -> tuple[Fraction, ...]:
+    """k/steps for k = 0..steps, built once per step count (the tuple and
+    its Fractions are immutable)."""
     return tuple(Fraction(k, steps) for k in range(steps + 1))
 
 
 def interpolation_spec(d: DerivedConeData, times=None) -> InterpolationSpec:
-    """Interpolation data for d; requires C interior to cone(A_1, B_1)."""
-    m = in_cone2(d.c, d.a[0], d.b[0])
+    """Interpolation data for d; requires C interior to cone(A_1, B_1), the
+    mixed membership (1, 1) of d's sign table."""
+    m = d._mixed_membership(0, 0)
     if m.status is not MembershipStatus.INTERIOR:
         raise ValueError("C must lie in the interior of cone(A_1, B_1)")
     assert m.coefficients is not None
@@ -576,6 +628,16 @@ def check_interpolation_path(d: DerivedConeData, spec: InterpolationSpec) -> boo
     Raises ValueError unless C = a*A_1 + b*B_1, as :func:`interpolation_spec`
     ensures; this keeps each cleared A_j(t) + B_j(t) at n**2 * (n*C), in the
     kernel's domain, which other base coefficients leave.
+
+    So the cleared A_j(t) is s*G_j + r*H_j with (s, r) = (n*t, n - n*t),
+    G_j = n*(n*A_j) and H_j = (n*a)*(n*A_1), and likewise B_j(t). Each of
+    the 8 tests of :data:`_CONDITION_TESTS` is then a quadratic form in
+    (s, r), the cross of its two generators, and two linear forms, their
+    crosses with n*C; the coefficients are computed once, and a time
+    evaluates the forms.
+    Where the quadratic form vanishes (dependent generators, as at t = 0)
+    the kernel's rule also reads the dots of n*C with the two generators,
+    two more linear forms, evaluated there only.
     """
     n = lcm(
         *(x.denominator for x in (spec.a, spec.b, *spec.times)),
@@ -592,13 +654,36 @@ def check_interpolation_path(d: DerivedConeData, spec: InterpolationSpec) -> boo
     b0 = vscale(cleared(spec.b), b[0])
     if vadd(a0, b0) != vscale(n, c):  # n**2 * (a*A_1 + b*B_1) against n**2 * C
         raise ValueError("base coefficients must satisfy C = a*A_1 + b*B_1")
+    g = [vscale(n, v) for v in (*a, *b)]
+    h = [a0] * 3 + [b0] * 3
+    cg, ch = [cross(c, v) for v in g], [cross(c, v) for v in h]
+    # per test: the cross of its generators (coefficients of s*s, s*r, r*r),
+    # n1 = cross(C, q-th generator) and n2 = cross(p-th generator, C)
+    # (coefficients of s, r)
+    forms = [
+        (
+            cross(g[p], g[q]), cross(g[p], h[q]) + cross(h[p], g[q]), cross(h[p], h[q]),
+            cg[q], ch[q], -cg[p], -ch[p],
+            p, q, inside,
+        )
+        for p, q, inside in _CONDITION_TESTS
+    ]
+    c_zero = is_zero(c)
     for t in spec.times:
-        nt = cleared(t)
-        tn, s = nt * n, n - nt
-        at = [vadd(vscale(tn, aj), vscale(s, a0)) for aj in a]
-        bt = [vadd(vscale(tn, bj), vscale(s, b0)) for bj in b]
-        if not _condition_holds_raw(*at, *bt, c):
-            return False
+        s = cleared(t)
+        r = n - s
+        ss, sr, rr = s * s, s * r, r * r
+        for d_ss, d_sr, d_rr, n1_s, n1_r, n2_s, n2_r, p, q, inside in forms:
+            det = d_ss * ss + d_sr * sr + d_rr * rr
+            n1, n2 = n1_s * s + n1_r * r, n2_s * s + n2_r * r
+            if det:
+                member = _independent_member(det, n1, n2)
+            else:  # the dots of C with the p-th and q-th generators
+                e1 = dot(c, g[p]) * s + dot(c, h[p]) * r
+                e2 = dot(c, g[q]) * s + dot(c, h[q]) * r
+                member = _sign_rule(0, n1, n2, e1, e2, c_zero)
+            if member != inside:
+                return False
     return True
 
 
@@ -637,8 +722,8 @@ def enumerate_admissible_systems(
     the outer wL blocks); merging and sorting the slices reproduces the
     full stream, so the enumeration parallelizes over processes.
 
-    Each outer wL block is decided at once against every wR with the int64
-    sign table, each test only on the candidates still alive; survivors
+    Each outer wL block is decided at once against every wR with the sign
+    rule on int64 arrays, each test only on the candidates still alive; survivors
     come out in grid order, so the stream stays lexicographic. The block
     also decides each survivor's freeness by both characterizations on
     int64 arrays, raises RuntimeError naming the first system on which they

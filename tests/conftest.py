@@ -1,13 +1,36 @@
 """Fixtures, plus the float references that more than one test file checks
 the quadric against: the torus basis change of cone data, the constraint
 Jacobian, the transverse frame, the equivariance residual of the SU(3)
-embedding and the exact seed points of a sample."""
+embedding and the exact seed points of a sample. Also the exact layers as
+they were before the sign table of cone data: every membership by its own
+cross products, the witnesses by ``positive_combination``, the apex search
+by ``cone_member``, the interpolation path built vector by vector at every
+time and the census built entry by entry; the tests compare the library
+with them."""
+
+import itertools
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 
 from su3kahler import DerivedConeData, WeightSystem, cone_data, enumerate_admissible_systems
+from su3kahler.conegeom import ConeMembership, MembershipStatus, cross, dot, is_zero, vadd, vscale
+from su3kahler.isotropy import (
+    IsotropyGroup,
+    StratumReport,
+    SupportPattern,
+    _integer_generators,
+    invariant_factors_from_divisors,
+)
 from su3kahler.quadric import certification_sample, embed_su3
+from su3kahler.weights import (
+    ConditionReport,
+    LevelSetConditions,
+    _CONDITION_TESTS,
+    positive_combination,
+)
 
 
 @pytest.fixture(scope="session")
@@ -127,3 +150,151 @@ def seed_point(d, i, j):
     ``certification_sample`` builds for the mixed witness (i, j, a, b)."""
     pairs = [(i2, j2) for i2, j2, _, _ in d.mixed_witnesses]
     return certification_sample(d, len(pairs), 0)[pairs.index((i, j))]
+
+
+# --- the exact layers before the sign table ------------------------------------
+
+
+def reference_cone_member(c, g1, g2):
+    """The sign kernel on one configuration, as one expression."""
+    cx, cy = c
+    x1, y1 = g1
+    x2, y2 = g2
+    d = x1 * y2 - y1 * x2
+    n1 = cx * y2 - cy * x2
+    n2 = x1 * cy - y1 * cx
+    return (
+        ((d > 0) & (n1 >= 0) & (n2 >= 0))
+        | ((d < 0) & (n1 <= 0) & (n2 <= 0))
+        | ((n1 == 0) & (cx * x2 + cy * y2 > 0))
+        | ((n2 == 0) & (cx * x1 + cy * y1 > 0))
+        | ((cx == 0) & (cy == 0))
+    )
+
+
+def reference_in_cone2(c, g1, g2):
+    """One membership with its witness, from its own cross products."""
+    boundary = MembershipStatus.ON_BOUNDARY_RAY
+    if not reference_cone_member(c, g1, g2):
+        return ConeMembership(MembershipStatus.OUTSIDE)
+    d = cross(g1, g2)
+    if d != 0:
+        n1, n2 = cross(c, g2), cross(g1, c)
+        status = MembershipStatus.INTERIOR if n1 != 0 and n2 != 0 else boundary
+        return ConeMembership(status, (Fraction(n1, d), Fraction(n2, d)))
+    if is_zero(c):
+        return ConeMembership(boundary, (Fraction(0), Fraction(0)))
+    if cross(c, g1) == 0 and dot(c, g1) > 0:
+        return ConeMembership(boundary, (Fraction(dot(c, g1), dot(g1, g1)), Fraction(0)))
+    return ConeMembership(boundary, (Fraction(0), Fraction(dot(c, g2), dot(g2, g2))))
+
+
+def reference_apex(gens):
+    """The apex functional by the pair search on the generators themselves."""
+    n = len(gens)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = cross(gens[i], gens[j])
+            if d != 0 and all(reference_cone_member(g, gens[i], gens[j]) for g in gens):
+                gi, gj = gens[i], gens[j]
+                return (Fraction(gj[1] - gi[1], d), Fraction(gi[0] - gj[0], d))
+    g0 = gens[0]
+    if all(cross(g0, g) == 0 and dot(g0, g) > 0 for g in gens):
+        return (Fraction(g0[0]), Fraction(g0[1]))
+    return None
+
+
+def reference_mixed_witnesses(d):
+    """(i, j, a, b) for every i != j with C = a*A_i + b*B_j, a, b > 0."""
+    return tuple(
+        (i + 1, j + 1, *ab)
+        for i in range(3)
+        for j in range(3)
+        if i != j and (ab := positive_combination(d.c, d.a[i], d.b[j])) is not None
+    )
+
+
+def reference_level_set(d):
+    witnesses = reference_mixed_witnesses(d)
+    witness = witnesses[0] if witnesses else None
+    regular = all(cross(d.a[i], d.b[j]) != 0 for i in range(3) for j in range(3) if i != j)
+    gens = [*d.a, *d.b]
+    if any(is_zero(g) for g in gens):
+        compact, apex = False, None
+    else:
+        apex = reference_apex(gens)
+        compact = apex is not None and not (
+            reference_cone_member(d.c, d.a[0], d.a[1]) or reference_cone_member(d.c, d.a[0], d.a[2])
+        )
+    return LevelSetConditions(witness is not None, witness, regular, compact, apex)
+
+
+def reference_condition_report(d):
+    """All 27 memberships, each from its own cross products."""
+    tables = [{}, {}, {}]
+    for i in range(3):
+        for j in range(3):
+            for table, (g, h) in zip(tables, ((d.a[i], d.a[j]), (d.b[i], d.b[j]), (d.a[i], d.b[j]))):
+                table[(i + 1, j + 1)] = reference_in_cone2(d.c, g, h)
+    a_pairs, b_pairs, mixed = tables
+    holds = (
+        not any(m.member for m in a_pairs.values())
+        and not any(m.member for m in b_pairs.values())
+        and all(m.member for m in mixed.values())
+    )
+    return ConditionReport(holds, a_pairs, b_pairs, mixed, reference_level_set(d))
+
+
+def reference_interpolation_path(d, spec):
+    """The path check with the six generators built at every time, on the
+    data cleared of every denominator, each time decided by the 8 tests."""
+    n = lcm(
+        *(x.denominator for x in (spec.a, spec.b, *spec.times)),
+        *(x.denominator for v in (*d.a, *d.b, d.c) for x in v),
+    )
+
+    def cleared(x):
+        return x.numerator * (n // x.denominator)
+
+    a = [(cleared(x), cleared(y)) for x, y in d.a]
+    b = [(cleared(x), cleared(y)) for x, y in d.b]
+    c = (cleared(d.c[0]), cleared(d.c[1]))
+    a0 = vscale(cleared(spec.a), a[0])
+    b0 = vscale(cleared(spec.b), b[0])
+    if vadd(a0, b0) != vscale(n, c):
+        raise ValueError("base coefficients must satisfy C = a*A_1 + b*B_1")
+    for t in spec.times:
+        nt = cleared(t)
+        tn, s = nt * n, n - nt
+        gens = [vadd(vscale(tn, g), vscale(s, a0)) for g in a] + [
+            vadd(vscale(tn, g), vscale(s, b0)) for g in b
+        ]
+        if not all(reference_cone_member(c, gens[g], gens[h]) == inside for g, h, inside in _CONDITION_TESTS):
+            return False
+    return True
+
+
+def reference_census(d):
+    """The census with every entry built anew: the divisors of each
+    pattern's rows from their entries and 2 x 2 minors."""
+    gens = _integer_generators(d)
+    witnesses = {(i, j): (a, b) for i, j, a, b in reference_mixed_witnesses(d)}
+    subsets = [s for size in (1, 2, 3) for s in itertools.combinations((1, 2, 3), size)]
+    patterns = []
+    for i_set in subsets:
+        for j_set in subsets:
+            if any(i != j for i in i_set for j in j_set):
+                patterns.append(SupportPattern(i_set, j_set))
+    patterns.sort(key=lambda p: (len(p.i_set), len(p.j_set), p.i_set, p.j_set))
+    reports = []
+    for pattern in patterns:
+        rows = [gens[i - 1] for i in pattern.i_set] + [gens[2 + j] for j in pattern.j_set]
+        d1 = gcd(*(x for row in rows for x in row))
+        d12 = gcd(*(cross(u, v) for k, u in enumerate(rows) for v in rows[k + 1:]))
+        group = IsotropyGroup(*invariant_factors_from_divisors(d1, d12))
+        if pattern.is_singleton:
+            witness = witnesses.get((pattern.i_set[0], pattern.j_set[0]))
+            reports.append(StratumReport(pattern, group, witness is not None, witness))
+        else:
+            reports.append(StratumReport(pattern, group, True if pattern.is_full else None, None))
+    return reports

@@ -6,7 +6,8 @@ import hashlib
 
 import pytest
 
-from su3kahler import isotropy, quadric, weights
+import su3kahler
+from su3kahler import conegeom, isotropy, quadric, weights
 from su3kahler.cli import main
 from su3kahler.conegeom import ConeMembership
 
@@ -93,6 +94,28 @@ def test_census_and_certificates_skip_their_dict_forms(capsys, monkeypatch, argv
 
     for owner, name in DICT_FORMS:
         monkeypatch.setattr(owner, name, refuse)
+    assert main(list(argv)) == code
+    data = capsys.readouterr().out.encode()
+    assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)
+
+
+EXACT_EXAMPLES = [p for p in GOLDEN if p.id in ("check", "isotropy-cone-data", "isotropy-weights")]
+
+
+@pytest.mark.parametrize("argv, code, length, digest", EXACT_EXAMPLES)
+def test_check_and_isotropy_read_the_sign_table(capsys, monkeypatch, argv, code, length, digest):
+    """check and isotropy take every membership, witness and apex functional
+    from the cone data's sign table: with in_cone2, find_apex_functional and
+    positive_combination (no mixed pair of these examples is dependent) made
+    to raise wherever they are bound, they give the pinned stdout."""
+
+    def refuse(*args):
+        raise AssertionError("a membership was decided outside the sign table")
+
+    for module in (su3kahler, conegeom, weights, quadric):
+        for name in ("in_cone2", "find_apex_functional", "positive_combination"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     assert main(list(argv)) == code
     data = capsys.readouterr().out.encode()
     assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)

@@ -190,3 +190,71 @@ def test_encoding_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+ORBIFOLD_CONE = '{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'
+FAILING_CONE = '{"A": [[1,0],[0,1],[1,1]], "B": [[1,0],[2,-1],[1,-1]]}'
+
+ENVELOPES = [
+    ("check", "--config", ORBIFOLD_WEIGHTS),
+    ("check", "--config", ORBIFOLD_CONE, "--interp-steps", "3"),
+    ("check", "--config", FAILING_CONE),  # exit 1
+    ("check", "--config", ORBIFOLD_CONE, "--interp-steps", "0"),  # usage error
+    ("check", "--config", "/nonexistent/été.json"),  # escaped in the config echo
+    ("isotropy", "--config", ORBIFOLD_WEIGHTS),
+    ("isotropy", "--config", FAILING_CONE),  # the cone condition fails
+    ("isotropy", "--config", '{"A": [["1/2",0],[1,0],[2,-1]], "B": [["1/2",1],[0,1],[-1,2]]}'),
+    ("verify", "--config", ORBIFOLD_CONE, "--samples", "3", "--seed", "4"),
+    ("verify", "--config", ORBIFOLD_CONE, "--samples", "0"),
+    ("generate", "--config", ORBIFOLD_CONE),
+    ("generate", "--config", ORBIFOLD_WEIGHTS),
+    ("enumerate", "--bound", "1"),
+    ("enumerate", "--bound", "-1"),
+    ("cohomology",),
+    ("cohomology", "--beta", "1/2,-3/7"),
+    ("cohomology", "--beta", "1/0,1"),
+    ("--timing", "check", "--config", ORBIFOLD_WEIGHTS),  # a measured wall time
+    ("--timing", "isotropy", "--config", FAILING_CONE),
+]
+
+
+def report_of(stdout: str) -> str:
+    """The indented report at the end of stdout (enumerate writes its
+    stream lines first, one line each)."""
+    return stdout[stdout.index("{\n"):]
+
+
+@pytest.mark.parametrize("argv", ENVELOPES, ids=" ".join)
+def test_report_envelope_bytes_match_stdlib(capsys, monkeypatch, argv):
+    """Every command's report, error envelopes and --timing included, is
+    byte for byte json.dumps(indent=2, sort_keys=True) of itself; the
+    envelope comes from its cached template, so a second run gives the
+    same bytes with the envelope's dict form made to raise."""
+    cli.main(list(argv))
+    text = report_of(capsys.readouterr().out)
+    assert text == stdlib(json.loads(text))
+
+    def refuse(*args):
+        raise AssertionError("the envelope was built as a dict")
+
+    monkeypatch.setattr(cli, "_report", refuse)
+    cli.main(list(argv))
+    again = report_of(capsys.readouterr().out)
+    if "--timing" in argv:  # the wall time differs between runs
+        again_obj, obj = json.loads(again), json.loads(text)
+        assert again_obj["wall_time_s"] > 0 and obj["wall_time_s"] > 0
+        assert {**again_obj, "wall_time_s": 0} == {**obj, "wall_time_s": 0}
+        assert again == stdlib(again_obj)
+    else:
+        assert again == text
+
+
+def test_out_file_and_its_error_envelope_match_stdlib(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    code = cli.main(["--out", str(out), "isotropy", "--config", ORBIFOLD_CONE])
+    text = capsys.readouterr().out
+    assert code == 0 and out.read_text() == text == stdlib(json.loads(text))
+    code = cli.main(["--out", str(tmp_path), "check", "--config", ORBIFOLD_CONE])  # a directory
+    text = capsys.readouterr().out
+    assert code == 2 and "cannot write --out" in json.loads(text)["results"]["error"]
+    assert text == stdlib(json.loads(text))

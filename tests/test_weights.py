@@ -14,7 +14,9 @@ from su3kahler import weights
 from su3kahler.conegeom import (
     INT64_MAX,
     MembershipStatus,
+    SignTable,
     cone_member,
+    cross,
     find_apex_functional,
     in_cone2,
     vadd,
@@ -212,25 +214,44 @@ def test_mixed_witnesses_is_not_a_field(orbifold_data):
 
 
 def test_mixed_witnesses_computed_once_for_every_reader(monkeypatch, orbifold_data):
+    """The level-set check, the census and the certification sample all read
+    one sign table per cone data object. Independent mixed pairs take their
+    witness from the table's INTERIOR memberships; only dependent pairs call
+    positive_combination, once each."""
     from su3kahler.isotropy import singular_stratum_census
     from su3kahler.quadric import certification_sample
 
-    calls = []
+    builds, calls = [], []
+
+    def counted_table(vectors):
+        builds.append(vectors)
+        return SignTable(vectors)
 
     def counted(*args):
         calls.append(args)
         return positive_combination(*args)
 
+    monkeypatch.setattr(weights, "SignTable", counted_table)
     monkeypatch.setattr(weights, "positive_combination", counted)
-    d = cone_data(orbifold_data.a, orbifold_data.b)
-    level = check_level_set_conditions(d)
-    census = singular_stratum_census(d)
-    certification_sample(d, 5, 0)
-    assert len(calls) == 6  # the six mixed pairs i != j, once
-    assert level.nonempty_witness == (1, 2, F(1), F(1))
-    singletons = {(r.pattern.i_set[0], r.pattern.j_set[0]): r.witness for r in census if r.pattern.is_singleton}
-    expected = {(i, j): (a, b) for i, j, a, b in expected_mixed_witnesses(d)}
-    assert singletons == {ij: expected.get(ij) for ij in singletons}
+    # the orbifold example, and data whose B_3 = 0 makes (A_1, B_3), (A_2, B_3) dependent
+    degenerate = cone_data([(1, 0), (2, 0), (1, 1)], [(0, 1), (-1, 1), (0, 0)])
+    for source, dependent in ((orbifold_data, 0), (degenerate, 2)):
+        builds.clear()
+        calls.clear()
+        d = cone_data(source.a, source.b)
+        level = check_level_set_conditions(d)
+        census = singular_stratum_census(d)
+        if level.nonempty:
+            certification_sample(d, 5, 0)
+        assert len(builds) == 1  # one table for every reader
+        assert len(calls) == dependent == sum(cross(d.a[i], d.b[j]) == 0 for i, j in weights._MIXED_PAIRS)
+        assert level.nonempty_witness == (d.mixed_witnesses[0] if d.mixed_witnesses else None)
+        singletons = {
+            (r.pattern.i_set[0], r.pattern.j_set[0]): r.witness for r in census if r.pattern.is_singleton
+        }
+        expected = {(i, j): (a, b) for i, j, a, b in expected_mixed_witnesses(d)}
+        assert singletons == {ij: expected.get(ij) for ij in singletons}
+    assert level.nonempty_witness is not None
 
 
 # --- solving for weights -------------------------------------------------------
