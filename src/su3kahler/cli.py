@@ -7,8 +7,18 @@ from cone data), enumerate (search weight systems), cohomology (tables).
 Reports are JSON on stdout. Exit codes: 0 all checks pass, 1 a
 mathematical check fails or stdout was closed early (a broken pipe, as
 in ``su3kahler enumerate --bound 3 | head``: the rest of the output is
-dropped without a traceback), 2 input or usage error. Reports are
-byte-stable across reruns; measured wall time is only emitted with --timing.
+dropped without a traceback), 2 input or usage error, reported in the
+same envelope (a usage error with the command argparse reached, or null,
+and an empty config). Reports are byte-stable across reruns; measured
+wall time is only emitted with --timing.
+
+The options are declared once, in one table (``_GLOBAL_OPTIONS`` and
+``_TABLE``): flag, type, default or required, choices and help per
+command. :func:`build_parser` makes argparse's parser from it, and
+``_read_argv`` reads the argv written in the table's plain grammar
+without argparse; every other argv (help, abbreviations,
+``--flag=value``, usage errors) goes to argparse, which keeps its
+behaviour for it.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -723,68 +734,185 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
     return results, passed
 
 
+class _Option(NamedTuple):
+    """One option of the CLI: its flag, the type argparse converts its value
+    with (bool for a switch that takes no value), its default, whether it is
+    required, its choices and its help."""
+
+    flag: str
+    type: type = str
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        """The attribute argparse stores the value in."""
+        return self.flag[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    """A command: the function that runs it, its help and its options."""
+
+    run: Callable
+    help: str
+    options: tuple[_Option, ...]
+
+
+_CONFIG = _Option(
+    "--config", required=True, help='weight system {"wL","wR"} or cone data {"A","B"}, inline JSON or path'
+)
+
+# The CLI surface, declared once: build_parser() makes argparse's parser
+# from it, and _read_argv() reads the argv written in its plain grammar.
+_GLOBAL_OPTIONS = (
+    _Option("--out", help="also write the JSON report to this path"),
+    _Option("--timing", bool, False, help="emit measured wall time (breaks byte-stability)"),
+)
+_TABLE = {
+    "check": _Command(cmd_check, "cone condition, consequences, interpolation path", (
+        _CONFIG,
+        _Option("--interp-steps", int, 8, help="samples = k/steps, k=0..steps"),
+    )),
+    "isotropy": _Command(cmd_isotropy, "freeness, classification, stratum census", (_CONFIG,)),
+    "verify": _Command(cmd_verify, "pointwise numerical certificates", (
+        _CONFIG,
+        _Option("--samples", int, 100),
+        _Option("--seed", int, 0),
+        _Option(
+            "--tol", float, 1e-9,
+            help="level-set residual tolerance for sample points (moment part relative to the data scale)",
+        ),
+        _Option("--tol-zero", float, 1e-8),
+        _Option("--tol-pos", float, 1e-6),
+    )),
+    "generate": _Command(cmd_generate, "weight systems from cone data", (
+        _Option("--config", required=True, help='{"A": [...], "B": [...]} (inline or path)'),
+    )),
+    "enumerate": _Command(cmd_enumerate, "stream weight systems passing the cone condition", (
+        _Option("--bound", int, required=True),
+    )),
+    "cohomology": _Command(cmd_cohomology, "basic/de Rham Betti tables and Hodge diamond", (
+        _Option("--beta", help='two rationals "p/q,r/s" for the (1,0)-generator image'),
+        _Option("--branch", choices=("generic", "degenerate"), default="generic"),
+    )),
+}
+_COMMANDS = {name: command.run for name, command in _TABLE.items()}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with its usage errors raised as InputError (its
+    subparsers are of the same class), so that they end in the envelope."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _add_options(parser: argparse.ArgumentParser, options) -> None:
+    for o in options:
+        if o.type is bool:
+            parser.add_argument(o.flag, action="store_true", help=o.help)
+        else:
+            parser.add_argument(
+                o.flag, type=o.type, default=o.default, required=o.required, choices=o.choices, help=o.help
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="su3kahler",
         description="Exact cone-condition checks and numerical transverse-Kahler "
         "certification for double-sided torus actions on SU(3).",
     )
-    parser.add_argument("--out", help="also write the JSON report to this path")
-    parser.add_argument(
-        "--timing", action="store_true", help="emit measured wall time (breaks byte-stability)"
-    )
+    _add_options(parser, _GLOBAL_OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    config_help = 'weight system {"wL","wR"} or cone data {"A","B"}, inline JSON or path'
-
-    p = sub.add_parser("check", help="cone condition, consequences, interpolation path")
-    p.add_argument("--config", required=True, help=config_help)
-    p.add_argument("--interp-steps", type=int, default=8, help="samples = k/steps, k=0..steps")
-
-    p = sub.add_parser("isotropy", help="freeness, classification, stratum census")
-    p.add_argument("--config", required=True, help=config_help)
-
-    p = sub.add_parser("verify", help="pointwise numerical certificates")
-    p.add_argument("--config", required=True, help=config_help)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--tol", type=float, default=1e-9,
-        help="level-set residual tolerance for sample points (moment part relative to the data scale)",
-    )
-    p.add_argument("--tol-zero", type=float, default=1e-8)
-    p.add_argument("--tol-pos", type=float, default=1e-6)
-
-    p = sub.add_parser("generate", help="weight systems from cone data")
-    p.add_argument("--config", required=True, help='{"A": [...], "B": [...]} (inline or path)')
-
-    p = sub.add_parser("enumerate", help="stream weight systems passing the cone condition")
-    p.add_argument("--bound", type=int, required=True)
-
-    p = sub.add_parser("cohomology", help="basic/de Rham Betti tables and Hodge diamond")
-    p.add_argument("--beta", help='two rationals "p/q,r/s" for the (1,0)-generator image')
-    p.add_argument("--branch", choices=("generic", "degenerate"), default="generic")
-
+    for name, command in _TABLE.items():
+        _add_options(sub.add_parser(name, help=command.help), command.options)
     return parser
 
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call of :func:`main`, not at import.
+    """The parser, built on the first argv the table refuses, not at import.
 
     Parsing keeps no state in the parser, so one instance serves every call.
     """
     return build_parser()
 
 
-_COMMANDS = {
-    "check": cmd_check,
-    "isotropy": cmd_isotropy,
-    "verify": cmd_verify,
-    "generate": cmd_generate,
-    "enumerate": cmd_enumerate,
-    "cohomology": cmd_cohomology,
-}
+class _Grammar(NamedTuple):
+    """Options by flag as (attribute, type, choices), the attributes'
+    defaults and the required attributes."""
+
+    options: dict
+    defaults: dict
+    required: frozenset
+
+
+def _grammar(options) -> _Grammar:
+    return _Grammar(
+        {o.flag: (o.dest, o.type, o.choices) for o in options},
+        {o.dest: o.default for o in options},
+        frozenset(o.dest for o in options if o.required),
+    )
+
+
+_GLOBAL_GRAMMAR = _grammar(_GLOBAL_OPTIONS)
+_COMMAND_GRAMMARS = {name: _grammar(command.options) for name, command in _TABLE.items()}
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The namespace argparse makes of argv when argv is written in the
+    table's plain grammar, and None otherwise.
+
+    The grammar: global options, then a command, then its options; every
+    flag spelled in full and given at most once, every value the next
+    string, which must not start with "-", converted by the call argparse
+    makes (int, float or str) and checked against the choices. Anything
+    else (-h, abbreviations, --flag=value, repeats, negative numbers,
+    missing or malformed values) is left to argparse, which keeps its
+    behaviour for them.
+    """
+    grammar = _GLOBAL_GRAMMAR
+    attrs = dict(grammar.defaults)
+    seen: set = set()
+    k, n = 0, len(argv)
+    while k < n:
+        arg = argv[k]
+        option = grammar.options.get(arg)
+        if option is None:  # the command, once, after the global options
+            if "command" in attrs or arg not in _COMMAND_GRAMMARS:
+                return None
+            attrs["command"] = arg
+            grammar = _COMMAND_GRAMMARS[arg]
+            attrs.update(grammar.defaults)
+            k += 1
+            continue
+        dest, convert, choices = option
+        if dest in seen:
+            return None
+        seen.add(dest)
+        if convert is bool:
+            attrs[dest] = True
+            k += 1
+            continue
+        if k + 1 == n:
+            return None
+        value = argv[k + 1]
+        if value.startswith("-"):
+            return None
+        try:
+            value = convert(value)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        attrs[dest] = value
+        k += 2
+    if "command" not in attrs or not grammar.required <= seen:
+        return None
+    return argparse.Namespace(**attrs)
 
 
 def _config_echo(args) -> dict:
@@ -807,10 +935,20 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = argparse.Namespace()
+        try:
+            _parser().parse_args(argv, args)
+        except SystemExit as exc:  # -h/--help, printed to stdout
+            return EXIT_USAGE if exc.code not in (0, None) else 0
+        except InputError as exc:
+            # argparse stores the command once it has checked the name
+            command = getattr(args, "command", None)
+            sys.stdout.write(_report_text(command, {}, {"error": str(exc)}, False, 0.0))
+            return EXIT_USAGE
     start = time.perf_counter()
     try:
         results, passed = _COMMANDS[args.command](args)

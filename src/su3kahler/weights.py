@@ -16,16 +16,18 @@ compactness of the moment-map level set, checked independently by
 checked by :func:`check_interpolation_path`.
 
 All checks are exact rational arithmetic; nothing here touches floats.
-The boolean condition runs the 8 tests of :data:`_CONDITION_TESTS`
-through the sign kernel :func:`~su3kahler.conegeom.cone_member`; the
-enumerator evaluates them on int64 arrays, one outer wL block against
-every wR at once, each test only on the candidates that passed the ones
-before, and decides the freeness of each survivor in the same block.
-Evidence reads one integer table per cone data,
-:attr:`DerivedConeData.sign_table` (a :class:`~su3kahler.conegeom.SignTable`):
-the 27 memberships of :func:`check_cone_condition`, the mixed witnesses,
-regularity, compactness and the apex functional, and the base of the
-interpolation path. Only dependent mixed pairs build their witness with
+The boolean condition is the 8 tests of :data:`_CONDITION_TESTS`; the
+enumerator evaluates them with the sign kernel
+:func:`~su3kahler.conegeom.cone_member` on int64 arrays, one outer wL
+block against every wR at once, each test only on the candidates that
+passed the ones before, and decides the freeness of each survivor in the
+same block. Scalar decisions and evidence read one integer table per cone
+data, :attr:`DerivedConeData.sign_table` (a
+:class:`~su3kahler.conegeom.SignTable`): the 8 tests of
+:func:`cone_condition_holds`, the 27 memberships of
+:func:`check_cone_condition`, the mixed witnesses, regularity,
+compactness and the apex functional, and the base of the interpolation
+path. Only dependent mixed pairs build their witness with
 :func:`positive_combination`, and the path evaluates its 8 tests as
 forms in the time.
 """
@@ -205,8 +207,10 @@ class DerivedConeData:
     @functools.cached_property
     def _holds(self) -> bool:
         """The separating cone condition, decided once per instance by the
-        8-test kernel and cached; read it through :func:`cone_condition_holds`."""
-        return _condition_holds_raw(*self.a, *self.b, self.c)
+        8 tests of :data:`_CONDITION_TESTS` on the sign table and cached;
+        read it through :func:`cone_condition_holds`."""
+        member = self.sign_table.member
+        return all(member(_C, g, h) == inside for g, h, inside in _CONDITION_TESTS)
 
     @functools.cached_property
     def sign_table(self) -> SignTable:
@@ -492,23 +496,13 @@ def cone_condition_holds(d: DerivedConeData) -> bool:
 _CONDITION_TESTS = tuple((i, 3 + j, True) for i, j in _MIXED_PAIRS) + ((0, 1, False), (3, 5, False))
 
 
-def _condition_holds_raw(a1, a2, a3, b1, b2, b3, c):
-    """The condition on int or Fraction vectors (a bool), or elementwise on
-    vectors of int64 component arrays (a bool array).
-
-    Its domain is configurations with A_j + B_j one positive multiple of C
-    for j = 1, 2, 3; elsewhere the 8 tests need not agree with
-    :func:`check_cone_condition`."""
-    gens = (a1, a2, a3, b1, b2, b3)
-    ok = True
-    for g, h, inside in _CONDITION_TESTS:
-        ok = ok & (cone_member(c, gens[g], gens[h]) == inside)
-    return ok
-
-
 def _block_survivors(a, b, c) -> np.ndarray:
     """The ascending indices at which vectors of int64 component arrays
-    pass the condition, ``np.flatnonzero(_condition_holds_raw(*a, *b, c))``.
+    pass the 8 tests of :data:`_CONDITION_TESTS`.
+
+    Their domain is configurations with A_j + B_j one positive multiple of
+    C for j = 1, 2, 3; elsewhere the 8 tests need not agree with
+    :func:`check_cone_condition`.
 
     The first test runs on the whole block; each later one only on the
     entries still alive, their components gathered by index, and the loop
@@ -587,10 +581,12 @@ class InterpolationSpec:
     times: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+        # signs read as integers (a denominator is positive): no Fraction
+        # comparison
+        if self.a.numerator <= 0 or self.b.numerator <= 0:
             raise ValueError("base coefficients must be strictly positive")
         for t in self.times:
-            if not 0 <= t <= 1:
+            if not 0 <= t.numerator <= t.denominator:
                 raise ValueError(f"sample time {t} outside [0, 1]")
 
 

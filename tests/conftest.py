@@ -3,7 +3,7 @@ the quadric against: the torus basis change of cone data, the constraint
 Jacobian, the transverse frame, the equivariance residual of the SU(3)
 embedding and the exact seed points of a sample. Also the exact layers as
 they were before the sign table of cone data: every membership by its own
-cross products, the witnesses by ``positive_combination``, the apex search
+cross products, the boolean condition as its 8 tests, the witnesses by ``positive_combination``, the apex search
 by ``cone_member``, the interpolation path built vector by vector at every
 time and the census built entry by entry; the tests compare the library
 with them."""
@@ -170,6 +170,18 @@ def reference_cone_member(c, g1, g2):
         | ((n2 == 0) & (cx * x1 + cy * y1 > 0))
         | ((cx == 0) & (cy == 0))
     )
+
+
+def reference_condition_holds(a1, a2, a3, b1, b2, b3, c):
+    """The 8 tests of ``_CONDITION_TESTS``, each by :func:`reference_cone_member`:
+    a bool on int or Fraction vectors, a bool array elementwise on vectors
+    of int64 component arrays. Its domain is configurations with A_j + B_j
+    one positive multiple of C for j = 1, 2, 3."""
+    gens = (a1, a2, a3, b1, b2, b3)
+    ok = True
+    for g, h, inside in _CONDITION_TESTS:
+        ok = ok & (reference_cone_member(c, gens[g], gens[h]) == inside)
+    return ok
 
 
 def reference_in_cone2(c, g1, g2):

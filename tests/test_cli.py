@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -87,9 +88,35 @@ def test_check_non_integer_weights_exit_2(capsys):
         assert "error" in json.loads(out)["results"]
 
 
+USAGE_ERRORS = [
+    (["check"], "check", "the following arguments are required: --config"),
+    (["check", "--interp-steps", "x"], "check", "argument --interp-steps: invalid int value: 'x'"),
+    (["--timing", "verify", "--config", "{}", "--samples"], "verify", "argument --samples: expected one argument"),
+    (["bogus"], None, "argument command: invalid choice: 'bogus'"),
+    (["--out", "check"], None, "the following arguments are required: command"),
+    ([], None, "the following arguments are required: command"),
+]
+
+
 def test_usage_error_exits_2(capsys):
-    assert main(["check"]) == 2  # --config required
-    assert main(["bogus"]) == 2
+    """A usage error ends in one envelope on stdout with argparse's message,
+    the command argparse reached (null before it reaches one) and an empty
+    config; nothing goes to stderr."""
+    for argv, command, error in USAGE_ERRORS:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)  # exactly one JSON document
+        assert set(report) == {"command", "config", "pass", "results", "wall_time_s"}
+        assert report["command"] == command and report["config"] == {} and report["pass"] is False
+        assert set(report["results"]) == {"error"} and report["results"]["error"].startswith(error)
+        assert report["wall_time_s"] == 0.0 and captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"], ["check", "-h"]])
+def test_help_goes_to_stdout_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: su3kahler") and captured.err == ""
 
 
 def test_isotropy_orbifold_cone_data(capsys):
@@ -325,14 +352,14 @@ def test_out_at_directory_path_exits_2(tmp_path, capsys):
     assert str(tmp_path) in report["results"]["error"]
 
 
-# --- cached parser ----------------------------------------------------------------
+# --- option table and cached parser ---------------------------------------------------
 
 
-def test_cached_parser_output_matches_fresh_parsers(capsys):
-    """One process, one parser: several subcommands with a usage error in
-    between print exactly what a freshly built parser makes them print."""
-    from su3kahler import cli
-
+def test_cached_parser_output_matches_fresh_parsers(capsys, monkeypatch):
+    """One process, one parser: several subcommands with usage errors in
+    between print exactly what a freshly built parser makes them print with
+    the option table switched off. The table reads the argv written in its
+    plain grammar; argparse reads the rest."""
     argvs = [
         ("check", "--config", ORBIFOLD_CONFIG),
         ("isotropy", "--config", ORBIFOLD_CONE),
@@ -340,21 +367,29 @@ def test_cached_parser_output_matches_fresh_parsers(capsys):
         ("verify", "--samples", "x"),
         ("cohomology", "--branch", "degenerate"),
         ("check", "--config", ZERO_CONFIG, "--interp-steps", "3"),
+        ("cohomology", "--branch=degenerate"),
         ("enumerate", "--bound", "1"),
     ]
+    read = []
+    table = cli._read_argv
 
-    def outputs(fresh):
-        got = []
-        for argv in argvs:
-            if fresh:
-                cli._parser.cache_clear()
-            got.append(run(capsys, *argv))
-        return got
+    def recorded(argv):
+        args = table(argv)
+        read.append(args is not None)
+        return args
 
-    cached = outputs(fresh=False)
-    assert cli._parser.cache_info().hits >= len(argvs) - 1
-    assert [code for code, _ in cached] == [0, 0, 0, 2, 0, 1, 0]
-    assert cached == outputs(fresh=True)
+    monkeypatch.setattr(cli, "_read_argv", recorded)
+    cached = [run(capsys, *argv) for argv in argvs]
+    assert read == [True, True, True, False, True, True, False, True]
+    assert [code for code, _ in cached] == [0, 0, 0, 2, 0, 1, 0, 0]
+    assert cached[6] == cached[4]  # --branch=degenerate, read by argparse
+
+    fresh = []
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert cached == fresh
 
 
 # --- one freeness pass ---------------------------------------------------------------
@@ -392,22 +427,35 @@ def test_isotropy_gates_its_cone_data_once(capsys, monkeypatch):
 
 
 def test_isotropy_derives_and_decides_once(capsys, monkeypatch):
-    from su3kahler import weights
+    """One derive, one sign table and one decision of the cone condition
+    per isotropy op, and no run of the scalar kernel cone_member: the
+    census and the condition read the same table."""
+    from su3kahler import conegeom, weights
 
-    calls = {"derive": 0, "_condition_holds_raw": 0}
-    for name in calls:
-        original = getattr(weights, name)
+    calls = {"derive": 0, "SignTable": 0, "cone_member": 0, "_holds": 0}
+    for module, name in ((weights, "derive"), (weights, "SignTable"), (weights, "cone_member"),
+                         (conegeom, "cone_member")):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(weights, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    decide = weights.DerivedConeData._holds.func
+
+    def counted_decision(self):
+        calls["_holds"] += 1
+        return decide(self)
+
+    holds = functools.cached_property(counted_decision)
+    holds.__set_name__(weights.DerivedConeData, "_holds")
+    monkeypatch.setattr(weights.DerivedConeData, "_holds", holds)
     for config in (ORBIFOLD_CONFIG, STANDARD_CONFIG):
         calls.update(dict.fromkeys(calls, 0))
         code, out = run(capsys, "isotropy", "--config", config)
         assert code == 0 and json.loads(out)["results"]["freeness"]["classification_consistent"]
-        assert calls == {"derive": 1, "_condition_holds_raw": 1}
+        assert calls == {"derive": 1, "SignTable": 1, "cone_member": 0, "_holds": 1}
 
 
 # --- verify: tolerances and scale ----------------------------------------------------
@@ -470,3 +518,33 @@ def test_verify_is_invariant_under_rescaling_the_cone_data(capsys):
         assert code == 0 and results["all_passed"], scale
         ranks.append([(c["jacobian_rank"], c["combined_rank"], c["pass"]) for c in results["certificates"]])
     assert ranks == [[(4, 10, True)] * 30] * 4
+
+
+# --- a run under the development mode ---------------------------------------------
+
+
+def test_cli_under_dev_mode_writes_one_envelope_and_no_stderr(tmp_path):
+    """`python -X dev -W error -m su3kahler.cli` (resource and deprecation
+    warnings as errors) on check, isotropy, a small verify, --out and a
+    usage error: one envelope on stdout, nothing on stderr."""
+    src = str(Path(su3kahler.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    target = tmp_path / "report.json"
+    runs = [
+        (["check", "--config", ORBIFOLD_CONFIG], 0),
+        (["isotropy", "--config", ORBIFOLD_CONE], 0),
+        (["verify", "--config", ORBIFOLD_CONE, "--samples", "3"], 0),
+        (["--out", str(target), "cohomology"], 0),
+        (["check", "--interp-steps", "x"], 2),
+    ]
+    stdout = {}
+    for argv, code in runs:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "su3kahler.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (code, ""), argv
+        report = json.loads(proc.stdout)  # exactly one JSON document
+        assert set(report) == {"command", "config", "pass", "results", "wall_time_s"}
+        stdout[argv[-1]] = proc.stdout
+    assert target.read_text() == stdout["cohomology"]

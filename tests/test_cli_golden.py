@@ -64,6 +64,29 @@ def test_readme_example_stdout_is_pinned(capsys, argv, code, length, digest):
     assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)
 
 
+# argparse's help text at 80 columns, recorded before the parser was built
+# from the option table; pinned for Python 3.11's argparse
+HELP = [
+    pytest.param(("--help",), 908, "2395ce4b16eb9bc4b38b52231ea10844", id="help"),
+    pytest.param(("check", "--help"), 342, "fc57b825544011be981d1636c16ada23", id="check"),
+    pytest.param(("isotropy", "--help"), 216, "f2473b66632a3d2494bbc15725bc0278", id="isotropy"),
+    pytest.param(("verify", "--help"), 548, "72b5472cdcac9c26ac20f6cad674d262", id="verify"),
+    pytest.param(("generate", "--help"), 169, "4fae2ea25cc4151da128fee0525f8d1e", id="generate"),
+    pytest.param(("enumerate", "--help"), 121, "7264ec16aff03e64a28e223967866a5c", id="enumerate"),
+    pytest.param(("cohomology", "--help"), 255, "4d25096ad335ba879174dc58f61d5fd7", id="cohomology"),
+]
+
+
+@pytest.mark.parametrize("argv, length, digest", HELP)
+def test_help_text_is_pinned(capsys, monkeypatch, argv, length, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    data = captured.out.encode()
+    assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)
+    assert captured.err == ""
+
+
 RENDERED = [p for p in GOLDEN if p.id in ("check", "isotropy-cone-data", "isotropy-weights", "verify")]
 
 DICT_FORMS = (

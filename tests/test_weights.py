@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_condition_holds
 from su3kahler import weights
 from su3kahler.conegeom import (
     INT64_MAX,
@@ -383,9 +384,40 @@ def test_interpolation_rejects_base_coefficients_off_c():
         check_interpolation_path(d, spec)
     at = ((2, 0), (1, 1), (2, 0))
     bt = ((-1, 2), (0, 1), (-1, 2))
-    assert weights._condition_holds_raw(*at, *bt, d.c)
+    assert reference_condition_holds(*at, *bt, d.c)
     assert not passes(TWELVE_TESTS, (*at, *bt), d.c)
     assert not interpolation_reference(d, spec)
+
+
+# around the bounds 0 and 1 of a time and 0 of a coefficient
+edge_rat = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(-2, 2, max_denominator=7),
+    st.sampled_from([F(1, 10**30), F(-1, 10**30), F(10**30 + 1, 10**30), F(10**30 - 1, 10**30)]),
+)
+
+
+@given(edge_rat, edge_rat, st.lists(edge_rat, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_interpolation_spec_signs_match_the_comparisons(a, b, times):
+    """InterpolationSpec reads its signs off numerators and denominators; it
+    raises the ValueError the comparisons a, b > 0 and 0 <= t <= 1 raise."""
+
+    def by_comparisons():
+        if a <= 0 or b <= 0:
+            raise ValueError("base coefficients must be strictly positive")
+        for t in times:
+            if not 0 <= t <= 1:
+                raise ValueError(f"sample time {t} outside [0, 1]")
+
+    def outcome(build):
+        try:
+            build()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    assert outcome(lambda: InterpolationSpec(a, b, tuple(times))) == outcome(by_comparisons)
 
 
 def test_default_times():
@@ -525,7 +557,7 @@ def _scalar_survivors(wl, rows):
     survivors = []
     for i, wr in enumerate(rows):
         a, b, c = weights._configuration(wl, wr[0], wr[2])
-        if weights._condition_holds_raw(*a, *b, c):
+        if reference_condition_holds(*a, *b, c):
             survivors.append(i)
     return survivors
 
@@ -535,7 +567,7 @@ def test_narrowed_kernel_on_every_bound2_block():
     for wl in rows:
         a, b, c = weights._configuration(wl, (u1, v1), (u3, v3))
         survivors = weights._block_survivors(a, b, c)
-        assert survivors.tolist() == np.flatnonzero(weights._condition_holds_raw(*a, *b, c)).tolist()
+        assert survivors.tolist() == np.flatnonzero(reference_condition_holds(*a, *b, c)).tolist()
         assert survivors.tolist() == _scalar_survivors(wl, rows)
 
 
@@ -634,8 +666,8 @@ def test_narrowed_kernel_matches_full_and_scalar(block):
     rows, cols = block
     a, b, c = cols[:3], cols[3:6], cols[6]
     survivors = weights._block_survivors(a, b, c)
-    assert survivors.tolist() == np.flatnonzero(weights._condition_holds_raw(*cols)).tolist()
-    assert survivors.tolist() == [i for i, r in enumerate(rows) if weights._condition_holds_raw(*r)]
+    assert survivors.tolist() == np.flatnonzero(reference_condition_holds(*cols)).tolist()
+    assert survivors.tolist() == [i for i, r in enumerate(rows) if reference_condition_holds(*r)]
 
 
 # --- the 8-test kernel against the 12-test table and the 27 memberships -------
@@ -755,7 +787,7 @@ def test_no_smaller_pair_table_decides_the_condition():
         gens, c = row[:6], row[6]
         assert not check_cone_condition(cone_data(gens[:3], gens[3:])).holds
         assert passes(MIXED_TESTS, gens, c)
-        assert not weights._condition_holds_raw(*gens, c)
+        assert not reference_condition_holds(*gens, c)
     pair_tests = TWELVE_TESTS[:6]
     same_index_pairs = [(TWELVE_TESTS[k], TWELVE_TESTS[k + 1]) for k in (0, 2, 4)]
     for extra in [(t,) for t in pair_tests] + same_index_pairs:
