@@ -178,77 +178,73 @@ def _rendered(text, *args) -> _Rendered:
     return _Rendered(functools.partial(text, *args))
 
 
-_GAP = _Rendered(lambda nl: "\0")  # a gap in a template: encoded strings escape "\0"
-_STRING_GAP = _Rendered(lambda nl: '"\0"')  # a gap for the characters of a string
+def _gap(key: int, quoted: bool = False) -> _Rendered:
+    """The gap of a template for the value of this key, inside a string's
+    quotes if quoted. Its text holds the key and the newline and indentation
+    of its line, between NULs, which encoded strings always escape."""
+    return _Rendered(lambda nl: f'"\0{key}\0{nl}\0"' if quoted else f"\0{key}\0{nl}\0")
 
 
-def _gaps(o):
-    """o with a gap in place of each leaf, a string gap for a str; None (an
-    absent value) stays."""
-    if isinstance(o, str):
-        return _STRING_GAP
+def _keyed(o, keys):
+    """o with each leaf replaced by a gap keyed by the next of keys (in the
+    order o lists its leaves), quoted for a str; None (an absent value)
+    stays."""
     if isinstance(o, (list, tuple)):
-        return [_gaps(x) for x in o]
+        return [_keyed(x, keys) for x in o]
     if isinstance(o, dict):
-        return {k: _gaps(v) for k, v in o.items()}
-    return None if o is None else _GAP
+        return {k: _keyed(v, keys) for k, v in o.items()}
+    return None if o is None else _gap(next(keys), isinstance(o, str))
 
 
-def _template(o, nl: str) -> tuple[str, ...]:
-    """The text of o at nl, split at its gaps."""
+def _template(form, nl: str):
+    """The text of form at nl split at its gaps: the pieces between them,
+    and the key and the newline and indentation of each gap, in text order."""
     parts: list = []
-    _encode(o, parts, nl)
-    return tuple("".join(parts).split("\0"))
+    _encode(form, parts, nl)
+    split = "".join(parts).split("\0")
+    return tuple(split[::3]), tuple(zip(map(int, split[1::3]), split[2::3]))
 
 
-def _fill(pieces: tuple[str, ...], values) -> str:
-    """A template's text with the values' str() in its gaps, in order. A
-    value is a JSON text, an int (not a bool), whose str() is the encoder's
-    text of it, or, in a string gap, an int or a Fraction, whose str() is
+def _fill(template, values) -> str:
+    """A template's text with str(values[k]) in each gap of key k. A value is
+    a JSON text, an int (not a bool), whose str() is the encoder's text of
+    it, or, in a string gap, an int or a Fraction, whose str() is
     ``scalar_to_json`` of it: digits, "-" and "/", which need no escape."""
+    pieces, slots = template
     parts: list = [None] * (2 * len(pieces) - 1)
     parts[::2] = pieces
-    parts[1::2] = map(str, values)
+    parts[1::2] = [str(values[k]) for k, _ in slots]
     return "".join(parts)
 
 
-@functools.lru_cache(maxsize=256)
-def _list_template(n: int, nl: str) -> tuple[str, ...]:
-    return _template([_GAP] * n, nl)
+def _encode_fill(template, values, parts: list) -> None:
+    """Append a template's text to parts with the encoder's text of
+    values[k] in each gap of key k, at the gap's newline and indentation."""
+    pieces, slots = template
+    parts.append(pieces[0])
+    for (k, nl), piece in zip(slots, pieces[1:]):
+        _encode(values[k], parts, nl)
+        parts.append(piece)
 
 
-@functools.lru_cache(maxsize=8)
-def _weights_template(nl: str) -> tuple[str, ...]:
+@functools.lru_cache(maxsize=16)  # weights and derived, at each nl they are written at
+def _leaf_template(cls, nl: str):
+    """The dict form of a WeightSystem or DerivedConeData (cls) at nl, with
+    a gap for each entry keyed by its position among the entries of the
+    fields in order, the order in which the dict form lists them."""
     zero = ((0, 0),) * 3
-    return _template(_gaps(wt.WeightSystem(zero, zero).to_json()), nl)
+    probe = wt.WeightSystem(zero, zero) if cls is wt.WeightSystem else wt.DerivedConeData(zero, zero, (0, 0))
+    return _template(_keyed(probe.to_json(), itertools.count()), nl)
 
 
 def _weights_text(ws: wt.WeightSystem, nl: str) -> str:
     """``ws.to_json()`` as encoded text."""
-    return _fill(_weights_template(nl), itertools.chain(*ws.wl, *ws.wr))
-
-
-@functools.lru_cache(maxsize=8)
-def _derived_template(nl: str) -> tuple[str, ...]:
-    zero = ((0, 0),) * 3
-    return _template(_gaps(wt.DerivedConeData(zero, zero, (0, 0)).to_json()), nl)
+    return _fill(_leaf_template(wt.WeightSystem, nl), [*itertools.chain(*ws.wl, *ws.wr)])
 
 
 def _derived_text(d: wt.DerivedConeData, nl: str) -> str:
     """``d.to_json()`` as encoded text."""
-    return _fill(_derived_template(nl), itertools.chain(*d.a, *d.b, d.c))
-
-
-def _leaves(o):
-    """The leaves of a dict form in the order the encoder writes them."""
-    if isinstance(o, dict):
-        for _, value in sorted(o.items()):
-            yield from _leaves(value)
-    elif isinstance(o, list):
-        for value in o:
-            yield from _leaves(value)
-    else:
-        yield o
+    return _fill(_leaf_template(wt.DerivedConeData, nl), [*itertools.chain(*d.a, *d.b, d.c)])
 
 
 # The template caches are sized from their distinct keys over one pass of
@@ -257,34 +253,26 @@ def _leaves(o):
 @functools.lru_cache(maxsize=32)  # every verdict and presence shape at one nl
 def _level_set_template(nonempty, regular, compact, witness: bool, apex: bool, nl: str):
     """A level-set block of these verdicts, with gaps for the entries of
-    the witness and the apex functional (when present): its text split at
-    the gaps, and the index in (*witness, *apex) of the entry that fills
-    each gap, in text order. The order is read off a probe whose entries
-    are their indices."""
-    first_apex = 4 if witness else 0
+    the witness and the apex functional (when present), keyed by their
+    positions in (*witness, *apex), the order in which the dict form lists
+    them."""
     form = wt.LevelSetConditions(
-        nonempty,
-        (0, 1, 2, 3) if witness else None,
-        regular,
-        compact,
-        (first_apex, first_apex + 1) if apex else None,
+        nonempty, (0, 0, 0, 0) if witness else None, regular, compact, (0, 0) if apex else None
     ).to_json()
-    order: list = []
-    for key, value in sorted(form.items()):
+    keys = itertools.count()
+    for key, value in form.items():
         if isinstance(value, (dict, list)):  # the witness or the apex functional
-            order += map(int, _leaves(value))
-            form[key] = _gaps(value)
-    return _template(form, nl), tuple(order)
+            form[key] = _keyed(value, keys)
+    return _template(form, nl)
 
 
 def _level_set_text(ls: wt.LevelSetConditions, nl: str) -> str:
     """``ls.to_json()`` as encoded text."""
     witness, apex = ls.nonempty_witness, ls.apex_functional
-    pieces, order = _level_set_template(
+    template = _level_set_template(
         ls.nonempty, ls.regular, ls.compact, witness is not None, apex is not None, nl
     )
-    entries = (*(witness or ()), *(apex or ()))
-    return _fill(pieces, [entries[k] for k in order])
+    return _fill(template, (*(witness or ()), *(apex or ())))
 
 
 def _level_set_probe() -> wt.LevelSetConditions:
@@ -294,72 +282,48 @@ def _level_set_probe() -> wt.LevelSetConditions:
 @functools.lru_cache(maxsize=4)  # holds or not, at the one nl of a check report
 def _condition_frame(holds: bool, nl: str):
     """A condition report with a gap for each table and for the level-set
-    block: its text split at the gaps, and what fills each gap in text
-    order, a table's index in (a_pairs, b_pairs, mixed_pairs) or None (the
-    level-set block). Read off a probe whose k-th table holds one
-    membership with the coefficients (k, 0)."""
-    tables = [{(1, 1): ConeMembership(MembershipStatus.INTERIOR, (k, 0))} for k in range(3)]
-    form = wt.ConditionReport(holds, *tables, _level_set_probe()).to_json()
-    level_set = _level_set_probe().to_json()
-    order: list = []
-    for key, value in sorted(form.items()):
-        if value == level_set:
-            order.append(None)
-        elif isinstance(value, dict):
-            [entry] = value.values()
-            order.append(int(entry["coefficients"][0]))
-        else:
-            continue
-        form[key] = _GAP
-    return _template(form, nl), tuple(order)
+    block, keyed by their positions in (a_pairs, b_pairs, mixed_pairs,
+    level_set), the order in which the dict form lists them."""
+    form = wt.ConditionReport(holds, {}, {}, {}, _level_set_probe()).to_json()
+    keys = itertools.count()
+    return _template({k: _gap(next(keys)) if isinstance(v, dict) else v for k, v in form.items()}, nl)
 
 
 @functools.lru_cache(maxsize=256)
 def _table_template(pairs, shapes, nl: str):
     """A condition table with these pair keys whose memberships, in table
-    order, have these (status value, coefficients absent) shapes: its text
-    split at its gaps, and the index of the membership whose coefficients
-    fill each gap, in text order. Read off a probe report that holds the
-    table as each of its tables, and whose k-th membership has the
-    coefficients (k, 0)."""
+    order, have these (status value, coefficients absent) shapes, with a
+    gap for each coefficient keyed by its position among the coefficients
+    present, in table order. Read off a probe report that holds the table,
+    whose coefficients are their positions."""
+    positions = itertools.count()
     table = {
-        ij: ConeMembership(MembershipStatus(status), None if absent else (k, 0))
-        for k, (ij, (status, absent)) in enumerate(zip(pairs, shapes))
+        ij: ConeMembership(MembershipStatus(status), None if absent else (next(positions), next(positions)))
+        for ij, (status, absent) in zip(pairs, shapes)
     }
-    report = wt.ConditionReport(False, table, table, table, _level_set_probe()).to_json()
-    level_set = _level_set_probe().to_json()
-    form = next(v for v in report.values() if isinstance(v, dict) and v != level_set)
-    order: list = []
-    for entry in map(form.get, sorted(form)):  # in the encoder's order
+    form = wt.ConditionReport(False, table, {}, {}, _level_set_probe()).to_json()["A_pairs"]
+    for entry in form.values():
         if "coefficients" in entry:
-            order.append(int(entry["coefficients"][0]))
-            entry["coefficients"] = _gaps(entry["coefficients"])
-    return _template(form, nl), tuple(order)
+            entry["coefficients"] = _keyed(entry["coefficients"], map(int, entry["coefficients"]))
+    return _template(form, nl)
 
 
 def _table_text(table: dict, nl: str) -> str:
     """A condition table (one of a report's three) as encoded text."""
-    memberships = list(table.values())
+    memberships = table.values()
     # status values, not members: a str caches its hash, an enum member
     # hashes through a Python-level __hash__
     shapes = tuple([(m.status._value_, m.coefficients is None) for m in memberships])
-    pieces, order = _table_template(tuple(table), shapes, nl)
-    values: list = []
-    for k in order:
-        values += memberships[k].coefficients
-    return _fill(pieces, values)
+    values = [x for m in memberships if m.coefficients is not None for x in m.coefficients]
+    return _fill(_table_template(tuple(table), shapes, nl), values)
 
 
 def _condition_text(report: wt.ConditionReport, nl: str) -> str:
     """``report.to_json()`` as encoded text."""
-    tables = (report.a_pairs, report.b_pairs, report.mixed_pairs)
-    pieces, order = _condition_frame(report.holds, nl)
     inner = nl + "  "
-    texts = [
-        _level_set_text(report.level_set, inner) if k is None else _table_text(tables[k], inner)
-        for k in order
-    ]
-    return _fill(pieces, texts)
+    texts = [_table_text(table, inner) for table in (report.a_pairs, report.b_pairs, report.mixed_pairs)]
+    texts.append(_level_set_text(report.level_set, inner))
+    return _fill(_condition_frame(report.holds, nl), texts)
 
 
 def _interpolation_json(spec: wt.InterpolationSpec, ok: bool) -> dict:
@@ -372,12 +336,13 @@ def _interpolation_json(spec: wt.InterpolationSpec, ok: bool) -> dict:
 
 
 @functools.lru_cache(maxsize=8)
-def _interpolation_template(steps: int, ok: bool, nl: str) -> tuple[str, ...]:
+def _interpolation_template(steps: int, ok: bool, nl: str):
     """The interpolation block at the default times of ``steps``, with gaps
-    for the base coefficients."""
+    for the base coefficients (a, b)."""
     probe = wt.InterpolationSpec(1, 1, wt.default_interpolation_times(steps))
     form = _interpolation_json(probe, ok)
-    return _template({**form, "base_coefficients": _gaps(form["base_coefficients"])}, nl)
+    form["base_coefficients"] = _keyed(form["base_coefficients"], itertools.count())
+    return _template(form, nl)
 
 
 def _interpolation_text(spec: wt.InterpolationSpec, ok: bool, steps: int, nl: str) -> str:
@@ -391,23 +356,24 @@ def _interpolation_text(spec: wt.InterpolationSpec, ok: bool, steps: int, nl: st
 @functools.lru_cache(maxsize=8)
 def _census_template(shapes, nl: str):
     """A census whose entries, in list order, have these (I, J, verdict,
-    group rank, number of factors, witness absent) shapes: its text split
-    at the gaps for each group's numbers and each witness point's entries,
-    and, for a positive-dimensional and a finite group, the attributes
-    whose values fill the group's gaps, in text order. Those are the keys
-    of a probe group's dict form that hold numbers, which name its
-    attributes."""
+    group rank, number of factors, witness absent) shapes, with gaps for
+    each group's numbers and each witness point's entries, keyed by their
+    positions in the census's values: per entry, its group's numbers in the
+    order its dict form lists them, then its witness point's entries. Also,
+    for a positive-dimensional and a finite group, the attributes that hold
+    those numbers: the keys of a probe group's dict form that hold numbers,
+    which name its attributes."""
+    keys = itertools.count()
     entries = []
     for i_set, j_set, realizable, rank, n_factors, absent in shapes:
         group = iso.IsotropyGroup(rank, (1,) * n_factors)
         probe = iso.StratumReport(
             iso.SupportPattern(i_set, j_set), group, realizable, None if absent else (0, 0)
         ).to_json()
-        group_form = probe["isotropy"]
-        isotropy = {**_gaps(group_form), "kind": group_form["kind"]}
-        entries.append({**probe, "isotropy": isotropy, "witness_point": _gaps(probe["witness_point"])})
+        isotropy = {k: v if isinstance(v, str) else _keyed(v, keys) for k, v in probe["isotropy"].items()}
+        entries.append({**probe, "isotropy": isotropy, "witness_point": _keyed(probe["witness_point"], keys)})
     fields = [
-        tuple(k for k, v in sorted(group.to_json().items()) if not isinstance(v, str))
+        tuple(k for k, v in group.to_json().items() if not isinstance(v, str))
         for group in (iso.IsotropyGroup(1, ()), iso.IsotropyGroup(2, (1, 1)))
     ]
     return _template(entries, nl), fields
@@ -431,7 +397,7 @@ def _census_text(census: list, nl: str) -> str:
          r.witness is None)
         for r in census
     ]
-    pieces, fields = _census_template(tuple(shapes), nl)
+    template, fields = _census_template(tuple(shapes), nl)
     numbers: dict = {}  # by group object; a census shares a few
     values: list = []
     for r in census:
@@ -441,37 +407,43 @@ def _census_text(census: list, nl: str) -> str:
         values += numbers[id(group)]
         if r.witness is not None:
             values += r.witness
-    return _fill(pieces, values)
+    return _fill(template, values)
 
 
 @functools.lru_cache(maxsize=8)
 def _certificate_template(nl: str):
-    """A certificate's text at nl split at its values, and a getter of their
-    fields in that order, read from a probe whose every field holds its name."""
-    probe = quad.PointCertificate(*[(f.name,) for f in dataclasses.fields(quad.PointCertificate)])
-    fields = [value[0] for _, value in sorted(probe.to_json().items())]
-    return _template(dict.fromkeys(probe.to_json(), _GAP), nl), operator.attrgetter(*fields)
+    """A certificate's text at nl with a gap for each value, keyed by the
+    position of its field, and a getter of the fields' values in that
+    order. Read off a probe whose every field holds its position."""
+    fields = [f.name for f in dataclasses.fields(quad.PointCertificate)]
+    probe = quad.PointCertificate(*[(k,) for k in range(len(fields))])
+    form = {key: _gap(value[0]) for key, value in probe.to_json().items()}
+    return _template(form, nl), operator.attrgetter(*fields)
 
 
 def _certificates_text(certificates: list, nl: str) -> str:
     """``[c.to_json() for c in certificates]`` as encoded text."""
+    if not certificates:
+        return "[]"
     inner = nl + "  "
-    value_nl = inner + "  "
-    item_nl = value_nl + "  "
-    template = _list_template(len(certificates), nl)
-    cert_template, values = _certificate_template(inner)
+    (pieces, slots), values_of = _certificate_template(inner)
+    gaps = tuple(zip(slots, pieces[1:]))
     parts: list = []
-    for piece, cert in zip(template, certificates):
-        parts.append(piece)
-        for key_text, x in zip(cert_template, values(cert)):
-            parts.append(key_text)
+    sep = "[" + inner
+    for cert in certificates:
+        parts += (sep, pieces[0])
+        sep = "," + inner
+        values = values_of(cert)
+        for (k, value_nl), piece in gaps:
+            x = values[k]
             if type(x) is not tuple:
                 _encode(x, parts, value_nl)
             else:  # the spectrum, floats only
+                item_nl = value_nl + "  "
                 spectrum = ("," + item_nl).join(map(_float_text, x))
                 parts.append("[" + item_nl + spectrum + value_nl + "]" if x else "[]")
-        parts.append(cert_template[-1])
-    parts.append(template[-1])
+            parts.append(piece)
+    parts.append(nl + "]")
     return "".join(parts)
 
 
@@ -499,37 +471,22 @@ def _report(command: str, config: dict, results: dict, passed: bool, wall: float
 @functools.lru_cache(maxsize=32)
 def _envelope_template(command: str, config_keys: tuple, result_keys: tuple):
     """The envelope of a ``command`` report with these config and result
-    keys, as ``encode_report(_report(...))`` writes it: its text split at
-    the gaps where the values go, and for each gap in text order, the index
-    of its value in (*config values, *result values, pass, wall time) and
-    the newline and indentation of the line the value starts on. Both are
-    read off a probe whose gaps record them as the encoder reaches them."""
-    slots: list = []
-
-    def gap(k: int) -> _Rendered:
-        return _Rendered(lambda nl: slots.append((k, nl)) or "\0")
-
-    n, m = len(config_keys), len(result_keys)
-    probe = _report(
-        command,
-        {key: gap(k) for k, key in enumerate(config_keys)},
-        {key: gap(n + k) for k, key in enumerate(result_keys)},
-        gap(n + m),
-        gap(n + m + 1),
-    )
-    return _template(probe, "\n"), tuple(slots)
+    keys, as ``encode_report(_report(...))`` writes it, with a gap for each
+    value keyed by its position in (*config values, *result values, pass,
+    wall time)."""
+    keys = itertools.count()
+    config = {key: _gap(next(keys)) for key in config_keys}
+    results = {key: _gap(next(keys)) for key in result_keys}
+    return _template(_report(command, config, results, _gap(next(keys)), _gap(next(keys))), "\n")
 
 
 def _report_text(command: str, config: dict, results: dict, passed: bool, wall: float) -> str:
     """``encode_report(_report(command, config, results, passed, wall))``,
     from one cached envelope per command and key sets; each value is
     encoded in its gap."""
-    pieces, slots = _envelope_template(command, tuple(config), tuple(results))
-    values = (*config.values(), *results.values(), passed, wall)
-    parts = [pieces[0]]
-    for (k, nl), piece in zip(slots, pieces[1:]):
-        _encode(values[k], parts, nl)
-        parts.append(piece)
+    template = _envelope_template(command, tuple(config), tuple(results))
+    parts: list = []
+    _encode_fill(template, (*config.values(), *results.values(), passed, wall), parts)
     parts.append("\n")
     return "".join(parts)
 

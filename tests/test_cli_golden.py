@@ -7,7 +7,7 @@ import hashlib
 import pytest
 
 import su3kahler
-from su3kahler import conegeom, isotropy, quadric, weights
+from su3kahler import cli, conegeom, isotropy, quadric, weights
 from su3kahler.cli import main
 from su3kahler.conegeom import ConeMembership
 
@@ -142,3 +142,30 @@ def test_check_and_isotropy_read_the_sign_table(capsys, monkeypatch, argv, code,
     assert main(list(argv)) == code
     data = capsys.readouterr().out.encode()
     assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)
+
+
+CACHED_RUNS = [
+    ("check", "--config", ORBIFOLD_WEIGHTS),
+    ("isotropy", "--config", ORBIFOLD_WEIGHTS),
+    ("isotropy", "--config", ORBIFOLD_CONE),
+    ("verify", "--config", ORBIFOLD_CONE, "--samples", "5"),
+    ("generate", "--config", ORBIFOLD_CONE),
+    ("enumerate", "--bound", "1"),
+    ("cohomology",),
+]
+
+
+def test_a_second_run_misses_no_cache(capsys):
+    """Every cache of the CLI is keyed by values that repeat: after one run
+    of each command, a second run of each records no new miss in any
+    lru_cache of cli. A key built from a fresh object on every op (a bound
+    method, say) would miss each time and show here."""
+    caches = {name: f for name, f in vars(cli).items() if hasattr(f, "cache_info")}
+    assert len(caches) >= 8
+    for argv in CACHED_RUNS:
+        main(list(argv))
+    misses = {name: f.cache_info().misses for name, f in caches.items()}
+    for argv in CACHED_RUNS:
+        main(list(argv))
+    capsys.readouterr()
+    assert {name: f.cache_info().misses for name, f in caches.items()} == misses

@@ -201,6 +201,7 @@ ENVELOPES = [
     ("check", "--config", FAILING_CONE),  # exit 1
     ("check", "--config", ORBIFOLD_CONE, "--interp-steps", "0"),  # usage error
     ("check", "--config", "/nonexistent/été.json"),  # escaped in the config echo
+    ("check", "--config", "/nonexistent/a\x00b\x01.json"),  # NULs are escaped, not read as gaps
     ("isotropy", "--config", ORBIFOLD_WEIGHTS),
     ("isotropy", "--config", FAILING_CONE),  # the cone condition fails
     ("isotropy", "--config", '{"A": [["1/2",0],[1,0],[2,-1]], "B": [["1/2",1],[0,1],[-1,2]]}'),
