@@ -13,7 +13,6 @@ from .conegeom import (
 from .weights import (
     ConditionReport,
     DerivedConeData,
-    InterpolationSpec,
     WeightSolution,
     WeightSystem,
     check_interpolation_path,
@@ -22,7 +21,6 @@ from .weights import (
     cone_data,
     derive,
     enumerate_admissible_systems,
-    interpolation_spec,
     cone_condition_holds,
     weights_from_cone_data,
 )

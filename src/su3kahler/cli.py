@@ -64,15 +64,15 @@ def _load_json_source(source: str) -> dict:
     text = source
     if not source.lstrip().startswith("{"):
         path = Path(source)
-        if not path.exists():
-            raise InputError(f"config file not found: {source}")
-        try:
+        try:  # exists() itself raises OSError on a name too long for the system
+            if not path.exists():
+                raise InputError(f"config file not found: {source}")
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read config {source}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, deep nesting
         raise InputError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("top-level JSON object expected")
@@ -326,29 +326,23 @@ def _condition_text(report: wt.ConditionReport, nl: str) -> str:
     return _fill(_condition_frame(report.holds, nl), texts)
 
 
-def _interpolation_json(spec: wt.InterpolationSpec, ok: bool) -> dict:
-    """The interpolation block of a ``check`` report."""
+def _interpolation_json(times, ok: bool) -> dict:
+    """The interpolation block of a ``check`` report: the path's base
+    coefficients, always (1, 1) (C = A_1 + B_1), its times and its verdict."""
     return {
-        "base_coefficients": [scalar_to_json(spec.a), scalar_to_json(spec.b)],
-        "times": [scalar_to_json(t) for t in spec.times],
+        "base_coefficients": ["1", "1"],
+        "times": [scalar_to_json(t) for t in times],
         "ok": ok,
     }
 
 
 @functools.lru_cache(maxsize=8)
-def _interpolation_template(steps: int, ok: bool, nl: str):
-    """The interpolation block at the default times of ``steps``, with gaps
-    for the base coefficients (a, b)."""
-    probe = wt.InterpolationSpec(1, 1, wt.default_interpolation_times(steps))
-    form = _interpolation_json(probe, ok)
-    form["base_coefficients"] = _keyed(form["base_coefficients"], itertools.count())
-    return _template(form, nl)
-
-
-def _interpolation_text(spec: wt.InterpolationSpec, ok: bool, steps: int, nl: str) -> str:
-    """``_interpolation_json(spec, ok)`` as encoded text, for spec.times the
-    default times of ``steps``."""
-    return _fill(_interpolation_template(steps, ok, nl), (spec.a, spec.b))
+def _interpolation_text(steps: int, ok: bool, nl: str) -> str:
+    """``_interpolation_json`` at the default times of ``steps`` as encoded
+    text, built once per step count, verdict and nl."""
+    parts: list = []
+    _encode(_interpolation_json(wt.default_interpolation_times(steps), ok), parts, nl)
+    return "".join(parts)
 
 
 # One census shape over the 3870 census reports of the audit pool, and
@@ -516,9 +510,8 @@ def cmd_check(args) -> tuple[dict, bool]:
     }
     passed = report.holds
     if report.holds:
-        spec = wt.interpolation_spec(d, wt.default_interpolation_times(args.interp_steps))
-        ok = wt.check_interpolation_path(d, spec)
-        results["interpolation"] = _rendered(_interpolation_text, spec, ok, args.interp_steps)
+        ok = wt.check_interpolation_path(d, wt.default_interpolation_times(args.interp_steps))
+        results["interpolation"] = _rendered(_interpolation_text, args.interp_steps, ok)
         passed = passed and ok
     return results, passed
 

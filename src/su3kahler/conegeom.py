@@ -2,9 +2,9 @@
 
 Everything here is exact: scalars are Python ints or `fractions.Fraction`,
 vectors are plain ``(x, y)`` tuples, and predicates are decided by sign
-tests on cross products. :func:`vec2` and :func:`scalar_to_json` reject
-floats and bools; the cone predicates, called dozens of times per check,
-trust the vectors that ``vec2`` and ``cone_data`` built. Cone membership
+tests on cross products. :func:`vec2`, :func:`scalar_to_json` and
+:class:`SignTable`, the entry of every scalar cone predicate, reject
+floats and bools. Cone membership
 on a boundary ray must be *decided*, not approximated, because the
 downstream condition checks distinguish strict from non-strict membership.
 
@@ -205,9 +205,10 @@ def _independent_member(d, n1, n2) -> bool:
 class SignTable:
     """Plane vectors cleared of denominators, with their cross products.
 
-    ``vectors`` are the input vectors times one positive integer n, the
-    lcm of every denominator (n = 1, and nothing is cleared, for integer
-    data), as int pairs; ``crosses[k][p]`` is cross(vectors[k], vectors[p]).
+    ``vectors`` are the input vectors, whose entries must be ints or
+    Fractions (anything else, a bool or a float, raises TypeError), times
+    one positive integer n, the lcm of every denominator (n = 1, and
+    nothing is cleared, for integer data), as int pairs; ``crosses[k][p]`` is cross(vectors[k], vectors[p]).
     Scaling every vector by n > 0 keeps every sign, and every quotient of
     two crosses (or two dots), so the decisions and witness coefficients
     read here are those of the input vectors. Dot products are computed on
@@ -219,6 +220,9 @@ class SignTable:
     def __init__(self, vectors):
         vs = tuple(vectors)
         if not all(type(x) is int and type(y) is int for x, y in vs):
+            for z in (z for v in vs for z in v):
+                if type(z) is bool or not isinstance(z, (int, Fraction)):
+                    raise TypeError(f"exact rational expected, got {type(z).__name__}: {z!r}")
             n = lcm(*[z.denominator for v in vs for z in v])
             vs = tuple(
                 (x.numerator * (n // x.denominator), y.numerator * (n // y.denominator)) for x, y in vs

@@ -26,8 +26,8 @@ data, :attr:`DerivedConeData.sign_table` (a
 :class:`~su3kahler.conegeom.SignTable`): the 8 tests of
 :func:`cone_condition_holds`, the 27 memberships of
 :func:`check_cone_condition`, the mixed witnesses, regularity,
-compactness and the apex functional, and the base of the interpolation
-path. Only dependent mixed pairs build their witness with
+compactness and the apex functional, and the generators of the
+interpolation path. Only dependent mixed pairs build their witness with
 :func:`positive_combination`, and the path evaluates its 8 tests as
 forms in the time.
 """
@@ -80,8 +80,6 @@ __all__ = [
     "positive_combination",
     "WeightSolution",
     "weights_from_cone_data",
-    "InterpolationSpec",
-    "interpolation_spec",
     "default_interpolation_times",
     "check_interpolation_path",
     "enumerate_admissible_systems",
@@ -218,7 +216,7 @@ class DerivedConeData:
         C (rows 0-5 and :data:`_C`) cleared of denominators, with their
         cross products. Every cone decision and witness of
         :func:`check_cone_condition`, :func:`check_level_set_conditions`,
-        :func:`interpolation_spec` and the isotropy census reads it. Built
+        :func:`check_interpolation_path` and the isotropy census reads it. Built
         on first use and cached on the instance, like
         :attr:`mixed_witnesses`; it is not a field."""
         return SignTable((*self.a, *self.b, self.c))
@@ -572,24 +570,6 @@ def weights_from_cone_data(d: DerivedConeData) -> WeightSolution:
     return WeightSolution(wl, wr, scale, system)
 
 
-@dataclass(frozen=True)
-class InterpolationSpec:
-    """Base coefficients C = a*A_1 + b*B_1 (both > 0) and sample times."""
-
-    a: Fraction
-    b: Fraction
-    times: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        # signs read as integers (a denominator is positive): no Fraction
-        # comparison
-        if self.a.numerator <= 0 or self.b.numerator <= 0:
-            raise ValueError("base coefficients must be strictly positive")
-        for t in self.times:
-            if not 0 <= t.numerator <= t.denominator:
-                raise ValueError(f"sample time {t} outside [0, 1]")
-
-
 # The audit pool asks for one step count (the default 8); a CLI run for one.
 @functools.lru_cache(maxsize=8)
 def default_interpolation_times(steps: int = 8) -> tuple[Fraction, ...]:
@@ -598,61 +578,44 @@ def default_interpolation_times(steps: int = 8) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, steps) for k in range(steps + 1))
 
 
-def interpolation_spec(d: DerivedConeData, times=None) -> InterpolationSpec:
-    """Interpolation data for d; requires C interior to cone(A_1, B_1), the
-    mixed membership (1, 1) of d's sign table."""
-    m = d._mixed_membership(0, 0)
-    if m.status is not MembershipStatus.INTERIOR:
-        raise ValueError("C must lie in the interior of cone(A_1, B_1)")
-    assert m.coefficients is not None
-    ts = default_interpolation_times() if times is None else tuple(_scalar(t) for t in times)
-    return InterpolationSpec(m.coefficients[0], m.coefficients[1], ts)
-
-
-def check_interpolation_path(d: DerivedConeData, spec: InterpolationSpec) -> bool:
+def check_interpolation_path(d: DerivedConeData, times) -> bool:
     """Whether the straight-line deformation toward the round configuration
-    keeps the separating cone condition at every sample time.
+    keeps the separating cone condition at every sample time in [0, 1].
 
-    At time t the generators are A_j(t) = t*A_j + (1-t)*a*A_1 and
-    B_j(t) = t*B_j + (1-t)*b*B_1 while C stays fixed; t = 1 restores the
-    input and t = 0 collapses each family onto a single ray.
+    At time t the generators are A_j(t) = t*A_j + (1-t)*A_1 and
+    B_j(t) = t*B_j + (1-t)*B_1 while C = A_1 + B_1 stays fixed; t = 1
+    restores the input and t = 0 collapses each family onto a single ray.
+    The base A_1, B_1 needs C interior to cone(A_1, B_1), which holds
+    exactly when A_1 and B_1 are independent (the coefficients are then
+    (1, 1)), as the cone condition forces (README); raises ValueError
+    otherwise, and for a time outside [0, 1].
 
-    Cone tests see only directions, so denominators are cleared once: with
-    n the lcm of every denominator in the data, the spec and the times,
-    n**3 * A_j(t) = (n*t)*n*(n*A_j) + (n - n*t)*(n*a)*(n*A_1) is an integer
-    vector on the same ray as A_j(t), and likewise for B_j(t) and n*C.
-    Raises ValueError unless C = a*A_1 + b*B_1, as :func:`interpolation_spec`
-    ensures; this keeps each cleared A_j(t) + B_j(t) at n**2 * (n*C), in the
-    kernel's domain, which other base coefficients leave.
-
-    So the cleared A_j(t) is s*G_j + r*H_j with (s, r) = (n*t, n - n*t),
-    G_j = n*(n*A_j) and H_j = (n*a)*(n*A_1), and likewise B_j(t). Each of
-    the 8 tests of :data:`_CONDITION_TESTS` is then a quadratic form in
-    (s, r), the cross of its two generators, and two linear forms, their
-    crosses with n*C; the coefficients are computed once, and a time
-    evaluates the forms.
+    Cone tests see only directions, so the path reads d's sign table: with
+    G_j the cleared A_j (B_j on the B side) and H_j the cleared A_1 (B_1),
+    a time t = p/q enters as (s, r) = (p, q - p), and s*G_j + r*H_j is a
+    positive multiple of A_j(t). Each cleared A_j(t) + B_j(t) is q times
+    the cleared C, in the kernel's domain. Each of the 8 tests of
+    :data:`_CONDITION_TESTS` is then a quadratic form in (s, r), the cross
+    of its two generators, and two linear forms, their crosses with C;
+    every form is homogeneous in (s, r), so no time is cleared further.
+    The coefficients are computed once, and a time evaluates the forms.
     Where the quadratic form vanishes (dependent generators, as at t = 0)
-    the kernel's rule also reads the dots of n*C with the two generators,
+    the kernel's rule also reads the dots of C with the two generators,
     two more linear forms, evaluated there only.
     """
-    n = lcm(
-        *(x.denominator for x in (spec.a, spec.b, *spec.times)),
-        *(x.denominator for v in (*d.a, *d.b, d.c) for x in v),
-    )
-
-    def cleared(x) -> int:
-        return x.numerator * (n // x.denominator)
-
-    a = [(cleared(x), cleared(y)) for x, y in d.a]
-    b = [(cleared(x), cleared(y)) for x, y in d.b]
-    c = (cleared(d.c[0]), cleared(d.c[1]))
-    a0 = vscale(cleared(spec.a), a[0])
-    b0 = vscale(cleared(spec.b), b[0])
-    if vadd(a0, b0) != vscale(n, c):  # n**2 * (a*A_1 + b*B_1) against n**2 * C
-        raise ValueError("base coefficients must satisfy C = a*A_1 + b*B_1")
-    g = [vscale(n, v) for v in (*a, *b)]
-    h = [a0] * 3 + [b0] * 3
-    cg, ch = [cross(c, v) for v in g], [cross(c, v) for v in h]
+    table = d.sign_table
+    if table.crosses[0][3] == 0:
+        raise ValueError("C must lie in the interior of cone(A_1, B_1)")
+    ts = [_scalar(t) for t in times]
+    for t in ts:
+        # signs read as integers (a denominator is positive): no Fraction
+        # comparison
+        if not 0 <= t.numerator <= t.denominator:
+            raise ValueError(f"sample time {t} outside [0, 1]")
+    *g, c = table.vectors
+    h = [g[0]] * 3 + [g[3]] * 3
+    cg = [cross(c, v) for v in g]
+    ch = [cg[0]] * 3 + [cg[3]] * 3
     # per test: the cross of its generators (coefficients of s*s, s*r, r*r),
     # n1 = cross(C, q-th generator) and n2 = cross(p-th generator, C)
     # (coefficients of s, r)
@@ -665,9 +628,9 @@ def check_interpolation_path(d: DerivedConeData, spec: InterpolationSpec) -> boo
         for p, q, inside in _CONDITION_TESTS
     ]
     c_zero = is_zero(c)
-    for t in spec.times:
-        s = cleared(t)
-        r = n - s
+    for t in ts:
+        s = t.numerator
+        r = t.denominator - s
         ss, sr, rr = s * s, s * r, r * r
         for d_ss, d_sr, d_rr, n1_s, n1_r, n2_s, n2_r, p, q, inside in forms:
             det = d_ss * ss + d_sr * sr + d_rr * rr

@@ -257,13 +257,11 @@ def reference_condition_report(d):
     return ConditionReport(holds, a_pairs, b_pairs, mixed, reference_level_set(d))
 
 
-def reference_interpolation_path(d, spec):
-    """The path check with the six generators built at every time, on the
-    data cleared of every denominator, each time decided by the 8 tests."""
-    n = lcm(
-        *(x.denominator for x in (spec.a, spec.b, *spec.times)),
-        *(x.denominator for v in (*d.a, *d.b, d.c) for x in v),
-    )
+def reference_interpolation_path(d, times):
+    """The path check with base (1, 1), C = A_1 + B_1, and the six
+    generators built at every time, on the data cleared of every
+    denominator, each time decided by the 8 tests."""
+    n = lcm(*(x.denominator for x in times), *(x.denominator for v in (*d.a, *d.b, d.c) for x in v))
 
     def cleared(x):
         return x.numerator * (n // x.denominator)
@@ -271,11 +269,9 @@ def reference_interpolation_path(d, spec):
     a = [(cleared(x), cleared(y)) for x, y in d.a]
     b = [(cleared(x), cleared(y)) for x, y in d.b]
     c = (cleared(d.c[0]), cleared(d.c[1]))
-    a0 = vscale(cleared(spec.a), a[0])
-    b0 = vscale(cleared(spec.b), b[0])
-    if vadd(a0, b0) != vscale(n, c):
-        raise ValueError("base coefficients must satisfy C = a*A_1 + b*B_1")
-    for t in spec.times:
+    a0 = vscale(n, a[0])
+    b0 = vscale(n, b[0])
+    for t in times:
         nt = cleared(t)
         tn, s = nt * n, n - nt
         gens = [vadd(vscale(tn, g), vscale(s, a0)) for g in a] + [

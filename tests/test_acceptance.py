@@ -33,7 +33,6 @@ from su3kahler.weights import (
     WeightSystem,
     check_cone_condition,
     derive,
-    interpolation_spec,
     check_interpolation_path,
     default_interpolation_times,
 )
@@ -216,7 +215,7 @@ def test_criterion_8_interpolation_path(bound2_systems, capsys):
     ok = True
     for ws in bound2_systems:
         d = derive(ws)
-        ok = ok and check_interpolation_path(d, interpolation_spec(d, times))
+        ok = ok and check_interpolation_path(d, times)
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         report_line(

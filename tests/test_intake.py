@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from su3kahler import (
     Eisenstein,
     build_derham_model,
+    check_interpolation_path,
     cone_data,
     hodge_model,
-    interpolation_spec,
 )
 from su3kahler.cli import main
 
@@ -144,6 +144,28 @@ def test_malformed_json_exits_2(command):
         assert report["results"]["error"].startswith(message)
 
 
+# nested past the recursion limit; a name longer than the system allows
+DEEP = '{"A": ' + "[" * 100_000 + "]" * 100_000 + "}"
+LONG_NAME = "a" * 5000
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_unreadable_configs_exit_2(command, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for config, message, exact in (
+        (DEEP, "malformed JSON: maximum recursion depth exceeded", False),
+        (LONG_NAME, f"cannot read config {LONG_NAME}: ", False),
+        (missing, f"config file not found: {missing}", True),
+        (str(tmp_path), f"cannot read config {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'", True),
+        ("a\x00b.json", "config file not found: a\x00b.json", True),
+    ):
+        code, out = run(command, config)
+        report = json.loads(out)
+        assert code == 2 and set(report) == ENVELOPE_KEYS
+        error = report["results"]["error"]
+        assert error == message if exact else error.startswith(message)
+
+
 def test_generate_rejects_a_weight_system():
     config = '{"wL": [[-1,1],[-1,1],[2,-2]], "wR": [[-4,1],[5,-5],[-1,4]]}'
     code, out = run(("generate",), config)
@@ -161,7 +183,7 @@ def test_cohomology_beta_with_zero_denominator_exits_2():
 
 API_CALLS = {
     "cone_data": lambda x: cone_data([(x, 0), (1, 0), (2, -1)], [(0, 1), (0, 1), (-1, 2)]),
-    "interpolation_spec": lambda x: interpolation_spec(cone_data(ORBIFOLD_A, ORBIFOLD_B), [x]),
+    "check_interpolation_path": lambda x: check_interpolation_path(cone_data(ORBIFOLD_A, ORBIFOLD_B), [x]),
     "build_derham_model": lambda x: build_derham_model((x, 0), (0, 1)),
     "hodge_model": lambda x: hodge_model((x, 1)),
     "Eisenstein.of": Eisenstein.of,
@@ -176,10 +198,7 @@ def test_exact_api_rejects_inexact_scalars(name, bad):
 
 
 def test_exact_api_accepts_exact_scalars():
-    assert interpolation_spec(cone_data(ORBIFOLD_A, ORBIFOLD_B), ["1/2", 1]).times == (
-        Fraction(1, 2),
-        1,
-    )
+    assert check_interpolation_path(cone_data(ORBIFOLD_A, ORBIFOLD_B), ["1/2", 1, Fraction(1, 3)])
     assert Eisenstein.of("2/4") == Eisenstein(Fraction(1, 2), Fraction(0))
     assert hodge_model(("1/2", Fraction(-3, 7))).branch == (0, 0, 0)
     assert build_derham_model(("1", 0), (0, Fraction(1))).d_gens == build_derham_model().d_gens

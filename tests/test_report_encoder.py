@@ -153,8 +153,8 @@ def check_reports():
         return wt.check_cone_condition(d).to_json()
 
     def interpolation(args, ws, d):
-        spec = wt.interpolation_spec(d, wt.default_interpolation_times(args.interp_steps))
-        return cli._interpolation_json(spec, wt.check_interpolation_path(d, spec))
+        times = wt.default_interpolation_times(args.interp_steps)
+        return cli._interpolation_json(times, wt.check_interpolation_path(d, times))
 
     argv = ["check", "--config", ORBIFOLD_WEIGHTS, "--interp-steps", "5"]
     dict_forms = {"condition": condition, "interpolation": interpolation, "weights": weights, "derived": derived}

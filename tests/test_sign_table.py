@@ -3,11 +3,15 @@ exact layers as they were before it (the references in ``conftest.py``):
 the condition report with its 27 memberships and its level-set block, the
 mixed witnesses, the apex functional, the interpolation verdict and the
 census, on int, ``Fraction`` and 30-digit data with zero, parallel and
-antiparallel generators and C = 0."""
+antiparallel generators and C = 0; the base (A_1, B_1) of the
+interpolation path, which the condition forces; and the table's gate on
+its entries."""
 
 import functools
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,17 +24,17 @@ from conftest import (
     reference_level_set,
     reference_mixed_witnesses,
 )
-from su3kahler.conegeom import MembershipStatus, SignTable, find_apex_functional, in_cone2, vscale, vsub
+from su3kahler.conegeom import MembershipStatus, SignTable, cross, find_apex_functional, in_cone2, vscale, vsub
 from su3kahler.isotropy import singular_stratum_census
 from su3kahler.weights import (
     DerivedConeData,
     check_cone_condition,
     check_interpolation_path,
     check_level_set_conditions,
+    cone_condition_holds,
     default_interpolation_times,
     derive,
     enumerate_admissible_systems,
-    interpolation_spec,
 )
 
 HUGE = 10**30
@@ -125,11 +129,11 @@ def test_in_cone2_reads_the_table_of_its_three_vectors(d, i, j):
     assert SignTable((g1, g2, c)).membership(2, 0, 1) == reference_in_cone2(c, g1, g2)
 
 
-def interior_spec(d, times):
-    """The interpolation spec of d at these times, or None when C is not
+def interior_verdict(d, times):
+    """The interpolation verdict of d at these times, or None when C is not
     interior to cone(A_1, B_1)."""
     try:
-        return interpolation_spec(d, times)
+        return check_interpolation_path(d, times)
     except ValueError:
         return None
 
@@ -137,12 +141,13 @@ def interior_spec(d, times):
 @given(configurations, st.integers(1, 50))
 @settings(max_examples=300, deadline=None)
 def test_interpolation_verdict_matches_the_reference_at_default_times(d, steps):
-    spec = interior_spec(d, default_interpolation_times(steps))
+    times = default_interpolation_times(steps)
+    verdict = interior_verdict(d, times)
     base = reference_in_cone2(d.c, d.a[0], d.b[0])
-    assert (spec is not None) == (base.status is MembershipStatus.INTERIOR)
-    if spec is not None:
-        assert (spec.a, spec.b) == base.coefficients
-        assert check_interpolation_path(d, spec) == reference_interpolation_path(d, spec)
+    assert (verdict is not None) == (base.status is MembershipStatus.INTERIOR)
+    if verdict is not None:
+        assert base.coefficients == (1, 1)
+        assert verdict == reference_interpolation_path(d, times)
 
 
 @given(
@@ -151,9 +156,57 @@ def test_interpolation_verdict_matches_the_reference_at_default_times(d, steps):
 )
 @settings(max_examples=300, deadline=None)
 def test_interpolation_verdict_matches_the_reference_at_random_times(d, times):
-    spec = interior_spec(d, times)
-    if spec is not None:
-        assert check_interpolation_path(d, spec) == reference_interpolation_path(d, spec)
+    verdict = interior_verdict(d, times)
+    if verdict is not None:
+        assert verdict == reference_interpolation_path(d, times)
+
+
+@given(configurations)
+@settings(max_examples=400, deadline=None)
+def test_the_condition_forces_a_1_and_b_1_independent(d):
+    """The README's lemma: where the condition holds, A_1 and B_1 are
+    independent, so C = A_1 + B_1 is interior to cone(A_1, B_1) with
+    coefficients (1, 1), the base of the path."""
+    if cone_condition_holds(fresh(d)):
+        assert cross(d.a[0], d.b[0]) != 0
+        m = check_cone_condition(d).mixed_pairs[1, 1]
+        assert m.status is MembershipStatus.INTERIOR and m.coefficients == (1, 1)
+
+
+@given(configurations)
+@settings(max_examples=400, deadline=None)
+def test_the_path_starts_inside_and_ends_at_the_condition(d):
+    if cross(d.a[0], d.b[0]):
+        assert check_interpolation_path(fresh(d), [0])
+        assert check_interpolation_path(fresh(d), [1]) == cone_condition_holds(d)
+    else:
+        with pytest.raises(ValueError, match=r"interior of cone\(A_1, B_1\)"):
+            check_interpolation_path(fresh(d), [0])
+
+
+def float_data():
+    """The orbifold example with A_1 = (1.0, 0), which == accepts as (1, 0)."""
+    return DerivedConeData(((1.0, 0), (1, 0), (2, -1)), ((0, 1), (0, 1), (-1, 2)), (1, 1))
+
+
+# every scalar entry point of the cone layer, each with an entry that is
+# not an int or a Fraction, and the type and value the error names
+INEXACT_ENTRIES = {
+    "check_cone_condition": (lambda: check_cone_condition(float_data()), "float: 1.0"),
+    "cone_condition_holds": (lambda: cone_condition_holds(float_data()), "float: 1.0"),
+    "check_level_set_conditions": (lambda: check_level_set_conditions(float_data()), "float: 1.0"),
+    "check_interpolation_path": (lambda: check_interpolation_path(float_data(), [0]), "float: 1.0"),
+    "in_cone2": (lambda: in_cone2((True, False), (1, 0), (0, 1)), "bool: True"),
+    "find_apex_functional": (lambda: find_apex_functional([(True, 0), (0, 1)]), "bool: True"),
+    "SignTable": (lambda: SignTable([(Fraction(1, 2), "1")]), "str: '1'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INEXACT_ENTRIES))
+def test_the_sign_table_rejects_inexact_entries(name):
+    call, named = INEXACT_ENTRIES[name]
+    with pytest.raises(TypeError, match=re.escape(f"exact rational expected, got {named}")):
+        call()
 
 
 def test_census_of_shared_entries_equals_a_fresh_one(bound2_systems):

@@ -26,7 +26,6 @@ from su3kahler.conegeom import (
 )
 from su3kahler.weights import (
     DerivedConeData,
-    InterpolationSpec,
     WeightSystem,
     check_interpolation_path,
     check_level_set_conditions,
@@ -35,7 +34,6 @@ from su3kahler.weights import (
     default_interpolation_times,
     derive,
     enumerate_admissible_systems,
-    interpolation_spec,
     positive_combination,
     cone_condition_holds,
     weights_from_cone_data,
@@ -307,26 +305,25 @@ def test_generate_round_trip_exact(a_vectors, c):
 
 
 def test_interpolation_worked_example(orbifold_data):
-    spec = interpolation_spec(orbifold_data, [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)])
-    assert spec.a == 1 and spec.b == 1
-    assert check_interpolation_path(orbifold_data, spec)
+    assert check_cone_condition(orbifold_data).mixed_pairs[1, 1].coefficients == (1, 1)
+    assert check_interpolation_path(orbifold_data, [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)])
 
 
 def test_interpolation_endpoints(orbifold_data):
-    assert check_interpolation_path(orbifold_data, interpolation_spec(orbifold_data, [F(1)]))
-    assert check_interpolation_path(orbifold_data, interpolation_spec(orbifold_data, [F(0)]))
+    assert check_interpolation_path(orbifold_data, [F(1)])
+    assert check_interpolation_path(orbifold_data, [F(0)])
 
 
 def test_interpolation_requires_interior():
     # C on the ray of A_1: not in the interior of cone(A_1, B_1)
     d = cone_data([(1, 0), (0, 1), (1, 1)], [(1, 0), (2, -1), (1, -1)])
-    with pytest.raises(ValueError):
-        interpolation_spec(d)
+    with pytest.raises(ValueError, match=r"interior of cone\(A_1, B_1\)"):
+        check_interpolation_path(d, default_interpolation_times())
 
 
 def test_interpolation_rejects_bad_times(orbifold_data):
     with pytest.raises(ValueError):
-        interpolation_spec(orbifold_data, [F(3, 2)])
+        check_interpolation_path(orbifold_data, [F(3, 2)])
 
 
 def condition_by_in_cone2(a, b, c):
@@ -337,59 +334,34 @@ def condition_by_in_cone2(a, b, c):
     )
 
 
-def interpolation_reference(d, spec):
-    """The path check in Fraction arithmetic at every sample time."""
-    a0 = vscale(spec.a, d.a[0])
-    b0 = vscale(spec.b, d.b[0])
-    for t in spec.times:
-        at = [vadd(vscale(t, aj), vscale(1 - t, a0)) for aj in d.a]
-        bt = [vadd(vscale(t, bj), vscale(1 - t, b0)) for bj in d.b]
+def interpolation_reference(d, times):
+    """The path check with base (1, 1) in Fraction arithmetic at every
+    sample time."""
+    for t in times:
+        at = [vadd(vscale(t, aj), vscale(1 - t, d.a[0])) for aj in d.a]
+        bt = [vadd(vscale(t, bj), vscale(1 - t, d.b[0])) for bj in d.b]
         if not condition_by_in_cone2(at, bt, d.c):
             return False
     return True
 
 
-positive = st.one_of(st.just(F(1)), st.fractions(min_value=F(1, 8), max_value=8, max_denominator=9))
 unit_times = st.lists(st.fractions(0, 1, max_denominator=12), min_size=1, max_size=3)
 
 
-@given(
-    st.tuples(small_rat_vec, small_rat_vec, small_rat_vec),
-    small_rat_vec,
-    positive,
-    positive,
-    unit_times,
-)
+@given(st.tuples(small_rat_vec, small_rat_vec, small_rat_vec), small_rat_vec, unit_times)
 @settings(max_examples=150, deadline=None)
-def test_integer_interpolation_matches_fractions(a_vectors, c, a, b, times):
-    # Base coefficients with C = a*A_1 + b*B_1 (a = b = 1, or others when
-    # A_1, B_1 are dependent) match the Fraction reference; any others raise.
+def test_integer_interpolation_matches_fractions(a_vectors, c, times):
+    # Independent A_1, B_1 (C = A_1 + B_1 interior to their cone) match the
+    # Fraction reference; dependent ones raise.
     d = DerivedConeData(a_vectors, tuple(vsub(c, x) for x in a_vectors), c)
-    spec = InterpolationSpec(a, b, tuple(times))
-    if vadd(vscale(a, d.a[0]), vscale(b, d.b[0])) == c:
-        assert check_interpolation_path(d, spec) == interpolation_reference(d, spec)
+    if cross(d.a[0], d.b[0]):
+        assert check_interpolation_path(d, times) == interpolation_reference(d, times)
     else:
         with pytest.raises(ValueError):
-            check_interpolation_path(d, spec)
+            check_interpolation_path(d, times)
 
 
-def test_interpolation_rejects_base_coefficients_off_c():
-    # With C != a*A_1 + b*B_1 the generators at time t leave the 8-test
-    # kernel's domain: here, at t = 1/2, the kernel accepts A(t), B(t) while
-    # C lies on ray(B_2(t)), so the full condition and the 12 tests reject.
-    d = cone_data([(1, 0), (-1, 2), (1, 0)], [(-1, 2), (1, 0), (-1, 2)])
-    assert d.c == (0, 2)
-    spec = InterpolationSpec(F(3), F(1), (F(1, 2),))
-    with pytest.raises(ValueError, match=r"C = a\*A_1 \+ b\*B_1"):
-        check_interpolation_path(d, spec)
-    at = ((2, 0), (1, 1), (2, 0))
-    bt = ((-1, 2), (0, 1), (-1, 2))
-    assert reference_condition_holds(*at, *bt, d.c)
-    assert not passes(TWELVE_TESTS, (*at, *bt), d.c)
-    assert not interpolation_reference(d, spec)
-
-
-# around the bounds 0 and 1 of a time and 0 of a coefficient
+# around the bounds 0 and 1 of a time
 edge_rat = st.one_of(
     st.integers(-2, 2),
     st.fractions(-2, 2, max_denominator=7),
@@ -397,15 +369,14 @@ edge_rat = st.one_of(
 )
 
 
-@given(edge_rat, edge_rat, st.lists(edge_rat, max_size=4))
+@given(st.lists(edge_rat, max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_interpolation_spec_signs_match_the_comparisons(a, b, times):
-    """InterpolationSpec reads its signs off numerators and denominators; it
-    raises the ValueError the comparisons a, b > 0 and 0 <= t <= 1 raise."""
+def test_interpolation_time_signs_match_the_comparisons(times):
+    """The path reads the signs of its times off numerators and
+    denominators; it raises the ValueError the comparisons 0 <= t <= 1
+    raise."""
 
     def by_comparisons():
-        if a <= 0 or b <= 0:
-            raise ValueError("base coefficients must be strictly positive")
         for t in times:
             if not 0 <= t <= 1:
                 raise ValueError(f"sample time {t} outside [0, 1]")
@@ -417,7 +388,8 @@ def test_interpolation_spec_signs_match_the_comparisons(a, b, times):
             return str(exc)
         return None
 
-    assert outcome(lambda: InterpolationSpec(a, b, tuple(times))) == outcome(by_comparisons)
+    d = cone_data([(1, 0), (1, 0), (2, -1)], [(0, 1), (0, 1), (-1, 2)])  # the orbifold example
+    assert outcome(lambda: check_interpolation_path(d, times)) == outcome(by_comparisons)
 
 
 def test_default_times():
