@@ -1,6 +1,9 @@
 """Exact and numerical verification toolkit for double-sided 2-torus
 actions on SU(3): cone-condition checks, isotropy classification,
-pointwise transverse-Kahler certificates and cohomology tables."""
+pointwise transverse-Kahler certificates and cohomology tables.
+
+The exact layers load at import. The numerical one, su3kahler.quadric,
+and with it numpy, loads when one of its names is first read."""
 
 from .conegeom import (
     ConeMembership,
@@ -33,21 +36,6 @@ from .isotropy import (
     freeness_check,
     singular_stratum_census,
 )
-from .quadric import (
-    ROUND_DATA,
-    LevelSetPoint,
-    PointCertificate,
-    Tolerances,
-    certification_sample,
-    certify_point,
-    certify_points,
-    embed_su3,
-    moment_map,
-    moment_scale,
-    project_points,
-    project_to_level,
-    random_su3,
-)
 from .cohomology import (
     BASIC_BETTI,
     DEGENERATE_BETA,
@@ -62,3 +50,38 @@ from .cohomology import (
 )
 
 __version__ = "0.1.0"
+
+# The float layer's names, resolved on first access (PEP 562): importing
+# su3kahler loads neither su3kahler.quadric nor numpy.
+_QUADRIC_NAMES = frozenset({
+    "ROUND_DATA",
+    "LevelSetPoint",
+    "PointCertificate",
+    "Tolerances",
+    "certification_sample",
+    "certify_point",
+    "certify_points",
+    "embed_su3",
+    "moment_map",
+    "moment_scale",
+    "project_points",
+    "project_to_level",
+    "random_su3",
+})
+
+
+def __getattr__(name: str):
+    if name not in _QUADRIC_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import quadric
+
+    value = globals()[name] = getattr(quadric, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _QUADRIC_NAMES)
+
+
+# `from su3kahler import *` binds the float layer's names too (and loads it).
+__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -19,6 +19,11 @@ command. :func:`build_parser` makes argparse's parser from it, and
 without argparse; every other argv (help, abbreviations,
 ``--flag=value``, usage errors) goes to argparse, which keeps its
 behaviour for it.
+
+This module does not import numpy. ``verify`` imports the float layer,
+:mod:`su3kahler.quadric`, when it runs, and ``enumerate`` loads numpy
+through the search's grid; ``check``, ``isotropy``, ``cohomology`` and
+``generate`` never load it.
 """
 
 from __future__ import annotations
@@ -37,11 +42,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import cohomology as coh
 from . import isotropy as iso
-from . import quadric as quad
 from . import weights as wt
 from .conegeom import ConeMembership, MembershipStatus, _scalar, scalar_to_json
 
@@ -53,6 +55,9 @@ EXIT_USAGE = 2
 # is allocated.
 MAX_SAMPLES = 10**5
 MAX_INTERP_STEPS = 10**4
+# A config file is read up to this many bytes and one more; a longer one
+# (`--config /dev/zero`) is refused rather than read until memory runs out.
+MAX_CONFIG_BYTES = 2**20
 
 
 class InputError(Exception):
@@ -67,9 +72,13 @@ def _load_json_source(source: str) -> dict:
         try:  # exists() itself raises OSError on a name too long for the system
             if not path.exists():
                 raise InputError(f"config file not found: {source}")
-            text = path.read_text()
+            with path.open("rb") as f:
+                data = f.read(MAX_CONFIG_BYTES + 1)
+            text = data.decode()
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read config {source}: {exc}") from exc
+        if len(data) > MAX_CONFIG_BYTES:
+            raise InputError(f"config {source} is larger than {MAX_CONFIG_BYTES} bytes")
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, deep nesting
@@ -409,6 +418,8 @@ def _certificate_template(nl: str):
     """A certificate's text at nl with a gap for each value, keyed by the
     position of its field, and a getter of the fields' values in that
     order. Read off a probe whose every field holds its position."""
+    from . import quadric as quad
+
     fields = [f.name for f in dataclasses.fields(quad.PointCertificate)]
     probe = quad.PointCertificate(*[(k,) for k in range(len(fields))])
     form = {key: _gap(value[0]) for key, value in probe.to_json().items()}
@@ -545,6 +556,12 @@ def cmd_verify(args) -> tuple[dict, bool]:
         if not (math.isfinite(value) and value > 0):
             raise InputError(f"{flag} must be finite and > 0, got {value}")
     ws, d = _problem(args.config)
+    from . import quadric as quad  # the float layer: verify alone loads numpy
+
+    try:
+        quad.check_float_range(d)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     condition_ok = wt.cone_condition_holds(d)
     tol = quad.Tolerances(residual=args.tol, zero=args.tol_zero, pos=args.tol_pos)
     # certify even without the cone condition when points exist, so that
@@ -553,21 +570,9 @@ def cmd_verify(args) -> tuple[dict, bool]:
         points = quad.certification_sample(d, args.samples, args.seed, tol=tol)
     except (ValueError, RuntimeError) as exc:
         return {"cone_condition": condition_ok, "error": f"sampling failed: {exc}"}, False
-    apex = wt.check_level_set_conditions(d).apex_functional
     certificates = quad.certify_points(d, points, tol=tol)
-    all_passed = condition_ok and all(cert.passed for cert in certificates)
-    bound_residual = 0.0
-    if apex is not None:
-        # apex functional applied to the moment values must return its
-        # value on C: a scale-covariant restatement of the residual, held
-        # to 1e-10 relative to |apex| times the moment scale
-        phi = quad.moment_map(d, (np.array([p.z for p in points]), np.array([p.w for p in points])))
-        lhs = float(apex[0]) * phi[:, 0] + float(apex[1]) * phi[:, 1]
-        rhs = float(apex[0] * d.c[0] + apex[1] * d.c[1])
-        bound_residual = float(np.max(np.abs(lhs - rhs)))
-        scale = math.hypot(float(apex[0]), float(apex[1])) * quad.moment_scale(d)
-        if bound_residual > 1e-10 * scale:
-            all_passed = False
+    bound_residual, bounded = quad.boundedness_residual(d, points)
+    all_passed = condition_ok and bounded and all(cert.passed for cert in certificates)
     results = {
         "weights": None if ws is None else _rendered(_weights_text, ws),
         "cone_condition": condition_ok,

@@ -27,6 +27,10 @@ functions (:func:`project_to_level`, :func:`certify_point`) are calls of
 the batched ones with a stack of one.
 
 Everything here is float; all exact decisions live in the other modules.
+This module and the int64 search of :mod:`su3kahler.weights` are the only
+users of numpy. Nothing imports this module at start-up: the package
+resolves its names here on first access, and the CLI imports it only for
+``verify``, so the exact commands never load numpy.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ __all__ = [
     "project_to_level",
     "project_points",
     "moment_scale",
+    "check_float_range",
+    "boundedness_residual",
     "PointCertificate",
     "certify_point",
     "certify_points",
@@ -144,6 +150,40 @@ def moment_map(d: DerivedConeData, p) -> np.ndarray:
     """
     z, w = _as_zw(p)
     return _moment(_weight_arrays(d), z, w)
+
+
+def check_float_range(d: DerivedConeData) -> None:
+    """Raise ValueError unless every exact number that sampling and
+    :func:`boundedness_residual` turn into floats is finite as a float: the
+    entries of A, B and C, the coefficients of the mixed witnesses, and the
+    apex functional times the moment scale."""
+    apex = d.apex_functional
+    try:
+        bound = moment_scale(d)
+        for *_, a, b in d.mixed_witnesses:
+            float(a), float(b)
+        if apex is not None:
+            bound *= math.hypot(float(apex[0]), float(apex[1]))
+    except OverflowError as exc:
+        raise ValueError(f"cone data outside the float range: {exc}") from exc
+    if not math.isfinite(bound):
+        raise ValueError("cone data outside the float range: moment scale times |apex functional| overflows")
+
+
+def boundedness_residual(d: DerivedConeData, points) -> tuple[float, bool]:
+    """max |alpha(Phi(p)) - alpha(C)| over the points, for alpha the apex
+    functional of d, and whether it is at most 1e-10 * |alpha| *
+    :func:`moment_scale`: a scale-covariant restatement of the moment
+    residual. (0.0, True) for data without an apex functional."""
+    apex = d.apex_functional
+    if apex is None:
+        return 0.0, True
+    phi = moment_map(d, (np.array([p.z for p in points]), np.array([p.w for p in points])))
+    lhs = float(apex[0]) * phi[:, 0] + float(apex[1]) * phi[:, 1]
+    rhs = float(apex[0] * d.c[0] + apex[1] * d.c[1])
+    residual = float(np.max(np.abs(lhs - rhs)))
+    scale = math.hypot(float(apex[0]), float(apex[1])) * moment_scale(d)
+    return residual, residual <= 1e-10 * scale
 
 
 def _as_zw(p) -> tuple[np.ndarray, np.ndarray]:

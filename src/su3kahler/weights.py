@@ -21,8 +21,10 @@ enumerator evaluates them with the sign kernel
 :func:`~su3kahler.conegeom.cone_member` on int64 arrays, one outer wL
 block against every wR at once, each test only on the candidates that
 passed the ones before, and decides the freeness of each survivor in the
-same block. Scalar decisions and evidence read one integer table per cone
-data, :attr:`DerivedConeData.sign_table` (a
+same block. Those arrays are the module's only use of numpy, which the
+search's cached grid, :func:`_weight_grid`, imports on its first call;
+the scalar checks run without it. Scalar decisions and evidence read one
+integer table per cone data, :attr:`DerivedConeData.sign_table` (a
 :class:`~su3kahler.conegeom.SignTable`): the 8 tests of
 :func:`cone_condition_holds`, the 27 memberships of
 :func:`check_cone_condition`, the mixed witnesses, regularity,
@@ -40,8 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterator
-
-import numpy as np
 
 from .conegeom import (  # noqa: F401 (in_cone2 re-exported: the benchmark binds weights.in_cone2)
     INT64_MAX,
@@ -220,6 +220,18 @@ class DerivedConeData:
         on first use and cached on the instance, like
         :attr:`mixed_witnesses`; it is not a field."""
         return SignTable((*self.a, *self.b, self.c))
+
+    @functools.cached_property
+    def apex_functional(self) -> Vec2 | None:
+        """A covector strictly positive on all six generators, found in
+        :func:`~su3kahler.conegeom.find_apex_functional`'s order from the
+        sign table, or None when a generator is zero or none exists.
+        Computed once per instance; :func:`check_level_set_conditions`
+        reports it and ``verify`` weighs its boundedness residual with it."""
+        table = self.sign_table
+        if any(is_zero(g) for g in table.vectors[:_C]):
+            return None
+        return _apex_functional(table, self.generators())
 
     @functools.cached_property
     def _mixed_memberships(self) -> dict[tuple[int, int], ConeMembership]:
@@ -426,11 +438,8 @@ def check_level_set_conditions(d: DerivedConeData) -> LevelSetConditions:
     table = d.sign_table
     crosses = table.crosses
     regular = all(crosses[i][3 + j] for i, j in _MIXED_PAIRS)
-    if any(is_zero(g) for g in table.vectors[:_C]):
-        compact, apex = False, None
-    else:
-        apex = _apex_functional(table, d.generators())
-        compact = apex is not None and not (table.member(_C, 0, 1) or table.member(_C, 0, 2))
+    apex = d.apex_functional
+    compact = apex is not None and not (table.member(_C, 0, 1) or table.member(_C, 0, 2))
     return LevelSetConditions(witness is not None, witness, regular, compact, apex)
 
 
@@ -494,9 +503,9 @@ def cone_condition_holds(d: DerivedConeData) -> bool:
 _CONDITION_TESTS = tuple((i, 3 + j, True) for i, j in _MIXED_PAIRS) + ((0, 1, False), (3, 5, False))
 
 
-def _block_survivors(a, b, c) -> np.ndarray:
-    """The ascending indices at which vectors of int64 component arrays
-    pass the 8 tests of :data:`_CONDITION_TESTS`.
+def _block_survivors(a, b, c):
+    """The ascending indices, an int array, at which vectors of int64
+    component arrays pass the 8 tests of :data:`_CONDITION_TESTS`.
 
     Their domain is configurations with A_j + B_j one positive multiple of
     C for j = 1, 2, 3; elsewhere the 8 tests need not agree with
@@ -509,7 +518,7 @@ def _block_survivors(a, b, c) -> np.ndarray:
     """
     gens = (*a, *b)
     (g, h, inside), *rest = _CONDITION_TESTS
-    alive = np.flatnonzero(cone_member(c, gens[g], gens[h]) == inside)
+    alive = (cone_member(c, gens[g], gens[h]) == inside).nonzero()[0]
     for g, h, inside in rest:
         if not alive.size:
             break
@@ -656,8 +665,11 @@ def _weight_grid(bound: int):
     Both sides of a weight system range over this grid. Built on first use
     per bound, with every row passed once through the row check of
     :class:`WeightSystem`; the arrays are read-only because the cache
-    shares them.
+    shares them. The one place the search imports numpy: a process that
+    never searches never loads it.
     """
+    import numpy as np
+
     rng = range(-bound, bound + 1)
     rows = tuple(
         _weight_rows(("grid row", ((x1, y1), (x2, y2), (-x1 - x2, -y1 - y2))))[0]
@@ -714,7 +726,7 @@ def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[Wei
         a, b, _ = _configuration(wl, (u1[keep], v1[keep]), (u3[keep], v3[keep]))
         by_homs = _free_by_homs(wl, right_iso[keep])
         by_pairs = _free_by_pairs(a, b)
-        disagree = np.flatnonzero(by_homs != by_pairs)
+        disagree = (by_homs != by_pairs).nonzero()[0]
         if disagree.size:
             k = disagree[0]
             ws = WeightSystem(wl, rows[keep[k]])

@@ -495,16 +495,38 @@ def test_verify_accepts_embedded_points_against_tol(capsys):
     ],
 )
 def test_verify_usage_errors_exit_2_before_sampling(capsys, monkeypatch, flag, value):
-    from su3kahler import cli
+    from su3kahler import quadric
 
     def refuse(*args, **kwargs):
         raise AssertionError("sampled despite a usage error")
 
-    monkeypatch.setattr(cli.quad, "certification_sample", refuse)
+    monkeypatch.setattr(quadric, "certification_sample", refuse)
     code, out = run(capsys, "verify", "--config", ORBIFOLD_CONE, flag, value)
     report = json.loads(out)
     assert code == 2 and not report["pass"]
     assert report["results"]["error"].startswith(f"{flag} must be ")
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[10**400, 0]] * 3, [[0, 1]] * 3),  # entries past the float range
+        ([[10**200, 0]] * 3, [[10**200, 0]] * 3),  # one ray: |apex functional| times the moment scale overflows
+    ],
+    ids=["entries", "apex"],
+)
+def test_verify_rejects_cone_data_outside_the_float_range(capsys, monkeypatch, a, b):
+    from su3kahler import quadric
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled cone data outside the float range")
+
+    monkeypatch.setattr(quadric, "certification_sample", refuse)
+    assert main(["verify", "--config", json.dumps({"A": a, "B": b})]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert not report["pass"] and captured.err == ""
+    assert report["results"]["error"].startswith("cone data outside the float range: ")
 
 
 def test_verify_is_invariant_under_rescaling_the_cone_data(capsys):

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from su3kahler import (
     cone_data,
     hodge_model,
 )
-from su3kahler.cli import main
+from su3kahler.cli import MAX_CONFIG_BYTES, main
 
 ENVELOPE_KEYS = {"command", "config", "results", "pass", "wall_time_s"}
 COMMANDS = (("check",), ("isotropy",), ("generate",), ("verify", "--samples", "1"))
@@ -164,6 +165,22 @@ def test_unreadable_configs_exit_2(command, tmp_path):
         assert code == 2 and set(report) == ENVELOPE_KEYS
         error = report["results"]["error"]
         assert error == message if exact else error.startswith(message)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_config_past_the_byte_ceiling_exits_2(command, tmp_path):
+    """A config file is read up to cli.MAX_CONFIG_BYTES and one byte more,
+    so an endless one (/dev/zero) ends in the envelope too."""
+    oversized = tmp_path / "oversized.json"
+    oversized.write_text('{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'.ljust(MAX_CONFIG_BYTES + 1))
+    sources = [str(oversized)] + [name for name in ("/dev/zero",) if Path(name).exists()]
+    for source in sources:
+        code, out = run(command, source)
+        report = json.loads(out)
+        assert code == 2 and set(report) == ENVELOPE_KEYS
+        assert report["results"]["error"] == f"config {source} is larger than {MAX_CONFIG_BYTES} bytes"
+    oversized.write_text(oversized.read_text()[:MAX_CONFIG_BYTES])  # at the ceiling: read
+    assert run(command, str(oversized))[0] == 0
 
 
 def test_generate_rejects_a_weight_system():
