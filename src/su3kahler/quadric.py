@@ -91,7 +91,8 @@ class LevelSetPoint:
 
 
 class _FloatData(NamedTuple):
-    """Float cone data, converted once per call of a batched kernel."""
+    """Float cone data, converted once per cone data object by
+    :func:`_weight_arrays`; read-only, since every reader shares it."""
 
     af: np.ndarray  # first components of A_j (z weights)
     ag: np.ndarray  # second components of A_j
@@ -101,12 +102,33 @@ class _FloatData(NamedTuple):
     scale: float    # moment scale, see :func:`moment_scale`
 
 
-def _weight_arrays(d: DerivedConeData) -> _FloatData:
+def _float_data(d: DerivedConeData) -> _FloatData:
     a = np.array(d.a, dtype=float)
     b = np.array(d.b, dtype=float)
     c = np.array(d.c, dtype=float)
+    for arr in (a, b, c):
+        arr.setflags(write=False)
     scale = max(math.hypot(*v) for v in (*a.tolist(), *b.tolist(), c.tolist())) or 1.0
     return _FloatData(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c, scale)
+
+
+# The last cone data object converted, with its float data; and the round
+# data's, which every embedded matrix is checked against.
+_last_conversion: tuple = (None, None)
+_ROUND_FLOAT = _float_data(ROUND_DATA)
+
+
+def _weight_arrays(d: DerivedConeData) -> _FloatData:
+    """d's float data, converted by :func:`_float_data` unless d is the
+    object converted last: a verify command reads one object five times
+    (range check, projection, certificates, and the boundedness residual's
+    moment map and scale) and converts it once."""
+    global _last_conversion
+    last, fd = _last_conversion
+    if last is not d:
+        fd = _float_data(d)
+        _last_conversion = (d, fd)
+    return fd
 
 
 def _unit(fd: _FloatData) -> _FloatData:
@@ -277,7 +299,7 @@ def embed_su3(a: np.ndarray) -> LevelSetPoint:
     z = a[:, 0].copy().reshape(1, 3)
     w = np.conj(a[:, 2]).reshape(1, 3)
     tol = Tolerances(residual=_SU3_TOL)
-    return _first_error(_level_points(_weight_arrays(ROUND_DATA), z, w, tol))[0]
+    return _first_error(_level_points(_ROUND_FLOAT, z, w, tol))[0]
 
 
 def _single_support(i: int, j: int, ab) -> tuple[np.ndarray, np.ndarray]:
@@ -493,6 +515,11 @@ class PointCertificate:
 _J12 = np.kron(np.eye(6, dtype=int), [[0, -1], [1, 0]]).astype(float)
 _OMEGA12 = _J12
 
+# Points per stacked pass of certify_points: a stack's factorizations take
+# about 9 KB per point, so a longer stack is certified in blocks of this
+# many rows (every row's certificate is independent of the others).
+_CERTIFY_BLOCK = 1024
+
 
 def certify_points(
     d: DerivedConeData,
@@ -523,12 +550,20 @@ def certify_points(
 
     Rank failures are reported in the certificate, not raised; such a
     point leaves the stack at the step that fails it, so no later
-    factorization sees its degenerate matrices.
+    factorization sees its degenerate matrices. Stacks longer than
+    ``_CERTIFY_BLOCK`` run block by block, which bounds the memory of a
+    large sample and changes no certificate.
     """
-    certs: list = [None] * len(points)
-    if not certs:
-        return certs
     fd = _unit(_weight_arrays(d))
+    certs: list = []
+    for start in range(0, len(points), _CERTIFY_BLOCK):
+        certs += _certify_block(fd, points[start:start + _CERTIFY_BLOCK], tol)
+    return certs
+
+
+def _certify_block(fd: _FloatData, points, tol: Tolerances) -> list[PointCertificate]:
+    """:func:`certify_points` for one stack, on the unit float data."""
+    certs: list = [None] * len(points)
     z = np.array([p.z for p in points])
     w = np.array([p.w for p in points])
     _, s, vt = np.linalg.svd(_jacobian(fd, z, w))

@@ -16,22 +16,21 @@ compactness of the moment-map level set, checked independently by
 checked by :func:`check_interpolation_path`.
 
 All checks are exact rational arithmetic; nothing here touches floats.
-The boolean condition is the 8 tests of :data:`_CONDITION_TESTS`; the
-enumerator evaluates them with the sign kernel
-:func:`~su3kahler.conegeom.cone_member` on int64 arrays, one outer wL
-block against every wR at once, each test only on the candidates that
-passed the ones before, and decides the freeness of each survivor in the
-same block. Those arrays are the module's only use of numpy, which the
-search's cached grid, :func:`_weight_grid`, imports on its first call;
-the scalar checks run without it. Scalar decisions and evidence read one
-integer table per cone data, :attr:`DerivedConeData.sign_table` (a
-:class:`~su3kahler.conegeom.SignTable`): the 8 tests of
-:func:`cone_condition_holds`, the 27 memberships of
-:func:`check_cone_condition`, the mixed witnesses, regularity,
-compactness and the apex functional, and the generators of the
-interpolation path. Only dependent mixed pairs build their witness with
-:func:`positive_combination`, and the path evaluates its 8 tests as
-forms in the time.
+The boolean condition is one rule (the nine-sign corollary in the
+README): the nine crosses cross(A_i, B_j), i, j = 1..3, are all nonzero
+with one sign. The scalar verdict :func:`cone_condition_holds` reads them
+off one integer table per cone data, :attr:`DerivedConeData.sign_table`
+(a :class:`~su3kahler.conegeom.SignTable`), which also gives the 27
+memberships of :func:`check_cone_condition`, the mixed witnesses,
+regularity, compactness and the apex functional; only dependent mixed
+pairs build their witness with :func:`positive_combination`. The
+interpolation path evaluates the nine crosses as forms in the time. The
+enumerator computes them as one (9, n) int64 array per outer wL block
+against every wR, decides the block with a few whole-array calls, and
+reads the freeness of each survivor off the same array. Those arrays are
+the module's only use of numpy, which the search's cached grid,
+:func:`_weight_grid`, imports on its first call; the scalar checks run
+without it.
 """
 
 from __future__ import annotations
@@ -51,10 +50,7 @@ from .conegeom import (  # noqa: F401 (in_cone2 re-exported: the benchmark binds
     Vec2,
     _apex_functional,
     _as_int,
-    _independent_member,
     _scalar,
-    _sign_rule,
-    cone_member,
     cross,
     dot,
     in_cone2,
@@ -164,7 +160,7 @@ class WeightSystem:
         if not cone_condition_holds(d):
             raise ValueError("classification requires the cone condition to hold")
         by_homs = _free_by_homs(self.wl, _right_is_isomorphism(self.wr[0], self.wr[2]))
-        by_pairs = _free_by_pairs(d.a, d.b)
+        by_pairs = _free_by_pairs(d._nine_crosses)
         if by_homs != by_pairs:
             raise _freeness_disagreement(self, by_homs, by_pairs)
         return by_homs
@@ -202,13 +198,20 @@ class DerivedConeData:
     def generators(self) -> list[Vec2]:
         return [*self.a, *self.b]
 
+    @property
+    def _nine_crosses(self) -> list[int]:
+        """The sign table's cross(A_i, B_j), 0-based, at position 3*i + j:
+        the crosses of the cleared vectors, so the data's own crosses for
+        integer data."""
+        return [x for row in self.sign_table.crosses[:3] for x in row[3:_C]]
+
     @functools.cached_property
     def _holds(self) -> bool:
         """The separating cone condition, decided once per instance by the
-        8 tests of :data:`_CONDITION_TESTS` on the sign table and cached;
-        read it through :func:`cone_condition_holds`."""
-        member = self.sign_table.member
-        return all(member(_C, g, h) == inside for g, h, inside in _CONDITION_TESTS)
+        nine-sign rule on the sign table and cached; read it through
+        :func:`cone_condition_holds`."""
+        nine = self._nine_crosses
+        return _one_strict_sign(min(nine), max(nine))
 
     @functools.cached_property
     def sign_table(self) -> SignTable:
@@ -338,12 +341,15 @@ def _free_by_homs(wl, right_iso):
     return all(v == (0, 0) for v in wl) & right_iso
 
 
-def _free_by_pairs(a, b):
+def _free_by_pairs(nine):
     """Freeness by the lattice: every (A_i, B_j) with i != j a lattice
-    basis. On int vectors (a bool) or vectors of int64 arrays (a bool array)."""
+    basis, |cross(A_i, B_j)| = 1, read at position 3*i + j of the nine
+    crosses in row-major order. On the ints of
+    :attr:`DerivedConeData._nine_crosses` of integer data (a bool) or the
+    rows of the enumerator's (9, n) int64 array (a bool array)."""
     ok = True
     for i, j in _MIXED_PAIRS:
-        ok = ok & (abs(cross(a[i], b[j])) == 1)
+        ok = ok & (abs(nine[3 * i + j]) == 1)
     return ok
 
 
@@ -494,39 +500,6 @@ def cone_condition_holds(d: DerivedConeData) -> bool:
     return d._holds
 
 
-# The condition as 8 membership tests (g, h, inside) on the generators
-# (A_1, A_2, A_3, B_1, B_2, B_3): C must lie in cone(g, h) exactly when
-# `inside`. Where A_j + B_j is one positive multiple of C they decide all 27
-# memberships of check_cone_condition: the diagonal mixed cones always hold
-# C, and once the 6 off-diagonal mixed tests pass, cone(A_1, A_2) and
-# cone(B_1, B_3) decide every pair clause (README, with proof and minimality).
-_CONDITION_TESTS = tuple((i, 3 + j, True) for i, j in _MIXED_PAIRS) + ((0, 1, False), (3, 5, False))
-
-
-def _block_survivors(a, b, c):
-    """The ascending indices, an int array, at which vectors of int64
-    component arrays pass the 8 tests of :data:`_CONDITION_TESTS`.
-
-    Their domain is configurations with A_j + B_j one positive multiple of
-    C for j = 1, 2, 3; elsewhere the 8 tests need not agree with
-    :func:`check_cone_condition`.
-
-    The first test runs on the whole block; each later one only on the
-    entries still alive, their components gathered by index, and the loop
-    stops once none are left. Over the bound-3 grid each mixed test passes
-    38.6 % of the candidates and each pair test 46.3 %.
-    """
-    gens = (*a, *b)
-    (g, h, inside), *rest = _CONDITION_TESTS
-    alive = (cone_member(c, gens[g], gens[h]) == inside).nonzero()[0]
-    for g, h, inside in rest:
-        if not alive.size:
-            break
-        cc, gg, hh = ((x[alive], y[alive]) for x, y in (c, gens[g], gens[h]))
-        alive = alive[cone_member(cc, gg, hh) == inside]
-    return alive
-
-
 @dataclass(frozen=True)
 class WeightSolution:
     """Rational weight system solving the derivation equations, plus the
@@ -600,20 +573,19 @@ def check_interpolation_path(d: DerivedConeData, times) -> bool:
     otherwise, and for a time outside [0, 1].
 
     Cone tests see only directions, so the path reads d's sign table: with
-    G_j the cleared A_j (B_j on the B side) and H_j the cleared A_1 (B_1),
-    a time t = p/q enters as (s, r) = (p, q - p), and s*G_j + r*H_j is a
-    positive multiple of A_j(t). Each cleared A_j(t) + B_j(t) is q times
-    the cleared C, in the kernel's domain. Each of the 8 tests of
-    :data:`_CONDITION_TESTS` is then a quadratic form in (s, r), the cross
-    of its two generators, and two linear forms, their crosses with C;
-    every form is homogeneous in (s, r), so no time is cleared further.
-    The coefficients are computed once, and a time evaluates the forms.
-    Where the quadratic form vanishes (dependent generators, as at t = 0)
-    the kernel's rule also reads the dots of C with the two generators,
-    two more linear forms, evaluated there only.
+    x_ij the cross of the cleared A_i and B_j (:attr:`DerivedConeData._nine_crosses`),
+    a time t = p/q enters as (s, r) = (p, q - p), and s*A_j + r*A_1
+    (s*B_j + r*B_1) is a positive multiple of A_j(t) (B_j(t)). The nine
+    crosses of the nine-sign rule are then
+    s*s*x_ij + s*r*(x_i1 + x_1j) + r*r*x_11; on the diagonal, where
+    A_i(t) + B_i(t) is s + r = q > 0 times C, that is q times the linear
+    form s*x_ii + r*x_11. So a time evaluates three linear and six
+    quadratic forms, homogeneous in (s, r), and passes when all nine
+    values are nonzero with one sign.
     """
-    table = d.sign_table
-    if table.crosses[0][3] == 0:
+    x = d._nine_crosses
+    x00 = x[0]
+    if x00 == 0:
         raise ValueError("C must lie in the interior of cone(A_1, B_1)")
     ts = [_scalar(t) for t in times]
     for t in ts:
@@ -621,47 +593,32 @@ def check_interpolation_path(d: DerivedConeData, times) -> bool:
         # comparison
         if not 0 <= t.numerator <= t.denominator:
             raise ValueError(f"sample time {t} outside [0, 1]")
-    *g, c = table.vectors
-    h = [g[0]] * 3 + [g[3]] * 3
-    cg = [cross(c, v) for v in g]
-    ch = [cg[0]] * 3 + [cg[3]] * 3
-    # per test: the cross of its generators (coefficients of s*s, s*r, r*r),
-    # n1 = cross(C, q-th generator) and n2 = cross(p-th generator, C)
-    # (coefficients of s, r)
-    forms = [
-        (
-            cross(g[p], g[q]), cross(g[p], h[q]) + cross(h[p], g[q]), cross(h[p], h[q]),
-            cg[q], ch[q], -cg[p], -ch[p],
-            p, q, inside,
-        )
-        for p, q, inside in _CONDITION_TESTS
-    ]
-    c_zero = is_zero(c)
+    linear = [(x[4 * i], x00) for i in range(3)]
+    quadratic = [(x[3 * i + j], x[3 * i] + x[j], x00) for i, j in _MIXED_PAIRS]
     for t in ts:
         s = t.numerator
         r = t.denominator - s
-        ss, sr, rr = s * s, s * r, r * r
-        for d_ss, d_sr, d_rr, n1_s, n1_r, n2_s, n2_r, p, q, inside in forms:
-            det = d_ss * ss + d_sr * sr + d_rr * rr
-            n1, n2 = n1_s * s + n1_r * r, n2_s * s + n2_r * r
-            if det:
-                member = _independent_member(det, n1, n2)
-            else:  # the dots of C with the p-th and q-th generators
-                e1 = dot(c, g[p]) * s + dot(c, h[p]) * r
-                e2 = dot(c, g[q]) * s + dot(c, h[q]) * r
-                member = _sign_rule(0, n1, n2, e1, e2, c_zero)
-            if member != inside:
-                return False
+        rr = r * r
+        values = [a * s + b * r for a, b in linear]
+        values += [(a * s + b * r) * s + c * rr for a, b, c in quadratic]
+        if not _one_strict_sign(min(values), max(values)):
+            return False
     return True
 
 
 @functools.lru_cache(maxsize=2)
 def _weight_grid(bound: int):
     """Every zero-sum weight triple with entries in [-bound, bound], in
-    lexicographic order of (w_1, w_2), its int64 columns (x1, y1, x3, y3)
-    and, per triple taken as wR, whether the right homomorphism is an
-    isomorphism.
+    lexicographic order of (w_1, w_2); the difference tables; each triple's
+    rows of them; and, per triple taken as wR, whether the right
+    homomorphism is an isomorphism.
 
+    The tables hold, for each entry value v in [-bound, bound] against
+    every wR, the components of A = v - w_1^R and of B = w_3^R - v: four
+    quarters of 2*bound + 1 int64 rows (v - x1, v - y1, x3 - v and y3 - v,
+    row v + bound in each). A wL triple's 36 rows are, for the nine pairs
+    (i, j) in row-major order, those of A_i's x and y and of B_j's x and y,
+    so one gather lays out the block's operands for the nine pairs.
     Both sides of a weight system range over this grid. Built on first use
     per bound, with every row passed once through the row check of
     :class:`WeightSystem`; the arrays are read-only because the cache
@@ -676,11 +633,25 @@ def _weight_grid(bound: int):
         for x1, y1, x2, y2 in itertools.product(rng, rng, rng, rng)
         if abs(x1 + x2) <= bound and abs(y1 + y2) <= bound
     )
-    cols = np.array([(*w1, *w3) for w1, _, w3 in rows], dtype=np.int64).T.copy()
-    right_iso = _right_is_isomorphism(cols[:2], cols[2:])
-    for arr in (cols, right_iso):
+    triples = np.array(rows, dtype=np.int64)  # (n, 3, 2)
+    x1, y1, x3, y3 = triples[:, (0, 2)].reshape(-1, 4).T
+    v = np.arange(-bound, bound + 1)[:, None]
+    tables = np.concatenate((v - x1, v - y1, x3 - v, y3 - v))
+    i, j = np.divmod(np.arange(9), 3)
+    m = 2 * bound + 1
+    at = triples + bound  # each entry's row within its quarter
+    index = np.concatenate((at[:, i, 0], m + at[:, i, 1], 2 * m + at[:, j, 0], 3 * m + at[:, j, 1]), axis=1)
+    right_iso = _right_is_isomorphism((x1, y1), (x3, y3))
+    for arr in (tables, index, right_iso):
         arr.setflags(write=False)
-    return rows, cols, right_iso
+    return rows, tables, index, right_iso
+
+
+def _one_strict_sign(lo, hi):
+    """The nine-sign rule (README) from the least and the greatest of the
+    nine crosses cross(A_i, B_j): all nonzero with one sign. On ints (a
+    bool) or, elementwise, int64 arrays (a bool array)."""
+    return (lo > 0) | (hi < 0)
 
 
 def enumerate_admissible_systems(
@@ -693,20 +664,26 @@ def enumerate_admissible_systems(
     the outer wL blocks); merging and sorting the slices reproduces the
     full stream, so the enumeration parallelizes over processes.
 
-    Each outer wL block is decided at once against every wR with the sign
-    rule on int64 arrays, each test only on the candidates still alive; survivors
-    come out in grid order, so the stream stays lexicographic. The block
-    also decides each survivor's freeness by both characterizations on
-    int64 arrays, raises RuntimeError naming the first system on which they
-    disagree, and fills in :attr:`WeightSystem.free`. Yielded systems are
-    built from grid rows validated once per bound, without a second check.
-    Arguments are checked when this is called, so a bound whose products
-    could leave int64 is rejected before anything is allocated.
+    Each outer wL block is decided at once against every wR: the nine
+    crosses cross(A_i, B_j) of every candidate form one (9, n) int64 array,
+    computed from rows gathered off the grid's difference tables, and the
+    nine-sign rule reads its least and greatest entry per candidate.
+    Survivors come out in grid order, so the stream stays lexicographic.
+    The block also decides each survivor's freeness by both
+    characterizations, the lattice-pair test off the same array, raises
+    RuntimeError naming the first system on which they disagree, and fills
+    in :attr:`WeightSystem.free`. Yielded systems are built from grid rows
+    validated once per bound, without a second check. Arguments are
+    checked when this is called, so a bound whose products could leave
+    int64 is rejected before anything is allocated.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    # entries of A, B, C are at most 2*bound, so every cross product and
-    # dot product is at most 8*bound**2: exact in int64 below this bound
+    # Grid entries are at most bound in magnitude, so the block's A_i and
+    # B_j entries are at most 2*bound, each product in a cross at most
+    # 4*bound**2 and the cross itself at most 8*bound**2, the largest value
+    # the block computes (cross(w_1^R, w_3^R) is at most 2*bound**2): exact
+    # in int64 while 8*bound**2 is.
     if 8 * bound * bound > INT64_MAX:
         raise ValueError(f"bound {bound} too large for exact int64 sign tests")
     if part is not None:
@@ -717,15 +694,19 @@ def enumerate_admissible_systems(
 
 
 def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[WeightSystem]:
-    rows, (u1, v1, u3, v3), right_iso = _weight_grid(bound)
+    rows, tables, index, right_iso = _weight_grid(bound)
     k, n = (0, 1) if part is None else part
-    for wl in rows[k::n]:
-        keep = _block_survivors(*_configuration(wl, (u1, v1), (u3, v3)))
+    for row in range(k, len(rows), n):
+        # (9, n) rows of A_i's and B_j's components; row 3*i + j of nine is
+        # cross(A_i, B_j) against every wR
+        ax, ay, bx, by = tables.take(index[row], 0).reshape(4, 9, -1)
+        nine = cross((ax, ay), (bx, by))
+        keep = _one_strict_sign(nine.min(0), nine.max(0)).nonzero()[0]
         if not keep.size:
             continue
-        a, b, _ = _configuration(wl, (u1[keep], v1[keep]), (u3[keep], v3[keep]))
+        wl = rows[row]
         by_homs = _free_by_homs(wl, right_iso[keep])
-        by_pairs = _free_by_pairs(a, b)
+        by_pairs = _free_by_pairs(nine[:, keep])
         disagree = (by_homs != by_pairs).nonzero()[0]
         if disagree.size:
             k = disagree[0]

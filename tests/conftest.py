@@ -2,11 +2,13 @@
 the quadric against: the torus basis change of cone data, the constraint
 Jacobian, the transverse frame, the equivariance residual of the SU(3)
 embedding and the exact seed points of a sample. Also the exact layers as
-they were before the sign table of cone data: every membership by its own
-cross products, the boolean condition as its 8 tests, the witnesses by ``positive_combination``, the apex search
-by ``cone_member``, the interpolation path built vector by vector at every
-time and the census built entry by entry; the tests compare the library
-with them."""
+they were before the sign table of cone data and the nine-sign rule: every
+membership by its own cross products, the boolean condition as its 8
+membership tests (scalar, and as the narrowed int64 block kernel with the
+lattice-pair freeness of its survivors), the witnesses by
+``positive_combination``, the apex search by ``cone_member``, the
+interpolation path built vector by vector at every time and the census
+built entry by entry; the tests compare the library with them."""
 
 import itertools
 from fractions import Fraction
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from su3kahler import DerivedConeData, WeightSystem, cone_data, enumerate_admissible_systems
-from su3kahler.conegeom import ConeMembership, MembershipStatus, cross, dot, is_zero, vadd, vscale
+from su3kahler.conegeom import ConeMembership, MembershipStatus, cone_member, cross, dot, is_zero, vadd, vscale
 from su3kahler.isotropy import (
     IsotropyGroup,
     StratumReport,
@@ -25,12 +27,7 @@ from su3kahler.isotropy import (
     invariant_factors_from_divisors,
 )
 from su3kahler.quadric import certification_sample, embed_su3
-from su3kahler.weights import (
-    ConditionReport,
-    LevelSetConditions,
-    _CONDITION_TESTS,
-    positive_combination,
-)
+from su3kahler.weights import ConditionReport, LevelSetConditions, _MIXED_PAIRS, positive_combination
 
 
 @pytest.fixture(scope="session")
@@ -172,15 +169,49 @@ def reference_cone_member(c, g1, g2):
     )
 
 
+# The condition as 8 membership tests (g, h, inside) on the generators
+# (A_1, A_2, A_3, B_1, B_2, B_3): C must lie in cone(g, h) exactly when
+# `inside`. Where A_j + B_j is one positive multiple of C they decide all 27
+# memberships of check_cone_condition: the diagonal mixed cones always hold
+# C, and once the 6 off-diagonal mixed tests pass, cone(A_1, A_2) and
+# cone(B_1, B_3) decide every pair clause (README, with proof and minimality).
+CONDITION_TESTS = tuple((i, 3 + j, True) for i, j in _MIXED_PAIRS) + ((0, 1, False), (3, 5, False))
+
+
 def reference_condition_holds(a1, a2, a3, b1, b2, b3, c):
-    """The 8 tests of ``_CONDITION_TESTS``, each by :func:`reference_cone_member`:
+    """The 8 tests of ``CONDITION_TESTS``, each by :func:`reference_cone_member`:
     a bool on int or Fraction vectors, a bool array elementwise on vectors
     of int64 component arrays. Its domain is configurations with A_j + B_j
     one positive multiple of C for j = 1, 2, 3."""
     gens = (a1, a2, a3, b1, b2, b3)
     ok = True
-    for g, h, inside in _CONDITION_TESTS:
+    for g, h, inside in CONDITION_TESTS:
         ok = ok & (reference_cone_member(c, gens[g], gens[h]) == inside)
+    return ok
+
+
+def reference_block_survivors(a, b, c):
+    """The ascending indices, an int array, at which vectors of int64
+    component arrays pass the 8 tests of ``CONDITION_TESTS``: the narrowed
+    block kernel, the first test on the whole block and each later one only
+    on the entries still alive, their components gathered by index."""
+    gens = (*a, *b)
+    (g, h, inside), *rest = CONDITION_TESTS
+    alive = (cone_member(c, gens[g], gens[h]) == inside).nonzero()[0]
+    for g, h, inside in rest:
+        if not alive.size:
+            break
+        cc, gg, hh = ((x[alive], y[alive]) for x, y in (c, gens[g], gens[h]))
+        alive = alive[cone_member(cc, gg, hh) == inside]
+    return alive
+
+
+def reference_free_by_pairs(a, b):
+    """Every (A_i, B_j), i != j, a lattice basis, from its own cross: a
+    bool on int vectors, a bool array on vectors of int64 arrays."""
+    ok = True
+    for i, j in _MIXED_PAIRS:
+        ok = ok & (abs(cross(a[i], b[j])) == 1)
     return ok
 
 
@@ -277,7 +308,7 @@ def reference_interpolation_path(d, times):
         gens = [vadd(vscale(tn, g), vscale(s, a0)) for g in a] + [
             vadd(vscale(tn, g), vscale(s, b0)) for g in b
         ]
-        if not all(reference_cone_member(c, gens[g], gens[h]) == inside for g, h, inside in _CONDITION_TESTS):
+        if not all(reference_cone_member(c, gens[g], gens[h]) == inside for g, h, inside in CONDITION_TESTS):
             return False
     return True
 

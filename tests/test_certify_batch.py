@@ -6,6 +6,7 @@ norms and ``eigvalsh``; Gauss-Newton with ``lstsq`` steps), kept here as
 the oracle for :func:`certify_points` and :func:`project_points`.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -170,6 +171,60 @@ def test_mixed_batch_with_irregular_and_non_transversal_points():
     kinds = {(c.regular, c.transversal) for c in want}
     assert kinds == {(False, False), (True, False), (True, True)}
     assert_same_certificates(certify_points(d, points, tol=tol), want)
+
+
+def certificate_bits(certs):
+    """Every field of each certificate, each float by its bit pattern."""
+
+    def bits(x):
+        if isinstance(x, float):
+            return x.hex()
+        return tuple(map(bits, x)) if isinstance(x, tuple) else x
+
+    return [bits(dataclasses.astuple(c)) for c in certs]
+
+
+def test_a_stack_certifies_bitwise_as_its_blocks(monkeypatch, orbifold_data):
+    """A stack's certificates equal, bit for bit, those of its blocks:
+    certify_points run in blocks of every size, and on slices, on regular,
+    non-transversal and irregular points."""
+    h = Fraction(1, 2)
+    mixed = cone_data([(h, h), (h, -h), (h, 0)], [(h, -h), (h, h), (h, 0)])
+    points = _ambient_points(np.random.default_rng(0), 30, 2)
+    for k in (0, 7, 19):
+        points.insert(k, LevelSetPoint(np.array([2.0 + 0j, 0, 0]), np.zeros(3, complex), (0, 0)))
+    cases = [
+        (mixed, points, Tolerances(rank_rel=1e-2)),
+        (orbifold_data, certification_sample(orbifold_data, 40, 3), Tolerances()),
+    ]
+    for d, pts, tol in cases:
+        whole = certificate_bits(certify_points(d, pts, tol=tol))
+        assert len(whole) == len(pts) and quadric._CERTIFY_BLOCK >= len(pts)
+        for size in (1, 4, 7, len(pts) - 1):
+            sliced = [c for k in range(0, len(pts), size) for c in certify_points(d, pts[k:k + size], tol=tol)]
+            assert certificate_bits(sliced) == whole
+            monkeypatch.setattr(quadric, "_CERTIFY_BLOCK", size)
+            assert certificate_bits(certify_points(d, pts, tol=tol)) == whole
+            monkeypatch.undo()
+
+
+def test_verify_converts_its_cone_data_once(monkeypatch, capsys):
+    """The range check, the projection, the certificates and the
+    boundedness residual of one verify share one float conversion."""
+    conversions = []
+    convert = quadric._float_data
+
+    def counted(d):
+        conversions.append(d)
+        return convert(d)
+
+    monkeypatch.setattr(quadric, "_float_data", counted)
+    for config in ('{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}',
+                   '{"A": [[1,0],[1,0],[1,0]], "B": [[0,1],[0,1],[0,1]]}'):
+        conversions.clear()
+        assert main(["verify", "--config", config, "--samples", "20"]) == 0
+        assert len(conversions) == 1
+    capsys.readouterr()
 
 
 def test_dependent_fields_data_in_a_batch():

@@ -433,8 +433,7 @@ def test_isotropy_derives_and_decides_once(capsys, monkeypatch):
     from su3kahler import conegeom, weights
 
     calls = {"derive": 0, "SignTable": 0, "cone_member": 0, "_holds": 0}
-    for module, name in ((weights, "derive"), (weights, "SignTable"), (weights, "cone_member"),
-                         (conegeom, "cone_member")):
+    for module, name in ((weights, "derive"), (weights, "SignTable"), (conegeom, "cone_member")):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):

@@ -270,8 +270,8 @@ def test_stream_names_the_first_disagreeing_system(monkeypatch):
     assert len(first_block) > 1
     by_pairs = weights._free_by_pairs
 
-    def flip_last(a, b):
-        out = by_pairs(a, b)
+    def flip_last(d):
+        out = by_pairs(d)
         if isinstance(out, np.ndarray):
             out[-1] = not out[-1]
         return out
@@ -285,7 +285,7 @@ def test_stream_names_the_first_disagreeing_system(monkeypatch):
 
 def test_scalar_path_raises_on_a_disagreement(monkeypatch, standard_ws):
     by_pairs = weights._free_by_pairs
-    monkeypatch.setattr(weights, "_free_by_pairs", lambda a, b: not by_pairs(a, b))
+    monkeypatch.setattr(weights, "_free_by_pairs", lambda d: not by_pairs(d))
     fresh = WeightSystem(standard_ws.wl, standard_ws.wr)
     with pytest.raises(RuntimeError, match=re.escape(repr(fresh))):
         classify_quotient(fresh)

@@ -1,11 +1,12 @@
 """The sign table of cone data (``DerivedConeData.sign_table``) against the
 exact layers as they were before it (the references in ``conftest.py``):
 the condition report with its 27 memberships and its level-set block, the
+nine-sign verdict against the evidence and the 8 membership tests, the
 mixed witnesses, the apex functional, the interpolation verdict and the
-census, on int, ``Fraction`` and 30-digit data with zero, parallel and
-antiparallel generators and C = 0; the base (A_1, B_1) of the
-interpolation path, which the condition forces; and the table's gate on
-its entries."""
+census, on int, ``Fraction`` and 30-digit data with zero, parallel,
+antiparallel and C-parallel generators and C = 0; the base (A_1, B_1) of
+the interpolation path, which the condition forces; and the table's gate
+on its entries."""
 
 import functools
 import re
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import (
     reference_apex,
     reference_census,
+    reference_condition_holds,
     reference_condition_report,
     reference_in_cone2,
     reference_interpolation_path,
@@ -50,21 +52,25 @@ SCALARS = {
 @st.composite
 def cone_configurations(draw):
     """Cone data A_j + B_j = C of one scalar kind, each A_j drawn free, zero,
-    equal to C (so B_j = 0), or a multiple of C or of one direction (zero,
-    parallel or antiparallel for a multiplier 0, > 0 or < 0); C may be 0."""
+    equal to C (so B_j = 0), a multiple of C or of one direction (zero,
+    parallel or antiparallel for a multiplier 0, > 0 or < 0), or a fraction
+    of C strictly between 0 and C (A_j and B_j both on ray(C)); C may be 0."""
     scalars = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
     vec = st.tuples(scalars, scalars)
     c = draw(st.one_of(vec, st.just((0, 0))))
     direction = draw(vec)
     a = []
     for _ in range(3):
-        kind = draw(st.sampled_from(("free", "zero_a", "zero_b", "along_c", "along_direction")))
+        kind = draw(st.sampled_from(("free", "zero_a", "zero_b", "along_c", "along_direction", "inside_c")))
         if kind == "free":
             a.append(draw(vec))
         elif kind == "zero_a":
             a.append((0, 0))
         elif kind == "zero_b":
             a.append(c)
+        elif kind == "inside_c":
+            t = draw(st.fractions(0, 1, max_denominator=7).filter(lambda t: 0 < t < 1))
+            a.append(vscale(t, c))
         else:
             a.append(vscale(draw(st.integers(-3, 3)), c if kind == "along_c" else direction))
     return DerivedConeData(tuple(a), tuple(vsub(c, g) for g in a), c)
@@ -114,6 +120,19 @@ def test_condition_report_witnesses_and_apex_match_the_references(d):
         assert find_apex_functional(gens) == reference_apex(gens)
 
 
+@given(configurations)
+@settings(max_examples=600, deadline=None)
+def test_nine_sign_verdict_matches_the_evidence_and_the_eight_tests(d):
+    """The README's nine-sign corollary: the condition holds exactly when
+    the nine crosses cross(A_i, B_j) are nonzero with one sign; the verdict
+    equals the 27 memberships' and the 8 tests' (each by its own crosses)."""
+    verdict = cone_condition_holds(fresh(d))
+    assert verdict == check_cone_condition(fresh(d)).holds
+    assert verdict == reference_condition_holds(*d.a, *d.b, d.c)
+    nine = [cross(a, b) for a in d.a for b in d.b]
+    assert verdict == (all(x > 0 for x in nine) or all(x < 0 for x in nine))
+
+
 @given(st.lists(st.one_of(*(st.tuples(s, s) for s in SCALARS.values())), min_size=1, max_size=7))
 @settings(max_examples=300, deadline=None)
 def test_apex_functional_matches_the_reference(gens):
@@ -157,6 +176,26 @@ def test_interpolation_verdict_matches_the_reference_at_default_times(d, steps):
 @settings(max_examples=300, deadline=None)
 def test_interpolation_verdict_matches_the_reference_at_random_times(d, times):
     verdict = interior_verdict(d, times)
+    if verdict is not None:
+        assert verdict == reference_interpolation_path(d, times)
+
+
+small_vectors = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+
+
+@given(
+    st.lists(small_vectors, min_size=3, max_size=3),
+    small_vectors,
+    st.lists(st.fractions(0, 1, max_denominator=60), min_size=1, max_size=4),
+)
+@settings(max_examples=600, deadline=None)
+def test_interpolation_verdict_matches_the_reference_on_small_integer_data(a, c, times):
+    """Free small integer data, where the verdict turns on the sign of a
+    quadratic form between the ends far more often than on the data
+    above."""
+    d = DerivedConeData(tuple(a), tuple(vsub(c, v) for v in a), c)
+    verdict = interior_verdict(d, times)
+    assert (verdict is None) == (cross(d.a[0], d.b[0]) == 0)
     if verdict is not None:
         assert verdict == reference_interpolation_path(d, times)
 

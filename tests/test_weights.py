@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import pickle
@@ -10,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_condition_holds
+from conftest import (
+    CONDITION_TESTS,
+    reference_block_survivors,
+    reference_condition_holds,
+    reference_free_by_pairs,
+)
 from su3kahler import weights
 from su3kahler.conegeom import (
     INT64_MAX,
@@ -511,7 +517,9 @@ def test_enumerate_int64_guard_fires_before_grid(monkeypatch):
         raise AssertionError(f"grid requested for bound {bound}")
 
     monkeypatch.setattr(weights, "_weight_grid", no_grid)
-    # 8 * bound**2 is the largest product; 2**30 is the first bound past int64
+    # 8 * bound**2 bounds the largest value the block computes, a cross of
+    # A_i and B_j (entries at most 2 * bound); 2**30 is the first bound past
+    # int64
     assert 8 * (2**30 - 1) ** 2 <= INT64_MAX < 8 * (2**30) ** 2
     with pytest.raises(ValueError, match="int64"):
         enumerate_admissible_systems(2**30)
@@ -522,7 +530,7 @@ def test_enumerate_bound2_has_nontrivial_left(bound2_systems):
     assert any(ws.wl != ((0, 0),) * 3 for ws in bound2_systems)
 
 
-# --- the narrowed block kernel and the validated grid rows ---------------------
+# --- the block rule against the narrowed reference kernel -------------------
 
 
 def _scalar_survivors(wl, rows):
@@ -534,13 +542,65 @@ def _scalar_survivors(wl, rows):
     return survivors
 
 
+@functools.lru_cache(maxsize=4)
+def wr_columns(bound):
+    """The int64 columns (x1, y1, x3, y3) of w_1^R and w_3^R over the grid."""
+    rows = weights._weight_grid(bound)[0]
+    return np.array([(*wr[0], *wr[2]) for wr in rows], dtype=np.int64).T
+
+
+def grid_block(bound, row):
+    """The wL row of the grid, the grid rows, and (A, B, C) of that wL
+    against every wR as vectors of int64 arrays."""
+    rows = weights._weight_grid(bound)[0]
+    x1, y1, x3, y3 = wr_columns(bound)
+    wl = rows[row]
+    return wl, rows, weights._configuration(wl, (x1, y1), (x3, y3))
+
+
+def streamed_block(bound, row):
+    """(wR, free) of every system the stream yields in the wL block at
+    this grid row, by the slice that holds that block alone."""
+    n_blocks = len(weights._weight_grid(bound)[0])
+    return [(ws.wr, ws.free) for ws in enumerate_admissible_systems(bound, part=(row, n_blocks))]
+
+
+def reference_block(bound, row):
+    """(wR, free) of the narrowed kernel's survivors of the same block,
+    free by both characterizations from the survivors' own crosses."""
+    wl, rows, (a, b, c) = grid_block(bound, row)
+    keep = reference_block_survivors(a, b, c)
+    by_pairs = reference_free_by_pairs(*(tuple((x[keep], y[keep]) for x, y in v) for v in (a, b)))
+    by_homs = [weights._free_by_homs(wl, weights._right_is_isomorphism(*rows[i][::2])) for i in keep.tolist()]
+    assert np.asarray(by_pairs).tolist() == by_homs
+    return [(rows[i], free) for i, free in zip(keep.tolist(), by_homs)]
+
+
 def test_narrowed_kernel_on_every_bound2_block():
-    rows, (u1, v1, u3, v3), _ = weights._weight_grid(2)
-    for wl in rows:
-        a, b, c = weights._configuration(wl, (u1, v1), (u3, v3))
-        survivors = weights._block_survivors(a, b, c)
+    rows = weights._weight_grid(2)[0]
+    for row, wl in enumerate(rows):
+        _, _, (a, b, c) = grid_block(2, row)
+        survivors = reference_block_survivors(a, b, c)
         assert survivors.tolist() == np.flatnonzero(reference_condition_holds(*a, *b, c)).tolist()
         assert survivors.tolist() == _scalar_survivors(wl, rows)
+        assert [wr for wr, _ in streamed_block(2, row)] == [rows[i] for i in survivors.tolist()]
+
+
+BOUND4_BLOCKS = sorted(random.Random(20231019).sample(range(3721), 12))
+
+
+@pytest.mark.parametrize(
+    "bound, blocks",
+    [(1, None), (2, None), (3, None), (4, BOUND4_BLOCKS)],
+    ids=["bound1", "bound2", "bound3", "bound4-seeded"],
+)
+def test_block_survivors_and_freeness_match_the_reference_kernel(bound, blocks):
+    """The nine-sign block keeps the narrowed 8-test kernel's survivors, in
+    grid order, with the lattice-pair freeness of the same survivors."""
+    n_blocks = len(weights._weight_grid(bound)[0])
+    assert bound < 4 or n_blocks == 3721
+    for row in range(n_blocks) if blocks is None else blocks:
+        assert streamed_block(bound, row) == reference_block(bound, row)
 
 
 # Configurations passing the condition: the orbifold, standard-torus and
@@ -625,21 +685,28 @@ def test_near_miss_rows_fail_one_mixed_test():
     for k, row in [*enumerate(NEAR_MISS_ROWS), *enumerate(CONSTANT_SUM_NEAR_MISS_ROWS)]:
         gens, c = row[:6], row[6]
         failing = [
-            t for t, (g, h, inside) in enumerate(weights._CONDITION_TESTS)
+            t for t, (g, h, inside) in enumerate(CONDITION_TESTS)
             if cone_member(c, gens[g], gens[h]) != inside
         ]
         i, j = weights._MIXED_PAIRS[k]
-        assert failing == [weights._CONDITION_TESTS.index((i, 3 + j, True))]
+        assert failing == [CONDITION_TESTS.index((i, 3 + j, True))]
 
 
 @given(int64_blocks())
 @settings(max_examples=120, deadline=None)
 def test_narrowed_kernel_matches_full_and_scalar(block):
+    """The narrowed reference kernel on any rows; on the rows with
+    A_j + B_j = C, the nine-sign rule on the same int64 columns too."""
     rows, cols = block
     a, b, c = cols[:3], cols[3:6], cols[6]
-    survivors = weights._block_survivors(a, b, c)
+    survivors = reference_block_survivors(a, b, c)
     assert survivors.tolist() == np.flatnonzero(reference_condition_holds(*cols)).tolist()
     assert survivors.tolist() == [i for i, r in enumerate(rows) if reference_condition_holds(*r)]
+    in_domain = [k for k, r in enumerate(rows) if all(vadd(r[j], r[3 + j]) == r[6] for j in range(3))]
+    if in_domain:
+        nine = np.array([cross(a[i], b[j]) for i in range(3) for j in range(3)])[:, in_domain]
+        by_rule = weights._one_strict_sign(nine.min(0), nine.max(0))
+        assert by_rule.tolist() == [k in survivors.tolist() for k in in_domain]
 
 
 # --- the 8-test kernel against the 12-test table and the 27 memberships -------
@@ -661,7 +728,7 @@ def passes(tests, gens, c):
 
 
 def test_condition_table_is_the_mixed_tests_and_two_pair_tests():
-    tests = weights._CONDITION_TESTS
+    tests = CONDITION_TESTS
     assert len(tests) == 8 and set(MIXED_TESTS) < set(tests)
     (a1, a2, _), (b1, b2, _) = sorted(t for t in tests if t not in MIXED_TESTS)
     assert {a1, a2} <= {0, 1, 2} and {b1, b2} <= {3, 4, 5}
@@ -670,11 +737,14 @@ def test_condition_table_is_the_mixed_tests_and_two_pair_tests():
 
 @pytest.mark.parametrize("bound, step", [(2, 1), (3, 2)], ids=["bound2-every-block", "bound3-every-2nd"])
 def test_eight_tests_keep_the_twelve_test_survivors(bound, step):
-    rows, (u1, v1, u3, v3), _ = weights._weight_grid(bound)
-    for wl in rows[::step]:
-        a, b, c = weights._configuration(wl, (u1, v1), (u3, v3))
-        twelve = np.flatnonzero(passes(TWELVE_TESTS, (*a, *b), c))
-        assert weights._block_survivors(a, b, c).tolist() == twelve.tolist()
+    """The reference 8 tests and the nine-sign block both keep exactly the
+    candidates of the 12 tests."""
+    rows = weights._weight_grid(bound)[0]
+    for row in range(0, len(rows), step):
+        _, _, (a, b, c) = grid_block(bound, row)
+        twelve = np.flatnonzero(passes(TWELVE_TESTS, (*a, *b), c)).tolist()
+        assert reference_block_survivors(a, b, c).tolist() == twelve
+        assert [wr for wr, _ in streamed_block(bound, row)] == [rows[i] for i in twelve]
 
 
 @st.composite
