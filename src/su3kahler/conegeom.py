@@ -8,13 +8,11 @@ floats and bools. Cone membership
 on a boundary ray must be *decided*, not approximated, because the
 downstream condition checks distinguish strict from non-strict membership.
 
-Membership decisions come from the signs of cross products. The batched
-kernel :func:`cone_member` uses only ring operations and comparisons, so
-the same expression decides, elementwise, numpy int64 arrays (exact while
-every product fits in int64, see :data:`INT64_MAX`) as well as Python
-ints and Fractions. Scalar decisions with evidence read one
-:class:`SignTable`: plane vectors cleared of denominators by one positive
-integer, with their pairwise cross products. Cone tests see only
+Membership decisions come from the signs of cross products: one rule,
+:func:`_sign_rule`, over ring operations and comparisons only. Scalar
+decisions, with evidence or without, read one :class:`SignTable`: plane
+vectors cleared of denominators by one positive integer, with their
+pairwise cross products. Cone tests see only
 directions, so the cleared table gives the decisions and, as exact
 quotients, the witness coefficients of the input vectors. A membership
 with its witness is :meth:`SignTable.membership`, which :func:`in_cone2`
@@ -44,7 +42,6 @@ __all__ = [
     "scalar_to_json",
     "vec_to_json",
     "INT64_MAX",
-    "cone_member",
     "SignTable",
     "in_cone2",
     "find_apex_functional",
@@ -123,7 +120,8 @@ class ConeMembership:
     with ``lam1*g1 + lam2*g2 == c`` exactly. ``INTERIOR`` means both
     coefficients are strictly positive and the generators are linearly
     independent; with dependent generators the best status is
-    ``ON_BOUNDARY_RAY``. Decisions that need no witness read :func:`cone_member`.
+    ``ON_BOUNDARY_RAY``. Decisions that need no witness read
+    :meth:`SignTable.member`.
     """
 
     status: MembershipStatus
@@ -144,46 +142,22 @@ _OUTSIDE = ConeMembership(MembershipStatus.OUTSIDE)
 _F0 = Fraction(0)
 
 
-# Largest magnitude an int64 holds; the batched sign rule is exact while
-# every entry product (and the difference of two) stays within it.
+# Largest magnitude an int64 holds: the widest integer type the weight
+# search's sign tests may run at.
 INT64_MAX = 2**63 - 1
 
 
-def cone_member(c, g1, g2):
-    """Whether ``c`` lies in ``{l1*g1 + l2*g2 : l1, l2 >= 0}``, from signs only.
+def _sign_rule(d, n1, n2, e1, e2, c_zero):
+    """Whether c lies in ``{l1*g1 + l2*g2 : l1, l2 >= 0}``, from
+    d = cross(g1, g2), n1 = cross(c, g2), n2 = cross(g1, c),
+    e1 = dot(c, g1), e2 = dot(c, g2) and whether c == 0.
 
-    With ``d = cross(g1, g2)``, ``n1 = cross(c, g2)`` and
-    ``n2 = cross(g1, c)`` (so ``l1 = n1/d`` and ``l2 = n2/d`` when
-    ``d != 0``), ``c`` is a member iff ``n1`` and ``n2`` share the sign of
-    ``d``, or ``c`` lies on ``ray(g1)`` or ``ray(g2)``, or ``c == 0``. The
+    With d != 0, l1 = n1/d and l2 = n2/d, so c is a member iff n1 and n2
+    share the sign of d; or c lies on ray(g1) or ray(g2); or c == 0. The
     ray clauses are sound for every configuration and complete when the
     generators are dependent (zero, parallel or antiparallel), where the
-    cone is a ray, a line or the origin.
-
-    Branch-free over ``&``/``|`` of comparisons: vector components may be
-    ints or Fractions (the result is a bool) or broadcastable int64 arrays
-    (the result is a bool array). Entries bounded by ``E`` in magnitude
-    keep every intermediate within ``2*E**2``. The rule itself is
-    :func:`_sign_rule`.
-    """
-    cx, cy = c
-    x1, y1 = g1
-    x2, y2 = g2
-    return _sign_rule(
-        x1 * y2 - y1 * x2,
-        cx * y2 - cy * x2,
-        x1 * cy - y1 * cx,
-        cx * x1 + cy * y1,
-        cx * x2 + cy * y2,
-        (cx == 0) & (cy == 0),
-    )
-
-
-def _sign_rule(d, n1, n2, e1, e2, c_zero):
-    """The decision of :func:`cone_member` from d = cross(g1, g2),
-    n1 = cross(c, g2), n2 = cross(g1, c), e1 = dot(c, g1), e2 = dot(c, g2)
-    and whether c == 0, elementwise on arrays. Scalar callers that know
-    d != 0 read :func:`_independent_member` instead."""
+    cone is a ray, a line or the origin. Callers that know d != 0 read
+    :func:`_independent_member` instead."""
     return (
         ((d > 0) & (n1 >= 0) & (n2 >= 0))
         | ((d < 0) & (n1 <= 0) & (n2 <= 0))
@@ -194,10 +168,10 @@ def _sign_rule(d, n1, n2, e1, e2, c_zero):
 
 
 def _independent_member(d, n1, n2) -> bool:
-    """:func:`cone_member` for independent generators, d != 0, from the
+    """:func:`_sign_rule` for independent generators, d != 0, from the
     signs of d = cross(g1, g2), n1 = cross(c, g2) and n2 = cross(g1, c):
     whether n1 and n2 both have d's sign or are 0. With d != 0 the
-    kernel's ray and origin clauses imply its sign clauses (a c on ray(g2)
+    rule's ray and origin clauses imply its sign clauses (a c on ray(g2)
     is t*g2 with t > 0, so n1 = 0 and n2 = t*d), so the signs decide."""
     return n1 >= 0 and n2 >= 0 if d > 0 else n1 <= 0 and n2 <= 0
 
@@ -232,9 +206,8 @@ class SignTable:
 
     def member(self, k: int, p: int, q: int) -> bool:
         """Whether vector k lies in cone(vector p, vector q): the decision
-        of :func:`cone_member`, read through :func:`_independent_member`
-        when cross(g_p, g_q) != 0 and through :func:`_sign_rule` with the
-        dot products otherwise."""
+        of :func:`_sign_rule`, read through :func:`_independent_member`
+        when cross(g_p, g_q) != 0 and with the dot products otherwise."""
         row = self.crosses[p]
         d = row[q]
         if d:
@@ -278,8 +251,8 @@ def in_cone2(c: Vec2, g1: Vec2, g2: Vec2) -> ConeMembership:
     """Decide whether ``c`` lies in ``{l1*g1 + l2*g2 : l1, l2 >= 0}``.
 
     :meth:`SignTable.membership` on the table of (c, g1, g2): the decision
-    is :func:`cone_member`'s, and exact witness coefficients are computed
-    only for members.
+    is :meth:`SignTable.member`'s, and exact witness coefficients are
+    computed only for members.
     """
     return SignTable((c, g1, g2)).membership(0, 1, 2)
 

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .conegeom import (
-    cross,
-    invariant_factors_from_divisors,
-    scalar_to_json,
-)
+from .conegeom import invariant_factors_from_divisors, scalar_to_json
 from .weights import (
     _MIXED_PAIRS,
     DerivedConeData,
@@ -136,7 +132,11 @@ class Classification(enum.Enum):
     @classmethod
     def of(cls, free: bool) -> "Classification":
         """The quotient is the flag variety exactly when the action is free."""
-        return cls.FREE_FLAG_CASE if free else cls.ORBIFOLD_CASE
+        return _CLASSIFICATION[free]
+
+
+# The one free/orbifold mapping, by the freeness verdict.
+_CLASSIFICATION = {True: Classification.FREE_FLAG_CASE, False: Classification.ORBIFOLD_CASE}
 
 
 @dataclass(frozen=True)
@@ -163,11 +163,12 @@ class FreenessVerdict:
         }
 
 
-def _failing_pair(gens) -> tuple[int, int, int] | None:
+def _failing_pair(nine) -> tuple[int, int, int] | None:
     """The first (i, j, |det|) with i != j and (A_i, B_j) not a lattice
-    basis, for the int generators (A_1, A_2, A_3, B_1, B_2, B_3)."""
+    basis, read off the nine crosses cross(A_i, B_j) of integer data
+    (:attr:`DerivedConeData._nine_crosses`, at position 3*i + j)."""
     for i, j in _MIXED_PAIRS:
-        det = abs(cross(gens[i], gens[3 + j]))
+        det = abs(nine[3 * i + j])
         if det != 1:
             return (i + 1, j + 1, det)
     return None
@@ -184,7 +185,9 @@ def freeness_check(d: DerivedConeData, ws: WeightSystem | None = None) -> Freene
     otherwise). Both the data and the cone condition's verdict are cached
     on their objects, so neither is computed again here.
     """
-    failing = _failing_pair(_integer_generators(d))
+    _integer_generators(d)  # non-integer data raise ValueError first
+    # the sign table clears nothing from integer data: its crosses are the data's
+    failing = _failing_pair(d._nine_crosses)
     classification = None
     if ws is not None and cone_condition_holds(d):
         if ws.derived == d and ws.free != (failing is None):
@@ -203,7 +206,7 @@ def classify_quotient(ws: WeightSystem) -> Classification:
     condition, RuntimeError if they disagree) or carries the enumerator's
     verdict.
     """
-    return Classification.of(ws.free)
+    return _CLASSIFICATION[ws.free]
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,10 @@ functions (:func:`project_to_level`, :func:`certify_point`) are calls of
 the batched ones with a stack of one.
 
 Everything here is float; all exact decisions live in the other modules.
-This module and the int64 search of :mod:`su3kahler.weights` are the only
-users of numpy. Nothing imports this module at start-up: the package
-resolves its names here on first access, and the CLI imports it only for
-``verify``, so the exact commands never load numpy.
+This module and the integer-array search of :mod:`su3kahler.weights`
+are the only users of numpy. Nothing imports this module at start-up:
+the package resolves its names here on first access, and the CLI
+imports it only for ``verify``, so the exact commands never load numpy.
 """
 
 from __future__ import annotations

@@ -25,9 +25,13 @@ memberships of :func:`check_cone_condition`, the mixed witnesses,
 regularity, compactness and the apex functional; only dependent mixed
 pairs build their witness with :func:`positive_combination`. The
 interpolation path evaluates the nine crosses as forms in the time. The
-enumerator computes them as one (9, n) int64 array per outer wL block
+enumerator computes them as one (9, n) integer array per outer wL block
 against every wR, decides the block with a few whole-array calls, and
-reads the freeness of each survivor off the same array. Those arrays are
+reads the freeness of each survivor off the same array. Every entry of a
+block is at most 8*bound**2 in magnitude, so the block runs in the
+narrowest signed type that holds that value (:func:`_block_dtype`: int8
+up to bound 3, int16 up to 63, int32 up to 16383, int64 beyond, and a
+larger bound is refused). Those arrays are
 the module's only use of numpy, which the search's cached grid,
 :func:`_weight_grid`, imports on its first call; the scalar checks run
 without it.
@@ -122,14 +126,6 @@ class WeightSystem:
         object.__setattr__(self, "wr", wr)
 
     @classmethod
-    def _from_grid(cls, wl, wr, free: bool) -> "WeightSystem":
-        """The system of two rows of the validated weight grid, with its
-        freeness verdict already decided; nothing is checked again."""
-        ws = object.__new__(cls)
-        ws.__dict__.update(wl=wl, wr=wr, free=free)
-        return ws
-
-    @classmethod
     def from_json(cls, obj: dict) -> "WeightSystem":
         try:
             return cls(obj["wL"], obj["wR"])
@@ -137,7 +133,8 @@ class WeightSystem:
             raise ValueError(f"malformed weight system object: {exc}") from exc
 
     def to_json(self) -> dict:
-        return {"wL": [list(v) for v in self.wl], "wR": [list(v) for v in self.wr]}
+        (a, b, c), (d, e, f) = self.wl, self.wr
+        return {"wL": [[*a], [*b], [*c]], "wR": [[*d], [*e], [*f]]}
 
     @functools.cached_property
     def derived(self) -> "DerivedConeData":
@@ -153,8 +150,8 @@ class WeightSystem:
         raise ValueError unless the cone condition holds, then require the
         homomorphism test and the lattice-pair test to agree (RuntimeError
         otherwise). :func:`enumerate_admissible_systems` fills it in from
-        the same two tests on int64 arrays. It is not a field, so ==, hash
-        and repr ignore it.
+        the same two tests on integer arrays. It is not a field, so ==,
+        hash and repr ignore it.
         """
         d = self.derived
         if not cone_condition_holds(d):
@@ -310,7 +307,7 @@ def cone_data(a_vectors, b_vectors) -> DerivedConeData:
 
 def _configuration(wl, w1r, w3r):
     """(A, B, C) with A_j = w_j^L - w_1^R, B_j = -w_j^L + w_3^R and
-    C = w_3^R - w_1^R; w1r and w3r may be vectors of int64 arrays, and then
+    C = w_3^R - w_1^R; w1r and w3r may be vectors of integer arrays, and then
     every component is an array."""
     a = tuple(vsub(w, w1r) for w in wl)
     b = tuple(vsub(w3r, w) for w in wl)
@@ -331,7 +328,7 @@ _MIXED_PAIRS = tuple((i, j) for j in range(3) for i in range(3) if i != j)
 def _right_is_isomorphism(w1r, w3r):
     """Whether the right homomorphism is a torus isomorphism:
     |det(w_1^R, w_2^R)| = 1, which is |det(w_1^R, w_3^R)| since
-    w_2^R = -w_1^R - w_3^R. On ints or, elementwise, int64 arrays."""
+    w_2^R = -w_1^R - w_3^R. On ints or, elementwise, integer arrays."""
     return abs(cross(w1r, w3r)) == 1
 
 
@@ -341,16 +338,13 @@ def _free_by_homs(wl, right_iso):
     return all(v == (0, 0) for v in wl) & right_iso
 
 
-def _free_by_pairs(nine):
+def _free_by_pairs(nine) -> bool:
     """Freeness by the lattice: every (A_i, B_j) with i != j a lattice
     basis, |cross(A_i, B_j)| = 1, read at position 3*i + j of the nine
-    crosses in row-major order. On the ints of
-    :attr:`DerivedConeData._nine_crosses` of integer data (a bool) or the
-    rows of the enumerator's (9, n) int64 array (a bool array)."""
-    ok = True
-    for i, j in _MIXED_PAIRS:
-        ok = ok & (abs(nine[3 * i + j]) == 1)
-    return ok
+    crosses in row-major order (:attr:`DerivedConeData._nine_crosses` of
+    integer data). The specification of the enumerator's block test, which
+    reads the same six rows of its (9, n) array at once."""
+    return all(abs(nine[3 * i + j]) == 1 for i, j in _MIXED_PAIRS)
 
 
 def _freeness_disagreement(ws: WeightSystem, by_homs: bool, by_pairs: bool) -> RuntimeError:
@@ -606,19 +600,46 @@ def check_interpolation_path(d: DerivedConeData, times) -> bool:
     return True
 
 
+# The signed integer types the enumeration block may run at, narrowest
+# first, each with the largest value it holds.
+_BLOCK_WIDTHS = (("int8", 2**7 - 1), ("int16", 2**15 - 1), ("int32", 2**31 - 1), ("int64", INT64_MAX))
+
+
+def _block_dtype(bound: int) -> str:
+    """The name of the narrowest signed integer type holding every value
+    the enumeration block of this bound computes; ValueError when not even
+    int64 does.
+
+    Grid entries are at most bound in magnitude, so the table entries (the
+    components of A_i and B_j) are at most 2*bound, each product in a cross
+    at most 4*bound**2 and the cross itself at most 8*bound**2, the largest
+    value the block computes (cross(w_1^R, w_3^R), at most 2*bound**2, is
+    computed once per grid in int64). The argument check of
+    :func:`enumerate_admissible_systems` and the grid's tables both read it.
+    """
+    largest = 8 * bound * bound
+    for name, top in _BLOCK_WIDTHS:
+        if largest <= top:
+            return name
+    raise ValueError(f"bound {bound} too large for exact int64 sign tests")
+
+
 @functools.lru_cache(maxsize=2)
 def _weight_grid(bound: int):
     """Every zero-sum weight triple with entries in [-bound, bound], in
     lexicographic order of (w_1, w_2); the difference tables; each triple's
-    rows of them; and, per triple taken as wR, whether the right
-    homomorphism is an isomorphism.
+    rows of them; per triple taken as wR, whether the right homomorphism is
+    an isomorphism; and the rows of the six off-diagonal pairs in the
+    block's nine, as a column.
 
     The tables hold, for each entry value v in [-bound, bound] against
     every wR, the components of A = v - w_1^R and of B = w_3^R - v: four
-    quarters of 2*bound + 1 int64 rows (v - x1, v - y1, x3 - v and y3 - v,
-    row v + bound in each). A wL triple's 36 rows are, for the nine pairs
-    (i, j) in row-major order, those of A_i's x and y and of B_j's x and y,
-    so one gather lays out the block's operands for the nine pairs.
+    quarters of 2*bound + 1 rows (v - x1, v - y1, x3 - v and y3 - v, row
+    v + bound in each), of the type :func:`_block_dtype` picks for the
+    bound, so every product and cross of the block stays in that type. A
+    wL triple's 36 rows are, for the nine pairs (i, j) in row-major order,
+    those of A_i's x and y and of B_j's x and y, so one gather lays out the
+    block's operands for the nine pairs.
     Both sides of a weight system range over this grid. Built on first use
     per bound, with every row passed once through the row check of
     :class:`WeightSystem`; the arrays are read-only because the cache
@@ -636,22 +657,36 @@ def _weight_grid(bound: int):
     triples = np.array(rows, dtype=np.int64)  # (n, 3, 2)
     x1, y1, x3, y3 = triples[:, (0, 2)].reshape(-1, 4).T
     v = np.arange(-bound, bound + 1)[:, None]
-    tables = np.concatenate((v - x1, v - y1, x3 - v, y3 - v))
+    tables = np.concatenate((v - x1, v - y1, x3 - v, y3 - v)).astype(_block_dtype(bound))
     i, j = np.divmod(np.arange(9), 3)
     m = 2 * bound + 1
     at = triples + bound  # each entry's row within its quarter
     index = np.concatenate((at[:, i, 0], m + at[:, i, 1], 2 * m + at[:, j, 0], 3 * m + at[:, j, 1]), axis=1)
     right_iso = _right_is_isomorphism((x1, y1), (x3, y3))
-    for arr in (tables, index, right_iso):
+    mixed = np.array([[3 * i + j] for i, j in _MIXED_PAIRS])
+    for arr in (tables, index, right_iso, mixed):
         arr.setflags(write=False)
-    return rows, tables, index, right_iso
+    return rows, tables, index, right_iso, mixed
+
+
+def _block_crosses(tables, index):
+    """The (9, n) crosses of one wL block, row 3*i + j cross(A_i, B_j)
+    against every wR, from its 36 rows ``index`` of the grid's difference
+    tables, in the tables' type."""
+    ax, ay, bx, by = tables.take(index, 0).reshape(4, 9, -1)
+    return cross((ax, ay), (bx, by))
 
 
 def _one_strict_sign(lo, hi):
     """The nine-sign rule (README) from the least and the greatest of the
     nine crosses cross(A_i, B_j): all nonzero with one sign. On ints (a
-    bool) or, elementwise, int64 arrays (a bool array)."""
+    bool) or, elementwise, integer arrays (a bool array)."""
     return (lo > 0) | (hi < 0)
+
+
+def _check_int(name: str, x) -> None:
+    if type(x) is not int:  # rejects bools, floats and numpy integers
+        raise TypeError(f"{name} must be an int, got {x!r}")
 
 
 def enumerate_admissible_systems(
@@ -665,52 +700,57 @@ def enumerate_admissible_systems(
     full stream, so the enumeration parallelizes over processes.
 
     Each outer wL block is decided at once against every wR: the nine
-    crosses cross(A_i, B_j) of every candidate form one (9, n) int64 array,
-    computed from rows gathered off the grid's difference tables, and the
+    crosses cross(A_i, B_j) of every candidate form one (9, n) array,
+    computed from rows gathered off the grid's difference tables in the
+    narrowest integer type that holds them (:func:`_block_dtype`), and the
     nine-sign rule reads its least and greatest entry per candidate.
     Survivors come out in grid order, so the stream stays lexicographic.
     The block also decides each survivor's freeness by both
-    characterizations, the lattice-pair test off the same array, raises
-    RuntimeError naming the first system on which they disagree, and fills
-    in :attr:`WeightSystem.free`. Yielded systems are built from grid rows
-    validated once per bound, without a second check. Arguments are
-    checked when this is called, so a bound whose products could leave
-    int64 is rejected before anything is allocated.
+    characterizations, the lattice-pair test off the six off-diagonal rows
+    of the same array, raises RuntimeError naming the first system on
+    which they disagree, and fills in :attr:`WeightSystem.free`. Yielded
+    systems are built from grid rows validated once per bound, without a
+    second check. Arguments are checked when this is called: a bound or a
+    part entry that is not an int (a bool or a float) raises TypeError,
+    and a negative bound, a bound whose crosses could leave int64 or an
+    invalid part raises ValueError, before anything is allocated.
     """
+    _check_int("bound", bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    # Grid entries are at most bound in magnitude, so the block's A_i and
-    # B_j entries are at most 2*bound, each product in a cross at most
-    # 4*bound**2 and the cross itself at most 8*bound**2, the largest value
-    # the block computes (cross(w_1^R, w_3^R) is at most 2*bound**2): exact
-    # in int64 while 8*bound**2 is.
-    if 8 * bound * bound > INT64_MAX:
-        raise ValueError(f"bound {bound} too large for exact int64 sign tests")
+    _block_dtype(bound)
     if part is not None:
         k, n = part
+        _check_int("part index", k)
+        _check_int("part count", n)
         if not (n >= 1 and 0 <= k < n):
             raise ValueError(f"invalid partition {part!r}")
     return _admissible_stream(bound, part)
 
 
 def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[WeightSystem]:
-    rows, tables, index, right_iso = _weight_grid(bound)
+    rows, tables, index, right_iso, mixed = _weight_grid(bound)
     k, n = (0, 1) if part is None else part
+    new = object.__new__
     for row in range(k, len(rows), n):
-        # (9, n) rows of A_i's and B_j's components; row 3*i + j of nine is
-        # cross(A_i, B_j) against every wR
-        ax, ay, bx, by = tables.take(index[row], 0).reshape(4, 9, -1)
-        nine = cross((ax, ay), (bx, by))
+        nine = _block_crosses(tables, index[row])
         keep = _one_strict_sign(nine.min(0), nine.max(0)).nonzero()[0]
         if not keep.size:
             continue
         wl = rows[row]
         by_homs = _free_by_homs(wl, right_iso[keep])
-        by_pairs = _free_by_pairs(nine[:, keep])
+        by_pairs = (abs(nine[mixed, keep]) == 1).all(0)  # as _free_by_pairs
         disagree = (by_homs != by_pairs).nonzero()[0]
         if disagree.size:
             k = disagree[0]
             ws = WeightSystem(wl, rows[keep[k]])
             raise _freeness_disagreement(ws, bool(by_homs[k]), bool(by_pairs[k]))
         for i, free in zip(keep.tolist(), by_homs.tolist()):
-            yield WeightSystem._from_grid(wl, rows[i], free)
+            # a system of two checked grid rows, with its verdict: nothing
+            # is checked again
+            ws = new(WeightSystem)
+            fields = ws.__dict__
+            fields["wl"] = wl
+            fields["wr"] = rows[i]
+            fields["free"] = free
+            yield ws

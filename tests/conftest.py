@@ -6,9 +6,10 @@ they were before the sign table of cone data and the nine-sign rule: every
 membership by its own cross products, the boolean condition as its 8
 membership tests (scalar, and as the narrowed int64 block kernel with the
 lattice-pair freeness of its survivors), the witnesses by
-``positive_combination``, the apex search by ``cone_member``, the
-interpolation path built vector by vector at every time and the census
-built entry by entry; the tests compare the library with them."""
+``positive_combination``, the apex search by the batched sign kernel
+``reference_cone_member``, the interpolation path built vector by vector
+at every time and the census built entry by entry; the tests compare the
+library with them."""
 
 import itertools
 from fractions import Fraction
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from su3kahler import DerivedConeData, WeightSystem, cone_data, enumerate_admissible_systems
-from su3kahler.conegeom import ConeMembership, MembershipStatus, cone_member, cross, dot, is_zero, vadd, vscale
+from su3kahler.conegeom import ConeMembership, MembershipStatus, cross, dot, is_zero, vadd, vscale
 from su3kahler.isotropy import (
     IsotropyGroup,
     StratumReport,
@@ -197,12 +198,12 @@ def reference_block_survivors(a, b, c):
     on the entries still alive, their components gathered by index."""
     gens = (*a, *b)
     (g, h, inside), *rest = CONDITION_TESTS
-    alive = (cone_member(c, gens[g], gens[h]) == inside).nonzero()[0]
+    alive = (reference_cone_member(c, gens[g], gens[h]) == inside).nonzero()[0]
     for g, h, inside in rest:
         if not alive.size:
             break
         cc, gg, hh = ((x[alive], y[alive]) for x, y in (c, gens[g], gens[h]))
-        alive = alive[cone_member(cc, gg, hh) == inside]
+        alive = alive[reference_cone_member(cc, gg, hh) == inside]
     return alive
 
 

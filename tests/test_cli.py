@@ -428,12 +428,12 @@ def test_isotropy_gates_its_cone_data_once(capsys, monkeypatch):
 
 def test_isotropy_derives_and_decides_once(capsys, monkeypatch):
     """One derive, one sign table and one decision of the cone condition
-    per isotropy op, and no run of the scalar kernel cone_member: the
-    census and the condition read the same table."""
-    from su3kahler import conegeom, weights
+    per isotropy op: the census, the freeness check and the condition read
+    the same table."""
+    from su3kahler import weights
 
-    calls = {"derive": 0, "SignTable": 0, "cone_member": 0, "_holds": 0}
-    for module, name in ((weights, "derive"), (weights, "SignTable"), (conegeom, "cone_member")):
+    calls = {"derive": 0, "SignTable": 0, "_holds": 0}
+    for module, name in ((weights, "derive"), (weights, "SignTable")):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
@@ -454,7 +454,7 @@ def test_isotropy_derives_and_decides_once(capsys, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         code, out = run(capsys, "isotropy", "--config", config)
         assert code == 0 and json.loads(out)["results"]["freeness"]["classification_consistent"]
-        assert calls == {"derive": 1, "SignTable": 1, "cone_member": 0, "_holds": 1}
+        assert calls == {"derive": 1, "SignTable": 1, "_holds": 1}
 
 
 # --- verify: tolerances and scale ----------------------------------------------------

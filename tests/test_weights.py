@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     CONDITION_TESTS,
     reference_block_survivors,
+    reference_cone_member,
     reference_condition_holds,
     reference_free_by_pairs,
 )
@@ -22,7 +23,6 @@ from su3kahler.conegeom import (
     INT64_MAX,
     MembershipStatus,
     SignTable,
-    cone_member,
     cross,
     find_apex_functional,
     in_cone2,
@@ -512,11 +512,16 @@ def test_enumerate_bound3_partitions_merge(bound3_systems):
     assert sorted(merged) == bound3_systems
 
 
-def test_enumerate_int64_guard_fires_before_grid(monkeypatch):
-    def no_grid(bound):
+@pytest.fixture
+def no_grid(monkeypatch):
+    """Fails the test if a weight grid is built."""
+    def refuse(bound):
         raise AssertionError(f"grid requested for bound {bound}")
 
-    monkeypatch.setattr(weights, "_weight_grid", no_grid)
+    monkeypatch.setattr(weights, "_weight_grid", refuse)
+
+
+def test_enumerate_int64_guard_fires_before_grid(no_grid):
     # 8 * bound**2 bounds the largest value the block computes, a cross of
     # A_i and B_j (entries at most 2 * bound); 2**30 is the first bound past
     # int64
@@ -524,6 +529,56 @@ def test_enumerate_int64_guard_fires_before_grid(monkeypatch):
     with pytest.raises(ValueError, match="int64"):
         enumerate_admissible_systems(2**30)
     enumerate_admissible_systems(2**30 - 1)  # accepted; the grid waits for iteration
+
+
+@pytest.mark.parametrize(
+    "bound, dtype",
+    [(0, "int8"), (3, "int8"), (4, "int16"), (63, "int16"), (64, "int32"),
+     (16383, "int32"), (16384, "int64"), (2**30 - 1, "int64")],
+)
+def test_block_width_from_the_bound_alone(no_grid, bound, dtype):
+    """The narrowest signed type holding 8 * bound**2, at each edge, with
+    no grid built; int64 is the widest (past it, the guard above)."""
+    assert weights._block_dtype(bound) == dtype
+    assert 8 * bound**2 <= np.iinfo(dtype).max
+    if dtype != "int8":
+        narrower = {"int16": "int8", "int32": "int16", "int64": "int32"}[dtype]
+        assert 8 * bound**2 > np.iinfo(narrower).max
+
+
+@pytest.mark.parametrize(
+    "bound, part, error",
+    [(True, None, TypeError), (False, None, TypeError), (2.0, None, TypeError),
+     (2, (0.0, 2), TypeError), (2, (True, 2), TypeError), (2, (0, 2.0), TypeError),
+     (2, (0, True), TypeError), (-1, None, ValueError), (2, (2, 2), ValueError)],
+)
+def test_enumerate_checks_its_arguments_when_called(no_grid, bound, part, error):
+    """A bool, a float or a bad part fails at the call, not at the first
+    next, and before any grid is built."""
+    with pytest.raises(error):
+        enumerate_admissible_systems(bound, part=part)
+
+
+@pytest.mark.parametrize("bound, dtype", [(3, np.int8), (4, np.int16)])
+def test_narrow_block_crosses_match_int64_on_every_block(bound, dtype):
+    """Every wL block's nine crosses in the narrow type equal, entry by
+    entry, the same crosses of the int64 configuration."""
+    rows, tables, index = weights._weight_grid(bound)[:3]
+    assert tables.dtype == np.dtype(weights._block_dtype(bound)) == dtype
+    x1, y1, x3, y3 = wr_columns(bound)
+    for row, wl in enumerate(rows):
+        nine = weights._block_crosses(tables, index[row])
+        assert nine.dtype == dtype
+        a, b, _ = weights._configuration(wl, (x1, y1), (x3, y3))
+        wide = np.array([cross(a[i], b[j]) for i in range(3) for j in range(3)])
+        assert wide.dtype == np.int64
+        assert np.array_equal(nine, wide)
+
+
+def test_streamed_freeness_is_the_lattice_pair_test(bound2_systems):
+    assert len(bound2_systems) == BOUND2_COUNT
+    for ws in bound2_systems:
+        assert ws.free == weights._free_by_pairs(derive(ws)._nine_crosses)
 
 
 def test_enumerate_bound2_has_nontrivial_left(bound2_systems):
@@ -686,7 +741,7 @@ def test_near_miss_rows_fail_one_mixed_test():
         gens, c = row[:6], row[6]
         failing = [
             t for t, (g, h, inside) in enumerate(CONDITION_TESTS)
-            if cone_member(c, gens[g], gens[h]) != inside
+            if reference_cone_member(c, gens[g], gens[h]) != inside
         ]
         i, j = weights._MIXED_PAIRS[k]
         assert failing == [CONDITION_TESTS.index((i, 3 + j, True))]
@@ -723,7 +778,7 @@ def passes(tests, gens, c):
     """Whether C passes every test of the table; elementwise on int64 columns."""
     ok = True
     for g, h, inside in tests:
-        ok = ok & (cone_member(c, gens[g], gens[h]) == inside)
+        ok = ok & (reference_cone_member(c, gens[g], gens[h]) == inside)
     return ok
 
 
@@ -792,7 +847,7 @@ def six_call_compactness(d):
     if any(g == (0, 0) for g in gens) or find_apex_functional(gens) is None:
         return False
     pairs = ((0, 1), (0, 2), (1, 2))
-    return not any(cone_member(d.c, g[i], g[j]) for g in (d.a, d.b) for i, j in pairs)
+    return not any(reference_cone_member(d.c, g[i], g[j]) for g in (d.a, d.b) for i, j in pairs)
 
 
 @given(constant_sum_configurations(), st.booleans())
