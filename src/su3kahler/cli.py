@@ -521,7 +521,7 @@ def cmd_check(args) -> tuple[dict, bool]:
     }
     passed = report.holds
     if report.holds:
-        ok = wt.check_interpolation_path(d, wt.default_interpolation_times(args.interp_steps))
+        ok = wt.check_interpolation_path(d)
         results["interpolation"] = _rendered(_interpolation_text, args.interp_steps, ok)
         passed = passed and ok
     return results, passed
@@ -914,7 +914,11 @@ def _run(argv) -> int:
         code, results, passed = EXIT_FAIL, {"error": str(exc)}, False
     wall = time.perf_counter() - start if args.timing else 0.0
     config = _config_echo(args)
-    text = _report_text(args.command, config, results, passed, wall)
+    try:
+        text = _report_text(args.command, config, results, passed, wall)
+    except ValueError as exc:  # a number longer than str() writes (4300 digits)
+        code, error = EXIT_USAGE, {"error": f"cannot render the report: {exc}"}
+        text = _report_text(args.command, config, error, False, wall)
     if args.out:
         try:
             Path(args.out).write_text(text)

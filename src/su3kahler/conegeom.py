@@ -23,6 +23,7 @@ the coefficients of members.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -53,17 +54,29 @@ Scalar = int | Fraction
 Vec2 = tuple[Scalar, Scalar]
 
 
+# An exact rational string: optional surrounding whitespace, an optional
+# sign, ASCII digits, and optionally "/" and ASCII digits. Fraction's own
+# grammar also takes decimal points, exponents, underscores and non-ASCII
+# digits; an exponent builds its power without int()'s digit limit.
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def _scalar(x) -> Scalar:
     """The one rational gate of the exact layers: ints, Fractions and
-    'p/q' strings pass; bools, floats, malformed strings, zero
-    denominators and everything else raise TypeError or ValueError."""
+    'p' or 'p/q' strings in the grammar above pass, as a Fraction;
+    bools, floats, malformed strings, integers past int()'s digit limit,
+    zero denominators and everything else raise TypeError or ValueError."""
     if isinstance(x, bool):
         raise TypeError(f"exact rational expected, got bool: {x!r}")
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, str):
+        m = _RATIONAL.fullmatch(x)
+        if m is None:
+            raise ValueError(f"Invalid literal for Fraction: {x!r}")
+        p, q = m.groups()
         try:
-            return Fraction(x)
+            return Fraction(int(p), int(q or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"exact rational expected, got {type(x).__name__}: {x!r}")

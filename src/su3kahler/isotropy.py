@@ -23,9 +23,9 @@ from math import gcd, prod
 
 from .conegeom import invariant_factors_from_divisors, scalar_to_json
 from .weights import (
-    _MIXED_PAIRS,
     DerivedConeData,
     WeightSystem,
+    _failing_pair,
     _freeness_disagreement,
     cone_condition_holds,
 )
@@ -161,17 +161,6 @@ class FreenessVerdict:
             "failing_pair": None if self.failing_pair is None else list(self.failing_pair),
             "classification_consistent": self.classification_consistent,
         }
-
-
-def _failing_pair(nine) -> tuple[int, int, int] | None:
-    """The first (i, j, |det|) with i != j and (A_i, B_j) not a lattice
-    basis, read off the nine crosses cross(A_i, B_j) of integer data
-    (:attr:`DerivedConeData._nine_crosses`, at position 3*i + j)."""
-    for i, j in _MIXED_PAIRS:
-        det = abs(nine[3 * i + j])
-        if det != 1:
-            return (i + 1, j + 1, det)
-    return None
 
 
 def freeness_check(d: DerivedConeData, ws: WeightSystem | None = None) -> FreenessVerdict:

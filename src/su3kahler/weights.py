@@ -24,7 +24,9 @@ off one integer table per cone data, :attr:`DerivedConeData.sign_table`
 memberships of :func:`check_cone_condition`, the mixed witnesses,
 regularity, compactness and the apex functional; only dependent mixed
 pairs build their witness with :func:`positive_combination`. The
-interpolation path evaluates the nine crosses as forms in the time. The
+interpolation path needs no crosses of its own: by the README's path
+corollary it holds on all of [0, 1] exactly when the nine-sign rule holds
+at t = 1, so :func:`check_interpolation_path` returns the same verdict. The
 enumerator computes them as one (9, n) integer array per outer wL block
 against every wR, decides the block with a few whole-array calls, and
 reads the freeness of each survivor off the same array. Every entry of a
@@ -54,7 +56,6 @@ from .conegeom import (  # noqa: F401 (in_cone2 re-exported: the benchmark binds
     Vec2,
     _apex_functional,
     _as_int,
-    _scalar,
     cross,
     dot,
     in_cone2,
@@ -157,7 +158,7 @@ class WeightSystem:
         if not cone_condition_holds(d):
             raise ValueError("classification requires the cone condition to hold")
         by_homs = _free_by_homs(self.wl, _right_is_isomorphism(self.wr[0], self.wr[2]))
-        by_pairs = _free_by_pairs(d._nine_crosses)
+        by_pairs = _failing_pair(d._nine_crosses) is None
         if by_homs != by_pairs:
             raise _freeness_disagreement(self, by_homs, by_pairs)
         return by_homs
@@ -338,13 +339,18 @@ def _free_by_homs(wl, right_iso):
     return all(v == (0, 0) for v in wl) & right_iso
 
 
-def _free_by_pairs(nine) -> bool:
-    """Freeness by the lattice: every (A_i, B_j) with i != j a lattice
-    basis, |cross(A_i, B_j)| = 1, read at position 3*i + j of the nine
+def _failing_pair(nine) -> tuple[int, int, int] | None:
+    """Freeness by the lattice: the first (i, j, |det|), 1-based, with
+    i != j and (A_i, B_j) not a lattice basis, |cross(A_i, B_j)| != 1, or
+    None when the action is free. Read at position 3*i + j of the nine
     crosses in row-major order (:attr:`DerivedConeData._nine_crosses` of
     integer data). The specification of the enumerator's block test, which
     reads the same six rows of its (9, n) array at once."""
-    return all(abs(nine[3 * i + j]) == 1 for i, j in _MIXED_PAIRS)
+    for i, j in _MIXED_PAIRS:
+        det = abs(nine[3 * i + j])
+        if det != 1:
+            return (i + 1, j + 1, det)
+    return None
 
 
 def _freeness_disagreement(ws: WeightSystem, by_homs: bool, by_pairs: bool) -> RuntimeError:
@@ -473,24 +479,23 @@ class ConditionReport:
 
 
 def check_cone_condition(d: DerivedConeData) -> ConditionReport:
-    """Evaluate the separating cone condition with all 27 sub-results, each
-    read off d's sign table by :meth:`~su3kahler.conegeom.SignTable.membership`
-    (the mixed ones are shared with :attr:`DerivedConeData.mixed_witnesses`)."""
+    """The separating cone condition's verdict, :func:`cone_condition_holds`,
+    with all 27 sub-results as its evidence, each read off d's sign table by
+    :meth:`~su3kahler.conegeom.SignTable.membership` (the mixed ones are
+    shared with :attr:`DerivedConeData.mixed_witnesses`). By the nine-sign
+    corollary the verdict holds exactly when no A-pair or B-pair membership
+    is a member and all nine mixed ones are."""
     table = d.sign_table
     a_pairs = {(i + 1, j + 1): table.membership(_C, i, j) for i, j in _ORDERED_PAIRS}
     b_pairs = {(i + 1, j + 1): table.membership(_C, 3 + i, 3 + j) for i, j in _ORDERED_PAIRS}
     mixed = {(i + 1, j + 1): d._mixed_membership(i, j) for i, j in _ORDERED_PAIRS}
-    holds = (
-        all(not m.member for m in a_pairs.values())
-        and all(not m.member for m in b_pairs.values())
-        and all(m.member for m in mixed.values())
-    )
-    return ConditionReport(holds, a_pairs, b_pairs, mixed, check_level_set_conditions(d))
+    return ConditionReport(cone_condition_holds(d), a_pairs, b_pairs, mixed, check_level_set_conditions(d))
 
 
 def cone_condition_holds(d: DerivedConeData) -> bool:
-    """The verdict of :func:`check_cone_condition` without its evidence,
-    decided once per cone data object."""
+    """The separating cone condition, decided once per cone data object by
+    the nine-sign rule; :func:`check_cone_condition` reports it with its
+    evidence."""
     return d._holds
 
 
@@ -549,55 +554,26 @@ def weights_from_cone_data(d: DerivedConeData) -> WeightSolution:
 # The audit pool asks for one step count (the default 8); a CLI run for one.
 @functools.lru_cache(maxsize=8)
 def default_interpolation_times(steps: int = 8) -> tuple[Fraction, ...]:
-    """k/steps for k = 0..steps, built once per step count (the tuple and
-    its Fractions are immutable)."""
+    """k/steps for k = 0..steps, the times a ``check`` report lists, built
+    once per step count (the tuple and its Fractions are immutable)."""
     return tuple(Fraction(k, steps) for k in range(steps + 1))
 
 
-def check_interpolation_path(d: DerivedConeData, times) -> bool:
+def check_interpolation_path(d: DerivedConeData) -> bool:
     """Whether the straight-line deformation toward the round configuration
-    keeps the separating cone condition at every sample time in [0, 1].
+    keeps the separating cone condition for every time in [0, 1].
 
     At time t the generators are A_j(t) = t*A_j + (1-t)*A_1 and
     B_j(t) = t*B_j + (1-t)*B_1 while C = A_1 + B_1 stays fixed; t = 1
-    restores the input and t = 0 collapses each family onto a single ray.
-    The base A_1, B_1 needs C interior to cone(A_1, B_1), which holds
-    exactly when A_1 and B_1 are independent (the coefficients are then
-    (1, 1)), as the cone condition forces (README); raises ValueError
-    otherwise, and for a time outside [0, 1].
-
-    Cone tests see only directions, so the path reads d's sign table: with
-    x_ij the cross of the cleared A_i and B_j (:attr:`DerivedConeData._nine_crosses`),
-    a time t = p/q enters as (s, r) = (p, q - p), and s*A_j + r*A_1
-    (s*B_j + r*B_1) is a positive multiple of A_j(t) (B_j(t)). The nine
-    crosses of the nine-sign rule are then
-    s*s*x_ij + s*r*(x_i1 + x_1j) + r*r*x_11; on the diagonal, where
-    A_i(t) + B_i(t) is s + r = q > 0 times C, that is q times the linear
-    form s*x_ii + r*x_11. So a time evaluates three linear and six
-    quadratic forms, homogeneous in (s, r), and passes when all nine
-    values are nonzero with one sign.
+    restores the input. Raises ValueError unless A_1 and B_1 are
+    independent (C interior to cone(A_1, B_1), with coefficients (1, 1)).
+    The nine crosses along the path are forms in t whose coefficients are
+    sums of the nine at t = 1, so by the README's path corollary the path
+    holds exactly when :func:`cone_condition_holds` does.
     """
-    x = d._nine_crosses
-    x00 = x[0]
-    if x00 == 0:
+    if d._nine_crosses[0] == 0:
         raise ValueError("C must lie in the interior of cone(A_1, B_1)")
-    ts = [_scalar(t) for t in times]
-    for t in ts:
-        # signs read as integers (a denominator is positive): no Fraction
-        # comparison
-        if not 0 <= t.numerator <= t.denominator:
-            raise ValueError(f"sample time {t} outside [0, 1]")
-    linear = [(x[4 * i], x00) for i in range(3)]
-    quadratic = [(x[3 * i + j], x[3 * i] + x[j], x00) for i, j in _MIXED_PAIRS]
-    for t in ts:
-        s = t.numerator
-        r = t.denominator - s
-        rr = r * r
-        values = [a * s + b * r for a, b in linear]
-        values += [(a * s + b * r) * s + c * rr for a, b, c in quadratic]
-        if not _one_strict_sign(min(values), max(values)):
-            return False
-    return True
+    return cone_condition_holds(d)
 
 
 # The signed integer types the enumeration block may run at, narrowest
@@ -739,7 +715,7 @@ def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[Wei
             continue
         wl = rows[row]
         by_homs = _free_by_homs(wl, right_iso[keep])
-        by_pairs = (abs(nine[mixed, keep]) == 1).all(0)  # as _free_by_pairs
+        by_pairs = (abs(nine[mixed, keep]) == 1).all(0)  # as _failing_pair
         disagree = (by_homs != by_pairs).nonzero()[0]
         if disagree.size:
             k = disagree[0]

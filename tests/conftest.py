@@ -281,12 +281,22 @@ def reference_condition_report(d):
             for table, (g, h) in zip(tables, ((d.a[i], d.a[j]), (d.b[i], d.b[j]), (d.a[i], d.b[j]))):
                 table[(i + 1, j + 1)] = reference_in_cone2(d.c, g, h)
     a_pairs, b_pairs, mixed = tables
-    holds = (
+    holds = _holds_by(a_pairs, b_pairs, mixed)
+    return ConditionReport(holds, a_pairs, b_pairs, mixed, reference_level_set(d))
+
+
+def _holds_by(a_pairs, b_pairs, mixed):
+    return (
         not any(m.member for m in a_pairs.values())
         and not any(m.member for m in b_pairs.values())
         and all(m.member for m in mixed.values())
     )
-    return ConditionReport(holds, a_pairs, b_pairs, mixed, reference_level_set(d))
+
+
+def holds_by_memberships(report):
+    """The condition read off a report's 27 memberships, the definition:
+    no A-pair or B-pair membership is a member and all nine mixed ones are."""
+    return _holds_by(report.a_pairs, report.b_pairs, report.mixed_pairs)
 
 
 def reference_interpolation_path(d, times):

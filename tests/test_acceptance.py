@@ -6,7 +6,7 @@ import json
 import time
 
 import numpy as np
-from conftest import equivariance_residual
+from conftest import equivariance_residual, reference_interpolation_path
 
 from su3kahler.cli import main
 from su3kahler.cohomology import (
@@ -211,11 +211,12 @@ def test_criterion_7_embedding(capsys):
 
 def test_criterion_8_interpolation_path(bound2_systems, capsys):
     start = time.perf_counter()
-    times = default_interpolation_times(8)  # 0, 1/8, ..., 1
+    times = default_interpolation_times(24)  # 0, 1/24, ..., 1
     ok = True
     for ws in bound2_systems:
         d = derive(ws)
-        ok = ok and check_interpolation_path(d, times)
+        # the verdict on all of [0, 1], against the path built at every k/24
+        ok = ok and check_interpolation_path(d) and reference_interpolation_path(d, times)
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         report_line(

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from su3kahler import (
     Eisenstein,
     build_derham_model,
-    check_interpolation_path,
     cone_data,
     hodge_model,
 )
@@ -198,9 +197,45 @@ def test_cohomology_beta_with_zero_denominator_exits_2():
     assert json.loads(out.getvalue())["results"]["error"] == "bad --beta: zero denominator in '1/0'"
 
 
+# Strings Fraction() reads but the exact grammar (sign, ASCII digits,
+# optional "/" and ASCII digits) does not; "1e5000" would build 10**5000
+# past the 4300-digit limit on int().
+NOT_RATIONAL = ["1e5000", "1E2", "1.5", ".5", "1_000", "\u0661"]
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert err.getvalue() == ""
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("text", NOT_RATIONAL)
+def test_a_string_outside_the_rational_grammar_exits_2(text):
+    config = json.dumps({"A": [[text, 0], [1, 0], [2, -1]], "B": ORBIFOLD_B})
+    for command in COMMANDS:
+        code, report = run_main([command[0], "--config", config, *command[1:]])
+        assert code == 2 and report["results"]["error"] == f"Invalid literal for Fraction: {text!r}"
+    code, report = run_main(["cohomology", "--beta", f"{text},1"])
+    assert code == 2 and report["results"]["error"] == f"bad --beta: Invalid literal for Fraction: {text!r}"
+
+
+def test_a_report_past_the_digit_limit_exits_2():
+    """Every entry is under the 4300-digit intake limit and the condition
+    holds, but a witness denominator is longer than str() writes."""
+    n = 10**3000 + 7
+    c = (n + 1, n + 1)
+    a = [(n + 4, -4), (2 * n - 4, 2), (3 * n + 2, 5)]
+    b = [(c[0] - x, c[1] - y) for x, y in a]
+    config = json.dumps({"A": [[str(x), str(y)] for x, y in a], "B": [[str(x), str(y)] for x, y in b]})
+    code, report = run_main(["check", "--config", config])
+    assert code == 2 and set(report) == ENVELOPE_KEYS and report["pass"] is False
+    assert report["results"]["error"].startswith("cannot render the report: Exceeds the limit (4300 digits)")
+
+
 API_CALLS = {
     "cone_data": lambda x: cone_data([(x, 0), (1, 0), (2, -1)], [(0, 1), (0, 1), (-1, 2)]),
-    "check_interpolation_path": lambda x: check_interpolation_path(cone_data(ORBIFOLD_A, ORBIFOLD_B), [x]),
     "build_derham_model": lambda x: build_derham_model((x, 0), (0, 1)),
     "hodge_model": lambda x: hodge_model((x, 1)),
     "Eisenstein.of": Eisenstein.of,
@@ -215,7 +250,7 @@ def test_exact_api_rejects_inexact_scalars(name, bad):
 
 
 def test_exact_api_accepts_exact_scalars():
-    assert check_interpolation_path(cone_data(ORBIFOLD_A, ORBIFOLD_B), ["1/2", 1, Fraction(1, 3)])
+    assert cone_data([("1", " 0 "), (1, Fraction(0)), ("+2", "-2/2")], ORBIFOLD_B) == cone_data(ORBIFOLD_A, ORBIFOLD_B)
     assert Eisenstein.of("2/4") == Eisenstein(Fraction(1, 2), Fraction(0))
     assert hodge_model(("1/2", Fraction(-3, 7))).branch == (0, 0, 0)
     assert build_derham_model(("1", 0), (0, Fraction(1))).d_gens == build_derham_model().d_gens

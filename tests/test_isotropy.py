@@ -285,8 +285,8 @@ def test_stream_names_the_first_disagreeing_system(monkeypatch):
 
 
 def test_scalar_path_raises_on_a_disagreement(monkeypatch, standard_ws):
-    by_pairs = weights._free_by_pairs
-    monkeypatch.setattr(weights, "_free_by_pairs", lambda d: not by_pairs(d))
+    failing_pair = weights._failing_pair
+    monkeypatch.setattr(weights, "_failing_pair", lambda nine: None if failing_pair(nine) else (1, 2, 0))
     fresh = WeightSystem(standard_ws.wl, standard_ws.wr)
     with pytest.raises(RuntimeError, match=re.escape(repr(fresh))):
         classify_quotient(fresh)

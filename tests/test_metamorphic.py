@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import basis_change
+from conftest import basis_change, holds_by_memberships
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,7 +79,7 @@ def exact_view(d, perm=IDENTITY):
     witnesses = {(perm[i - 1] + 1, perm[j - 1] + 1): (a, b) for i, j, a, b in d.mixed_witnesses}
     return (
         cone_condition_holds(d),
-        check_cone_condition(d).holds,
+        holds_by_memberships(check_cone_condition(d)),
         (ls.nonempty, ls.regular, ls.compact),
         witnesses,
     )

@@ -154,7 +154,7 @@ def check_reports():
 
     def interpolation(args, ws, d):
         times = wt.default_interpolation_times(args.interp_steps)
-        return cli._interpolation_json(times, wt.check_interpolation_path(d, times))
+        return cli._interpolation_json(times, wt.check_interpolation_path(d))
 
     argv = ["check", "--config", ORBIFOLD_WEIGHTS, "--interp-steps", "5"]
     dict_forms = {"condition": condition, "interpolation": interpolation, "weights": weights, "derived": derived}

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    holds_by_memberships,
     reference_apex,
     reference_census,
     reference_condition_holds,
@@ -127,7 +128,7 @@ def test_nine_sign_verdict_matches_the_evidence_and_the_eight_tests(d):
     the nine crosses cross(A_i, B_j) are nonzero with one sign; the verdict
     equals the 27 memberships' and the 8 tests' (each by its own crosses)."""
     verdict = cone_condition_holds(fresh(d))
-    assert verdict == check_cone_condition(fresh(d)).holds
+    assert verdict == holds_by_memberships(check_cone_condition(fresh(d)))
     assert verdict == reference_condition_holds(*d.a, *d.b, d.c)
     nine = [cross(a, b) for a in d.a for b in d.b]
     assert verdict == (all(x > 0 for x in nine) or all(x < 0 for x in nine))
@@ -148,11 +149,12 @@ def test_in_cone2_reads_the_table_of_its_three_vectors(d, i, j):
     assert SignTable((g1, g2, c)).membership(2, 0, 1) == reference_in_cone2(c, g1, g2)
 
 
-def interior_verdict(d, times):
-    """The interpolation verdict of d at these times, or None when C is not
-    interior to cone(A_1, B_1)."""
+def interior_verdict(d):
+    """The interpolation verdict of d, or None when C is not interior to
+    cone(A_1, B_1). By the README's path corollary it is the verdict at
+    t = 1, so it equals the reference at any sample times with 1 added."""
     try:
-        return check_interpolation_path(d, times)
+        return check_interpolation_path(fresh(d))
     except ValueError:
         return None
 
@@ -161,12 +163,12 @@ def interior_verdict(d, times):
 @settings(max_examples=300, deadline=None)
 def test_interpolation_verdict_matches_the_reference_at_default_times(d, steps):
     times = default_interpolation_times(steps)
-    verdict = interior_verdict(d, times)
+    verdict = interior_verdict(d)
     base = reference_in_cone2(d.c, d.a[0], d.b[0])
     assert (verdict is not None) == (base.status is MembershipStatus.INTERIOR)
     if verdict is not None:
         assert base.coefficients == (1, 1)
-        assert verdict == reference_interpolation_path(d, times)
+        assert verdict == reference_interpolation_path(d, [*times, 1])
 
 
 @given(
@@ -175,9 +177,9 @@ def test_interpolation_verdict_matches_the_reference_at_default_times(d, steps):
 )
 @settings(max_examples=300, deadline=None)
 def test_interpolation_verdict_matches_the_reference_at_random_times(d, times):
-    verdict = interior_verdict(d, times)
+    verdict = interior_verdict(d)
     if verdict is not None:
-        assert verdict == reference_interpolation_path(d, times)
+        assert verdict == reference_interpolation_path(d, [*times, 1])
 
 
 small_vectors = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
@@ -190,14 +192,26 @@ small_vectors = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 )
 @settings(max_examples=600, deadline=None)
 def test_interpolation_verdict_matches_the_reference_on_small_integer_data(a, c, times):
-    """Free small integer data, where the verdict turns on the sign of a
-    quadratic form between the ends far more often than on the data
+    """Free small integer data, where the reference's sampled crosses
+    vanish or change sign between the ends far more often than on the data
     above."""
     d = DerivedConeData(tuple(a), tuple(vsub(c, v) for v in a), c)
-    verdict = interior_verdict(d, times)
+    verdict = interior_verdict(d)
     assert (verdict is None) == (cross(d.a[0], d.b[0]) == 0)
     if verdict is not None:
-        assert verdict == reference_interpolation_path(d, times)
+        assert verdict == reference_interpolation_path(d, [*times, 1])
+
+
+FINE_TIMES = [Fraction(k, 97) for k in range(98)]
+
+
+@given(configurations)
+@settings(max_examples=150, deadline=None)
+def test_where_the_condition_holds_the_reference_passes_at_every_97th(d):
+    """The path corollary read forwards: where the condition holds, the
+    reference finds it at each of the times k/97, k = 0..97."""
+    if cone_condition_holds(fresh(d)):
+        assert reference_interpolation_path(d, FINE_TIMES)
 
 
 @given(configurations)
@@ -216,11 +230,12 @@ def test_the_condition_forces_a_1_and_b_1_independent(d):
 @settings(max_examples=400, deadline=None)
 def test_the_path_starts_inside_and_ends_at_the_condition(d):
     if cross(d.a[0], d.b[0]):
-        assert check_interpolation_path(fresh(d), [0])
-        assert check_interpolation_path(fresh(d), [1]) == cone_condition_holds(d)
+        assert reference_interpolation_path(d, [0])
+        verdict = check_interpolation_path(fresh(d))
+        assert verdict == cone_condition_holds(d) == reference_interpolation_path(d, [1])
     else:
         with pytest.raises(ValueError, match=r"interior of cone\(A_1, B_1\)"):
-            check_interpolation_path(fresh(d), [0])
+            check_interpolation_path(fresh(d))
 
 
 def float_data():
@@ -234,7 +249,7 @@ INEXACT_ENTRIES = {
     "check_cone_condition": (lambda: check_cone_condition(float_data()), "float: 1.0"),
     "cone_condition_holds": (lambda: cone_condition_holds(float_data()), "float: 1.0"),
     "check_level_set_conditions": (lambda: check_level_set_conditions(float_data()), "float: 1.0"),
-    "check_interpolation_path": (lambda: check_interpolation_path(float_data(), [0]), "float: 1.0"),
+    "check_interpolation_path": (lambda: check_interpolation_path(float_data()), "float: 1.0"),
     "in_cone2": (lambda: in_cone2((True, False), (1, 0), (0, 1)), "bool: True"),
     "find_apex_functional": (lambda: find_apex_functional([(True, 0), (0, 1)]), "bool: True"),
     "SignTable": (lambda: SignTable([(Fraction(1, 2), "1")]), "str: '1'"),
