@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conegeom import _scalar
+from .conegeom import _scalar, _vector
 
 __all__ = [
     "Eisenstein",
@@ -248,8 +248,10 @@ class DGAModel:
 
 
 def build_derham_model(dw1=(1, 0), dw2=(0, 1)) -> DGAModel:
+    """The de Rham model with d(g0) = dw1 and d(g1) = dw2, each a list or
+    tuple of two rationals over the basis (x1, x2) (TypeError otherwise)."""
     algebra = basic_model()
-    images = tuple(tuple(Fraction(_scalar(c)) for c in img) for img in (dw1, dw2))
+    images = tuple(tuple(map(Fraction, _vector(img))) for img in (dw1, dw2))
     return DGAModel(algebra, images)
 
 
@@ -381,14 +383,15 @@ class HodgeTable:
 def hodge_model(beta) -> HodgeTable:
     """Hodge numbers of the bigraded model with d(u) = beta.
 
-    ``beta`` is a pair of scalars (rationals or :class:`Eisenstein`)
-    expressing the image of the (1, 0) generator in the (1, 1) part over
-    the basis (x1, x2); the (0, 1) generator is closed. The entries away
+    ``beta`` is a list or tuple of two scalars (rationals or
+    :class:`Eisenstein`; any other shape raises TypeError) expressing the
+    image of the (1, 0) generator in the (1, 1) part over the basis
+    (x1, x2); the (0, 1) generator is closed. The entries away
     from (2, 1), (2, 2), (2, 3) are checked against their forced values;
     the branch is (0, 0, 0) when multiplication by beta has full rank and
     (1, 2, 1) on the degeneracy conic.
     """
-    b = (Eisenstein.of(beta[0]), Eisenstein.of(beta[1]))
+    b = _vector(beta, Eisenstein.of)
     if not (b[0] or b[1]):
         raise ValueError("beta must be nonzero")
     zero = Eisenstein.of(0)

@@ -8,9 +8,11 @@ floats and bools. Cone membership
 on a boundary ray must be *decided*, not approximated, because the
 downstream condition checks distinguish strict from non-strict membership.
 
-Membership decisions come from the signs of cross products: one rule,
-:func:`_sign_rule`, over ring operations and comparisons only. Scalar
-decisions, with evidence or without, read one :class:`SignTable`: plane
+Membership decisions come from the signs of cross products: one rule for
+independent generators, :func:`_independent_member`, and one for dependent
+ones, :meth:`SignTable._dependent_membership`, over ring operations and
+comparisons only. Scalar decisions, with evidence or without, read one
+:class:`SignTable`: plane
 vectors cleared of denominators by one positive integer, with their
 pairwise cross products. Cone tests see only
 directions, so the cleared table gives the decisions and, as exact
@@ -87,6 +89,16 @@ def vec2(x, y) -> Vec2:
     return (_scalar(x), _scalar(y))
 
 
+def _vector(v, scalar=_scalar) -> tuple:
+    """The one vector gate: a list or tuple of two entries, each passed
+    through ``scalar`` (the rational gate by default); anything else
+    raises TypeError, since a string or a dict would unpack into its
+    characters or keys and another length would be cut or fail later."""
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise TypeError(f"vector [x, y] expected, got {v!r}")
+    return (scalar(v[0]), scalar(v[1]))
+
+
 def cross(u: Vec2, v: Vec2) -> Scalar:
     return u[0] * v[1] - u[1] * v[0]
 
@@ -160,32 +172,12 @@ _F0 = Fraction(0)
 INT64_MAX = 2**63 - 1
 
 
-def _sign_rule(d, n1, n2, e1, e2, c_zero):
-    """Whether c lies in ``{l1*g1 + l2*g2 : l1, l2 >= 0}``, from
-    d = cross(g1, g2), n1 = cross(c, g2), n2 = cross(g1, c),
-    e1 = dot(c, g1), e2 = dot(c, g2) and whether c == 0.
-
-    With d != 0, l1 = n1/d and l2 = n2/d, so c is a member iff n1 and n2
-    share the sign of d; or c lies on ray(g1) or ray(g2); or c == 0. The
-    ray clauses are sound for every configuration and complete when the
-    generators are dependent (zero, parallel or antiparallel), where the
-    cone is a ray, a line or the origin. Callers that know d != 0 read
-    :func:`_independent_member` instead."""
-    return (
-        ((d > 0) & (n1 >= 0) & (n2 >= 0))
-        | ((d < 0) & (n1 <= 0) & (n2 <= 0))
-        | ((n1 == 0) & (e2 > 0))
-        | ((n2 == 0) & (e1 > 0))
-        | c_zero
-    )
-
-
 def _independent_member(d, n1, n2) -> bool:
-    """:func:`_sign_rule` for independent generators, d != 0, from the
-    signs of d = cross(g1, g2), n1 = cross(c, g2) and n2 = cross(g1, c):
-    whether n1 and n2 both have d's sign or are 0. With d != 0 the
-    rule's ray and origin clauses imply its sign clauses (a c on ray(g2)
-    is t*g2 with t > 0, so n1 = 0 and n2 = t*d), so the signs decide."""
+    """Whether c lies in ``{l1*g1 + l2*g2 : l1, l2 >= 0}`` for independent
+    generators, from the signs of d = cross(g1, g2) != 0, n1 = cross(c, g2)
+    and n2 = cross(g1, c): l1 = n1/d and l2 = n2/d, so c is a member
+    exactly when n1 and n2 both have d's sign or are 0. Dependent
+    generators read :meth:`SignTable._dependent_membership`."""
     return n1 >= 0 and n2 >= 0 if d > 0 else n1 <= 0 and n2 <= 0
 
 
@@ -218,15 +210,14 @@ class SignTable:
         self.crosses = [[x1 * y2 - y1 * x2 for x2, y2 in vs] for x1, y1 in vs]
 
     def member(self, k: int, p: int, q: int) -> bool:
-        """Whether vector k lies in cone(vector p, vector q): the decision
-        of :func:`_sign_rule`, read through :func:`_independent_member`
-        when cross(g_p, g_q) != 0 and with the dot products otherwise."""
+        """Whether vector k lies in cone(vector p, vector q): by
+        :func:`_independent_member` when cross(g_p, g_q) != 0, and by
+        :meth:`_dependent_membership` otherwise."""
         row = self.crosses[p]
         d = row[q]
         if d:
             return _independent_member(d, self.crosses[k][q], row[k])
-        c, g1, g2 = self.vectors[k], self.vectors[p], self.vectors[q]
-        return _sign_rule(0, self.crosses[k][q], row[k], dot(c, g1), dot(c, g2), is_zero(c))
+        return self._dependent_membership(k, p, q).member
 
     def membership(self, k: int, p: int, q: int) -> ConeMembership:
         """Vector k against cone(vector p, vector q), decided as
@@ -245,19 +236,24 @@ class SignTable:
                 return _OUTSIDE
             status = MembershipStatus.INTERIOR if n1 and n2 else MembershipStatus.ON_BOUNDARY_RAY
             return ConeMembership(status, (Fraction(n1, d), Fraction(n2, d)))
-        if not self.member(k, p, q):
-            return _OUTSIDE
-        # dependent generators: c is 0 or lies on ray(g_p) or ray(g_q)
-        c, g1, g2 = self.vectors[k], self.vectors[p], self.vectors[q]
+        return self._dependent_membership(k, p, q)
+
+    def _dependent_membership(self, k: int, p: int, q: int) -> ConeMembership:
+        """Vector k against cone(vector p, vector q) for dependent
+        generators, cross(g_p, g_q) = 0, where the cone is a ray, a line or
+        the origin: c is a member exactly when c = 0 or c lies on ray(g_p)
+        or ray(g_q), that is cross(g, c) = 0 and dot(c, g) > 0 for g = g_p
+        or g_q. The witness is (0, 0) for c = 0 and otherwise uses g_p
+        whenever it can; the status is at best ON_BOUNDARY_RAY."""
+        c = self.vectors[k]
         if is_zero(c):
             return ConeMembership(MembershipStatus.ON_BOUNDARY_RAY, (_F0, _F0))
-        if row[k] == 0 and dot(c, g1) > 0:
-            return ConeMembership(
-                MembershipStatus.ON_BOUNDARY_RAY, (Fraction(dot(c, g1), dot(g1, g1)), _F0)
-            )
-        return ConeMembership(
-            MembershipStatus.ON_BOUNDARY_RAY, (_F0, Fraction(dot(c, g2), dot(g2, g2)))
-        )
+        for r in (p, q):
+            g = self.vectors[r]
+            if self.crosses[r][k] == 0 and (e := dot(c, g)) > 0:
+                t = Fraction(e, dot(g, g))
+                return ConeMembership(MembershipStatus.ON_BOUNDARY_RAY, (t, _F0) if r == p else (_F0, t))
+        return _OUTSIDE
 
 
 def in_cone2(c: Vec2, g1: Vec2, g2: Vec2) -> ConeMembership:

@@ -8,7 +8,9 @@ factors come from the determinantal divisors: d1 = gcd of the entries and
 d1*d2 = gcd of the 2 x 2 minors. Full rank gives the finite group
 Z/d1 x Z/d2, a rank drop gives a positive-dimensional stabilizer.
 Freeness of the whole action reduces to every mixed pair (A_i, B_j),
-i != j, being a lattice basis.
+i != j, being a lattice basis; under the cone condition this is also the
+trivial left homomorphism with a torus isomorphism on the right (the
+README's freeness corollary), which is therefore not computed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .weights import (
     DerivedConeData,
     WeightSystem,
     _failing_pair,
-    _freeness_disagreement,
     cone_condition_holds,
 )
 
@@ -45,7 +46,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SupportPattern:
-    """Nonzero index sets (I for z, J for w), 1-based.
+    """Nonzero index sets (I for z, J for w), 1-based ints (a bool or a
+    float raises TypeError).
 
     The quadric equation sum z_j w_j = 0 forces some i in I, j in J with
     i != j whenever both vectors are nonzero, so patterns without such a
@@ -56,8 +58,11 @@ class SupportPattern:
     j_set: tuple[int, ...]
 
     def __post_init__(self):
-        i_set = tuple(sorted(set(self.i_set)))
-        j_set = tuple(sorted(set(self.j_set)))
+        i_set, j_set = tuple(self.i_set), tuple(self.j_set)
+        for k in (*i_set, *j_set):
+            if type(k) is not int:  # rejects bools and floats
+                raise TypeError(f"support index must be an int, got {k!r}")
+        i_set, j_set = tuple(sorted(set(i_set))), tuple(sorted(set(j_set)))
         if not i_set or not j_set:
             raise ValueError("support sets must be nonempty")
         if not set(i_set) <= {1, 2, 3} or not set(j_set) <= {1, 2, 3}:
@@ -131,7 +136,8 @@ class Classification(enum.Enum):
 
     @classmethod
     def of(cls, free: bool) -> "Classification":
-        """The quotient is the flag variety exactly when the action is free."""
+        """The quotient is the flag variety exactly when the action is free,
+        as the lattice-pair test decides it (:attr:`WeightSystem.free`)."""
         return _CLASSIFICATION[free]
 
 
@@ -170,9 +176,10 @@ def freeness_check(d: DerivedConeData, ws: WeightSystem | None = None) -> Freene
     originating weight system is supplied and d passes the cone condition,
     the classification of ws's freeness verdict (:attr:`WeightSystem.free`)
     is returned with it; when d is ws's own data (:attr:`WeightSystem.derived`),
-    the failing pair found here must agree with that verdict (RuntimeError
-    otherwise). Both the data and the cone condition's verdict are cached
-    on their objects, so neither is computed again here.
+    the failing pair found here must agree with that verdict, which the
+    enumerator may have stamped (RuntimeError otherwise). Both the data and
+    the cone condition's verdict are cached on their objects, so neither is
+    computed again here.
     """
     _integer_generators(d)  # non-integer data raise ValueError first
     # the sign table clears nothing from integer data: its crosses are the data's
@@ -180,7 +187,10 @@ def freeness_check(d: DerivedConeData, ws: WeightSystem | None = None) -> Freene
     classification = None
     if ws is not None and cone_condition_holds(d):
         if ws.derived == d and ws.free != (failing is None):
-            raise _freeness_disagreement(ws, ws.free, failing is None)
+            raise RuntimeError(
+                f"freeness verdict {ws.free} of {ws!r} differs from the "
+                f"lattice-pair test on its own data, {failing is None}"
+            )
         classification = Classification.of(ws.free)
     return FreenessVerdict(failing, classification)
 
@@ -188,12 +198,12 @@ def freeness_check(d: DerivedConeData, ws: WeightSystem | None = None) -> Freene
 def classify_quotient(ws: WeightSystem) -> Classification:
     """Free quotient (the flag variety) versus genuine orbifold quotient.
 
-    Under the cone condition the action is free exactly when the left
-    homomorphism is trivial and the right one is a torus isomorphism, and
-    exactly when every mixed pair (A_i, B_j), i != j, is a lattice basis.
-    :attr:`WeightSystem.free` decides both (ValueError without the cone
-    condition, RuntimeError if they disagree) or carries the enumerator's
-    verdict.
+    Under the cone condition the action is free exactly when every mixed
+    pair (A_i, B_j), i != j, is a lattice basis, and by the README's
+    freeness corollary exactly when the left homomorphism is trivial and
+    the right one is a torus isomorphism. :attr:`WeightSystem.free` decides
+    it by the pairs (ValueError without the cone condition) or carries the
+    enumerator's verdict.
     """
     return _CLASSIFICATION[ws.free]
 

@@ -29,7 +29,11 @@ corollary it holds on all of [0, 1] exactly when the nine-sign rule holds
 at t = 1, so :func:`check_interpolation_path` returns the same verdict. The
 enumerator computes them as one (9, n) integer array per outer wL block
 against every wR, decides the block with a few whole-array calls, and
-reads the freeness of each survivor off the same array. Every entry of a
+reads the freeness of each survivor off the same array. Freeness is
+decided once, by the lattice pairs (:func:`_failing_pair`: every
+(A_i, B_j), i != j, a lattice basis); by the README's freeness corollary,
+under the cone condition that is the homomorphism test (wL = 0 and
+|cross(w_1^R, w_3^R)| = 1), so the latter is not computed. Every entry of a
 block is at most 8*bound**2 in magnitude, so the block runs in the
 narrowest signed type that holds that value (:func:`_block_dtype`: int8
 up to bound 3, int16 up to 63, int32 up to 16383, int64 beyond, and a
@@ -56,13 +60,13 @@ from .conegeom import (  # noqa: F401 (in_cone2 re-exported: the benchmark binds
     Vec2,
     _apex_functional,
     _as_int,
+    _vector,
     cross,
     dot,
     in_cone2,
     is_zero,
     scalar_to_json,
     vadd,
-    vec2,
     vec_to_json,
     vscale,
     vsub,
@@ -148,20 +152,17 @@ class WeightSystem:
         """Whether the torus action is free (the quotient is the flag variety).
 
         Decided on first use through the scalar path on :attr:`derived`:
-        raise ValueError unless the cone condition holds, then require the
-        homomorphism test and the lattice-pair test to agree (RuntimeError
-        otherwise). :func:`enumerate_admissible_systems` fills it in from
-        the same two tests on integer arrays. It is not a field, so ==,
-        hash and repr ignore it.
+        raise ValueError unless the cone condition holds, then apply the
+        lattice-pair test, :func:`_failing_pair`. By the README's freeness
+        corollary this is also the homomorphism test (wL = 0 and
+        |cross(w_1^R, w_3^R)| = 1). :func:`enumerate_admissible_systems`
+        fills it in from the same test on its block array. It is not a
+        field, so ==, hash and repr ignore it.
         """
         d = self.derived
         if not cone_condition_holds(d):
             raise ValueError("classification requires the cone condition to hold")
-        by_homs = _free_by_homs(self.wl, _right_is_isomorphism(self.wr[0], self.wr[2]))
-        by_pairs = _failing_pair(d._nine_crosses) is None
-        if by_homs != by_pairs:
-            raise _freeness_disagreement(self, by_homs, by_pairs)
-        return by_homs
+        return _failing_pair(d._nine_crosses) is None
 
 
 @dataclass(frozen=True)
@@ -289,14 +290,6 @@ _C = 6
 _ORDERED_PAIRS = tuple(itertools.product(range(3), repeat=2))
 
 
-def _vector(v) -> Vec2:
-    """An exact vector from a list or tuple of two scalars; a string or a
-    dict would otherwise unpack into its characters or keys."""
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise TypeError(f"vector [x, y] expected, got {v!r}")
-    return vec2(*v)
-
-
 def cone_data(a_vectors, b_vectors) -> DerivedConeData:
     """Build cone data from A's and B's, requiring A_j + B_j constant."""
     a = tuple(_vector(v) for v in a_vectors)
@@ -326,40 +319,20 @@ def derive(ws: WeightSystem) -> DerivedConeData:
 _MIXED_PAIRS = tuple((i, j) for j in range(3) for i in range(3) if i != j)
 
 
-def _right_is_isomorphism(w1r, w3r):
-    """Whether the right homomorphism is a torus isomorphism:
-    |det(w_1^R, w_2^R)| = 1, which is |det(w_1^R, w_3^R)| since
-    w_2^R = -w_1^R - w_3^R. On ints or, elementwise, integer arrays."""
-    return abs(cross(w1r, w3r)) == 1
-
-
-def _free_by_homs(wl, right_iso):
-    """Freeness by the homomorphisms: the left one trivial and the right
-    one an isomorphism (``right_iso``, a bool or a bool array)."""
-    return all(v == (0, 0) for v in wl) & right_iso
-
-
 def _failing_pair(nine) -> tuple[int, int, int] | None:
-    """Freeness by the lattice: the first (i, j, |det|), 1-based, with
-    i != j and (A_i, B_j) not a lattice basis, |cross(A_i, B_j)| != 1, or
-    None when the action is free. Read at position 3*i + j of the nine
-    crosses in row-major order (:attr:`DerivedConeData._nine_crosses` of
-    integer data). The specification of the enumerator's block test, which
+    """Freeness by the lattice pairs, the one freeness test: the first
+    (i, j, |det|), 1-based, with i != j and (A_i, B_j) not a lattice basis,
+    |cross(A_i, B_j)| != 1, or None when the action is free. Read at
+    position 3*i + j of the nine crosses in row-major order
+    (:attr:`DerivedConeData._nine_crosses` of integer data). Under the
+    cone condition it is also the homomorphism test (the README's freeness
+    corollary). The specification of the enumerator's block test, which
     reads the same six rows of its (9, n) array at once."""
     for i, j in _MIXED_PAIRS:
         det = abs(nine[3 * i + j])
         if det != 1:
             return (i + 1, j + 1, det)
     return None
-
-
-def _freeness_disagreement(ws: WeightSystem, by_homs: bool, by_pairs: bool) -> RuntimeError:
-    """The internal error for a system on which the two freeness
-    characterizations differ; under the cone condition they cannot."""
-    return RuntimeError(
-        f"freeness characterizations disagree on {ws!r}: "
-        f"homomorphism test {by_homs}, lattice-pair test {by_pairs}"
-    )
 
 
 def positive_combination(c: Vec2, g1: Vec2, g2: Vec2) -> tuple[Fraction, Fraction] | None:
@@ -589,8 +562,7 @@ def _block_dtype(bound: int) -> str:
     Grid entries are at most bound in magnitude, so the table entries (the
     components of A_i and B_j) are at most 2*bound, each product in a cross
     at most 4*bound**2 and the cross itself at most 8*bound**2, the largest
-    value the block computes (cross(w_1^R, w_3^R), at most 2*bound**2, is
-    computed once per grid in int64). The argument check of
+    value the block computes. The argument check of
     :func:`enumerate_admissible_systems` and the grid's tables both read it.
     """
     largest = 8 * bound * bound
@@ -604,9 +576,8 @@ def _block_dtype(bound: int) -> str:
 def _weight_grid(bound: int):
     """Every zero-sum weight triple with entries in [-bound, bound], in
     lexicographic order of (w_1, w_2); the difference tables; each triple's
-    rows of them; per triple taken as wR, whether the right homomorphism is
-    an isomorphism; and the rows of the six off-diagonal pairs in the
-    block's nine, as a column.
+    rows of them; and the rows of the six off-diagonal pairs in the block's
+    nine, as a column, which the freeness gather reads.
 
     The tables hold, for each entry value v in [-bound, bound] against
     every wR, the components of A = v - w_1^R and of B = w_3^R - v: four
@@ -638,11 +609,10 @@ def _weight_grid(bound: int):
     m = 2 * bound + 1
     at = triples + bound  # each entry's row within its quarter
     index = np.concatenate((at[:, i, 0], m + at[:, i, 1], 2 * m + at[:, j, 0], 3 * m + at[:, j, 1]), axis=1)
-    right_iso = _right_is_isomorphism((x1, y1), (x3, y3))
     mixed = np.array([[3 * i + j] for i, j in _MIXED_PAIRS])
-    for arr in (tables, index, right_iso, mixed):
+    for arr in (tables, index, mixed):
         arr.setflags(write=False)
-    return rows, tables, index, right_iso, mixed
+    return rows, tables, index, mixed
 
 
 def _block_crosses(tables, index):
@@ -681,10 +651,9 @@ def enumerate_admissible_systems(
     narrowest integer type that holds them (:func:`_block_dtype`), and the
     nine-sign rule reads its least and greatest entry per candidate.
     Survivors come out in grid order, so the stream stays lexicographic.
-    The block also decides each survivor's freeness by both
-    characterizations, the lattice-pair test off the six off-diagonal rows
-    of the same array, raises RuntimeError naming the first system on
-    which they disagree, and fills in :attr:`WeightSystem.free`. Yielded
+    The block also decides each survivor's freeness by the lattice-pair
+    test (:func:`_failing_pair`) off the six off-diagonal rows of the same
+    array and fills in :attr:`WeightSystem.free`. Yielded
     systems are built from grid rows validated once per bound, without a
     second check. Arguments are checked when this is called: a bound or a
     part entry that is not an int (a bool or a float) raises TypeError,
@@ -705,7 +674,7 @@ def enumerate_admissible_systems(
 
 
 def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[WeightSystem]:
-    rows, tables, index, right_iso, mixed = _weight_grid(bound)
+    rows, tables, index, mixed = _weight_grid(bound)
     k, n = (0, 1) if part is None else part
     new = object.__new__
     for row in range(k, len(rows), n):
@@ -714,19 +683,13 @@ def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[Wei
         if not keep.size:
             continue
         wl = rows[row]
-        by_homs = _free_by_homs(wl, right_iso[keep])
-        by_pairs = (abs(nine[mixed, keep]) == 1).all(0)  # as _failing_pair
-        disagree = (by_homs != by_pairs).nonzero()[0]
-        if disagree.size:
-            k = disagree[0]
-            ws = WeightSystem(wl, rows[keep[k]])
-            raise _freeness_disagreement(ws, bool(by_homs[k]), bool(by_pairs[k]))
-        for i, free in zip(keep.tolist(), by_homs.tolist()):
+        free = (abs(nine[mixed, keep]) == 1).all(0).tolist()  # as _failing_pair
+        for i, verdict in zip(keep.tolist(), free):
             # a system of two checked grid rows, with its verdict: nothing
             # is checked again
             ws = new(WeightSystem)
             fields = ws.__dict__
             fields["wl"] = wl
             fields["wr"] = rows[i]
-            fields["free"] = free
+            fields["free"] = verdict
             yield ws

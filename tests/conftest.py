@@ -5,7 +5,8 @@ embedding and the exact seed points of a sample. Also the exact layers as
 they were before the sign table of cone data and the nine-sign rule: every
 membership by its own cross products, the boolean condition as its 8
 membership tests (scalar, and as the narrowed int64 block kernel with the
-lattice-pair freeness of its survivors), the witnesses by
+lattice-pair freeness of its survivors), freeness by the homomorphisms,
+the witnesses by
 ``positive_combination``, the apex search by the batched sign kernel
 ``reference_cone_member``, the interpolation path built vector by vector
 at every time and the census built entry by entry; the tests compare the
@@ -214,6 +215,15 @@ def reference_free_by_pairs(a, b):
     for i, j in _MIXED_PAIRS:
         ok = ok & (abs(cross(a[i], b[j])) == 1)
     return ok
+
+
+def reference_free_by_homs(wl, w1r, w3r):
+    """Freeness by the homomorphisms: the left one trivial, wL = 0, and the
+    right one a torus isomorphism, |cross(w_1^R, w_3^R)| = 1 (which is
+    |det(w_1^R, w_2^R)| since w_2^R = -w_1^R - w_3^R). Under the cone
+    condition it is the lattice-pair test (the README's freeness
+    corollary); the library computes only the latter."""
+    return all(v == (0, 0) for v in wl) and abs(cross(w1r, w3r)) == 1
 
 
 def reference_in_cone2(c, g1, g2):

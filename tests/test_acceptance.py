@@ -6,7 +6,7 @@ import json
 import time
 
 import numpy as np
-from conftest import equivariance_residual, reference_interpolation_path
+from conftest import equivariance_residual, reference_free_by_homs, reference_interpolation_path
 
 from su3kahler.cli import main
 from su3kahler.cohomology import (
@@ -16,7 +16,6 @@ from su3kahler.cohomology import (
     dga_cohomology,
     hodge_model,
 )
-from su3kahler.conegeom import cross
 from su3kahler.isotropy import (
     Classification,
     classify_quotient,
@@ -112,7 +111,7 @@ def test_criterion_4_freeness_characterization(bound2_systems, capsys):
         verdict = freeness_check(d, ws)
         classification = classify_quotient(ws)
         agrees = verdict.free == (classification is Classification.FREE_FLAG_CASE)
-        by_homs = all(v == (0, 0) for v in ws.wl) and abs(cross(ws.wr[0], ws.wr[1])) == 1
+        by_homs = reference_free_by_homs(ws.wl, ws.wr[0], ws.wr[2])
         ok = ok and agrees and verdict.classification_consistent and (verdict.free == by_homs)
     elapsed = time.perf_counter() - start
     with capsys.disabled():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from su3kahler import (
     Eisenstein,
+    SupportPattern,
     build_derham_model,
     cone_data,
     hodge_model,
@@ -239,6 +240,7 @@ API_CALLS = {
     "build_derham_model": lambda x: build_derham_model((x, 0), (0, 1)),
     "hodge_model": lambda x: hodge_model((x, 1)),
     "Eisenstein.of": Eisenstein.of,
+    "SupportPattern": lambda x: SupportPattern((x,), (2,)),
 }
 
 
@@ -256,7 +258,19 @@ def test_exact_api_accepts_exact_scalars():
     assert build_derham_model(("1", 0), (0, Fraction(1))).d_gens == build_derham_model().d_gens
 
 
-@pytest.mark.parametrize("vector", ["12", {"1": 0, "2": 0}, [1], [1, 2, 3], 7])
+MALFORMED_VECTOR_CALLS = (
+    lambda v: cone_data([v, (1, 0), (2, -1)], [(0, 1), (0, 1), (-1, 2)]),
+    hodge_model,
+    lambda v: build_derham_model(v, (0, 1)),
+)
+
+
+@pytest.mark.parametrize("vector", ["12", {"1": 0, "2": 0}, [1], [1, 2, 3], 7, (1, 0, 5)])
 def test_cone_data_rejects_a_malformed_vector(vector):
-    with pytest.raises(TypeError, match=r"vector \[x, y\] expected"):
-        cone_data([vector, (1, 0), (2, -1)], [(0, 1), (0, 1), (-1, 2)])
+    """cone_data, hodge_model and build_derham_model take a vector only as
+    a list or tuple of two entries, not a string, a dict or another length
+    (hodge_model("12") once read beta = (1, 2) and hodge_model((1, 0, 5))
+    dropped the 5)."""
+    for call in MALFORMED_VECTOR_CALLS:
+        with pytest.raises(TypeError, match=r"vector \[x, y\] expected"):
+            call(vector)

@@ -1,15 +1,12 @@
 import dataclasses
 import json
-import re
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from su3kahler import weights
+from conftest import reference_free_by_homs
 from su3kahler.cli import main
 
-from su3kahler.conegeom import cross
 from su3kahler.isotropy import (
     Classification,
     IsotropyGroup,
@@ -223,8 +220,7 @@ def test_quotient_classification_agreement_bound1(bound1_systems):
         d = derive(ws)
         verdict = freeness_check(d, ws)
         assert verdict.classification_consistent
-        by_homs = all(v == (0, 0) for v in ws.wl) and abs(cross(ws.wr[0], ws.wr[1])) == 1
-        assert verdict.free == by_homs
+        assert verdict.free == reference_free_by_homs(ws.wl, ws.wr[0], ws.wr[2])
 
 
 def test_unimodular_pairs_force_constant_families(bound2_systems):
@@ -260,36 +256,6 @@ def test_stream_verdicts_match_the_scalar_path():
         assert fresh == ws and hash(fresh) == hash(ws) and repr(fresh) == repr(ws)
     assert sum(ws.free for ws in streamed) == 72
     assert "free" not in {f.name for f in dataclasses.fields(WeightSystem)}
-
-
-def test_stream_names_the_first_disagreeing_system(monkeypatch):
-    # flip the homomorphism verdict of each block's last survivor, on the
-    # array path only (the block reads the lattice-pair test off its own
-    # rows): the first block's last system is the first to disagree
-    honest = list(enumerate_admissible_systems(2))
-    first_block = [ws for ws in honest if ws.wl == honest[0].wl]
-    assert len(first_block) > 1
-    by_homs = weights._free_by_homs
-
-    def flip_last(wl, right_iso):
-        out = by_homs(wl, right_iso)
-        if isinstance(out, np.ndarray):
-            out[-1] = not out[-1]
-        return out
-
-    monkeypatch.setattr(weights, "_free_by_homs", flip_last)
-    with pytest.raises(RuntimeError, match="disagree") as info:
-        list(enumerate_admissible_systems(2))
-    assert repr(first_block[-1]) in str(info.value)
-    assert repr(first_block[0]) not in str(info.value)
-
-
-def test_scalar_path_raises_on_a_disagreement(monkeypatch, standard_ws):
-    failing_pair = weights._failing_pair
-    monkeypatch.setattr(weights, "_failing_pair", lambda nine: None if failing_pair(nine) else (1, 2, 0))
-    fresh = WeightSystem(standard_ws.wl, standard_ws.wr)
-    with pytest.raises(RuntimeError, match=re.escape(repr(fresh))):
-        classify_quotient(fresh)
 
 
 def test_freeness_check_cross_checks_a_stamped_verdict(standard_ws, orbifold_ws):

@@ -5,6 +5,10 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from su3kahler import enumerate_admissible_systems, weights
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -36,3 +40,26 @@ def test_library_block_runs_and_matches_its_comments():
     assert len(ns["systems"]) == 24 and all(ws.free for ws in ns["systems"])
     assert ns["betti"] == (1, 0, 0, 1, 0, 1, 0, 0, 1)
     assert ns["branch"] == (1, 2, 1)
+
+
+def enumeration_table() -> dict[int, tuple[int, int, int]]:
+    """(candidates, admissible systems, free) by bound, from the table after
+    "Results of the search"."""
+    text = README.read_text()
+    section = text[text.index("Results of the search") :]
+    rows = re.findall(r"^\| (\d+) \| (\d+) \| (\d+) \| (\d+) \|", section, re.M)
+    return {int(b): (int(n), int(a), int(f)) for b, n, a, f in rows}
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_enumeration_table_matches_the_stream(bound):
+    """The table's counts are what enumerate_admissible_systems streams:
+    every zero-sum pair of triples as candidates, the systems passing the
+    cone condition, and those whose action is free."""
+    candidates, admissible, free = enumeration_table()[bound]
+    assert candidates == len(weights._weight_grid(bound)[0]) ** 2
+    count = free_count = 0
+    for ws in enumerate_admissible_systems(bound):
+        count += 1
+        free_count += ws.free
+    assert (count, free_count) == (admissible, free)

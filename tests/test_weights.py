@@ -5,10 +5,11 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,6 +18,7 @@ from conftest import (
     reference_block_survivors,
     reference_cone_member,
     reference_condition_holds,
+    reference_free_by_homs,
     reference_free_by_pairs,
 )
 from su3kahler import weights
@@ -589,13 +591,15 @@ def streamed_block(bound, row):
 
 def reference_block(bound, row):
     """(wR, free) of the narrowed kernel's survivors of the same block,
-    free by both characterizations from the survivors' own crosses."""
+    free by the lattice pairs from the survivors' own crosses, which the
+    homomorphism oracle confirms on every survivor (the freeness
+    corollary)."""
     wl, rows, (a, b, c) = grid_block(bound, row)
-    keep = reference_block_survivors(a, b, c)
-    by_pairs = reference_free_by_pairs(*(tuple((x[keep], y[keep]) for x, y in v) for v in (a, b)))
-    by_homs = [weights._free_by_homs(wl, weights._right_is_isomorphism(*rows[i][::2])) for i in keep.tolist()]
-    assert np.asarray(by_pairs).tolist() == by_homs
-    return [(rows[i], free) for i, free in zip(keep.tolist(), by_homs)]
+    keep = reference_block_survivors(a, b, c).tolist()
+    by_pairs = np.asarray(reference_free_by_pairs(*(tuple((x[keep], y[keep]) for x, y in v) for v in (a, b))))
+    by_homs = [reference_free_by_homs(wl, rows[i][0], rows[i][2]) for i in keep]
+    assert by_pairs.tolist() == by_homs
+    return [(rows[i], free) for i, free in zip(keep, by_homs)]
 
 
 def test_narrowed_kernel_on_every_bound2_block():
@@ -623,6 +627,89 @@ def test_block_survivors_and_freeness_match_the_reference_kernel(bound, blocks):
     assert bound < 4 or n_blocks == 3721
     for row in range(n_blocks) if blocks is None else blocks:
         assert streamed_block(bound, row) == reference_block(bound, row)
+
+
+# --- the freeness corollary away from the grid ------------------------------
+
+
+def _bezout(a, b):
+    """(x, y) with a*x + b*y = gcd(a, b) >= 0."""
+    if b == 0:
+        return (1 if a >= 0 else -1), 0
+    x, y = _bezout(b, a % b)
+    return y, x - (a // b) * y
+
+
+coord50 = st.integers(-50, 50)
+vec50 = st.tuples(coord50, coord50)
+
+
+@st.composite
+def unimodular_pairs(draw):
+    """(w_1^R, w_3^R) with cross = 1 or -1 and entries in [-50, 50]: a
+    primitive u, v = (-y, x) + k*u from u[0]*x + u[1]*y = 1, maybe negated."""
+    u = draw(vec50.filter(lambda u: gcd(*u) == 1))
+    x, y = _bezout(*u)
+    k, sign = draw(st.integers(-1, 1)), draw(st.sampled_from((1, -1)))
+    v = (sign * (k * u[0] - y), sign * (k * u[1] + x))
+    assume(max(map(abs, v)) <= 50)
+    return u, v
+
+
+@st.composite
+def left_triples(draw, coord):
+    l1, l2 = draw(st.tuples(coord, coord)), draw(st.tuples(coord, coord))
+    return (l1, l2, (-l1[0] - l2[0], -l1[1] - l2[1]))
+
+
+left_sides = st.one_of(
+    st.just(((0, 0),) * 3), left_triples(st.integers(-1, 1)), left_triples(st.integers(-25, 25))
+)
+
+
+@given(left_sides, st.one_of(unimodular_pairs(), st.tuples(vec50, vec50)))
+@example(((0, 0),) * 3, ((1, 0), (-1, -1)))  # the standard free case
+@example(((-1, 1), (-1, 1), (2, -2)), ((-4, 1), (-1, 4)))  # the orbifold example
+@example(((-2, -1), (1, 0), (1, 1)), ((0, 0), (0, 0)))  # unit crosses of mixed sign
+@settings(max_examples=400, deadline=None)
+def test_freeness_corollary_off_the_grid(wl, right):
+    """The README's freeness corollary on entries up to 50 in magnitude:
+    the condition with every off-diagonal pair a lattice basis holds
+    exactly when wL = 0 and |cross(w_1^R, w_3^R)| = 1 (its converse
+    included, since that pair of homomorphisms passes the condition)."""
+    u, v = right
+    ws = WeightSystem(wl, (u, (-u[0] - v[0], -u[1] - v[1]), v))
+    d = derive(ws)
+    nine = d._nine_crosses
+    by_homs = reference_free_by_homs(wl, u, v)
+    holds = cone_condition_holds(d)
+    assert (holds and weights._failing_pair(nine) is None) == by_homs
+    # the sum of the nine is -9*cross(w_1^R, w_3^R), so under the condition
+    # a unimodular right side already forces all nine to be +-1 (the README)
+    assert sum(nine) == -9 * cross(u, v)
+    if holds:
+        assert ws.free is by_homs
+        event(f"condition holds, free={by_homs}")
+
+
+def test_unit_pairs_of_mixed_sign_are_not_freeness():
+    """Without the sign hypothesis the corollary fails: 72 bound-2
+    candidates have six off-diagonal crosses of absolute value 1, of mixed
+    sign, with wL != 0, and fail the condition."""
+    off_diagonal = [3 * i + j for i, j in weights._MIXED_PAIRS]
+    found = []
+    for row in range(len(weights._weight_grid(2)[0])):
+        wl, rows, (a, b, _) = grid_block(2, row)
+        nine = np.array([cross(a[i], b[j]) for i in range(3) for j in range(3)])
+        for k in (abs(nine[off_diagonal]) == 1).all(0).nonzero()[0].tolist():
+            if not reference_free_by_homs(wl, rows[k][0], rows[k][2]):
+                column = nine[:, k].tolist()
+                assert weights._failing_pair(column) is None
+                assert {column[p] for p in off_diagonal} == {1, -1}
+                assert not weights._one_strict_sign(min(column), max(column))
+                found.append((wl, rows[k]))
+    assert len(found) == 72
+    assert (((-2, -1), (1, 0), (1, 1)), ((0, 0),) * 3) in found
 
 
 # Configurations passing the condition: the orbifold, standard-torus and
