@@ -196,13 +196,13 @@ def _gap(key: int, quoted: bool = False) -> _Rendered:
 
 def _keyed(o, keys):
     """o with each leaf replaced by a gap keyed by the next of keys (in the
-    order o lists its leaves), quoted for a str; None (an absent value)
-    stays."""
+    order o lists its leaves), quoted for a str; None (an absent value) and
+    bools (verdicts) stay."""
     if isinstance(o, (list, tuple)):
         return [_keyed(x, keys) for x in o]
     if isinstance(o, dict):
         return {k: _keyed(v, keys) for k, v in o.items()}
-    return None if o is None else _gap(next(keys), isinstance(o, str))
+    return o if o is None or isinstance(o, bool) else _gap(next(keys), isinstance(o, str))
 
 
 def _template(form, nl: str):
@@ -257,60 +257,39 @@ def _derived_text(d: wt.DerivedConeData, nl: str) -> str:
 
 
 # The template caches are sized from their distinct keys over one pass of
-# the audit pool (10673 ops, 5335 of them check): 9 level-set shapes, 2
-# condition frames, 93 table shapes.
-@functools.lru_cache(maxsize=32)  # every verdict and presence shape at one nl
-def _level_set_template(nonempty, regular, compact, witness: bool, apex: bool, nl: str):
-    """A level-set block of these verdicts, with gaps for the entries of
-    the witness and the apex functional (when present), keyed by their
-    positions in (*witness, *apex), the order in which the dict form lists
-    them."""
-    form = wt.LevelSetConditions(
+# the audit pool (10673 ops, 5335 of them check): 9 condition frames, 93
+# table shapes.
+@functools.lru_cache(maxsize=16)  # the verdicts allow at most 13 frames at one nl
+def _condition_frame(holds: bool, level_flags: tuple, nl: str):
+    """A condition report with this verdict and a level-set block with
+    these (nonempty, regular, compact, witness present, apex present)
+    flags, with a gap for each table, keyed by its position in (a_pairs,
+    b_pairs, mixed_pairs), and for each entry of the witness and the apex
+    functional, keyed by 3 + its position in (*witness, *apex): the order
+    in which the dict form lists them."""
+    nonempty, regular, compact, witness, apex = level_flags
+    level_set = wt.LevelSetConditions(
         nonempty, (0, 0, 0, 0) if witness else None, regular, compact, (0, 0) if apex else None
-    ).to_json()
-    keys = itertools.count()
-    for key, value in form.items():
-        if isinstance(value, (dict, list)):  # the witness or the apex functional
-            form[key] = _keyed(value, keys)
-    return _template(form, nl)
-
-
-def _level_set_text(ls: wt.LevelSetConditions, nl: str) -> str:
-    """``ls.to_json()`` as encoded text."""
-    witness, apex = ls.nonempty_witness, ls.apex_functional
-    template = _level_set_template(
-        ls.nonempty, ls.regular, ls.compact, witness is not None, apex is not None, nl
     )
-    return _fill(template, (*(witness or ()), *(apex or ())))
-
-
-def _level_set_probe() -> wt.LevelSetConditions:
-    return wt.LevelSetConditions(False, None, False, False, None)
-
-
-@functools.lru_cache(maxsize=4)  # holds or not, at the one nl of a check report
-def _condition_frame(holds: bool, nl: str):
-    """A condition report with a gap for each table and for the level-set
-    block, keyed by their positions in (a_pairs, b_pairs, mixed_pairs,
-    level_set), the order in which the dict form lists them."""
-    form = wt.ConditionReport(holds, {}, {}, {}, _level_set_probe()).to_json()
-    keys = itertools.count()
-    return _template({k: _gap(next(keys)) if isinstance(v, dict) else v for k, v in form.items()}, nl)
+    form = wt.ConditionReport(holds, {}, {}, {}, level_set).to_json()
+    keys = itertools.count()  # the tables come before the level set
+    return _template({k: _gap(next(keys)) if v == {} else _keyed(v, keys) for k, v in form.items()}, nl)
 
 
 @functools.lru_cache(maxsize=256)
-def _table_template(pairs, shapes, nl: str):
-    """A condition table with these pair keys whose memberships, in table
-    order, have these (status value, coefficients absent) shapes, with a
-    gap for each coefficient keyed by its position among the coefficients
-    present, in table order. Read off a probe report that holds the table,
-    whose coefficients are their positions."""
+def _table_template(shapes, nl: str):
+    """A condition table of the nine pairs, in order, whose memberships
+    have these (status value, coefficients absent) shapes, with a gap for
+    each coefficient keyed by its position among the coefficients present,
+    in table order. Read off a probe report that holds the table, whose
+    coefficients are their positions."""
     positions = itertools.count()
     table = {
         ij: ConeMembership(MembershipStatus(status), None if absent else (next(positions), next(positions)))
-        for ij, (status, absent) in zip(pairs, shapes)
+        for ij, (status, absent) in zip(itertools.product((1, 2, 3), repeat=2), shapes)
     }
-    form = wt.ConditionReport(False, table, {}, {}, _level_set_probe()).to_json()["A_pairs"]
+    level_set = wt.LevelSetConditions(False, None, False, False, None)
+    form = wt.ConditionReport(False, table, {}, {}, level_set).to_json()["A_pairs"]
     for entry in form.values():
         if "coefficients" in entry:
             entry["coefficients"] = _keyed(entry["coefficients"], map(int, entry["coefficients"]))
@@ -318,21 +297,25 @@ def _table_template(pairs, shapes, nl: str):
 
 
 def _table_text(table: dict, nl: str) -> str:
-    """A condition table (one of a report's three) as encoded text."""
+    """A condition table (one of a report's three, each listing the nine
+    pairs in order) as encoded text."""
     memberships = table.values()
     # status values, not members: a str caches its hash, an enum member
     # hashes through a Python-level __hash__
     shapes = tuple([(m.status._value_, m.coefficients is None) for m in memberships])
     values = [x for m in memberships if m.coefficients is not None for x in m.coefficients]
-    return _fill(_table_template(tuple(table), shapes, nl), values)
+    return _fill(_table_template(shapes, nl), values)
 
 
 def _condition_text(report: wt.ConditionReport, nl: str) -> str:
-    """``report.to_json()`` as encoded text."""
+    """``report.to_json()`` as encoded text: its three tables and the
+    entries of its witness and apex functional in the gaps of one frame."""
+    ls = report.level_set
+    witness, apex = ls.nonempty_witness, ls.apex_functional
+    flags = (ls.nonempty, ls.regular, ls.compact, witness is not None, apex is not None)
     inner = nl + "  "
-    texts = [_table_text(table, inner) for table in (report.a_pairs, report.b_pairs, report.mixed_pairs)]
-    texts.append(_level_set_text(report.level_set, inner))
-    return _fill(_condition_frame(report.holds, nl), texts)
+    tables = [_table_text(table, inner) for table in (report.a_pairs, report.b_pairs, report.mixed_pairs)]
+    return _fill(_condition_frame(report.holds, flags, nl), (*tables, *(witness or ()), *(apex or ())))
 
 
 def _interpolation_json(times, ok: bool) -> dict:

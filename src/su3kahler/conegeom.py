@@ -11,15 +11,14 @@ downstream condition checks distinguish strict from non-strict membership.
 Membership decisions come from the signs of cross products: one rule for
 independent generators, :func:`_independent_member`, and one for dependent
 ones, :meth:`SignTable._dependent_membership`, over ring operations and
-comparisons only. Scalar decisions, with evidence or without, read one
-:class:`SignTable`: plane
+comparisons only. Scalar decisions read one :class:`SignTable`: plane
 vectors cleared of denominators by one positive integer, with their
-pairwise cross products. Cone tests see only
-directions, so the cleared table gives the decisions and, as exact
-quotients, the witness coefficients of the input vectors. A membership
-with its witness is :meth:`SignTable.membership`, which :func:`in_cone2`
-reads off the table of its three vectors; Fractions are built only for
-the coefficients of members.
+pairwise cross products. Cone tests see only directions, so the cleared
+table gives the decisions and, as exact quotients, the witness
+coefficients of the input vectors. :meth:`SignTable.membership` is the one
+scalar entry to both rules, with its witness; :func:`in_cone2` reads it off
+the table of its three vectors, and a decision alone is its ``member``.
+Fractions are built only for the coefficients of members.
 """
 
 from __future__ import annotations
@@ -145,8 +144,8 @@ class ConeMembership:
     with ``lam1*g1 + lam2*g2 == c`` exactly. ``INTERIOR`` means both
     coefficients are strictly positive and the generators are linearly
     independent; with dependent generators the best status is
-    ``ON_BOUNDARY_RAY``. Decisions that need no witness read
-    :meth:`SignTable.member`.
+    ``ON_BOUNDARY_RAY``. :meth:`SignTable.membership` makes every one;
+    a decision alone is :attr:`member`.
     """
 
     status: MembershipStatus
@@ -167,8 +166,7 @@ _OUTSIDE = ConeMembership(MembershipStatus.OUTSIDE)
 _F0 = Fraction(0)
 
 
-# Largest magnitude an int64 holds: the widest integer type the weight
-# search's sign tests may run at.
+# Largest magnitude an int64 holds, numpy's default integer type.
 INT64_MAX = 2**63 - 1
 
 
@@ -209,20 +207,12 @@ class SignTable:
         self.vectors = vs
         self.crosses = [[x1 * y2 - y1 * x2 for x2, y2 in vs] for x1, y1 in vs]
 
-    def member(self, k: int, p: int, q: int) -> bool:
-        """Whether vector k lies in cone(vector p, vector q): by
-        :func:`_independent_member` when cross(g_p, g_q) != 0, and by
-        :meth:`_dependent_membership` otherwise."""
-        row = self.crosses[p]
-        d = row[q]
-        if d:
-            return _independent_member(d, self.crosses[k][q], row[k])
-        return self._dependent_membership(k, p, q).member
-
     def membership(self, k: int, p: int, q: int) -> ConeMembership:
-        """Vector k against cone(vector p, vector q), decided as
-        :meth:`member` decides, with exact witness coefficients (l1, l2) of
-        the input vectors for members.
+        """Vector k against cone(vector p, vector q), the one scalar entry
+        to the membership rule: decided by :func:`_independent_member` when
+        cross(g_p, g_q) != 0 and by :meth:`_dependent_membership` otherwise,
+        with exact witness coefficients (l1, l2) of the input vectors for
+        members.
 
         Total on degenerate input: zero or parallel generators reduce to
         ray, line or origin membership, and the witness then uses g_p
@@ -259,9 +249,8 @@ class SignTable:
 def in_cone2(c: Vec2, g1: Vec2, g2: Vec2) -> ConeMembership:
     """Decide whether ``c`` lies in ``{l1*g1 + l2*g2 : l1, l2 >= 0}``.
 
-    :meth:`SignTable.membership` on the table of (c, g1, g2): the decision
-    is :meth:`SignTable.member`'s, and exact witness coefficients are
-    computed only for members.
+    :meth:`SignTable.membership` on the table of (c, g1, g2): exact
+    witness coefficients are computed only for members.
     """
     return SignTable((c, g1, g2)).membership(0, 1, 2)
 

@@ -21,9 +21,10 @@ README): the nine crosses cross(A_i, B_j), i, j = 1..3, are all nonzero
 with one sign. The scalar verdict :func:`cone_condition_holds` reads them
 off one integer table per cone data, :attr:`DerivedConeData.sign_table`
 (a :class:`~su3kahler.conegeom.SignTable`), which also gives the 27
-memberships of :func:`check_cone_condition`, the mixed witnesses,
-regularity, compactness and the apex functional; only dependent mixed
-pairs build their witness with :func:`positive_combination`. The
+memberships of :func:`check_cone_condition` (the nine mixed ones are one
+tuple per cone data, which the mixed witnesses read too), regularity,
+compactness and the apex functional; only dependent mixed pairs build
+their witness with :func:`positive_combination`. The
 interpolation path needs no crosses of its own: by the README's path
 corollary it holds on all of [0, 1] exactly when the nine-sign rule holds
 at t = 1, so :func:`check_interpolation_path` returns the same verdict. The
@@ -36,8 +37,8 @@ under the cone condition that is the homomorphism test (wL = 0 and
 |cross(w_1^R, w_3^R)| = 1), so the latter is not computed. Every entry of a
 block is at most 8*bound**2 in magnitude, so the block runs in the
 narrowest signed type that holds that value (:func:`_block_dtype`: int8
-up to bound 3, int16 up to 63, int32 up to 16383, int64 beyond, and a
-larger bound is refused). Those arrays are
+up to bound 3 and int16 up to :data:`MAX_BOUND`, the largest bound the
+search takes, before its grid outgrows memory). Those arrays are
 the module's only use of numpy, which the search's cached grid,
 :func:`_weight_grid`, imports on its first call; the scalar checks run
 without it.
@@ -53,7 +54,6 @@ from math import lcm
 from typing import Iterator
 
 from .conegeom import (  # noqa: F401 (in_cone2 re-exported: the benchmark binds weights.in_cone2)
-    INT64_MAX,
     ConeMembership,
     MembershipStatus,
     SignTable,
@@ -88,6 +88,7 @@ __all__ = [
     "default_interpolation_times",
     "check_interpolation_path",
     "enumerate_admissible_systems",
+    "MAX_BOUND",
 ]
 
 IVec2 = tuple[int, int]
@@ -236,18 +237,12 @@ class DerivedConeData:
         return _apex_functional(table, self.generators())
 
     @functools.cached_property
-    def _mixed_memberships(self) -> dict[tuple[int, int], ConeMembership]:
-        """C against cone(A_i, B_j) by 0-based (i, j), each read off the sign
-        table on first use by :meth:`_mixed_membership`."""
-        return {}
-
-    def _mixed_membership(self, i: int, j: int) -> ConeMembership:
-        """C against cone(A_i, B_j), 0-based, decided once per instance."""
-        cache = self._mixed_memberships
-        m = cache.get((i, j))
-        if m is None:
-            m = cache[i, j] = self.sign_table.membership(_C, i, 3 + j)
-        return m
+    def _mixed_memberships(self) -> tuple[ConeMembership, ...]:
+        """C against cone(A_i, B_j), 0-based, at position 3*i + j, read off
+        the sign table once per instance: :func:`check_cone_condition` and
+        :attr:`mixed_witnesses` both read them."""
+        table = self.sign_table
+        return tuple(table.membership(_C, i, 3 + j) for i, j in _ORDERED_PAIRS)
 
     @functools.cached_property
     def mixed_witnesses(self) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
@@ -257,17 +252,17 @@ class DerivedConeData:
         The one table of positive mixed combinations, built on first use
         and cached on the instance; it is not a field, so == and hash
         ignore it. For independent A_i, B_j the pair is the coefficients of
-        an INTERIOR mixed membership (strictly positive exactly then); only
-        dependent pairs go through :func:`positive_combination`, which
-        picks a witness from the family of solutions.
+        an INTERIOR membership of :attr:`_mixed_memberships` (strictly
+        positive exactly then); only dependent pairs go through
+        :func:`positive_combination`, which picks a witness from the family
+        of solutions.
         """
         crosses = self.sign_table.crosses
         witnesses = []
-        for i, j in _ORDERED_PAIRS:
+        for (i, j), m in zip(_ORDERED_PAIRS, self._mixed_memberships):
             if i == j:
                 continue
             if crosses[i][3 + j]:
-                m = self._mixed_membership(i, j)
                 ab = m.coefficients if m.status is MembershipStatus.INTERIOR else None
             else:
                 ab = positive_combination(self.c, self.a[i], self.b[j])
@@ -341,12 +336,16 @@ def positive_combination(c: Vec2, g1: Vec2, g2: Vec2) -> tuple[Fraction, Fractio
     Unlike plain cone membership this demands strictly positive
     coefficients, so degenerate generator configurations need their own
     branches (parallel generators leave a 1-parameter family to pick from).
+    Reads its vectors through their sign table, as :func:`in_cone2` does
+    (a bool or a float raises TypeError): independent generators give an
+    INTERIOR membership's coefficients, and dependent ones are solved on
+    the cleared vectors, whose coefficients are those of the inputs.
     """
-    d = cross(g1, g2)
-    if d != 0:
-        a = Fraction(cross(c, g2), d)
-        b = Fraction(cross(g1, c), d)
-        return (a, b) if a > 0 and b > 0 else None
+    table = SignTable((c, g1, g2))
+    if table.crosses[1][2]:
+        m = table.membership(0, 1, 2)
+        return m.coefficients if m.status is MembershipStatus.INTERIOR else None
+    c, g1, g2 = table.vectors
     g1_zero, g2_zero = is_zero(g1), is_zero(g2)
     if g1_zero and g2_zero:
         return (Fraction(1), Fraction(1)) if is_zero(c) else None
@@ -418,7 +417,7 @@ def check_level_set_conditions(d: DerivedConeData) -> LevelSetConditions:
     crosses = table.crosses
     regular = all(crosses[i][3 + j] for i, j in _MIXED_PAIRS)
     apex = d.apex_functional
-    compact = apex is not None and not (table.member(_C, 0, 1) or table.member(_C, 0, 2))
+    compact = apex is not None and not any(table.membership(_C, 0, q).member for q in (1, 2))
     return LevelSetConditions(witness is not None, witness, regular, compact, apex)
 
 
@@ -454,14 +453,14 @@ class ConditionReport:
 def check_cone_condition(d: DerivedConeData) -> ConditionReport:
     """The separating cone condition's verdict, :func:`cone_condition_holds`,
     with all 27 sub-results as its evidence, each read off d's sign table by
-    :meth:`~su3kahler.conegeom.SignTable.membership` (the mixed ones are
-    shared with :attr:`DerivedConeData.mixed_witnesses`). By the nine-sign
-    corollary the verdict holds exactly when no A-pair or B-pair membership
-    is a member and all nine mixed ones are."""
+    :meth:`~su3kahler.conegeom.SignTable.membership` (the nine mixed ones
+    are d's one tuple of them, which :attr:`DerivedConeData.mixed_witnesses`
+    reads too). By the nine-sign corollary the verdict holds exactly when
+    no A-pair or B-pair membership is a member and all nine mixed ones are."""
     table = d.sign_table
     a_pairs = {(i + 1, j + 1): table.membership(_C, i, j) for i, j in _ORDERED_PAIRS}
     b_pairs = {(i + 1, j + 1): table.membership(_C, 3 + i, 3 + j) for i, j in _ORDERED_PAIRS}
-    mixed = {(i + 1, j + 1): d._mixed_membership(i, j) for i, j in _ORDERED_PAIRS}
+    mixed = {(i + 1, j + 1): m for (i, j), m in zip(_ORDERED_PAIRS, d._mixed_memberships)}
     return ConditionReport(cone_condition_holds(d), a_pairs, b_pairs, mixed, check_level_set_conditions(d))
 
 
@@ -549,27 +548,26 @@ def check_interpolation_path(d: DerivedConeData) -> bool:
     return cone_condition_holds(d)
 
 
-# The signed integer types the enumeration block may run at, narrowest
-# first, each with the largest value it holds.
-_BLOCK_WIDTHS = (("int8", 2**7 - 1), ("int16", 2**15 - 1), ("int32", 2**31 - 1), ("int64", INT64_MAX))
+# The largest bound the search takes, checked before anything is allocated.
+# A grid has (3*bound**2 + 3*bound + 1)**2 rows, and building it peaks at
+# 1.2-1.6 KB per row at bounds 5-9 (more per row as the bound grows): 209 MB
+# for the process at bound 10 (109561 rows) and 306 MB at bound 11, past the
+# 277 MB that ``verify --samples 100000`` peaks at.
+MAX_BOUND = 10
 
 
 def _block_dtype(bound: int) -> str:
     """The name of the narrowest signed integer type holding every value
-    the enumeration block of this bound computes; ValueError when not even
-    int64 does.
+    the enumeration block of this bound, at most :data:`MAX_BOUND`,
+    computes: int8 up to bound 3 and int16 beyond.
 
     Grid entries are at most bound in magnitude, so the table entries (the
     components of A_i and B_j) are at most 2*bound, each product in a cross
     at most 4*bound**2 and the cross itself at most 8*bound**2, the largest
-    value the block computes. The argument check of
-    :func:`enumerate_admissible_systems` and the grid's tables both read it.
+    value the block computes; int16 holds it up to bound 63, past
+    :data:`MAX_BOUND`.
     """
-    largest = 8 * bound * bound
-    for name, top in _BLOCK_WIDTHS:
-        if largest <= top:
-            return name
-    raise ValueError(f"bound {bound} too large for exact int64 sign tests")
+    return "int8" if 8 * bound * bound <= 2**7 - 1 else "int16"
 
 
 @functools.lru_cache(maxsize=2)
@@ -657,13 +655,14 @@ def enumerate_admissible_systems(
     systems are built from grid rows validated once per bound, without a
     second check. Arguments are checked when this is called: a bound or a
     part entry that is not an int (a bool or a float) raises TypeError,
-    and a negative bound, a bound whose crosses could leave int64 or an
-    invalid part raises ValueError, before anything is allocated.
+    and a negative bound, a bound past :data:`MAX_BOUND` or an invalid
+    part raises ValueError, before anything is allocated.
     """
     _check_int("bound", bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    _block_dtype(bound)
+    if bound > MAX_BOUND:
+        raise ValueError(f"bound must be <= {MAX_BOUND}")
     if part is not None:
         k, n = part
         _check_int("part index", k)

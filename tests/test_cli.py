@@ -10,6 +10,7 @@ import pytest
 import su3kahler
 from su3kahler import cli
 from su3kahler.cli import main
+from su3kahler.weights import MAX_BOUND
 
 ORBIFOLD_CONFIG = '{"wL": [[-1,1],[-1,1],[2,-2]], "wR": [[-4,1],[5,-5],[-1,4]]}'
 STANDARD_CONFIG = '{"wL": [[0,0],[0,0],[0,0]], "wR": [[1,0],[0,1],[-1,-1]]}'
@@ -277,10 +278,13 @@ def test_enumerate_negative_bound_exits_2(capsys):
     assert code == 2
 
 
-def test_enumerate_bound_past_int64_exits_2(capsys):
-    code, out = run(capsys, "enumerate", "--bound", str(2**30))
+def test_enumerate_bound_past_max_bound_exits_2(capsys):
+    """A bound whose grid would not fit in memory (bound 64 would also
+    leave int16) ends in the envelope, not in a MemoryError."""
+    code, out = run(capsys, "enumerate", "--bound", "64")
     assert code == 2
-    assert "int64" in json.loads(out)["results"]["error"]
+    report = json.loads(out)
+    assert report["results"] == {"error": f"bound must be <= {MAX_BOUND}"} and report["pass"] is False
 
 
 def test_cohomology_default(capsys):

@@ -193,8 +193,9 @@ def in_cone2_reference(c, g1, g2):
 
 
 def cone_member(c, g1, g2) -> bool:
-    """The library's scalar decision: the sign table of (c, g1, g2)."""
-    return SignTable((c, g1, g2)).member(0, 1, 2)
+    """The library's scalar decision: the membership of c on the sign
+    table of (c, g1, g2)."""
+    return SignTable((c, g1, g2)).membership(0, 1, 2).member
 
 
 @given(points, generator_pairs())

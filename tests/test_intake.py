@@ -22,9 +22,13 @@ from su3kahler import (
     SupportPattern,
     build_derham_model,
     cone_data,
+    find_apex_functional,
     hodge_model,
+    in_cone2,
+    smith_invariant_factors,
 )
 from su3kahler.cli import MAX_CONFIG_BYTES, main
+from su3kahler.weights import positive_combination
 
 ENVELOPE_KEYS = {"command", "config", "results", "pass", "wall_time_s"}
 COMMANDS = (("check",), ("isotropy",), ("generate",), ("verify", "--samples", "1"))
@@ -241,6 +245,10 @@ API_CALLS = {
     "hodge_model": lambda x: hodge_model((x, 1)),
     "Eisenstein.of": Eisenstein.of,
     "SupportPattern": lambda x: SupportPattern((x,), (2,)),
+    "positive_combination": lambda x: positive_combination((x, x), (1, 0), (0, 1)),
+    "in_cone2": lambda x: in_cone2((x, x), (1, 0), (0, 1)),
+    "find_apex_functional": lambda x: find_apex_functional([(x, 1), (1, 0)]),
+    "smith_invariant_factors": lambda x: smith_invariant_factors([(x, 1), (1, 0)]),
 }
 
 

@@ -1,9 +1,9 @@
 """The report parts that ``check``, ``isotropy``, ``verify`` and
 ``enumerate`` write from cached templates, against the encoder's walk of
 their dict forms (``census_to_json``, ``PointCertificate.to_json``,
-``ConditionReport.to_json``, ``LevelSetConditions.to_json``, the
-interpolation block, ``WeightSystem.to_json`` and ``DerivedConeData.to_json``)
-at several starting indents, and the stream lines against ``json.dumps``."""
+``ConditionReport.to_json`` with its level-set block, the interpolation
+block, ``WeightSystem.to_json`` and ``DerivedConeData.to_json``) at several
+starting indents, and the stream lines against ``json.dumps``."""
 
 import functools
 import itertools
@@ -27,8 +27,10 @@ from su3kahler.quadric import PointCertificate
 from su3kahler.weights import (
     WeightSystem,
     check_cone_condition,
+    cone_condition_holds,
     cone_data,
     default_interpolation_times,
+    enumerate_admissible_systems,
 )
 
 indents = st.integers(0, 5).map(lambda k: "\n" + "  " * k)
@@ -162,8 +164,32 @@ def rational_cone_data(draw):
 def test_condition_report_renders_its_dict_form(d, nl):
     report = check_cone_condition(d)
     assert cli._condition_text(report, nl) == walk(report.to_json(), nl)
-    assert cli._level_set_text(report.level_set, nl) == walk(report.level_set.to_json(), nl)
     assert cli._derived_text(d, nl) == walk(d.to_json(), nl)
+
+
+def test_condition_frame_renders_every_level_set_shape():
+    """Every bound-2 admissible system and every 89th bound-2 candidate
+    that fails the condition: the condition report, its level-set block in
+    the gaps of one frame, renders its dict form at two indents. Both
+    verdicts occur, and a witness and an apex functional each present and
+    absent."""
+    rng = range(-2, 3)
+    rows = [
+        ((x1, y1), (x2, y2), (-x1 - x2, -y1 - y2))
+        for x1, y1, x2, y2 in itertools.product(rng, repeat=4)
+        if abs(x1 + x2) <= 2 and abs(y1 + y2) <= 2
+    ]
+    candidates = (WeightSystem(wl, wr) for wl, wr in itertools.islice(itertools.product(rows, rows), 0, None, 89))
+    failing = [ws for ws in candidates if not cone_condition_holds(ws.derived)]
+    seen = set()
+    for ws in [*enumerate_admissible_systems(2), *failing]:
+        report = check_cone_condition(ws.derived)
+        level_set = report.level_set
+        seen |= {("holds", report.holds), ("witness", level_set.nonempty_witness is not None),
+                 ("apex", level_set.apex_functional is not None)}
+        for nl in ("\n", "\n      "):
+            assert cli._condition_text(report, nl) == walk(report.to_json(), nl)
+    assert seen == {(part, present) for part in ("holds", "witness", "apex") for present in (False, True)}
 
 
 @given(st.integers(1, 50), st.booleans(), indents)

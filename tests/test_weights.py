@@ -23,7 +23,6 @@ from conftest import (
 )
 from su3kahler import weights
 from su3kahler.conegeom import (
-    INT64_MAX,
     MembershipStatus,
     SignTable,
     cross,
@@ -34,6 +33,7 @@ from su3kahler.conegeom import (
     vsub,
 )
 from su3kahler.weights import (
+    MAX_BOUND,
     DerivedConeData,
     WeightSystem,
     check_interpolation_path,
@@ -251,7 +251,9 @@ def test_mixed_witnesses_computed_once_for_every_reader(monkeypatch, orbifold_da
         census = singular_stratum_census(d)
         if level.nonempty:
             certification_sample(d, 5, 0)
-        assert len(builds) == 1  # one table for every reader
+        # one table of the cone data for every reader, and one of its three
+        # vectors per positive_combination call
+        assert len(builds) == 1 + dependent and len(builds[0]) == 7
         assert len(calls) == dependent == sum(cross(d.a[i], d.b[j]) == 0 for i, j in weights._MIXED_PAIRS)
         assert level.nonempty_witness == (d.mixed_witnesses[0] if d.mixed_witnesses else None)
         singletons = {
@@ -490,29 +492,29 @@ def no_grid(monkeypatch):
     monkeypatch.setattr(weights, "_weight_grid", refuse)
 
 
-def test_enumerate_int64_guard_fires_before_grid(no_grid):
-    # 8 * bound**2 bounds the largest value the block computes, a cross of
-    # A_i and B_j (entries at most 2 * bound); 2**30 is the first bound past
-    # int64
-    assert 8 * (2**30 - 1) ** 2 <= INT64_MAX < 8 * (2**30) ** 2
-    with pytest.raises(ValueError, match="int64"):
-        enumerate_admissible_systems(2**30)
-    enumerate_admissible_systems(2**30 - 1)  # accepted; the grid waits for iteration
+def test_enumerate_max_bound_guard_fires_before_grid():
+    """A bound past MAX_BOUND, whose grid would outgrow memory, raises
+    before any grid is built or cached; MAX_BOUND itself is accepted, and
+    its grid waits for iteration. 8 * bound**2 bounds the largest value the
+    block computes, a cross of A_i and B_j (entries at most 2 * bound), so
+    every bound the search takes runs in int16 at the widest."""
+    before = weights._weight_grid.cache_info()
+    with pytest.raises(ValueError, match=f"bound must be <= {MAX_BOUND}"):
+        enumerate_admissible_systems(MAX_BOUND + 1)
+    enumerate_admissible_systems(MAX_BOUND)
+    assert weights._weight_grid.cache_info() == before
+    assert 8 * MAX_BOUND**2 <= np.iinfo(np.int16).max
 
 
-@pytest.mark.parametrize(
-    "bound, dtype",
-    [(0, "int8"), (3, "int8"), (4, "int16"), (63, "int16"), (64, "int32"),
-     (16383, "int32"), (16384, "int64"), (2**30 - 1, "int64")],
-)
+@pytest.mark.parametrize("bound, dtype", [(0, "int8"), (3, "int8"), (4, "int16"), (63, "int16")])
 def test_block_width_from_the_bound_alone(no_grid, bound, dtype):
     """The narrowest signed type holding 8 * bound**2, at each edge, with
-    no grid built; int64 is the widest (past it, the guard above)."""
+    no grid built; int16 is the widest, and holds it up to bound 63, past
+    MAX_BOUND."""
     assert weights._block_dtype(bound) == dtype
     assert 8 * bound**2 <= np.iinfo(dtype).max
     if dtype != "int8":
-        narrower = {"int16": "int8", "int32": "int16", "int64": "int32"}[dtype]
-        assert 8 * bound**2 > np.iinfo(narrower).max
+        assert 8 * bound**2 > np.iinfo("int8").max
 
 
 @pytest.mark.parametrize(
