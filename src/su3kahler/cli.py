@@ -29,7 +29,6 @@ through the search's grid; ``check``, ``isotropy``, ``cohomology`` and
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -396,43 +395,43 @@ def _census_text(census: list, nl: str) -> str:
     return _fill(template, values)
 
 
-@functools.lru_cache(maxsize=8)
-def _certificate_template(nl: str):
-    """A certificate's text at nl with a gap for each value, keyed by the
-    position of its field, and a getter of the fields' values in that
-    order. Read off a probe whose every field holds its position."""
+# certify_points makes 16 shapes: a Jacobian rank below 4 (4 shapes), a
+# combined rank below 10 (10) and a passing or failing full certificate
+# (2); the certify pool meets only the passing one.
+@functools.lru_cache(maxsize=32)
+def _certificate_format(shape: tuple, nl: str) -> str:
+    """The text at nl of a certificate with this (regular, transversal,
+    jacobian_rank, combined_rank, passed, spectrum length) shape, as a
+    %-format with a ``%s`` for each float: its three errors, then its
+    spectrum, the order in which its dict form, keys sorted, lists them."""
     from . import quadric as quad
 
-    fields = [f.name for f in dataclasses.fields(quad.PointCertificate)]
-    probe = quad.PointCertificate(*[(k,) for k in range(len(fields))])
-    form = {key: _gap(value[0]) for key, value in probe.to_json().items()}
-    return _template(form, nl), operator.attrgetter(*fields)
+    regular, transversal, jacobian_rank, combined_rank, passed, size = shape
+    floats = [_gap(k) for k in range(3 + size)]
+    probe = quad.PointCertificate(
+        regular, transversal, jacobian_rank, combined_rank, *floats[:3], tuple(floats[3:]), passed
+    )
+    pieces, _ = _template(probe.to_json(), nl)
+    return "%s".join(piece.replace("%", "%%") for piece in pieces)
 
 
 def _certificates_text(certificates: list, nl: str) -> str:
-    """``[c.to_json() for c in certificates]`` as encoded text."""
+    """``[c.to_json() for c in certificates]`` as encoded text: each
+    certificate's format from :func:`_certificate_format`, filled in one
+    pass with the text of every float, which one ``json.dumps`` call writes
+    as ``_float_text`` does."""
     if not certificates:
         return "[]"
     inner = nl + "  "
-    (pieces, slots), values_of = _certificate_template(inner)
-    gaps = tuple(zip(slots, pieces[1:]))
-    parts: list = []
-    sep = "[" + inner
-    for cert in certificates:
-        parts += (sep, pieces[0])
-        sep = "," + inner
-        values = values_of(cert)
-        for (k, value_nl), piece in gaps:
-            x = values[k]
-            if type(x) is not tuple:
-                _encode(x, parts, value_nl)
-            else:  # the spectrum, floats only
-                item_nl = value_nl + "  "
-                spectrum = ("," + item_nl).join(map(_float_text, x))
-                parts.append("[" + item_nl + spectrum + value_nl + "]" if x else "[]")
-            parts.append(piece)
-    parts.append(nl + "]")
-    return "".join(parts)
+    formats: list = []
+    floats: list = []
+    for c in certificates:
+        spectrum = c.positivity_spectrum
+        shape = (c.regular, c.transversal, c.jacobian_rank, c.combined_rank, c.passed, len(spectrum))
+        formats.append(_certificate_format(shape, inner))
+        floats += (c.jn_square_error, c.jn_xy_error, c.omega_compat_error, *spectrum)
+    texts = json.dumps(floats)[1:-1].split(", ")
+    return ("[" + inner + ("," + inner).join(formats) + nl + "]") % tuple(texts)
 
 
 def encode_report(report) -> str:

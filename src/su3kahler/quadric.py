@@ -24,7 +24,13 @@ compatibility, and positive semidefiniteness of omega(J_N -, -) with a
 Projection and certification run as one batch over a stack of points:
 each step is a single stacked numpy/LAPACK call, and the one-point
 functions (:func:`project_to_level`, :func:`certify_point`) are calls of
-the batched ones with a stack of one.
+the batched ones with a stack of one. A stack of points is one complex
+(n, 6) state array of rows (z_1, z_2, z_3, w_1, w_2, w_3); its memory
+order is the real coordinate layout (Re z_1, Im z_1, ..., Im w_3), so
+``x.view(float)`` is the real form of a contiguous stack without a copy,
+and complex vectors and Jacobian rows are read as real ones that way.
+Row outputs are read as columns: one ``tolist()`` per residual, verdict
+or certificate field, not one conversion per row.
 
 Everything here is float; all exact decisions live in the other modules.
 This module and the integer-array search of :mod:`su3kahler.weights`
@@ -94,22 +100,20 @@ class _FloatData(NamedTuple):
     """Float cone data, converted once per cone data object by
     :func:`_weight_arrays`; read-only, since every reader shares it."""
 
-    af: np.ndarray  # first components of A_j (z weights)
-    ag: np.ndarray  # second components of A_j
-    bf: np.ndarray  # first components of B_j (w weights)
-    bg: np.ndarray  # second components of B_j
+    fg: np.ndarray  # (2, 6): row k holds component k of A_1, A_2, A_3, B_1, B_2, B_3,
+    #                 the weights of z_1, z_2, z_3, w_1, w_2, w_3 in Phi's component k
     c: np.ndarray   # C as a float 2-vector
     scale: float    # moment scale, see :func:`moment_scale`
 
 
 def _float_data(d: DerivedConeData) -> _FloatData:
-    a = np.array(d.a, dtype=float)
-    b = np.array(d.b, dtype=float)
+    ab = np.array([*d.a, *d.b], dtype=float)
     c = np.array(d.c, dtype=float)
-    for arr in (a, b, c):
+    fg = np.ascontiguousarray(ab.T)
+    for arr in (fg, c):
         arr.setflags(write=False)
-    scale = max(math.hypot(*v) for v in (*a.tolist(), *b.tolist(), c.tolist())) or 1.0
-    return _FloatData(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c, scale)
+    scale = max(math.hypot(*v) for v in (*ab.tolist(), c.tolist())) or 1.0
+    return _FloatData(fg, c, scale)
 
 
 # The last cone data object converted, with its float data; and the round
@@ -138,7 +142,7 @@ def _unit(fd: _FloatData) -> _FloatData:
     spaces and J_N are unchanged, while ranks, stopping residuals and
     operator errors become invariant under rescaling the cone data.
     """
-    return _FloatData(*(x / fd.scale for x in fd[:5]), 1.0)
+    return _FloatData(fd.fg / fd.scale, fd.c / fd.scale, 1.0)
 
 
 def moment_scale(d: DerivedConeData) -> float:
@@ -151,17 +155,15 @@ def moment_scale(d: DerivedConeData) -> float:
     return _weight_arrays(d).scale
 
 
-def _moment(fd: _FloatData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Phi over the last axis: (..., 3) complex pairs to (..., 2) floats.
+def _moment(fd: _FloatData, x: np.ndarray) -> np.ndarray:
+    """Phi over the last axis: (..., 6) complex states to (..., 2) floats.
 
-    Elementwise sums, not BLAS matrix-vector products, whose kernel (and so
-    the last bits of a row) depends on the number of rows in the stack.
+    Component k is sum_j (|z_j|^2 A_j[k] + |w_j|^2 B_j[k]): elementwise
+    sums, not BLAS matrix-vector products, whose kernel (and so the last
+    bits of a row) depends on the number of rows in the stack.
     """
-    z2 = np.abs(z) ** 2
-    w2 = np.abs(w) ** 2
-    return np.stack(
-        [np.sum(z2 * fd.af + w2 * fd.bf, axis=-1), np.sum(z2 * fd.ag + w2 * fd.bg, axis=-1)], axis=-1
-    )
+    t = (np.abs(x) ** 2)[..., None, :] * fd.fg
+    return (t[..., :3] + t[..., 3:]).sum(axis=-1)
 
 
 def moment_map(d: DerivedConeData, p) -> np.ndarray:
@@ -170,8 +172,7 @@ def moment_map(d: DerivedConeData, p) -> np.ndarray:
     ``p`` may also be a pair of stacked (n, 3) arrays; the result is then
     (n, 2).
     """
-    z, w = _as_zw(p)
-    return _moment(_weight_arrays(d), z, w)
+    return _moment(_weight_arrays(d), _state(p))
 
 
 def check_float_range(d: DerivedConeData) -> None:
@@ -200,7 +201,8 @@ def boundedness_residual(d: DerivedConeData, points) -> tuple[float, bool]:
     apex = d.apex_functional
     if apex is None:
         return 0.0, True
-    phi = moment_map(d, (np.array([p.z for p in points]), np.array([p.w for p in points])))
+    x = _stack(points)
+    phi = moment_map(d, (x[:, :3], x[:, 3:]))
     lhs = float(apex[0]) * phi[:, 0] + float(apex[1]) * phi[:, 1]
     rhs = float(apex[0] * d.c[0] + apex[1] * d.c[1])
     residual = float(np.max(np.abs(lhs - rhs)))
@@ -208,43 +210,49 @@ def boundedness_residual(d: DerivedConeData, points) -> tuple[float, bool]:
     return residual, residual <= 1e-10 * scale
 
 
-def _as_zw(p) -> tuple[np.ndarray, np.ndarray]:
+def _state(p) -> np.ndarray:
+    """The complex state (z, w) of a point, or of a pair of stacked (n, 3)
+    arrays, as (..., 6)."""
     if isinstance(p, LevelSetPoint):
-        return p.z, p.w
+        return np.concatenate([p.z, p.w])
     z, w = p
-    return np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    return np.concatenate([np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)], axis=-1)
 
 
-def _nonzero_factors(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per row: max |z_j| and max |w_j| both exceed ``_NONZERO_FLOOR``.
-
-    A non-finite row fails too, so no NaN ever reaches a factorization.
-    """
-    return (np.max(np.abs(z), axis=-1) > _NONZERO_FLOOR) & (np.max(np.abs(w), axis=-1) > _NONZERO_FLOOR)
+def _stack(points) -> np.ndarray:
+    """The (n, 6) states of n >= 1 points, joined in one call."""
+    return np.concatenate([v for p in points for v in (p.z, p.w)]).reshape(-1, 6)
 
 
-def _level_points(
-    fd: _FloatData, z: np.ndarray, w: np.ndarray, tol: Tolerances
-) -> list[LevelSetPoint | ValueError]:
-    """Validate stacked (n, 3) rows; a failing row yields its error.
+def _usable(x: np.ndarray) -> np.ndarray:
+    """Per row of (n, 6) states: max |z_j| and max |w_j| both exceed
+    ``_NONZERO_FLOOR`` and are finite. A row holding an infinity or a NaN
+    fails, so no non-finite value ever reaches a factorization."""
+    top = np.abs(x).reshape(-1, 2, 3).max(axis=-1)
+    return ((top > _NONZERO_FLOOR) & (top < math.inf)).all(axis=-1)
+
+
+def _level_points(fd: _FloatData, x: np.ndarray, tol: Tolerances) -> list[LevelSetPoint | ValueError]:
+    """Validate (n, 6) states; a failing row yields its error.
 
     The quadric residual |sum z_j w_j| is compared with ``tol.residual``
     and the moment residual |Phi - C| with ``tol.residual`` times the
-    moment scale.
+    moment scale. Each residual and verdict is read as one column; a
+    point's z and w are views of its row of ``x``.
     """
-    quad = np.abs(np.sum(z * w, axis=-1))
-    mom = np.linalg.norm(_moment(fd, z, w) - fd.c, axis=-1)
-    nonzero = _nonzero_factors(z, w)
+    z, w = x[:, :3], x[:, 3:]
+    quad = np.abs((z * w).sum(axis=-1))
+    mom = _norm(_moment(fd, x) - fd.c, -1)
+    usable = _usable(x)
     close = (quad <= tol.residual) & (mom <= tol.residual * fd.scale)
     out: list[LevelSetPoint | ValueError] = []
-    for k in range(len(z)):
-        res = (float(quad[k]), float(mom[k]))
-        if not nonzero[k]:
-            out.append(ValueError("z and w must both be nonzero on the quadric"))
-        elif not close[k]:
+    for zk, wk, res, ok, near in zip(z, w, zip(quad.tolist(), mom.tolist()), usable.tolist(), close.tolist()):
+        if not ok:
+            out.append(ValueError("z and w must both be finite and nonzero on the quadric"))
+        elif not near:
             out.append(ValueError(f"point misses the level set: residuals {res}"))
         else:
-            out.append(LevelSetPoint(z[k], w[k], res))
+            out.append(LevelSetPoint(zk, wk, res))
     return out
 
 
@@ -296,35 +304,16 @@ def embed_su3(a: np.ndarray) -> LevelSetPoint:
     """
     check_special_unitary(a)
     a = np.asarray(a, dtype=complex)
-    z = a[:, 0].copy().reshape(1, 3)
-    w = np.conj(a[:, 2]).reshape(1, 3)
+    x = np.concatenate([a[:, 0], np.conj(a[:, 2])]).reshape(1, 6)
     tol = Tolerances(residual=_SU3_TOL)
-    return _first_error(_level_points(_ROUND_FLOAT, z, w, tol))[0]
-
-
-def _single_support(i: int, j: int, ab) -> tuple[np.ndarray, np.ndarray]:
-    a, b = ab
-    z = np.zeros(3, dtype=complex)
-    w = np.zeros(3, dtype=complex)
-    z[i - 1] = np.sqrt(float(a))
-    w[j - 1] = np.sqrt(float(b))
-    return z, w
+    return _first_error(_level_points(_ROUND_FLOAT, x, tol))[0]
 
 
 # --- real-coordinate plumbing -------------------------------------------
-# Layout: (Re z1, Im z1, ..., Re z3, Im z3, Re w1, Im w1, ..., Im w3).
-# Every helper acts on the last axis, so stacks of points need no loop.
-
-
-def _c2r(v: np.ndarray) -> np.ndarray:
-    out = np.empty(v.shape[:-1] + (2 * v.shape[-1],))
-    out[..., 0::2] = v.real
-    out[..., 1::2] = v.imag
-    return out
-
-
-def _r2c(x: np.ndarray) -> np.ndarray:
-    return x[..., 0::2] + 1j * x[..., 1::2]
+# Layout: (Re z1, Im z1, ..., Re z3, Im z3, Re w1, Im w1, ..., Im w3), the
+# memory order of a complex (..., 6) state, so ``x.view(float)`` is the
+# real form of a contiguous x without a copy. Every helper acts on the
+# last axes, so stacks of points need no loop.
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -332,40 +321,43 @@ def _t(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _norm(a: np.ndarray, axis) -> np.ndarray:
+    """The 2-norm of real vectors (one axis) or Frobenius norm of real
+    matrices (two axes) over ``axis``, the sum of squares and square root
+    of ``np.linalg.norm`` without its argument handling."""
+    return np.sqrt(np.add.reduce(a * a, axis=axis))
+
+
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Stacked matrix-vector product: (..., m, k) @ (..., k) -> (..., m)."""
     return (a @ v[..., None])[..., 0]
 
 
-def _constraints(fd: _FloatData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    h = np.sum(z * w, axis=-1)
-    m = _moment(fd, z, w) - fd.c
-    return np.stack([h.real, h.imag, m[..., 0], m[..., 1]], axis=-1)
+def _constraints(fd: _FloatData, x: np.ndarray) -> np.ndarray:
+    h = (x[..., :3] * x[..., 3:]).sum(axis=-1)
+    return np.concatenate([h[..., None].view(float), _moment(fd, x) - fd.c], axis=-1)
 
 
-def _jacobian(fd: _FloatData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(..., 4, 12) Jacobians; each row is the real form of a complex 6-vector.
+def _jacobian(fd: _FloatData, x: np.ndarray) -> np.ndarray:
+    """(m, 4, 12) Jacobians at (m, 6) states; each row is the real form of
+    a complex 6-vector, filled in place in a complex (m, 4, 6) stack and
+    read through its real view.
 
     h = sum z_j w_j is complex-bilinear, so d(Re h) = (conj w, conj z) and
     d(Im h) = i (conj w, conj z); the moment rows are gradients of weighted
     square moduli, 2 A_j z_j and 2 B_j w_j per component.
     """
-    zc, wc = np.conj(z), np.conj(w)
-    rows = np.stack(
-        [
-            np.concatenate([wc, zc], axis=-1),
-            np.concatenate([1j * wc, 1j * zc], axis=-1),
-            np.concatenate([2 * fd.af * z, 2 * fd.bf * w], axis=-1),
-            np.concatenate([2 * fd.ag * z, 2 * fd.bg * w], axis=-1),
-        ],
-        axis=-2,
-    )
-    return _c2r(rows)
+    rows = np.empty((len(x), 4, 6), dtype=complex)
+    xc = np.conj(x)
+    rows[:, 0, :3], rows[:, 0, 3:] = xc[:, 3:], xc[:, :3]
+    rows[:, 1] = 1j * rows[:, 0]
+    rows[:, 2:] = (2 * fd.fg) * x[:, None, :]
+    return rows.view(float)
 
 
 def constraint_values(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """F = (Re sum z_j w_j, Im sum z_j w_j, Phi - C) in R^4."""
-    return _constraints(_weight_arrays(d), np.asarray(z), np.asarray(w))
+    return _constraints(_weight_arrays(d), _state((z, w)))
 
 
 _PINV_RCOND = 1e-15  # np.linalg.pinv's default cutoff, relative to the largest singular value
@@ -381,14 +373,16 @@ def _gauss_newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
     """
     q, r = np.linalg.qr(_t(jac))
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    weak = np.any(diag <= _PINV_RCOND * np.linalg.norm(jac, axis=(-2, -1))[:, None], axis=-1)
+    weak = (diag <= _PINV_RCOND * _norm(jac, (-2, -1))[:, None]).any(axis=-1)
     step = np.empty((len(f), 12))
+    strong = slice(None)  # every row, without a copy
     if weak.any():
         step[weak] = _mv(np.linalg.pinv(jac[weak]), -f[weak])
-    strong = ~weak
+        strong = ~weak
     lower, y = _t(r[strong]), -f[strong]
-    for i in range(4):
-        y[:, i] = (y[:, i] - np.sum(lower[:, i, :i] * y[:, :i], axis=-1)) / lower[:, i, i]
+    y[:, 0] /= lower[:, 0, 0]
+    for i in range(1, 4):
+        y[:, i] = (y[:, i] - (lower[:, i, :i] * y[:, :i]).sum(axis=-1)) / lower[:, i, i]
     step[strong] = _mv(q[strong], y)
     return step
 
@@ -413,36 +407,48 @@ def project_points(
     against ``tolerances``: both factors nonzero, the quadric residual
     |sum z_j w_j| at most ``tolerances.residual`` and the moment residual
     |Phi - C| at most that times the moment scale. Raises the error of
-    the lowest-index row that starts with or collapses to a zero factor,
-    stalls, or misses the level set.
+    the lowest-index row that starts with a zero factor or a non-finite
+    entry (ValueError), collapses to a zero factor or leaves the finite
+    range (RuntimeError), stalls, or misses the level set.
+
+    The rows still iterating are one contiguous complex (m, 6) state,
+    stepped in place through its real view; a round in which no row stops
+    or collapses moves no row between arrays.
     """
     fd = _weight_arrays(d)
-    z = np.array(z0, dtype=complex).reshape(-1, 3)
-    w = np.array(w0, dtype=complex).reshape(-1, 3)
-    start_ok = _nonzero_factors(z, w)
-    out: list = [None if ok else ValueError("starting point must have nonzero z and w") for ok in start_ok]
+    x = _state((np.reshape(z0, (-1, 3)), np.reshape(w0, (-1, 3))))
+    out: list = [None] * len(x)
+    start_ok = _usable(x)
+    for k in np.flatnonzero(~start_ok):
+        finite = np.isfinite(x[k]).all()
+        out[k] = ValueError("starting point must have nonzero z and w" if finite else "starting point must be finite")
     unit = _unit(fd)
     active = np.flatnonzero(start_ok)
-    converged = np.zeros(len(z), dtype=bool)
+    xa = x if start_ok.all() else x[active]  # the active rows, in the order of active
+    converged = np.zeros(len(x), dtype=bool)
     for _ in range(max_iter):
-        za, wa = z[active], w[active]
-        f = _constraints(unit, za, wa)
-        left = np.linalg.norm(f, axis=-1) > tol
-        converged[active[~left]] = True
-        active, za, wa, f = active[left], za[left], wa[left], f[left]
+        f = _constraints(unit, xa)
+        left = _norm(f, -1) > tol
+        if not left.all():
+            stop = ~left
+            converged[active[stop]] = True
+            x[active[stop]] = xa[stop]
+            active, xa, f = active[left], xa[left], f[left]
         if not active.size:
             break
-        step = _gauss_newton_steps(_jacobian(unit, za, wa), f)
-        v = _r2c(_c2r(np.concatenate([za, wa], axis=-1)) + step)
-        z[active], w[active] = v[:, :3], v[:, 3:]
-        ok = _nonzero_factors(v[:, :3], v[:, 3:])
-        for k in active[~ok]:
-            out[k] = RuntimeError("projection collapsed a factor toward zero")
-        active = active[ok]
+        xa.view(float)[...] += _gauss_newton_steps(_jacobian(unit, xa), f)
+        ok = _usable(xa)
+        if not ok.all():
+            for k, row in zip(active[~ok], xa[~ok]):
+                finite = np.isfinite(row).all()
+                out[k] = RuntimeError(
+                    "projection collapsed a factor toward zero" if finite else "projection left the finite range"
+                )
+            active, xa = active[ok], xa[ok]
     for k in active:
         out[k] = RuntimeError(f"no convergence to {tol} within {max_iter} iterations")
     done = np.flatnonzero(converged)
-    for k, point in zip(done, _level_points(fd, z[done], w[done], tolerances)):
+    for k, point in zip(done.tolist(), _level_points(fd, x if done.size == len(x) else x[done], tolerances)):
         out[k] = point
     return _first_error(out)
 
@@ -461,19 +467,19 @@ def project_to_level(
     return project_points(d, z0, w0, tol, max_iter, tolerances)[0]
 
 
-def _frame(fd: _FloatData, z: np.ndarray, w: np.ndarray):
-    """Orbit fields X, Y and the transverse frame Z = X + JY, W = JX - Y.
+def _frame(fd: _FloatData, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit fields X, Y and the transverse frame Z = X + JY, W = JX - Y
+    at (m, 6) states: X and Y as one complex (m, 2, 6) stack, and Z and W
+    in the real layout as the columns of a real (m, 12, 2) stack.
 
     X and Y are the closed-form rotation fields of the two moment-map
     components: the z_j component of X is i * A_j[0] * z_j, of Y is
     i * A_j[1] * z_j, and likewise with B_j on w. W = J Z holds exactly,
     and the induced structure on the level set rotates X -> Y -> -X.
     """
-    x6 = np.concatenate([1j * fd.af * z, 1j * fd.bf * w], axis=-1)
-    y6 = np.concatenate([1j * fd.ag * z, 1j * fd.bg * w], axis=-1)
-    z6 = x6 + 1j * y6
-    w6 = 1j * x6 - y6
-    return x6, y6, z6, w6
+    xy = (1j * fd.fg) * x[:, None, :]
+    x6, y6 = xy[:, 0], xy[:, 1]
+    return xy, np.stack([(x6 + 1j * y6).view(float), (1j * x6 - y6).view(float)], axis=-1)
 
 
 @dataclass
@@ -514,6 +520,7 @@ class PointCertificate:
 # matrix of omega, omega(u, v) = u^T _OMEGA12 v, has the same blocks.
 _J12 = np.kron(np.eye(6, dtype=int), [[0, -1], [1, 0]]).astype(float)
 _OMEGA12 = _J12
+_I2, _I8 = np.eye(2), np.eye(8)
 
 # Points per stacked pass of certify_points: a stack's factorizations take
 # about 9 KB per point, so a longer stack is certified in blocks of this
@@ -562,43 +569,46 @@ def certify_points(
 
 
 def _certify_block(fd: _FloatData, points, tol: Tolerances) -> list[PointCertificate]:
-    """:func:`certify_points` for one stack, on the unit float data."""
-    certs: list = [None] * len(points)
-    z = np.array([p.z for p in points])
-    w = np.array([p.w for p in points])
-    _, s, vt = np.linalg.svd(_jacobian(fd, z, w))
-    smax = np.where(s[:, 0] > 0, s[:, 0], 1.0)
-    jac_rank = np.sum(s > tol.rank_rel * smax[:, None], axis=1)
-    for i in np.flatnonzero(jac_rank < 4):
-        certs[i] = PointCertificate(
-            False, False, int(jac_rank[i]), 0, np.inf, np.inf, np.inf, (), False
-        )
-    idx = np.flatnonzero(jac_rank == 4)
-    if not idx.size:
-        return certs
-    qt, nt = vt[idx, 4:], vt[idx, :4]  # m x 8 x 12 tangent rows, m x 4 x 12 normal rows
+    """:func:`certify_points` for one stack, on the unit float data.
 
-    x6, y6, z6, w6 = _frame(fd, z[idx], w[idx])
-    zw = np.stack([_c2r(z6), _c2r(w6)], axis=-1)  # m x 12 x 2
+    A row leaves the stack only at the rank test it fails; while every row
+    passes, each step reads the whole stack without a copy. The outputs are
+    read as columns, one ``tolist`` each.
+    """
+    x = _stack(points)
+    certs: list = [None] * len(x)
+    _, s, vt = np.linalg.svd(_jacobian(fd, x))
+    smax = np.where(s[:, 0] > 0, s[:, 0], 1.0)
+    jac_rank = (s > tol.rank_rel * smax[:, None]).sum(axis=1)
+    idx = np.flatnonzero(jac_rank == 4)
+    if idx.size < len(x):
+        low = np.flatnonzero(jac_rank < 4)
+        for i, rank in zip(low.tolist(), jac_rank[low].tolist()):
+            certs[i] = PointCertificate(False, False, rank, 0, math.inf, math.inf, math.inf, (), False)
+        if not idx.size:
+            return certs
+        vt, x = vt[idx], x[idx]
+    qt, nt = vt[:, 4:], vt[:, :4]  # m x 8 x 12 tangent rows, m x 4 x 12 normal rows
+
+    xy, zw = _frame(fd, x)
     qzw, nb = qt @ zw, nt @ zw
     small = np.zeros((len(idx), 6, 4))  # [[I2, R], [0, Nb]] with Q^T [Z W] = P R
-    small[:, :2, :2] = np.eye(2)
+    small[:, :2, :2] = _I2
     small[:, :2, 2:] = np.linalg.qr(qzw, mode="r")
     small[:, 2:, 2:] = nb
     s2 = np.linalg.svd(small, compute_uv=False)
     cutoff = tol.rank_rel * np.maximum(s2[:, 0], 1.0)  # the largest of all ten
-    combined_rank = 6 * (cutoff < 1.0) + np.sum(s2 > cutoff[:, None], axis=1)
-    for i, rank in zip(idx, combined_rank):
-        if rank != 10:
-            certs[i] = PointCertificate(
-                True, False, 4, int(rank), np.inf, np.inf, np.inf, (), False
-            )
+    combined_rank = 6 * (cutoff < 1.0) + (s2 > cutoff[:, None]).sum(axis=1)
     keep = combined_rank == 10
-    if not keep.any():
-        return certs
-    idx, qt, nt, qzw, nb = idx[keep], qt[keep], nt[keep], qzw[keep], nb[keep]
+    if not keep.all():
+        for i, rank in zip(idx[~keep].tolist(), combined_rank[~keep].tolist()):
+            certs[i] = PointCertificate(True, False, 4, rank, math.inf, math.inf, math.inf, (), False)
+        if not keep.any():
+            return certs
+        idx, qt, nt, qzw, nb, xy = idx[keep], qt[keep], nt[keep], qzw[keep], nb[keep], xy[keep]
     q = _t(qt)
-    xr, yr = _c2r(x6[keep]), _c2r(y6[keep])
+    xyr = xy.view(float)  # the real forms of X and Y, m x 2 x 12
+    xr, yr = xyr[:, 0], xyr[:, 1]
 
     # J_N on the kernel basis: [Q | Z W] [k; b] = J Q in least squares;
     # rank 10 makes Nb of rank 2, so its R is invertible
@@ -609,21 +619,22 @@ def _certify_block(fd: _FloatData, points, tol: Tolerances) -> list[PointCertifi
     kt = _t(k)
 
     xi, eta = _mv(qt, xr), _mv(qt, yr)
-    jn_xy_error = np.linalg.norm(_mv(q, _mv(k, xi)) - yr, axis=-1) + np.linalg.norm(
-        _mv(q, _mv(k, eta)) + xr, axis=-1
-    )
+    jn_xy_error = _norm(_mv(q, _mv(k, xi)) - yr, -1) + _norm(_mv(q, _mv(k, eta)) + xr, -1)
     omega_n = qt @ _OMEGA12 @ q
-    square = k @ k + np.eye(8)
+    square = k @ k + _I8
     compat = kt @ omega_n @ k - omega_n
     qform = kt @ omega_n  # q(u, v) = omega(J_N u, v) in the kernel basis
-    eig = np.linalg.eigvalsh(
-        np.concatenate([_t(square) @ square, _t(compat) @ compat, 0.5 * (qform + _t(qform))])
-    )
     n = len(idx)
+    gram = np.empty((3, n, 8, 8))  # the three stacks one eigvalsh call reads
+    np.matmul(_t(square), square, out=gram[0])
+    np.matmul(_t(compat), compat, out=gram[1])
+    np.add(qform, _t(qform), out=gram[2])
+    gram[2] *= 0.5
+    eig = np.linalg.eigvalsh(gram.reshape(3 * n, 8, 8))
     jn_square_error, omega_compat_error = np.sqrt(np.maximum(eig[: 2 * n, -1], 0.0)).reshape(2, n)
     spectrum = eig[2 * n :]
-    zero_count = np.sum(np.abs(spectrum) <= tol.zero, axis=1)
-    pos_count = np.sum(spectrum >= tol.pos * spectrum[:, -1:], axis=1)
+    zero_count = (np.abs(spectrum) <= tol.zero).sum(axis=1)
+    pos_count = (spectrum >= tol.pos * spectrum[:, -1:]).sum(axis=1)
     passed = (
         (jn_square_error <= _OPERATOR_TOL)
         & (jn_xy_error <= _OPERATOR_TOL)
@@ -631,18 +642,9 @@ def _certify_block(fd: _FloatData, points, tol: Tolerances) -> list[PointCertifi
         & (zero_count == 2)
         & (pos_count == 6)
     )
-    for m, i in enumerate(idx):
-        certs[i] = PointCertificate(
-            True,
-            True,
-            4,
-            10,
-            float(jn_square_error[m]),
-            float(jn_xy_error[m]),
-            float(omega_compat_error[m]),
-            tuple(spectrum[m].tolist()),
-            bool(passed[m]),
-        )
+    columns = (jn_square_error, jn_xy_error, omega_compat_error, spectrum, passed)
+    for i, square_error, xy_error, compat_error, values, ok in zip(idx.tolist(), *(c.tolist() for c in columns)):
+        certs[i] = PointCertificate(True, True, 4, 10, square_error, xy_error, compat_error, tuple(values), ok)
     return certs
 
 
@@ -673,13 +675,18 @@ def certification_sample(
     ``tol.residual``; an embedding error raises while its start is built,
     otherwise the error of the lowest-index point is raised.
     """
+    if type(n) is not int:  # rejects bools, floats and numpy integers
+        raise TypeError(f"sample count must be an int, got {n!r}")
     if n < 1:
         raise ValueError("sample count must be >= 1")
     witnesses = d.mixed_witnesses
     if not witnesses:
         raise ValueError("no realizable single-support point; nothing to sample")
     m = len(witnesses)
-    seeds = np.array([np.concatenate(_single_support(i, j, (a, b))) for i, j, a, b in witnesses])
+    i, j, a, b = zip(*witnesses)
+    seeds = np.zeros((m, 6), dtype=complex)  # z_i = sqrt(a), w_j = sqrt(b) per witness
+    seeds[range(m), np.array(i) - 1] = np.sqrt(np.array(a, dtype=float))
+    seeds[range(m), np.array(j) + 2] = np.sqrt(np.array(b, dtype=float))
     starts = seeds[np.arange(n) % m]
     if n > m:
         noise_seq, su3_seq = np.random.SeedSequence(seed).spawn(2)
@@ -687,7 +694,7 @@ def certification_sample(
         embed = (later % 3 == 2) & (d == ROUND_DATA)
         embedded, perturbed = later[embed], later[~embed]
         noise = np.random.default_rng(noise_seq).standard_normal((len(perturbed), 12))
-        starts[perturbed] = _r2c(_c2r(starts[perturbed]) + _SAMPLE_NOISE * noise)
+        starts.view(float)[perturbed] += _SAMPLE_NOISE * noise
         su3_rng = np.random.default_rng(su3_seq)
         for k in embedded:
             p = embed_su3(random_su3(su3_rng))

@@ -240,9 +240,15 @@ class DerivedConeData:
     def _mixed_memberships(self) -> tuple[ConeMembership, ...]:
         """C against cone(A_i, B_j), 0-based, at position 3*i + j, read off
         the sign table once per instance: :func:`check_cone_condition` and
-        :attr:`mixed_witnesses` both read them."""
+        :attr:`mixed_witnesses` both read them. A diagonal one with
+        cross(A_i, B_i) != 0 is the shared :data:`_DIAGONAL`, which
+        C = A_i + B_i makes it; only the others are computed."""
         table = self.sign_table
-        return tuple(table.membership(_C, i, 3 + j) for i, j in _ORDERED_PAIRS)
+        crosses = table.crosses
+        return tuple(
+            _DIAGONAL if i == j and crosses[i][3 + i] else table.membership(_C, i, 3 + j)
+            for i, j in _ORDERED_PAIRS
+        )
 
     @functools.cached_property
     def mixed_witnesses(self) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
@@ -280,6 +286,10 @@ class DerivedConeData:
 
 # The row of C in a DerivedConeData's sign table, after the six generators.
 _C = 6
+
+# C against cone(A_i, B_i) for independent A_i, B_i: C = A_i + B_i is
+# interior with coefficients (1, 1), as SignTable.membership finds it.
+_DIAGONAL = ConeMembership(MembershipStatus.INTERIOR, (Fraction(1), Fraction(1)))
 
 # The nine index pairs (i, j), 0-based, in the order of (i, j).
 _ORDERED_PAIRS = tuple(itertools.product(range(3), repeat=2))

@@ -256,17 +256,41 @@ def test_all_degenerate_batch_sends_no_nan_to_lapack(monkeypatch):
     assert certify_points(d, []) == []
 
 
-def test_certify_path_keeps_its_factorization_budget(monkeypatch, orbifold_data):
+# The orbifold data as a verify config.
+ORBIFOLD_CONFIG = '{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'
+
+# Every LAPACK call of one 50-sample verify of the orbifold data (seed 0),
+# in order, as (name, array shape, mode or compute_uv): three Gauss-Newton
+# rounds of the 44 perturbed starts (the 6 exact seeds stop at once), then
+# the certificates' SVD of the 4 x 12 Jacobians, the R of Q^T [Z W], the
+# singular values of the 6 x 4 matrices, the QR and 2 x 2 solve of the
+# J_N step, and one eigvalsh of the three 8 x 8 stacks.
+VERIFY_50_LAPACK_CALLS = [
+    ("qr", (44, 12, 4), None),
+    ("qr", (44, 12, 4), None),
+    ("qr", (44, 12, 4), None),
+    ("svd", (50, 4, 12), None),
+    ("qr", (50, 8, 2), "r"),
+    ("svd", (50, 6, 4), False),
+    ("qr", (50, 4, 2), None),
+    ("solve", (50, 2, 2), None),
+    ("eigvalsh", (150, 8, 8), None),
+]
+
+
+def test_certify_path_keeps_its_factorization_budget(monkeypatch, capsys, orbifold_data):
     """Regular points cost no SVD of the 12 x 10 matrix [Q | Z W], no pinv
     in a Gauss-Newton step, and no RNG stream per sample point; a sample is
-    one projection call, and a sample of seeds only spawns no RNG."""
+    one projection call, and a sample of seeds only spawns no RNG. One
+    50-sample verify makes exactly the LAPACK calls of
+    ``VERIFY_50_LAPACK_CALLS``."""
     z0, w0 = _perturbed_starts(orbifold_data, 20, 7)
     seen = []
-    for name in ("svd", "pinv", "qr"):
+    for name in ("svd", "pinv", "qr", "solve", "eigvalsh", "eigh", "lstsq", "inv", "det"):
         real = getattr(np.linalg, name)
 
         def recorded(a, *args, _real=real, _name=name, **kwargs):
-            seen.append((_name, np.shape(a)))
+            seen.append((_name, np.shape(a), kwargs.get("mode", kwargs.get("compute_uv"))))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
@@ -288,7 +312,7 @@ def test_certify_path_keeps_its_factorization_budget(monkeypatch, orbifold_data)
     monkeypatch.setattr(quadric, "project_points", counted)
 
     project_points(orbifold_data, z0, w0)
-    assert ("pinv" not in {name for name, _ in seen}) and ("qr" in {name for name, _ in seen})
+    assert ("pinv" not in {name for name, *_ in seen}) and ("qr" in {name for name, *_ in seen})
     m = len(orbifold_data.mixed_witnesses)
     for n in (1, m):
         certification_sample(orbifold_data, n, 4)
@@ -299,7 +323,11 @@ def test_certify_path_keeps_its_factorization_budget(monkeypatch, orbifold_data)
     assert spawned == [2]
     seen.clear()
     assert all(c.passed for c in certify_points(orbifold_data, points))
-    assert seen and not any(name == "svd" and shape[-2:] == (12, 10) for name, shape in seen)
+    assert seen and not any(name == "svd" and shape[-2:] == (12, 10) for name, shape, _ in seen)
+    seen.clear()
+    assert main(["verify", "--config", ORBIFOLD_CONFIG, "--samples", "50", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["all_passed"] is True
+    assert seen == VERIFY_50_LAPACK_CALLS
 
 
 def test_single_point_is_a_batch_of_one(orbifold_data):
@@ -386,6 +414,39 @@ def test_projection_rejects_a_point_missing_the_acceptance_tolerance(orbifold_da
     z0, w0 = _perturbed_starts(orbifold_data, 3, 5)
     with pytest.raises(ValueError, match="misses the level set"):
         project_points(orbifold_data, z0, w0, tolerances=Tolerances(residual=1e-300))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf), complex(np.nan, 0)], ids=repr)
+@pytest.mark.parametrize("row", [0, 1])
+def test_projection_rejects_a_non_finite_start(bad, row, orbifold_data):
+    """A start holding an infinity or a NaN, in z or in w, ends in the
+    documented ValueError, not in a numpy warning (an error in this suite)
+    from the factorizations; rows before it project as before."""
+    z0, w0 = _perturbed_starts(orbifold_data, 3, 5)
+    want = project_points(orbifold_data, z0[:1], w0[:1])[0]
+    (z0 if row == 0 else w0)[1, 2] = bad
+    with pytest.raises(ValueError, match="^starting point must be finite$"):
+        project_points(orbifold_data, z0, w0)
+    z0[1] = w0[1] = 0
+    with pytest.raises(ValueError, match="^starting point must have nonzero z and w$"):
+        project_points(orbifold_data, z0, w0)
+    got = project_points(orbifold_data, z0[:1], w0[:1])[0]
+    assert np.array_equal(got.z, want.z) and np.array_equal(got.w, want.w)
+
+
+def test_usable_rows_are_the_nonzero_rows_among_finite_ones():
+    """On finite rows the start test is the nonzero-factor test bit for bit;
+    a row holding an infinity or a NaN fails it."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((400, 6)) + 1j * rng.standard_normal((400, 6))
+    x[rng.random((400, 6)) < 0.4] = 0
+    x[rng.random((400, 6)) < 0.1] *= 1e-9
+    nonzero = (np.abs(x[:, :3]).max(axis=1) > 1e-8) & (np.abs(x[:, 3:]).max(axis=1) > 1e-8)
+    assert np.array_equal(quadric._usable(x), nonzero) and 0 < nonzero.sum() < len(x)
+    for bad in (np.inf, -np.inf, np.nan):
+        y = x.copy()
+        y[np.arange(400), np.arange(400) % 6] = bad
+        assert not quadric._usable(y).any()
 
 
 # --- scale covariance ------------------------------------------------------------

@@ -21,6 +21,7 @@ from su3kahler import (
     Eisenstein,
     SupportPattern,
     build_derham_model,
+    certification_sample,
     cone_data,
     find_apex_functional,
     hodge_model,
@@ -249,6 +250,7 @@ API_CALLS = {
     "in_cone2": lambda x: in_cone2((x, x), (1, 0), (0, 1)),
     "find_apex_functional": lambda x: find_apex_functional([(x, 1), (1, 0)]),
     "smith_invariant_factors": lambda x: smith_invariant_factors([(x, 1), (1, 0)]),
+    "certification_sample": lambda n: certification_sample(cone_data(ORBIFOLD_A, ORBIFOLD_B), n, 0),
 }
 
 

@@ -30,6 +30,7 @@ from conftest import (
 from su3kahler.conegeom import MembershipStatus, SignTable, cross, find_apex_functional, in_cone2, vscale, vsub
 from su3kahler.isotropy import singular_stratum_census
 from su3kahler.weights import (
+    _DIAGONAL,
     DerivedConeData,
     check_cone_condition,
     check_interpolation_path,
@@ -119,6 +120,20 @@ def test_condition_report_witnesses_and_apex_match_the_references(d):
     gens = [*d.a, *d.b]
     if all(g != (0, 0) for g in gens):
         assert find_apex_functional(gens) == reference_apex(gens)
+
+
+@given(configurations)
+@settings(max_examples=300, deadline=None)
+def test_an_independent_diagonal_membership_is_the_shared_constant(d):
+    """C = A_i + B_i, so C against cone(A_i, B_i) with cross(A_i, B_i) != 0
+    is INTERIOR with (1, 1): the one shared membership, equal to the one
+    the sign table decides. Dependent pairs are decided by the table."""
+    d = fresh(d)
+    table = d.sign_table
+    for i in range(3):
+        diagonal = d._mixed_memberships[4 * i]
+        assert diagonal == table.membership(6, i, 3 + i)
+        assert (diagonal is _DIAGONAL) == (cross(d.a[i], d.b[i]) != 0)
 
 
 @given(configurations)
