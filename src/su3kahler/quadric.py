@@ -318,7 +318,7 @@ def embed_su3(a: np.ndarray) -> LevelSetPoint:
 
 def _t(a: np.ndarray) -> np.ndarray:
     """Transpose of each matrix in a stack."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _norm(a: np.ndarray, axis) -> np.ndarray:
