@@ -58,16 +58,20 @@ SU3_DERHAM_BETTI = (1, 0, 0, 1, 0, 1, 0, 0, 1)
 @dataclass(frozen=True)
 class Eisenstein:
     """Exact element a + b*omega of Q(omega), omega a primitive cube root
-    of unity (omega^2 = -1 - omega)."""
+    of unity (omega^2 = -1 - omega). Both parts pass the rational gate
+    into Fractions (a bool, a float or a zero denominator raises)."""
 
     a: Fraction
     b: Fraction
 
+    def __post_init__(self):
+        if type(self.a) is not Fraction or type(self.b) is not Fraction:  # arithmetic gives Fractions
+            object.__setattr__(self, "a", Fraction(_scalar(self.a)))
+            object.__setattr__(self, "b", Fraction(_scalar(self.b)))
+
     @staticmethod
     def of(x) -> "Eisenstein":
-        if isinstance(x, Eisenstein):
-            return x
-        return Eisenstein(Fraction(_scalar(x)), Fraction(0))
+        return x if isinstance(x, Eisenstein) else Eisenstein(x, Fraction(0))
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0

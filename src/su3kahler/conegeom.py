@@ -297,6 +297,12 @@ def find_apex_functional(gens: list[Vec2]) -> Vec2 | None:
     return _apex_functional(SignTable(gens), gens)
 
 
+def _check_int(name: str, x) -> None:
+    """The int argument gate: bools, floats and numpy integers raise TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"{name} must be an int, got {x!r}")
+
+
 def _as_int(x) -> int:
     """The one integer gate of the exact layers: ints and integral
     Fractions pass; bools, floats and everything else raise ValueError."""

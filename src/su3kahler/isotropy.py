@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .conegeom import invariant_factors_from_divisors, scalar_to_json
+from .conegeom import _check_int, invariant_factors_from_divisors, scalar_to_json
 from .weights import (
     DerivedConeData,
     WeightSystem,
@@ -60,8 +60,7 @@ class SupportPattern:
     def __post_init__(self):
         i_set, j_set = tuple(self.i_set), tuple(self.j_set)
         for k in (*i_set, *j_set):
-            if type(k) is not int:  # rejects bools and floats
-                raise TypeError(f"support index must be an int, got {k!r}")
+            _check_int("support index", k)
         i_set, j_set = tuple(sorted(set(i_set))), tuple(sorted(set(j_set)))
         if not i_set or not j_set:
             raise ValueError("support sets must be nonempty")
@@ -85,10 +84,16 @@ class SupportPattern:
 class IsotropyGroup:
     """The stabilizer as the Smith form gives it: the rank of the exponent
     rows and their invariant factors. Rank 2 is the finite group
-    Z/d1 x Z/d2; a lower rank leaves a positive-dimensional stabilizer."""
+    Z/d1 x Z/d2; a lower rank leaves a positive-dimensional stabilizer.
+    The rank and the factors are ints (a bool or a float raises TypeError)."""
 
     rank: int
     factors: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_int("isotropy rank", self.rank)
+        for f in self.factors:
+            _check_int("invariant factor", f)
 
     @property
     def is_finite(self) -> bool:

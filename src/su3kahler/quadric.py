@@ -47,6 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .conegeom import _check_int
 from .weights import DerivedConeData, cone_data, positive_combination  # noqa: F401 (re-exported)
 
 __all__ = [
@@ -675,8 +676,7 @@ def certification_sample(
     ``tol.residual``; an embedding error raises while its start is built,
     otherwise the error of the lowest-index point is raised.
     """
-    if type(n) is not int:  # rejects bools, floats and numpy integers
-        raise TypeError(f"sample count must be an int, got {n!r}")
+    _check_int("sample count", n)
     if n < 1:
         raise ValueError("sample count must be >= 1")
     witnesses = d.mixed_witnesses

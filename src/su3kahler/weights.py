@@ -24,21 +24,21 @@ off one integer table per cone data, :attr:`DerivedConeData.sign_table`
 memberships of :func:`check_cone_condition` (the nine mixed ones are one
 tuple per cone data, which the mixed witnesses read too), regularity,
 compactness and the apex functional; only dependent mixed pairs build
-their witness with :func:`positive_combination`. The
-interpolation path needs no crosses of its own: by the README's path
-corollary it holds on all of [0, 1] exactly when the nine-sign rule holds
-at t = 1, so :func:`check_interpolation_path` returns the same verdict. The
-enumerator computes them as one (9, n) integer array per outer wL block
-against every wR, decides the block with a few whole-array calls, and
-reads the freeness of each survivor off the same array. Freeness is
-decided once, by the lattice pairs (:func:`_failing_pair`: every
-(A_i, B_j), i != j, a lattice basis); by the README's freeness corollary,
-under the cone condition that is the homomorphism test (wL = 0 and
-|cross(w_1^R, w_3^R)| = 1), so the latter is not computed. Every entry of a
-block is at most 8*bound**2 in magnitude, so the block runs in the
-narrowest signed type that holds that value (:func:`_block_dtype`: int8
-up to bound 3 and int16 up to :data:`MAX_BOUND`, the largest bound the
-search takes, before its grid outgrows memory). Those arrays are
+their witness with :func:`positive_combination`. The interpolation path
+needs no crosses of its own: by the README's path corollary it holds on
+all of [0, 1] exactly when the nine-sign rule holds at t = 1, so
+:func:`check_interpolation_path` returns the same verdict. The enumerator
+computes the nine crosses as one (9, n) integer array per outer wL block
+against every wR, by :func:`derive`'s formulas broadcast over the grid,
+decides the block with a few whole-array calls, and reads the freeness
+of each survivor off the same array. Freeness is decided once, by the
+lattice pairs (:func:`_failing_pair`: every (A_i, B_j), i != j, a lattice
+basis); by the README's freeness corollary, under the cone condition that
+is the homomorphism test (wL = 0 and |cross(w_1^R, w_3^R)| = 1), so the
+latter is not computed. Every entry of a block is at most 8*bound**2 in
+magnitude, so the block runs in the narrowest signed type that holds that
+value (:func:`_block_dtype`: int8 up to bound 3 and int16 up to
+:data:`MAX_BOUND`, the largest bound the search takes). Those arrays are
 the module's only use of numpy, which the search's cached grid,
 :func:`_weight_grid`, imports on its first call; the scalar checks run
 without it.
@@ -60,6 +60,7 @@ from .conegeom import (  # noqa: F401 (in_cone2 re-exported: the benchmark binds
     Vec2,
     _apex_functional,
     _as_int,
+    _check_int,
     _vector,
     cross,
     dot,
@@ -559,10 +560,10 @@ def check_interpolation_path(d: DerivedConeData) -> bool:
 
 
 # The largest bound the search takes, checked before anything is allocated.
-# A grid has (3*bound**2 + 3*bound + 1)**2 rows, and building it peaks at
-# 1.2-1.6 KB per row at bounds 5-9 (more per row as the bound grows): 209 MB
-# for the process at bound 10 (109561 rows) and 306 MB at bound 11, past the
-# 277 MB that ``verify --samples 100000`` peaks at.
+# Memory no longer sets it: a grid has (3*bound**2 + 3*bound + 1)**2 rows,
+# and building it raises the process's peak by about 0.4 KB per row at
+# bounds 5-11, to 72 MB at bound 10 (109561 rows) and 91 MB at bound 11.
+# A larger bound would change what ``enumerate`` accepts, so it stays 10.
 MAX_BOUND = 10
 
 
@@ -571,10 +572,10 @@ def _block_dtype(bound: int) -> str:
     the enumeration block of this bound, at most :data:`MAX_BOUND`,
     computes: int8 up to bound 3 and int16 beyond.
 
-    Grid entries are at most bound in magnitude, so the table entries (the
-    components of A_i and B_j) are at most 2*bound, each product in a cross
-    at most 4*bound**2 and the cross itself at most 8*bound**2, the largest
-    value the block computes; int16 holds it up to bound 63, past
+    Grid entries are at most bound in magnitude, so the components of A_i
+    and B_j are at most 2*bound, each product in a cross at most
+    4*bound**2 and the cross itself at most 8*bound**2, the largest value
+    the block computes; int16 holds it up to bound 63, past
     :data:`MAX_BOUND`.
     """
     return "int8" if 8 * bound * bound <= 2**7 - 1 else "int16"
@@ -583,23 +584,15 @@ def _block_dtype(bound: int) -> str:
 @functools.lru_cache(maxsize=2)
 def _weight_grid(bound: int):
     """Every zero-sum weight triple with entries in [-bound, bound], in
-    lexicographic order of (w_1, w_2); the difference tables; each triple's
-    rows of them; and the rows of the six off-diagonal pairs in the block's
-    nine, as a column, which the freeness gather reads.
-
-    The tables hold, for each entry value v in [-bound, bound] against
-    every wR, the components of A = v - w_1^R and of B = w_3^R - v: four
-    quarters of 2*bound + 1 rows (v - x1, v - y1, x3 - v and y3 - v, row
-    v + bound in each), of the type :func:`_block_dtype` picks for the
-    bound, so every product and cross of the block stays in that type. A
-    wL triple's 36 rows are, for the nine pairs (i, j) in row-major order,
-    those of A_i's x and y and of B_j's x and y, so one gather lays out the
-    block's operands for the nine pairs.
-    Both sides of a weight system range over this grid. Built on first use
-    per bound, with every row passed once through the row check of
-    :class:`WeightSystem`; the arrays are read-only because the cache
-    shares them. The one place the search imports numpy: a process that
-    never searches never loads it.
+    lexicographic order of (w_1, w_2); the same rows as one (n, 3, 2)
+    array and their (4, n) columns x_1, y_1, x_3, y_3 (of w_1^R and w_3^R),
+    both in :func:`_block_dtype`'s type for the bound; and the rows of the
+    six off-diagonal pairs in the block's nine, as a column, which the
+    freeness gather reads. Both sides of a weight system range over this
+    grid. Built on first use per bound, with every row passed once through
+    the row check of :class:`WeightSystem`; the arrays are read-only because
+    the cache shares them. The one place the search imports numpy: a
+    process that never searches never loads it.
     """
     import numpy as np
 
@@ -609,26 +602,22 @@ def _weight_grid(bound: int):
         for x1, y1, x2, y2 in itertools.product(rng, rng, rng, rng)
         if abs(x1 + x2) <= bound and abs(y1 + y2) <= bound
     )
-    triples = np.array(rows, dtype=np.int64)  # (n, 3, 2)
-    x1, y1, x3, y3 = triples[:, (0, 2)].reshape(-1, 4).T
-    v = np.arange(-bound, bound + 1)[:, None]
-    tables = np.concatenate((v - x1, v - y1, x3 - v, y3 - v)).astype(_block_dtype(bound))
-    i, j = np.divmod(np.arange(9), 3)
-    m = 2 * bound + 1
-    at = triples + bound  # each entry's row within its quarter
-    index = np.concatenate((at[:, i, 0], m + at[:, i, 1], 2 * m + at[:, j, 0], 3 * m + at[:, j, 1]), axis=1)
+    triples = np.array(rows, dtype=_block_dtype(bound))  # (n, 3, 2)
+    wr = np.ascontiguousarray(triples[:, (0, 2)].reshape(-1, 4).T)
     mixed = np.array([[3 * i + j] for i, j in _MIXED_PAIRS])
-    for arr in (tables, index, mixed):
+    for arr in (triples, wr, mixed):
         arr.setflags(write=False)
-    return rows, tables, index, mixed
+    return rows, triples, wr, mixed
 
 
-def _block_crosses(tables, index):
+def _block_crosses(wl, wr):
     """The (9, n) crosses of one wL block, row 3*i + j cross(A_i, B_j)
-    against every wR, from its 36 rows ``index`` of the grid's difference
-    tables, in the tables' type."""
-    ax, ay, bx, by = tables.take(index, 0).reshape(4, 9, -1)
-    return cross((ax, ay), (bx, by))
+    against every wR, in the grid's type: A_i = w_i^L - w_1^R and
+    B_j = w_3^R - w_j^L, :func:`_configuration`'s formulas, with the three
+    A's broadcast as (3, 1, n) against the three B's as (3, n)."""
+    left = wl.T[:, :, None]  # w_i^L's components as (3, 1) columns
+    ax, ay = vsub(left, wr[:2])
+    return cross((ax[:, None], ay[:, None]), vsub(wr[2:], left)).reshape(9, -1)
 
 
 def _one_strict_sign(lo, hi):
@@ -636,11 +625,6 @@ def _one_strict_sign(lo, hi):
     nine crosses cross(A_i, B_j): all nonzero with one sign. On ints (a
     bool) or, elementwise, integer arrays (a bool array)."""
     return (lo > 0) | (hi < 0)
-
-
-def _check_int(name: str, x) -> None:
-    if type(x) is not int:  # rejects bools, floats and numpy integers
-        raise TypeError(f"{name} must be an int, got {x!r}")
 
 
 def enumerate_admissible_systems(
@@ -655,18 +639,18 @@ def enumerate_admissible_systems(
 
     Each outer wL block is decided at once against every wR: the nine
     crosses cross(A_i, B_j) of every candidate form one (9, n) array,
-    computed from rows gathered off the grid's difference tables in the
+    :func:`_block_crosses` of the wL row and the grid's wR columns in the
     narrowest integer type that holds them (:func:`_block_dtype`), and the
     nine-sign rule reads its least and greatest entry per candidate.
     Survivors come out in grid order, so the stream stays lexicographic.
     The block also decides each survivor's freeness by the lattice-pair
     test (:func:`_failing_pair`) off the six off-diagonal rows of the same
-    array and fills in :attr:`WeightSystem.free`. Yielded
-    systems are built from grid rows validated once per bound, without a
-    second check. Arguments are checked when this is called: a bound or a
-    part entry that is not an int (a bool or a float) raises TypeError,
-    and a negative bound, a bound past :data:`MAX_BOUND` or an invalid
-    part raises ValueError, before anything is allocated.
+    array and fills in :attr:`WeightSystem.free`. Yielded systems are
+    built from grid rows validated once per bound, without a second check.
+    Arguments are checked when this is called: a bound or a part entry
+    that is not an int (a bool or a float) raises TypeError, and a
+    negative bound, a bound past :data:`MAX_BOUND` or an invalid part
+    raises ValueError, before anything is allocated.
     """
     _check_int("bound", bound)
     if bound < 0:
@@ -683,11 +667,11 @@ def enumerate_admissible_systems(
 
 
 def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[WeightSystem]:
-    rows, tables, index, mixed = _weight_grid(bound)
+    rows, triples, wr, mixed = _weight_grid(bound)
     k, n = (0, 1) if part is None else part
     new = object.__new__
     for row in range(k, len(rows), n):
-        nine = _block_crosses(tables, index[row])
+        nine = _block_crosses(triples[row], wr)
         keep = _one_strict_sign(nine.min(0), nine.max(0)).nonzero()[0]
         if not keep.size:
             continue

@@ -29,6 +29,7 @@ from su3kahler import (
     smith_invariant_factors,
 )
 from su3kahler.cli import MAX_CONFIG_BYTES, main
+from su3kahler.isotropy import IsotropyGroup
 from su3kahler.weights import positive_combination
 
 ENVELOPE_KEYS = {"command", "config", "results", "pass", "wall_time_s"}
@@ -245,6 +246,10 @@ API_CALLS = {
     "build_derham_model": lambda x: build_derham_model((x, 0), (0, 1)),
     "hodge_model": lambda x: hodge_model((x, 1)),
     "Eisenstein.of": Eisenstein.of,
+    "Eisenstein": lambda x: Eisenstein(Fraction(1), x),
+    "hodge_model(Eisenstein)": lambda x: hodge_model((Eisenstein(x, 0), 1)),
+    "IsotropyGroup rank": lambda x: IsotropyGroup(x, ()),
+    "IsotropyGroup factors": lambda x: IsotropyGroup(2, (x, 2)),
     "SupportPattern": lambda x: SupportPattern((x,), (2,)),
     "positive_combination": lambda x: positive_combination((x, x), (1, 0), (0, 1)),
     "in_cone2": lambda x: in_cone2((x, x), (1, 0), (0, 1)),

@@ -493,7 +493,7 @@ def no_grid(monkeypatch):
 
 
 def test_enumerate_max_bound_guard_fires_before_grid():
-    """A bound past MAX_BOUND, whose grid would outgrow memory, raises
+    """A bound past MAX_BOUND, the largest the search takes, raises
     before any grid is built or cached; MAX_BOUND itself is accepted, and
     its grid waits for iteration. 8 * bound**2 bounds the largest value the
     block computes, a cross of A_i and B_j (entries at most 2 * bound), so
@@ -530,20 +530,37 @@ def test_enumerate_checks_its_arguments_when_called(no_grid, bound, part, error)
         enumerate_admissible_systems(bound, part=part)
 
 
-@pytest.mark.parametrize("bound, dtype", [(3, np.int8), (4, np.int16)])
-def test_narrow_block_crosses_match_int64_on_every_block(bound, dtype):
-    """Every wL block's nine crosses in the narrow type equal, entry by
-    entry, the same crosses of the int64 configuration."""
-    rows, tables, index = weights._weight_grid(bound)[:3]
-    assert tables.dtype == np.dtype(weights._block_dtype(bound)) == dtype
+BOUND7_BLOCKS = sorted(random.Random(20261019).sample(range(28561), 16))
+
+
+@pytest.mark.parametrize(
+    "bound, dtype, blocks",
+    [(3, np.int8, None), (4, np.int16, None), (7, np.int16, BOUND7_BLOCKS)],
+    ids=["3-int8", "4-int16", "7-int16-seeded"],
+)
+def test_narrow_block_crosses_match_int64_on_every_block(bound, dtype, blocks):
+    """Every wL block's nine crosses in the narrow type (every block of
+    bounds 3 and 4, seeded blocks of bound 7) equal, entry by entry, the
+    same crosses of the int64 configuration."""
+    rows, triples, wr = weights._weight_grid(bound)[:3]
+    assert triples.dtype == wr.dtype == np.dtype(weights._block_dtype(bound)) == dtype
+    assert len(rows) == triples.shape[0] == wr.shape[1]
     x1, y1, x3, y3 = wr_columns(bound)
-    for row, wl in enumerate(rows):
-        nine = weights._block_crosses(tables, index[row])
-        assert nine.dtype == dtype
-        a, b, _ = weights._configuration(wl, (x1, y1), (x3, y3))
+    for row in range(len(rows)) if blocks is None else blocks:
+        nine = weights._block_crosses(triples[row], wr)
+        assert nine.dtype == dtype and nine.shape == (9, len(rows))
+        a, b, _ = weights._configuration(rows[row], (x1, y1), (x3, y3))
         wide = np.array([cross(a[i], b[j]) for i in range(3) for j in range(3)])
         assert wide.dtype == np.int64
         assert np.array_equal(nine, wide)
+
+
+def test_grid_arrays_hold_at_most_32_bytes_per_row():
+    """The grid keeps its rows and the wR columns in the block's type and
+    no per-row table or index: at bound 4 (int16, 3721 rows) its arrays
+    hold 20 bytes per row, plus the six-entry freeness column."""
+    rows, *arrays = weights._weight_grid(4)
+    assert sum(arr.nbytes for arr in arrays) <= 32 * len(rows)
 
 
 def test_streamed_freeness_is_the_lattice_pair_test(bound2_systems):
