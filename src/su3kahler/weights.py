@@ -616,8 +616,8 @@ def _block_crosses(wl, wr):
     B_j = w_3^R - w_j^L, :func:`_configuration`'s formulas, with the three
     A's broadcast as (3, 1, n) against the three B's as (3, n)."""
     left = wl.T[:, :, None]  # w_i^L's components as (3, 1) columns
-    ax, ay = vsub(left, wr[:2])
-    return cross((ax[:, None], ay[:, None]), vsub(wr[2:], left)).reshape(9, -1)
+    a = vsub(left[:, :, None], wr[:2])  # the A_i as (3, 1, n)
+    return cross(a, vsub(wr[2:], left)).reshape(9, -1)
 
 
 def _one_strict_sign(lo, hi):
