@@ -20,6 +20,12 @@ without argparse; every other argv (help, abbreviations,
 ``--flag=value``, usage errors) goes to argparse, which keeps its
 behaviour for it.
 
+``check`` and ``isotropy`` write every exact number of their reports
+from integers read off the cone data's sign table
+(``weights._condition_evidence``, ``isotropy._census_evidence``), each
+quotient n/d as text while the report renders, into templates keyed by
+the shape of the text; no ``Fraction`` or report object is built per op.
+
 This module does not import numpy. ``verify`` imports the float layer,
 :mod:`su3kahler.quadric`, when it runs, and ``enumerate`` loads numpy
 through the search's grid; ``check``, ``isotropy``, ``cohomology`` and
@@ -44,7 +50,7 @@ from typing import Callable, NamedTuple
 from . import cohomology as coh
 from . import isotropy as iso
 from . import weights as wt
-from .conegeom import ConeMembership, MembershipStatus, _scalar, scalar_to_json
+from .conegeom import ConeMembership, MembershipStatus, _quotient_text, _scalar, scalar_to_json
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -89,18 +95,28 @@ def _load_json_source(source: str) -> dict:
 
 def _problem(source: str) -> tuple[wt.WeightSystem | None, wt.DerivedConeData]:
     """The one config parser: a weight system {"wL", "wR"} or raw cone
-    data {"A", "B"}; every rejected entry becomes an InputError.
+    data {"A", "B"}; every rejected entry becomes an InputError, and so does
+    a config with a key of neither kind or keys of both, naming them.
 
     Cone data describes the weighted torus action directly; a weight
     system additionally pins the homomorphism pair (and may rescale the
     cone data by the integrality denominator).
     """
     obj = _load_json_source(source)
+    weight_keys, cone_keys = obj.keys() & {"wL", "wR"}, obj.keys() & {"A", "B"}
+    unknown = obj.keys() - weight_keys - cone_keys
+    if unknown:
+        raise InputError(f"unknown config keys {sorted(unknown)}: expected wL/wR (weights) or A/B (cone data)")
+    if weight_keys and cone_keys:
+        raise InputError(
+            f"config mixes weight keys {sorted(weight_keys)} with cone data keys {sorted(cone_keys)}: "
+            "give one of them"
+        )
     try:
-        if "wL" in obj or "wR" in obj:
+        if weight_keys:
             ws = wt.WeightSystem.from_json(obj)
             return ws, ws.derived
-        if "A" in obj and "B" in obj:
+        if len(cone_keys) == 2:
             return None, wt.cone_data(obj["A"], obj["B"])
     except (ValueError, TypeError) as exc:
         raise InputError(str(exc)) from exc
@@ -261,14 +277,14 @@ def _derived_text(d: wt.DerivedConeData, nl: str) -> str:
 @functools.lru_cache(maxsize=16)  # the verdicts allow at most 13 frames at one nl
 def _condition_frame(holds: bool, level_flags: tuple, nl: str):
     """A condition report with this verdict and a level-set block with
-    these (nonempty, regular, compact, witness present, apex present)
-    flags, with a gap for each table, keyed by its position in (a_pairs,
-    b_pairs, mixed_pairs), and for each entry of the witness and the apex
-    functional, keyed by 3 + its position in (*witness, *apex): the order
-    in which the dict form lists them."""
-    nonempty, regular, compact, witness, apex = level_flags
+    these (nonempty, regular, compact, apex present) flags, nonempty
+    exactly when a witness is present, with a gap for each table, keyed by
+    its position in (a_pairs, b_pairs, mixed_pairs), and for each entry of
+    the witness and the apex functional, keyed by 3 + its position in
+    (*witness, *apex): the order in which the dict form lists them."""
+    nonempty, regular, compact, apex = level_flags
     level_set = wt.LevelSetConditions(
-        nonempty, (0, 0, 0, 0) if witness else None, regular, compact, (0, 0) if apex else None
+        nonempty, (0, 0, 0, 0) if nonempty else None, regular, compact, (0, 0) if apex else None
     )
     form = wt.ConditionReport(holds, {}, {}, {}, level_set).to_json()
     keys = itertools.count()  # the tables come before the level set
@@ -276,16 +292,16 @@ def _condition_frame(holds: bool, level_flags: tuple, nl: str):
 
 
 @functools.lru_cache(maxsize=256)
-def _table_template(shapes, nl: str):
+def _table_template(statuses, nl: str):
     """A condition table of the nine pairs, in order, whose memberships
-    have these (status value, coefficients absent) shapes, with a gap for
-    each coefficient keyed by its position among the coefficients present,
-    in table order. Read off a probe report that holds the table, whose
-    coefficients are their positions."""
+    have these status values, with a gap for each coefficient of a member
+    keyed by its position among the members' coefficients, in table order.
+    Read off a probe report that holds the table, whose coefficients are
+    their positions."""
     positions = itertools.count()
     table = {
-        ij: ConeMembership(MembershipStatus(status), None if absent else (next(positions), next(positions)))
-        for ij, (status, absent) in zip(itertools.product((1, 2, 3), repeat=2), shapes)
+        ij: ConeMembership(MembershipStatus(s), None if s == "outside" else (next(positions), next(positions)))
+        for ij, s in zip(itertools.product((1, 2, 3), repeat=2), statuses)
     }
     level_set = wt.LevelSetConditions(False, None, False, False, None)
     form = wt.ConditionReport(False, table, {}, {}, level_set).to_json()["A_pairs"]
@@ -295,26 +311,36 @@ def _table_template(shapes, nl: str):
     return _template(form, nl)
 
 
-def _table_text(table: dict, nl: str) -> str:
-    """A condition table (one of a report's three, each listing the nine
-    pairs in order) as encoded text."""
-    memberships = table.values()
+def _table_text(table, nl: str) -> str:
+    """A condition table (one of a report's three, the evidence (status, n1,
+    n2, den) of the nine pairs in order) as encoded text, each member's
+    coefficients n1/den and n2/den written as quotients."""
     # status values, not members: a str caches its hash, an enum member
     # hashes through a Python-level __hash__
-    shapes = tuple([(m.status._value_, m.coefficients is None) for m in memberships])
-    values = [x for m in memberships if m.coefficients is not None for x in m.coefficients]
-    return _fill(_table_template(shapes, nl), values)
+    statuses = tuple([status._value_ for status, _, _, _ in table])
+    values = []
+    for _, n1, n2, den in table:
+        if den:
+            values += (_quotient_text(n1, den), _quotient_text(n2, den))
+    return _fill(_table_template(statuses, nl), values)
 
 
-def _condition_text(report: wt.ConditionReport, nl: str) -> str:
-    """``report.to_json()`` as encoded text: its three tables and the
-    entries of its witness and apex functional in the gaps of one frame."""
-    ls = report.level_set
-    witness, apex = ls.nonempty_witness, ls.apex_functional
-    flags = (ls.nonempty, ls.regular, ls.compact, witness is not None, apex is not None)
+def _condition_text(evidence, nl: str) -> str:
+    """``check_cone_condition(d).to_json()`` as encoded text, written from
+    its integers, ``weights._condition_evidence(d)``: its three tables and
+    the entries of its witness and apex functional in the gaps of one
+    frame."""
+    holds, tables, (witness, regular, compact, apex) = evidence
+    flags = (witness is not None, regular, compact, apex is not None)
     inner = nl + "  "
-    tables = [_table_text(table, inner) for table in (report.a_pairs, report.b_pairs, report.mixed_pairs)]
-    return _fill(_condition_frame(report.holds, flags, nl), (*tables, *(witness or ()), *(apex or ())))
+    values = [_table_text(table, inner) for table in tables]
+    if witness is not None:
+        i, j, na, nb, den = witness
+        values += (i, j, _quotient_text(na, den), _quotient_text(nb, den))
+    if apex is not None:
+        x, y, den = apex
+        values += (_quotient_text(x, den), _quotient_text(y, den))
+    return _fill(_condition_frame(holds, flags, nl), values)
 
 
 def _interpolation_json(times, ok: bool) -> dict:
@@ -336,63 +362,59 @@ def _interpolation_text(steps: int, ok: bool, nl: str) -> str:
     return "".join(parts)
 
 
-# One census shape over the 3870 census reports of the audit pool, and
-# over all 64656 systems of the bound-3 enumeration.
-@functools.lru_cache(maxsize=8)
-def _census_template(shapes, nl: str):
-    """A census whose entries, in list order, have these (I, J, verdict,
-    group rank, number of factors, witness absent) shapes, with gaps for
-    each group's numbers and each witness point's entries, keyed by their
-    positions in the census's values: per entry, its group's numbers in the
-    order its dict form lists them, then its witness point's entries. Also,
-    for a positive-dimensional and a finite group, the attributes that hold
-    those numbers: the keys of a probe group's dict form that hold numbers,
-    which name its attributes."""
+# One pass over the audit pool meets 46 census entry shapes (every pattern
+# of rank 2, each singleton with a witness).
+@functools.lru_cache(maxsize=256)  # 3 ranks, and a singleton's witness or none: 156 at one nl
+def _census_entry_template(k: int, rank: int, witness: bool, nl: str):
+    """The k-th census entry at nl with a group of this rank and a witness
+    point present or absent, with a gap for each number of its group,
+    keyed by its position among them, and then for each entry of its
+    witness point. Read off a probe report of the pattern."""
+    d1, d12 = ((0, 0), (1, 0), (1, 1))[rank]
+    probe = iso._census_report(k, d1, d12, (0, 0) if witness else None).to_json()
     keys = itertools.count()
+    isotropy = {key: v if isinstance(v, str) else _keyed(v, keys) for key, v in probe["isotropy"].items()}
+    return _template({**probe, "isotropy": isotropy, "witness_point": _keyed(probe["witness_point"], keys)}, nl)
+
+
+# One pass over the audit pool (3870 censuses) meets 615 keys: 429 of the
+# 40 patterns that are not singletons and 186 of the 6 singletons.
+@functools.lru_cache(maxsize=1024)
+def _census_entry(k: int, d1: int, d12: int, witness: bool, nl: str) -> tuple[str, ...]:
+    """The text at nl of the k-th census entry whose rows have determinantal
+    divisors d1 and d12, with a witness point present or absent, split
+    where its witness point's two entries go (one piece without one). The
+    template of its shape filled with the numbers of its group's dict form,
+    in the order the template's gaps take them: no probe is rendered per
+    divisor pair."""
+    group = iso._group_from_divisors(d1, d12)
+    template = _census_entry_template(k, group.rank, witness, nl)
+    form = group.to_json().values()
+    numbers = [x for v in form if not isinstance(v, str) for x in (v if isinstance(v, list) else (v,))]
+    return tuple(_fill(template, [*numbers, "\0", "\0"]).split("\0"))
+
+
+# The singleton (i, j) of each census pattern, or None.
+_CENSUS_SINGLETONS = tuple(singleton for _, _, _, singleton, _ in iso._CENSUS_PATTERNS)
+
+
+def _census_text(divisors, witnesses, nl: str) -> str:
+    """``census_to_json(singular_stratum_census(d))`` as encoded text,
+    written from its integers, ``isotropy._census_evidence(d)``: the census
+    keys (d1, d12) of the patterns in census order and the singletons'
+    witnesses ``{(i, j): (na, nb, den)}``, each witness point the quotients
+    na/den and nb/den."""
+    inner = nl + "  "
     entries = []
-    for i_set, j_set, realizable, rank, n_factors, absent in shapes:
-        group = iso.IsotropyGroup(rank, (1,) * n_factors)
-        probe = iso.StratumReport(
-            iso.SupportPattern(i_set, j_set), group, realizable, None if absent else (0, 0)
-        ).to_json()
-        isotropy = {k: v if isinstance(v, str) else _keyed(v, keys) for k, v in probe["isotropy"].items()}
-        entries.append({**probe, "isotropy": isotropy, "witness_point": _keyed(probe["witness_point"], keys)})
-    fields = [
-        tuple(k for k, v in group.to_json().items() if not isinstance(v, str))
-        for group in (iso.IsotropyGroup(1, ()), iso.IsotropyGroup(2, (1, 1)))
-    ]
-    return _template(entries, nl), fields
-
-
-def _group_numbers(group: iso.IsotropyGroup, fields) -> list:
-    """The values of the attributes that fields names for the group's kind,
-    the factors spread."""
-    numbers: list = []
-    for name in fields[group.is_finite]:
-        value = getattr(group, name)
-        numbers += value if type(value) is tuple else (value,)
-    return numbers
-
-
-def _census_text(census: list, nl: str) -> str:
-    """``census_to_json(census)`` as encoded text, from one cached template
-    per sequence of entry shapes."""
-    shapes = [
-        (r.pattern.i_set, r.pattern.j_set, r.realizable, r.isotropy.rank, len(r.isotropy.factors),
-         r.witness is None)
-        for r in census
-    ]
-    template, fields = _census_template(tuple(shapes), nl)
-    numbers: dict = {}  # by group object; a census shares a few
-    values: list = []
-    for r in census:
-        group = r.isotropy
-        if id(group) not in numbers:
-            numbers[id(group)] = _group_numbers(group, fields)
-        values += numbers[id(group)]
-        if r.witness is not None:
-            values += r.witness
-    return _fill(template, values)
+    for k, ((d1, d12), singleton) in enumerate(zip(divisors, _CENSUS_SINGLETONS)):
+        w = None if singleton is None else witnesses.get(singleton)
+        if w is None:
+            entries += _census_entry(k, d1, d12, False, inner)
+        else:
+            first, middle, last = _census_entry(k, d1, d12, True, inner)
+            na, nb, den = w
+            entries.append(first + _quotient_text(na, den) + middle + _quotient_text(nb, den) + last)
+    return "[" + inner + ("," + inner).join(entries) + nl + "]"
 
 
 # certify_points makes 16 shapes: a Jacobian rank below 4 (4 shapes), a
@@ -494,15 +516,16 @@ def cmd_check(args) -> tuple[dict, bool]:
     if args.interp_steps > MAX_INTERP_STEPS:
         raise InputError(f"--interp-steps must be <= {MAX_INTERP_STEPS}")
     ws, d = _problem(args.config)
-    report = wt.check_cone_condition(d)
+    evidence = wt._condition_evidence(d)
+    holds = evidence[0]
     results = {
         "weights": None if ws is None else _rendered(_weights_text, ws),
         "derived": _rendered(_derived_text, d),
-        "condition": _rendered(_condition_text, report),
+        "condition": _rendered(_condition_text, evidence),
         "interpolation": None,
     }
-    passed = report.holds
-    if report.holds:
+    passed = holds
+    if holds:
         ok = wt.check_interpolation_path(d)
         results["interpolation"] = _rendered(_interpolation_text, args.interp_steps, ok)
         passed = passed and ok
@@ -515,14 +538,15 @@ def cmd_isotropy(args) -> tuple[dict, bool]:
         raise InputError("isotropy analysis requires integer cone data")
     if not wt.cone_condition_holds(d):
         return {"error": "cone condition fails; isotropy analysis requires it"}, False
-    verdict = iso.freeness_check(d, ws)
-    census = iso.singular_stratum_census(d)
+    # the lattice-pair test, once: a weight system's own verdict is the same
+    # test on the same data (ws.derived is d), so the two agree
+    verdict = iso.FreenessVerdict(wt._failing_pair(d._nine_crosses))
     results = {
         "weights": None if ws is None else _rendered(_weights_text, ws),
         "derived": _rendered(_derived_text, d),
         "freeness": verdict.to_json(),
         "classification": iso.Classification.of(verdict.free).value,
-        "census": _rendered(_census_text, census),
+        "census": _rendered(_census_text, *iso._census_evidence(d)),
     }
     return results, True
 

@@ -11,6 +11,12 @@ Freeness of the whole action reduces to every mixed pair (A_i, B_j),
 i != j, being a lattice basis; under the cone condition this is also the
 trivial left homomorphism with a torus isomorphism on the right (the
 README's freeness corollary), which is therefore not computed.
+
+The census is kept as integers, :func:`_census_evidence`: the divisors
+(d1, d12) of every support pattern, read from the minors in the cone
+data's sign table, and the singletons' witnesses (na, nb, den), the
+data's integer mixed witnesses. ``isotropy`` writes its census from them;
+:func:`singular_stratum_census` is their view as :class:`StratumReport`s.
 """
 
 from __future__ import annotations
@@ -277,41 +283,61 @@ def _shared_report(k: int, d1: int, d12: int) -> StratumReport:
     """The (immutable, shared) report of the k-th census pattern, not a
     singleton, whose rows have determinantal divisors d1 and d12: it holds
     no witness, so these three numbers fix it."""
-    pattern, _, _, _, full = _CENSUS_PATTERNS[k]
-    return StratumReport(pattern, _group_from_divisors(d1, d12), True if full else None, None)
+    return _census_report(k, d1, d12, None)
+
+
+def _census_report(k: int, d1: int, d12: int, witness) -> StratumReport:
+    """The report of the k-th census pattern with these determinantal
+    divisors and, for a singleton, this witness (a, b) or None: a
+    singleton is realizable exactly when it has a witness, the full
+    pattern always, and the others are not determined."""
+    pattern, _, _, singleton, full = _CENSUS_PATTERNS[k]
+    realizable = (witness is not None) if singleton else (True if full else None)
+    return StratumReport(pattern, _group_from_divisors(d1, d12), realizable, witness)
+
+
+def _census_evidence(d: DerivedConeData) -> tuple[list[tuple[int, int]], dict]:
+    """The census's integers: its keys, the determinantal divisors (d1, d12)
+    of every census pattern's rows in census order, d1 the gcd of the rows'
+    entries and d12 the gcd of their 2 x 2 minors, read from the 15
+    pairwise minors of the six generators in d's sign table; and the
+    singletons' witnesses, {(i, j): (na, nb, den)} for C = (na*A_i +
+    nb*B_j)/den with na/den, nb/den > 0, d's integer mixed witnesses.
+    ``isotropy`` writes its census from these; :func:`singular_stratum_census`
+    is their view."""
+    entry_gcds = [gcd(x, y) for x, y in _integer_generators(d)]
+    # the table clears nothing from integer data: its crosses are the minors
+    crosses = d.sign_table.crosses
+    minors = [crosses[p][q] for p, q in _GENERATOR_PAIRS]
+    divisors = [(gcd(*rows(entry_gcds)), gcd(*pairs(minors))) for _, rows, pairs, _, _ in _CENSUS_PATTERNS]
+    return divisors, {(i, j): (na, nb, den) for i, j, na, nb, den in d._witness_evidence}
 
 
 def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
     """Isotropy of every support pattern, with realizability where decidable.
 
-    Each pattern's isotropy comes from its determinantal divisors: the gcd
-    of its rows' entries and the gcd of its rows' 2 x 2 minors, read from
-    the 15 pairwise minors of the six generators in d's sign table. The 40
-    patterns that are not singletons carry no witness, so their reports are
-    shared between censuses, one per (pattern, d1, d12).
+    Each pattern's isotropy comes from its determinantal divisors, the
+    census keys of :func:`_census_evidence`. The 40 patterns that are not
+    singletons carry no witness, so their reports are shared between
+    censuses, one per (pattern, d1, d12).
 
     Singleton patterns {i} x {j}, i != j, are realizable exactly when
-    C = a*A_i + b*B_j with a, b > 0; the witness stores (a, b) and the
-    point has z_i = sqrt(a), w_j = sqrt(b). The full-support pattern is
-    realizable because the strata with a vanishing coordinate form finitely
-    many proper closed subsets. Intermediate patterns would require a
-    nonconvex phase-feasibility argument, so they are reported with
-    isotropy only.
+    C = a*A_i + b*B_j with a, b > 0; the witness stores (a, b) (d's mixed
+    witness) and the point has z_i = sqrt(a), w_j = sqrt(b). The
+    full-support pattern is realizable because the strata with a vanishing
+    coordinate form finitely many proper closed subsets. Intermediate
+    patterns would require a nonconvex phase-feasibility argument, so they
+    are reported with isotropy only.
     """
-    entry_gcds = [gcd(x, y) for x, y in _integer_generators(d)]
-    # the table clears nothing from integer data: its crosses are the minors
-    crosses = d.sign_table.crosses
-    minors = [crosses[p][q] for p, q in _GENERATOR_PAIRS]
-    witnesses = {(i, j): (a, b) for i, j, a, b in d.mixed_witnesses}
+    divisors, witnesses = _census_evidence(d)
     reports = []
-    for k, (pattern, rows, pairs, singleton, _) in enumerate(_CENSUS_PATTERNS):
-        d1, d12 = gcd(*rows(entry_gcds)), gcd(*pairs(minors))
+    for k, ((_, _, _, singleton, _), (d1, d12)) in enumerate(zip(_CENSUS_PATTERNS, divisors)):
         if singleton is None:
             reports.append(_shared_report(k, d1, d12))
         else:
-            witness = witnesses.get(singleton)
-            group = _group_from_divisors(d1, d12)
-            reports.append(StratumReport(pattern, group, witness is not None, witness))
+            w = witnesses.get(singleton)
+            witness = None if w is None else (Fraction(w[0], w[2]), Fraction(w[1], w[2]))
+            reports.append(_census_report(k, d1, d12, witness))
     return reports
 
 

@@ -20,11 +20,14 @@ The boolean condition is one rule (the nine-sign corollary in the
 README): the nine crosses cross(A_i, B_j), i, j = 1..3, are all nonzero
 with one sign. The scalar verdict :func:`cone_condition_holds` reads them
 off one integer table per cone data, :attr:`DerivedConeData.sign_table`
-(a :class:`~su3kahler.conegeom.SignTable`), which also gives the 27
-memberships of :func:`check_cone_condition` (the nine mixed ones are one
-tuple per cone data, which the mixed witnesses read too), regularity,
-compactness and the apex functional; only dependent mixed pairs build
-their witness with :func:`positive_combination`. The interpolation path
+(a :class:`~su3kahler.conegeom.SignTable`), which also gives, as
+integers, the 27 decisions of :func:`check_cone_condition` (the nine mixed
+ones are one tuple per cone data, which the mixed witnesses read too),
+the mixed witnesses, regularity, compactness and the apex functional:
+:func:`_condition_evidence`, from which ``check`` writes its report. The
+library's objects (:class:`ConditionReport`, its memberships,
+:attr:`DerivedConeData.mixed_witnesses`, the apex functional) are their
+``Fraction`` views. The interpolation path
 needs no crosses of its own: by the README's path corollary it holds on
 all of [0, 1] exactly when the nine-sign rule holds at t = 1, so
 :func:`check_interpolation_path` returns the same verdict. The enumerator
@@ -58,12 +61,12 @@ from .conegeom import (  # noqa: F401 (in_cone2 re-exported: the benchmark binds
     MembershipStatus,
     SignTable,
     Vec2,
-    _apex_functional,
+    _OUTSIDE_EVIDENCE,
     _as_int,
     _check_int,
+    _membership_of,
     _vector,
     cross,
-    dot,
     in_cone2,
     is_zero,
     scalar_to_json,
@@ -226,56 +229,76 @@ class DerivedConeData:
         return SignTable((*self.a, *self.b, self.c))
 
     @functools.cached_property
-    def apex_functional(self) -> Vec2 | None:
-        """A covector strictly positive on all six generators, found in
-        :func:`~su3kahler.conegeom.find_apex_functional`'s order from the
-        sign table, or None when a generator is zero or none exists.
-        Computed once per instance; :func:`check_level_set_conditions`
-        reports it and ``verify`` weighs its boundedness residual with it."""
+    def _apex(self) -> tuple[int, int, int] | None:
+        """The apex functional as integers (x, y, den), the covector
+        (x/den, y/den), searched on the sign table
+        (:meth:`~su3kahler.conegeom.SignTable.apex`), or None when a
+        generator is zero or none exists. Computed once per instance."""
         table = self.sign_table
         if any(is_zero(g) for g in table.vectors[:_C]):
             return None
-        return _apex_functional(table, self.generators())
+        return table.apex(_C)
 
     @functools.cached_property
-    def _mixed_memberships(self) -> tuple[ConeMembership, ...]:
-        """C against cone(A_i, B_j), 0-based, at position 3*i + j, read off
-        the sign table once per instance: :func:`check_cone_condition` and
-        :attr:`mixed_witnesses` both read them. A diagonal one with
-        cross(A_i, B_i) != 0 is the shared :data:`_DIAGONAL`, which
-        C = A_i + B_i makes it; only the others are computed."""
+    def apex_functional(self) -> Vec2 | None:
+        """A covector strictly positive on all six generators, found in
+        :func:`~su3kahler.conegeom.find_apex_functional`'s order, or None
+        when a generator is zero or none exists: the ``Fraction`` view of
+        :attr:`_apex`. :func:`check_level_set_conditions` reports it and
+        ``verify`` weighs its boundedness residual with it."""
+        apex = self._apex
+        return None if apex is None else (Fraction(apex[0], apex[2]), Fraction(apex[1], apex[2]))
+
+    @functools.cached_property
+    def _mixed_evidence(self) -> tuple[tuple, ...]:
+        """C against cone(A_i, B_j), 0-based, at position 3*i + j, as the
+        integer evidence (status, n1, n2, den) of the sign table's
+        :meth:`~su3kahler.conegeom.SignTable.decide`, read once per
+        instance: the condition report, its text and the mixed witnesses
+        all read it. A diagonal one with cross(A_i, B_i) != 0 is the shared
+        :data:`_DIAGONAL_EVIDENCE`, which C = A_i + B_i makes it; only the
+        others are decided."""
         table = self.sign_table
         crosses = table.crosses
-        return tuple(
-            _DIAGONAL if i == j and crosses[i][3 + i] else table.membership(_C, i, 3 + j)
+        return tuple([
+            _DIAGONAL_EVIDENCE if i == j and crosses[i][3 + i] else table.decide(_C, i, 3 + j)
             for i, j in _ORDERED_PAIRS
-        )
+        ])
+
+    @functools.cached_property
+    def _witness_evidence(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """(i, j, na, nb, den), in order of (i, j), for every i != j
+        (1-based) with C = (na*A_i + nb*B_j)/den and na/den, nb/den > 0:
+        the integers of :attr:`mixed_witnesses`, built once per instance.
+        For independent A_i, B_j they are the witness of an INTERIOR
+        decision in :attr:`_mixed_evidence` (strictly positive exactly
+        then); dependent pairs take the sign table's
+        :meth:`~su3kahler.conegeom.SignTable.positive`, which picks one
+        from the family of solutions."""
+        table = self.sign_table
+        crosses = table.crosses
+        witnesses = []
+        for (i, j), (status, n1, n2, den) in zip(_ORDERED_PAIRS, self._mixed_evidence):
+            if i == j:
+                continue
+            if crosses[i][3 + j]:
+                w = (n1, n2, den) if status is MembershipStatus.INTERIOR else None
+            else:
+                w = table.positive(_C, i, 3 + j)
+            if w is not None:
+                witnesses.append((i + 1, j + 1, *w))
+        return tuple(witnesses)
 
     @functools.cached_property
     def mixed_witnesses(self) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
         """(i, j, a, b), in order of (i, j), for every i != j (1-based) with
         C = a*A_i + b*B_j and a, b > 0.
 
-        The one table of positive mixed combinations, built on first use
-        and cached on the instance; it is not a field, so == and hash
-        ignore it. For independent A_i, B_j the pair is the coefficients of
-        an INTERIOR membership of :attr:`_mixed_memberships` (strictly
-        positive exactly then); only dependent pairs go through
-        :func:`positive_combination`, which picks a witness from the family
-        of solutions.
+        The one table of positive mixed combinations, the ``Fraction``
+        view of :attr:`_witness_evidence`, built on first use and cached on
+        the instance; it is not a field, so == and hash ignore it.
         """
-        crosses = self.sign_table.crosses
-        witnesses = []
-        for (i, j), m in zip(_ORDERED_PAIRS, self._mixed_memberships):
-            if i == j:
-                continue
-            if crosses[i][3 + j]:
-                ab = m.coefficients if m.status is MembershipStatus.INTERIOR else None
-            else:
-                ab = positive_combination(self.c, self.a[i], self.b[j])
-            if ab is not None:
-                witnesses.append((i + 1, j + 1, *ab))
-        return tuple(witnesses)
+        return tuple((i, j, Fraction(na, den), Fraction(nb, den)) for i, j, na, nb, den in self._witness_evidence)
 
     def to_json(self) -> dict:
         return {
@@ -289,8 +312,8 @@ class DerivedConeData:
 _C = 6
 
 # C against cone(A_i, B_i) for independent A_i, B_i: C = A_i + B_i is
-# interior with coefficients (1, 1), as SignTable.membership finds it.
-_DIAGONAL = ConeMembership(MembershipStatus.INTERIOR, (Fraction(1), Fraction(1)))
+# interior with coefficients (1, 1), as SignTable.decide finds it.
+_DIAGONAL_EVIDENCE = (MembershipStatus.INTERIOR, 1, 1, 1)
 
 # The nine index pairs (i, j), 0-based, in the order of (i, j).
 _ORDERED_PAIRS = tuple(itertools.product(range(3), repeat=2))
@@ -347,37 +370,12 @@ def positive_combination(c: Vec2, g1: Vec2, g2: Vec2) -> tuple[Fraction, Fractio
     Unlike plain cone membership this demands strictly positive
     coefficients, so degenerate generator configurations need their own
     branches (parallel generators leave a 1-parameter family to pick from).
-    Reads its vectors through their sign table, as :func:`in_cone2` does
-    (a bool or a float raises TypeError): independent generators give an
-    INTERIOR membership's coefficients, and dependent ones are solved on
-    the cleared vectors, whose coefficients are those of the inputs.
+    The ``Fraction`` view of :meth:`~su3kahler.conegeom.SignTable.positive`
+    on the sign table of the three vectors, as :func:`in_cone2` reads them
+    (a bool or a float raises TypeError).
     """
-    table = SignTable((c, g1, g2))
-    if table.crosses[1][2]:
-        m = table.membership(0, 1, 2)
-        return m.coefficients if m.status is MembershipStatus.INTERIOR else None
-    c, g1, g2 = table.vectors
-    g1_zero, g2_zero = is_zero(g1), is_zero(g2)
-    if g1_zero and g2_zero:
-        return (Fraction(1), Fraction(1)) if is_zero(c) else None
-    if g1_zero or g2_zero:
-        g = g2 if g1_zero else g1
-        if cross(c, g) != 0:
-            return None
-        t = Fraction(dot(c, g), dot(g, g))
-        if t <= 0:
-            return None
-        return (Fraction(1), t) if g1_zero else (t, Fraction(1))
-    if cross(c, g1) != 0:
-        return None
-    s = Fraction(dot(c, g1), dot(g1, g1))  # c == s * g1
-    t = Fraction(dot(g2, g1), dot(g1, g1))  # g2 == t * g1
-    if t > 0:
-        if s <= 0:
-            return None
-        return (s / 2, s / (2 * t))
-    b = (abs(s) + 1) / abs(t)
-    return (s + b * abs(t), b)
+    w = SignTable((c, g1, g2)).positive(0, 1, 2)
+    return None if w is None else (Fraction(w[0], w[2]), Fraction(w[1], w[2]))
 
 
 @dataclass(frozen=True)
@@ -410,6 +408,20 @@ class LevelSetConditions:
         }
 
 
+def _level_set_evidence(d: DerivedConeData) -> tuple:
+    """The integers of :func:`check_level_set_conditions`: (witness,
+    regular, compact, apex), with the first mixed witness (i, j, na, nb,
+    den) of :attr:`DerivedConeData._witness_evidence` or None, and the apex
+    functional (x, y, den) of :attr:`DerivedConeData._apex` or None."""
+    witnesses = d._witness_evidence
+    table = d.sign_table
+    crosses = table.crosses
+    regular = all(crosses[i][3 + j] for i, j in _MIXED_PAIRS)
+    apex = d._apex
+    compact = apex is not None and all(table.decide(_C, 0, q) is _OUTSIDE_EVIDENCE for q in (1, 2))
+    return witnesses[0] if witnesses else None, regular, compact, apex
+
+
 def check_level_set_conditions(d: DerivedConeData) -> LevelSetConditions:
     """Check the three level-set conditions directly (not via the cone test).
 
@@ -421,15 +433,12 @@ def check_level_set_conditions(d: DerivedConeData) -> LevelSetConditions:
     the pointed cone(A) is cone(A_1,A_2) | cone(A_1,A_3) (proof in the README),
     so two memberships decide compactness. Every test reads d's sign table;
     the apex pair is searched in :func:`~su3kahler.conegeom.find_apex_functional`'s
-    order, and the functional is computed from d's own generators.
+    order. The ``Fraction`` view of :func:`_level_set_evidence`.
     """
-    witness = d.mixed_witnesses[0] if d.mixed_witnesses else None
-    table = d.sign_table
-    crosses = table.crosses
-    regular = all(crosses[i][3 + j] for i, j in _MIXED_PAIRS)
-    apex = d.apex_functional
-    compact = apex is not None and not any(table.membership(_C, 0, q).member for q in (1, 2))
-    return LevelSetConditions(witness is not None, witness, regular, compact, apex)
+    witness, regular, compact, _ = _level_set_evidence(d)
+    if witness is not None:
+        witness = d.mixed_witnesses[0]
+    return LevelSetConditions(witness is not None, witness, regular, compact, d.apex_functional)
 
 
 @dataclass(frozen=True)
@@ -461,18 +470,32 @@ class ConditionReport:
         }
 
 
+def _condition_evidence(d: DerivedConeData) -> tuple:
+    """The integers of :func:`check_cone_condition`: (holds, tables, level
+    set), with the three tables (A-pairs, B-pairs, mixed pairs) as the nine
+    evidence tuples (status, n1, n2, den) of C against cone(A_i, A_j),
+    cone(B_i, B_j) and cone(A_i, B_j) in order of (i, j), and the level
+    set as :func:`_level_set_evidence` gives it. ``check`` writes its
+    report from these; :func:`check_cone_condition` is their view."""
+    decide = d.sign_table.decide
+    a_pairs = [decide(_C, i, j) for i, j in _ORDERED_PAIRS]
+    b_pairs = [decide(_C, 3 + i, 3 + j) for i, j in _ORDERED_PAIRS]
+    return cone_condition_holds(d), (a_pairs, b_pairs, d._mixed_evidence), _level_set_evidence(d)
+
+
 def check_cone_condition(d: DerivedConeData) -> ConditionReport:
     """The separating cone condition's verdict, :func:`cone_condition_holds`,
-    with all 27 sub-results as its evidence, each read off d's sign table by
-    :meth:`~su3kahler.conegeom.SignTable.membership` (the nine mixed ones
-    are d's one tuple of them, which :attr:`DerivedConeData.mixed_witnesses`
+    with all 27 sub-results as its evidence: the ``Fraction`` views of
+    :func:`_condition_evidence`, each decided on d's sign table by
+    :meth:`~su3kahler.conegeom.SignTable.decide` (the nine mixed ones are
+    d's one tuple of them, which :attr:`DerivedConeData.mixed_witnesses`
     reads too). By the nine-sign corollary the verdict holds exactly when
     no A-pair or B-pair membership is a member and all nine mixed ones are."""
-    table = d.sign_table
-    a_pairs = {(i + 1, j + 1): table.membership(_C, i, j) for i, j in _ORDERED_PAIRS}
-    b_pairs = {(i + 1, j + 1): table.membership(_C, 3 + i, 3 + j) for i, j in _ORDERED_PAIRS}
-    mixed = {(i + 1, j + 1): m for (i, j), m in zip(_ORDERED_PAIRS, d._mixed_memberships)}
-    return ConditionReport(cone_condition_holds(d), a_pairs, b_pairs, mixed, check_level_set_conditions(d))
+    holds, tables, _ = _condition_evidence(d)
+    a_pairs, b_pairs, mixed = (
+        {(i + 1, j + 1): _membership_of(e) for (i, j), e in zip(_ORDERED_PAIRS, table)} for table in tables
+    )
+    return ConditionReport(holds, a_pairs, b_pairs, mixed, check_level_set_conditions(d))
 
 
 def cone_condition_holds(d: DerivedConeData) -> bool:

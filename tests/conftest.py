@@ -6,11 +6,10 @@ they were before the sign table of cone data and the nine-sign rule: every
 membership by its own cross products, the boolean condition as its 8
 membership tests (scalar, and as the narrowed int64 block kernel with the
 lattice-pair freeness of its survivors), freeness by the homomorphisms,
-the witnesses by
-``positive_combination``, the apex search by the batched sign kernel
-``reference_cone_member``, the interpolation path built vector by vector
-at every time and the census built entry by entry; the tests compare the
-library with them."""
+the witnesses by the former ``positive_combination`` in Fractions, the
+apex search by the batched sign kernel ``reference_cone_member``, the
+interpolation path built vector by vector at every time and the census
+built entry by entry; the tests compare the library with them."""
 
 import itertools
 from fractions import Fraction
@@ -29,7 +28,7 @@ from su3kahler.isotropy import (
     invariant_factors_from_divisors,
 )
 from su3kahler.quadric import certification_sample, embed_su3
-from su3kahler.weights import ConditionReport, LevelSetConditions, _MIXED_PAIRS, positive_combination
+from su3kahler.weights import ConditionReport, LevelSetConditions, _MIXED_PAIRS
 
 
 @pytest.fixture(scope="session")
@@ -258,13 +257,43 @@ def reference_apex(gens):
     return None
 
 
+def reference_positive_combination(c, g1, g2):
+    """(a, b) with a, b > 0 and a*g1 + b*g2 == c, or None, in Fractions on
+    the vectors themselves: the independent witness from the crosses, and
+    for dependent generators the pick positive_combination makes (1 on a
+    zero generator; c = s*g1, g2 = t*g1 split as (s/2, s/(2t)) for t > 0
+    and as (s + |s| + 1, (|s| + 1)/|t|) for t < 0)."""
+    d = cross(g1, g2)
+    if d != 0:
+        a, b = Fraction(cross(c, g2), d), Fraction(cross(g1, c), d)
+        return (a, b) if a > 0 and b > 0 else None
+    if is_zero(g1) and is_zero(g2):
+        return (Fraction(1), Fraction(1)) if is_zero(c) else None
+    if is_zero(g1) or is_zero(g2):
+        g = g2 if is_zero(g1) else g1
+        if cross(c, g) != 0:
+            return None
+        t = Fraction(dot(c, g), dot(g, g))
+        if t <= 0:
+            return None
+        return (Fraction(1), t) if is_zero(g1) else (t, Fraction(1))
+    if cross(c, g1) != 0:
+        return None
+    s = Fraction(dot(c, g1), dot(g1, g1))
+    t = Fraction(dot(g2, g1), dot(g1, g1))
+    if t > 0:
+        return (s / 2, s / (2 * t)) if s > 0 else None
+    b = (abs(s) + 1) / abs(t)
+    return (s + b * abs(t), b)
+
+
 def reference_mixed_witnesses(d):
     """(i, j, a, b) for every i != j with C = a*A_i + b*B_j, a, b > 0."""
     return tuple(
         (i + 1, j + 1, *ab)
         for i in range(3)
         for j in range(3)
-        if i != j and (ab := positive_combination(d.c, d.a[i], d.b[j])) is not None
+        if i != j and (ab := reference_positive_combination(d.c, d.a[i], d.b[j])) is not None
     )
 
 

@@ -16,6 +16,7 @@ by one pool digest (:func:`pool_digest` of ``certify_ops(golden, 1)``).
 
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -130,15 +131,29 @@ def test_certify_pool_prints_its_recorded_bytes():
     assert pool_digest(certify_ops(workloads.load_golden("certify"), 1)) == CERTIFY_POOL_DIGEST
 
 
+def test_every_pool_config_is_one_kind():
+    """Every config of the audit and certify pools is exactly a weight
+    system {wL, wR} or cone data {A, B}, the two kinds the CLI reads."""
+    configs = [
+        item if isinstance(item, str) else workloads.ws_config(item)
+        for pool in workloads.load_golden("audit")["categories"].values()
+        if "cohomology" not in pool["expected"]
+        for item in pool["items"]
+    ]
+    configs += [t[0] for triples in workloads.load_golden("certify")["categories"].values() for t in triples]
+    assert len(configs) == 5335 + 1796
+    assert {tuple(sorted(json.loads(c))) for c in configs} == {("A", "B"), ("wL", "wR")}
+
+
 def test_one_audit_pass_evicts_from_no_cache():
     """One pass of check and isotropy over every audit-pool item, from
     empty caches, passes every golden gate and evicts nothing: each
-    lru_cache of cli, and isotropy's _shared_report and
-    _group_from_divisors, ends with as many entries as misses, within its
+    lru_cache of cli, and isotropy's _group_from_divisors, which the census
+    entries read on a miss, ends with as many entries as misses, within its
     size. The keys met are the counts the caches' comments give."""
     golden = workloads.load_golden("audit")
     caches = [f for f in vars(cli).values() if hasattr(f, "cache_info")]
-    caches += [isotropy._shared_report, isotropy._group_from_divisors]
+    caches += [isotropy._group_from_divisors]
     for f in caches:
         f.cache_clear()
     ops = [op for op in audit_ops(golden, stride=1) if op.command != "cohomology"]
@@ -147,6 +162,8 @@ def test_one_audit_pass_evicts_from_no_cache():
     info = {f.__name__: f.cache_info() for f in caches}
     for name, i in info.items():
         assert i.misses == i.currsize <= i.maxsize, (name, i)
-    met = {name: i.currsize for name, i in info.items() if name in ("_condition_frame", "_table_template")}
-    assert met == {"_condition_frame": 9, "_table_template": 93}
-    assert (info["_shared_report"].currsize, info["_group_from_divisors"].currsize) == (429, 34)
+    met = {name: i.currsize for name, i in info.items() if name.startswith(("_condition", "_table", "_census"))}
+    assert met == {
+        "_condition_frame": 9, "_table_template": 93, "_census_entry_template": 46, "_census_entry": 615,
+    }
+    assert info["_group_from_divisors"].currsize == 34

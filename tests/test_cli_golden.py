@@ -3,6 +3,7 @@ BLAKE2b digest. A refactor of any layer on the report path must leave
 these bytes unchanged."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -141,6 +142,27 @@ def test_check_and_isotropy_read_the_sign_table(capsys, monkeypatch, argv, code,
                 monkeypatch.setattr(module, name, refuse)
     assert main(list(argv)) == code
     data = capsys.readouterr().out.encode()
+    assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)
+
+
+@pytest.mark.parametrize("argv, code, length, digest", EXACT_EXAMPLES)
+def test_check_and_isotropy_build_no_fraction_or_report_per_op(capsys, monkeypatch, argv, code, length, digest):
+    """check and isotropy print quotients of the sign table's integers: after
+    a first run has filled the caches, a second run gives the pinned stdout
+    with Fraction, ConeMembership, ConditionReport and StratumReport made to
+    raise when one is built."""
+    main(list(argv))
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an object was built per op on the report path")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    for cls in (ConeMembership, weights.ConditionReport, isotropy.StratumReport):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert main(list(argv)) == code
+    data = capsys.readouterr().out.encode()
+    monkeypatch.undo()
     assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)
 
 

@@ -189,6 +189,33 @@ def test_config_past_the_byte_ceiling_exits_2(command, tmp_path):
     assert run(command, str(oversized))[0] == 0
 
 
+WEIGHTS = {"wL": [[0, 0], [0, 0], [0, 0]], "wR": [[1, 0], [0, 1], [-1, -1]]}
+CONE = {"A": ORBIFOLD_A, "B": ORBIFOLD_B}
+MIXED = "config mixes weight keys {} with cone data keys {}: give one of them"
+UNKNOWN = "unknown config keys {}: expected wL/wR (weights) or A/B (cone data)"
+AMBIGUOUS_CONFIGS = [
+    pytest.param({**CONE, **WEIGHTS}, MIXED.format(["wL", "wR"], ["A", "B"]), id="both kinds"),
+    pytest.param({"wL": WEIGHTS["wL"], "A": ORBIFOLD_A}, MIXED.format(["wL"], ["A"]), id="half of each"),
+    pytest.param({**CONE, "x": 1}, UNKNOWN.format(["x"]), id="cone data and a stray key"),
+    pytest.param({**WEIGHTS, "x": 1, "note": ""}, UNKNOWN.format(["note", "x"]), id="weights and stray keys"),
+    pytest.param({**CONE, **WEIGHTS, "x": 1}, UNKNOWN.format(["x"]), id="both kinds and a stray key"),
+    pytest.param({"x": 1}, UNKNOWN.format(["x"]), id="only a stray key"),
+]
+
+
+@pytest.mark.parametrize("config, message", AMBIGUOUS_CONFIGS)
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_a_config_of_both_kinds_or_with_other_keys_exits_2(command, config, message):
+    """A config is exactly a weight system {wL, wR} or cone data {A, B}:
+    keys of both kinds, or any other key, end in the envelope naming them
+    (a weight system with cone data was read as the weight system alone,
+    and a stray key passed unnoticed)."""
+    code, out = run(command, json.dumps(config))
+    report = json.loads(out)
+    assert code == 2 and set(report) == ENVELOPE_KEYS
+    assert report["results"]["error"] == message
+
+
 def test_generate_rejects_a_weight_system():
     config = '{"wL": [[-1,1],[-1,1],[2,-2]], "wR": [[-4,1],[5,-5],[-1,4]]}'
     code, out = run(("generate",), config)

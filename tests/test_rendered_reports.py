@@ -3,7 +3,11 @@
 their dict forms (``census_to_json``, ``PointCertificate.to_json``,
 ``ConditionReport.to_json`` with its level-set block, the interpolation
 block, ``WeightSystem.to_json`` and ``DerivedConeData.to_json``) at several
-starting indents, and the stream lines against ``json.dumps``."""
+starting indents, and the stream lines against ``json.dumps``. The
+condition report and the census are written from their integer evidence
+(``weights._condition_evidence``, ``isotropy._census_evidence``), so each
+is compared with the dict form of the reports the library builds from the
+same data or evidence."""
 
 import functools
 import itertools
@@ -16,16 +20,17 @@ from hypothesis import strategies as st
 
 from su3kahler import cli
 from su3kahler.isotropy import (
+    _CENSUS_PATTERNS,
     Classification,
-    IsotropyGroup,
-    StratumReport,
-    SupportPattern,
+    _census_evidence,
+    _census_report,
     census_to_json,
     singular_stratum_census,
 )
 from su3kahler.quadric import PointCertificate
 from su3kahler.weights import (
     WeightSystem,
+    _condition_evidence,
     check_cone_condition,
     cone_condition_holds,
     cone_data,
@@ -59,41 +64,44 @@ def integer_cone_data(draw):
 @settings(max_examples=150, deadline=None)
 def test_census_of_cone_data_renders_its_dict_form(d, nl):
     census = singular_stratum_census(d)
-    assert cli._census_text(census, nl) == walk(census_to_json(census), nl)
+    assert cli._census_text(*_census_evidence(d), nl) == walk(census_to_json(census), nl)
 
 
-subsets = st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)
-patterns = st.builds(lambda i, j: (i, j), subsets, subsets).filter(
-    lambda ij: any(x != y for x in ij[0] for y in ij[1])
-).map(lambda ij: SupportPattern(*ij))
-divisor_pairs = st.builds(lambda d1, k: (d1, d1 * k), st.integers(1, 12), st.integers(1, 12))
-groups = st.one_of(
-    divisor_pairs.map(lambda f: IsotropyGroup(2, f)),  # finite
-    st.integers(1, 30).map(lambda d1: IsotropyGroup(1, (d1,))),  # rank deficit 1
-    st.just(IsotropyGroup(0, ())),  # rank deficit 2
+# divisor pairs of rank 2 (d1 | d12), rank 1 (d12 = 0) and rank 0
+divisor_pairs = st.one_of(
+    st.builds(lambda d1, k: (d1, d1 * k), st.integers(1, 12), st.integers(0, 12)),
+    st.just((0, 0)),
 )
 big = 10**29
-witness_scalars = st.one_of(
-    st.fractions(min_value=-50, max_value=50, max_denominator=20),  # negative, integral or not
-    st.builds(Fraction, st.integers(-10 * big, 10 * big), st.integers(1, big)),  # 30-digit numerators
+witness_integers = st.one_of(
+    st.integers(-50, 50).filter(bool),  # negative, unit or not
+    st.integers(-10 * big, 10 * big).filter(bool),  # 30-digit
 )
-witnesses = st.one_of(st.none(), st.tuples(witness_scalars, witness_scalars))
-reports = st.builds(StratumReport, patterns, groups, st.sampled_from((True, False, None)), witnesses)
+witnesses = st.tuples(st.integers(-50, 50), st.integers(-50, 50), witness_integers)
+SINGLETONS = [singleton for _, _, _, singleton, _ in _CENSUS_PATTERNS if singleton is not None]
+synthetic_evidence = st.tuples(
+    st.lists(divisor_pairs, min_size=46, max_size=46),
+    st.dictionaries(st.sampled_from(SINGLETONS), witnesses),
+)
 
 
-@given(st.lists(reports, max_size=50), indents)
+def census_of(divisors, witnesses):
+    """The census reports of synthetic integer evidence, built as
+    singular_stratum_census builds them."""
+    reports = []
+    for k, ((_, _, _, singleton, _), (d1, d12)) in enumerate(zip(_CENSUS_PATTERNS, divisors)):
+        w = witnesses.get(singleton)
+        witness = None if w is None else (Fraction(w[0], w[2]), Fraction(w[1], w[2]))
+        reports.append(_census_report(k, d1, d12, witness))
+    return reports
+
+
+@given(synthetic_evidence, indents)
 @settings(max_examples=150, deadline=None)
-def test_synthetic_census_renders_its_dict_form(census, nl):
-    assert cli._census_text(census, nl) == walk(census_to_json(census), nl)
-
-
-@given(integer_cone_data(), st.randoms(use_true_random=False), st.integers(0, 46), indents)
-@settings(max_examples=60, deadline=None)
-def test_shuffled_and_partial_census_renders_its_dict_form(d, rng, keep, nl):
-    census = singular_stratum_census(d)
-    rng.shuffle(census)
-    census = census[:keep]
-    assert cli._census_text(census, nl) == walk(census_to_json(census), nl)
+def test_synthetic_census_renders_its_dict_form(evidence, nl):
+    """Any divisors per pattern and any singleton witnesses, zero, negative,
+    unit and 30-digit quotients included."""
+    assert cli._census_text(*evidence, nl) == walk(census_to_json(census_of(*evidence)), nl)
 
 
 special_floats = st.sampled_from(
@@ -131,15 +139,15 @@ def test_certificates_render_their_dict_forms(certs, nl):
     assert cli._certificates_text(certs, nl) == walk([c.to_json() for c in certs], nl)
 
 
-@given(st.lists(certificates, max_size=4), st.lists(reports, max_size=4))
+@given(st.lists(certificates, max_size=4), synthetic_evidence)
 @settings(max_examples=60, deadline=None)
-def test_rendered_values_encode_inside_a_report(certs, census):
+def test_rendered_values_encode_inside_a_report(certs, evidence):
     """A rendered value in a report encodes like its dict form."""
     rendered = {
         "certificates": cli._Rendered(functools.partial(cli._certificates_text, certs)),
-        "census": [cli._Rendered(functools.partial(cli._census_text, census))],
+        "census": [cli._Rendered(functools.partial(cli._census_text, *evidence))],
     }
-    plain = {"certificates": [c.to_json() for c in certs], "census": [census_to_json(census)]}
+    plain = {"certificates": [c.to_json() for c in certs], "census": [census_to_json(census_of(*evidence))]}
     assert cli.encode_report(rendered) == cli.encode_report(plain)
 
 
@@ -163,7 +171,7 @@ def rational_cone_data(draw):
 @settings(max_examples=300, deadline=None)
 def test_condition_report_renders_its_dict_form(d, nl):
     report = check_cone_condition(d)
-    assert cli._condition_text(report, nl) == walk(report.to_json(), nl)
+    assert cli._condition_text(_condition_evidence(d), nl) == walk(report.to_json(), nl)
     assert cli._derived_text(d, nl) == walk(d.to_json(), nl)
 
 
@@ -188,7 +196,7 @@ def test_condition_frame_renders_every_level_set_shape():
         seen |= {("holds", report.holds), ("witness", level_set.nonempty_witness is not None),
                  ("apex", level_set.apex_functional is not None)}
         for nl in ("\n", "\n      "):
-            assert cli._condition_text(report, nl) == walk(report.to_json(), nl)
+            assert cli._condition_text(_condition_evidence(ws.derived), nl) == walk(report.to_json(), nl)
     assert seen == {(part, present) for part in ("holds", "witness", "apex") for present in (False, True)}
 
 

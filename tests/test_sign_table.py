@@ -27,10 +27,19 @@ from conftest import (
     reference_level_set,
     reference_mixed_witnesses,
 )
-from su3kahler.conegeom import MembershipStatus, SignTable, cross, find_apex_functional, in_cone2, vscale, vsub
+from su3kahler.conegeom import (
+    MembershipStatus,
+    SignTable,
+    _membership_of,
+    cross,
+    find_apex_functional,
+    in_cone2,
+    vscale,
+    vsub,
+)
 from su3kahler.isotropy import singular_stratum_census
 from su3kahler.weights import (
-    _DIAGONAL,
+    _DIAGONAL_EVIDENCE,
     DerivedConeData,
     check_cone_condition,
     check_interpolation_path,
@@ -126,14 +135,15 @@ def test_condition_report_witnesses_and_apex_match_the_references(d):
 @settings(max_examples=300, deadline=None)
 def test_an_independent_diagonal_membership_is_the_shared_constant(d):
     """C = A_i + B_i, so C against cone(A_i, B_i) with cross(A_i, B_i) != 0
-    is INTERIOR with (1, 1): the one shared membership, equal to the one
-    the sign table decides. Dependent pairs are decided by the table."""
+    is INTERIOR with (1, 1): the one shared evidence, whose view equals the
+    membership the sign table decides. Dependent pairs are decided by the
+    table."""
     d = fresh(d)
     table = d.sign_table
     for i in range(3):
-        diagonal = d._mixed_memberships[4 * i]
-        assert diagonal == table.membership(6, i, 3 + i)
-        assert (diagonal is _DIAGONAL) == (cross(d.a[i], d.b[i]) != 0)
+        diagonal = d._mixed_evidence[4 * i]
+        assert _membership_of(diagonal) == table.membership(6, i, 3 + i)
+        assert (diagonal is _DIAGONAL_EVIDENCE) == (cross(d.a[i], d.b[i]) != 0)
 
 
 @given(configurations)

@@ -224,8 +224,9 @@ def test_mixed_witnesses_is_not_a_field(orbifold_data):
 def test_mixed_witnesses_computed_once_for_every_reader(monkeypatch, orbifold_data):
     """The level-set check, the census and the certification sample all read
     one sign table per cone data object. Independent mixed pairs take their
-    witness from the table's INTERIOR memberships; only dependent pairs call
-    positive_combination, once each."""
+    witness from the table's INTERIOR decisions and dependent pairs from the
+    same table's strictly positive combinations: positive_combination, which
+    builds a table of its own three vectors, is never called."""
     from su3kahler.isotropy import singular_stratum_census
     from su3kahler.quadric import certification_sample
 
@@ -251,10 +252,9 @@ def test_mixed_witnesses_computed_once_for_every_reader(monkeypatch, orbifold_da
         census = singular_stratum_census(d)
         if level.nonempty:
             certification_sample(d, 5, 0)
-        # one table of the cone data for every reader, and one of its three
-        # vectors per positive_combination call
-        assert len(builds) == 1 + dependent and len(builds[0]) == 7
-        assert len(calls) == dependent == sum(cross(d.a[i], d.b[j]) == 0 for i, j in weights._MIXED_PAIRS)
+        # one table of the cone data for every reader, dependent pairs included
+        assert len(builds) == 1 and len(builds[0]) == 7 and not calls
+        assert dependent == sum(cross(d.a[i], d.b[j]) == 0 for i, j in weights._MIXED_PAIRS)
         assert level.nonempty_witness == (d.mixed_witnesses[0] if d.mixed_witnesses else None)
         singletons = {
             (r.pattern.i_set[0], r.pattern.j_set[0]): r.witness for r in census if r.pattern.is_singleton
