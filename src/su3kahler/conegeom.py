@@ -324,11 +324,11 @@ class SignTable:
         vectors, or None.
 
         The pair search reads the table's signs: the first pair (g_i, g_j),
-        i < j, with d = cross(g_i, g_j) != 0 whose cone holds every g_k,
-        by :func:`_independent_member`: cross(g_i, g_k) and cross(g_k, g_j)
-        have d's sign or are 0, that is row i of the crosses has d's sign
-        or 0 and row j the opposite, which the least and greatest entry of
-        each row decide. The covector of the pair is the sum of their dual
+        i < j, with d = cross(g_i, g_j) != 0 whose cone holds every g_k by
+        the rule of :func:`_independent_member`, cross(g_i, g_k) and
+        cross(g_k, g_j) having d's sign or being 0; that is, row i of the
+        crosses has d's sign or 0 and row j the opposite, which the least
+        and greatest entry of each row decide. The covector of the pair is the sum of their dual
         basis, (g_j[1] - g_i[1], g_i[0] - g_j[0]) / d on the input vectors;
         on the cleared ones that quotient is ``scale`` times smaller, so the
         numerators carry ``scale``. A single shared ray gives its direction
