@@ -277,15 +277,6 @@ def _census_patterns():
 _CENSUS_PATTERNS = _census_patterns()
 
 
-# One pass over the audit pool (3870 censuses) meets 429 keys.
-@functools.lru_cache(maxsize=512)
-def _shared_report(k: int, d1: int, d12: int) -> StratumReport:
-    """The (immutable, shared) report of the k-th census pattern, not a
-    singleton, whose rows have determinantal divisors d1 and d12: it holds
-    no witness, so these three numbers fix it."""
-    return _census_report(k, d1, d12, None)
-
-
 def _census_report(k: int, d1: int, d12: int, witness) -> StratumReport:
     """The report of the k-th census pattern with these determinantal
     divisors and, for a singleton, this witness (a, b) or None: a
@@ -317,9 +308,7 @@ def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
     """Isotropy of every support pattern, with realizability where decidable.
 
     Each pattern's isotropy comes from its determinantal divisors, the
-    census keys of :func:`_census_evidence`. The 40 patterns that are not
-    singletons carry no witness, so their reports are shared between
-    censuses, one per (pattern, d1, d12).
+    census keys of :func:`_census_evidence`.
 
     Singleton patterns {i} x {j}, i != j, are realizable exactly when
     C = a*A_i + b*B_j with a, b > 0; the witness stores (a, b) (d's mixed
@@ -332,12 +321,9 @@ def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
     divisors, witnesses = _census_evidence(d)
     reports = []
     for k, ((_, _, _, singleton, _), (d1, d12)) in enumerate(zip(_CENSUS_PATTERNS, divisors)):
-        if singleton is None:
-            reports.append(_shared_report(k, d1, d12))
-        else:
-            w = witnesses.get(singleton)
-            witness = None if w is None else (Fraction(w[0], w[2]), Fraction(w[1], w[2]))
-            reports.append(_census_report(k, d1, d12, witness))
+        w = witnesses.get(singleton)  # None for a pattern that is not a singleton
+        witness = None if w is None else (Fraction(w[0], w[2]), Fraction(w[1], w[2]))
+        reports.append(_census_report(k, d1, d12, witness))
     return reports
 
 

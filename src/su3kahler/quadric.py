@@ -32,6 +32,14 @@ and complex vectors and Jacobian rows are read as real ones that way.
 Row outputs are read as columns: one ``tolist()`` per residual, verdict
 or certificate field, not one conversion per row.
 
+Exact numbers enter here once per cone data object: :func:`_float_data`
+reads A, B and C, the integer mixed witnesses and the integer apex
+functional of :class:`~su3kahler.weights.DerivedConeData`, and turns each
+quotient n/den into a float by one correctly rounded int division, the
+float ``float(Fraction(n, den))`` gives, without building a ``Fraction``.
+The range check, the sample's seeds, projection, certificates and the
+boundedness residual all read that one conversion.
+
 Everything here is float; all exact decisions live in the other modules.
 This module and the integer-array search of :mod:`su3kahler.weights`
 are the only users of numpy. Nothing imports this module at start-up:
@@ -98,23 +106,53 @@ class LevelSetPoint:
 
 
 class _FloatData(NamedTuple):
-    """Float cone data, converted once per cone data object by
-    :func:`_weight_arrays`; read-only, since every reader shares it."""
+    """The float form of one cone data object, made by :func:`_float_data`
+    and shared through :func:`_weight_arrays`; read-only, since every
+    reader shares it."""
 
     fg: np.ndarray  # (2, 6): row k holds component k of A_1, A_2, A_3, B_1, B_2, B_3,
     #                 the weights of z_1, z_2, z_3, w_1, w_2, w_3 in Phi's component k
     c: np.ndarray   # C as a float 2-vector
     scale: float    # moment scale, see :func:`moment_scale`
+    # fg and c divided by the scale. Projection and certificates run on
+    # them: the level set, its tangent spaces and J_N are unchanged, while
+    # ranks, stopping residuals and operator errors become invariant under
+    # rescaling the cone data.
+    unit_fg: np.ndarray
+    unit_c: np.ndarray
+    seeds: np.ndarray  # (m, 6) complex: z_i = sqrt(a), w_j = sqrt(b) per mixed witness (i, j, a, b)
+    apex: tuple[float, float, float] | None  # (alpha_1, alpha_2, alpha(C)) of the apex functional
 
 
 def _float_data(d: DerivedConeData) -> _FloatData:
-    ab = np.array([*d.a, *d.b], dtype=float)
-    c = np.array(d.c, dtype=float)
-    fg = np.ascontiguousarray(ab.T)
-    for arr in (fg, c):
+    """d's float data, raising ValueError unless every number is finite as
+    a float: each entry of A, B and C, the moment scale, each coefficient
+    of a mixed witness, and the apex functional and its norm times the
+    moment scale. Witness coefficients and the apex functional come from
+    the integer evidence ``d._witness_evidence`` and ``d._apex``, each
+    quotient one int division; alpha(C) is read off the sign table's
+    cleared C, so it too is one."""
+    try:
+        abc = np.array([*d.a, *d.b, d.c], dtype=float)
+        scale = max(math.hypot(*v) for v in abc.tolist()) or 1.0
+        seeds = np.zeros((len(d._witness_evidence), 6), dtype=complex)
+        for row, (i, j, na, nb, den) in zip(seeds, d._witness_evidence):
+            row[i - 1], row[j + 2] = math.sqrt(na / den), math.sqrt(nb / den)
+        x, y, den = d._apex or (0, 0, 1)  # alpha = 0 without an apex functional
+        alpha = (x / den, y / den)
+        if not math.isfinite(scale):
+            raise ValueError("cone data outside the float range: moment scale overflows")
+        if not math.isfinite(scale * math.hypot(*alpha)):
+            raise ValueError("cone data outside the float range: moment scale times |apex functional| overflows")
+        (cx, cy), clearing = d.sign_table.vectors[-1], d.sign_table.scale  # C times the clearing factor
+        apex = None if d._apex is None else (*alpha, (x * cx + y * cy) / (den * clearing))
+    except OverflowError as exc:
+        raise ValueError(f"cone data outside the float range: {exc}") from exc
+    fg, c = np.ascontiguousarray(abc[:6].T), abc[6]
+    fd = _FloatData(fg, c, scale, fg / scale, c / scale, seeds, apex)
+    for arr in (fd.fg, fd.c, fd.unit_fg, fd.unit_c, fd.seeds):
         arr.setflags(write=False)
-    scale = max(math.hypot(*v) for v in (*ab.tolist(), c.tolist())) or 1.0
-    return _FloatData(fg, c, scale)
+    return fd
 
 
 # The last cone data object converted, with its float data; and the round
@@ -126,24 +164,14 @@ _ROUND_FLOAT = _float_data(ROUND_DATA)
 def _weight_arrays(d: DerivedConeData) -> _FloatData:
     """d's float data, converted by :func:`_float_data` unless d is the
     object converted last: a verify command reads one object five times
-    (range check, projection, certificates, and the boundedness residual's
-    moment map and scale) and converts it once."""
+    (range check, the sample's seeds and projection, certificates and
+    boundedness residual) and converts it once."""
     global _last_conversion
     last, fd = _last_conversion
     if last is not d:
         fd = _float_data(d)
         _last_conversion = (d, fd)
     return fd
-
-
-def _unit(fd: _FloatData) -> _FloatData:
-    """The same data divided by its moment scale (scale 1).
-
-    Projection and certificates run on it: the level set, its tangent
-    spaces and J_N are unchanged, while ranks, stopping residuals and
-    operator errors become invariant under rescaling the cone data.
-    """
-    return _FloatData(fd.fg / fd.scale, fd.c / fd.scale, 1.0)
 
 
 def moment_scale(d: DerivedConeData) -> float:
@@ -156,14 +184,15 @@ def moment_scale(d: DerivedConeData) -> float:
     return _weight_arrays(d).scale
 
 
-def _moment(fd: _FloatData, x: np.ndarray) -> np.ndarray:
-    """Phi over the last axis: (..., 6) complex states to (..., 2) floats.
+def _moment(fg: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Phi over the last axis, for the (2, 6) weights fg: (..., 6) complex
+    states to (..., 2) floats.
 
     Component k is sum_j (|z_j|^2 A_j[k] + |w_j|^2 B_j[k]): elementwise
     sums, not BLAS matrix-vector products, whose kernel (and so the last
     bits of a row) depends on the number of rows in the stack.
     """
-    t = (np.abs(x) ** 2)[..., None, :] * fd.fg
+    t = (np.abs(x) ** 2)[..., None, :] * fg
     return (t[..., :3] + t[..., 3:]).sum(axis=-1)
 
 
@@ -173,42 +202,32 @@ def moment_map(d: DerivedConeData, p) -> np.ndarray:
     ``p`` may also be a pair of stacked (n, 3) arrays; the result is then
     (n, 2).
     """
-    return _moment(_weight_arrays(d), _state(p))
+    return _moment(_weight_arrays(d).fg, _state(p))
 
 
 def check_float_range(d: DerivedConeData) -> None:
     """Raise ValueError unless every exact number that sampling and
     :func:`boundedness_residual` turn into floats is finite as a float: the
-    entries of A, B and C, the coefficients of the mixed witnesses, and the
-    apex functional times the moment scale."""
-    apex = d.apex_functional
-    try:
-        bound = moment_scale(d)
-        for *_, a, b in d.mixed_witnesses:
-            float(a), float(b)
-        if apex is not None:
-            bound *= math.hypot(float(apex[0]), float(apex[1]))
-    except OverflowError as exc:
-        raise ValueError(f"cone data outside the float range: {exc}") from exc
-    if not math.isfinite(bound):
-        raise ValueError("cone data outside the float range: moment scale times |apex functional| overflows")
+    entries of A, B and C, the moment scale, the coefficients of the mixed
+    witnesses, and the apex functional and its norm times the moment
+    scale. This is d's one float conversion, which the rest of ``verify``
+    then reads."""
+    _weight_arrays(d)
 
 
 def boundedness_residual(d: DerivedConeData, points) -> tuple[float, bool]:
     """max |alpha(Phi(p)) - alpha(C)| over the points, for alpha the apex
     functional of d, and whether it is at most 1e-10 * |alpha| *
     :func:`moment_scale`: a scale-covariant restatement of the moment
-    residual. (0.0, True) for data without an apex functional."""
-    apex = d.apex_functional
-    if apex is None:
+    residual. (0.0, True) for data without an apex functional. alpha and
+    alpha(C) are the floats of d's one conversion."""
+    fd = _weight_arrays(d)
+    if fd.apex is None:
         return 0.0, True
-    x = _stack(points)
-    phi = moment_map(d, (x[:, :3], x[:, 3:]))
-    lhs = float(apex[0]) * phi[:, 0] + float(apex[1]) * phi[:, 1]
-    rhs = float(apex[0] * d.c[0] + apex[1] * d.c[1])
-    residual = float(np.max(np.abs(lhs - rhs)))
-    scale = math.hypot(float(apex[0]), float(apex[1])) * moment_scale(d)
-    return residual, residual <= 1e-10 * scale
+    a1, a2, rhs = fd.apex
+    phi = _moment(fd.fg, _stack(points))
+    residual = float(np.max(np.abs(a1 * phi[:, 0] + a2 * phi[:, 1] - rhs)))
+    return residual, residual <= 1e-10 * (math.hypot(a1, a2) * fd.scale)
 
 
 def _state(p) -> np.ndarray:
@@ -243,7 +262,7 @@ def _level_points(fd: _FloatData, x: np.ndarray, tol: Tolerances) -> list[LevelS
     """
     z, w = x[:, :3], x[:, 3:]
     quad = np.abs((z * w).sum(axis=-1))
-    mom = _norm(_moment(fd, x) - fd.c, -1)
+    mom = _norm(_moment(fd.fg, x) - fd.c, -1)
     usable = _usable(x)
     close = (quad <= tol.residual) & (mom <= tol.residual * fd.scale)
     out: list[LevelSetPoint | ValueError] = []
@@ -334,15 +353,16 @@ def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-def _constraints(fd: _FloatData, x: np.ndarray) -> np.ndarray:
+def _constraints(fg: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F = (Re h, Im h, Phi - C) at (..., 6) states, for weights fg and C = c."""
     h = (x[..., :3] * x[..., 3:]).sum(axis=-1)
-    return np.concatenate([h[..., None].view(float), _moment(fd, x) - fd.c], axis=-1)
+    return np.concatenate([h[..., None].view(float), _moment(fg, x) - c], axis=-1)
 
 
-def _jacobian(fd: _FloatData, x: np.ndarray) -> np.ndarray:
-    """(m, 4, 12) Jacobians at (m, 6) states; each row is the real form of
-    a complex 6-vector, filled in place in a complex (m, 4, 6) stack and
-    read through its real view.
+def _jacobian(fg: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(m, 4, 12) Jacobians at (m, 6) states for weights fg; each row is
+    the real form of a complex 6-vector, filled in place in a complex
+    (m, 4, 6) stack and read through its real view.
 
     h = sum z_j w_j is complex-bilinear, so d(Re h) = (conj w, conj z) and
     d(Im h) = i (conj w, conj z); the moment rows are gradients of weighted
@@ -352,13 +372,14 @@ def _jacobian(fd: _FloatData, x: np.ndarray) -> np.ndarray:
     xc = np.conj(x)
     rows[:, 0, :3], rows[:, 0, 3:] = xc[:, 3:], xc[:, :3]
     rows[:, 1] = 1j * rows[:, 0]
-    rows[:, 2:] = (2 * fd.fg) * x[:, None, :]
+    rows[:, 2:] = (2 * fg) * x[:, None, :]
     return rows.view(float)
 
 
 def constraint_values(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """F = (Re sum z_j w_j, Im sum z_j w_j, Phi - C) in R^4."""
-    return _constraints(_weight_arrays(d), _state((z, w)))
+    fd = _weight_arrays(d)
+    return _constraints(fd.fg, fd.c, _state((z, w)))
 
 
 _PINV_RCOND = 1e-15  # np.linalg.pinv's default cutoff, relative to the largest singular value
@@ -423,12 +444,11 @@ def project_points(
     for k in np.flatnonzero(~start_ok):
         finite = np.isfinite(x[k]).all()
         out[k] = ValueError("starting point must have nonzero z and w" if finite else "starting point must be finite")
-    unit = _unit(fd)
     active = np.flatnonzero(start_ok)
     xa = x if start_ok.all() else x[active]  # the active rows, in the order of active
     converged = np.zeros(len(x), dtype=bool)
     for _ in range(max_iter):
-        f = _constraints(unit, xa)
+        f = _constraints(fd.unit_fg, fd.unit_c, xa)
         left = _norm(f, -1) > tol
         if not left.all():
             stop = ~left
@@ -437,7 +457,7 @@ def project_points(
             active, xa, f = active[left], xa[left], f[left]
         if not active.size:
             break
-        xa.view(float)[...] += _gauss_newton_steps(_jacobian(unit, xa), f)
+        xa.view(float)[...] += _gauss_newton_steps(_jacobian(fd.unit_fg, xa), f)
         ok = _usable(xa)
         if not ok.all():
             for k, row in zip(active[~ok], xa[~ok]):
@@ -468,17 +488,18 @@ def project_to_level(
     return project_points(d, z0, w0, tol, max_iter, tolerances)[0]
 
 
-def _frame(fd: _FloatData, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _frame(fg: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orbit fields X, Y and the transverse frame Z = X + JY, W = JX - Y
-    at (m, 6) states: X and Y as one complex (m, 2, 6) stack, and Z and W
-    in the real layout as the columns of a real (m, 12, 2) stack.
+    at (m, 6) states, for weights fg: X and Y as one complex (m, 2, 6)
+    stack, and Z and W in the real layout as the columns of a real
+    (m, 12, 2) stack.
 
     X and Y are the closed-form rotation fields of the two moment-map
     components: the z_j component of X is i * A_j[0] * z_j, of Y is
     i * A_j[1] * z_j, and likewise with B_j on w. W = J Z holds exactly,
     and the induced structure on the level set rotates X -> Y -> -X.
     """
-    xy = (1j * fd.fg) * x[:, None, :]
+    xy = (1j * fg) * x[:, None, :]
     x6, y6 = xy[:, 0], xy[:, 1]
     return xy, np.stack([(x6 + 1j * y6).view(float), (1j * x6 - y6).view(float)], axis=-1)
 
@@ -562,15 +583,15 @@ def certify_points(
     ``_CERTIFY_BLOCK`` run block by block, which bounds the memory of a
     large sample and changes no certificate.
     """
-    fd = _unit(_weight_arrays(d))
+    fg = _weight_arrays(d).unit_fg
     certs: list = []
     for start in range(0, len(points), _CERTIFY_BLOCK):
-        certs += _certify_block(fd, points[start:start + _CERTIFY_BLOCK], tol)
+        certs += _certify_block(fg, points[start:start + _CERTIFY_BLOCK], tol)
     return certs
 
 
-def _certify_block(fd: _FloatData, points, tol: Tolerances) -> list[PointCertificate]:
-    """:func:`certify_points` for one stack, on the unit float data.
+def _certify_block(fg: np.ndarray, points, tol: Tolerances) -> list[PointCertificate]:
+    """:func:`certify_points` for one stack, on the unit weights fg.
 
     A row leaves the stack only at the rank test it fails; while every row
     passes, each step reads the whole stack without a copy. The outputs are
@@ -578,7 +599,7 @@ def _certify_block(fd: _FloatData, points, tol: Tolerances) -> list[PointCertifi
     """
     x = _stack(points)
     certs: list = [None] * len(x)
-    _, s, vt = np.linalg.svd(_jacobian(fd, x))
+    _, s, vt = np.linalg.svd(_jacobian(fg, x))
     smax = np.where(s[:, 0] > 0, s[:, 0], 1.0)
     jac_rank = (s > tol.rank_rel * smax[:, None]).sum(axis=1)
     idx = np.flatnonzero(jac_rank == 4)
@@ -591,7 +612,7 @@ def _certify_block(fd: _FloatData, points, tol: Tolerances) -> list[PointCertifi
         vt, x = vt[idx], x[idx]
     qt, nt = vt[:, 4:], vt[:, :4]  # m x 8 x 12 tangent rows, m x 4 x 12 normal rows
 
-    xy, zw = _frame(fd, x)
+    xy, zw = _frame(fg, x)
     qzw, nb = qt @ zw, nt @ zw
     small = np.zeros((len(idx), 6, 4))  # [[I2, R], [0, Nb]] with Q^T [Z W] = P R
     small[:, :2, :2] = _I2
@@ -664,10 +685,11 @@ def certification_sample(
     """Deterministic batch of n level-set points for certification.
 
     Builds n starts and projects them in one :func:`project_points` call.
-    Start k < m is the k-th exact single-support seed (``mixed_witnesses``
-    order). A later start is seed k % m plus ``_SAMPLE_NOISE`` times one
-    Gaussian row in the real coordinate layout, or, for the round
-    normalization at k % 3 == 2, an embedded random special unitary matrix.
+    Start k < m is the k-th single-support seed of d's float data, z_i =
+    sqrt(a) and w_j = sqrt(b) for the k-th mixed witness (i, j, a, b). A
+    later start is seed k % m plus ``_SAMPLE_NOISE`` times one Gaussian
+    row in the real coordinate layout, or, for the round normalization at
+    k % 3 == 2, an embedded random special unitary matrix.
     Seeds and embeddings already meet the stopping residual, so they stay
     in place. Only when n > m are two children of ``SeedSequence(seed)``
     made: one normal draw for the perturbed starts and one generator for
@@ -679,14 +701,10 @@ def certification_sample(
     _check_int("sample count", n)
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    witnesses = d.mixed_witnesses
-    if not witnesses:
+    seeds = _weight_arrays(d).seeds
+    m = len(seeds)
+    if not m:
         raise ValueError("no realizable single-support point; nothing to sample")
-    m = len(witnesses)
-    i, j, a, b = zip(*witnesses)
-    seeds = np.zeros((m, 6), dtype=complex)  # z_i = sqrt(a), w_j = sqrt(b) per witness
-    seeds[range(m), np.array(i) - 1] = np.sqrt(np.array(a, dtype=float))
-    seeds[range(m), np.array(j) + 2] = np.sqrt(np.array(b, dtype=float))
     starts = seeds[np.arange(n) % m]
     if n > m:
         noise_seq, su3_seq = np.random.SeedSequence(seed).spawn(2)

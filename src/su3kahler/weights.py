@@ -244,8 +244,9 @@ class DerivedConeData:
         """A covector strictly positive on all six generators, found in
         :func:`~su3kahler.conegeom.find_apex_functional`'s order, or None
         when a generator is zero or none exists: the ``Fraction`` view of
-        :attr:`_apex`. :func:`check_level_set_conditions` reports it and
-        ``verify`` weighs its boundedness residual with it."""
+        :attr:`_apex`, which :func:`check_level_set_conditions` reports.
+        No command reads it: ``check`` writes :attr:`_apex`'s quotients and
+        ``verify`` weighs its boundedness residual with their floats."""
         apex = self._apex
         return None if apex is None else (Fraction(apex[0], apex[2]), Fraction(apex[1], apex[2]))
 
@@ -296,7 +297,8 @@ class DerivedConeData:
 
         The one table of positive mixed combinations, the ``Fraction``
         view of :attr:`_witness_evidence`, built on first use and cached on
-        the instance; it is not a field, so == and hash ignore it.
+        the instance; it is not a field, so == and hash ignore it. No
+        command reads it: ``isotropy`` and ``verify`` read the integers.
         """
         return tuple((i, j, Fraction(na, den), Fraction(nb, den)) for i, j, na, nb, den in self._witness_evidence)
 

@@ -227,6 +227,29 @@ def test_verify_converts_its_cone_data_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_float_intake_rounds_the_fraction_views(bound2_systems):
+    """The seeds and apex floats of the one conversion are the Fraction
+    views (mixed_witnesses, apex_functional and alpha(C)) converted by
+    float(), bit for bit: on bound-2 systems, on the same data times 2/7
+    (whose sign table clears a denominator), and on data with dependent
+    generators or without an apex functional."""
+    data = [ROUND_DATA, cone_data([(0, 0)] * 3, [(0, 0)] * 3), cone_data([(3, 0)] * 3, [(3, 0)] * 3)]
+    for ws in bound2_systems[::97]:
+        d = derive(ws)
+        data += [d, cone_data(*([[Fraction(2, 7) * x for x in v] for v in side] for side in (d.a, d.b)))]
+    for d in data:
+        fd = quadric._float_data(d)
+        seeds = np.zeros((len(d.mixed_witnesses), 6), dtype=complex)
+        for row, (i, j, a, b) in zip(seeds, d.mixed_witnesses):
+            row[i - 1], row[j + 2] = np.sqrt(float(a)), np.sqrt(float(b))
+        assert fd.seeds.tobytes() == seeds.tobytes()
+        alpha = d.apex_functional
+        if alpha is None:
+            assert fd.apex is None
+        else:
+            assert fd.apex == (float(alpha[0]), float(alpha[1]), float(alpha[0] * d.c[0] + alpha[1] * d.c[1]))
+
+
 def test_dependent_fields_data_in_a_batch():
     d = cone_data([(1, 0)] * 3, [(1, 0)] * 3)
     points = project_points(d, [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]])

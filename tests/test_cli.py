@@ -545,6 +545,28 @@ def test_verify_is_invariant_under_rescaling_the_cone_data(capsys):
     assert ranks == [[(4, 10, True)] * 30] * 4
 
 
+# An admissible bound-1000 system whose A_i and B_j are nearly parallel in
+# pairs: 3 of these 50 points are nearly non-transversal, and their
+# jn_square_error (1.34e-8, 1.67e-8, 1.25e-8) exceeds the absolute operator
+# tolerance of 1e-8 while every rank, regularity and transversality test passes.
+THIN_SYSTEM = '{"wL": [[54,157],[-105,-386],[51,229]], "wR": [[654,942],[-873,-939],[219,-3]]}'
+
+
+def test_thin_system_meets_the_cone_condition(capsys):
+    code, out = run(capsys, "check", "--config", THIN_SYSTEM)
+    assert code == 0 and json.loads(out)["results"]["condition"]["holds"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="false negative: J_N's operator errors grow with the conditioning of its normal-block solve, "
+    "and the operator tolerance is absolute",
+)
+def test_thin_system_passes_verify(capsys):
+    code, out = run(capsys, "verify", "--config", THIN_SYSTEM, "--samples", "50", "--seed", "12")
+    assert code == 0 and json.loads(out)["results"]["all_passed"]
+
+
 # --- a run under the development mode ---------------------------------------------
 
 

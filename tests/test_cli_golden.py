@@ -166,6 +166,32 @@ def test_check_and_isotropy_build_no_fraction_or_report_per_op(capsys, monkeypat
     assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)
 
 
+VERIFY_DATA = [
+    pytest.param(ORBIFOLD_CONE, id="cone-data"),
+    pytest.param('{"wL": [[-2,-2],[1,1],[1,1]], "wR": [[-2,-1],[0,-1],[2,2]]}', id="bound2-weights"),
+    pytest.param('{"A": [[1,0],[1,0],[1,0]], "B": [[0,1],[0,1],[0,1]]}', id="round"),
+]
+
+
+@pytest.mark.parametrize("config", VERIFY_DATA)
+def test_verify_builds_no_fraction_per_op(capsys, monkeypatch, config):
+    """verify reads the sign table's integer witnesses and apex functional
+    into floats by int division: after a first run, a second run prints the
+    same bytes with Fraction made to raise when one is built."""
+    argv = ["verify", "--config", config, "--samples", "20"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built on the verify path")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert main(argv) == 0
+    second = capsys.readouterr().out
+    monkeypatch.undo()
+    assert second == first
+
+
 CACHED_RUNS = [
     ("check", "--config", ORBIFOLD_WEIGHTS),
     ("isotropy", "--config", ORBIFOLD_WEIGHTS),

@@ -268,6 +268,33 @@ def test_a_report_past_the_digit_limit_exits_2():
     assert report["results"]["error"].startswith("cannot render the report: Exceeds the limit (4300 digits)")
 
 
+# X is finite as a float, but |(X, X)| is not.
+X = 15 * 10**307
+FLOAT_RANGE_CASES = [
+    pytest.param(
+        {"A": [[10**400, 0]] * 3, "B": [[0, 1]] * 3}, "int too large to convert to float", id="entry"
+    ),
+    pytest.param(
+        {"A": [[X, X], [-X, -X], [X, -X]], "B": [[-X, 1 - X], [X, 1 + X], [-X, 1 + X]]},
+        "moment scale overflows",
+        id="moment-scale",
+    ),
+    pytest.param(  # one ray: the apex functional is (10**200, 0) and the moment scale 2*10**200
+        {"A": [[10**200, 0]] * 3, "B": [[10**200, 0]] * 3},
+        "moment scale times |apex functional| overflows",
+        id="apex",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, message", FLOAT_RANGE_CASES)
+def test_cone_data_outside_the_float_range_exits_2_naming_the_number(config, message):
+    """Every entry of the moment-scale case is finite as a float and the
+    data has no apex functional: the error names the scale, not an apex."""
+    code, report = run_main(["verify", "--config", json.dumps(config), "--samples", "5"])
+    assert code == 2 and report["results"]["error"] == f"cone data outside the float range: {message}"
+
+
 API_CALLS = {
     "cone_data": lambda x: cone_data([(x, 0), (1, 0), (2, -1)], [(0, 1), (0, 1), (-1, 2)]),
     "build_derham_model": lambda x: build_derham_model((x, 0), (0, 1)),
