@@ -209,8 +209,9 @@ def test_a_stack_certifies_bitwise_as_its_blocks(monkeypatch, orbifold_data):
 
 
 def test_verify_converts_its_cone_data_once(monkeypatch, capsys):
-    """The range check, the projection, the certificates and the
-    boundedness residual of one verify share one float conversion."""
+    """The range check, the sample's seeds, the projection, the
+    certificates and the boundedness residual of one verify share one
+    float conversion."""
     conversions = []
     convert = quadric._float_data
 
