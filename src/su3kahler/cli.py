@@ -41,6 +41,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -123,70 +124,6 @@ def _problem(source: str) -> tuple[wt.WeightSystem | None, wt.DerivedConeData]:
     raise InputError("config needs either wL/wR (weights) or A/B (cone data)")
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _encode(o, parts: list, nl: str) -> None:
-    """Append the JSON text of o to parts, byte for byte as
-    ``json.dumps(o, indent=2, sort_keys=True)`` writes it; nl is the
-    newline and indentation of the line o starts on.
-
-    One pass in place of the stdlib's pure-Python generators (its C
-    encoder is not used when an indent is set). Type tests follow the
-    stdlib's order, so subclasses of str/int/float/list/dict (np.float64)
-    encode as their base and other objects (np.int64) raise TypeError.
-    A module-level function, not a closure, so a call leaves no reference
-    cycle behind.
-    """
-    if isinstance(o, str):
-        parts.append(encode_basestring_ascii(o))
-    elif o is None:
-        parts.append("null")
-    elif o is True:
-        parts.append("true")
-    elif o is False:
-        parts.append("false")
-    elif isinstance(o, int):
-        parts.append(int.__repr__(o))
-    elif isinstance(o, float):
-        parts.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            parts.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for item in o:
-            parts.append(sep)
-            sep = "," + inner
-            _encode(item, parts, inner)
-        parts.append(nl + "]")
-    elif isinstance(o, dict):
-        if not o:
-            parts.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, value in sorted(o.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, not {key.__class__.__name__}")
-            parts.append(sep + encode_basestring_ascii(key) + ": ")
-            sep = "," + inner
-            _encode(value, parts, inner)
-        parts.append(nl + "}")
-    elif isinstance(o, _Rendered):
-        parts.append(o.render(nl))
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
 class _Rendered:
     """A report value whose JSON text is ``render(nl)``, for nl the newline
     and indentation of the line the value starts on."""
@@ -202,11 +139,39 @@ def _rendered(text, *args) -> _Rendered:
     return _Rendered(functools.partial(text, *args))
 
 
-def _gap(key: int, quoted: bool = False) -> _Rendered:
+def _text(o, nl: str) -> str:
+    """The JSON text of o on a line whose newline and indentation is nl,
+    byte for byte as ``json.dumps(o, indent=2, sort_keys=True)`` writes it
+    there; a _Rendered value writes itself. A str, an int, a bool, None or
+    a finite float is written here, as the stdlib writes it (subclasses as
+    their base), anything else by ``json.dumps``."""
+    if isinstance(o, _Rendered):
+        return o.render(nl)
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float) and math.isfinite(o):
+        return float.__repr__(o)
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", nl)
+
+
+def _gap(key: int, quoted: bool = False) -> str:
     """The gap of a template for the value of this key, inside a string's
-    quotes if quoted. Its text holds the key and the newline and indentation
-    of its line, between NULs, which encoded strings always escape."""
-    return _Rendered(lambda nl: f'"\0{key}\0{nl}\0"' if quoted else f"\0{key}\0{nl}\0")
+    quotes if quoted: a control character and the key, which json.dumps
+    writes as \\u0000key inside quotes or "\\u0001key" for a bare gap, since
+    it escapes every control character."""
+    return ("\0" if quoted else "\1") + str(key)
+
+
+# A gap in json.dumps's text: a quoted one, or a bare one with its quotes.
+_GAP = re.compile(r'\\u0000(\d+)|"\\u0001(\d+)"')
 
 
 def _keyed(o, keys):
@@ -222,53 +187,57 @@ def _keyed(o, keys):
 
 def _template(form, nl: str):
     """The text of form at nl split at its gaps: the pieces between them,
-    and the key and the newline and indentation of each gap, in text order."""
-    parts: list = []
-    _encode(form, parts, nl)
-    split = "".join(parts).split("\0")
-    return tuple(split[::3]), tuple(zip(map(int, split[1::3]), split[2::3]))
+    and the key of each gap, in text order."""
+    split = _GAP.split(json.dumps(form, indent=2, sort_keys=True).replace("\n", nl))
+    return tuple(split[::3]), tuple(int(q or b) for q, b in zip(split[1::3], split[2::3]))
 
 
 def _fill(template, values) -> str:
     """A template's text with str(values[k]) in each gap of key k. A value is
-    a JSON text, an int (not a bool), whose str() is the encoder's text of
+    a JSON text, an int (not a bool), whose str() is json.dumps's text of
     it, or, in a string gap, an int or a Fraction, whose str() is
     ``scalar_to_json`` of it: digits, "-" and "/", which need no escape."""
-    pieces, slots = template
+    pieces, keys = template
     parts: list = [None] * (2 * len(pieces) - 1)
     parts[::2] = pieces
-    parts[1::2] = [str(values[k]) for k, _ in slots]
+    parts[1::2] = [str(values[k]) for k in keys]
     return "".join(parts)
 
 
-def _encode_fill(template, values, parts: list) -> None:
-    """Append a template's text to parts with the encoder's text of
-    values[k] in each gap of key k, at the gap's newline and indentation."""
-    pieces, slots = template
-    parts.append(pieces[0])
-    for (k, nl), piece in zip(slots, pieces[1:]):
-        _encode(values[k], parts, nl)
-        parts.append(piece)
+# The dict form of each block written from a leaf template, with zeros for
+# its entries, by kind: freeness has one form per verdict, its failing pair
+# null or present.
+_ZERO = ((0, 0),) * 3
+_LEAF_PROBES = {
+    "weights": wt.WeightSystem(_ZERO, _ZERO),
+    "derived": wt.DerivedConeData(_ZERO, _ZERO, (0, 0)),
+    "free": iso.FreenessVerdict(None),
+    "orbifold": iso.FreenessVerdict((0, 0, 0)),
+}
 
 
-@functools.lru_cache(maxsize=16)  # weights and derived, at each nl they are written at
-def _leaf_template(cls, nl: str):
-    """The dict form of a WeightSystem or DerivedConeData (cls) at nl, with
-    a gap for each entry keyed by its position among the entries of the
-    fields in order, the order in which the dict form lists them."""
-    zero = ((0, 0),) * 3
-    probe = wt.WeightSystem(zero, zero) if cls is wt.WeightSystem else wt.DerivedConeData(zero, zero, (0, 0))
-    return _template(_keyed(probe.to_json(), itertools.count()), nl)
+@functools.lru_cache(maxsize=16)  # the four kinds, at each nl they are written at
+def _leaf_template(kind: str, nl: str):
+    """The dict form of the probe of this kind at nl, with a gap for each
+    entry keyed by its position in the order the dict form lists them."""
+    return _template(_keyed(_LEAF_PROBES[kind].to_json(), itertools.count()), nl)
 
 
 def _weights_text(ws: wt.WeightSystem, nl: str) -> str:
     """``ws.to_json()`` as encoded text."""
-    return _fill(_leaf_template(wt.WeightSystem, nl), [*itertools.chain(*ws.wl, *ws.wr)])
+    return _fill(_leaf_template("weights", nl), [*itertools.chain(*ws.wl, *ws.wr)])
 
 
 def _derived_text(d: wt.DerivedConeData, nl: str) -> str:
     """``d.to_json()`` as encoded text."""
-    return _fill(_leaf_template(wt.DerivedConeData, nl), [*itertools.chain(*d.a, *d.b, d.c)])
+    return _fill(_leaf_template("derived", nl), [*itertools.chain(*d.a, *d.b, d.c)])
+
+
+def _freeness_text(verdict: iso.FreenessVerdict, nl: str) -> str:
+    """``verdict.to_json()`` as encoded text, for a verdict without a
+    classification (so consistent)."""
+    kind = "free" if verdict.free else "orbifold"
+    return _fill(_leaf_template(kind, nl), verdict.failing_pair or ())
 
 
 # The template caches are sized from their distinct keys over one pass of
@@ -359,9 +328,7 @@ def _interpolation_text(steps: int, nl: str) -> str:
     text, built once per step count and nl. ``check`` writes it only when
     the cone condition holds, and by the README's path corollary the path
     then holds, so its verdict is true."""
-    parts: list = []
-    _encode(_interpolation_json(wt.default_interpolation_times(steps), True), parts, nl)
-    return "".join(parts)
+    return _text(_interpolation_json(wt.default_interpolation_times(steps), True), nl)
 
 
 # One pass over the audit pool meets 46 census entry shapes (every pattern
@@ -442,8 +409,8 @@ def _certificate_format(shape: tuple, nl: str) -> str:
 def _certificates_text(certificates: list, nl: str) -> str:
     """``[c.to_json() for c in certificates]`` as encoded text: each
     certificate's format from :func:`_certificate_format`, filled in one
-    pass with the text of every float, which one ``json.dumps`` call writes
-    as ``_float_text`` does."""
+    pass with the text of every float, which one ``json.dumps`` call
+    writes."""
     if not certificates:
         return "[]"
     inner = nl + "  "
@@ -456,14 +423,6 @@ def _certificates_text(certificates: list, nl: str) -> str:
         floats += (c.jn_square_error, c.jn_xy_error, c.omega_compat_error, *spectrum)
     texts = json.dumps(floats)[1:-1].split(", ")
     return ("[" + inner + ("," + inner).join(formats) + nl + "]") % tuple(texts)
-
-
-def encode_report(report) -> str:
-    """The report as indented JSON with sorted keys and a final newline."""
-    parts: list = []
-    _encode(report, parts, "\n")
-    parts.append("\n")
-    return "".join(parts)
 
 
 def _report(command: str, config: dict, results: dict, passed: bool, wall: float) -> dict:
@@ -482,9 +441,9 @@ def _report(command: str, config: dict, results: dict, passed: bool, wall: float
 @functools.lru_cache(maxsize=32)
 def _envelope_template(command: str, config_keys: tuple, result_keys: tuple):
     """The envelope of a ``command`` report with these config and result
-    keys, as ``encode_report(_report(...))`` writes it, with a gap for each
-    value keyed by its position in (*config values, *result values, pass,
-    wall time)."""
+    keys, as ``json.dumps(_report(...), indent=2, sort_keys=True)`` writes
+    it, with a gap for each value keyed by its position in (*config values,
+    *result values, pass, wall time)."""
     keys = itertools.count()
     config = {key: _gap(next(keys)) for key in config_keys}
     results = {key: _gap(next(keys)) for key in result_keys}
@@ -492,14 +451,13 @@ def _envelope_template(command: str, config_keys: tuple, result_keys: tuple):
 
 
 def _report_text(command: str, config: dict, results: dict, passed: bool, wall: float) -> str:
-    """``encode_report(_report(command, config, results, passed, wall))``,
-    from one cached envelope per command and key sets; each value is
-    encoded in its gap."""
-    template = _envelope_template(command, tuple(config), tuple(results))
-    parts: list = []
-    _encode_fill(template, (*config.values(), *results.values(), passed, wall), parts)
-    parts.append("\n")
-    return "".join(parts)
+    """``json.dumps(_report(command, config, results, passed, wall),
+    indent=2, sort_keys=True)`` and a final newline, from one cached
+    envelope per command and key sets. Every config and result value
+    starts on a line indented by four spaces, where ``_text`` writes it;
+    pass and the wall time are leaves."""
+    values = [_text(v, "\n    ") for v in (*config.values(), *results.values(), passed, wall)]
+    return _fill(_envelope_template(command, tuple(config), tuple(results)), values) + "\n"
 
 
 def _monomial(v) -> str:
@@ -541,7 +499,7 @@ def cmd_isotropy(args) -> tuple[dict, bool]:
     results = {
         "weights": None if ws is None else _rendered(_weights_text, ws),
         "derived": _rendered(_derived_text, d),
-        "freeness": verdict.to_json(),
+        "freeness": _rendered(_freeness_text, verdict),
         "classification": iso.Classification.of(verdict.free).value,
         "census": _rendered(_census_text, *iso._census_evidence(d)),
     }
@@ -656,6 +614,8 @@ def cmd_enumerate(args) -> tuple[dict, bool]:
 
 def _parse_beta(args):
     if args.beta is not None:
+        if args.branch == "degenerate":
+            raise InputError("--beta and --branch degenerate exclude each other: give one of them")
         try:
             parts = [_scalar(p.strip()) for p in args.beta.split(",")]
         except ValueError as exc:

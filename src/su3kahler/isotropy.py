@@ -197,7 +197,8 @@ def freeness_check(d: DerivedConeData, ws: WeightSystem | None = None) -> Freene
     failing = _failing_pair(d._nine_crosses)
     classification = None
     if ws is not None and cone_condition_holds(d):
-        if ws.derived == d and ws.free != (failing is None):
+        # ws's own data, the usual case, is told by identity, with no field comparison
+        if (ws.derived is d or ws.derived == d) and ws.free != (failing is None):
             raise RuntimeError(
                 f"freeness verdict {ws.free} of {ws!r} differs from the "
                 f"lattice-pair test on its own data, {failing is None}"

@@ -559,11 +559,8 @@ def weights_from_cone_data(d: DerivedConeData) -> WeightSolution:
     return WeightSolution(wl, wr, scale, system)
 
 
-# The audit pool asks for one step count (the default 8); a CLI run for one.
-@functools.lru_cache(maxsize=8)
 def default_interpolation_times(steps: int = 8) -> tuple[Fraction, ...]:
-    """k/steps for k = 0..steps, the times a ``check`` report lists, built
-    once per step count (the tuple and its Fractions are immutable)."""
+    """k/steps for k = 0..steps, the times a ``check`` report lists."""
     return tuple(Fraction(k, steps) for k in range(steps + 1))
 
 

@@ -311,6 +311,21 @@ def test_cohomology_explicit_beta(capsys):
     assert json.loads(out)["results"]["hodge"]["branch"] == [0, 0, 0]
 
 
+
+def test_cohomology_refuses_beta_with_the_degenerate_branch(capsys):
+    """The degenerate branch fixes beta, so a --beta beside it is refused
+    in the envelope, naming both flags, rather than read as the generic
+    branch; --beta with the generic branch stays valid."""
+    for argv in (("--branch", "degenerate", "--beta", "1,1"), ("--beta=1/2,-3/7", "--branch", "degenerate")):
+        code, out = run(capsys, "cohomology", *argv)
+        report = json.loads(out)
+        assert code == 2 and report["pass"] is False and report["command"] == "cohomology"
+        assert report["config"]["branch"] == "degenerate" and report["config"]["beta"] in ("1,1", "1/2,-3/7")
+        error = report["results"]["error"]
+        assert set(report["results"]) == {"error"} and "--beta" in error and "--branch degenerate" in error
+    code, out = run(capsys, "cohomology", "--branch", "generic", "--beta", "1,1")
+    assert code == 0 and json.loads(out)["results"]["hodge"]["branch"] == [0, 0, 0]
+
 def test_cohomology_zero_beta_exits_2(capsys):
     code, _ = run(capsys, "cohomology", "--beta", "0,0")
     assert code == 2

@@ -93,6 +93,7 @@ RENDERED = [p for p in GOLDEN if p.id in ("check", "isotropy-cone-data", "isotro
 DICT_FORMS = (
     (isotropy, "census_to_json"),
     (isotropy.StratumReport, "to_json"),
+    (isotropy.FreenessVerdict, "to_json"),
     (quadric.PointCertificate, "to_json"),
     (weights.ConditionReport, "to_json"),
     (weights.LevelSetConditions, "to_json"),
@@ -105,11 +106,11 @@ DICT_FORMS = (
 @pytest.mark.parametrize("argv, code, length, digest", RENDERED)
 def test_census_and_certificates_skip_their_dict_forms(capsys, monkeypatch, argv, code, length, digest):
     """The census, the certificates, the condition report with its
-    level-set block, and the weights and derived blocks are written from
-    cached templates, not from their dict forms. The templates are read
-    from probes of the dict forms when first used, so a first run builds
-    them; with the dict forms raising, a second run must still give the
-    pinned stdout."""
+    level-set block, and the weights, derived and freeness blocks are
+    written from cached templates, not from their dict forms. The
+    templates are read from probes of the dict forms when first used, so a
+    first run builds them; with the dict forms raising, a second run must
+    still give the pinned stdout."""
     main(list(argv))
     capsys.readouterr()
 

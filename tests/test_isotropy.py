@@ -266,6 +266,30 @@ def test_freeness_check_cross_checks_a_stamped_verdict(standard_ws, orbifold_ws)
             freeness_check(derive(ws), stamped)
 
 
+
+def test_freeness_check_decides_own_data_by_identity(monkeypatch, standard_ws, orbifold_ws):
+    """A system's own data is told by identity, with no field comparison;
+    a structurally equal copy is still compared, and a wrongly stamped
+    verdict on it still raises."""
+    def refuse(self, other):
+        raise AssertionError("DerivedConeData.__eq__ called")
+
+    own = [WeightSystem(ws.wl, ws.wr) for ws in (standard_ws, orbifold_ws)]
+    monkeypatch.setattr(DerivedConeData, "__eq__", refuse)
+    for ws in own:
+        verdict = freeness_check(ws.derived, ws)
+        assert verdict.free == ws.free and verdict.classification is Classification.of(ws.free)
+    monkeypatch.undo()
+    for ws in own:
+        d = ws.derived
+        copy = DerivedConeData(d.a, d.b, d.c)
+        stamped = WeightSystem(ws.wl, ws.wr)
+        stamped.__dict__["derived"] = d
+        stamped.__dict__["free"] = not ws.free  # a wrong verdict from elsewhere
+        assert copy is not d and copy == d
+        with pytest.raises(RuntimeError, match="lattice-pair test"):
+            freeness_check(copy, stamped)
+
 # --- census -------------------------------------------------------------------
 
 

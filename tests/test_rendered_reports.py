@@ -1,9 +1,10 @@
 """The report parts that ``check``, ``isotropy``, ``verify`` and
-``enumerate`` write from cached templates, against the encoder's walk of
+``enumerate`` write from cached templates, against ``json.dumps`` of
 their dict forms (``census_to_json``, ``PointCertificate.to_json``,
 ``ConditionReport.to_json`` with its level-set block, the interpolation
-block, ``WeightSystem.to_json`` and ``DerivedConeData.to_json``) at several
-starting indents, and the stream lines against ``json.dumps``. The
+block, ``WeightSystem.to_json``, ``DerivedConeData.to_json`` and
+``FreenessVerdict.to_json``) at several starting indents, and the stream
+lines against ``json.dumps``. The
 condition report and the census are written from their integer evidence
 (``weights._condition_evidence``, ``isotropy._census_evidence``), so each
 is compared with the dict form of the reports the library builds from the
@@ -22,6 +23,7 @@ from su3kahler import cli
 from su3kahler.isotropy import (
     _CENSUS_PATTERNS,
     Classification,
+    FreenessVerdict,
     _census_evidence,
     _census_report,
     census_to_json,
@@ -42,9 +44,8 @@ indents = st.integers(0, 5).map(lambda k: "\n" + "  " * k)
 
 
 def walk(obj, nl):
-    parts: list = []
-    cli._encode(obj, parts, nl)
-    return "".join(parts)
+    """The stdlib's text of obj on a line whose newline and indentation is nl."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
 
 
 small = st.integers(-4, 4)
@@ -139,16 +140,35 @@ def test_certificates_render_their_dict_forms(certs, nl):
     assert cli._certificates_text(certs, nl) == walk([c.to_json() for c in certs], nl)
 
 
-@given(st.lists(certificates, max_size=4), synthetic_evidence)
+failing_pairs = st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**20)))
+
+
+@given(failing_pairs, indents)
+@settings(max_examples=100, deadline=None)
+def test_freeness_block_renders_its_dict_form(pair, nl):
+    """Both shapes: free (no failing pair) and orbifold (a failing pair)."""
+    verdict = FreenessVerdict(pair)
+    assert cli._freeness_text(verdict, nl) == walk(verdict.to_json(), nl)
+
+
+@given(st.lists(certificates, max_size=4), synthetic_evidence, failing_pairs)
 @settings(max_examples=60, deadline=None)
-def test_rendered_values_encode_inside_a_report(certs, evidence):
-    """A rendered value in a report encodes like its dict form."""
+def test_rendered_values_encode_inside_a_report(certs, evidence, pair):
+    """Rendered result values in a report's envelope encode like their dict
+    forms."""
+    verdict = FreenessVerdict(pair)
     rendered = {
         "certificates": cli._Rendered(functools.partial(cli._certificates_text, certs)),
-        "census": [cli._Rendered(functools.partial(cli._census_text, *evidence))],
+        "census": cli._Rendered(functools.partial(cli._census_text, *evidence)),
+        "freeness": cli._rendered(cli._freeness_text, verdict),
     }
-    plain = {"certificates": [c.to_json() for c in certs], "census": [census_to_json(census_of(*evidence))]}
-    assert cli.encode_report(rendered) == cli.encode_report(plain)
+    plain = {
+        "certificates": [c.to_json() for c in certs],
+        "census": census_to_json(census_of(*evidence)),
+        "freeness": verdict.to_json(),
+    }
+    expected = json.dumps(cli._report("isotropy", {}, plain, True, 0.0), indent=2, sort_keys=True) + "\n"
+    assert cli._report_text("isotropy", {}, rendered, True, 0.0) == expected
 
 
 rationals = st.one_of(small, st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))

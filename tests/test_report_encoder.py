@@ -1,4 +1,6 @@
-"""The one-pass report encoder against ``json.dumps(indent=2, sort_keys=True)``."""
+"""The report text against ``json.dumps(indent=2, sort_keys=True)``: the
+value writer ``cli._text`` at several indents, and every command's report
+as ``cli._report_text`` writes it."""
 
 import gc
 import json
@@ -21,6 +23,11 @@ def stdlib(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def at(obj, nl) -> str:
+    """The stdlib's text of obj on a line whose newline and indentation is nl."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
+
+
 def outcome(encode, obj):
     """The text, or the exception type when encoding raises."""
     try:
@@ -29,6 +36,7 @@ def outcome(encode, obj):
         return TypeError
 
 
+indents = st.integers(0, 5).map(lambda k: "\n" + "  " * k)
 floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324, 1.7976931348623157e308]),
@@ -58,10 +66,17 @@ trees = st.recursive(
 )
 
 
-@given(trees)
+@given(trees, indents)
 @settings(max_examples=80, deadline=None)
-def test_encoder_matches_stdlib_bytes(tree):
-    assert cli.encode_report(tree) == stdlib(tree)
+def test_encoder_matches_stdlib_bytes(tree, nl):
+    assert cli._text(tree, nl) == at(tree, nl)
+
+
+@given(leaves, indents)
+@settings(max_examples=200, deadline=None)
+def test_leaves_match_stdlib_bytes(leaf, nl):
+    """The leaves _text writes itself, at any indent."""
+    assert cli._text(leaf, nl) == at(leaf, nl)
 
 
 @given(
@@ -70,14 +85,14 @@ def test_encoder_matches_stdlib_bytes(tree):
         st.dictionaries(floats.filter(lambda x: x == x), leaves, max_size=4),
         st.dictionaries(st.one_of(st.none(), st.booleans()), leaves, max_size=3),
         st.dictionaries(st.one_of(st.integers(), texts), leaves, max_size=4),
-    )
+    ),
+    indents,
 )
 @settings(max_examples=100, deadline=None)
-def test_encoder_matches_stdlib_on_non_string_keys(tree):
-    # reports have str keys only: any other key raises TypeError, where the
-    # stdlib would write it as a string
-    expected = stdlib(tree) if all(isinstance(key, str) for key in tree) else TypeError
-    assert outcome(cli.encode_report, tree) == expected
+def test_encoder_matches_stdlib_on_non_string_keys(tree, nl):
+    # the stdlib writes int, float, bool and None keys as strings, and
+    # raises TypeError when sort_keys meets keys of types it cannot order
+    assert outcome(lambda o: cli._text(o, nl), tree) == outcome(lambda o: at(o, nl), tree)
 
 
 @given(trees, st.integers(-(2**63), 2**63 - 1))
@@ -87,28 +102,29 @@ def test_numpy_int64_raises_like_stdlib(tree, x):
         with pytest.raises(TypeError):
             stdlib(obj)
         with pytest.raises(TypeError, match="int64 is not JSON serializable"):
-            cli.encode_report(obj)
+            cli._text(obj, "\n")
 
 
 def test_empty_containers_and_nesting():
     tree = {"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": {"f": []}}, "": ()}
-    assert cli.encode_report(tree) == stdlib(tree)
-    assert cli.encode_report([]) == "[]\n"
-    assert cli.encode_report({}) == "{}\n"
+    for nl in ("\n", "\n    "):
+        assert cli._text(tree, nl) == at(tree, nl)
+        assert cli._text([], nl) == "[]"
+        assert cli._text({}, nl) == "{}"
 
 
 def test_unsupported_keys_raise_type_error():
     with pytest.raises(TypeError):
-        cli.encode_report({(1, 2): 0})
+        cli._text({(1, 2): 0}, "\n")
     with pytest.raises(TypeError):
         stdlib({(1, 2): 0})
 
 
 def rendered_report(argv, dict_forms):
-    """The report of argv as the CLI builds it, with the values of
-    dict_forms' keys in results rendered from templates, and the same
-    report with each of them replaced by dict_form(args, ws, d), the
-    library's dict form."""
+    """The envelope arguments of argv's report as the CLI builds them, with
+    the values of dict_forms' keys in results rendered from templates, and
+    the report's dict with each of them replaced by dict_form(args, ws, d),
+    the library's dict form."""
     args = cli._parser().parse_args(argv)
     results, passed = cli._COMMANDS[args.command](args)
     assert passed
@@ -117,9 +133,8 @@ def rendered_report(argv, dict_forms):
     for key, dict_form in dict_forms.items():
         assert isinstance(results[key], cli._Rendered)
         plain[key] = dict_form(args, ws, d)
-    return [
-        cli._report(args.command, cli._config_echo(args), r, passed, 0.0) for r in (results, plain)
-    ]
+    config = cli._config_echo(args)
+    return (args.command, config, results, passed, 0.0), cli._report(args.command, config, plain, passed, 0.0)
 
 
 def weights(args, ws, d):
@@ -144,8 +159,12 @@ def isotropy_reports():
     def census(args, ws, d):
         return iso.census_to_json(iso.singular_stratum_census(d))
 
+    def freeness(args, ws, d):
+        return iso.freeness_check(d).to_json()
+
     argv = ["isotropy", "--config", ORBIFOLD_WEIGHTS]
-    return rendered_report(argv, {"census": census, "weights": weights, "derived": derived})
+    dict_forms = {"census": census, "freeness": freeness, "weights": weights, "derived": derived}
+    return rendered_report(argv, dict_forms)
 
 
 def check_reports():
@@ -163,17 +182,17 @@ def check_reports():
 
 def test_verify_report_bytes_match_stdlib():
     report, plain = verify_reports()
-    assert cli.encode_report(report) == stdlib(plain)
+    assert cli._report_text(*report) == stdlib(plain)
 
 
 def test_isotropy_report_bytes_match_stdlib():
     report, plain = isotropy_reports()
-    assert cli.encode_report(report) == stdlib(plain)
+    assert cli._report_text(*report) == stdlib(plain)
 
 
 def test_check_report_bytes_match_stdlib():
     report, plain = check_reports()
-    assert cli.encode_report(report) == stdlib(plain)
+    assert cli._report_text(*report) == stdlib(plain)
 
 
 def test_encoding_leaves_no_reference_cycle():
@@ -186,7 +205,7 @@ def test_encoding_leaves_no_reference_cycle():
     try:
         for _ in range(3):
             for report in reports:
-                cli.encode_report(report)
+                cli._report_text(*report)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -214,6 +233,7 @@ ENVELOPES = [
     ("cohomology",),
     ("cohomology", "--beta", "1/2,-3/7"),
     ("cohomology", "--beta", "1/0,1"),
+    ("cohomology", "--branch", "degenerate", "--beta", "1,1"),  # refused
     ("--timing", "check", "--config", ORBIFOLD_WEIGHTS),  # a measured wall time
     ("--timing", "isotropy", "--config", FAILING_CONE),
 ]
