@@ -10,20 +10,20 @@ Lefschetz class; eliminating x3 = -x1 - x2 leaves the monomial basis
 Tensoring with an exterior algebra on two degree-1 generators and sending
 them to a basis of degree 2 produces a model whose cohomology is that of
 the group itself, an exterior algebra on generators of degrees 3 and 5.
+:func:`dga_cohomology` builds that complex A tensor Lambda(g0, g1) in one
+grading, total degree, and reads its Betti numbers from
+:func:`cohomology_of_complex`, which checks that d o d = 0. All its linear
+algebra is exact (Gaussian elimination over the scalar field).
+
 The bigraded variant places x_i in bidegree (1, 1), adds generators of
 bidegrees (1, 0) and (0, 1), and sends the first to a class beta in the
-(1, 1) part. Which of the two possible Hodge-number branches appears is
-decided by the rank of multiplication by beta from bidegree (1, 1) to
-(2, 2), whose determinant is the anisotropic form b1^2 - b1*b2 + b2^2;
-hitting the degenerate branch therefore requires scalars with a primitive
-cube root of unity adjoined, implemented exactly by :class:`Eisenstein`.
-
-Both models are the one complex A tensor Lambda(g0, g1), built in one
-place and graded two ways: by total degree for the de Rham Betti numbers,
-by bidegree for the Hodge numbers (each row p read as the chain over q).
-Every chain goes through :func:`cohomology_of_complex`, which checks that
-d o d = 0. All linear algebra is exact (Gaussian elimination over the
-scalar field).
+(1, 1) part. Its Hodge numbers are a closed form (the README's
+Hodge-branch corollary): all are fixed except one branch, decided by the
+rank of multiplication by beta from bidegree (1, 1) to (2, 2), whose
+determinant is the anisotropic form b1^2 - b1*b2 + b2^2. So
+:func:`hodge_model` evaluates that form and builds no complex; hitting the
+degenerate branch requires scalars with a primitive cube root of unity
+adjoined, implemented exactly by :class:`Eisenstein`.
 """
 
 from __future__ import annotations
@@ -112,11 +112,14 @@ class Eisenstein:
         return Eisenstein(num.a / norm, num.b / norm)
 
     def __eq__(self, other):
-        o = Eisenstein.of(other)
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, Eisenstein):
+            return self.a == other.a and self.b == other.b
+        if type(other) is bool or not isinstance(other, (int, Fraction)):
+            return NotImplemented  # bools fail the rational gate, like floats
+        return self.b == 0 and self.a == other
 
-    def __hash__(self):
-        return hash((self.a, self.b))
+    def __hash__(self):  # a rational element hashes as its rational, as it compares
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __repr__(self):
         return f"({self.a}+{self.b}w)"
@@ -289,61 +292,32 @@ def cohomology_of_complex(dims: list[int], mats: list[list[list]]) -> tuple[int,
 _SUBSETS = ((), (0,), (1,), (0, 1))
 
 
-def _total_degree(deg: int, s: tuple[int, ...]) -> tuple[int]:
-    return (deg + len(s),)
-
-
-def _bidegree(deg: int, s: tuple[int, ...]) -> tuple[int, int]:
-    """x_i in (1, 1), the first generator in (1, 0), the second in (0, 1)."""
-    return (deg // 2 + (0 in s), deg // 2 + (1 in s))
-
-
-def _next(grade: tuple) -> tuple:
-    return (*grade[:-1], grade[-1] + 1)
-
-
-def _tensor_exterior(algebra: GradedAlgebra, images, grade) -> tuple[dict, dict]:
-    """The complex A tensor Lambda(g0, g1) with d = 0 on A, d(g_k) = images[k]
-    in A^2 and d(g0 g1) = +d(g0) g1 - d(g1) g0.
-
-    Basis elements (deg, idx, s) are graded by ``grade(deg, s)``, a tuple
-    whose last entry d raises by one. Returns ``(dims, mats)``: the
-    dimension of each grade and the matrix of d out of it (rows indexed by
-    the next grade), over the scalars of ``images``.
-    """
-    basis: dict[tuple, list] = {}
+def dga_cohomology(model: DGAModel) -> tuple[int, ...]:
+    """Betti numbers of the model, exact over Q: the complex
+    A tensor Lambda(g0, g1) by total degree, with d = 0 on A,
+    d(g_k) = d_gens[k] in A^2 and d(g0 g1) = +d(g0) g1 - d(g1) g0."""
+    algebra = model.algebra
+    basis: list[list] = [[] for _ in range(max(algebra.degrees) + 3)]
     for deg in algebra.degrees:
         for idx in range(algebra.dim(deg)):
             for s in _SUBSETS:
-                basis.setdefault(grade(deg, s), []).append((deg, idx, s))
-    index = {g: {e: k for k, e in enumerate(elems)} for g, elems in basis.items()}
-    zero = 0 * images[0][0]
-    mats = {g: [[zero] * len(elems) for _ in basis.get(_next(g), ())] for g, elems in basis.items()}
+                basis[deg + len(s)].append((deg, idx, s))
+    index = [{e: k for k, e in enumerate(elems)} for elems in basis]
+    mats = [[[Fraction(0)] * len(basis[n]) for _ in basis[n + 1]] for n in range(len(basis) - 1)]
     for deg in algebra.degrees:
         for idx in range(algebra.dim(deg)):
             unit = [int(k == idx) for k in range(algebra.dim(deg))]
-            for k, img in enumerate(images):
+            for k, img in enumerate(model.d_gens):
                 if not any(img):
                     continue
                 prod = algebra.mul_class(deg, unit, 2, img)  # once per (deg, idx, k)
                 for s, tail, sign in (((k,), (), 1), ((0, 1), (1 - k,), 1 - 2 * k)):
-                    g = grade(deg, s)
-                    col, rows = index[g][(deg, idx, s)], index.get(_next(g), {})
+                    n = deg + len(s)
+                    col = index[n][(deg, idx, s)]
                     for r, c in enumerate(prod):
                         if c:
-                            mats[g][rows[(deg + 2, r, tail)]][col] += sign * c
-    return {g: len(elems) for g, elems in basis.items()}, mats
-
-
-def _betti_along(dims: dict, mats: dict, grades: list[tuple]) -> tuple[int, ...]:
-    """Betti numbers of the chain through consecutive ``grades``."""
-    return cohomology_of_complex([dims[g] for g in grades], [mats[g] for g in grades[:-1]])
-
-
-def dga_cohomology(model: DGAModel) -> tuple[int, ...]:
-    """Betti numbers of the model, exact over Q."""
-    dims, mats = _tensor_exterior(model.algebra, model.d_gens, _total_degree)
-    return _betti_along(dims, mats, sorted(dims))
+                            mats[n][index[n + 1][(deg + 2, r, tail)]][col] += sign * c
+    return cohomology_of_complex([len(elems) for elems in basis], mats)
 
 
 GENERIC_BETA = (Fraction(1), Fraction(0))
@@ -389,26 +363,22 @@ def hodge_model(beta) -> HodgeTable:
 
     ``beta`` is a list or tuple of two scalars (rationals or
     :class:`Eisenstein`; any other shape raises TypeError) expressing the
-    image of the (1, 0) generator in the (1, 1) part over the basis
-    (x1, x2); the (0, 1) generator is closed. The entries away
-    from (2, 1), (2, 2), (2, 3) are checked against their forced values;
-    the branch is (0, 0, 0) when multiplication by beta has full rank and
-    (1, 2, 1) on the degeneracy conic.
+    image of the (1, 0) generator u in the (1, 1) part over the basis
+    (x1, x2); the (0, 1) generator is closed. Every bidegree with
+    |p - q| <= 1 in [0, 4] gets an entry: ``_FIXED_HODGE`` there, plus the
+    branch at (2, 1), (2, 2), (2, 3), which is (1, 2, 1) where
+    b1^2 - b1*b2 + b2^2 = 0 (multiplication by beta from A^{1,1} to A^{2,2}
+    drops rank) and (0, 0, 0) elsewhere; the README's Hodge-branch
+    corollary proves it.
     """
-    b = _vector(beta, Eisenstein.of)
-    if not (b[0] or b[1]):
+    b1, b2 = _vector(beta, Eisenstein.of)
+    if not (b1 or b2):
         raise ValueError("beta must be nonzero")
-    zero = Eisenstein.of(0)
-    dims, mats = _tensor_exterior(basic_model(), (b, (zero, zero)), _bidegree)
-    entries: dict[tuple[int, int], int] = {}
-    for p in sorted({p for p, _ in dims}):
-        row = sorted(pq for pq in dims if pq[0] == p)  # its q's are consecutive
-        entries.update(zip(row, _betti_along(dims, mats, row)))
-
-    for pq, expected in _FIXED_HODGE.items():
-        if entries.get(pq, 0) != expected:
-            raise RuntimeError(f"forced Hodge number h^{pq} came out {entries.get(pq, 0)}")
-    for pq, value in entries.items():
-        if pq not in _FIXED_HODGE and pq not in ((2, 1), (2, 2), (2, 3)) and value != 0:
-            raise RuntimeError(f"unexpected nonzero Hodge number h^{pq} = {value}")
+    branch = (0, 0, 0) if b1 * b1 - b1 * b2 + b2 * b2 else (1, 2, 1)
+    entries = {
+        (p, q): _FIXED_HODGE.get((p, q), 0)
+        for p in range(5)
+        for q in range(max(0, p - 1), min(4, p + 1) + 1)
+    }
+    entries.update(zip(((2, 1), (2, 2), (2, 3)), branch))
     return HodgeTable(entries)

@@ -99,10 +99,12 @@ IVec2 = tuple[int, int]
 
 
 def _ivec(v) -> IVec2:
-    x, y = v
-    if type(x) is not int or type(y) is not int:  # rejects bools and floats
+    """A list or tuple of two ints (bools and floats rejected), or a
+    ValueError naming ``v``: a string or a dict would unpack into its
+    characters or keys."""
+    if not isinstance(v, (list, tuple)) or len(v) != 2 or type(v[0]) is not int or type(v[1]) is not int:
         raise ValueError(f"integer weight vector expected, got {v!r}")
-    return (x, y)
+    return (v[0], v[1])
 
 
 def _weight_rows(*named_sides) -> tuple[tuple[IVec2, IVec2, IVec2], ...]:
@@ -110,10 +112,14 @@ def _weight_rows(*named_sides) -> tuple[tuple[IVec2, IVec2, IVec2], ...]:
     enumeration grid: each (name, side) pair as three int pairs summing
     to zero.
 
-    Every entry is checked first (bools and floats are rejected), then
-    every side's length, then each side's sum (``name`` labels it in the
-    message); the first failure raises ValueError.
+    Every side must be a list or tuple. Every entry is checked next
+    (bools and floats are rejected), then every side's length, then each
+    side's sum (``name`` labels it in the message); the first failure
+    raises ValueError.
     """
+    for name, side in named_sides:
+        if not isinstance(side, (list, tuple)):
+            raise ValueError(f"{name} must be a list of three weight vectors, got {side!r}")
     triples = tuple(tuple(_ivec(v) for v in side) for _, side in named_sides)
     if any(len(t) != 3 for t in triples):
         raise ValueError("exactly three weight vectors per side")
@@ -322,11 +328,14 @@ _ORDERED_PAIRS = tuple(itertools.product(range(3), repeat=2))
 
 
 def cone_data(a_vectors, b_vectors) -> DerivedConeData:
-    """Build cone data from A's and B's, requiring A_j + B_j constant."""
+    """Build cone data from A's and B's, each a list or tuple of three
+    vectors (ValueError naming the side otherwise), requiring A_j + B_j
+    constant."""
+    for name, side in (("A", a_vectors), ("B", b_vectors)):
+        if not isinstance(side, (list, tuple)) or len(side) != 3:
+            raise ValueError(f"{name} must be a list of three vectors, got {side!r}")
     a = tuple(_vector(v) for v in a_vectors)
     b = tuple(_vector(v) for v in b_vectors)
-    if len(a) != 3 or len(b) != 3:
-        raise ValueError("three A vectors and three B vectors required")
     return DerivedConeData(a, b, vadd(a[0], b[0]))  # the type checks A_j + B_j = C
 
 

@@ -2,7 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from su3kahler import cohomology
 from su3kahler.cohomology import (
     BASIC_BETTI,
     DEGENERATE_BETA,
@@ -34,6 +37,21 @@ def test_eisenstein_cube_root():
     assert x * (Eisenstein.of(1) / x) == 1
     with pytest.raises(ZeroDivisionError):
         Eisenstein.of(1) / Eisenstein.of(0)
+
+
+def test_eisenstein_keeps_the_eq_hash_contract():
+    """A rational element equals and hashes as its rational, so sets and
+    dict lookups treat the two as one key; an element compared with
+    anything outside Q(omega) is unequal, not an error (it raised
+    ValueError for a string and TypeError for None)."""
+    one, half = Eisenstein.of(1), Eisenstein(F(1, 2), F(0))
+    assert len({one, 1}) == 1 and len({half, F(1, 2)}) == 1
+    assert {1: "a"}.get(one) == "a" and {F(1, 2): "b"}[half] == "b"
+    assert {one: "c"}.get(1) == "c"
+    assert len({OMEGA, 0, 1}) == 3 and OMEGA != 1 and 1 != OMEGA
+    assert not (one == "x") and one != "x" and one != None  # noqa: E711
+    assert one != True and not (Eisenstein.of(0) == False)  # noqa: E712 (bools fail the gate)
+    assert one != 1.0 and one != [1, 0]
 
 
 def test_exact_rank_small_cases():
@@ -349,3 +367,53 @@ def test_hodge_matches_reference_on_grid():
         assert table.entries == reference_hodge_entries(beta), beta
         branches.add(table.branch)
     assert branches == {(0, 0, 0), (1, 2, 1)}
+
+
+def _eisenstein_scalars():
+    small = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    return st.builds(Eisenstein, small, small)
+
+
+@st.composite
+def _betas_over_q_omega(draw):
+    """Nonzero rational and Eisenstein pairs, and nonzero multiples of the
+    two degeneracy-conic points (-w b, b) and (-w^2 b, b)."""
+    scalars = _eisenstein_scalars()
+    kind = draw(st.sampled_from(("rational", "eisenstein", "conic w", "conic w^2")))
+    if kind == "rational":
+        small = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+        beta = (draw(small), draw(small))
+    elif kind == "eisenstein":
+        beta = (draw(scalars), draw(scalars))
+    else:
+        b = draw(scalars.filter(bool))
+        root = OMEGA if kind == "conic w" else OMEGA * OMEGA
+        beta = (-root * b, b)
+    assume(beta[0] or beta[1])
+    return beta
+
+
+@given(_betas_over_q_omega())
+@settings(max_examples=80, deadline=None)
+def test_hodge_closed_form_matches_reference_over_q_omega(beta):
+    """The closed form against the hand-built bigraded complex: the table
+    agrees entry by entry (zeros included), and the branch is degenerate
+    exactly on the conic b1^2 - b1*b2 + b2^2 = 0."""
+    table = hodge_model(beta)
+    assert table.entries == reference_hodge_entries(beta)
+    b1, b2 = map(Eisenstein.of, beta)
+    on_conic = not (b1 * b1 - b1 * b2 + b2 * b2)
+    assert table.branch == ((1, 2, 1) if on_conic else (0, 0, 0))
+
+
+def test_hodge_model_builds_no_complex(monkeypatch):
+    """The Hodge table is a closed form: it ranks no matrix and checks no
+    complex."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hodge_model built a complex")
+
+    monkeypatch.setattr(cohomology, "cohomology_of_complex", refuse)
+    monkeypatch.setattr(cohomology, "exact_rank", refuse)
+    assert hodge_model(GENERIC_BETA).branch == (0, 0, 0)
+    assert hodge_model(DEGENERATE_BETA).branch == (1, 2, 1)

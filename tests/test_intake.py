@@ -343,3 +343,32 @@ def test_cone_data_rejects_a_malformed_vector(vector):
     for call in MALFORMED_VECTOR_CALLS:
         with pytest.raises(TypeError, match=r"vector \[x, y\] expected"):
             call(vector)
+
+
+B_SIDE = [[0, 1], [0, 1], [-1, 2]]
+WR_SIDE = [[1, 0], [0, 1], [-1, -1]]
+MALFORMED_SHAPES = [
+    pytest.param({"A": 3, "B": B_SIDE}, "A must be a list of three vectors, got 3", id="int side"),
+    pytest.param({"A": None, "B": B_SIDE}, "A must be a list of three vectors, got None", id="null side"),
+    pytest.param({"A": "abc", "B": B_SIDE}, "A must be a list of three vectors, got 'abc'", id="string side"),
+    pytest.param({"A": ORBIFOLD_A, "B": {"a": 1, "b": 2, "c": 3}}, "B must be a list of three vectors", id="dict side"),
+    pytest.param({"A": ORBIFOLD_A, "B": B_SIDE[:2]}, "B must be a list of three vectors", id="short side"),
+    pytest.param({"wL": [[0, 0, 0], [0, 0], [0, 0]], "wR": WR_SIDE}, "got [0, 0, 0]", id="long weight vector"),
+    pytest.param({"wL": "abc", "wR": WR_SIDE}, "wL must be a list of three weight vectors, got 'abc'", id="string wL"),
+    pytest.param({"wL": None, "wR": WR_SIDE}, "wL must be a list of three weight vectors, got None", id="null wL"),
+    pytest.param({"wL": WR_SIDE, "wR": {"a": 1, "b": 2, "c": 3}}, "wR must be a list of three", id="dict wR"),
+    pytest.param({"wL": ["ab", "cd", "ef"], "wR": WR_SIDE}, "got 'ab'", id="string weight vectors"),
+    pytest.param({"wL": [3, 4, 5], "wR": WR_SIDE}, "got 3", id="int weight vectors"),
+]
+
+
+@pytest.mark.parametrize("config, message", MALFORMED_SHAPES)
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_a_malformed_config_shape_exits_2_naming_the_value(command, config, message):
+    """A side that is not a list of three vectors, or a weight vector that
+    is not a list of two ints, ends in exit 2 with a message naming it, not
+    in Python's own unpacking or iteration error."""
+    code, out = run(command, json.dumps(config))
+    error = json.loads(out)["results"]["error"]
+    assert code == 2 and message in error
+    assert "iterable" not in error and "unpack" not in error
