@@ -634,7 +634,7 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
     beta = _parse_beta(args)
     algebra = coh.basic_model()
     basic_betti = [algebra.dim(k) for k in range(algebra.top + 1)]
-    derham = coh.dga_cohomology(coh.build_derham_model())
+    derham = coh._derham_betti()
     hodge = coh.hodge_model(beta)
     beta_str = [repr(b) if isinstance(b, coh.Eisenstein) else scalar_to_json(b) for b in beta]
     passed = (

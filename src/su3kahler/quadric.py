@@ -11,15 +11,22 @@ and for cone data (A, B, C) the moment map is
 
     Phi(z, w) = sum_j A_j |z_j|^2 + B_j |w_j|^2.
 
-Points of the level set Phi = C on the quadric are sampled exactly (one
-coordinate per factor, from a positive cone witness), by Gauss-Newton
-projection of perturbations, or by embedding special unitary matrices when
-the data is the round normalization. :func:`certify_points` then checks the
-linear-algebra content of the transverse Kahler construction at each point:
-constraint regularity, transversality of the rotated frame, the induced
-complex structure squaring to -1 and rotating the orbit directions, omega
-compatibility, and positive semidefiniteness of omega(J_N -, -) with a
-2-dimensional kernel along the orbit.
+Points of the level set M = {Phi = C, sum z_j w_j = 0} are sampled in
+closed form, by Kahler reduction (Guillemin and Sternberg, Invent. Math.
+67, 1982): the phase torus T^4, z_k -> e^{i theta_k} z_k and w_k ->
+e^{i(c - theta_k)} w_k, acts on M, and M/T^4 is the polytope of
+(r, s) = (|z|^2, |w|^2) >= 0 with sum_k r_k A_k + s_k B_k = C, cut by
+Heron's inequality on t_k = r_k s_k (the sqrt(t_k) are the sides of a
+triangle). :func:`certification_sample` draws points of that region and
+lifts each to one point of its T^4 orbit with +, -, *, / and sqrt;
+:func:`project_points` (Gauss-Newton) and :func:`embed_su3` (the round
+level set as SU(3)) are library functions that ``verify`` does not call.
+:func:`certify_points` then checks the linear-algebra content of the
+transverse Kahler construction at each point: constraint regularity,
+transversality of the rotated frame, the induced complex structure
+squaring to -1 and rotating the orbit directions, omega compatibility,
+and positive semidefiniteness of omega(J_N -, -) with a 2-dimensional
+kernel along the orbit.
 
 Projection and certification run as one batch over a stack of points:
 each step is a single stacked numpy/LAPACK call, and the one-point
@@ -37,7 +44,7 @@ reads A, B and C, the integer mixed witnesses and the integer apex
 functional of :class:`~su3kahler.weights.DerivedConeData`, and turns each
 quotient n/den into a float by one correctly rounded int division, the
 float ``float(Fraction(n, den))`` gives, without building a ``Fraction``.
-The range check, the sample's seeds, projection, certificates and the
+The range check, the sample's vertices and seeds, certificates and the
 boundedness residual all read that one conversion.
 
 Everything here is float; all exact decisions live in the other modules.
@@ -95,7 +102,8 @@ class Tolerances:
 _NONZERO_FLOOR = 1e-8  # max |z_j|, |w_j| must exceed this on the quadric
 _SU3_TOL = 1e-9        # unitarity and determinant error of an embedded matrix
 _OPERATOR_TOL = 1e-8   # operator identity errors of a passing certificate
-_SAMPLE_NOISE = 1e-2   # scale of the perturbations certification_sample projects
+_SAMPLE_CHUNK = 128    # vertex mixtures certification_sample draws per round
+_SAMPLE_PATIENCE = 32  # rounds in a row without an accepted mixture before it gives up
 
 
 @dataclass
@@ -120,6 +128,10 @@ class _FloatData(NamedTuple):
     # rescaling the cone data.
     unit_fg: np.ndarray
     unit_c: np.ndarray
+    # (m + 3, 6): the (r_1, r_2, r_3, s_1, s_2, s_3) = (|z|^2, |w|^2) of the
+    # slice's vertices, r_i = a and s_j = b per mixed witness (i, j, a, b),
+    # then the three diagonals r_i = s_i = 1 (C = A_i + B_i)
+    vertices: np.ndarray
     seeds: np.ndarray  # (m, 6) complex: z_i = sqrt(a), w_j = sqrt(b) per mixed witness (i, j, a, b)
     apex: tuple[float, float, float] | None  # (alpha_1, alpha_2, alpha(C)) of the apex functional
 
@@ -135,9 +147,11 @@ def _float_data(d: DerivedConeData) -> _FloatData:
     try:
         abc = np.array([*d.a, *d.b, d.c], dtype=float)
         scale = max(math.hypot(*v) for v in abc.tolist()) or 1.0
-        seeds = np.zeros((len(d._witness_evidence), 6), dtype=complex)
-        for row, (i, j, na, nb, den) in zip(seeds, d._witness_evidence):
-            row[i - 1], row[j + 2] = math.sqrt(na / den), math.sqrt(nb / den)
+        m = len(d._witness_evidence)
+        vertices = np.zeros((m + 3, 6))
+        vertices[m:] = np.tile(np.eye(3), 2)  # the diagonals r_i = s_i = 1
+        for row, (i, j, na, nb, den) in zip(vertices, d._witness_evidence):
+            row[i - 1], row[j + 2] = na / den, nb / den
         x, y, den = d._apex or (0, 0, 1)  # alpha = 0 without an apex functional
         alpha = (x / den, y / den)
         if not math.isfinite(scale):
@@ -149,8 +163,9 @@ def _float_data(d: DerivedConeData) -> _FloatData:
     except OverflowError as exc:
         raise ValueError(f"cone data outside the float range: {exc}") from exc
     fg, c = np.ascontiguousarray(abc[:6].T), abc[6]
-    fd = _FloatData(fg, c, scale, fg / scale, c / scale, seeds, apex)
-    for arr in (fd.fg, fd.c, fd.unit_fg, fd.unit_c, fd.seeds):
+    seeds = np.sqrt(vertices[:m]).astype(complex)
+    fd = _FloatData(fg, c, scale, fg / scale, c / scale, vertices, seeds, apex)
+    for arr in (fd.fg, fd.c, fd.unit_fg, fd.unit_c, fd.vertices, fd.seeds):
         arr.setflags(write=False)
     return fd
 
@@ -163,9 +178,9 @@ _ROUND_FLOAT = _float_data(ROUND_DATA)
 
 def _weight_arrays(d: DerivedConeData) -> _FloatData:
     """d's float data, converted by :func:`_float_data` unless d is the
-    object converted last: a verify command reads one object five times
-    (range check, the sample's seeds and projection, certificates and
-    boundedness residual) and converts it once."""
+    object converted last: a verify command reads one object four times
+    (range check, the sample, certificates and boundedness residual) and
+    converts it once."""
     global _last_conversion
     last, fd = _last_conversion
     if last is not d:
@@ -679,42 +694,102 @@ def certify_point(
     return certify_points(d, [p], tol)[0]
 
 
+def _lift(weights: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """The level-set points over the mixtures (r, s) = weights @ vertices
+    whose t_k = r_k s_k pass Heron's test, in row order, as (k, 6) states.
+
+    Each mixture is summed vertex by vertex, in order, so a row depends on
+    its own weights alone and equals the same sum in Python floats.
+    Heron's value H = 2(t_1 t_2 + t_2 t_3 + t_3 t_1) - sum t_k^2 is 16
+    times the squared area of the triangle with sides m_k = sqrt(t_k); a
+    row is kept when H > 0, which a non-finite H fails. The point over it
+    is z_k = sqrt(r_k) and w_k = sqrt(s_k) p_k/|p_k|, for p_1 = m_1,
+    p_2 = m_2 e^{i alpha} and p_3 = -p_1 - p_2, the triangle's sides as
+    vectors: cos alpha = (t_3 - t_1 - t_2)/(2 m_1 m_2) closes it, so
+    sum z_k w_k = sum p_k = 0, and |w_k|^2 = s_k. With
+    sin alpha = sqrt(H)/(2 m_1 m_2), the p_k are taken times 2 m_1, which
+    leaves each p_k/|p_k| unchanged: 2 t_1, (t_3 - t_1 - t_2) + i sqrt(H)
+    and minus their sum. No trigonometric call is made, and sin alpha
+    suffers no cancellation in 1 - cos^2 alpha.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H is rejected
+        rs = weights[:, :1] * vertices[0]
+        for k in range(1, len(vertices)):
+            rs += weights[:, k : k + 1] * vertices[k]
+        t1, t2, t3 = t = (rs[:, :3] * rs[:, 3:]).T
+        heron = 2 * (t1 * t2 + t2 * t3 + t3 * t1) - (t1 * t1 + t2 * t2 + t3 * t3)
+        keep = heron > 0
+    t1, t2, t3 = t[:, keep]
+    p = np.zeros((len(t1), 3, 2))  # 2 m_1 p_k as (Re, Im)
+    p[:, 0, 0] = 2 * t1
+    p[:, 1, 0], p[:, 1, 1] = t3 - t1 - t2, np.sqrt(heron[keep])
+    p[:, 2] = -p[:, 0] - p[:, 1]
+    root = np.sqrt(rs[keep])
+    x = np.zeros((len(t1), 6, 2))  # the real layout, (Re, Im) per coordinate
+    x[:, :3, 0] = root[:, :3]
+    x[:, 3:] = root[:, 3:, None] * (p / _norm(p, -1)[..., None])
+    return x.reshape(-1, 12).view(complex)
+
+
+def _interior_states(fd: _FloatData, count: int, seed) -> np.ndarray:
+    """``count`` level-set states drawn from the slice, as (count, 6).
+
+    Rounds of ``_SAMPLE_CHUNK`` Dirichlet(1, ..., 1) weights on the
+    vertices of ``fd`` come from one ``default_rng(SeedSequence(seed))``,
+    each round is lifted by :func:`_lift`, and accepted points are taken in
+    draw order. The round's size does not depend on ``count``, so a smaller
+    count takes a prefix of a larger one. After ``_SAMPLE_PATIENCE`` rounds
+    in a row with no accepted mixture it raises ValueError.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    ones = np.ones(len(fd.vertices))
+    found, idle = [], 0
+    while count > 0:
+        x = _lift(rng.dirichlet(ones, _SAMPLE_CHUNK), fd.vertices)
+        idle = 0 if len(x) else idle + 1
+        if idle == _SAMPLE_PATIENCE:
+            raise ValueError(
+                f"no vertex mixture passed Heron's test in {_SAMPLE_PATIENCE * _SAMPLE_CHUNK} draws in a row"
+            )
+        found.append(x[:count])
+        count -= len(x)
+    return np.concatenate(found)
+
+
 def certification_sample(
     d: DerivedConeData, n: int, seed, tol: Tolerances = Tolerances()
 ) -> list[LevelSetPoint]:
     """Deterministic batch of n level-set points for certification.
 
-    Builds n starts and projects them in one :func:`project_points` call.
-    Start k < m is the k-th single-support seed of d's float data, z_i =
-    sqrt(a) and w_j = sqrt(b) for the k-th mixed witness (i, j, a, b). A
-    later start is seed k % m plus ``_SAMPLE_NOISE`` times one Gaussian
-    row in the real coordinate layout, or, for the round normalization at
-    k % 3 == 2, an embedded random special unitary matrix.
-    Seeds and embeddings already meet the stopping residual, so they stay
-    in place. Only when n > m are two children of ``SeedSequence(seed)``
-    made: one normal draw for the perturbed starts and one generator for
-    the embedded matrices, drawn in order. The first points of a larger
-    sample equal the smaller sample. Every point is accepted against
-    ``tol.residual``; an embedding error raises while its start is built,
-    otherwise the error of the lowest-index point is raised.
+    Point k < m is the k-th single-support seed of d's float data, z_i =
+    sqrt(a) and w_j = sqrt(b) for the k-th mixed witness (i, j, a, b): the
+    fixed points, where the Jacobian is the worst conditioned on the data
+    measured so far. Each later point is built in closed form by
+    :func:`_interior_states`: a Dirichlet(1, ..., 1) mixture of the
+    slice's vertices (the mixed witnesses and the three diagonals
+    r_i = s_i = 1), kept when the
+    sqrt(r_k s_k) are the sides of a triangle, and lifted by
+    :func:`_lift`. The moment equation is linear in (r, s), so every
+    mixture meets it. A mixture stands for a whole T^4 orbit of points
+    with the same (|z|^2, |w|^2), and the lift picks one point of it, with
+    z real and w_1 real and positive: the sample is a section of the T^4
+    orbits, which loses nothing, since T^4 acts unitarily and every
+    certificate is invariant under it. Conjugation maps the section to the
+    other orientation of the triangle. No iteration runs.
+
+    The draws come from ``SeedSequence(seed)`` alone, and are made only
+    when n > m, in rounds of a fixed size: a sample is reproducible, and
+    the first points of a larger sample are the smaller sample. Every
+    point is accepted against ``tol.residual``, and the error of the
+    lowest-index point is raised; ValueError also when no mixture passes
+    the triangle test in ``_SAMPLE_PATIENCE`` rounds in a row.
     """
     _check_int("sample count", n)
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    seeds = _weight_arrays(d).seeds
-    m = len(seeds)
+    fd = _weight_arrays(d)
+    m = len(fd.seeds)
     if not m:
         raise ValueError("no realizable single-support point; nothing to sample")
-    starts = seeds[np.arange(n) % m]
-    if n > m:
-        noise_seq, su3_seq = np.random.SeedSequence(seed).spawn(2)
-        later = np.arange(m, n)
-        embed = (later % 3 == 2) & (d == ROUND_DATA)
-        embedded, perturbed = later[embed], later[~embed]
-        noise = np.random.default_rng(noise_seq).standard_normal((len(perturbed), 12))
-        starts.view(float)[perturbed] += _SAMPLE_NOISE * noise
-        su3_rng = np.random.default_rng(su3_seq)
-        for k in embedded:
-            p = embed_su3(random_su3(su3_rng))
-            starts[k] = np.concatenate([p.z, p.w])
-    return project_points(d, starts[:, :3], starts[:, 3:], tolerances=tol)
+    x = fd.seeds[:n].copy() if n <= m else np.concatenate([fd.seeds, _interior_states(fd, n - m, seed)])
+    return _first_error(_level_points(fd, x, tol))

@@ -209,9 +209,9 @@ def test_a_stack_certifies_bitwise_as_its_blocks(monkeypatch, orbifold_data):
 
 
 def test_verify_converts_its_cone_data_once(monkeypatch, capsys):
-    """The range check, the sample's seeds, the projection, the
-    certificates and the boundedness residual of one verify share one
-    float conversion."""
+    """The range check, the sample's seeds and vertices, the certificates
+    and the boundedness residual of one verify share one float
+    conversion."""
     conversions = []
     convert = quadric._float_data
 
@@ -284,15 +284,11 @@ def test_all_degenerate_batch_sends_no_nan_to_lapack(monkeypatch):
 ORBIFOLD_CONFIG = '{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'
 
 # Every LAPACK call of one 50-sample verify of the orbifold data (seed 0),
-# in order, as (name, array shape, mode or compute_uv): three Gauss-Newton
-# rounds of the 44 perturbed starts (the 6 exact seeds stop at once), then
-# the certificates' SVD of the 4 x 12 Jacobians, the R of Q^T [Z W], the
-# singular values of the 6 x 4 matrices, the QR and 2 x 2 solve of the
-# J_N step, and one eigvalsh of the three 8 x 8 stacks.
+# in order, as (name, array shape, mode or compute_uv): the certificates'
+# SVD of the 4 x 12 Jacobians, the R of Q^T [Z W], the singular values of
+# the 6 x 4 matrices, the QR and 2 x 2 solve of the J_N step, and one
+# eigvalsh of the three 8 x 8 stacks. The closed-form sample makes none.
 VERIFY_50_LAPACK_CALLS = [
-    ("qr", (44, 12, 4), None),
-    ("qr", (44, 12, 4), None),
-    ("qr", (44, 12, 4), None),
     ("svd", (50, 4, 12), None),
     ("qr", (50, 8, 2), "r"),
     ("svd", (50, 6, 4), False),
@@ -303,12 +299,11 @@ VERIFY_50_LAPACK_CALLS = [
 
 
 def test_certify_path_keeps_its_factorization_budget(monkeypatch, capsys, orbifold_data):
-    """Regular points cost no SVD of the 12 x 10 matrix [Q | Z W], no pinv
-    in a Gauss-Newton step, and no RNG stream per sample point; a sample is
-    one projection call, and a sample of seeds only spawns no RNG. One
-    50-sample verify makes exactly the LAPACK calls of
-    ``VERIFY_50_LAPACK_CALLS``."""
-    z0, w0 = _perturbed_starts(orbifold_data, 20, 7)
+    """verify's sample makes no projection, no factorization and no
+    SeedSequence child: one SeedSequence(seed) when it draws, none for a
+    sample of seeds. Regular points cost no SVD of the 12 x 10 matrix
+    [Q | Z W] and no pinv, and one 50-sample verify makes exactly the
+    LAPACK calls of ``VERIFY_50_LAPACK_CALLS``."""
     seen = []
     for name in ("svd", "pinv", "qr", "solve", "eigvalsh", "eigh", "lstsq", "inv", "det"):
         real = getattr(np.linalg, name)
@@ -318,40 +313,53 @@ def test_certify_path_keeps_its_factorization_budget(monkeypatch, capsys, orbifo
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
-    spawned = []
+    sequences, spawned = [], []
 
     class RecordedSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            sequences.append(args)
+            super().__init__(*args, **kwargs)
+
         def spawn(self, n_children):
             spawned.append(n_children)
             return super().spawn(n_children)
 
     monkeypatch.setattr(np.random, "SeedSequence", RecordedSeedSequence)
 
-    projections = []
+    def refuse(*args, **kwargs):
+        raise AssertionError("a projection on the certify path")
 
-    def counted(d, z0, w0, *args, **kwargs):
-        projections.append(len(z0))
-        return project_points(d, z0, w0, *args, **kwargs)
-
-    monkeypatch.setattr(quadric, "project_points", counted)
-
-    project_points(orbifold_data, z0, w0)
-    assert ("pinv" not in {name for name, *_ in seen}) and ("qr" in {name for name, *_ in seen})
+    monkeypatch.setattr(quadric, "project_points", refuse)
+    monkeypatch.setattr(quadric, "project_to_level", refuse)
     m = len(orbifold_data.mixed_witnesses)
     for n in (1, m):
         certification_sample(orbifold_data, n, 4)
-    assert projections == [1, m] and not spawned
-    n = 50
-    points = certification_sample(orbifold_data, n, 4)
-    assert projections == [1, m, n]
-    assert spawned == [2]
-    seen.clear()
+    assert not sequences
+    points = certification_sample(orbifold_data, 50, 4)
+    assert sequences == [(4,)] and not spawned and not seen
     assert all(c.passed for c in certify_points(orbifold_data, points))
-    assert seen and not any(name == "svd" and shape[-2:] == (12, 10) for name, shape, _ in seen)
+    assert seen and not any(name == "pinv" or shape[-2:] == (12, 10) for name, shape, _ in seen)
     seen.clear()
     assert main(["verify", "--config", ORBIFOLD_CONFIG, "--samples", "50", "--seed", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["all_passed"] is True
-    assert seen == VERIFY_50_LAPACK_CALLS
+    assert seen == VERIFY_50_LAPACK_CALLS and not spawned
+
+
+def test_projection_steps_take_qr_not_pinv_on_regular_rows(monkeypatch, orbifold_data):
+    """project_points, a library function off verify's path, steps regular
+    rows by one QR per round and calls no pinv."""
+    z0, w0 = _perturbed_starts(orbifold_data, 20, 7)
+    seen = []
+    for name in ("pinv", "qr"):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, _real=real, _name=name, **kwargs):
+            seen.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    project_points(orbifold_data, z0, w0)
+    assert "pinv" not in seen and "qr" in seen
 
 
 def test_single_point_is_a_batch_of_one(orbifold_data):

@@ -311,6 +311,26 @@ def test_cohomology_explicit_beta(capsys):
     assert json.loads(out)["results"]["hodge"]["branch"] == [0, 0, 0]
 
 
+def test_cohomology_computes_the_derham_betti_numbers_once(capsys, monkeypatch):
+    """The de Rham Betti numbers of the data-free model are a constant: the
+    first cohomology command of a process computes them, and later ones,
+    whatever their branch or beta, print the same bytes without doing so."""
+    from su3kahler import cohomology
+
+    calls = []
+    real = cohomology.dga_cohomology
+
+    def counted(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(cohomology, "dga_cohomology", counted)
+    cohomology._derham_betti.cache_clear()
+    outs = [run(capsys, "cohomology", *argv) for argv in ((), ("--branch", "degenerate"), ("--beta", "1/2,-3/7"), ())]
+    assert len(calls) == 1 and outs[0] == outs[-1]
+    assert [json.loads(out)["results"]["derham_betti"] for _, out in outs] == [[1, 0, 0, 1, 0, 1, 0, 0, 1]] * 4
+    cohomology._derham_betti.cache_clear()
+
 
 def test_cohomology_refuses_beta_with_the_degenerate_branch(capsys):
     """The degenerate branch fixes beta, so a --beta beside it is refused
@@ -488,14 +508,50 @@ def test_verify_tol_decides_the_verdict(capsys):
     assert code == 1 and results["error"].startswith("sampling failed: point misses the level set")
 
 
-def test_verify_accepts_embedded_points_against_tol(capsys):
+def test_verify_validates_sample_points_against_tol(capsys):
+    """Every sample point is checked against --tol: the round data's seeds
+    have residuals 0.0 and pass any tolerance, while its closed-form points
+    meet the default 1e-9 but not 1e-300."""
     round_cone = '{"A": [[1,0],[1,0],[1,0]], "B": [[0,1],[0,1],[0,1]]}'
     argv = ("verify", "--config", round_cone, "--samples", "30", "--seed", "3")
     code, out = run(capsys, *argv)
     assert code == 0 and json.loads(out)["pass"]
-    code, out = run(capsys, *argv, "--tol", "1e-15")
+    code, out = run(capsys, *argv, "--tol", "1e-300")
     results = json.loads(out)["results"]
     assert code == 1 and results["error"].startswith("sampling failed: point misses the level set")
+    code, out = run(capsys, "verify", "--config", round_cone, "--samples", "6", "--tol", "1e-300")
+    assert code == 0 and json.loads(out)["pass"]
+
+
+def test_verify_gives_up_when_no_mixture_closes_a_triangle(capsys, monkeypatch):
+    """A witness coefficient near 1e200 puts t_1 = r_1 s_1 of every mixture
+    near 1e200 too, so Heron's value overflows and no draw is accepted
+    (an H that is not finite fails the test): verify ends in "sampling
+    failed" with exit 1 after _SAMPLE_PATIENCE rounds of _SAMPLE_CHUNK
+    draws, and no more."""
+    import numpy as np
+
+    from su3kahler import quadric
+
+    n = 10**200
+    a = [[1, 0], [n, 1], [0, 1]]
+    b = [[-x, n - y] for x, y in a]  # A_i + B_i = C = (0, n)
+    draws = []
+    make_rng = np.random.default_rng
+
+    class CountedRng:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def dirichlet(self, alpha, size):
+            draws.append(size)
+            return self.rng.dirichlet(alpha, size)
+
+    monkeypatch.setattr(np.random, "default_rng", CountedRng)
+    code, out = run(capsys, "verify", "--config", json.dumps({"A": a, "B": b}), "--samples", "20")
+    results = json.loads(out)["results"]
+    assert code == 1 and results["error"].startswith("sampling failed: no vertex mixture passed Heron's test")
+    assert draws == [quadric._SAMPLE_CHUNK] * quadric._SAMPLE_PATIENCE
 
 
 @pytest.mark.parametrize(
@@ -561,9 +617,12 @@ def test_verify_is_invariant_under_rescaling_the_cone_data(capsys):
 
 
 # An admissible bound-1000 system whose A_i and B_j are nearly parallel in
-# pairs: 3 of these 50 points are nearly non-transversal, and their
-# jn_square_error (1.34e-8, 1.67e-8, 1.25e-8) exceeds the absolute operator
-# tolerance of 1e-8 while every rank, regularity and transversality test passes.
+# pairs. Its failing certificate is the sixth point, the fixed point (3, 2)
+# itself (x_32 = 63, the worst-conditioned Jacobian of the system): its
+# jn_square_error, 1.34e-8, exceeds the absolute operator tolerance of 1e-8
+# while every rank, regularity and transversality test passes. So
+# `verify --samples 6` fails already, and with every seed that point is the
+# one failure; the closed-form points after the fixed points all pass.
 THIN_SYSTEM = '{"wL": [[54,157],[-105,-386],[51,229]], "wR": [[654,942],[-873,-939],[219,-3]]}'
 
 

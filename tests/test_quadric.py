@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -29,7 +30,6 @@ from su3kahler.quadric import (
     embed_su3,
     moment_map,
     moment_scale,
-    project_points,
     project_to_level,
     random_su3,
 )
@@ -348,29 +348,19 @@ def _same_points(a, b):
 
 
 @pytest.mark.parametrize("name", ["orbifold", "round"])
-def test_certification_sample_is_seeded_and_prefix_stable(name, orbifold_data, monkeypatch):
+def test_certification_sample_is_seeded_and_prefix_stable(name, orbifold_data):
+    """The round data take the same closed form as any other data: no
+    point of theirs comes from an embedded SU(3) matrix."""
     d = orbifold_data if name == "orbifold" else ROUND_DATA
-    embedded = []
-    real = quadric.embed_su3
-
-    def recorded(a):
-        embedded.append(np.array(a))
-        return real(a)
-
-    monkeypatch.setattr(quadric, "embed_su3", recorded)
-    full = certification_sample(d, 40, 5)
-    assert _same_points(certification_sample(d, 40, 5), full)
-    for m in (1, 7, 8, 23):
+    full = certification_sample(d, 300, 5)
+    assert _same_points(certification_sample(d, 300, 5), full)
+    for m in (1, 6, 7, 8, 23, 150):  # past the first round of draws, too
         assert _same_points(certification_sample(d, m, 5), full[:m])
-    embedded.clear()
-    other = certification_sample(d, 40, 6)
-    assert not any(np.array_equal(p.z, q.z) for p, q in zip(full[6:], other[6:]))
-    # after the 6 seeds, the round sample embeds points 8, 11, ..., 38
-    slots = [] if name == "orbifold" else list(range(8, 40, 3))
-    assert len(embedded) == len(slots)
-    for k, a in zip(slots, embedded):
-        check_special_unitary(a)
-        assert np.array_equal(other[k].z, a[:, 0]) and np.array_equal(other[k].w, np.conj(a[:, 2]))
+    other = certification_sample(d, 300, 6)
+    assert _same_points(other[:6], full[:6])
+    assert not any(np.array_equal(p.w, q.w) for p, q in zip(full[6:], other[6:]))
+    reference = reference_sample(d, 300, 5)
+    assert _same_points(full, reference)
 
 
 def _sample_data(name, orbifold_data, bound2_systems):
@@ -379,43 +369,80 @@ def _sample_data(name, orbifold_data, bound2_systems):
     return orbifold_data if name == "orbifold" else ROUND_DATA
 
 
+def _slice_vertices(d):
+    """The (r, s) of the slice's vertices as Python floats: each mixed
+    witness (i, j, a, b) at r_i = a, s_j = b, then the diagonals
+    r_i = s_i = 1."""
+    out = []
+    for i, j, a, b in d.mixed_witnesses:
+        v = [0.0] * 6
+        v[i - 1], v[j + 2] = float(a), float(b)
+        out.append(v)
+    return out + [[float(k == i) for k in range(3)] * 2 for i in range(3)]
+
+
+def _heron(t1, t2, t3):
+    return 2 * (t1 * t2 + t2 * t3 + t3 * t1) - (t1 * t1 + t2 * t2 + t3 * t3)
+
+
+def _kept_mixture(weights, vertices):
+    """The (r, s) of sum_k weights[k] vertices[k], summed vertex by vertex
+    in Python floats, or None when its t_k = r_k s_k fail Heron's test."""
+    rs = [weights[0] * x for x in vertices[0]]
+    for lam, v in zip(weights[1:], vertices[1:]):
+        rs = [acc + lam * x for acc, x in zip(rs, v)]
+    return rs if _heron(*(rs[k] * rs[k + 3] for k in range(3))) > 0 else None
+
+
+def _closed_form_point(rs):
+    """The point over (r, s), in Python floats: z_k = sqrt(r_k) and
+    w_k = sqrt(s_k) p_k/|p_k| for the triangle's sides p_1 = 2 t_1,
+    p_2 = (t_3 - t_1 - t_2) + i sqrt(H), p_3 = -p_1 - p_2."""
+    r, s = rs[:3], rs[3:]
+    t1, t2, t3 = (r[k] * s[k] for k in range(3))
+    p1 = (2 * t1, 0.0)
+    p2 = (t3 - t1 - t2, math.sqrt(_heron(t1, t2, t3)))
+    p3 = (-p1[0] - p2[0], -p1[1] - p2[1])
+    w = []
+    for sk, (re, im) in zip(s, (p1, p2, p3)):
+        size = math.sqrt(re * re + im * im)
+        w.append(complex(math.sqrt(sk) * (re / size), math.sqrt(sk) * (im / size)))
+    return LevelSetPoint(np.array([complex(math.sqrt(x), 0.0) for x in r]), np.array(w), (0.0, 0.0))
+
+
+def reference_sample(d, n, seed):
+    """certification_sample's points, one at a time: the seeds, then the
+    mixtures of the slice's vertices by Dirichlet(1, ..., 1) weights drawn
+    in rounds of quadric._SAMPLE_CHUNK from default_rng(seed), summed
+    vertex by vertex, that pass Heron's test, lifted in closed form."""
+    vertices = _slice_vertices(d)
+    points = [
+        LevelSetPoint(np.sqrt(np.array(v[:3], dtype=complex)), np.sqrt(np.array(v[3:], dtype=complex)), (0.0, 0.0))
+        for v in vertices[:-3]
+    ][:n]
+    rng = np.random.default_rng(seed)
+    while len(points) < n:
+        for weights in rng.dirichlet(np.ones(len(vertices)), quadric._SAMPLE_CHUNK).tolist():
+            rs = _kept_mixture(weights, vertices)
+            if rs is not None and len(points) < n:
+                points.append(_closed_form_point(rs))
+    return points
+
+
 @pytest.mark.parametrize("name", ["orbifold", "round", "bound2"])
 def test_certification_sample_provenance_is_bitwise(name, orbifold_data, bound2_systems):
     """Seeds are the exact single-support points z_i = sqrt(a), w_j = sqrt(b)
-    of the mixed witnesses (i, j, a, b), perturbed points are projections
-    of a seed plus a row of the first child's draw, and embedded points
-    are drawn from the second child, all bit for bit."""
+    of the mixed witnesses (i, j, a, b), and every later point is the
+    closed-form lift of a mixture of the slice's vertices, drawn from
+    SeedSequence(seed) alone, all bit for bit."""
     d = _sample_data(name, orbifold_data, bound2_systems)
-    seeds = []
-    for i, j, a, b in d.mixed_witnesses:
-        z, w = np.zeros(3, dtype=complex), np.zeros(3, dtype=complex)
-        z[i - 1], w[j - 1] = np.sqrt(float(a)), np.sqrt(float(b))
-        seeds.append(LevelSetPoint(z, w, (0.0, 0.0)))
-    m = len(seeds)
+    m = len(d.mixed_witnesses)
     for n in sorted({3, m, 20, 40}):
         points = certification_sample(d, n, 11)
         assert len(points) == n
-        for k in range(min(n, m)):
-            assert _same_points([points[k]], [seeds[k]])
-        if n <= m:
-            continue
-        noise_seq, su3_seq = np.random.SeedSequence(11).spawn(2)
-        embedded = [k for k in range(m, n) if d == ROUND_DATA and k % 3 == 2]
-        perturbed = [k for k in range(m, n) if k not in embedded]
-        noise = np.random.default_rng(noise_seq).standard_normal((len(perturbed), 12))
-        su3_rng = np.random.default_rng(su3_seq)
-        for k in embedded:
-            assert _same_points([points[k]], [embed_su3(random_su3(su3_rng))])
-        z0 = np.empty((len(perturbed), 3), dtype=complex)
-        w0 = np.empty_like(z0)
-        for r, k in enumerate(perturbed):
-            seed = np.concatenate([seeds[k % m].z, seeds[k % m].w])
-            x = np.empty(12)  # the real layout (Re z1, Im z1, ..., Im w3)
-            x[0::2], x[1::2] = seed.real, seed.imag
-            x = x + quadric._SAMPLE_NOISE * noise[r]
-            v = x[0::2] + 1j * x[1::2]
-            z0[r], w0[r] = v[:3], v[3:]
-        assert _same_points([points[k] for k in perturbed], project_points(d, z0, w0))
+        assert _same_points(points, reference_sample(d, n, 11))
+        for p in points[:m]:
+            assert np.count_nonzero(p.z) == np.count_nonzero(p.w) == 1
 
 
 @given(
@@ -424,7 +451,7 @@ def test_certification_sample_provenance_is_bitwise(name, orbifold_data, bound2_
     st.integers(1, 45),
     st.integers(0, 2**32 - 1),
 )
-@example("round", 1e-15, 30, 3)  # an embedded point misses 1e-15
+@example("round", 1e-16, 30, 3)  # a closed-form point misses 1e-16
 @settings(max_examples=60, deadline=None)
 def test_every_sample_point_meets_the_acceptance_rule(orbifold_data, bound2_systems, name, residual, n, seed):
     d = _sample_data(name, orbifold_data, bound2_systems)
@@ -448,17 +475,75 @@ def test_only_the_returned_seeds_are_validated(orbifold_data):
         certification_sample(orbifold_data, 2, 0, tol)
 
 
-def test_embedding_errors_raise_before_projection(monkeypatch):
-    def failing(a):
-        raise ValueError("embedding refused")
+def test_sample_points_are_validated_against_tol():
+    """The round data's seeds meet any tolerance (their residuals are 0.0),
+    and its closed-form points meet 1e-9 but not 1e-300."""
+    assert len(certification_sample(ROUND_DATA, 6, 0, Tolerances(residual=1e-300))) == 6
+    assert len(certification_sample(ROUND_DATA, 30, 0)) == 30
+    with pytest.raises(ValueError, match="point misses the level set"):
+        certification_sample(ROUND_DATA, 30, 0, Tolerances(residual=1e-300))
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("projected despite a failed embedding")
 
-    monkeypatch.setattr(quadric, "embed_su3", failing)
-    monkeypatch.setattr(quadric, "project_points", refuse)
-    with pytest.raises(ValueError, match="embedding refused"):
-        certification_sample(ROUND_DATA, 9, 0)
+# --- closed-form points ----------------------------------------------------------
+
+
+def _t(p):
+    """t_k = |z_k|^2 |w_k|^2 of a point."""
+    return np.abs(p.z) ** 2 * np.abs(p.w) ** 2
+
+
+@given(st.integers(0, 2855), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_points_meet_the_residuals_and_heron(bound2_systems, index, seed):
+    """Every point after the seeds lies on the level set to rounding (the
+    quadric's residual and the moment's relative to the moment scale both
+    at most 1e-14), and its t_k pass Heron's test, both as the draw's
+    mixture and as read back from the point."""
+    d = derive(bound2_systems[index])
+    m = len(d.mixed_witnesses)
+    points = certification_sample(d, m + 60, seed)
+    for p in points[m:]:
+        quad, mom = p.residuals
+        assert quad <= 1e-14 and mom <= 1e-14 * moment_scale(d)
+        assert all(_t(p) > 0) and _heron(*_t(p)) > 0
+        assert np.all(p.z.imag == 0) and p.w[0].imag == 0 and p.w[0].real > 0  # the section
+
+
+def test_lift_keeps_exactly_the_draws_that_pass_heron(orbifold_data):
+    """Of a round of mixtures, _lift returns the points over the rows whose
+    Heron value, summed vertex by vertex in Python floats, is positive, in
+    row order, and rejects every other row."""
+    fd = quadric._weight_arrays(orbifold_data)
+    vertices = _slice_vertices(orbifold_data)
+    weights = np.random.default_rng(3).dirichlet(np.ones(len(vertices)), 500)
+    kept = []
+    for w in weights.tolist():
+        rs = _kept_mixture(w, vertices)
+        if rs is not None:
+            kept.append(_closed_form_point(rs))
+    x = quadric._lift(weights, fd.vertices)
+    assert 0 < len(kept) < len(weights)
+    assert _same_points([LevelSetPoint(row[:3], row[3:], (0.0, 0.0)) for row in x], kept)
+
+
+def _slice_distances(d, points):
+    """Each point's distance in (r, s) = (|z|^2, |w|^2) to the nearest fixed
+    point, and the slice's diameter (the largest distance between two of
+    its vertices)."""
+    vertices = np.array(_slice_vertices(d))
+    fixed = vertices[:-3]
+    rs = np.array([np.concatenate([np.abs(p.z) ** 2, np.abs(p.w) ** 2]) for p in points])
+    nearest = np.linalg.norm(rs[:, None, :] - fixed[None, :, :], axis=-1).min(axis=1)
+    diameter = np.linalg.norm(vertices[:, None, :] - vertices[None, :, :], axis=-1).max()
+    return nearest, diameter
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_sample_of_fifty_reaches_across_the_slice(orbifold_data, seed):
+    """On the README's cone data, some point of every 50-point sample lies
+    at least 0.3 of the slice's diameter from every fixed point."""
+    nearest, diameter = _slice_distances(orbifold_data, certification_sample(orbifold_data, 50, seed))
+    assert nearest.max() >= 0.3 * diameter
 
 
 def test_certification_sample_rejects_bad_count(orbifold_data):
@@ -466,9 +551,11 @@ def test_certification_sample_rejects_bad_count(orbifold_data):
         certification_sample(orbifold_data, 0, 0)
 
 
-def test_round_data_sample_includes_embeddings():
+def test_round_data_sample_is_on_the_round_level_set():
     pts = certification_sample(ROUND_DATA, 30, 0)
     assert all(max(p.residuals) <= 1e-9 for p in pts)
+    for p in pts:
+        assert abs(np.sum(np.abs(p.z) ** 2) - 1) <= 1e-15 and abs(np.sum(np.abs(p.w) ** 2) - 1) <= 1e-15
 
 
 def test_boundedness_witness(orbifold_data):
