@@ -61,12 +61,9 @@ _QUADRIC_NAMES = frozenset({
     "certification_sample",
     "certify_point",
     "certify_points",
-    "embed_su3",
     "moment_map",
     "moment_scale",
-    "project_points",
     "project_to_level",
-    "random_su3",
 })
 
 

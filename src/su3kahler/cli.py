@@ -637,11 +637,7 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
     derham = coh._derham_betti()
     hodge = coh.hodge_model(beta)
     beta_str = [repr(b) if isinstance(b, coh.Eisenstein) else scalar_to_json(b) for b in beta]
-    passed = (
-        tuple(basic_betti) == coh.BASIC_BETTI
-        and derham == coh.SU3_DERHAM_BETTI
-        and hodge.branch in ((0, 0, 0), (1, 2, 1))
-    )
+    passed = tuple(basic_betti) == coh.BASIC_BETTI and derham == coh.SU3_DERHAM_BETTI
     results = {
         "basic_betti": basic_betti,
         "derham_betti": list(derham),

@@ -18,26 +18,24 @@ e^{i(c - theta_k)} w_k, acts on M, and M/T^4 is the polytope of
 (r, s) = (|z|^2, |w|^2) >= 0 with sum_k r_k A_k + s_k B_k = C, cut by
 Heron's inequality on t_k = r_k s_k (the sqrt(t_k) are the sides of a
 triangle). :func:`certification_sample` draws points of that region and
-lifts each to one point of its T^4 orbit with +, -, *, / and sqrt;
-:func:`project_points` (Gauss-Newton) and :func:`embed_su3` (the round
-level set as SU(3)) are library functions that ``verify`` does not call.
+lifts each to one point of its T^4 orbit with +, -, *, / and sqrt.
 :func:`certify_points` then checks the linear-algebra content of the
 transverse Kahler construction at each point: constraint regularity,
 transversality of the rotated frame, the induced complex structure
 squaring to -1 and rotating the orbit directions, omega compatibility,
 and positive semidefiniteness of omega(J_N -, -) with a 2-dimensional
-kernel along the orbit.
+kernel along the orbit. :func:`project_to_level` is a library function
+that ``verify`` does not call: Gauss-Newton from one ambient point.
 
-Projection and certification run as one batch over a stack of points:
-each step is a single stacked numpy/LAPACK call, and the one-point
-functions (:func:`project_to_level`, :func:`certify_point`) are calls of
-the batched ones with a stack of one. A stack of points is one complex
-(n, 6) state array of rows (z_1, z_2, z_3, w_1, w_2, w_3); its memory
-order is the real coordinate layout (Re z_1, Im z_1, ..., Im w_3), so
-``x.view(float)`` is the real form of a contiguous stack without a copy,
-and complex vectors and Jacobian rows are read as real ones that way.
-Row outputs are read as columns: one ``tolist()`` per residual, verdict
-or certificate field, not one conversion per row.
+Certification runs as one batch over a stack of points: each step is a
+single stacked numpy/LAPACK call, and :func:`certify_point` is
+:func:`certify_points` with a stack of one. A stack of points is one
+complex (n, 6) state array of rows (z_1, z_2, z_3, w_1, w_2, w_3); its
+memory order is the real coordinate layout (Re z_1, Im z_1, ..., Im w_3),
+so ``x.view(float)`` is the real form of a contiguous stack without a
+copy, and complex vectors and Jacobian rows are read as real ones that
+way. Row outputs are read as columns: one ``tolist()`` per residual,
+verdict or certificate field, not one conversion per row.
 
 Exact numbers enter here once per cone data object: :func:`_float_data`
 reads A, B and C, the integer mixed witnesses and the integer apex
@@ -69,12 +67,8 @@ __all__ = [
     "ROUND_DATA",
     "Tolerances",
     "LevelSetPoint",
-    "check_special_unitary",
-    "random_su3",
-    "embed_su3",
     "moment_map",
     "project_to_level",
-    "project_points",
     "moment_scale",
     "check_float_range",
     "boundedness_residual",
@@ -100,7 +94,6 @@ class Tolerances:
 
 
 _NONZERO_FLOOR = 1e-8  # max |z_j|, |w_j| must exceed this on the quadric
-_SU3_TOL = 1e-9        # unitarity and determinant error of an embedded matrix
 _OPERATOR_TOL = 1e-8   # operator identity errors of a passing certificate
 _SAMPLE_CHUNK = 128    # vertex mixtures certification_sample draws per round
 _SAMPLE_PATIENCE = 32  # rounds in a row without an accepted mixture before it gives up
@@ -122,12 +115,11 @@ class _FloatData(NamedTuple):
     #                 the weights of z_1, z_2, z_3, w_1, w_2, w_3 in Phi's component k
     c: np.ndarray   # C as a float 2-vector
     scale: float    # moment scale, see :func:`moment_scale`
-    # fg and c divided by the scale. Projection and certificates run on
-    # them: the level set, its tangent spaces and J_N are unchanged, while
-    # ranks, stopping residuals and operator errors become invariant under
+    # fg divided by the scale. Certificates and the projection's Jacobian
+    # run on it: the level set, its tangent spaces and J_N are unchanged,
+    # while ranks, steps and operator errors become invariant under
     # rescaling the cone data.
     unit_fg: np.ndarray
-    unit_c: np.ndarray
     # (m + 3, 6): the (r_1, r_2, r_3, s_1, s_2, s_3) = (|z|^2, |w|^2) of the
     # slice's vertices, r_i = a and s_j = b per mixed witness (i, j, a, b),
     # then the three diagonals r_i = s_i = 1 (C = A_i + B_i)
@@ -164,16 +156,14 @@ def _float_data(d: DerivedConeData) -> _FloatData:
         raise ValueError(f"cone data outside the float range: {exc}") from exc
     fg, c = np.ascontiguousarray(abc[:6].T), abc[6]
     seeds = np.sqrt(vertices[:m]).astype(complex)
-    fd = _FloatData(fg, c, scale, fg / scale, c / scale, vertices, seeds, apex)
-    for arr in (fd.fg, fd.c, fd.unit_fg, fd.unit_c, fd.vertices, fd.seeds):
+    fd = _FloatData(fg, c, scale, fg / scale, vertices, seeds, apex)
+    for arr in (fd.fg, fd.c, fd.unit_fg, fd.vertices, fd.seeds):
         arr.setflags(write=False)
     return fd
 
 
-# The last cone data object converted, with its float data; and the round
-# data's, which every embedded matrix is checked against.
+# The last cone data object converted, with its float data.
 _last_conversion: tuple = (None, None)
-_ROUND_FLOAT = _float_data(ROUND_DATA)
 
 
 def _weight_arrays(d: DerivedConeData) -> _FloatData:
@@ -299,51 +289,6 @@ def _first_error(results: list) -> list:
     return results
 
 
-def check_special_unitary(a: np.ndarray) -> None:
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (3, 3):
-        raise ValueError("a 3x3 matrix is required")
-    if not np.all(np.isfinite(a)):  # before det, which warns on NaN
-        raise ValueError(f"not special unitary within {_SU3_TOL}: non-finite entries")
-    err = np.linalg.norm(a.conj().T @ a - np.eye(3))
-    det_err = abs(np.linalg.det(a) - 1.0)
-    if not (err <= _SU3_TOL and det_err <= _SU3_TOL):
-        raise ValueError(f"not special unitary within {_SU3_TOL}: unitarity {err}, det {det_err}")
-
-
-def random_su3(seed) -> np.ndarray:
-    """Seeded Haar-like special unitary matrix (QR of a complex Gaussian,
-    one column rephased to force determinant 1).
-
-    ``seed`` is anything ``np.random.default_rng`` accepts; a Generator is
-    drawn from in place, so successive calls give successive matrices.
-    """
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    if np.min(np.abs(diag)) < 1e-12:
-        raise RuntimeError("singular Gaussian draw")
-    q = q * (diag / np.abs(diag))  # fix column phases (R diagonal positive)
-    det = np.linalg.det(q)
-    q[:, 0] /= det
-    return q
-
-
-def embed_su3(a: np.ndarray) -> LevelSetPoint:
-    """Embed a special unitary matrix into the round level set.
-
-    z is the first column of A and w the third column of the inverse
-    transpose, which for unitary A is the entrywise conjugate, so
-    sum |z|^2 = sum |w|^2 = 1 and sum z_j w_j = <col1, col3> = 0.
-    """
-    check_special_unitary(a)
-    a = np.asarray(a, dtype=complex)
-    x = np.concatenate([a[:, 0], np.conj(a[:, 2])]).reshape(1, 6)
-    tol = Tolerances(residual=_SU3_TOL)
-    return _first_error(_level_points(_ROUND_FLOAT, x, tol))[0]
-
-
 # --- real-coordinate plumbing -------------------------------------------
 # Layout: (Re z1, Im z1, ..., Re z3, Im z3, Re w1, Im w1, ..., Im w3), the
 # memory order of a complex (..., 6) state, so ``x.view(float)`` is the
@@ -368,12 +313,6 @@ def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-def _constraints(fg: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """F = (Re h, Im h, Phi - C) at (..., 6) states, for weights fg and C = c."""
-    h = (x[..., :3] * x[..., 3:]).sum(axis=-1)
-    return np.concatenate([h[..., None].view(float), _moment(fg, x) - c], axis=-1)
-
-
 def _jacobian(fg: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(m, 4, 12) Jacobians at (m, 6) states for weights fg; each row is
     the real form of a complex 6-vector, filled in place in a complex
@@ -394,99 +333,9 @@ def _jacobian(fg: np.ndarray, x: np.ndarray) -> np.ndarray:
 def constraint_values(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """F = (Re sum z_j w_j, Im sum z_j w_j, Phi - C) in R^4."""
     fd = _weight_arrays(d)
-    return _constraints(fd.fg, fd.c, _state((z, w)))
-
-
-_PINV_RCOND = 1e-15  # np.linalg.pinv's default cutoff, relative to the largest singular value
-
-
-def _gauss_newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Minimum-norm solutions of J step = -F for (m, 4, 12) J and (m, 4) F.
-
-    With J^T = Q R (thin QR), step = Q y where R^T y = -F, solved by forward
-    substitution. A row whose R has a diagonal entry at or below pinv's
-    cutoff (|J|_F bounding the largest singular value) is rank-deficient or
-    nearly so; it takes the step of ``pinv`` instead, as lstsq would.
-    """
-    q, r = np.linalg.qr(_t(jac))
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    weak = (diag <= _PINV_RCOND * _norm(jac, (-2, -1))[:, None]).any(axis=-1)
-    step = np.empty((len(f), 12))
-    strong = slice(None)  # every row, without a copy
-    if weak.any():
-        step[weak] = _mv(np.linalg.pinv(jac[weak]), -f[weak])
-        strong = ~weak
-    lower, y = _t(r[strong]), -f[strong]
-    y[:, 0] /= lower[:, 0, 0]
-    for i in range(1, 4):
-        y[:, i] = (y[:, i] - (lower[:, i, :i] * y[:, :i]).sum(axis=-1)) / lower[:, i, i]
-    step[strong] = _mv(q[strong], y)
-    return step
-
-
-def project_points(
-    d: DerivedConeData,
-    z0,
-    w0,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    tolerances: Tolerances = Tolerances(),
-) -> list[LevelSetPoint]:
-    """Gauss-Newton projection of n ambient points (z0, w0 of shape (n, 3)).
-
-    Takes minimum-norm steps delta = -J^+ F, from a QR of J^T (``pinv`` on
-    rank-deficient rows only); near a regular point the iteration converges
-    quadratically. Each row runs up to ``max_iter`` rounds of "stop once
-    |F| <= tol, else step, then check for a collapsed factor"; a start
-    already within ``tol`` is returned unchanged, and a row's path does not
-    depend on the rest of the stack. ``tol`` is relative: F is taken on the
-    cone data divided by :func:`moment_scale`. Converged points are accepted
-    against ``tolerances``: both factors nonzero, the quadric residual
-    |sum z_j w_j| at most ``tolerances.residual`` and the moment residual
-    |Phi - C| at most that times the moment scale. Raises the error of
-    the lowest-index row that starts with a zero factor or a non-finite
-    entry (ValueError), collapses to a zero factor or leaves the finite
-    range (RuntimeError), stalls, or misses the level set.
-
-    The rows still iterating are one contiguous complex (m, 6) state,
-    stepped in place through its real view; a round in which no row stops
-    or collapses moves no row between arrays.
-    """
-    fd = _weight_arrays(d)
-    x = _state((np.reshape(z0, (-1, 3)), np.reshape(w0, (-1, 3))))
-    out: list = [None] * len(x)
-    start_ok = _usable(x)
-    for k in np.flatnonzero(~start_ok):
-        finite = np.isfinite(x[k]).all()
-        out[k] = ValueError("starting point must have nonzero z and w" if finite else "starting point must be finite")
-    active = np.flatnonzero(start_ok)
-    xa = x if start_ok.all() else x[active]  # the active rows, in the order of active
-    converged = np.zeros(len(x), dtype=bool)
-    for _ in range(max_iter):
-        f = _constraints(fd.unit_fg, fd.unit_c, xa)
-        left = _norm(f, -1) > tol
-        if not left.all():
-            stop = ~left
-            converged[active[stop]] = True
-            x[active[stop]] = xa[stop]
-            active, xa, f = active[left], xa[left], f[left]
-        if not active.size:
-            break
-        xa.view(float)[...] += _gauss_newton_steps(_jacobian(fd.unit_fg, xa), f)
-        ok = _usable(xa)
-        if not ok.all():
-            for k, row in zip(active[~ok], xa[~ok]):
-                finite = np.isfinite(row).all()
-                out[k] = RuntimeError(
-                    "projection collapsed a factor toward zero" if finite else "projection left the finite range"
-                )
-            active, xa = active[ok], xa[ok]
-    for k in active:
-        out[k] = RuntimeError(f"no convergence to {tol} within {max_iter} iterations")
-    done = np.flatnonzero(converged)
-    for k, point in zip(done.tolist(), _level_points(fd, x if done.size == len(x) else x[done], tolerances)):
-        out[k] = point
-    return _first_error(out)
+    x = _state((z, w))
+    h = (x[..., :3] * x[..., 3:]).sum(axis=-1)
+    return np.concatenate([h[..., None].view(float), _moment(fd.fg, x) - fd.c], axis=-1)
 
 
 def project_to_level(
@@ -497,10 +346,37 @@ def project_to_level(
     max_iter: int = 50,
     tolerances: Tolerances = Tolerances(),
 ) -> LevelSetPoint:
-    """:func:`project_points` for one starting point."""
-    z0 = np.asarray(z0, dtype=complex).reshape(1, 3)
-    w0 = np.asarray(w0, dtype=complex).reshape(1, 3)
-    return project_points(d, z0, w0, tol, max_iter, tolerances)[0]
+    """Gauss-Newton projection of one ambient point (z0, w0) to the level set.
+
+    Each of up to ``max_iter`` rounds reads F from one
+    :func:`constraint_values` call, its moment rows divided by
+    :func:`moment_scale` (so ``tol`` is relative), stops once |F| <= tol,
+    and else steps by -J^+ F, the minimum-norm ``lstsq`` solution on the
+    unit Jacobian, which covers rank-deficient (collinear) data too. A
+    start within ``tol`` comes back unchanged; the result is accepted
+    against ``tolerances`` as :func:`certification_sample`'s points are.
+    Raises ValueError for a start with a zero factor or a non-finite entry
+    and for a point that misses the level set, and RuntimeError for a step
+    that collapses a factor or leaves the finite range and for no
+    convergence.
+    """
+    fd = _weight_arrays(d)
+    x = _state((z0, w0)).reshape(1, 6)
+    if not _usable(x)[0]:
+        finite = np.isfinite(x).all()
+        raise ValueError("starting point must have nonzero z and w" if finite else "starting point must be finite")
+    rows = np.array([1.0, 1.0, fd.scale, fd.scale])
+    for _ in range(max_iter):
+        f = constraint_values(d, x[0, :3], x[0, 3:]) / rows
+        if _norm(f, -1) <= tol:
+            return _first_error(_level_points(fd, x, tolerances))[0]
+        x.view(float)[0] += np.linalg.lstsq(_jacobian(fd.unit_fg, x)[0], -f, rcond=None)[0]
+        if not _usable(x)[0]:
+            finite = np.isfinite(x).all()
+            raise RuntimeError(
+                "projection collapsed a factor toward zero" if finite else "projection left the finite range"
+            )
+    raise RuntimeError(f"no convergence to {tol} within {max_iter} iterations")
 
 
 def _frame(fg: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Fixtures, plus the float references that more than one test file checks
 the quadric against: the torus basis change of cone data, the constraint
-Jacobian, the transverse frame, the equivariance residual of the SU(3)
-embedding and the exact seed points of a sample. Also the exact layers as
+Jacobian, the transverse frame, the SU(3) embedding, its equivariance
+residual and the exact seed points of a sample. Also the exact layers as
 they were before the sign table of cone data and the nine-sign rule: every
 membership by its own cross products, the boolean condition as its 8
 membership tests (scalar, and as the narrowed int64 block kernel with the
@@ -27,7 +27,7 @@ from su3kahler.isotropy import (
     _integer_generators,
     invariant_factors_from_divisors,
 )
-from su3kahler.quadric import certification_sample, embed_su3
+from su3kahler.quadric import ROUND_DATA, LevelSetPoint, certification_sample, moment_map
 from su3kahler.weights import ConditionReport, LevelSetConditions, _MIXED_PAIRS
 
 
@@ -126,6 +126,30 @@ def transverse_frame(d, p):
     x6 = np.concatenate([1j * a[:, 0] * p.z, 1j * b[:, 0] * p.w])
     y6 = np.concatenate([1j * a[:, 1] * p.z, 1j * b[:, 1] * p.w])
     return x6, y6, x6 + 1j * y6, 1j * x6 - y6
+
+
+def random_su3(seed):
+    """Seeded Haar-like special unitary matrix: the QR of a complex
+    Gaussian, its columns rephased so that R has a positive diagonal, then
+    the first column divided by the determinant. ``seed`` is anything
+    ``np.random.default_rng`` accepts."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    diag = np.diagonal(r)
+    q = q * (diag / np.abs(diag))
+    q[:, 0] /= np.linalg.det(q)
+    return q
+
+
+def embed_su3(g):
+    """The point (g e_1, conj(g e_3)) of the round level set
+    {sum |z|^2 = sum |w|^2 = 1, sum z_j w_j = 0} for g in SU(3), with its
+    residuals (|sum z_j w_j|, |Phi - C|) for ``ROUND_DATA``: the columns of
+    g are orthonormal, so |z| = |w| = 1 and sum z_j w_j = <g e_1, g e_3> = 0."""
+    g = np.asarray(g, dtype=complex)
+    z, w = g[:, 0], np.conj(g[:, 2])
+    residual = np.linalg.norm(moment_map(ROUND_DATA, (z, w)) - np.array(ROUND_DATA.c, dtype=float))
+    return LevelSetPoint(z, w, (float(abs(np.sum(z * w))), float(residual)))
 
 
 def equivariance_residual(a, g, h):

@@ -4,9 +4,16 @@ line with its runtime. Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import json
 import time
+from math import lcm
 
 import numpy as np
-from conftest import equivariance_residual, reference_free_by_homs, reference_interpolation_path
+from conftest import (
+    embed_su3,
+    equivariance_residual,
+    random_su3,
+    reference_free_by_homs,
+    reference_interpolation_path,
+)
 
 from su3kahler.cli import main
 from su3kahler.cohomology import (
@@ -22,18 +29,15 @@ from su3kahler.isotropy import (
     freeness_check,
     singular_stratum_census,
 )
-from su3kahler.quadric import (
-    certification_sample,
-    certify_point,
-    embed_su3,
-    random_su3,
-)
+from su3kahler.quadric import certification_sample, certify_point
 from su3kahler.weights import (
+    DerivedConeData,
     WeightSystem,
     check_cone_condition,
-    derive,
     check_interpolation_path,
+    check_level_set_conditions,
     default_interpolation_times,
+    derive,
 )
 
 ORBIFOLD_CONE = '{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'
@@ -208,19 +212,42 @@ def test_criterion_7_embedding(capsys):
     assert ok and elapsed < 30.0
 
 
+def path_data(d, k, n):
+    """n d_t at t = k/n on the path A_j(t) = t A_j + (1 - t) A_1,
+    B_j(t) = t B_j + (1 - t) B_1, in integers; the positive factor n
+    changes none of the level-set conditions."""
+    a1, b1 = d.a[0], d.b[0]
+    a = tuple((k * x + (n - k) * a1[0], k * y + (n - k) * a1[1]) for x, y in d.a)
+    b = tuple((k * x + (n - k) * b1[0], k * y + (n - k) * b1[1]) for x, y in d.b)
+    return DerivedConeData(a, b, (n * d.c[0], n * d.c[1]))
+
+
 def test_criterion_8_interpolation_path(bound2_systems, capsys):
     start = time.perf_counter()
-    times = default_interpolation_times(24)  # 0, 1/24, ..., 1
+    n = 24
+    times = default_interpolation_times(n)  # 0, 1/24, ..., 1
+    rng = np.random.default_rng(8)
     ok = True
     for ws in bound2_systems:
         d = derive(ws)
         # the verdict on all of [0, 1], against the path built at every k/24
         ok = ok and check_interpolation_path(d) and reference_interpolation_path(d, times)
+        # the hypotheses of the README's diffeomorphism-type corollary: the
+        # t = 1 apex functional, cleared of denominators, is positive on
+        # every generator at every k/24, and the level set at t = 0 and at two
+        # seeded k/24 is nonempty, regular and compact
+        alpha = d.apex_functional
+        den = lcm(alpha[0].denominator, alpha[1].denominator)
+        ax, ay = int(alpha[0] * den), int(alpha[1] * den)
+        for k in range(n + 1):
+            ok = ok and all(ax * x + ay * y > 0 for x, y in path_data(d, k, n).generators())
+        for k in (0, *rng.integers(1, n, 2).tolist()):
+            ok = ok and check_level_set_conditions(path_data(d, k, n)).all_hold
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         report_line(
             8,
-            f"interpolation keeps the cone condition on all {len(bound2_systems)} systems",
+            f"interpolation keeps the cone and level-set conditions on all {len(bound2_systems)} systems",
             ok,
             elapsed,
         )

@@ -3,7 +3,7 @@
 ``reference_certify`` and ``reference_project`` are the one-point
 implementations (one SVD, a second SVD plus ``lstsq``, per-point operator
 norms and ``eigvalsh``; Gauss-Newton with ``lstsq`` steps), kept here as
-the oracle for :func:`certify_points` and :func:`project_points`.
+the oracles for :func:`certify_points` and :func:`project_to_level`.
 """
 
 import dataclasses
@@ -34,7 +34,6 @@ from su3kahler.quadric import (
     certify_points,
     constraint_values,
     moment_scale,
-    project_points,
     project_to_level,
 )
 from su3kahler.weights import cone_data, derive
@@ -253,7 +252,7 @@ def test_float_intake_rounds_the_fraction_views(bound2_systems):
 
 def test_dependent_fields_data_in_a_batch():
     d = cone_data([(1, 0)] * 3, [(1, 0)] * 3)
-    points = project_points(d, [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]])
+    points = [project_to_level(d, z, w) for z, w in (([1, 0, 0], [0, 1, 0]), ([0, 1, 0], [0, 0, 1]))]
     assert_same_certificates(certify_points(d, points), [reference_certify(d, p) for p in points])
     assert not any(c.regular for c in certify_points(d, points))
 
@@ -329,7 +328,6 @@ def test_certify_path_keeps_its_factorization_budget(monkeypatch, capsys, orbifo
     def refuse(*args, **kwargs):
         raise AssertionError("a projection on the certify path")
 
-    monkeypatch.setattr(quadric, "project_points", refuse)
     monkeypatch.setattr(quadric, "project_to_level", refuse)
     m = len(orbifold_data.mixed_witnesses)
     for n in (1, m):
@@ -343,23 +341,6 @@ def test_certify_path_keeps_its_factorization_budget(monkeypatch, capsys, orbifo
     assert main(["verify", "--config", ORBIFOLD_CONFIG, "--samples", "50", "--seed", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["all_passed"] is True
     assert seen == VERIFY_50_LAPACK_CALLS and not spawned
-
-
-def test_projection_steps_take_qr_not_pinv_on_regular_rows(monkeypatch, orbifold_data):
-    """project_points, a library function off verify's path, steps regular
-    rows by one QR per round and calls no pinv."""
-    z0, w0 = _perturbed_starts(orbifold_data, 20, 7)
-    seen = []
-    for name in ("pinv", "qr"):
-        real = getattr(np.linalg, name)
-
-        def recorded(a, *args, _real=real, _name=name, **kwargs):
-            seen.append(_name)
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recorded)
-    project_points(orbifold_data, z0, w0)
-    assert "pinv" not in seen and "qr" in seen
 
 
 def test_single_point_is_a_batch_of_one(orbifold_data):
@@ -382,49 +363,58 @@ def _perturbed_starts(d, n, seed, noise=1e-2):
 
 @pytest.mark.parametrize("name", ["orbifold", "round"])
 def test_project_points_matches_sequential(name, orbifold_data):
+    """project_to_level on perturbed fixed points lands where the sequential
+    lstsq reference does."""
     d = orbifold_data if name == "orbifold" else ROUND_DATA
-    z0, w0 = _perturbed_starts(d, 25, 4)
-    batch = project_points(d, z0, w0)
-    for k, p in enumerate(batch):
-        one = project_to_level(d, z0[k], w0[k])
-        assert np.allclose(p.z, one.z, rtol=0, atol=1e-12)
-        assert np.allclose(p.w, one.w, rtol=0, atol=1e-12)
-        z, w = reference_project(d, z0[k], w0[k])
+    for z0, w0 in zip(*_perturbed_starts(d, 25, 4)):
+        p = project_to_level(d, z0, w0)
+        z, w = reference_project(d, z0, w0)
         assert np.allclose(p.z, z, rtol=0, atol=1e-12) and np.allclose(p.w, w, rtol=0, atol=1e-12)
         assert max(p.residuals) <= 1e-11
-
-
-def _first_sequential_error(d, z0, w0, **kwargs):
-    for z, w in zip(z0, w0):
-        try:
-            project_to_level(d, z, w, **kwargs)
-        except (ValueError, RuntimeError) as exc:
-            return exc
-    return None
-
-
-@pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (2, 0, 1)])
-def test_project_points_raises_the_first_sequential_error(order, orbifold_data):
-    """Row kinds: converged at once, no convergence within one step, zero start."""
-    exact = seed_point(orbifold_data, 1, 2)
-    zs = [exact.z, exact.z + 0.05, np.zeros(3)]
-    ws = [exact.w, exact.w + 0.05, exact.w]
-    z0 = np.array([zs[k] for k in order])
-    w0 = np.array([ws[k] for k in order])
-    want = _first_sequential_error(orbifold_data, z0, w0, max_iter=1)
-    with pytest.raises(type(want)) as got:
-        project_points(orbifold_data, z0, w0, max_iter=1)
-    assert str(got.value) == str(want)
 
 
 @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-6])
 def test_project_points_stop_where_the_reference_stops(tol, orbifold_data):
     """Coarse stopping residuals: one round more or less moves the point."""
-    z0, w0 = _perturbed_starts(orbifold_data, 12, 6, noise=5e-2)
-    batch = project_points(orbifold_data, z0, w0, tol=tol, tolerances=Tolerances(residual=tol))
-    for p, z, w in zip(batch, z0, w0):
+    for z, w in zip(*_perturbed_starts(orbifold_data, 12, 6, noise=5e-2)):
+        p = project_to_level(orbifold_data, z, w, tol=tol, tolerances=Tolerances(residual=tol))
         zr, wr = reference_project(orbifold_data, z, w, tol=tol)
         assert np.allclose(p.z, zr, rtol=0, atol=1e-12) and np.allclose(p.w, wr, rtol=0, atol=1e-12)
+
+
+def test_projection_evaluates_the_constraints_once_per_round(monkeypatch, orbifold_data):
+    """Each round of project_to_level reads F through the module-level
+    constraint_values, which the benchmark's tracer wraps to report
+    quadric.project_to_level.iterations: a projection that converges makes
+    one call per step plus the last, and one that does not converge makes
+    max_iter calls."""
+    evals, steps = [], []
+    real_values, real_lstsq = quadric.constraint_values, np.linalg.lstsq
+
+    def counted_values(*args):
+        evals.append(1)
+        return real_values(*args)
+
+    def counted_lstsq(*args, **kwargs):
+        steps.append(1)
+        return real_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(quadric, "constraint_values", counted_values)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    exact = seed_point(orbifold_data, 1, 2)
+    project_to_level(orbifold_data, exact.z, exact.w)
+    assert (len(evals), len(steps)) == (1, 0)
+    for z, w in zip(*_perturbed_starts(orbifold_data, 6, 2)):
+        evals.clear()
+        steps.clear()
+        project_to_level(orbifold_data, z, w)
+        assert len(evals) == len(steps) + 1 and len(steps) >= 2
+    for max_iter in (1, 2):
+        evals.clear()
+        steps.clear()
+        with pytest.raises(RuntimeError, match=f"^no convergence to 1e-12 within {max_iter} iterations$"):
+            project_to_level(orbifold_data, exact.z + 0.05, exact.w + 0.05, max_iter=max_iter)
+        assert len(evals) == len(steps) == max_iter
 
 
 def test_moment_residual_is_accepted_relative_to_the_moment_scale(orbifold_data):
@@ -443,9 +433,9 @@ def test_moment_residual_is_accepted_relative_to_the_moment_scale(orbifold_data)
 
 
 def test_projection_rejects_a_point_missing_the_acceptance_tolerance(orbifold_data):
-    z0, w0 = _perturbed_starts(orbifold_data, 3, 5)
+    z0, w0 = _perturbed_starts(orbifold_data, 1, 5)
     with pytest.raises(ValueError, match="misses the level set"):
-        project_points(orbifold_data, z0, w0, tolerances=Tolerances(residual=1e-300))
+        project_to_level(orbifold_data, z0[0], w0[0], tolerances=Tolerances(residual=1e-300))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf), complex(np.nan, 0)], ids=repr)
@@ -454,13 +444,13 @@ def test_projection_rejects_a_non_finite_start(bad, row, orbifold_data):
     """A start holding an infinity or a NaN, in z or in w, ends in the
     documented ValueError, not in a numpy warning (an error in this suite)
     from the factorizations; a finite zero start keeps its own error."""
-    z0, w0 = _perturbed_starts(orbifold_data, 3, 5)
-    (z0 if row == 0 else w0)[1, 2] = bad
+    z0, w0 = (v[0] for v in _perturbed_starts(orbifold_data, 1, 5))
+    (z0 if row == 0 else w0)[2] = bad
     with pytest.raises(ValueError, match="^starting point must be finite$"):
-        project_points(orbifold_data, z0, w0)
-    z0[1] = w0[1] = 0
+        project_to_level(orbifold_data, z0, w0)
+    z0[:] = w0[:] = 0
     with pytest.raises(ValueError, match="^starting point must have nonzero z and w$"):
-        project_points(orbifold_data, z0, w0)
+        project_to_level(orbifold_data, z0, w0)
 
 
 def test_usable_rows_are_the_nonzero_rows_among_finite_ones():
@@ -498,7 +488,7 @@ def test_sample_and_certificates_are_scale_covariant(scale, orbifold_data):
 
 # Every generator is a multiple of (1, 0): the second moment row of each
 # Jacobian vanishes, so J has rank 3 everywhere and each Gauss-Newton round
-# takes pinv's minimum-norm step.
+# takes lstsq's minimum-norm step.
 COLLINEAR = '{"A": [[1,0],[2,0],[3,0]], "B": [[3,0],[2,0],[1,0]]}'
 
 
@@ -513,20 +503,11 @@ def test_collinear_data_certifies_irregular_points(capsys):
     )
 
 
-def test_collinear_projection_matches_reference(monkeypatch):
+def test_collinear_projection_matches_reference():
     config = json.loads(COLLINEAR)
     d = cone_data(config["A"], config["B"])
-    z0, w0 = _perturbed_starts(d, 20, 9)
-    pinv_calls = []
-    real = np.linalg.pinv
-
-    def counted(a, *args, **kwargs):
-        pinv_calls.append(len(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "pinv", counted)
-    batch = project_points(d, z0, w0)
-    assert pinv_calls
-    for p, z, w in zip(batch, z0, w0):
+    for z, w in zip(*_perturbed_starts(d, 20, 9)):
+        p = project_to_level(d, z, w)
+        assert np.linalg.matrix_rank(constraint_jacobian(d, p.z, p.w)) == 3
         zr, wr = reference_project(d, z, w)
         assert np.allclose(p.z, zr, rtol=0, atol=1e-12) and np.allclose(p.w, wr, rtol=0, atol=1e-12)

@@ -9,6 +9,9 @@ rescaling, which enlarges stabilizers by a torsion subgroup.
 
 The numerical certificates of ``su3kahler verify`` follow the same
 symmetries: the sampled points move, but the verdicts and ranks do not.
+They are also invariant under the symmetries of the level set itself,
+the phase torus T^4 and complex conjugation, so a sample that picks one
+point per T^4 orbit loses nothing.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import basis_change, holds_by_memberships
 from hypothesis import given, settings
@@ -35,7 +39,7 @@ from su3kahler import (
 )
 from su3kahler.cli import main
 from su3kahler.conegeom import cross, vec_to_json
-from su3kahler.quadric import ROUND_DATA
+from su3kahler.quadric import ROUND_DATA, LevelSetPoint, certification_sample, certify_points
 from su3kahler.weights import cone_data
 
 # Zero-sum weight triples with entries in [-2, 2]: one side of a bound-2 system.
@@ -188,3 +192,58 @@ def test_certificate_verdicts_are_invariant_under_basis_change_and_relabelling(
             assert verify_verdicts(basis_change(m, d)) == verdicts, (d, m)
         for perm in RELABELLINGS:
             assert verify_verdicts(relabel(perm, d)) == verdicts, (d, perm)
+
+
+# Certificate floats of a point and of its image under T^4 or conjugation
+# differ by at most this. Each one is an exact identity (0, or a spectrum
+# of 0's and 1's) computed in floats, so it moves by rounding only; the
+# worst difference seen on these data is 3.0e-14.
+SYMMETRY_BOUND = 1e-12
+
+
+def phase_torus(points, theta, c):
+    """The phase torus element (theta, c): z_k -> e^{i theta_k} z_k and
+    w_k -> e^{i(c - theta_k)} w_k. It preserves Phi and multiplies
+    sum z_k w_k by e^{ic}, so it maps the level set to itself."""
+    u, v = np.exp(1j * theta), np.exp(1j * (c - theta))
+    return [LevelSetPoint(u * p.z, v * p.w, p.residuals) for p in points]
+
+
+def conjugate(points):
+    return [LevelSetPoint(np.conj(p.z), np.conj(p.w), p.residuals) for p in points]
+
+
+def assert_same_certificates_up_to_rounding(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a.regular, a.transversal, a.jacobian_rank, a.combined_rank, a.passed) == (
+            b.regular, b.transversal, b.jacobian_rank, b.combined_rank, b.passed)
+        floats = [(a.jn_square_error, b.jn_square_error), (a.jn_xy_error, b.jn_xy_error),
+                  (a.omega_compat_error, b.omega_compat_error),
+                  *zip(a.positivity_spectrum, b.positivity_spectrum, strict=True)]
+        for x, y in floats:
+            assert x == y if np.isinf(y) else abs(x - y) <= SYMMETRY_BOUND
+
+
+@pytest.mark.parametrize("name", ["orbifold", "round", "bound2", "collinear"])
+def test_certificates_are_invariant_under_the_phase_torus_and_conjugation(name, orbifold_data, bound2_systems):
+    """certification_sample lifts each point of M/T^4 to one point of its
+    orbit. Seeded T^4 elements, conjugation and both together leave every
+    verdict and rank of the sample's certificates as they are, and move
+    each float by at most ``SYMMETRY_BOUND``; the collinear data's failed
+    certificates stay failed, with the same infinite errors."""
+    cases = {
+        "orbifold": [orbifold_data],
+        "round": [ROUND_DATA],
+        "bound2": [derive(ws) for ws in bound2_systems[::571]],
+        "collinear": [COLLINEAR],
+    }[name]
+    rng = np.random.default_rng(19)
+    for d in cases:
+        points = certification_sample(d, 40, 7)
+        want = certify_points(d, points)
+        assert all(c.passed for c in want) == (name != "collinear")
+        for _ in range(2):
+            theta, c = rng.uniform(0, 2 * np.pi, 3), rng.uniform(0, 2 * np.pi)
+            moved = phase_torus(points, theta, c)
+            for image in (moved, conjugate(points), conjugate(moved)):
+                assert_same_certificates_up_to_rounding(certify_points(d, image), want)
