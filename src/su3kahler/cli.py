@@ -386,42 +386,28 @@ def _census_text(divisors, witnesses, nl: str) -> str:
     return "[" + inner + ("," + inner).join(entries) + nl + "]"
 
 
-# certify_points makes 16 shapes: a Jacobian rank below 4 (4 shapes), a
-# combined rank below 10 (10) and a passing or failing full certificate
-# (2); the certify pool meets only the passing one.
-@functools.lru_cache(maxsize=32)
-def _certificate_format(shape: tuple, nl: str) -> str:
-    """The text at nl of a certificate with this (regular, transversal,
-    jacobian_rank, combined_rank, passed, spectrum length) shape, as a
-    %-format with a ``%s`` for each float: its three errors, then its
-    spectrum, the order in which its dict form, keys sorted, lists them."""
+# A certificate's shape is its Jacobian rank, 0 to 4; the certify pool
+# meets only rank 4.
+@functools.lru_cache(maxsize=8)
+def _certificate_format(jacobian_rank: int, nl: str) -> str:
+    """The text at nl of a certificate of this Jacobian rank, as a
+    %-format with one ``%s``, for its regularity margin."""
     from . import quadric as quad
 
-    regular, transversal, jacobian_rank, combined_rank, passed, size = shape
-    floats = [_gap(k) for k in range(3 + size)]
-    probe = quad.PointCertificate(
-        regular, transversal, jacobian_rank, combined_rank, *floats[:3], tuple(floats[3:]), passed
-    )
-    pieces, _ = _template(probe.to_json(), nl)
+    pieces, _ = _template(quad.PointCertificate(jacobian_rank, _gap(0)).to_json(), nl)
     return "%s".join(piece.replace("%", "%%") for piece in pieces)
 
 
 def _certificates_text(certificates: list, nl: str) -> str:
     """``[c.to_json() for c in certificates]`` as encoded text: each
     certificate's format from :func:`_certificate_format`, filled in one
-    pass with the text of every float, which one ``json.dumps`` call
+    pass with the text of every margin, which one ``json.dumps`` call
     writes."""
     if not certificates:
         return "[]"
     inner = nl + "  "
-    formats: list = []
-    floats: list = []
-    for c in certificates:
-        spectrum = c.positivity_spectrum
-        shape = (c.regular, c.transversal, c.jacobian_rank, c.combined_rank, c.passed, len(spectrum))
-        formats.append(_certificate_format(shape, inner))
-        floats += (c.jn_square_error, c.jn_xy_error, c.omega_compat_error, *spectrum)
-    texts = json.dumps(floats)[1:-1].split(", ")
+    formats = [_certificate_format(c.jacobian_rank, inner) for c in certificates]
+    texts = json.dumps([c.regularity_margin for c in certificates])[1:-1].split(", ")
     return ("[" + inner + ("," + inner).join(formats) + nl + "]") % tuple(texts)
 
 
@@ -513,9 +499,8 @@ def cmd_verify(args) -> tuple[dict, bool]:
         raise InputError(f"--samples must be <= {MAX_SAMPLES}")
     if args.seed < 0:
         raise InputError("--seed must be >= 0")
-    for flag, value in (("--tol", args.tol), ("--tol-zero", args.tol_zero), ("--tol-pos", args.tol_pos)):
-        if not (math.isfinite(value) and value > 0):
-            raise InputError(f"{flag} must be finite and > 0, got {value}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be finite and > 0, got {args.tol}")
     ws, d = _problem(args.config)
     from . import quadric as quad  # the float layer: verify alone loads numpy
 
@@ -524,7 +509,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     condition_ok = wt.cone_condition_holds(d)
-    tol = quad.Tolerances(residual=args.tol, zero=args.tol_zero, pos=args.tol_pos)
+    tol = quad.Tolerances(residual=args.tol)
     # certify even without the cone condition when points exist, so that
     # failures surface as regular=false certificates rather than silence
     try:
@@ -698,8 +683,6 @@ _TABLE = {
             "--tol", float, 1e-9,
             help="level-set residual tolerance for sample points (moment part relative to the data scale)",
         ),
-        _Option("--tol-zero", float, 1e-8),
-        _Option("--tol-pos", float, 1e-6),
     )),
     "generate": _Command(cmd_generate, "weight systems from cone data", (
         _Option("--config", required=True, help='{"A": [...], "B": [...]} (inline or path)'),

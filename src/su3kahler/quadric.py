@@ -19,23 +19,25 @@ e^{i(c - theta_k)} w_k, acts on M, and M/T^4 is the polytope of
 Heron's inequality on t_k = r_k s_k (the sqrt(t_k) are the sides of a
 triangle). :func:`certification_sample` draws points of that region and
 lifts each to one point of its T^4 orbit with +, -, *, / and sqrt.
-:func:`certify_points` then checks the linear-algebra content of the
-transverse Kahler construction at each point: constraint regularity,
-transversality of the rotated frame, the induced complex structure
-squaring to -1 and rotating the orbit directions, omega compatibility,
-and positive semidefiniteness of omega(J_N -, -) with a 2-dimensional
-kernel along the orbit. :func:`project_to_level` is a library function
-that ``verify`` does not call: Gauss-Newton from one ambient point.
+:func:`certify_points` then certifies each point's regularity, the rank
+of its constraint Jacobian. By the README's proposition (*Numerical
+certificates*), regularity at a point of M fixes the rest of the
+transverse Kahler construction there exactly: the rotated frame is
+transversal, the induced complex structure J_N squares to -1, rotates
+the orbit directions and is omega-compatible, and omega(J_N -, -) is the
+orthogonal projection onto a 6-dimensional complement of the orbit.
+:func:`project_to_level` is a library function that ``verify`` does not
+call: Gauss-Newton from one ambient point.
 
-Certification runs as one batch over a stack of points: each step is a
-single stacked numpy/LAPACK call, and :func:`certify_point` is
-:func:`certify_points` with a stack of one. A stack of points is one
-complex (n, 6) state array of rows (z_1, z_2, z_3, w_1, w_2, w_3); its
-memory order is the real coordinate layout (Re z_1, Im z_1, ..., Im w_3),
-so ``x.view(float)`` is the real form of a contiguous stack without a
-copy, and complex vectors and Jacobian rows are read as real ones that
-way. Row outputs are read as columns: one ``tolist()`` per residual,
-verdict or certificate field, not one conversion per row.
+Certification is one stacked SVD over all points, and
+:func:`certify_point` is :func:`certify_points` with a stack of one. A
+stack of points is one complex (n, 6) state array of rows (z_1, z_2,
+z_3, w_1, w_2, w_3); its memory order is the real coordinate layout
+(Re z_1, Im z_1, ..., Im w_3), so ``x.view(float)`` is the real form of a
+contiguous stack without a copy, and complex vectors and Jacobian rows
+are read as real ones that way. Row outputs are read as columns: one
+``tolist()`` per residual, verdict or certificate field, not one
+conversion per row.
 
 Exact numbers enter here once per cone data object: :func:`_float_data`
 reads A, B and C, the integer mixed witnesses and the integer apex
@@ -88,13 +90,10 @@ class Tolerances:
     """Numerical thresholds; all rank decisions are relative."""
 
     residual: float = 1e-9       # level-set membership, moment part vs moment_scale
-    zero: float = 1e-8           # |eigenvalue| treated as 0 in spectra
-    pos: float = 1e-6            # smallest positive eigenvalue vs largest
     rank_rel: float = 1e-9       # singular value cutoff vs largest
 
 
 _NONZERO_FLOOR = 1e-8  # max |z_j|, |w_j| must exceed this on the quadric
-_OPERATOR_TOL = 1e-8   # operator identity errors of a passing certificate
 _SAMPLE_CHUNK = 128    # vertex mixtures certification_sample draws per round
 _SAMPLE_PATIENCE = 32  # rounds in a row without an accepted mixture before it gives up
 
@@ -116,9 +115,9 @@ class _FloatData(NamedTuple):
     c: np.ndarray   # C as a float 2-vector
     scale: float    # moment scale, see :func:`moment_scale`
     # fg divided by the scale. Certificates and the projection's Jacobian
-    # run on it: the level set, its tangent spaces and J_N are unchanged,
-    # while ranks, steps and operator errors become invariant under
-    # rescaling the cone data.
+    # run on it: the level set and its tangent spaces are unchanged, while
+    # ranks, margins and steps become invariant under rescaling the cone
+    # data.
     unit_fg: np.ndarray
     # (m + 3, 6): the (r_1, r_2, r_3, s_1, s_2, s_3) = (|z|^2, |w|^2) of the
     # slice's vertices, r_i = a and s_j = b per mixed witness (i, j, a, b),
@@ -267,7 +266,7 @@ def _level_points(fd: _FloatData, x: np.ndarray, tol: Tolerances) -> list[LevelS
     """
     z, w = x[:, :3], x[:, 3:]
     quad = np.abs((z * w).sum(axis=-1))
-    mom = _norm(_moment(fd.fg, x) - fd.c, -1)
+    mom = _norm(_moment(fd.fg, x) - fd.c)
     usable = _usable(x)
     close = (quad <= tol.residual) & (mom <= tol.residual * fd.scale)
     out: list[LevelSetPoint | ValueError] = []
@@ -296,21 +295,10 @@ def _first_error(results: list) -> list:
 # last axes, so stacks of points need no loop.
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    """Transpose of each matrix in a stack."""
-    return a.swapaxes(-1, -2)
-
-
-def _norm(a: np.ndarray, axis) -> np.ndarray:
-    """The 2-norm of real vectors (one axis) or Frobenius norm of real
-    matrices (two axes) over ``axis``, the sum of squares and square root
-    of ``np.linalg.norm`` without its argument handling."""
-    return np.sqrt(np.add.reduce(a * a, axis=axis))
-
-
-def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Stacked matrix-vector product: (..., m, k) @ (..., k) -> (..., m)."""
-    return (a @ v[..., None])[..., 0]
+def _norm(a: np.ndarray) -> np.ndarray:
+    """The 2-norm of real vectors over the last axis, the sum of squares
+    and square root of ``np.linalg.norm`` without its argument handling."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
 def _jacobian(fg: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -368,7 +356,7 @@ def project_to_level(
     rows = np.array([1.0, 1.0, fd.scale, fd.scale])
     for _ in range(max_iter):
         f = constraint_values(d, x[0, :3], x[0, 3:]) / rows
-        if _norm(f, -1) <= tol:
+        if _norm(f) <= tol:
             return _first_error(_level_points(fd, x, tolerances))[0]
         x.view(float)[0] += np.linalg.lstsq(_jacobian(fd.unit_fg, x)[0], -f, rcond=None)[0]
         if not _usable(x)[0]:
@@ -379,41 +367,35 @@ def project_to_level(
     raise RuntimeError(f"no convergence to {tol} within {max_iter} iterations")
 
 
-def _frame(fg: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit fields X, Y and the transverse frame Z = X + JY, W = JX - Y
-    at (m, 6) states, for weights fg: X and Y as one complex (m, 2, 6)
-    stack, and Z and W in the real layout as the columns of a real
-    (m, 12, 2) stack.
-
-    X and Y are the closed-form rotation fields of the two moment-map
-    components: the z_j component of X is i * A_j[0] * z_j, of Y is
-    i * A_j[1] * z_j, and likewise with B_j on w. W = J Z holds exactly,
-    and the induced structure on the level set rotates X -> Y -> -X.
-    """
-    xy = (1j * fg) * x[:, None, :]
-    x6, y6 = xy[:, 0], xy[:, 1]
-    return xy, np.stack([(x6 + 1j * y6).view(float), (1j * x6 - y6).view(float)], axis=-1)
-
-
-@dataclass
+@dataclass(frozen=True)
 class PointCertificate:
-    """Outcome of the pointwise transverse-Kahler checks.
+    """Outcome of certifying one point of the level set M.
 
-    ``positivity_spectrum`` holds the 8 ascending eigenvalues of the
-    symmetrized form omega(J_N u, v) on the tangent space of the level
-    set; a passing certificate has exactly 2 near-zero eigenvalues (the
-    orbit directions) and 6 comfortably positive ones.
+    A certificate certifies the hypothesis of the README's proposition
+    (*Numerical certificates*): the point is regular, that is, its 4 x 12
+    constraint Jacobian has rank 4. At a regular point of M the
+    proposition fixes everything else exactly: the rotated frame is
+    transversal (combined rank 10), J_N squares to -1, rotates X to Y and
+    is omega-compatible, and omega(J_N -, -) has spectrum
+    (0, 0, 1, 1, 1, 1, 1, 1). So ``transversal`` and ``passed`` are
+    ``regular``, and ``combined_rank`` is 10 at a regular point and 0
+    otherwise. ``regularity_margin`` is sigma_min/sigma_max of the
+    Jacobian on the unit data, the conditioning of the regularity
+    decision.
     """
 
-    regular: bool
-    transversal: bool
     jacobian_rank: int
-    combined_rank: int
-    jn_square_error: float
-    jn_xy_error: float
-    omega_compat_error: float
-    positivity_spectrum: tuple[float, ...]
-    passed: bool
+    regularity_margin: float
+
+    @property
+    def regular(self) -> bool:
+        return self.jacobian_rank == 4
+
+    transversal = passed = regular  # the proposition's conclusions at a regular point of M
+
+    @property
+    def combined_rank(self) -> int:
+        return 10 if self.regular else 0
 
     def to_json(self) -> dict:
         return {
@@ -421,24 +403,9 @@ class PointCertificate:
             "transversal": self.transversal,
             "jacobian_rank": self.jacobian_rank,
             "combined_rank": self.combined_rank,
-            "jn_square_error": self.jn_square_error,
-            "jn_xy_error": self.jn_xy_error,
-            "omega_compat_error": self.omega_compat_error,
-            "positivity_spectrum": list(self.positivity_spectrum),
+            "regularity_margin": self.regularity_margin,
             "pass": self.passed,
         }
-
-
-# Multiplication by i in real coordinates, (re, im) -> (-im, re). The Gram
-# matrix of omega, omega(u, v) = u^T _OMEGA12 v, has the same blocks.
-_J12 = np.kron(np.eye(6, dtype=int), [[0, -1], [1, 0]]).astype(float)
-_OMEGA12 = _J12
-_I2, _I8 = np.eye(2), np.eye(8)
-
-# Points per stacked pass of certify_points: a stack's factorizations take
-# about 9 KB per point, so a longer stack is certified in blocks of this
-# many rows (every row's certificate is independent of the others).
-_CERTIFY_BLOCK = 1024
 
 
 def certify_points(
@@ -446,119 +413,24 @@ def certify_points(
     points,
     tol: Tolerances = Tolerances(),
 ) -> list[PointCertificate]:
-    """Run every pointwise check of the transverse Kahler construction.
+    """Certify each point of M by one stacked SVD of its 4 x 12 constraint
+    Jacobian on the data divided by :func:`moment_scale`, singular values
+    only.
 
-    Steps, each one stacked call over all points: (a) the SVD of the 4x12
-    constraint Jacobians, whose rank decides regularity (iff 4) and whose
-    right factor splits R^12 into the tangent basis Q (last 8 rows) and
-    the normal basis N (first 4 rows); (b) transversality, the rank of
-    [Q | Z W] (iff 10), read off a 6x4 matrix: with Q^T [Z W] = P R (thin
-    QR) and Nb = N^T [Z W], the matrix [Q | Z W] is [[I8, P R], [0, Nb]]
-    in the basis (Q, N), so its singular values are six 1's and those of
-    [[I2, R], [0, Nb]]; (c) J_N, the projection of J u back into the kernel
-    along span{Z, W}, from the least-squares solve [Q | Z W] [k; b] = J Q:
-    b minimizes |Nb b - N^T J Q| (QR of Nb) and k = Q^T (J Q - [Z W] b);
-    (d) operator errors |J_N^2 + 1|, |J_N X - Y| + |J_N Y + X| and omega
-    compatibility, the two spectral norms as square roots of the top
-    eigenvalues of A^T A; (e) eigenvalues of the symmetrized
-    omega(J_N -, -). Steps (d) and (e) share one ``eigvalsh`` call.
-
-    All of it runs on the cone data divided by :func:`moment_scale`, which
-    changes no rank, J_N or spectrum but makes the certificate invariant
-    under rescaling the data; |J_N X - Y| + |J_N Y + X| is thereby measured
-    relative to that scale.
-
-    Rank failures are reported in the certificate, not raised; such a
-    point leaves the stack at the step that fails it, so no later
-    factorization sees its degenerate matrices. Stacks longer than
-    ``_CERTIFY_BLOCK`` run block by block, which bounds the memory of a
-    large sample and changes no certificate.
+    The Jacobian rank counts the singular values above ``tol.rank_rel``
+    times the largest, and the regularity margin is the smallest over the
+    largest. Rescaling the data changes neither. The points are those of
+    M that :func:`certification_sample` and :func:`project_to_level`
+    accept against ``tol.residual``: the proposition's conclusions hold on
+    M, not at an arbitrary point of C^6. Rank failures are reported, not
+    raised.
     """
-    fg = _weight_arrays(d).unit_fg
-    certs: list = []
-    for start in range(0, len(points), _CERTIFY_BLOCK):
-        certs += _certify_block(fg, points[start:start + _CERTIFY_BLOCK], tol)
-    return certs
-
-
-def _certify_block(fg: np.ndarray, points, tol: Tolerances) -> list[PointCertificate]:
-    """:func:`certify_points` for one stack, on the unit weights fg.
-
-    A row leaves the stack only at the rank test it fails; while every row
-    passes, each step reads the whole stack without a copy. The outputs are
-    read as columns, one ``tolist`` each.
-    """
-    x = _stack(points)
-    certs: list = [None] * len(x)
-    _, s, vt = np.linalg.svd(_jacobian(fg, x))
+    if not len(points):
+        return []
+    s = np.linalg.svd(_jacobian(_weight_arrays(d).unit_fg, _stack(points)), compute_uv=False)
     smax = np.where(s[:, 0] > 0, s[:, 0], 1.0)
-    jac_rank = (s > tol.rank_rel * smax[:, None]).sum(axis=1)
-    idx = np.flatnonzero(jac_rank == 4)
-    if idx.size < len(x):
-        low = np.flatnonzero(jac_rank < 4)
-        for i, rank in zip(low.tolist(), jac_rank[low].tolist()):
-            certs[i] = PointCertificate(False, False, rank, 0, math.inf, math.inf, math.inf, (), False)
-        if not idx.size:
-            return certs
-        vt, x = vt[idx], x[idx]
-    qt, nt = vt[:, 4:], vt[:, :4]  # m x 8 x 12 tangent rows, m x 4 x 12 normal rows
-
-    xy, zw = _frame(fg, x)
-    qzw, nb = qt @ zw, nt @ zw
-    small = np.zeros((len(idx), 6, 4))  # [[I2, R], [0, Nb]] with Q^T [Z W] = P R
-    small[:, :2, :2] = _I2
-    small[:, :2, 2:] = np.linalg.qr(qzw, mode="r")
-    small[:, 2:, 2:] = nb
-    s2 = np.linalg.svd(small, compute_uv=False)
-    cutoff = tol.rank_rel * np.maximum(s2[:, 0], 1.0)  # the largest of all ten
-    combined_rank = 6 * (cutoff < 1.0) + (s2 > cutoff[:, None]).sum(axis=1)
-    keep = combined_rank == 10
-    if not keep.all():
-        for i, rank in zip(idx[~keep].tolist(), combined_rank[~keep].tolist()):
-            certs[i] = PointCertificate(True, False, 4, rank, math.inf, math.inf, math.inf, (), False)
-        if not keep.any():
-            return certs
-        idx, qt, nt, qzw, nb, xy = idx[keep], qt[keep], nt[keep], qzw[keep], nb[keep], xy[keep]
-    q = _t(qt)
-    xyr = xy.view(float)  # the real forms of X and Y, m x 2 x 12
-    xr, yr = xyr[:, 0], xyr[:, 1]
-
-    # J_N on the kernel basis: [Q | Z W] [k; b] = J Q in least squares;
-    # rank 10 makes Nb of rank 2, so its R is invertible
-    jq = _J12 @ q
-    qn, rn = np.linalg.qr(nb)
-    b = np.linalg.solve(rn, _t(qn) @ (nt @ jq))
-    k = qt @ jq - qzw @ b
-    kt = _t(k)
-
-    xi, eta = _mv(qt, xr), _mv(qt, yr)
-    jn_xy_error = _norm(_mv(q, _mv(k, xi)) - yr, -1) + _norm(_mv(q, _mv(k, eta)) + xr, -1)
-    omega_n = qt @ _OMEGA12 @ q
-    square = k @ k + _I8
-    compat = kt @ omega_n @ k - omega_n
-    qform = kt @ omega_n  # q(u, v) = omega(J_N u, v) in the kernel basis
-    n = len(idx)
-    gram = np.empty((3, n, 8, 8))  # the three stacks one eigvalsh call reads
-    np.matmul(_t(square), square, out=gram[0])
-    np.matmul(_t(compat), compat, out=gram[1])
-    np.add(qform, _t(qform), out=gram[2])
-    gram[2] *= 0.5
-    eig = np.linalg.eigvalsh(gram.reshape(3 * n, 8, 8))
-    jn_square_error, omega_compat_error = np.sqrt(np.maximum(eig[: 2 * n, -1], 0.0)).reshape(2, n)
-    spectrum = eig[2 * n :]
-    zero_count = (np.abs(spectrum) <= tol.zero).sum(axis=1)
-    pos_count = (spectrum >= tol.pos * spectrum[:, -1:]).sum(axis=1)
-    passed = (
-        (jn_square_error <= _OPERATOR_TOL)
-        & (jn_xy_error <= _OPERATOR_TOL)
-        & (omega_compat_error <= _OPERATOR_TOL)
-        & (zero_count == 2)
-        & (pos_count == 6)
-    )
-    columns = (jn_square_error, jn_xy_error, omega_compat_error, spectrum, passed)
-    for i, square_error, xy_error, compat_error, values, ok in zip(idx.tolist(), *(c.tolist() for c in columns)):
-        certs[i] = PointCertificate(True, True, 4, 10, square_error, xy_error, compat_error, tuple(values), ok)
-    return certs
+    ranks = (s > tol.rank_rel * smax[:, None]).sum(axis=1)
+    return [PointCertificate(*row) for row in zip(ranks.tolist(), (s[:, 3] / smax).tolist())]
 
 
 def certify_point(
@@ -603,7 +475,7 @@ def _lift(weights: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     root = np.sqrt(rs[keep])
     x = np.zeros((len(t1), 6, 2))  # the real layout, (Re, Im) per coordinate
     x[:, :3, 0] = root[:, :3]
-    x[:, 3:] = root[:, 3:, None] * (p / _norm(p, -1)[..., None])
+    x[:, 3:] = root[:, 3:, None] * (p / _norm(p)[..., None])
     return x.reshape(-1, 12).view(complex)
 
 

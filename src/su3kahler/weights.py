@@ -448,7 +448,8 @@ def check_level_set_conditions(d: DerivedConeData) -> LevelSetConditions:
     """
     witness, regular, compact, _ = _level_set_evidence(d)
     if witness is not None:
-        witness = d.mixed_witnesses[0]
+        i, j, na, nb, den = witness
+        witness = (i, j, Fraction(na, den), Fraction(nb, den))
     return LevelSetConditions(witness is not None, witness, regular, compact, d.apex_functional)
 
 

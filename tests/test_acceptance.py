@@ -14,6 +14,7 @@ from conftest import (
     reference_free_by_homs,
     reference_interpolation_path,
 )
+from test_certify_batch import EXACT_SPECTRUM, SPECTRUM_BOUND, reference_certify
 
 from su3kahler.cli import main
 from su3kahler.cohomology import (
@@ -29,7 +30,7 @@ from su3kahler.isotropy import (
     freeness_check,
     singular_stratum_census,
 )
-from su3kahler.quadric import certification_sample, certify_point
+from su3kahler.quadric import certification_sample, certify_points
 from su3kahler.weights import (
     DerivedConeData,
     WeightSystem,
@@ -162,24 +163,24 @@ def test_criterion_5_isotropy_census(orbifold_data, capsys):
 
 
 def test_criterion_6_certificates(orbifold_data, bound1_systems, capsys):
+    """Every sample point certifies, and the one-point J_N oracle confirms
+    the README's proposition there: it passes every check, its spectrum is
+    within ``SPECTRUM_BOUND`` of (0, 0, 1^6), and its regularity and ranks
+    are the certificate's."""
     start = time.perf_counter()
     datasets = [orbifold_data] + [derive(ws) for ws in bound1_systems]
     ok = True
     checked = 0
     for d in datasets:
-        for p in certification_sample(d, 100, 0):
-            cert = certify_point(d, p)
-            spectrum = np.array(cert.positivity_spectrum)
+        points = certification_sample(d, 100, 0)
+        for p, cert in zip(points, certify_points(d, points), strict=True):
+            want = reference_certify(d, p)
             point_ok = (
-                cert.regular
-                and cert.jacobian_rank == 4
-                and cert.transversal
-                and cert.combined_rank == 10
-                and cert.jn_square_error <= 1e-8
-                and cert.jn_xy_error <= 1e-8
-                and cert.omega_compat_error <= 1e-8
-                and np.sum(np.abs(spectrum) <= 1e-8) == 2
-                and np.sum(spectrum >= 1e-6 * spectrum[-1]) == 6
+                cert.passed
+                and want.passed
+                and (cert.regular, cert.jacobian_rank, cert.transversal, cert.combined_rank)
+                == (want.regular, want.jacobian_rank, want.transversal, want.combined_rank) == (True, 4, True, 10)
+                and max(abs(x - y) for x, y in zip(want.spectrum, EXACT_SPECTRUM)) <= SPECTRUM_BOUND
             )
             ok = ok and point_ok
             checked += 1

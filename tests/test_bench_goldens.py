@@ -75,38 +75,39 @@ def pool_digest(ops) -> str:
 
 
 # workloads.digest of each verify op of certify_ops(golden), by (category,
-# index): every float of a certificate is printed, so these pin its bits.
+# index): every certificate's regularity margin is printed, so these pin
+# its bits.
 # A 5-sample op certifies fixed points only; a 20- or 50-sample op also
 # certifies the sample's closed-form points, which these entries pin.
 CERTIFY_DIGESTS = {
-    ("orbifold", 0): "0:2796:2916dc2b9397955d8d18c31318f5cfa3",
-    ("orbifold", 6): "0:2796:27ae74a3d310eeaae1e99481585717dd",
-    ("orbifold", 12): "0:2796:ad903e4127a43ee8cdcee9f8cdf13657",
-    ("orbifold", 18): "0:2796:d9c2d4e3f1ed6623903a23153f210c0c",
-    ("orbifold", 24): "0:2796:18e96a9b8476aebb92ba5a27d7e024f7",
-    ("orbifold", 30): "0:2798:77b5be10dfa085e42b8ad7a917d9a1aa",
-    ("round", 0): "0:2738:366d0158a07bdd41bfdf502f03da59dd",
-    ("round", 6): "0:2738:c23c1bfd22cb8ec4aa7bf6fb0d642f0f",
-    ("round", 12): "0:2738:18572ae7f4706319b0d620f291c895a4",
-    ("round", 18): "0:2738:ed40676be5d7a569b604ea6d99441ebf",
-    ("round", 24): "0:2738:405e8c30e46765a71bdd09c778a981b1",
-    ("round", 30): "0:2740:76ec2b2df485bef4ef0663fac4de8ea5",
-    ("bound2", 0): "0:3370:09c1dc15dfb5f60b686b6877b45a5e71",
-    ("bound2", 119): "0:29061:5ba9c6f260c86e8087298d3c0d485add",
-    ("bound2", 238): "0:11950:e461ce36525b5b40d6464f5c932b31a3",
-    ("bound2", 357): "0:3219:8af22a5dc27b255e79ef30a69d45981c",
-    ("bound2", 476): "0:29065:ba7af84575ef5dc00d9340b876fc54c7",
-    ("bound2", 595): "0:11969:157a13f0e27cc70bae41e917ee716dcb",
-    ("bound3", 0): "0:3431:b1158a52dec4e43182804e07bd4fa01c",
-    ("bound3", 168): "0:3459:125ee04824a56d071af90ddb51af2073",
-    ("bound3", 336): "0:3330:7c2eb405fb9cbe3af050d9dc0f50342e",
-    ("bound3", 504): "0:3233:e672d4d1d8d3d04490b5b103c726632a",
-    ("bound3", 672): "0:3390:e8c2411670ff363132d0e602998d51aa",
-    ("bound3", 840): "0:3431:4fbfd79d13e1ccc7a787e989717c7ec5",
-    ("bound3", 1008): "0:3305:43b32bcf53b332c99d7af0ac298adb3d",
+    ("orbifold", 0): "0:1385:a22e1bc1bfe9fe731069a1bafbb7e025",
+    ("orbifold", 6): "0:1385:d9433be84131e85fe3a65d8d017b883a",
+    ("orbifold", 12): "0:1385:50e8df30649f5d863303880264244c31",
+    ("orbifold", 18): "0:1385:84e9c84990c4366b2531f6a09ae60690",
+    ("orbifold", 24): "0:1385:0f8825febd1c479b1ac0fc1e0a567f12",
+    ("orbifold", 30): "0:1387:ad03027e57942eea3b5676fc77c048b3",
+    ("round", 0): "0:1383:274754aa96b42d15e39efbeb0388bde5",
+    ("round", 6): "0:1383:8eebf505291b64cf3a05b05ad69cba5f",
+    ("round", 12): "0:1383:3981c9e9547507f2a36fab27b6e0e554",
+    ("round", 18): "0:1383:acf74c57bf97af731a4ffa31fc9105bf",
+    ("round", 24): "0:1383:382eaf04999ab9ef7e80a4340833864e",
+    ("round", 30): "0:1385:baa412531c26eadb653141aeb3257837",
+    ("bound2", 0): "0:1730:0ffe0542cb18cf7e374b5f2fb4b84961",
+    ("bound2", 119): "0:10657:2b5bcc040b098b569c4122ba84bbd50e",
+    ("bound2", 238): "0:4708:8067faae15778de54cc6882ebf520d51",
+    ("bound2", 357): "0:1730:d7d3f1416d52a9c0b835ef31ee3a27de",
+    ("bound2", 476): "0:10690:24bc74395761194d582e342a0316e8ca",
+    ("bound2", 595): "0:4711:bc1fd62cd6f356c1556f8a154c256435",
+    ("bound3", 0): "0:1750:b0664d498212dbbbc7df9442f7c92674",
+    ("bound3", 168): "0:1732:8196e40836119c4804a70b1394df4c49",
+    ("bound3", 336): "0:1750:ffc66a394ba314a5f231e21ab7b036b3",
+    ("bound3", 504): "0:1725:70d59e05a9d55fa230c194a40a59116f",
+    ("bound3", 672): "0:1748:653bd1b5d4e600fccaa7e8b8f8b222d8",
+    ("bound3", 840): "0:1749:571a44f2c4af6238481eac88dafc7660",
+    ("bound3", 1008): "0:1758:58ab97f4c55ac1a88e3fd279a703835b",
 }
 # pool_digest(certify_ops(golden, 1)): all 1796 triples.
-CERTIFY_POOL_DIGEST = "9c5736fec0eecf49217eaaa1608e82bd"
+CERTIFY_POOL_DIGEST = "318a6aaeb5648003128f15fd3e5c8b05"
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)

@@ -566,9 +566,14 @@ def test_verify_gives_up_when_no_mixture_closes_a_triangle(capsys, monkeypatch):
         ("--tol-zero", "-0.5"),
         ("--tol-pos", "inf"),
         ("--tol-pos", "0"),
+        ("--tol-zero", "1e-8"),  # the removed options' former defaults
+        ("--tol-pos", "1e-6"),
     ],
 )
 def test_verify_usage_errors_exit_2_before_sampling(capsys, monkeypatch, flag, value):
+    """A bad --seed or --tol, and the removed --tol-zero and --tol-pos,
+    whatever their value, end in the usage envelope: a certificate no
+    longer measures a spectrum."""
     from su3kahler import quadric
 
     def refuse(*args, **kwargs):
@@ -578,7 +583,9 @@ def test_verify_usage_errors_exit_2_before_sampling(capsys, monkeypatch, flag, v
     code, out = run(capsys, "verify", "--config", ORBIFOLD_CONE, flag, value)
     report = json.loads(out)
     assert code == 2 and not report["pass"]
-    assert report["results"]["error"].startswith(f"{flag} must be ")
+    removed = flag in ("--tol-zero", "--tol-pos")
+    want = f"unrecognized arguments: {flag} {value}" if removed else f"{flag} must be "
+    assert report["results"]["error"].startswith(want)
 
 
 @pytest.mark.parametrize(
@@ -617,12 +624,10 @@ def test_verify_is_invariant_under_rescaling_the_cone_data(capsys):
 
 
 # An admissible bound-1000 system whose A_i and B_j are nearly parallel in
-# pairs. Its failing certificate is the sixth point, the fixed point (3, 2)
-# itself (x_32 = 63, the worst-conditioned Jacobian of the system): its
-# jn_square_error, 1.34e-8, exceeds the absolute operator tolerance of 1e-8
-# while every rank, regularity and transversality test passes. So
-# `verify --samples 6` fails already, and with every seed that point is the
-# one failure; the closed-form points after the fixed points all pass.
+# pairs. Its worst-conditioned certificate is the sixth point, the fixed
+# point (3, 2) itself (x_32 = 63): the Jacobian's sigma_min/sigma_max is
+# 5.7e-5 there. That point is regular, so by the README's proposition it
+# certifies, as every other point does.
 THIN_SYSTEM = '{"wL": [[54,157],[-105,-386],[51,229]], "wR": [[654,942],[-873,-939],[219,-3]]}'
 
 
@@ -631,14 +636,12 @@ def test_thin_system_meets_the_cone_condition(capsys):
     assert code == 0 and json.loads(out)["results"]["condition"]["holds"]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="false negative: J_N's operator errors grow with the conditioning of its normal-block solve, "
-    "and the operator tolerance is absolute",
-)
 def test_thin_system_passes_verify(capsys):
     code, out = run(capsys, "verify", "--config", THIN_SYSTEM, "--samples", "50", "--seed", "12")
+    certs = json.loads(out)["results"]["certificates"]
     assert code == 0 and json.loads(out)["results"]["all_passed"]
+    assert min(range(50), key=lambda k: certs[k]["regularity_margin"]) == 5
+    assert 5.7e-5 <= certs[5]["regularity_margin"] < 5.8e-5
 
 
 # --- a run under the development mode ---------------------------------------------

@@ -90,7 +90,7 @@ def test_table_grammar_accepts_and_refuses():
         ["check", "--config", ORBIFOLD_CONE],
         ["--timing", "--out", "r.json", "check", "--interp-steps", "٣", "--config", "{}"],
         ["--out", "check", "--timing", "cohomology"],
-        ["verify", "--tol", "1e400", "--tol-pos", "nan", "--config", "", "--seed", " 7 "],
+        ["verify", "--tol", "1e400", "--samples", "0", "--config", "", "--seed", " 7 "],
         ["cohomology", "--branch", "degenerate", "--beta", "1/2,-3/7"],
         ["enumerate", "--bound", "1_000"],
     ]
@@ -107,6 +107,7 @@ def test_table_grammar_accepts_and_refuses():
         ["check", "--config", "{}", "--timing"],  # a global option after the command
         ["check", "--config", "{}", "extra"],
         ["check", "--", "--config", "{}"],
+        ["verify", "--config", "{}", "--tol-pos", "nan"],  # a removed option
     ]
     assert all(assert_read_as_argparse_reads(argv) is not None for argv in accepted)
     assert all(cli._read_argv(argv) is None for argv in refused)

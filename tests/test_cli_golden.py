@@ -30,7 +30,7 @@ GOLDEN = [
     # float digits: pinned for the numpy/LAPACK build the suite runs on
     pytest.param(
         ("verify", "--config", ORBIFOLD_CONE, "--samples", "100", "--seed", "0"),
-        0, 56873, "ed7144ff4c2f78f63dcd82a37556eb0e", id="verify",
+        0, 20207, "021c629fd5d21e8951af8f5e2440fd35", id="verify",
     ),
     pytest.param(
         ("generate", "--config", ORBIFOLD_CONE), 0, 1518, "7ebd4bf7f9e2dce38b4911658abcb94f", id="generate"
@@ -71,7 +71,7 @@ HELP = [
     pytest.param(("--help",), 908, "2395ce4b16eb9bc4b38b52231ea10844", id="help"),
     pytest.param(("check", "--help"), 342, "fc57b825544011be981d1636c16ada23", id="check"),
     pytest.param(("isotropy", "--help"), 216, "f2473b66632a3d2494bbc15725bc0278", id="isotropy"),
-    pytest.param(("verify", "--help"), 548, "72b5472cdcac9c26ac20f6cad674d262", id="verify"),
+    pytest.param(("verify", "--help"), 454, "3ba5d641e8ec9bef376b9bed58f23ada", id="verify"),
     pytest.param(("generate", "--help"), 169, "4fae2ea25cc4151da128fee0525f8d1e", id="generate"),
     pytest.param(("enumerate", "--help"), 121, "7264ec16aff03e64a28e223967866a5c", id="enumerate"),
     pytest.param(("cohomology", "--help"), 255, "4d25096ad335ba879174dc58f61d5fd7", id="cohomology"),

@@ -27,7 +27,13 @@ from su3kahler.conegeom import (
     vscale,
 )
 from su3kahler.isotropy import _CENSUS_PATTERNS, _census_evidence, _integer_generators, _pattern_rows
-from su3kahler.weights import DerivedConeData, _condition_evidence, check_cone_condition, derive
+from su3kahler.weights import (
+    DerivedConeData,
+    _condition_evidence,
+    check_cone_condition,
+    check_level_set_conditions,
+    derive,
+)
 
 HUGE = 10**30
 
@@ -187,3 +193,14 @@ def test_condition_evidence_is_the_report(orbifold_data, bound1_systems):
         assert (None if apex is None else (Fraction(apex[0], apex[2]), Fraction(apex[1], apex[2]))) == (
             level.apex_functional
         )
+
+
+def test_level_set_witness_builds_no_fraction_view(orbifold_data, bound1_systems):
+    """check_level_set_conditions writes its one witness from the integer
+    evidence: on fresh cone data it leaves the cached Fraction view
+    mixed_witnesses unbuilt, and its witness is that view's first entry."""
+    for d in (orbifold_data, *(derive(ws) for ws in bound1_systems)):
+        d = DerivedConeData(d.a, d.b, d.c)
+        witness = check_level_set_conditions(d).nonempty_witness
+        assert "mixed_witnesses" not in d.__dict__
+        assert witness == d.mixed_witnesses[0]

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import (
@@ -31,7 +32,7 @@ from su3kahler.quadric import (
     moment_scale,
     project_to_level,
 )
-from su3kahler.weights import check_level_set_conditions, cone_data, derive
+from su3kahler.weights import WeightSystem, check_level_set_conditions, cone_data, derive
 
 
 def omega_form(u6, v6):
@@ -221,9 +222,7 @@ def test_omega_orientation():
     assert abs(omega_form(1j * u, u) - np.linalg.norm(u) ** 2) <= 1e-12
     ur = np.empty(12)
     ur[0::2], ur[1::2] = u.real, u.imag
-    for omega12, j12 in ((OMEGA12, J12), (quadric._OMEGA12, quadric._J12)):
-        assert abs((j12 @ ur) @ omega12 @ ur - np.linalg.norm(u) ** 2) <= 1e-12
-    assert np.array_equal(quadric._J12, J12) and np.array_equal(quadric._OMEGA12, OMEGA12)
+    assert abs((J12 @ ur) @ OMEGA12 @ ur - np.linalg.norm(u) ** 2) <= 1e-12
 
 
 def test_frame_components_worked_example(orbifold_data):
@@ -289,16 +288,14 @@ def test_constraint_jacobian_matches_finite_differences(orbifold_data):
 
 
 def test_certificate_worked_example(orbifold_data):
+    """At the seed z_1 = w_2 = 1 the unit Jacobian has the singular values
+    sqrt(2) twice (the quadric rows: |z|^2 + |w|^2 = 2) and 2/sqrt(5)
+    twice (the moment rows 2 A_1 and 2 B_2, over the moment scale
+    sqrt(5)), so the regularity margin is sqrt(2/5)."""
     p = seed_point(orbifold_data, 1, 2)
     cert = certify_point(orbifold_data, p)
-    assert cert.regular and cert.jacobian_rank == 4
-    assert cert.transversal and cert.combined_rank == 10
-    assert cert.jn_square_error <= 1e-8
-    assert cert.jn_xy_error <= 1e-8
-    assert cert.omega_compat_error <= 1e-8
-    spectrum = np.array(cert.positivity_spectrum)
-    assert np.sum(np.abs(spectrum) <= 1e-8) == 2
-    assert np.sum(spectrum >= 1e-6 * spectrum[-1]) == 6
+    assert (cert.regular, cert.jacobian_rank, cert.transversal, cert.combined_rank) == (True, 4, True, 10)
+    assert abs(cert.regularity_margin - math.sqrt(2 / 5)) <= 1e-15
     assert cert.passed
 
 
@@ -312,9 +309,7 @@ def test_certificate_passes_under_basis_change(orbifold_data):
         while abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) < Fraction(1, 3):
             m = [[Fraction(int(x), 4) for x in row] for row in rng.integers(-8, 9, (2, 2))]
         cert = certify_point(basis_change(m, orbifold_data), p)
-        assert cert.passed
-        spectrum = np.array(cert.positivity_spectrum)
-        assert np.sum(np.abs(spectrum) <= 1e-8) == 2
+        assert cert.passed and (cert.jacobian_rank, cert.combined_rank) == (4, 10)
 
 
 def test_certificate_detects_dependent_fields():
@@ -580,3 +575,47 @@ def test_certificates_across_bound2_systems(bound2_systems):
         for p, cert in zip(points, certify_points(d, points), strict=True):
             assert cert.passed, (ws, p)
         assert certify_point(d, points[0]).passed, (ws, points[0])
+
+
+# The README's weight system and an admissible bound-1000 system whose A_i
+# and B_j are nearly parallel in pairs (the thin system of test_cli.py).
+README_SYSTEM = WeightSystem(((-1, 1), (-1, 1), (2, -2)), ((-4, 1), (5, -5), (-1, 4)))
+THIN_SYSTEM = WeightSystem(((54, 157), (-105, -386), (51, 229)), ((654, 942), (-873, -939), (219, -3)))
+
+
+def closed_form_margin(d, i, j, a, b):
+    """sigma_min/sigma_max of the unit Jacobian at the fixed point of the
+    mixed witness C = a A_i + b B_j, at 50 digits. By the Gram lemma its
+    singular values are sqrt(a + b) twice and 2 sigma_1(G), 2 sigma_2(G)
+    for G = [sqrt(a) A_i, sqrt(b) B_j] / moment scale. With
+    t = sigma_1^2 + sigma_2^2 = (a |A_i|^2 + b |B_j|^2) / scale^2 and
+    p = (sigma_1 sigma_2)^2 = a b cross(A_i, B_j)^2 / scale^4, both exact,
+    sigma_1^2 = (t + sqrt(t^2 - 4p))/2 and sigma_2^2 = p / sigma_1^2, with
+    no cancellation in the small one."""
+    (p1, p2), (q1, q2) = d.a[i - 1], d.b[j - 1]
+    scale2 = max(x * x + y * y for x, y in (*d.a, *d.b, d.c))
+    t = (a * (p1 * p1 + p2 * p2) + b * (q1 * q1 + q2 * q2)) / scale2
+    p = a * b * (p1 * q2 - p2 * q1) ** 2 / scale2**2
+    with mpmath.workdps(50):
+        t, p, q = (mpmath.mpf(f.numerator) / f.denominator for f in map(Fraction, (t, p, a + b)))
+        s1 = (t + mpmath.sqrt(t * t - 4 * p)) / 2
+        values = (2 * mpmath.sqrt(s1), 2 * mpmath.sqrt(p / s1), mpmath.sqrt(q))
+        return float(min(values) / max(values))
+
+
+@pytest.mark.parametrize("name", ["readme", "orbifold", "thin"])
+def test_regularity_margin_at_fixed_points_has_its_closed_form(name, orbifold_data):
+    """At every fixed point, the sample's seeds, the certificate's margin
+    equals :func:`closed_form_margin` to a relative 1e-9. The thin system's
+    fixed point (3, 2), where x_32 = 63, is the worst conditioned: its
+    margin is 5.7e-5, and it certifies."""
+    d = {"readme": derive(README_SYSTEM), "orbifold": orbifold_data, "thin": derive(THIN_SYSTEM)}[name]
+    witnesses = d.mixed_witnesses
+    certs = certify_points(d, certification_sample(d, len(witnesses), 0))
+    assert len(certs) == len(witnesses) == 6
+    for cert, (i, j, a, b) in zip(certs, witnesses):
+        want = closed_form_margin(d, i, j, a, b)
+        assert cert.passed and abs(cert.regularity_margin - want) <= 1e-9 * want, (i, j)
+    if name == "thin":
+        assert min(witnesses, key=lambda w: closed_form_margin(d, *w))[:2] == (3, 2)
+        assert 5.7e-5 <= min(c.regularity_margin for c in certs) < 5.8e-5

@@ -147,7 +147,7 @@ def derived(args, ws, d):
 
 def verify_reports():
     def certificates(args, ws, d):
-        tol = quad.Tolerances(residual=args.tol, zero=args.tol_zero, pos=args.tol_pos)
+        tol = quad.Tolerances(residual=args.tol)
         points = quad.certification_sample(d, args.samples, args.seed, tol=tol)
         return [cert.to_json() for cert in quad.certify_points(d, points, tol=tol)]
 
