@@ -55,6 +55,7 @@ __version__ = "0.1.0"
 # su3kahler loads neither su3kahler.quadric nor numpy.
 _QUADRIC_NAMES = frozenset({
     "ROUND_DATA",
+    "LevelSample",
     "LevelSetPoint",
     "PointCertificate",
     "Tolerances",

@@ -35,9 +35,14 @@ stack of points is one complex (n, 6) state array of rows (z_1, z_2,
 z_3, w_1, w_2, w_3); its memory order is the real coordinate layout
 (Re z_1, Im z_1, ..., Im w_3), so ``x.view(float)`` is the real form of a
 contiguous stack without a copy, and complex vectors and Jacobian rows
-are read as real ones that way. Row outputs are read as columns: one
-``tolist()`` per residual, verdict or certificate field, not one
-conversion per row.
+are read as real ones that way. A sample stays that one array from draw
+to certificate: :func:`certification_sample` returns a
+:class:`LevelSample`, the validated states with Phi and the residuals as
+columns, and the certificates and the boundedness residual read its
+states and its Phi as they are. ``verify`` renders the ranks and margins
+of the one SVD as two columns (:func:`_certificate_columns`) and builds
+no object per point; a :class:`LevelSetPoint` or a
+:class:`PointCertificate` is made only when a caller asks for one.
 
 Exact numbers enter here once per cone data object: :func:`_float_data`
 reads A, B and C, the integer mixed witnesses and the integer apex
@@ -57,6 +62,7 @@ imports it only for ``verify``, so the exact commands never load numpy.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,6 +75,7 @@ __all__ = [
     "ROUND_DATA",
     "Tolerances",
     "LevelSetPoint",
+    "LevelSample",
     "moment_map",
     "project_to_level",
     "moment_scale",
@@ -96,6 +103,8 @@ class Tolerances:
 _NONZERO_FLOOR = 1e-8  # max |z_j|, |w_j| must exceed this on the quadric
 _SAMPLE_CHUNK = 128    # vertex mixtures certification_sample draws per round
 _SAMPLE_PATIENCE = 32  # rounds in a row without an accepted mixture before it gives up
+_DIAGONALS = np.tile(np.eye(3), 2)  # the slice's vertices r_i = s_i = 1, where C = A_i + B_i
+_DIAGONALS.setflags(write=False)
 
 
 @dataclass
@@ -103,6 +112,30 @@ class LevelSetPoint:
     z: np.ndarray  # shape (3,), complex
     w: np.ndarray  # shape (3,), complex
     residuals: tuple[float, float]  # (|sum z_j w_j|, |Phi - C|)
+
+
+class LevelSample(Sequence):
+    """n validated points of the level set, kept as columns: the complex
+    (n, 6) state array ``states``, Phi at each row (``phi``, (n, 2)) and
+    the residual columns |sum z_j w_j| and |Phi - C|. What
+    :func:`certification_sample` returns; certificates and the boundedness
+    residual read the columns. Indexing reads row k as a
+    :class:`LevelSetPoint` whose z and w are views of it, and a slice is
+    the sample of its rows."""
+
+    __slots__ = ("states", "phi", "_quad", "_mom")
+
+    def __init__(self, states: np.ndarray, phi: np.ndarray, quad: np.ndarray, mom: np.ndarray):
+        self.states, self.phi, self._quad, self._mom = states, phi, quad, mom
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return LevelSample(self.states[k], self.phi[k], self._quad[k], self._mom[k])
+        x = self.states[k]
+        return LevelSetPoint(x[:3], x[3:], (float(self._quad[k]), float(self._mom[k])))
 
 
 class _FloatData(NamedTuple):
@@ -140,7 +173,7 @@ def _float_data(d: DerivedConeData) -> _FloatData:
         scale = max(math.hypot(*v) for v in abc.tolist()) or 1.0
         m = len(d._witness_evidence)
         vertices = np.zeros((m + 3, 6))
-        vertices[m:] = np.tile(np.eye(3), 2)  # the diagonals r_i = s_i = 1
+        vertices[m:] = _DIAGONALS
         for row, (i, j, na, nb, den) in zip(vertices, d._witness_evidence):
             row[i - 1], row[j + 2] = na / den, nb / den
         x, y, den = d._apex or (0, 0, 1)  # alpha = 0 without an apex functional
@@ -223,13 +256,14 @@ def boundedness_residual(d: DerivedConeData, points) -> tuple[float, bool]:
     """max |alpha(Phi(p)) - alpha(C)| over the points, for alpha the apex
     functional of d, and whether it is at most 1e-10 * |alpha| *
     :func:`moment_scale`: a scale-covariant restatement of the moment
-    residual. (0.0, True) for data without an apex functional. alpha and
-    alpha(C) are the floats of d's one conversion."""
+    residual. (0.0, True) for data without an apex functional and for no
+    points. alpha and alpha(C) are the floats of d's one conversion; Phi
+    of a :class:`LevelSample` is the one its residual check computed."""
     fd = _weight_arrays(d)
-    if fd.apex is None:
+    if fd.apex is None or not len(points):
         return 0.0, True
     a1, a2, rhs = fd.apex
-    phi = _moment(fd.fg, _stack(points))
+    phi = points.phi if isinstance(points, LevelSample) else _moment(fd.fg, _stack(points))
     residual = float(np.max(np.abs(a1 * phi[:, 0] + a2 * phi[:, 1] - rhs)))
     return residual, residual <= 1e-10 * (math.hypot(a1, a2) * fd.scale)
 
@@ -244,7 +278,7 @@ def _state(p) -> np.ndarray:
 
 
 def _stack(points) -> np.ndarray:
-    """The (n, 6) states of n >= 1 points, joined in one call."""
+    """The (n, 6) states of n >= 1 separate points, joined in one call."""
     return np.concatenate([v for p in points for v in (p.z, p.w)]).reshape(-1, 6)
 
 
@@ -256,36 +290,27 @@ def _usable(x: np.ndarray) -> np.ndarray:
     return ((top > _NONZERO_FLOOR) & (top < math.inf)).all(axis=-1)
 
 
-def _level_points(fd: _FloatData, x: np.ndarray, tol: Tolerances) -> list[LevelSetPoint | ValueError]:
-    """Validate (n, 6) states; a failing row yields its error.
+def _level_sample(fd: _FloatData, x: np.ndarray, tol: Tolerances) -> LevelSample:
+    """(n, 6) states as a :class:`LevelSample`, raising the ValueError of
+    the lowest failing row, as a sequential loop would.
 
-    The quadric residual |sum z_j w_j| is compared with ``tol.residual``
-    and the moment residual |Phi - C| with ``tol.residual`` times the
-    moment scale. Each residual and verdict is read as one column; a
-    point's z and w are views of its row of ``x``.
+    A row fails when :func:`_usable` refuses it, or when its quadric
+    residual |sum z_j w_j| exceeds ``tol.residual`` or its moment residual
+    |Phi - C| exceeds ``tol.residual`` times the moment scale. Each
+    residual and verdict is one column; Phi is kept for the boundedness
+    residual.
     """
-    z, w = x[:, :3], x[:, 3:]
-    quad = np.abs((z * w).sum(axis=-1))
-    mom = _norm(_moment(fd.fg, x) - fd.c)
+    phi = _moment(fd.fg, x)
+    quad = np.abs((x[:, :3] * x[:, 3:]).sum(axis=-1))
+    mom = _norm(phi - fd.c)
     usable = _usable(x)
-    close = (quad <= tol.residual) & (mom <= tol.residual * fd.scale)
-    out: list[LevelSetPoint | ValueError] = []
-    for zk, wk, res, ok, near in zip(z, w, zip(quad.tolist(), mom.tolist()), usable.tolist(), close.tolist()):
-        if not ok:
-            out.append(ValueError("z and w must both be finite and nonzero on the quadric"))
-        elif not near:
-            out.append(ValueError(f"point misses the level set: residuals {res}"))
-        else:
-            out.append(LevelSetPoint(zk, wk, res))
-    return out
-
-
-def _first_error(results: list) -> list:
-    """Raise the error of the lowest failing row, as a sequential loop would."""
-    for r in results:
-        if isinstance(r, Exception):
-            raise r
-    return results
+    failing = ~(usable & (quad <= tol.residual) & (mom <= tol.residual * fd.scale))
+    if failing.any():
+        k = int(failing.argmax())
+        if not usable[k]:
+            raise ValueError("z and w must both be finite and nonzero on the quadric")
+        raise ValueError(f"point misses the level set: residuals {(float(quad[k]), float(mom[k]))}")
+    return LevelSample(x, phi, quad, mom)
 
 
 # --- real-coordinate plumbing -------------------------------------------
@@ -357,7 +382,7 @@ def project_to_level(
     for _ in range(max_iter):
         f = constraint_values(d, x[0, :3], x[0, 3:]) / rows
         if _norm(f) <= tol:
-            return _first_error(_level_points(fd, x, tolerances))[0]
+            return _level_sample(fd, x, tolerances)[0]
         x.view(float)[0] += np.linalg.lstsq(_jacobian(fd.unit_fg, x)[0], -f, rcond=None)[0]
         if not _usable(x)[0]:
             finite = np.isfinite(x).all()
@@ -423,14 +448,23 @@ def certify_points(
     M that :func:`certification_sample` and :func:`project_to_level`
     accept against ``tol.residual``: the proposition's conclusions hold on
     M, not at an arbitrary point of C^6. Rank failures are reported, not
-    raised.
+    raised. ``points`` is a :class:`LevelSample`, whose states are read as
+    they are, or any sequence of :class:`LevelSetPoint`.
     """
+    return list(map(PointCertificate, *_certificate_columns(d, points, tol)))
+
+
+def _certificate_columns(d: DerivedConeData, points, tol: Tolerances) -> tuple[list[int], list[float]]:
+    """The Jacobian ranks and regularity margins of :func:`certify_points`
+    as two columns, from one SVD of the points' states; ``verify`` renders
+    them without building a certificate per point."""
     if not len(points):
-        return []
-    s = np.linalg.svd(_jacobian(_weight_arrays(d).unit_fg, _stack(points)), compute_uv=False)
+        return [], []
+    x = points.states if isinstance(points, LevelSample) else _stack(points)
+    s = np.linalg.svd(_jacobian(_weight_arrays(d).unit_fg, x), compute_uv=False)
     smax = np.where(s[:, 0] > 0, s[:, 0], 1.0)
     ranks = (s > tol.rank_rel * smax[:, None]).sum(axis=1)
-    return [PointCertificate(*row) for row in zip(ranks.tolist(), (s[:, 3] / smax).tolist())]
+    return ranks.tolist(), (s[:, 3] / smax).tolist()
 
 
 def certify_point(
@@ -446,8 +480,11 @@ def _lift(weights: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """The level-set points over the mixtures (r, s) = weights @ vertices
     whose t_k = r_k s_k pass Heron's test, in row order, as (k, 6) states.
 
-    Each mixture is summed vertex by vertex, in order, so a row depends on
-    its own weights alone and equals the same sum in Python floats.
+    Each mixture is summed vertex by vertex, in order: ``np.add.reduce``
+    over the leading vertex axis of a (vertex, coordinate, mixture) array
+    adds its slices in sequence. So a row depends on its own weights alone
+    and equals the same sum in Python floats. The work runs coordinate by
+    coordinate, each numpy loop over all the mixtures of the round.
     Heron's value H = 2(t_1 t_2 + t_2 t_3 + t_3 t_1) - sum t_k^2 is 16
     times the squared area of the triangle with sides m_k = sqrt(t_k); a
     row is kept when H > 0, which a non-finite H fails. The point over it
@@ -461,21 +498,19 @@ def _lift(weights: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     suffers no cancellation in 1 - cos^2 alpha.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H is rejected
-        rs = weights[:, :1] * vertices[0]
-        for k in range(1, len(vertices)):
-            rs += weights[:, k : k + 1] * vertices[k]
-        t1, t2, t3 = t = (rs[:, :3] * rs[:, 3:]).T
+        rs = np.add.reduce(weights.T[:, None, :] * vertices[:, :, None], axis=0)  # (r, s) as (6, rows)
+        t1, t2, t3 = t = rs[:3] * rs[3:]
         heron = 2 * (t1 * t2 + t2 * t3 + t3 * t1) - (t1 * t1 + t2 * t2 + t3 * t3)
         keep = heron > 0
     t1, t2, t3 = t[:, keep]
-    p = np.zeros((len(t1), 3, 2))  # 2 m_1 p_k as (Re, Im)
-    p[:, 0, 0] = 2 * t1
-    p[:, 1, 0], p[:, 1, 1] = t3 - t1 - t2, np.sqrt(heron[keep])
+    p = np.zeros((2, 3, len(t1)))  # 2 m_1 p_k: real parts, then imaginary parts
+    p[0, 0] = 2 * t1
+    p[0, 1], p[1, 1] = t3 - t1 - t2, np.sqrt(heron[keep])
     p[:, 2] = -p[:, 0] - p[:, 1]
-    root = np.sqrt(rs[keep])
+    root = np.sqrt(rs[:, keep])
     x = np.zeros((len(t1), 6, 2))  # the real layout, (Re, Im) per coordinate
-    x[:, :3, 0] = root[:, :3]
-    x[:, 3:] = root[:, 3:, None] * (p / _norm(p)[..., None])
+    x[:, :3, 0] = root[:3].T
+    x[:, 3:] = (root[3:] * (p / np.sqrt(p[0] * p[0] + p[1] * p[1]))).T
     return x.reshape(-1, 12).view(complex)
 
 
@@ -506,8 +541,9 @@ def _interior_states(fd: _FloatData, count: int, seed) -> np.ndarray:
 
 def certification_sample(
     d: DerivedConeData, n: int, seed, tol: Tolerances = Tolerances()
-) -> list[LevelSetPoint]:
-    """Deterministic batch of n level-set points for certification.
+) -> LevelSample:
+    """Deterministic batch of n level-set points for certification, as one
+    :class:`LevelSample`.
 
     Point k < m is the k-th single-support seed of d's float data, z_i =
     sqrt(a) and w_j = sqrt(b) for the k-th mixed witness (i, j, a, b): the
@@ -540,4 +576,4 @@ def certification_sample(
     if not m:
         raise ValueError("no realizable single-support point; nothing to sample")
     x = fd.seeds[:n].copy() if n <= m else np.concatenate([fd.seeds, _interior_states(fd, n - m, seed)])
-    return _first_error(_level_points(fd, x, tol))
+    return _level_sample(fd, x, tol)

@@ -11,6 +11,7 @@ Gauss-Newton projection with ``lstsq`` steps, the oracle of
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -26,12 +27,16 @@ from conftest import (
     transverse_frame,
 )
 
-from su3kahler import quadric
+from test_cli import THIN_SYSTEM
+
+from su3kahler import cli, quadric
 from su3kahler.cli import main
 from su3kahler.quadric import (
     ROUND_DATA,
+    LevelSample,
     LevelSetPoint,
     Tolerances,
+    boundedness_residual,
     certification_sample,
     certify_point,
     certify_points,
@@ -328,6 +333,74 @@ def test_certify_path_keeps_its_factorization_budget(monkeypatch, capsys, orbifo
     assert main(["verify", "--config", ORBIFOLD_CONFIG, "--samples", "50", "--seed", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["all_passed"] is True
     assert seen == VERIFY_50_LAPACK_CALLS and not spawned
+
+
+def test_verify_keeps_its_sample_as_one_state_array(monkeypatch, capsys):
+    """One 50-sample verify of the orbifold data restacks no point and
+    builds no object per point: the sample's (n, 6) states go to the SVD,
+    and its columns to the report. The one certificate built is the
+    template of the rank-4 text, made once per process."""
+    built = Counter()
+
+    def refuse(points):
+        raise AssertionError("verify restacked its sample")
+
+    monkeypatch.setattr(quadric, "_stack", refuse)
+    for name in ("LevelSetPoint", "PointCertificate"):
+
+        def counted(*args, _cls=getattr(quadric, name), _name=name, **kwargs):
+            built[_name] += 1
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(quadric, name, counted)
+    cli._certificate_format.cache_clear()
+    assert main(["verify", "--config", ORBIFOLD_CONFIG, "--samples", "50", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["all_passed"] is True
+    assert built == {"PointCertificate": 1}
+
+
+def test_verify_reports_the_margins_of_certify_points(capsys, bound2_systems):
+    """verify's certificates are certify_points' on certification_sample,
+    float for float: on the orbifold and round data, the thin system and
+    every 97th bound-2 system."""
+    configs = [(ORBIFOLD_CONFIG, 0), ('{"A": [[1,0],[1,0],[1,0]], "B": [[0,1],[0,1],[0,1]]}', 3), (THIN_SYSTEM, 12)]
+    configs += [(json.dumps(ws.to_json()), k) for k, ws in enumerate(bound2_systems[::97])]
+    for config, seed in configs:
+        assert main(["verify", "--config", config, "--samples", "50", "--seed", str(seed)]) == 0
+        certificates = json.loads(capsys.readouterr().out)["results"]["certificates"]
+        got = [(c["jacobian_rank"], c["regularity_margin"]) for c in certificates]
+        d = cli._problem(config)[1]
+        want = [(c.jacobian_rank, c.regularity_margin) for c in certify_points(d, certification_sample(d, 50, seed))]
+        assert got == want, config
+
+
+def test_an_empty_sample_is_bounded_and_certifies_nothing(orbifold_data):
+    """No points: boundedness residual (0.0, True), as for data without an
+    apex functional, and no certificates, from a list or from an empty
+    slice of a sample."""
+    sample = certification_sample(orbifold_data, 5, 0)
+    assert quadric._weight_arrays(orbifold_data).apex is not None
+    for empty in ([], sample[:0]):
+        assert boundedness_residual(orbifold_data, empty) == (0.0, True)
+        assert certify_points(orbifold_data, empty) == []
+
+
+def test_a_sample_reads_as_its_points(orbifold_data):
+    """A sample's rows read as LevelSetPoints, views of its state array
+    with the residuals it was accepted with, and a slice is the sample of
+    its rows; a list of those points certifies and bounds as the sample
+    does."""
+    sample = certification_sample(orbifold_data, 20, 5)
+    assert isinstance(sample, LevelSample) and sample.states.shape == (20, 6) and len(sample) == 20
+    points = list(sample)
+    for k, p in enumerate(points):
+        assert np.shares_memory(p.z, sample.states) and np.array_equal(np.concatenate([p.z, p.w]), sample.states[k])
+        assert max(p.residuals) <= 1e-12
+    part = sample[3:11]
+    assert isinstance(part, LevelSample) and np.array_equal(part.states, sample.states[3:11])
+    assert [p.residuals for p in part] == [p.residuals for p in points[3:11]]
+    assert certify_points(orbifold_data, points) == certify_points(orbifold_data, sample)
+    assert boundedness_residual(orbifold_data, points) == boundedness_residual(orbifold_data, sample)
 
 
 def test_single_point_is_a_batch_of_one(orbifold_data):

@@ -610,6 +610,25 @@ def test_verify_rejects_cone_data_outside_the_float_range(capsys, monkeypatch, a
     assert report["results"]["error"].startswith("cone data outside the float range: ")
 
 
+def test_valid_verify_samples_once_through_the_patched_name(capsys, monkeypatch):
+    """The two tests above refuse ``quadric.certification_sample``; they
+    guard the path verify takes because a valid verify enters there,
+    exactly once."""
+    from su3kahler import quadric
+
+    calls = []
+    real = quadric.certification_sample
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadric, "certification_sample", counted)
+    code, out = run(capsys, "verify", "--config", ORBIFOLD_CONE, "--samples", "7", "--seed", "3")
+    assert code == 0 and json.loads(out)["pass"]
+    assert calls == [(7, 3)]
+
+
 def test_verify_is_invariant_under_rescaling_the_cone_data(capsys):
     ranks = []
     for scale in (1, 10**3, 10**4, 10**6):

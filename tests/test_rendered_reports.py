@@ -115,7 +115,8 @@ certificates = st.builds(PointCertificate, st.integers(0, 4), floats)
 @given(st.lists(certificates, max_size=12), indents)
 @settings(max_examples=200, deadline=None)
 def test_certificates_render_their_dict_forms(certs, nl):
-    assert cli._certificates_text(certs, nl) == walk([c.to_json() for c in certs], nl)
+    ranks, margins = [c.jacobian_rank for c in certs], [c.regularity_margin for c in certs]
+    assert cli._certificates_text(ranks, margins, nl) == walk([c.to_json() for c in certs], nl)
 
 
 failing_pairs = st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**20)))
@@ -136,7 +137,9 @@ def test_rendered_values_encode_inside_a_report(certs, evidence, pair):
     forms."""
     verdict = FreenessVerdict(pair)
     rendered = {
-        "certificates": cli._Rendered(functools.partial(cli._certificates_text, certs)),
+        "certificates": cli._rendered(
+            cli._certificates_text, [c.jacobian_rank for c in certs], [c.regularity_margin for c in certs]
+        ),
         "census": cli._Rendered(functools.partial(cli._census_text, *evidence)),
         "freeness": cli._rendered(cli._freeness_text, verdict),
     }
