@@ -29,28 +29,36 @@ orthogonal projection onto a 6-dimensional complement of the orbit.
 :func:`project_to_level` is a library function that ``verify`` does not
 call: Gauss-Newton from one ambient point.
 
-Certification is one stacked SVD over all points, and
-:func:`certify_point` is :func:`certify_points` with a stack of one. A
-stack of points is one complex (n, 6) state array of rows (z_1, z_2,
-z_3, w_1, w_2, w_3); its memory order is the real coordinate layout
-(Re z_1, Im z_1, ..., Im w_3), so ``x.view(float)`` is the real form of a
-contiguous stack without a copy, and complex vectors and Jacobian rows
-are read as real ones that way. A sample stays that one array from draw
-to certificate: :func:`certification_sample` returns a
-:class:`LevelSample`, the validated states with Phi and the residuals as
+Certification makes no factorization and builds no Jacobian: by the
+README's Gram lemma, on the quadric sum z_j w_j = 0 the Gram matrix of the
+4 x 12 constraint Jacobian is sum_k (|z_k|^2 + |w_k|^2) I_2 (+) G for a
+2 x 2 block G whose determinant is a Cauchy-Binet sum of non-negative
+terms, so :func:`certify_points` reads its singular values in closed
+form, elementwise over all points, and :func:`certify_point` is
+:func:`certify_points` with a stack of one. The closed form is exact on
+the quadric alone: a point off it is refused. A stack of points is one
+complex (n, 6) state array of rows (z_1, z_2, z_3, w_1, w_2, w_3); its
+memory order is the real coordinate layout (Re z_1, Im z_1, ..., Im w_3),
+so ``x.view(float)`` is the real form of a contiguous stack without a
+copy, and complex vectors and the projection's Jacobian rows are read as
+real ones that way. A sample stays that one array from draw to
+certificate: :func:`certification_sample` returns a :class:`LevelSample`,
+the validated states with their squared moduli, Phi and the residuals as
 columns, and the certificates and the boundedness residual read its
-states and its Phi as they are. ``verify`` renders the ranks and margins
-of the one SVD as two columns (:func:`_certificate_columns`) and builds
-no object per point; a :class:`LevelSetPoint` or a
-:class:`PointCertificate` is made only when a caller asks for one.
+squared moduli and its Phi as they are. ``verify`` renders the ranks and
+margins as two columns (:func:`_certificate_columns`) and builds no
+object per point; a :class:`LevelSetPoint` or a :class:`PointCertificate`
+is made only when a caller asks for one.
 
 Exact numbers enter here once per cone data object: :func:`_float_data`
 reads A, B and C, the integer mixed witnesses and the integer apex
 functional of :class:`~su3kahler.weights.DerivedConeData`, and turns each
 quotient n/den into a float by one correctly rounded int division, the
-float ``float(Fraction(n, den))`` gives, without building a ``Fraction``.
-The range check, the sample's vertices and seeds, certificates and the
-boundedness residual all read that one conversion.
+float ``float(Fraction(n, den))`` gives, without building a ``Fraction``;
+so are the squared crosses of the generators on the data divided by the
+moment scale, which the certificates read. The range check, the sample's
+vertices and seeds, certificates and the boundedness residual all read
+that one conversion.
 
 Everything here is float; all exact decisions live in the other modules.
 This module and the integer-array search of :mod:`su3kahler.weights`
@@ -116,24 +124,24 @@ class LevelSetPoint:
 
 class LevelSample(Sequence):
     """n validated points of the level set, kept as columns: the complex
-    (n, 6) state array ``states``, Phi at each row (``phi``, (n, 2)) and
-    the residual columns |sum z_j w_j| and |Phi - C|. What
-    :func:`certification_sample` returns; certificates and the boundedness
-    residual read the columns. Indexing reads row k as a
+    (n, 6) state array ``states``, its squared moduli |x|^2, Phi at each
+    row (``phi``, (n, 2)) and the residual columns |sum z_j w_j| and
+    |Phi - C|. What :func:`certification_sample` returns; certificates and
+    the boundedness residual read the columns. Indexing reads row k as a
     :class:`LevelSetPoint` whose z and w are views of it, and a slice is
     the sample of its rows."""
 
-    __slots__ = ("states", "phi", "_quad", "_mom")
+    __slots__ = ("states", "phi", "_rho", "_quad", "_mom")
 
-    def __init__(self, states: np.ndarray, phi: np.ndarray, quad: np.ndarray, mom: np.ndarray):
-        self.states, self.phi, self._quad, self._mom = states, phi, quad, mom
+    def __init__(self, states: np.ndarray, phi: np.ndarray, rho: np.ndarray, quad: np.ndarray, mom: np.ndarray):
+        self.states, self.phi, self._rho, self._quad, self._mom = states, phi, rho, quad, mom
 
     def __len__(self) -> int:
         return len(self.states)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return LevelSample(self.states[k], self.phi[k], self._quad[k], self._mom[k])
+            return LevelSample(self.states[k], self.phi[k], self._rho[k], self._quad[k], self._mom[k])
         x = self.states[k]
         return LevelSetPoint(x[:3], x[3:], (float(self._quad[k]), float(self._mom[k])))
 
@@ -158,6 +166,13 @@ class _FloatData(NamedTuple):
     vertices: np.ndarray
     seeds: np.ndarray  # (m, 6) complex: z_i = sqrt(a), w_j = sqrt(b) per mixed witness (i, j, a, b)
     apex: tuple[float, float, float] | None  # (alpha_1, alpha_2, alpha(C)) of the apex functional
+    # (10, 6): the weights of rho = |x|^2 in the sums that give the Gram
+    # matrix of the unit Jacobian, P I_2 (+) G (see :func:`certify_points`),
+    # one column per unit generator g: 1 (P), 4 |g|^2 (G_11 + G_22),
+    # 4 (g_x^2 - g_y^2) (G_11 - G_22) and 8 g_x g_y (2 G_12); then row 4 + g
+    # holds 16 cross(g, h)^2 at each h > g and 0 elsewhere, so that
+    # sum_g rho_g sum_h row(4 + g)_h rho_h is Cauchy-Binet's det G
+    gram_weights: np.ndarray
 
 
 def _float_data(d: DerivedConeData) -> _FloatData:
@@ -167,10 +182,15 @@ def _float_data(d: DerivedConeData) -> _FloatData:
     moment scale. Witness coefficients and the apex functional come from
     the integer evidence ``d._witness_evidence`` and ``d._apex``, each
     quotient one int division; alpha(C) is read off the sign table's
-    cleared C, so it too is one."""
+    cleared C, so it too is one. So is each cross square: with the
+    moment scale p/q as a ratio of ints and the sign table's integer
+    crosses of the cleared generators, 16 cross(g, h)^2 on the unit data
+    is 16 cross^2 q^4 / (clearing^4 p^4), with no float rounding before
+    the one division and no float overflow for large entries."""
     try:
         abc = np.array([*d.a, *d.b, d.c], dtype=float)
-        scale = max(math.hypot(*v) for v in abc.tolist()) or 1.0
+        vectors = abc.tolist()
+        scale = max(math.hypot(*v) for v in vectors) or 1.0
         m = len(d._witness_evidence)
         vertices = np.zeros((m + 3, 6))
         vertices[m:] = _DIAGONALS
@@ -182,14 +202,25 @@ def _float_data(d: DerivedConeData) -> _FloatData:
             raise ValueError("cone data outside the float range: moment scale overflows")
         if not math.isfinite(scale * math.hypot(*alpha)):
             raise ValueError("cone data outside the float range: moment scale times |apex functional| overflows")
-        (cx, cy), clearing = d.sign_table.vectors[-1], d.sign_table.scale  # C times the clearing factor
+        table = d.sign_table
+        (cx, cy), clearing = table.vectors[-1], table.scale  # C times the clearing factor
         apex = None if d._apex is None else (*alpha, (x * cx + y * cy) / (den * clearing))
     except OverflowError as exc:
         raise ValueError(f"cone data outside the float range: {exc}") from exc
     fg, c = np.ascontiguousarray(abc[:6].T), abc[6]
     seeds = np.sqrt(vertices[:m]).astype(complex)
-    fd = _FloatData(fg, c, scale, fg / scale, vertices, seeds, apex)
-    for arr in (fd.fg, fd.c, fd.unit_fg, fd.vertices, fd.seeds):
+    # the Gram weights in Python floats and one array call: a numpy call per
+    # row costs more than the arithmetic of these 60 entries
+    units = [(x / scale, y / scale) for x, y in vectors[:6]]
+    p, q = scale.as_integer_ratio()
+    num, den4 = 16 * q**4, (clearing * p) ** 4
+    gram = [1.0] * 6
+    gram += [4 * (x * x + y * y) for x, y in units]
+    gram += [4 * (x * x - y * y) for x, y in units]
+    gram += [8 * x * y for x, y in units]
+    gram += [num * row[h] ** 2 / den4 if h > g else 0.0 for g, row in enumerate(table.crosses[:6]) for h in range(6)]
+    fd = _FloatData(fg, c, scale, fg / scale, vertices, seeds, apex, np.array(gram).reshape(10, 6))
+    for arr in (fd.fg, fd.c, fd.unit_fg, fd.vertices, fd.seeds, fd.gram_weights):
         arr.setflags(write=False)
     return fd
 
@@ -221,15 +252,15 @@ def moment_scale(d: DerivedConeData) -> float:
     return _weight_arrays(d).scale
 
 
-def _moment(fg: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Phi over the last axis, for the (2, 6) weights fg: (..., 6) complex
-    states to (..., 2) floats.
+def _moment(fg: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Phi over the last axis, for the (2, 6) weights fg: the (..., 6)
+    squared moduli rho = |x|^2 of complex states to (..., 2) floats.
 
     Component k is sum_j (|z_j|^2 A_j[k] + |w_j|^2 B_j[k]): elementwise
     sums, not BLAS matrix-vector products, whose kernel (and so the last
     bits of a row) depends on the number of rows in the stack.
     """
-    t = (np.abs(x) ** 2)[..., None, :] * fg
+    t = rho[..., None, :] * fg
     return (t[..., :3] + t[..., 3:]).sum(axis=-1)
 
 
@@ -239,7 +270,7 @@ def moment_map(d: DerivedConeData, p) -> np.ndarray:
     ``p`` may also be a pair of stacked (n, 3) arrays; the result is then
     (n, 2).
     """
-    return _moment(_weight_arrays(d).fg, _state(p))
+    return _moment(_weight_arrays(d).fg, np.abs(_state(p)) ** 2)
 
 
 def check_float_range(d: DerivedConeData) -> None:
@@ -263,7 +294,7 @@ def boundedness_residual(d: DerivedConeData, points) -> tuple[float, bool]:
     if fd.apex is None or not len(points):
         return 0.0, True
     a1, a2, rhs = fd.apex
-    phi = points.phi if isinstance(points, LevelSample) else _moment(fd.fg, _stack(points))
+    phi = points.phi if isinstance(points, LevelSample) else _moment(fd.fg, np.abs(_stack(points)) ** 2)
     residual = float(np.max(np.abs(a1 * phi[:, 0] + a2 * phi[:, 1] - rhs)))
     return residual, residual <= 1e-10 * (math.hypot(a1, a2) * fd.scale)
 
@@ -290,6 +321,11 @@ def _usable(x: np.ndarray) -> np.ndarray:
     return ((top > _NONZERO_FLOOR) & (top < math.inf)).all(axis=-1)
 
 
+def _quadric_residual(x: np.ndarray) -> np.ndarray:
+    """|sum z_j w_j| per row of (n, 6) states."""
+    return np.abs((x[:, :3] * x[:, 3:]).sum(axis=-1))
+
+
 def _level_sample(fd: _FloatData, x: np.ndarray, tol: Tolerances) -> LevelSample:
     """(n, 6) states as a :class:`LevelSample`, raising the ValueError of
     the lowest failing row, as a sequential loop would.
@@ -297,12 +333,16 @@ def _level_sample(fd: _FloatData, x: np.ndarray, tol: Tolerances) -> LevelSample
     A row fails when :func:`_usable` refuses it, or when its quadric
     residual |sum z_j w_j| exceeds ``tol.residual`` or its moment residual
     |Phi - C| exceeds ``tol.residual`` times the moment scale. Each
-    residual and verdict is one column; Phi is kept for the boundedness
-    residual.
+    residual and verdict is one column. Phi is kept for the boundedness
+    residual, and the squared moduli it is summed from for the
+    certificates. |Phi - C| is one hypot of its two components, so the
+    residual of data near 1e300 (about 1e284) is not squared into an
+    overflow.
     """
-    phi = _moment(fd.fg, x)
-    quad = np.abs((x[:, :3] * x[:, 3:]).sum(axis=-1))
-    mom = _norm(phi - fd.c)
+    rho = np.abs(x) ** 2
+    phi = _moment(fd.fg, rho)
+    quad = _quadric_residual(x)
+    mom = np.hypot(*(phi - fd.c).T)
     usable = _usable(x)
     failing = ~(usable & (quad <= tol.residual) & (mom <= tol.residual * fd.scale))
     if failing.any():
@@ -310,7 +350,7 @@ def _level_sample(fd: _FloatData, x: np.ndarray, tol: Tolerances) -> LevelSample
         if not usable[k]:
             raise ValueError("z and w must both be finite and nonzero on the quadric")
         raise ValueError(f"point misses the level set: residuals {(float(quad[k]), float(mom[k]))}")
-    return LevelSample(x, phi, quad, mom)
+    return LevelSample(x, phi, rho, quad, mom)
 
 
 # --- real-coordinate plumbing -------------------------------------------
@@ -348,7 +388,7 @@ def constraint_values(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> np.nd
     fd = _weight_arrays(d)
     x = _state((z, w))
     h = (x[..., :3] * x[..., 3:]).sum(axis=-1)
-    return np.concatenate([h[..., None].view(float), _moment(fd.fg, x) - fd.c], axis=-1)
+    return np.concatenate([h[..., None].view(float), _moment(fd.fg, np.abs(x) ** 2) - fd.c], axis=-1)
 
 
 def project_to_level(
@@ -406,7 +446,9 @@ class PointCertificate:
     ``regular``, and ``combined_rank`` is 10 at a regular point and 0
     otherwise. ``regularity_margin`` is sigma_min/sigma_max of the
     Jacobian on the unit data, the conditioning of the regularity
-    decision.
+    decision, read off the Gram lemma in closed form (see
+    :func:`certify_points`), not from an SVD, and exact up to rounding at
+    every point of the quadric sum z_j w_j = 0.
     """
 
     jacobian_rank: int
@@ -438,33 +480,76 @@ def certify_points(
     points,
     tol: Tolerances = Tolerances(),
 ) -> list[PointCertificate]:
-    """Certify each point of M by one stacked SVD of its 4 x 12 constraint
-    Jacobian on the data divided by :func:`moment_scale`, singular values
-    only.
+    """Certify each point of the quadric by the singular values of its
+    4 x 12 constraint Jacobian on the data divided by
+    :func:`moment_scale`, in closed form by the Gram lemma (README,
+    *Numerical certificates*), with no factorization.
 
-    The Jacobian rank counts the singular values above ``tol.rank_rel``
-    times the largest, and the regularity margin is the smallest over the
-    largest. Rescaling the data changes neither. The points are those of
-    M that :func:`certification_sample` and :func:`project_to_level`
-    accept against ``tol.residual``: the proposition's conclusions hold on
-    M, not at an arbitrary point of C^6. Rank failures are reported, not
-    raised. ``points`` is a :class:`LevelSample`, whose states are read as
-    they are, or any sequence of :class:`LevelSetPoint`.
+    At a point with sum z_j w_j = 0 the Gram matrix of the Jacobian's rows
+    is P I_2 (+) G, for P = sum_k |z_k|^2 + |w_k|^2 and
+    G = 4 sum_g rho_g g g^T over the unit generators g, rho_g the squared
+    modulus of g's coordinate; the lemma's proof uses q = 0 and nothing of
+    Phi = C. So the squared singular values are P twice,
+    lambda_+ = (G_11 + G_22 + hypot(G_11 - G_22, 2 G_12))/2 and
+    lambda_- = det G / lambda_+, where Cauchy-Binet's
+    det G = sum_{g<h} 16 cross(g, h)^2 rho_g rho_h is a sum of
+    non-negative terms: lambda_- suffers no cancellation, however thin
+    the data. The Jacobian rank counts the singular values above
+    ``tol.rank_rel`` times the largest, and the regularity margin is
+    sqrt(min/max) of the squared ones. Rescaling the data changes neither.
+
+    The points must lie on the quadric. A :class:`LevelSample` was checked
+    when it was drawn and is read as it is; in any other sequence of
+    :class:`LevelSetPoint`, a point whose |sum z_j w_j| exceeds
+    ``tol.residual``, or is not a number, raises ValueError, since off the quadric the Gram
+    matrix gains the off-diagonal block 2 C (Re q, Im q). A point of the
+    quadric off Phi = C, such as the irregular z = (2, 0, 0), w = 0,
+    certifies exactly, but the proposition's conclusions are about the
+    points of M, those that :func:`certification_sample` and
+    :func:`project_to_level` accept. Rank failures are reported, not
+    raised.
     """
     return list(map(PointCertificate, *_certificate_columns(d, points, tol)))
 
 
 def _certificate_columns(d: DerivedConeData, points, tol: Tolerances) -> tuple[list[int], list[float]]:
     """The Jacobian ranks and regularity margins of :func:`certify_points`
-    as two columns, from one SVD of the points' states; ``verify`` renders
-    them without building a certificate per point."""
+    as two columns; ``verify`` renders them without building a certificate
+    per point.
+
+    rho = |x|^2 is read from a :class:`LevelSample`, which summed its Phi
+    from it, and formed here for a list of points. Every step is elementwise and every sum one ``np.add.reduce`` over
+    the last axis, with no BLAS call, so a row's bits depend on its own
+    state alone and a prefix of a sample certifies as the same rows of the
+    whole. No value is divided by zero: lambda_- is 0 where lambda_+ is,
+    and sigma_max is taken as 1 where every singular value is 0, as for
+    an SVD.
+    """
     if not len(points):
         return [], []
-    x = points.states if isinstance(points, LevelSample) else _stack(points)
-    s = np.linalg.svd(_jacobian(_weight_arrays(d).unit_fg, x), compute_uv=False)
-    smax = np.where(s[:, 0] > 0, s[:, 0], 1.0)
-    ranks = (s > tol.rank_rel * smax[:, None]).sum(axis=1)
-    return ranks.tolist(), (s[:, 3] / smax).tolist()
+    fd = _weight_arrays(d)
+    if isinstance(points, LevelSample):
+        rho = points._rho
+    else:
+        x = _stack(points)
+        quad = _quadric_residual(x)
+        missed = ~(quad <= tol.residual)
+        if missed.any():
+            k = int(missed.argmax())
+            raise ValueError(f"point {k} is off the quadric: |sum z_j w_j| = {float(quad[k])} > {tol.residual}")
+        rho = np.abs(x) ** 2
+    sums = np.add.reduce(rho[:, None, :] * fd.gram_weights, axis=-1)
+    p, trace, diff, off = sums[:, :4].T  # P, G_11 + G_22, G_11 - G_22, 2 G_12
+    lam = np.zeros((4, len(rho)))  # the squared singular values: P twice, lambda_+ and lambda_-
+    lam[:2] = p
+    lp = np.hypot(diff, off, out=lam[2])
+    lp += trace
+    lp *= 0.5
+    np.divide(np.add.reduce(sums[:, 4:] * rho, axis=-1), lp, out=lam[3], where=lp > 0)
+    top = lam.max(axis=0)
+    top[top == 0] = 1.0
+    ranks = (lam > tol.rank_rel**2 * top).sum(axis=0)  # sigma > rank_rel * sigma_max, squared
+    return ranks.tolist(), np.sqrt(lam.min(axis=0) / top).tolist()
 
 
 def certify_point(

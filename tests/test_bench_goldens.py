@@ -80,34 +80,34 @@ def pool_digest(ops) -> str:
 # A 5-sample op certifies fixed points only; a 20- or 50-sample op also
 # certifies the sample's closed-form points, which these entries pin.
 CERTIFY_DIGESTS = {
-    ("orbifold", 0): "0:1385:a22e1bc1bfe9fe731069a1bafbb7e025",
-    ("orbifold", 6): "0:1385:d9433be84131e85fe3a65d8d017b883a",
-    ("orbifold", 12): "0:1385:50e8df30649f5d863303880264244c31",
-    ("orbifold", 18): "0:1385:84e9c84990c4366b2531f6a09ae60690",
-    ("orbifold", 24): "0:1385:0f8825febd1c479b1ac0fc1e0a567f12",
-    ("orbifold", 30): "0:1387:ad03027e57942eea3b5676fc77c048b3",
-    ("round", 0): "0:1383:274754aa96b42d15e39efbeb0388bde5",
-    ("round", 6): "0:1383:8eebf505291b64cf3a05b05ad69cba5f",
-    ("round", 12): "0:1383:3981c9e9547507f2a36fab27b6e0e554",
-    ("round", 18): "0:1383:acf74c57bf97af731a4ffa31fc9105bf",
-    ("round", 24): "0:1383:382eaf04999ab9ef7e80a4340833864e",
-    ("round", 30): "0:1385:baa412531c26eadb653141aeb3257837",
-    ("bound2", 0): "0:1730:0ffe0542cb18cf7e374b5f2fb4b84961",
-    ("bound2", 119): "0:10657:2b5bcc040b098b569c4122ba84bbd50e",
-    ("bound2", 238): "0:4708:8067faae15778de54cc6882ebf520d51",
-    ("bound2", 357): "0:1730:d7d3f1416d52a9c0b835ef31ee3a27de",
-    ("bound2", 476): "0:10690:24bc74395761194d582e342a0316e8ca",
-    ("bound2", 595): "0:4711:bc1fd62cd6f356c1556f8a154c256435",
-    ("bound3", 0): "0:1750:b0664d498212dbbbc7df9442f7c92674",
-    ("bound3", 168): "0:1732:8196e40836119c4804a70b1394df4c49",
-    ("bound3", 336): "0:1750:ffc66a394ba314a5f231e21ab7b036b3",
-    ("bound3", 504): "0:1725:70d59e05a9d55fa230c194a40a59116f",
-    ("bound3", 672): "0:1748:653bd1b5d4e600fccaa7e8b8f8b222d8",
-    ("bound3", 840): "0:1749:571a44f2c4af6238481eac88dafc7660",
-    ("bound3", 1008): "0:1758:58ab97f4c55ac1a88e3fd279a703835b",
+    ("orbifold", 0): "0:1385:22ffe27a981df8938286d77e57fa533e",
+    ("orbifold", 6): "0:1385:390f56ac05bf3be3514acc07dbe94b6e",
+    ("orbifold", 12): "0:1385:598d00adbb933440af165a085716b31e",
+    ("orbifold", 18): "0:1385:b4e47ce8d59ee4fc140f9676538d1373",
+    ("orbifold", 24): "0:1385:3a625c994f14f1a10368ad6f2bb78a89",
+    ("orbifold", 30): "0:1387:d6ed6e6f4be1f8f859f66747112988ed",
+    ("round", 0): "0:1383:67d38cb948fb0ac0d80d29ee116c0107",
+    ("round", 6): "0:1383:7f0ef6e19bcc4ca6ce75fd55c7d6ac99",
+    ("round", 12): "0:1383:1a30fdf80199baed2a36b09e51e525ab",
+    ("round", 18): "0:1383:bca44e964b6bc953f8acf1f47874842f",
+    ("round", 24): "0:1383:5a2bed8190fc52e1b4f3db10f759660c",
+    ("round", 30): "0:1385:a3d0ef7393fa2dea039fb91f9e1e3337",
+    ("bound2", 0): "0:1729:c9e7b360bf9c15af918455afe7478b1e",
+    ("bound2", 119): "0:10662:26c0c97e53a9b7311ce69280b3b40723",
+    ("bound2", 238): "0:4722:5da222423c05a1af8e56cdfcb08eac20",
+    ("bound2", 357): "0:1725:0804986b3cd6689fe129e6a506b7ac8a",
+    ("bound2", 476): "0:10691:bb146b50b3df0ef4b3af42ebee0ea301",
+    ("bound2", 595): "0:4726:48e246e2cacb3ff3e95dc0901516f2c3",
+    ("bound3", 0): "0:1749:c6f93b55e5644877696643612683f05a",
+    ("bound3", 168): "0:1733:3d1e04a5dd2fd330a7c3c04bca63dd69",
+    ("bound3", 336): "0:1751:686fe34c79190607dc4f56c8467eaeb6",
+    ("bound3", 504): "0:1730:af67e1bceb0db0180c96018de0053c16",
+    ("bound3", 672): "0:1749:b44131ebc149201f0719c7ec10f8807d",
+    ("bound3", 840): "0:1747:a25e53c051ea0dcb645137952ae32b9e",
+    ("bound3", 1008): "0:1758:0b4cfee49980177a999b6e381ce4bfd9",
 }
 # pool_digest(certify_ops(golden, 1)): all 1796 triples.
-CERTIFY_POOL_DIGEST = "318a6aaeb5648003128f15fd3e5c8b05"
+CERTIFY_POOL_DIGEST = "2189a42c125a587f95ee0d0181dc5e46"
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)

@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import (
@@ -26,6 +27,8 @@ from conftest import (
     seed_point,
     transverse_frame,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_cli import THIN_SYSTEM
 
@@ -151,14 +154,25 @@ def assert_proposition_holds(d, points):
         assert max(abs(x - y) for x, y in zip(want.spectrum, EXACT_SPECTRUM)) <= SPECTRUM_BOUND
 
 
-def _ambient_points(rng, n, spread):
-    """Points off the level set: certificates only read z and w."""
+def _onto_quadric(z, w):
+    """w moved onto the hyperplane sum z_j w_j = 0, orthogonally:
+    w - (sum z_j w_j / |z|^2) conj(z), or w itself for z = 0. The
+    residual |sum z_j w_j| left is of rounding size, and a zero w_j stays
+    zero where z_j is zero."""
+    zz = np.vdot(z, z).real
+    return w if zz == 0 else w - (z @ w) / zz * np.conj(z)
+
+
+def _quadric_points(rng, n, spread):
+    """Points of the quadric sum z_j w_j = 0 off the level set Phi = C, z
+    spread over 10^-spread to 10^spread. Certificates read z and w
+    alone."""
     out = []
     for _ in range(n):
         s = 10.0 ** rng.uniform(-spread, spread)
         z = s * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
         w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        out.append(LevelSetPoint(z, w, (0.0, 0.0)))
+        out.append(LevelSetPoint(z, _onto_quadric(z, w), (0.0, 0.0)))
     return out
 
 
@@ -187,24 +201,27 @@ def test_batch_matches_reference_under_basis_change(orbifold_data):
 
 
 def test_mixed_batch_with_irregular_and_non_transversal_points():
-    """Points off the level set, where the proposition says nothing: the
-    batch still reads regularity, rank and margin as the oracle does. Data
-    of moment scale exactly 1, so both factor the very same matrices and
-    even a coarse rank cutoff decides alike. The cutoff makes some regular
-    points non-transversal for the oracle; z = (2, 0, 0), w = 0 is
-    irregular (both moment rows are A_1 = (1/2, 1/2))."""
+    """Points of the quadric off the level set, where the proposition says
+    nothing: the closed form still reads regularity, rank and margin as
+    the oracle's SVD does, since the Gram lemma needs q = 0 alone. Data of
+    moment scale exactly 1, so the oracle factors the very matrices whose
+    Gram matrix the closed form reads, and even a coarse rank cutoff
+    decides alike. The cutoff makes some regular points non-transversal
+    for the oracle; z = (2, 0, 0), w = 0 is irregular (both moment rows
+    are A_1 = (1/2, 1/2))."""
     h = Fraction(1, 2)
     d = cone_data([(h, h), (h, -h), (h, 0)], [(h, -h), (h, h), (h, 0)])
     assert moment_scale(d) == 1.0
     rng = np.random.default_rng(0)
-    points = _ambient_points(rng, 30, 2)
+    points = _quadric_points(rng, 30, 2)
     for k in (0, 7, 19):
         points.insert(k, LevelSetPoint(np.array([2.0 + 0j, 0, 0]), np.zeros(3, complex), (0, 0)))
     tol = Tolerances(rank_rel=1e-2)
     want = [reference_certify(d, p, tol=tol) for p in points]
     kinds = {(c.regular, c.transversal) for c in want}
     assert kinds == {(False, False), (True, False), (True, True)}
-    assert_same_regularity(certify_points(d, points, tol=tol), want)
+    with np.errstate(all="raise"):
+        assert_same_regularity(certify_points(d, points, tol=tol), want)
 
 
 def test_verify_converts_its_cone_data_once(monkeypatch, capsys):
@@ -259,8 +276,9 @@ def test_dependent_fields_data_in_a_batch():
 
 
 def test_all_degenerate_batch_sends_no_nan_to_lapack(monkeypatch):
-    """Zero cone data: every Jacobian has rank 2, so no later factorization
-    may run, and none may ever see a non-finite matrix."""
+    """Zero cone data: every Jacobian has rank 2. The closed form makes no
+    factorization at all, and no floating-point exception: its lambda_+
+    and lambda_- are 0 on every point of the quadric."""
     seen = []
     for name in ("svd", "eigvalsh", "pinv", "lstsq"):
         real = getattr(np.linalg, name)
@@ -272,11 +290,12 @@ def test_all_degenerate_batch_sends_no_nan_to_lapack(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, checked)
     d = cone_data([(0, 0)] * 3, [(0, 0)] * 3)
-    points = _ambient_points(np.random.default_rng(1), 6, 1)
+    points = _quadric_points(np.random.default_rng(1), 6, 1)
     with np.errstate(all="raise"):
         certs = certify_points(d, points)
-    assert seen == ["svd"]
+    assert seen == []
     assert [(c.regular, c.jacobian_rank, c.passed) for c in certs] == [(False, 2, False)] * 6
+    assert [c.regularity_margin for c in certs] == [0.0] * 6
     assert certify_points(d, []) == []
 
 
@@ -284,17 +303,17 @@ def test_all_degenerate_batch_sends_no_nan_to_lapack(monkeypatch):
 ORBIFOLD_CONFIG = '{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}'
 
 # Every LAPACK call of one 50-sample verify of the orbifold data (seed 0),
-# as (name, array shape, mode or compute_uv): the certificates' one SVD of
-# the 4 x 12 Jacobians, singular values only. The closed-form sample makes
-# none.
-VERIFY_50_LAPACK_CALLS = [("svd", (50, 4, 12), False)]
+# as (name, array shape, mode or compute_uv): none. The sample is built in
+# closed form, and the certificates read the Gram lemma's closed form.
+VERIFY_50_LAPACK_CALLS = []
 
 
 def test_certify_path_keeps_its_factorization_budget(monkeypatch, capsys, orbifold_data):
     """verify's sample makes no projection, no factorization and no
     SeedSequence child: one SeedSequence(seed) when it draws, none for a
-    sample of seeds. The certificates make one SVD, and one 50-sample
-    verify makes exactly the LAPACK calls of ``VERIFY_50_LAPACK_CALLS``."""
+    sample of seeds. The certificates build no Jacobian and make no
+    factorization, and one 50-sample verify makes exactly the LAPACK
+    calls of ``VERIFY_50_LAPACK_CALLS``."""
     seen = []
     for name in ("svd", "pinv", "qr", "solve", "eigvalsh", "eigh", "lstsq", "inv", "det"):
         real = getattr(np.linalg, name)
@@ -320,7 +339,11 @@ def test_certify_path_keeps_its_factorization_budget(monkeypatch, capsys, orbifo
     def refuse(*args, **kwargs):
         raise AssertionError("a projection on the certify path")
 
+    def no_jacobian(*args, **kwargs):
+        raise AssertionError("a Jacobian on the certify path")
+
     monkeypatch.setattr(quadric, "project_to_level", refuse)
+    monkeypatch.setattr(quadric, "_jacobian", no_jacobian)
     m = len(orbifold_data.mixed_witnesses)
     for n in (1, m):
         certification_sample(orbifold_data, n, 4)
@@ -328,8 +351,7 @@ def test_certify_path_keeps_its_factorization_budget(monkeypatch, capsys, orbifo
     points = certification_sample(orbifold_data, 50, 4)
     assert sequences == [(4,)] and not spawned and not seen
     assert all(c.passed for c in certify_points(orbifold_data, points))
-    assert seen == [("svd", (50, 4, 12), False)]
-    seen.clear()
+    assert seen == []
     assert main(["verify", "--config", ORBIFOLD_CONFIG, "--samples", "50", "--seed", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["all_passed"] is True
     assert seen == VERIFY_50_LAPACK_CALLS and not spawned
@@ -406,6 +428,110 @@ def test_a_sample_reads_as_its_points(orbifold_data):
 def test_single_point_is_a_batch_of_one(orbifold_data):
     p = seed_point(orbifold_data, 2, 3)
     assert certify_point(orbifold_data, p) == certify_points(orbifold_data, [p])[0]
+
+
+def test_a_prefix_of_a_sample_certifies_as_its_rows(orbifold_data):
+    """Each certificate depends on its own point alone, bit for bit: the
+    first k points of a sample, as a slice or as a list, certify as the
+    first k certificates of the whole."""
+    sample = certification_sample(orbifold_data, 60, 7)
+    whole = certify_points(orbifold_data, sample)
+    for k in (1, 2, 7, 33):
+        assert certify_points(orbifold_data, sample[:k]) == whole[:k]
+        assert certify_points(orbifold_data, list(sample[:k])) == whole[:k]
+
+
+def test_a_point_off_the_quadric_is_refused(orbifold_data):
+    """Off the quadric the Gram matrix is not block diagonal, so the
+    closed form would be wrong there: the lowest point with
+    |sum z_j w_j| > tol.residual, or not a number, raises ValueError."""
+    points = list(certification_sample(orbifold_data, 8, 0))
+    off = LevelSetPoint(np.array([1.0 + 0j, 0, 0]), np.array([1e-6 + 0j, 0, 0]), (0.0, 0.0))
+    nan = LevelSetPoint(np.array([np.nan + 0j, 0, 0]), np.zeros(3, complex), (0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^point 3 is off the quadric: \|sum z_j w_j\| = 1e-06 > 1e-09$"):
+        certify_points(orbifold_data, [*points[:3], off, nan])
+    with pytest.raises(ValueError, match="^point 0 is off the quadric"):
+        certify_points(orbifold_data, [nan])
+    assert certify_points(orbifold_data, [off], Tolerances(residual=1e-5))[0].regular
+
+
+def _mp_margin(d, p):
+    """sigma_min/sigma_max of the Jacobian at p on the exact data divided
+    by the float moment scale, at 50 digits: the square roots of the
+    eigenvalues of J J^T, J's rows the gradients of Re q, Im q, Phi_1 and
+    Phi_2 as complex 6-vectors under <u, v> = Re sum u_k conj(v_k). Every
+    float of p and of the scale is read exactly."""
+    scale = Fraction(moment_scale(d))
+    with mpmath.workdps(50):
+        gens = [[mpmath.mpf(f.numerator) / f.denominator for f in (Fraction(x) / scale, Fraction(y) / scale)]
+                for x, y in (*d.a, *d.b)]
+        x = [mpmath.mpc(v.real, v.imag) for v in (*p.z, *p.w)]
+        n = [mpmath.conj(v) for v in (*x[3:], *x[:3])]
+        rows = [n, [1j * v for v in n]] + [[2 * g[a] * v for g, v in zip(gens, x)] for a in (0, 1)]
+        gram = mpmath.matrix([[sum(mpmath.re(u * mpmath.conj(v)) for u, v in zip(r, c)) for c in rows] for r in rows])
+        ev = mpmath.eigsy(gram, eigvals_only=True)
+        top = max(ev)
+        return float(mpmath.sqrt(max(min(ev), 0) / top)) if top > 0 else 0.0
+
+
+def _near(u, k):
+    """k u plus a unit perturbation: nearly parallel to u for large k."""
+    return st.tuples(st.integers(-1, 1), st.integers(-1, 1)).map(lambda e: (k * u[0] + e[0], k * u[1] + e[1]))
+
+
+# A Gaussian integer of small norm; products of a few of them are exact.
+_GAUSSIAN = st.builds(complex, st.integers(-6, 6), st.integers(-6, 6))
+
+
+@st.composite
+def _quadric_batch(draw):
+    """Integer cone data with entries at most 1000, A_1, A_2, A_3 and B_1
+    free or nearly parallel to a common u, and C = A_1 + B_1, so
+    B_j = C - A_j; then 1 to 8 points of the quadric, with zero
+    coordinates among them. A point is z and w = z x v (the complex cross
+    product, so sum z_j w_j = det(z, z, v) = 0) for Gaussian integer z and
+    v, each scaled by a power of two: every product is exact, so
+    sum z_j w_j is exactly 0 in floats, and the oracle reads a point of
+    the quadric, not one off it by rounding."""
+    u = draw(st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+    free = st.tuples(st.integers(-333, 333), st.integers(-333, 333))
+    vec = st.one_of(free, st.integers(1, 16).flatmap(lambda k: _near(u, k)))
+    a1, a2, a3, b1 = (draw(vec) for _ in range(4))
+    c = (a1[0] + b1[0], a1[1] + b1[1])
+    d = cone_data([a1, a2, a3], [b1, *((c[0] - v[0], c[1] - v[1]) for v in (a2, a3))])
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        z, v = (np.array([draw(_GAUSSIAN) for _ in range(3)]) for _ in range(2))
+        w = np.array([z[1] * v[2] - z[2] * v[1], z[2] * v[0] - z[0] * v[2], z[0] * v[1] - z[1] * v[0]])
+        sz, sw = (2.0 ** draw(st.integers(-10, 10)) for _ in range(2))
+        points.append(LevelSetPoint(sz * z, sw * w, (0.0, 0.0)))
+    return d, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quadric_batch())
+def test_closed_form_matches_the_svd_and_a_50_digit_oracle(batch):
+    """On random points of the quadric over random integer data, nearly
+    parallel generators and zero coordinates included, the closed-form
+    certificates give the ranks of an SVD of the 4 x 12 Jacobians
+    (``quadric._jacobian`` on the unit data), margins within 1e-12 of its
+    margins, and margins within 1e-13 relative of the 50-digit oracle
+    :func:`_mp_margin`; and a margin of exactly 0 where the point's
+    support spans a line and the oracle's is below 1e-12."""
+    d, points = batch
+    tol = Tolerances()
+    certs = certify_points(d, points, tol)
+    x = np.array([np.concatenate([p.z, p.w]) for p in points])
+    s = np.linalg.svd(quadric._jacobian(quadric._weight_arrays(d).unit_fg, x), compute_uv=False)
+    smax = np.where(s[:, 0] > 0, s[:, 0], 1.0)
+    assert [c.jacobian_rank for c in certs] == (s > tol.rank_rel * smax[:, None]).sum(axis=1).tolist()
+    for cert, svd_margin, p in zip(certs, s[:, 3] / smax, points):
+        assert abs(cert.regularity_margin - svd_margin) <= 1e-12
+        want = _mp_margin(d, p)
+        if want > 1e-12:
+            assert abs(cert.regularity_margin - want) <= 1e-13 * want, (cert.regularity_margin, want)
+        else:
+            assert cert.regularity_margin == 0.0, (cert.regularity_margin, want)
 
 
 # --- projection ------------------------------------------------------------------

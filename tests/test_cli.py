@@ -642,6 +642,29 @@ def test_verify_is_invariant_under_rescaling_the_cone_data(capsys):
     assert ranks == [[(4, 10, True)] * 30] * 4
 
 
+def test_verify_passes_on_data_scaled_to_the_float_limit(capsys):
+    """The orbifold data times 10^k, up to 10^307, pass the range check,
+    and verify certifies them as at k = 0: exit 0, nothing on stderr (a
+    numpy warning is an error in this suite), the k = 0 ranks and margins
+    within 1e-15 relative. The moment residual |Phi - C| of such data is
+    near 1e284: it is one hypot, not the square root of squares that
+    overflowed to inf for k >= 170."""
+    runs = {}
+    for k in (0, 160, 170, 200, 300, 307):
+        a = [[10**k * x for x in v] for v in ([1, 0], [1, 0], [2, -1])]
+        b = [[10**k * x for x in v] for v in ([0, 1], [0, 1], [-1, 2])]
+        code = main(["verify", "--config", json.dumps({"A": a, "B": b}), "--samples", "20"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), k
+        certificates = json.loads(captured.out)["results"]["certificates"]
+        runs[k] = [(c["jacobian_rank"], c["regularity_margin"]) for c in certificates]
+    base = runs.pop(0)
+    assert len(base) == 20
+    for k, certs in runs.items():
+        assert [r for r, _ in certs] == [r for r, _ in base], k
+        assert all(abs(m - m0) <= 1e-15 * m0 for (_, m), (_, m0) in zip(certs, base)), k
+
+
 # An admissible bound-1000 system whose A_i and B_j are nearly parallel in
 # pairs. Its worst-conditioned certificate is the sixth point, the fixed
 # point (3, 2) itself (x_32 = 63): the Jacobian's sigma_min/sigma_max is

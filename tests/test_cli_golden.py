@@ -27,10 +27,10 @@ GOLDEN = [
         ("isotropy", "--config", ORBIFOLD_WEIGHTS), 0, 16483, "871d7e8519bb7bf684e3f536f2181fbe",
         id="isotropy-weights",
     ),
-    # float digits: pinned for the numpy/LAPACK build the suite runs on
+    # float digits: pinned for the numpy build the suite runs on (verify makes no LAPACK call)
     pytest.param(
         ("verify", "--config", ORBIFOLD_CONE, "--samples", "100", "--seed", "0"),
-        0, 20207, "021c629fd5d21e8951af8f5e2440fd35", id="verify",
+        0, 20211, "d0fa60f86627c9879017b9043a1d9003", id="verify",
     ),
     pytest.param(
         ("generate", "--config", ORBIFOLD_CONE), 0, 1518, "7ebd4bf7f9e2dce38b4911658abcb94f", id="generate"

@@ -606,7 +606,7 @@ def closed_form_margin(d, i, j, a, b):
 @pytest.mark.parametrize("name", ["readme", "orbifold", "thin"])
 def test_regularity_margin_at_fixed_points_has_its_closed_form(name, orbifold_data):
     """At every fixed point, the sample's seeds, the certificate's margin
-    equals :func:`closed_form_margin` to a relative 1e-9. The thin system's
+    equals :func:`closed_form_margin` to a relative 1e-15. The thin system's
     fixed point (3, 2), where x_32 = 63, is the worst conditioned: its
     margin is 5.7e-5, and it certifies."""
     d = {"readme": derive(README_SYSTEM), "orbifold": orbifold_data, "thin": derive(THIN_SYSTEM)}[name]
@@ -615,7 +615,7 @@ def test_regularity_margin_at_fixed_points_has_its_closed_form(name, orbifold_da
     assert len(certs) == len(witnesses) == 6
     for cert, (i, j, a, b) in zip(certs, witnesses):
         want = closed_form_margin(d, i, j, a, b)
-        assert cert.passed and abs(cert.regularity_margin - want) <= 1e-9 * want, (i, j)
+        assert cert.passed and abs(cert.regularity_margin - want) <= 1e-15 * want, (i, j)
     if name == "thin":
         assert min(witnesses, key=lambda w: closed_form_margin(d, *w))[:2] == (3, 2)
         assert 5.7e-5 <= min(c.regularity_margin for c in certs) < 5.8e-5
