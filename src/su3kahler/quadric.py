@@ -17,10 +17,12 @@ closed form, by Kahler reduction (Guillemin and Sternberg, Invent. Math.
 e^{i(c - theta_k)} w_k, acts on M, and M/T^4 is the polytope of
 (r, s) = (|z|^2, |w|^2) >= 0 with sum_k r_k A_k + s_k B_k = C, cut by
 Heron's inequality on t_k = r_k s_k (the sqrt(t_k) are the sides of a
-triangle). :func:`certification_sample` draws points of that region and
-lifts each to one point of its T^4 orbit with +, -, *, / and sqrt.
-:func:`certify_points` then certifies each point's regularity, the rank
-of its constraint Jacobian. By the README's proposition (*Numerical
+triangle). :func:`certification_sample` draws points of that region,
+and every point of it lies under a point of M (the README's orbit-space
+proposition); a lift to one point of each T^4 orbit, with +, -, *, /
+and sqrt, is made only when a caller reads the states.
+:func:`certify_points` certifies each point's regularity, the rank of its
+constraint Jacobian. By the README's proposition (*Numerical
 certificates*), regularity at a point of M fixes the rest of the
 transverse Kahler construction there exactly: the rotated frame is
 transversal, the induced complex structure J_N squares to -1, rotates
@@ -41,14 +43,17 @@ complex (n, 6) state array of rows (z_1, z_2, z_3, w_1, w_2, w_3); its
 memory order is the real coordinate layout (Re z_1, Im z_1, ..., Im w_3),
 so ``x.view(float)`` is the real form of a contiguous stack without a
 copy, and complex vectors and the projection's Jacobian rows are read as
-real ones that way. A sample stays that one array from draw to
-certificate: :func:`certification_sample` returns a :class:`LevelSample`,
-the validated states with their squared moduli, Phi and the residuals as
-columns, and the certificates and the boundedness residual read its
-squared moduli and its Phi as they are. ``verify`` renders the ranks and
-margins as two columns (:func:`_certificate_columns`) and builds no
-object per point; a :class:`LevelSetPoint` or a :class:`PointCertificate`
-is made only when a caller asks for one.
+real ones that way. The certificates read only the squared moduli
+rho = (r, s), and Phi reads only rho too, so a sample stays in the orbit
+space from draw to certificate: :func:`certification_sample` returns a
+:class:`LevelSample` of the validated (n, 6) rows (r, s), with Phi and
+|Phi - C| as columns, and the certificates and the boundedness residual
+read them as they are. ``verify`` builds no complex state: its states
+are a view that :func:`_lift` makes from rho when a library caller reads
+them. ``verify`` renders the ranks and margins as two columns
+(:func:`_certificate_columns`) and builds no object per point; a
+:class:`LevelSetPoint` or a :class:`PointCertificate` is made only when
+a caller asks for one.
 
 Exact numbers enter here once per cone data object: :func:`_float_data`
 reads A, B and C, the integer mixed witnesses and the integer apex
@@ -57,8 +62,8 @@ quotient n/den into a float by one correctly rounded int division, the
 float ``float(Fraction(n, den))`` gives, without building a ``Fraction``;
 so are the squared crosses of the generators on the data divided by the
 moment scale, which the certificates read. The range check, the sample's
-vertices and seeds, certificates and the boundedness residual all read
-that one conversion.
+vertices, certificates and the boundedness residual all read that one
+conversion.
 
 Everything here is float; all exact decisions live in the other modules.
 This module and the integer-array search of :mod:`su3kahler.weights`
@@ -123,27 +128,35 @@ class LevelSetPoint:
 
 
 class LevelSample(Sequence):
-    """n validated points of the level set, kept as columns: the complex
-    (n, 6) state array ``states``, its squared moduli |x|^2, Phi at each
-    row (``phi``, (n, 2)) and the residual columns |sum z_j w_j| and
-    |Phi - C|. What :func:`certification_sample` returns; certificates and
-    the boundedness residual read the columns. Indexing reads row k as a
-    :class:`LevelSetPoint` whose z and w are views of it, and a slice is
-    the sample of its rows."""
+    """n validated points of the level set over their orbit-space points,
+    kept as columns: the (n, 6) squared moduli rho = (r, s) =
+    (|z|^2, |w|^2), Phi at each row (``phi``, (n, 2)) and the residual
+    column |Phi - C|. What :func:`certification_sample` returns;
+    certificates and the boundedness residual read the columns. ``states``
+    is the complex (n, 6) state array, made from rho by :func:`_lift` when
+    it is first read. Indexing reads row k as a :class:`LevelSetPoint`
+    whose z and w are views of it, with the residuals |sum z_j w_j| of
+    that row and |Phi - C|, and a slice is the sample of its rows."""
 
-    __slots__ = ("states", "phi", "_rho", "_quad", "_mom")
+    __slots__ = ("_rho", "phi", "_mom", "_states")
 
-    def __init__(self, states: np.ndarray, phi: np.ndarray, rho: np.ndarray, quad: np.ndarray, mom: np.ndarray):
-        self.states, self.phi, self._rho, self._quad, self._mom = states, phi, rho, quad, mom
+    def __init__(self, rho: np.ndarray, phi: np.ndarray, mom: np.ndarray, states: np.ndarray | None = None):
+        self._rho, self.phi, self._mom, self._states = rho, phi, mom, states
+
+    @property
+    def states(self) -> np.ndarray:
+        if self._states is None:
+            self._states = _lift(self._rho)
+        return self._states
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._rho)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return LevelSample(self.states[k], self.phi[k], self._rho[k], self._quad[k], self._mom[k])
+            return LevelSample(self._rho[k], self.phi[k], self._mom[k], self.states[k])
         x = self.states[k]
-        return LevelSetPoint(x[:3], x[3:], (float(self._quad[k]), float(self._mom[k])))
+        return LevelSetPoint(x[:3], x[3:], (float(_quadric_residual(x[None])[0]), float(self._mom[k])))
 
 
 class _FloatData(NamedTuple):
@@ -164,7 +177,6 @@ class _FloatData(NamedTuple):
     # slice's vertices, r_i = a and s_j = b per mixed witness (i, j, a, b),
     # then the three diagonals r_i = s_i = 1 (C = A_i + B_i)
     vertices: np.ndarray
-    seeds: np.ndarray  # (m, 6) complex: z_i = sqrt(a), w_j = sqrt(b) per mixed witness (i, j, a, b)
     apex: tuple[float, float, float] | None  # (alpha_1, alpha_2, alpha(C)) of the apex functional
     # (10, 6): the weights of rho = |x|^2 in the sums that give the Gram
     # matrix of the unit Jacobian, P I_2 (+) G (see :func:`certify_points`),
@@ -208,7 +220,6 @@ def _float_data(d: DerivedConeData) -> _FloatData:
     except OverflowError as exc:
         raise ValueError(f"cone data outside the float range: {exc}") from exc
     fg, c = np.ascontiguousarray(abc[:6].T), abc[6]
-    seeds = np.sqrt(vertices[:m]).astype(complex)
     # the Gram weights in Python floats and one array call: a numpy call per
     # row costs more than the arithmetic of these 60 entries
     units = [(x / scale, y / scale) for x, y in vectors[:6]]
@@ -219,8 +230,8 @@ def _float_data(d: DerivedConeData) -> _FloatData:
     gram += [4 * (x * x - y * y) for x, y in units]
     gram += [8 * x * y for x, y in units]
     gram += [num * row[h] ** 2 / den4 if h > g else 0.0 for g, row in enumerate(table.crosses[:6]) for h in range(6)]
-    fd = _FloatData(fg, c, scale, fg / scale, vertices, seeds, apex, np.array(gram).reshape(10, 6))
-    for arr in (fd.fg, fd.c, fd.unit_fg, fd.vertices, fd.seeds, fd.gram_weights):
+    fd = _FloatData(fg, c, scale, fg / scale, vertices, apex, np.array(gram).reshape(10, 6))
+    for arr in (fd.fg, fd.c, fd.unit_fg, fd.vertices, fd.gram_weights):
         arr.setflags(write=False)
     return fd
 
@@ -286,10 +297,19 @@ def check_float_range(d: DerivedConeData) -> None:
 def boundedness_residual(d: DerivedConeData, points) -> tuple[float, bool]:
     """max |alpha(Phi(p)) - alpha(C)| over the points, for alpha the apex
     functional of d, and whether it is at most 1e-10 * |alpha| *
-    :func:`moment_scale`: a scale-covariant restatement of the moment
-    residual. (0.0, True) for data without an apex functional and for no
-    points. alpha and alpha(C) are the floats of d's one conversion; Phi
-    of a :class:`LevelSample` is the one its residual check computed."""
+    :func:`moment_scale`. (0.0, True) for data without an apex functional
+    and for no points.
+
+    The exact fact behind it, alpha > 0 on every generator, so that M is
+    compact, is ``check``'s apex functional; this float reads the one
+    component of Phi - C along alpha, which is at most |alpha| times the
+    moment residual |Phi - C|. It is not that residual's acceptance rule
+    restated: its bound is fixed and scale-covariant and does not follow
+    ``Tolerances.residual`` (``verify --tol``), which bounds |Phi - C| by
+    tol * moment_scale. On a sample drawn in closed form it measures the
+    rounding of the linear map Phi at the sample's (r, s). alpha and alpha(C) are the floats of d's one
+    conversion; Phi of a :class:`LevelSample` is the one its residual check
+    computed."""
     fd = _weight_arrays(d)
     if fd.apex is None or not len(points):
         return 0.0, True
@@ -313,12 +333,13 @@ def _stack(points) -> np.ndarray:
     return np.concatenate([v for p in points for v in (p.z, p.w)]).reshape(-1, 6)
 
 
-def _usable(x: np.ndarray) -> np.ndarray:
-    """Per row of (n, 6) states: max |z_j| and max |w_j| both exceed
-    ``_NONZERO_FLOOR`` and are finite. A row holding an infinity or a NaN
-    fails, so no non-finite value ever reaches a factorization."""
+def _usable(x: np.ndarray, floor: float = _NONZERO_FLOOR) -> np.ndarray:
+    """Per row of (n, 6) states, or of their squared moduli against the
+    squared floor: max |z_j| and max |w_j| both exceed ``floor`` and are
+    finite. A row holding an infinity or a NaN fails, so no non-finite
+    value ever reaches a factorization."""
     top = np.abs(x).reshape(-1, 2, 3).max(axis=-1)
-    return ((top > _NONZERO_FLOOR) & (top < math.inf)).all(axis=-1)
+    return ((top > floor) & (top < math.inf)).all(axis=-1)
 
 
 def _quadric_residual(x: np.ndarray) -> np.ndarray:
@@ -326,31 +347,33 @@ def _quadric_residual(x: np.ndarray) -> np.ndarray:
     return np.abs((x[:, :3] * x[:, 3:]).sum(axis=-1))
 
 
-def _level_sample(fd: _FloatData, x: np.ndarray, tol: Tolerances) -> LevelSample:
-    """(n, 6) states as a :class:`LevelSample`, raising the ValueError of
-    the lowest failing row, as a sequential loop would.
+def _level_sample(fd: _FloatData, rho: np.ndarray, tol: Tolerances, states: np.ndarray | None = None) -> LevelSample:
+    """(n, 6) squared moduli rho = (|z|^2, |w|^2) as a :class:`LevelSample`,
+    raising the ValueError of the lowest failing row, as a sequential loop
+    would.
 
-    A row fails when :func:`_usable` refuses it, or when its quadric
-    residual |sum z_j w_j| exceeds ``tol.residual`` or its moment residual
-    |Phi - C| exceeds ``tol.residual`` times the moment scale. Each
-    residual and verdict is one column. Phi is kept for the boundedness
-    residual, and the squared moduli it is summed from for the
-    certificates. |Phi - C| is one hypot of its two components, so the
-    residual of data near 1e300 (about 1e284) is not squared into an
+    A row fails unless it is finite with max r_k and max s_k above
+    ``_NONZERO_FLOOR ** 2``, and its moment residual |Phi - C| is at most
+    ``tol.residual`` times the moment scale; given the complex states over
+    rho, also unless their quadric residual |sum z_j w_j| is at most
+    ``tol.residual``. Without them rho is a point of the orbit space,
+    whose quadric residual is 0 by the README's proposition (*The orbit
+    space*). Each residual and verdict is one column. Phi is kept for the
+    boundedness residual. |Phi - C| is one hypot of its two components, so
+    the residual of data near 1e300 (about 1e284) is not squared into an
     overflow.
     """
-    rho = np.abs(x) ** 2
     phi = _moment(fd.fg, rho)
-    quad = _quadric_residual(x)
     mom = np.hypot(*(phi - fd.c).T)
-    usable = _usable(x)
+    quad = np.zeros(len(rho)) if states is None else _quadric_residual(states)
+    usable = _usable(rho, _NONZERO_FLOOR**2)
     failing = ~(usable & (quad <= tol.residual) & (mom <= tol.residual * fd.scale))
     if failing.any():
         k = int(failing.argmax())
         if not usable[k]:
             raise ValueError("z and w must both be finite and nonzero on the quadric")
         raise ValueError(f"point misses the level set: residuals {(float(quad[k]), float(mom[k]))}")
-    return LevelSample(x, phi, rho, quad, mom)
+    return LevelSample(rho, phi, mom, states)
 
 
 # --- real-coordinate plumbing -------------------------------------------
@@ -358,12 +381,6 @@ def _level_sample(fd: _FloatData, x: np.ndarray, tol: Tolerances) -> LevelSample
 # memory order of a complex (..., 6) state, so ``x.view(float)`` is the
 # real form of a contiguous x without a copy. Every helper acts on the
 # last axes, so stacks of points need no loop.
-
-
-def _norm(a: np.ndarray) -> np.ndarray:
-    """The 2-norm of real vectors over the last axis, the sum of squares
-    and square root of ``np.linalg.norm`` without its argument handling."""
-    return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
 def _jacobian(fg: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -421,8 +438,8 @@ def project_to_level(
     rows = np.array([1.0, 1.0, fd.scale, fd.scale])
     for _ in range(max_iter):
         f = constraint_values(d, x[0, :3], x[0, 3:]) / rows
-        if _norm(f) <= tol:
-            return _level_sample(fd, x, tolerances)[0]
+        if np.sqrt(np.add.reduce(f * f)) <= tol:
+            return _level_sample(fd, np.abs(x) ** 2, tolerances, x)[0]
         x.view(float)[0] += np.linalg.lstsq(_jacobian(fd.unit_fg, x)[0], -f, rcond=None)[0]
         if not _usable(x)[0]:
             finite = np.isfinite(x).all()
@@ -498,16 +515,17 @@ def certify_points(
     ``tol.rank_rel`` times the largest, and the regularity margin is
     sqrt(min/max) of the squared ones. Rescaling the data changes neither.
 
-    The points must lie on the quadric. A :class:`LevelSample` was checked
-    when it was drawn and is read as it is; in any other sequence of
-    :class:`LevelSetPoint`, a point whose |sum z_j w_j| exceeds
-    ``tol.residual``, or is not a number, raises ValueError, since off the quadric the Gram
-    matrix gains the off-diagonal block 2 C (Re q, Im q). A point of the
-    quadric off Phi = C, such as the irregular z = (2, 0, 0), w = 0,
-    certifies exactly, but the proposition's conclusions are about the
-    points of M, those that :func:`certification_sample` and
-    :func:`project_to_level` accept. Rank failures are reported, not
-    raised.
+    The points must lie on the quadric. A :class:`LevelSample` holds
+    points (r, s) of the orbit space, which lie under points of M by the
+    README's orbit-space proposition, and is read as it is; in any other
+    sequence of :class:`LevelSetPoint`, a point whose |sum z_j w_j|
+    exceeds ``tol.residual``, or is not a number, raises ValueError, since
+    off the quadric the Gram matrix gains the off-diagonal block
+    2 C (Re q, Im q). A point of the quadric off Phi = C, such as the
+    irregular z = (2, 0, 0), w = 0, certifies exactly, but the
+    proposition's conclusions are about the points of M, those that
+    :func:`certification_sample` and :func:`project_to_level` accept. Rank
+    failures are reported, not raised.
     """
     return list(map(PointCertificate, *_certificate_columns(d, points, tol)))
 
@@ -517,13 +535,15 @@ def _certificate_columns(d: DerivedConeData, points, tol: Tolerances) -> tuple[l
     as two columns; ``verify`` renders them without building a certificate
     per point.
 
-    rho = |x|^2 is read from a :class:`LevelSample`, which summed its Phi
-    from it, and formed here for a list of points. Every step is elementwise and every sum one ``np.add.reduce`` over
-    the last axis, with no BLAS call, so a row's bits depend on its own
-    state alone and a prefix of a sample certifies as the same rows of the
-    whole. No value is divided by zero: lambda_- is 0 where lambda_+ is,
-    and sigma_max is taken as 1 where every singular value is 0, as for
-    an SVD.
+    rho = (r, s) is read from a :class:`LevelSample`, which summed its Phi
+    from it, and formed here as |x|^2 for a list of points, after scaling
+    each row by a power of two: the certificates are invariant under
+    x -> t x, and no square overflows. Every step is elementwise and every sum
+    one ``np.add.reduce`` over the last axis, with no BLAS call, so a
+    row's bits depend on its own point alone and a prefix of a sample
+    certifies as the same rows of the whole. No value is divided by zero:
+    lambda_- is 0 where lambda_+ is, and sigma_max is taken as 1 where
+    every singular value is 0, as for an SVD.
     """
     if not len(points):
         return [], []
@@ -537,7 +557,8 @@ def _certificate_columns(d: DerivedConeData, points, tol: Tolerances) -> tuple[l
         if missed.any():
             k = int(missed.argmax())
             raise ValueError(f"point {k} is off the quadric: |sum z_j w_j| = {float(quad[k])} > {tol.residual}")
-        rho = np.abs(x) ** 2
+        size = np.abs(x)
+        rho = np.ldexp(size, -np.frexp(size.max(axis=1))[1][:, None]) ** 2
     sums = np.add.reduce(rho[:, None, :] * fd.gram_weights, axis=-1)
     p, trace, diff, off = sums[:, :4].T  # P, G_11 + G_22, G_11 - G_22, 2 G_12
     lam = np.zeros((4, len(rho)))  # the squared singular values: P twice, lambda_+ and lambda_-
@@ -561,104 +582,100 @@ def certify_point(
     return certify_points(d, [p], tol)[0]
 
 
-def _lift(weights: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """The level-set points over the mixtures (r, s) = weights @ vertices
-    whose t_k = r_k s_k pass Heron's test, in row order, as (k, 6) states.
+def _heron(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
+    """Heron's value H = 2(t_1 t_2 + t_2 t_3 + t_3 t_1) - sum t_k^2: 16
+    times the squared area of the triangle with sides sqrt(t_k)."""
+    return 2 * (t1 * t2 + t2 * t3 + t3 * t1) - (t1 * t1 + t2 * t2 + t3 * t3)
+
+
+def _mixtures(weights: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """The mixtures (r, s) = weights @ vertices whose t_k = r_k s_k pass
+    Heron's test H > 0, in row order, as (k, 6); a non-finite H fails.
 
     Each mixture is summed vertex by vertex, in order: ``np.add.reduce``
     over the leading vertex axis of a (vertex, coordinate, mixture) array
     adds its slices in sequence. So a row depends on its own weights alone
     and equals the same sum in Python floats. The work runs coordinate by
     coordinate, each numpy loop over all the mixtures of the round.
-    Heron's value H = 2(t_1 t_2 + t_2 t_3 + t_3 t_1) - sum t_k^2 is 16
-    times the squared area of the triangle with sides m_k = sqrt(t_k); a
-    row is kept when H > 0, which a non-finite H fails. The point over it
-    is z_k = sqrt(r_k) and w_k = sqrt(s_k) p_k/|p_k|, for p_1 = m_1,
-    p_2 = m_2 e^{i alpha} and p_3 = -p_1 - p_2, the triangle's sides as
-    vectors: cos alpha = (t_3 - t_1 - t_2)/(2 m_1 m_2) closes it, so
-    sum z_k w_k = sum p_k = 0, and |w_k|^2 = s_k. With
-    sin alpha = sqrt(H)/(2 m_1 m_2), the p_k are taken times 2 m_1, which
-    leaves each p_k/|p_k| unchanged: 2 t_1, (t_3 - t_1 - t_2) + i sqrt(H)
-    and minus their sum. No trigonometric call is made, and sin alpha
-    suffers no cancellation in 1 - cos^2 alpha.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H is rejected
         rs = np.add.reduce(weights.T[:, None, :] * vertices[:, :, None], axis=0)  # (r, s) as (6, rows)
-        t1, t2, t3 = t = rs[:3] * rs[3:]
-        heron = 2 * (t1 * t2 + t2 * t3 + t3 * t1) - (t1 * t1 + t2 * t2 + t3 * t3)
-        keep = heron > 0
-    t1, t2, t3 = t[:, keep]
-    p = np.zeros((2, 3, len(t1)))  # 2 m_1 p_k: real parts, then imaginary parts
+        keep = _heron(*(rs[:3] * rs[3:])) > 0
+    return rs[:, keep].T
+
+
+def _lift(rho: np.ndarray) -> np.ndarray:
+    """One point of the quadric over each row (r, s) of rho, as (n, 6)
+    complex states with |z_k|^2 = r_k and |w_k|^2 = s_k: z_k = sqrt(r_k)
+    and w_k = sqrt(s_k) p_k/|p_k| for the rows with H > 0, and
+    w_k = sqrt(s_k) at a fixed point, where t = 0 and so H = 0. A sample's
+    rows are of these two kinds.
+
+    The p_k are p_1 = m_1, p_2 = m_2 e^{i alpha} and p_3 = -p_1 - p_2, for
+    m_k = sqrt(t_k), the triangle's sides as vectors: cos alpha =
+    (t_3 - t_1 - t_2)/(2 m_1 m_2) closes it, so sum z_k w_k = sum p_k = 0.
+    With sin alpha = sqrt(H)/(2 m_1 m_2), the p_k are taken times 2 m_1,
+    which leaves each p_k/|p_k| unchanged: 2 t_1, (t_3 - t_1 - t_2) +
+    i sqrt(H) and minus their sum. No trigonometric call is made, and
+    sin alpha suffers no cancellation in 1 - cos^2 alpha. Every step is
+    elementwise, so a row's state depends on its own (r, s) alone.
+    """
+    t1, t2, t3 = rho.T[:3] * rho.T[3:]
+    heron = _heron(t1, t2, t3)
+    p = np.zeros((2, 3, len(rho)))  # 2 m_1 p_k: real parts, then imaginary parts
     p[0, 0] = 2 * t1
-    p[0, 1], p[1, 1] = t3 - t1 - t2, np.sqrt(heron[keep])
+    p[0, 1], p[1, 1] = t3 - t1 - t2, np.sqrt(heron)
     p[:, 2] = -p[:, 0] - p[:, 1]
-    root = np.sqrt(rs[:, keep])
-    x = np.zeros((len(t1), 6, 2))  # the real layout, (Re, Im) per coordinate
+    p[0, :, heron <= 0], p[1, :, heron <= 0] = 1.0, 0.0  # H = 0 at a fixed point: w real
+    root = np.sqrt(rho.T)
+    x = np.zeros((len(rho), 6, 2))  # the real layout, (Re, Im) per coordinate
     x[:, :3, 0] = root[:3].T
     x[:, 3:] = (root[3:] * (p / np.sqrt(p[0] * p[0] + p[1] * p[1]))).T
     return x.reshape(-1, 12).view(complex)
-
-
-def _interior_states(fd: _FloatData, count: int, seed) -> np.ndarray:
-    """``count`` level-set states drawn from the slice, as (count, 6).
-
-    Rounds of ``_SAMPLE_CHUNK`` Dirichlet(1, ..., 1) weights on the
-    vertices of ``fd`` come from one ``default_rng(SeedSequence(seed))``,
-    each round is lifted by :func:`_lift`, and accepted points are taken in
-    draw order. The round's size does not depend on ``count``, so a smaller
-    count takes a prefix of a larger one. After ``_SAMPLE_PATIENCE`` rounds
-    in a row with no accepted mixture it raises ValueError.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ones = np.ones(len(fd.vertices))
-    found, idle = [], 0
-    while count > 0:
-        x = _lift(rng.dirichlet(ones, _SAMPLE_CHUNK), fd.vertices)
-        idle = 0 if len(x) else idle + 1
-        if idle == _SAMPLE_PATIENCE:
-            raise ValueError(
-                f"no vertex mixture passed Heron's test in {_SAMPLE_PATIENCE * _SAMPLE_CHUNK} draws in a row"
-            )
-        found.append(x[:count])
-        count -= len(x)
-    return np.concatenate(found)
 
 
 def certification_sample(
     d: DerivedConeData, n: int, seed, tol: Tolerances = Tolerances()
 ) -> LevelSample:
     """Deterministic batch of n level-set points for certification, as one
-    :class:`LevelSample`.
+    :class:`LevelSample` of their points (r, s) of the orbit space.
 
-    Point k < m is the k-th single-support seed of d's float data, z_i =
-    sqrt(a) and w_j = sqrt(b) for the k-th mixed witness (i, j, a, b): the
-    fixed points, where the Jacobian is the worst conditioned on the data
-    measured so far. Each later point is built in closed form by
-    :func:`_interior_states`: a Dirichlet(1, ..., 1) mixture of the
-    slice's vertices (the mixed witnesses and the three diagonals
-    r_i = s_i = 1), kept when the
-    sqrt(r_k s_k) are the sides of a triangle, and lifted by
-    :func:`_lift`. The moment equation is linear in (r, s), so every
-    mixture meets it. A mixture stands for a whole T^4 orbit of points
-    with the same (|z|^2, |w|^2), and the lift picks one point of it, with
-    z real and w_1 real and positive: the sample is a section of the T^4
-    orbits, which loses nothing, since T^4 acts unitarily and every
-    certificate is invariant under it. Conjugation maps the section to the
-    other orientation of the triangle. No iteration runs.
+    Point k < m is the k-th vertex of d's slice, r_i = a and s_j = b for
+    the k-th mixed witness (i, j, a, b): the fixed points, where the
+    Jacobian is the worst conditioned on the data measured so far. Each
+    later point is a Dirichlet(1, ..., 1) mixture of the slice's vertices
+    (the mixed witnesses and the three diagonals r_i = s_i = 1), kept by
+    :func:`_mixtures` when the sqrt(r_k s_k) are the sides of a triangle,
+    H > 0. The moment equation is linear in (r, s), so every mixture meets
+    it, and by the orbit-space proposition every kept mixture lies under a
+    whole T^4 orbit of points of M. Certificates are invariant under T^4,
+    so they read (r, s) alone; ``states`` lifts each point to one point of
+    its orbit by :func:`_lift`, with z real and w_1 real and positive, only
+    when it is read. No iteration runs.
 
     The draws come from ``SeedSequence(seed)`` alone, and are made only
-    when n > m, in rounds of a fixed size: a sample is reproducible, and
-    the first points of a larger sample are the smaller sample. Every
-    point is accepted against ``tol.residual``, and the error of the
-    lowest-index point is raised; ValueError also when no mixture passes
-    the triangle test in ``_SAMPLE_PATIENCE`` rounds in a row.
+    when n > m, in rounds of ``_SAMPLE_CHUNK``: a sample is reproducible,
+    and the first points of a larger sample are the smaller sample. Every
+    point is accepted against ``tol.residual`` on the orbit space (see
+    :func:`_level_sample`), and the error of the lowest-index point is
+    raised; ValueError also when no mixture passes the triangle test in
+    ``_SAMPLE_PATIENCE`` rounds in a row.
     """
     _check_int("sample count", n)
     if n < 1:
         raise ValueError("sample count must be >= 1")
     fd = _weight_arrays(d)
-    m = len(fd.seeds)
+    m = len(fd.vertices) - 3
     if not m:
         raise ValueError("no realizable single-support point; nothing to sample")
-    x = fd.seeds[:n].copy() if n <= m else np.concatenate([fd.seeds, _interior_states(fd, n - m, seed)])
-    return _level_sample(fd, x, tol)
+    rho, count, idle = [fd.vertices[:min(n, m)]], n - m, 0
+    rng = np.random.default_rng(np.random.SeedSequence(seed)) if count > 0 else None
+    while count > 0:
+        rs = _mixtures(rng.dirichlet(np.ones(m + 3), _SAMPLE_CHUNK), fd.vertices)
+        idle = 0 if len(rs) else idle + 1
+        if idle == _SAMPLE_PATIENCE:
+            draws = _SAMPLE_PATIENCE * _SAMPLE_CHUNK
+            raise ValueError(f"no vertex mixture passed Heron's test in {draws} draws in a row")
+        rho.append(rs[:count])
+        count -= len(rs)
+    return _level_sample(fd, np.concatenate(rho), tol)

@@ -80,12 +80,12 @@ def pool_digest(ops) -> str:
 # A 5-sample op certifies fixed points only; a 20- or 50-sample op also
 # certifies the sample's closed-form points, which these entries pin.
 CERTIFY_DIGESTS = {
-    ("orbifold", 0): "0:1385:22ffe27a981df8938286d77e57fa533e",
-    ("orbifold", 6): "0:1385:390f56ac05bf3be3514acc07dbe94b6e",
-    ("orbifold", 12): "0:1385:598d00adbb933440af165a085716b31e",
-    ("orbifold", 18): "0:1385:b4e47ce8d59ee4fc140f9676538d1373",
-    ("orbifold", 24): "0:1385:3a625c994f14f1a10368ad6f2bb78a89",
-    ("orbifold", 30): "0:1387:d6ed6e6f4be1f8f859f66747112988ed",
+    ("orbifold", 0): "0:1385:1469515ca14f078029ecf708206355ac",
+    ("orbifold", 6): "0:1385:e33f1ee0465f1249c8bee2f22a625cff",
+    ("orbifold", 12): "0:1385:a049256441570fe38d1f65150e28a081",
+    ("orbifold", 18): "0:1385:ce584b599830ec43a476856d2ada5b86",
+    ("orbifold", 24): "0:1385:ef245d5d9ad8ef211ae9f9ba79caae51",
+    ("orbifold", 30): "0:1387:e7f95b65ba2347539d891b7a59264aeb",
     ("round", 0): "0:1383:67d38cb948fb0ac0d80d29ee116c0107",
     ("round", 6): "0:1383:7f0ef6e19bcc4ca6ce75fd55c7d6ac99",
     ("round", 12): "0:1383:1a30fdf80199baed2a36b09e51e525ab",
@@ -93,21 +93,21 @@ CERTIFY_DIGESTS = {
     ("round", 24): "0:1383:5a2bed8190fc52e1b4f3db10f759660c",
     ("round", 30): "0:1385:a3d0ef7393fa2dea039fb91f9e1e3337",
     ("bound2", 0): "0:1729:c9e7b360bf9c15af918455afe7478b1e",
-    ("bound2", 119): "0:10662:26c0c97e53a9b7311ce69280b3b40723",
-    ("bound2", 238): "0:4722:5da222423c05a1af8e56cdfcb08eac20",
+    ("bound2", 119): "0:10660:fa8830492ccd7c74c1e60908908e9f13",
+    ("bound2", 238): "0:4723:16f98c53298c268845cc50705bcd63dc",
     ("bound2", 357): "0:1725:0804986b3cd6689fe129e6a506b7ac8a",
-    ("bound2", 476): "0:10691:bb146b50b3df0ef4b3af42ebee0ea301",
-    ("bound2", 595): "0:4726:48e246e2cacb3ff3e95dc0901516f2c3",
-    ("bound3", 0): "0:1749:c6f93b55e5644877696643612683f05a",
-    ("bound3", 168): "0:1733:3d1e04a5dd2fd330a7c3c04bca63dd69",
-    ("bound3", 336): "0:1751:686fe34c79190607dc4f56c8467eaeb6",
+    ("bound2", 476): "0:10688:7b4079660dc3cfac60aaea53903cca17",
+    ("bound2", 595): "0:4723:980525109d9b16260008e1d6d18f4885",
+    ("bound3", 0): "0:1731:14225fe39dfb6fe08470aafa7b021235",
+    ("bound3", 168): "0:1735:3b327b702b3b8cfd3e4af0a712e18d08",
+    ("bound3", 336): "0:1735:bba8515d708f4ac68042254e36ccc18b",
     ("bound3", 504): "0:1730:af67e1bceb0db0180c96018de0053c16",
-    ("bound3", 672): "0:1749:b44131ebc149201f0719c7ec10f8807d",
-    ("bound3", 840): "0:1747:a25e53c051ea0dcb645137952ae32b9e",
-    ("bound3", 1008): "0:1758:0b4cfee49980177a999b6e381ce4bfd9",
+    ("bound3", 672): "0:1731:9d0a46f60d80ad1991128b1ab8e4dd5b",
+    ("bound3", 840): "0:1729:762435fb1855122840b32b90242bddda",
+    ("bound3", 1008): "0:1738:500ffc9642dce800a8ff4adb2e35beed",
 }
 # pool_digest(certify_ops(golden, 1)): all 1796 triples.
-CERTIFY_POOL_DIGEST = "2189a42c125a587f95ee0d0181dc5e46"
+CERTIFY_POOL_DIGEST = "56a5ca1dce6693913b82a35d04f11a95"
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)

@@ -13,6 +13,7 @@ Gauss-Newton projection with ``lstsq`` steps, the oracle of
 import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import mpmath
@@ -44,6 +45,7 @@ from su3kahler.quadric import (
     certify_point,
     certify_points,
     constraint_values,
+    moment_map,
     moment_scale,
     project_to_level,
 )
@@ -245,9 +247,9 @@ def test_verify_converts_its_cone_data_once(monkeypatch, capsys):
 
 
 def test_float_intake_rounds_the_fraction_views(bound2_systems):
-    """The seeds and apex floats of the one conversion are the Fraction
-    views (mixed_witnesses, apex_functional and alpha(C)) converted by
-    float(), bit for bit: on bound-2 systems, on the same data times 2/7
+    """The seeds (the lift of the one conversion's fixed-point vertices)
+    and its apex floats are the Fraction views (mixed_witnesses,
+    apex_functional and alpha(C)) converted by float(), bit for bit: on bound-2 systems, on the same data times 2/7
     (whose sign table clears a denominator), and on data with dependent
     generators or without an apex functional."""
     data = [ROUND_DATA, cone_data([(0, 0)] * 3, [(0, 0)] * 3), cone_data([(3, 0)] * 3, [(3, 0)] * 3)]
@@ -259,7 +261,7 @@ def test_float_intake_rounds_the_fraction_views(bound2_systems):
         seeds = np.zeros((len(d.mixed_witnesses), 6), dtype=complex)
         for row, (i, j, a, b) in zip(seeds, d.mixed_witnesses):
             row[i - 1], row[j + 2] = np.sqrt(float(a)), np.sqrt(float(b))
-        assert fd.seeds.tobytes() == seeds.tobytes()
+        assert quadric._lift(fd.vertices[:-3]).tobytes() == seeds.tobytes()
         alpha = d.apex_functional
         if alpha is None:
             assert fd.apex is None
@@ -359,8 +361,8 @@ def test_certify_path_keeps_its_factorization_budget(monkeypatch, capsys, orbifo
 
 def test_verify_keeps_its_sample_as_one_state_array(monkeypatch, capsys):
     """One 50-sample verify of the orbifold data restacks no point and
-    builds no object per point: the sample's (n, 6) states go to the SVD,
-    and its columns to the report. The one certificate built is the
+    builds no object per point: the sample's (n, 6) rows (r, s) go to the
+    certificates, and their columns to the report. The one certificate built is the
     template of the rank-4 text, made once per process."""
     built = Counter()
 
@@ -379,6 +381,53 @@ def test_verify_keeps_its_sample_as_one_state_array(monkeypatch, capsys):
     assert main(["verify", "--config", ORBIFOLD_CONFIG, "--samples", "50", "--seed", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["all_passed"] is True
     assert built == {"PointCertificate": 1}
+
+
+def test_verify_builds_no_complex_state(monkeypatch, capsys, bound2_systems):
+    """verify certifies the orbit space: from the draw to the report no
+    complex state is built. The lift, the restacking of points and the
+    quadric residual of states are refused, on the orbifold and round
+    data, the thin system and every 97th bound-2 system, with samples of
+    fixed points alone and with drawn points."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complex state on the verify path")
+
+    for name in ("_lift", "_stack", "_quadric_residual"):
+        monkeypatch.setattr(quadric, name, refuse)
+    configs = [ORBIFOLD_CONFIG, '{"A": [[1,0],[1,0],[1,0]], "B": [[0,1],[0,1],[0,1]]}', THIN_SYSTEM]
+    configs += [json.dumps(ws.to_json()) for ws in bound2_systems[::97]]
+    for config in configs:
+        for samples in ("5", "50"):
+            assert main(["verify", "--config", config, "--samples", samples, "--seed", "3"]) == 0
+            assert json.loads(capsys.readouterr().out)["results"]["all_passed"] is True
+
+
+# The benchmark's pool of verify triples (config, samples, seed).
+CERTIFY_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "certify.json"
+
+
+def test_lifted_pool_samples_meet_the_residuals_and_verify_s_certificates(capsys):
+    """On every 7th triple of the certify pool, the states lifted over the
+    sample's (r, s) lie on the level set to the default --tol:
+    |sum z_j w_j| <= tol and |Phi(|x|^2) - C| <= tol * moment_scale. Their
+    certificates, read from |x|^2, have verify's ranks, and margins within
+    1e-15 relative of verify's."""
+    triples = [t for pool in json.loads(CERTIFY_POOL.read_text())["categories"].values() for t in pool][::7]
+    assert len(triples) == 257
+    tol = Tolerances()
+    for config, samples, seed in triples:
+        assert main(["verify", "--config", config, "--samples", str(samples), "--seed", str(seed)]) == 0
+        printed = json.loads(capsys.readouterr().out)["results"]["certificates"]
+        d = cli._problem(config)[1]
+        x = certification_sample(d, samples, seed).states
+        assert np.all(np.abs((x[:, :3] * x[:, 3:]).sum(axis=1)) <= tol.residual), config
+        residual = np.linalg.norm(moment_map(d, (x[:, :3], x[:, 3:])) - np.array(d.c, dtype=float), axis=1)
+        assert np.all(residual <= tol.residual * moment_scale(d)), config
+        lifted = certify_points(d, [LevelSetPoint(row[:3], row[3:], (0.0, 0.0)) for row in x])
+        assert [c.jacobian_rank for c in lifted] == [c["jacobian_rank"] for c in printed], config
+        for c, want in zip(lifted, printed):
+            assert abs(c.regularity_margin - want["regularity_margin"]) <= 1e-15 * want["regularity_margin"], config
 
 
 def test_verify_reports_the_margins_of_certify_points(capsys, bound2_systems):
@@ -407,11 +456,21 @@ def test_an_empty_sample_is_bounded_and_certifies_nothing(orbifold_data):
         assert certify_points(orbifold_data, empty) == []
 
 
+def assert_same_certificates_to_rounding(got, want):
+    """The same Jacobian ranks, and margins within 1e-15 relative: the
+    certificates of lifted states read |x|^2, which differs from the
+    sample's (r, s) by rounding."""
+    assert [c.jacobian_rank for c in got] == [c.jacobian_rank for c in want]
+    for a, b in zip(got, want):
+        assert abs(a.regularity_margin - b.regularity_margin) <= 1e-15 * b.regularity_margin
+
+
 def test_a_sample_reads_as_its_points(orbifold_data):
     """A sample's rows read as LevelSetPoints, views of its state array
     with the residuals it was accepted with, and a slice is the sample of
     its rows; a list of those points certifies and bounds as the sample
-    does."""
+    does, to rounding, since it reads |x|^2 of the lifted states where the
+    sample reads its (r, s)."""
     sample = certification_sample(orbifold_data, 20, 5)
     assert isinstance(sample, LevelSample) and sample.states.shape == (20, 6) and len(sample) == 20
     points = list(sample)
@@ -421,8 +480,9 @@ def test_a_sample_reads_as_its_points(orbifold_data):
     part = sample[3:11]
     assert isinstance(part, LevelSample) and np.array_equal(part.states, sample.states[3:11])
     assert [p.residuals for p in part] == [p.residuals for p in points[3:11]]
-    assert certify_points(orbifold_data, points) == certify_points(orbifold_data, sample)
-    assert boundedness_residual(orbifold_data, points) == boundedness_residual(orbifold_data, sample)
+    assert_same_certificates_to_rounding(certify_points(orbifold_data, points), certify_points(orbifold_data, sample))
+    (listed, listed_ok), (drawn, drawn_ok) = (boundedness_residual(orbifold_data, p) for p in (points, sample))
+    assert listed_ok and drawn_ok and abs(listed - drawn) <= 1e-15 * moment_scale(orbifold_data)
 
 
 def test_single_point_is_a_batch_of_one(orbifold_data):
@@ -432,13 +492,17 @@ def test_single_point_is_a_batch_of_one(orbifold_data):
 
 def test_a_prefix_of_a_sample_certifies_as_its_rows(orbifold_data):
     """Each certificate depends on its own point alone, bit for bit: the
-    first k points of a sample, as a slice or as a list, certify as the
-    first k certificates of the whole."""
+    first k points of a sample, as a slice, certify as the first k
+    certificates of the whole. As a list of lifted points they certify
+    as the first k of the same list of the whole, bit for bit, and as the
+    sample's to rounding."""
     sample = certification_sample(orbifold_data, 60, 7)
     whole = certify_points(orbifold_data, sample)
+    listed = certify_points(orbifold_data, list(sample))
+    assert_same_certificates_to_rounding(listed, whole)
     for k in (1, 2, 7, 33):
         assert certify_points(orbifold_data, sample[:k]) == whole[:k]
-        assert certify_points(orbifold_data, list(sample[:k])) == whole[:k]
+        assert certify_points(orbifold_data, list(sample[:k])) == listed[:k]
 
 
 def test_a_point_off_the_quadric_is_refused(orbifold_data):
@@ -453,6 +517,25 @@ def test_a_point_off_the_quadric_is_refused(orbifold_data):
     with pytest.raises(ValueError, match="^point 0 is off the quadric"):
         certify_points(orbifold_data, [nan])
     assert certify_points(orbifold_data, [off], Tolerances(residual=1e-5))[0].regular
+
+
+def test_a_point_of_huge_modulus_certifies_without_overflow(orbifold_data):
+    """Certificates are invariant under x -> t x, and each listed point is
+    scaled by a power of two before it is squared: z = (1e200, 0, 0),
+    w = 0 (a point of the quadric with one generator in its support)
+    certifies as rank 3 with margin 0.0 and no floating-point exception,
+    and 2^k times a fixed point (exactly on the quadric for every k)
+    certifies as the fixed point does, bit for bit, up to 2^1000."""
+    huge = LevelSetPoint(np.array([1e200 + 0j, 0, 0]), np.zeros(3, complex), (0.0, 0.0))
+    with np.errstate(all="raise"):
+        cert = certify_points(ROUND_DATA, [huge])[0]
+    assert (cert.jacobian_rank, cert.regularity_margin, cert.regular) == (3, 0.0, False)
+    seeds = list(certification_sample(orbifold_data, 6, 0))
+    want = certify_points(orbifold_data, seeds)
+    for k in (-500, -40, 90, 600, 1000):
+        scaled = [LevelSetPoint(np.ldexp(1.0, k) * p.z, np.ldexp(1.0, k) * p.w, (0.0, 0.0)) for p in seeds]
+        with np.errstate(all="raise"):
+            assert certify_points(orbifold_data, scaled) == want, k
 
 
 def _mp_margin(d, p):
@@ -652,6 +735,23 @@ def test_usable_rows_are_the_nonzero_rows_among_finite_ones():
         y = x.copy()
         y[np.arange(400), np.arange(400) % 6] = bad
         assert not quadric._usable(y).any()
+
+
+def test_orbit_rows_are_usable_above_the_squared_floor(orbifold_data):
+    """A sample's row (r, s) is refused as its states would be: max r_k and
+    max s_k must exceed _NONZERO_FLOOR ** 2, so that max |z_k| and
+    max |w_k| exceed _NONZERO_FLOOR."""
+    fd = quadric._weight_arrays(orbifold_data)
+    tol = Tolerances(residual=1e300)  # the moment residual decides nothing here
+    for small, usable in ((1e-12, True), (2e-16, True), (1e-16, False), (0.0, False)):
+        for side in (slice(0, 3), slice(3, 6)):  # every r_k, then every s_k
+            rho = np.ones((3, 6))
+            rho[1, side] = small
+            if usable:
+                assert len(quadric._level_sample(fd, rho, tol)) == 3
+            else:
+                with pytest.raises(ValueError, match="^z and w must both be finite and nonzero on the quadric$"):
+                    quadric._level_sample(fd, rho, tol)
 
 
 # --- scale covariance ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su3kahler import quadric
+from su3kahler.cli import main
 from su3kahler.isotropy import SupportPattern, singular_stratum_census
 from su3kahler.quadric import (
     ROUND_DATA,
@@ -442,6 +444,12 @@ def test_certification_sample_provenance_is_bitwise(name, orbifold_data, bound2_
 @example("round", 1e-16, 30, 3)  # a closed-form point misses 1e-16
 @settings(max_examples=60, deadline=None)
 def test_every_sample_point_meets_the_acceptance_rule(orbifold_data, bound2_systems, name, residual, n, seed):
+    """The acceptance rule is on the orbit space: every returned point's
+    (r, s) has |Phi(r, s) - C| <= residual * moment_scale, the moment
+    residual its LevelSetPoint reports. Its quadric residual is 0 by the
+    orbit-space proposition, so the states lifted over it meet both
+    residuals to rounding, 1e-14 (relative to the moment scale for Phi),
+    whatever ``residual`` is."""
     d = _sample_data(name, orbifold_data, bound2_systems)
     tol = Tolerances(residual=residual)
     try:
@@ -450,17 +458,22 @@ def test_every_sample_point_meets_the_acceptance_rule(orbifold_data, bound2_syst
         assert "misses the level set" in str(exc)
         return
     assert len(points) == n
-    for p in points:
-        assert abs(np.sum(p.z * p.w)) <= residual
-        assert np.linalg.norm(moment_map(d, p) - np.array(d.c, dtype=float)) <= residual * moment_scale(d)
+    c, scale = np.array(d.c, dtype=float), moment_scale(d)
+    mom = np.hypot(*(quadric._moment(quadric._weight_arrays(d).fg, points._rho) - c).T)
+    for p, m in zip(points, mom):
+        assert p.residuals[1] == m <= residual * scale
+        assert max(p.residuals[0], abs(np.sum(p.z * p.w))) <= 1e-14
+        assert np.linalg.norm(moment_map(d, p) - c) <= 1e-14 * scale
 
 
 def test_only_the_returned_seeds_are_validated(orbifold_data):
-    # seed 0 has moment residual 0.0, seed 1 about 4e-16
+    # the six seeds' (r, s) are their witness coefficients, which are dyadic
+    # here, so their moment residual is 0.0; the first drawn point's is
+    # about 5e-16
     tol = Tolerances(residual=1e-16)
-    assert len(certification_sample(orbifold_data, 1, 0, tol)) == 1
-    with pytest.raises(ValueError, match="point misses the level set"):
-        certification_sample(orbifold_data, 2, 0, tol)
+    assert len(certification_sample(orbifold_data, 6, 0, tol)) == 6
+    with pytest.raises(ValueError, match=r"^point misses the level set: residuals \(0\.0, 4\.96"):
+        certification_sample(orbifold_data, 7, 0, tol)
 
 
 def test_sample_points_are_validated_against_tol():
@@ -498,20 +511,19 @@ def test_closed_form_points_meet_the_residuals_and_heron(bound2_systems, index, 
 
 
 def test_lift_keeps_exactly_the_draws_that_pass_heron(orbifold_data):
-    """Of a round of mixtures, _lift returns the points over the rows whose
-    Heron value, summed vertex by vertex in Python floats, is positive, in
-    row order, and rejects every other row."""
+    """Of a round of mixtures, _mixtures returns the (r, s) of the rows
+    whose Heron value, summed vertex by vertex in Python floats, is
+    positive, in row order and bit for bit, and rejects every other row;
+    _lift maps them to the closed-form points over them."""
     fd = quadric._weight_arrays(orbifold_data)
     vertices = _slice_vertices(orbifold_data)
     weights = np.random.default_rng(3).dirichlet(np.ones(len(vertices)), 500)
-    kept = []
-    for w in weights.tolist():
-        rs = _kept_mixture(w, vertices)
-        if rs is not None:
-            kept.append(_closed_form_point(rs))
-    x = quadric._lift(weights, fd.vertices)
+    kept = [rs for rs in (_kept_mixture(w, vertices) for w in weights.tolist()) if rs is not None]
+    rho = quadric._mixtures(weights, fd.vertices)
     assert 0 < len(kept) < len(weights)
-    assert _same_points([LevelSetPoint(row[:3], row[3:], (0.0, 0.0)) for row in x], kept)
+    assert rho.tolist() == kept
+    lifted = [LevelSetPoint(row[:3], row[3:], (0.0, 0.0)) for row in quadric._lift(rho)]
+    assert _same_points(lifted, [_closed_form_point(rs) for rs in kept])
 
 
 def _slice_distances(d, points):
@@ -619,3 +631,45 @@ def test_regularity_margin_at_fixed_points_has_its_closed_form(name, orbifold_da
     if name == "thin":
         assert min(witnesses, key=lambda w: closed_form_margin(d, *w))[:2] == (3, 2)
         assert 5.7e-5 <= min(c.regularity_margin for c in certs) < 5.8e-5
+
+
+def vertex_margin(d, rho):
+    """The Gram lemma's regularity margin at the exact point rho = (r, s) of
+    the slice, at 50 digits: sqrt(min(P, lambda_-) / max(P, lambda_+)) for
+    P = sum rho and lambda_+ >= lambda_- the eigenvalues of
+    G = 4 sum_g rho_g g g^T on the data divided by the moment scale S. At a
+    vertex rho is rational, and so is S^2 = max |v|^2, so P, tr G and
+    det G are exact Fractions; the one square root of the discriminant is
+    taken at 50 digits."""
+    gens = (*d.a, *d.b)
+    s2 = max(x * x + y * y for x, y in (*gens, d.c))
+    g11, g22, g12 = (
+        4 * sum(r * u[i] * u[j] for r, u in zip(rho, gens)) / Fraction(s2) for i, j in ((0, 0), (1, 1), (0, 1))
+    )
+    trace, det = g11 + g22, g11 * g22 - g12 * g12
+    exact = (sum(rho), trace, det, trace**2 - 4 * det)
+    with mpmath.workdps(50):
+        p, tr, dt, disc = (mpmath.mpf(f.numerator) / f.denominator for f in map(Fraction, exact))
+        plus = (tr + mpmath.sqrt(disc)) / 2
+        minus = dt / plus if plus > 0 else mpmath.mpf(0)
+        return float(mpmath.sqrt(min(p, minus) / max(p, plus)))
+
+
+def test_verify_margins_at_the_fixed_points_are_the_exact_vertex_margins(capsys, orbifold_data, bound2_systems):
+    """verify's first m margins, at the m fixed points, equal
+    :func:`vertex_margin` at the exact rational vertex r_i = a, s_j = b of
+    each mixed witness (i, j, a, b) within 1e-14 relative: on every 97th
+    bound-2 system, the orbifold and round data and the thin system."""
+    configs = [('{"A": [[1,0],[1,0],[2,-1]], "B": [[0,1],[0,1],[-1,2]]}', orbifold_data),
+               ('{"A": [[1,0],[1,0],[1,0]], "B": [[0,1],[0,1],[0,1]]}', ROUND_DATA)]
+    configs += [(json.dumps(ws.to_json()), derive(ws)) for ws in (*bound2_systems[::97], THIN_SYSTEM)]
+    for config, d in configs:
+        assert main(["verify", "--config", config, "--samples", "20", "--seed", "1"]) == 0
+        margins = [c["regularity_margin"] for c in json.loads(capsys.readouterr().out)["results"]["certificates"]]
+        witnesses = d.mixed_witnesses
+        assert len(witnesses) == 6
+        for got, (i, j, a, b) in zip(margins, witnesses):
+            rho = [Fraction(0)] * 6
+            rho[i - 1], rho[j + 2] = a, b
+            want = vertex_margin(d, rho)
+            assert abs(got - want) <= 1e-14 * want, (config, i, j)
