@@ -58,7 +58,6 @@ _QUADRIC_NAMES = frozenset({
     "LevelSample",
     "LevelSetPoint",
     "PointCertificate",
-    "Tolerances",
     "certification_sample",
     "certify_point",
     "certify_points",

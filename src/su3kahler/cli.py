@@ -509,15 +509,14 @@ def cmd_verify(args) -> tuple[dict, bool]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     condition_ok = wt.cone_condition_holds(d)
-    tol = quad.Tolerances(residual=args.tol)
     # certify even without the cone condition when points exist, so that
     # failures surface as regular=false certificates rather than silence
     try:
-        sample = quad.certification_sample(d, args.samples, args.seed, tol=tol)
+        sample = quad.certification_sample(d, args.samples, args.seed, tol=args.tol)
     except (ValueError, RuntimeError) as exc:
         return {"cone_condition": condition_ok, "error": f"sampling failed: {exc}"}, False
     # certify_points' columns: a certificate passes when its Jacobian rank is 4
-    ranks, margins = quad._certificate_columns(d, sample, tol)
+    ranks, margins = quad._certificate_columns(d, sample, args.tol)
     bound_residual, bounded = quad.boundedness_residual(d, sample)
     all_passed = condition_ok and bounded and ranks.count(4) == len(ranks)
     results = {

@@ -22,12 +22,13 @@ and every point of it lies under a point of M (the README's orbit-space
 proposition); a lift to one point of each T^4 orbit, with +, -, *, /
 and sqrt, is made only when a caller reads the states.
 :func:`certify_points` certifies each point's regularity, the rank of its
-constraint Jacobian. By the README's proposition (*Numerical
-certificates*), regularity at a point of M fixes the rest of the
-transverse Kahler construction there exactly: the rotated frame is
-transversal, the induced complex structure J_N squares to -1, rotates
-the orbit directions and is omega-compatible, and omega(J_N -, -) is the
-orthogonal projection onto a 6-dimensional complement of the orbit.
+constraint Jacobian, exact from its support by the regularity lemma. By
+the README's proposition (*Numerical certificates*), regularity at a
+point of M fixes the rest of the transverse Kahler construction there
+exactly: the rotated frame is transversal, the induced complex structure
+J_N squares to -1, rotates the orbit directions and is omega-compatible,
+and omega(J_N -, -) is the orthogonal projection onto a 6-dimensional
+complement of the orbit.
 :func:`project_to_level` is a library function that ``verify`` does not
 call: Gauss-Newton from one ambient point.
 
@@ -74,6 +75,7 @@ imports it only for ``verify``, so the exact commands never load numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -86,7 +88,6 @@ from .weights import DerivedConeData, cone_data, positive_combination  # noqa: F
 
 __all__ = [
     "ROUND_DATA",
-    "Tolerances",
     "LevelSetPoint",
     "LevelSample",
     "moment_map",
@@ -105,19 +106,13 @@ __all__ = [
 ROUND_DATA = cone_data([(1, 0)] * 3, [(0, 1)] * 3)
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds; all rank decisions are relative."""
-
-    residual: float = 1e-9       # level-set membership, moment part vs moment_scale
-    rank_rel: float = 1e-9       # singular value cutoff vs largest
-
-
 _NONZERO_FLOOR = 1e-8  # max |z_j|, |w_j| must exceed this on the quadric
 _SAMPLE_CHUNK = 128    # vertex mixtures certification_sample draws per round
 _SAMPLE_PATIENCE = 32  # rounds in a row without an accepted mixture before it gives up
 _DIAGONALS = np.tile(np.eye(3), 2)  # the slice's vertices r_i = s_i = 1, where C = A_i + B_i
 _DIAGONALS.setflags(write=False)
+_BITS = 1 << np.arange(6)  # a support's bits: generator g, the coordinate x_g, is bit g
+_SUPPORTS = (np.arange(64)[:, None] & _BITS) > 0  # (64, 6): the support of each bit pattern
 
 
 @dataclass
@@ -154,7 +149,8 @@ class LevelSample(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return LevelSample(self._rho[k], self.phi[k], self._mom[k], self.states[k])
+            states = None if self._states is None else self._states[k]  # a slice lifts nothing
+            return LevelSample(self._rho[k], self.phi[k], self._mom[k], states)
         x = self.states[k]
         return LevelSetPoint(x[:3], x[3:], (float(_quadric_residual(x[None])[0]), float(self._mom[k])))
 
@@ -185,6 +181,7 @@ class _FloatData(NamedTuple):
     # holds 16 cross(g, h)^2 at each h > g and 0 elsewhere, so that
     # sum_g rho_g sum_h row(4 + g)_h rho_h is Cauchy-Binet's det G
     gram_weights: np.ndarray
+    ranks: np.ndarray  # (64,): the Jacobian rank of each support, see :func:`_rank_table`
 
 
 def _float_data(d: DerivedConeData) -> _FloatData:
@@ -230,10 +227,24 @@ def _float_data(d: DerivedConeData) -> _FloatData:
     gram += [4 * (x * x - y * y) for x, y in units]
     gram += [8 * x * y for x, y in units]
     gram += [num * row[h] ** 2 / den4 if h > g else 0.0 for g, row in enumerate(table.crosses[:6]) for h in range(6)]
-    fd = _FloatData(fg, c, scale, fg / scale, vertices, apex, np.array(gram).reshape(10, 6))
-    for arr in (fd.fg, fd.c, fd.unit_fg, fd.vertices, fd.gram_weights):
+    independent = tuple([v != 0 for row in table.crosses[:6] for v in row[:6]])
+    ranks = _rank_table(tuple(map(any, table.vectors[:6])), independent)
+    fd = _FloatData(fg, c, scale, fg / scale, vertices, apex, np.array(gram).reshape(10, 6), ranks)
+    for arr in (fd.fg, fd.c, fd.unit_fg, fd.vertices, fd.gram_weights, fd.ranks):
         arr.setflags(write=False)
     return fd
+
+
+@functools.lru_cache(maxsize=64)
+def _rank_table(nonzero: tuple[bool, ...], independent: tuple[bool, ...]) -> np.ndarray:
+    """The Jacobian rank at each of the 64 supports, indexed by their bits,
+    by the README's regularity lemma: 2 for a nonempty support, 1 more for
+    a nonzero generator in it and 1 more for an independent pair in it.
+    ``nonzero`` and ``independent[6 g + h]`` flag the sign table's integer
+    generators and crosses that are not 0. Admissible data share few such
+    patterns (no mixed cross is 0), so each table is made once."""
+    ranks = 2 * _SUPPORTS.any(axis=1) + (_SUPPORTS & nonzero).any(axis=1)
+    return ranks + (_SUPPORTS @ np.reshape(independent, (6, 6)) & _SUPPORTS).any(axis=1)
 
 
 # The last cone data object converted, with its float data.
@@ -305,11 +316,11 @@ def boundedness_residual(d: DerivedConeData, points) -> tuple[float, bool]:
     component of Phi - C along alpha, which is at most |alpha| times the
     moment residual |Phi - C|. It is not that residual's acceptance rule
     restated: its bound is fixed and scale-covariant and does not follow
-    ``Tolerances.residual`` (``verify --tol``), which bounds |Phi - C| by
-    tol * moment_scale. On a sample drawn in closed form it measures the
-    rounding of the linear map Phi at the sample's (r, s). alpha and alpha(C) are the floats of d's one
-    conversion; Phi of a :class:`LevelSample` is the one its residual check
-    computed."""
+    the residual tolerance ``tol`` (``verify --tol``), which bounds
+    |Phi - C| by tol * moment_scale. On a sample drawn in closed form it
+    measures the rounding of the linear map Phi at the sample's (r, s).
+    alpha and alpha(C) are the floats of d's one conversion; Phi of a
+    :class:`LevelSample` is the one its residual check computed."""
     fd = _weight_arrays(d)
     if fd.apex is None or not len(points):
         return 0.0, True
@@ -347,27 +358,26 @@ def _quadric_residual(x: np.ndarray) -> np.ndarray:
     return np.abs((x[:, :3] * x[:, 3:]).sum(axis=-1))
 
 
-def _level_sample(fd: _FloatData, rho: np.ndarray, tol: Tolerances, states: np.ndarray | None = None) -> LevelSample:
+def _level_sample(fd: _FloatData, rho: np.ndarray, tol: float, states: np.ndarray | None = None) -> LevelSample:
     """(n, 6) squared moduli rho = (|z|^2, |w|^2) as a :class:`LevelSample`,
     raising the ValueError of the lowest failing row, as a sequential loop
     would.
 
     A row fails unless it is finite with max r_k and max s_k above
     ``_NONZERO_FLOOR ** 2``, and its moment residual |Phi - C| is at most
-    ``tol.residual`` times the moment scale; given the complex states over
-    rho, also unless their quadric residual |sum z_j w_j| is at most
-    ``tol.residual``. Without them rho is a point of the orbit space,
-    whose quadric residual is 0 by the README's proposition (*The orbit
-    space*). Each residual and verdict is one column. Phi is kept for the
-    boundedness residual. |Phi - C| is one hypot of its two components, so
-    the residual of data near 1e300 (about 1e284) is not squared into an
-    overflow.
+    ``tol`` times the moment scale; given the complex states over rho, also
+    unless their quadric residual |sum z_j w_j| is at most ``tol``. Without
+    them rho is a point of the orbit space, whose quadric residual is 0 by
+    the README's proposition (*The orbit space*). Each residual and
+    verdict is one column. Phi is kept for the boundedness residual.
+    |Phi - C| is one hypot of its two components, so the residual of data
+    near 1e300 (about 1e284) is not squared into an overflow.
     """
     phi = _moment(fd.fg, rho)
     mom = np.hypot(*(phi - fd.c).T)
     quad = np.zeros(len(rho)) if states is None else _quadric_residual(states)
     usable = _usable(rho, _NONZERO_FLOOR**2)
-    failing = ~(usable & (quad <= tol.residual) & (mom <= tol.residual * fd.scale))
+    failing = ~(usable & (quad <= tol) & (mom <= tol * fd.scale))
     if failing.any():
         k = int(failing.argmax())
         if not usable[k]:
@@ -409,12 +419,7 @@ def constraint_values(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> np.nd
 
 
 def project_to_level(
-    d: DerivedConeData,
-    z0,
-    w0,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    tolerances: Tolerances = Tolerances(),
+    d: DerivedConeData, z0, w0, tol: float = 1e-12, max_iter: int = 50, residual: float = 1e-9
 ) -> LevelSetPoint:
     """Gauss-Newton projection of one ambient point (z0, w0) to the level set.
 
@@ -424,7 +429,7 @@ def project_to_level(
     and else steps by -J^+ F, the minimum-norm ``lstsq`` solution on the
     unit Jacobian, which covers rank-deficient (collinear) data too. A
     start within ``tol`` comes back unchanged; the result is accepted
-    against ``tolerances`` as :func:`certification_sample`'s points are.
+    against ``residual`` as :func:`certification_sample`'s points are.
     Raises ValueError for a start with a zero factor or a non-finite entry
     and for a point that misses the level set, and RuntimeError for a step
     that collapses a factor or leaves the finite range and for no
@@ -439,7 +444,7 @@ def project_to_level(
     for _ in range(max_iter):
         f = constraint_values(d, x[0, :3], x[0, 3:]) / rows
         if np.sqrt(np.add.reduce(f * f)) <= tol:
-            return _level_sample(fd, np.abs(x) ** 2, tolerances, x)[0]
+            return _level_sample(fd, np.abs(x) ** 2, residual, x)[0]
         x.view(float)[0] += np.linalg.lstsq(_jacobian(fd.unit_fg, x)[0], -f, rcond=None)[0]
         if not _usable(x)[0]:
             finite = np.isfinite(x).all()
@@ -492,11 +497,7 @@ class PointCertificate:
         }
 
 
-def certify_points(
-    d: DerivedConeData,
-    points,
-    tol: Tolerances = Tolerances(),
-) -> list[PointCertificate]:
+def certify_points(d: DerivedConeData, points, tol: float = 1e-9) -> list[PointCertificate]:
     """Certify each point of the quadric by the singular values of its
     4 x 12 constraint Jacobian on the data divided by
     :func:`moment_scale`, in closed form by the Gram lemma (README,
@@ -511,26 +512,29 @@ def certify_points(
     lambda_- = det G / lambda_+, where Cauchy-Binet's
     det G = sum_{g<h} 16 cross(g, h)^2 rho_g rho_h is a sum of
     non-negative terms: lambda_- suffers no cancellation, however thin
-    the data. The Jacobian rank counts the singular values above
-    ``tol.rank_rel`` times the largest, and the regularity margin is
-    sqrt(min/max) of the squared ones. Rescaling the data changes neither.
+    the data. The regularity margin is sqrt(min/max) of the squared ones.
+    The Jacobian rank reads no float: by the README's regularity lemma it
+    is 2 for a nonempty support plus the rank of its generators' span, one
+    lookup of the support in d's table. Rescaling the data changes
+    neither. Where the unit cross squares 16 cross(g, h)^2 underflow
+    (below about 2^-1074), the margin reads 0.0; the rank stays exact.
 
     The points must lie on the quadric. A :class:`LevelSample` holds
     points (r, s) of the orbit space, which lie under points of M by the
     README's orbit-space proposition, and is read as it is; in any other
     sequence of :class:`LevelSetPoint`, a point whose |sum z_j w_j|
-    exceeds ``tol.residual``, or is not a number, raises ValueError, since
-    off the quadric the Gram matrix gains the off-diagonal block
-    2 C (Re q, Im q). A point of the quadric off Phi = C, such as the
-    irregular z = (2, 0, 0), w = 0, certifies exactly, but the
-    proposition's conclusions are about the points of M, those that
+    exceeds ``tol``, or is not a number, raises ValueError, since off the
+    quadric the Gram matrix gains the off-diagonal block 2 C (Re q, Im q).
+    A point of the quadric off Phi = C, such as the irregular
+    z = (2, 0, 0), w = 0, certifies exactly, but the proposition's
+    conclusions are about the points of M, those that
     :func:`certification_sample` and :func:`project_to_level` accept. Rank
     failures are reported, not raised.
     """
     return list(map(PointCertificate, *_certificate_columns(d, points, tol)))
 
 
-def _certificate_columns(d: DerivedConeData, points, tol: Tolerances) -> tuple[list[int], list[float]]:
+def _certificate_columns(d: DerivedConeData, points, tol: float) -> tuple[list[int], list[float]]:
     """The Jacobian ranks and regularity margins of :func:`certify_points`
     as two columns; ``verify`` renders them without building a certificate
     per point.
@@ -538,27 +542,31 @@ def _certificate_columns(d: DerivedConeData, points, tol: Tolerances) -> tuple[l
     rho = (r, s) is read from a :class:`LevelSample`, which summed its Phi
     from it, and formed here as |x|^2 for a list of points, after scaling
     each row by a power of two: the certificates are invariant under
-    x -> t x, and no square overflows. Every step is elementwise and every sum
-    one ``np.add.reduce`` over the last axis, with no BLAS call, so a
-    row's bits depend on its own point alone and a prefix of a sample
-    certifies as the same rows of the whole. No value is divided by zero:
-    lambda_- is 0 where lambda_+ is, and sigma_max is taken as 1 where
-    every singular value is 0, as for an SVD.
+    x -> t x, and no square overflows. The support, whose bits index the
+    rank table, is rho > 0 for a sample and x != 0 for listed points,
+    where the scaling can underflow a tiny coordinate's square. Every step
+    is elementwise and every sum one ``np.add.reduce`` over the last axis,
+    with no BLAS call, so a row's bits depend on its own point alone and a
+    prefix of a sample certifies as the same rows of the whole. No value
+    is divided by zero: lambda_- is 0 where lambda_+ is, and sigma_max is
+    taken as 1 where every singular value is 0, as for an SVD.
     """
     if not len(points):
         return [], []
     fd = _weight_arrays(d)
     if isinstance(points, LevelSample):
         rho = points._rho
+        support = rho > 0
     else:
         x = _stack(points)
         quad = _quadric_residual(x)
-        missed = ~(quad <= tol.residual)
+        missed = ~(quad <= tol)
         if missed.any():
             k = int(missed.argmax())
-            raise ValueError(f"point {k} is off the quadric: |sum z_j w_j| = {float(quad[k])} > {tol.residual}")
+            raise ValueError(f"point {k} is off the quadric: |sum z_j w_j| = {float(quad[k])} > {tol}")
         size = np.abs(x)
         rho = np.ldexp(size, -np.frexp(size.max(axis=1))[1][:, None]) ** 2
+        support = size > 0
     sums = np.add.reduce(rho[:, None, :] * fd.gram_weights, axis=-1)
     p, trace, diff, off = sums[:, :4].T  # P, G_11 + G_22, G_11 - G_22, 2 G_12
     lam = np.zeros((4, len(rho)))  # the squared singular values: P twice, lambda_+ and lambda_-
@@ -569,15 +577,10 @@ def _certificate_columns(d: DerivedConeData, points, tol: Tolerances) -> tuple[l
     np.divide(np.add.reduce(sums[:, 4:] * rho, axis=-1), lp, out=lam[3], where=lp > 0)
     top = lam.max(axis=0)
     top[top == 0] = 1.0
-    ranks = (lam > tol.rank_rel**2 * top).sum(axis=0)  # sigma > rank_rel * sigma_max, squared
-    return ranks.tolist(), np.sqrt(lam.min(axis=0) / top).tolist()
+    return fd.ranks[support @ _BITS].tolist(), np.sqrt(lam.min(axis=0) / top).tolist()
 
 
-def certify_point(
-    d: DerivedConeData,
-    p: LevelSetPoint,
-    tol: Tolerances = Tolerances(),
-) -> PointCertificate:
+def certify_point(d: DerivedConeData, p: LevelSetPoint, tol: float = 1e-9) -> PointCertificate:
     """:func:`certify_points` for one point."""
     return certify_points(d, [p], tol)[0]
 
@@ -634,9 +637,7 @@ def _lift(rho: np.ndarray) -> np.ndarray:
     return x.reshape(-1, 12).view(complex)
 
 
-def certification_sample(
-    d: DerivedConeData, n: int, seed, tol: Tolerances = Tolerances()
-) -> LevelSample:
+def certification_sample(d: DerivedConeData, n: int, seed, tol: float = 1e-9) -> LevelSample:
     """Deterministic batch of n level-set points for certification, as one
     :class:`LevelSample` of their points (r, s) of the orbit space.
 
@@ -656,7 +657,7 @@ def certification_sample(
     The draws come from ``SeedSequence(seed)`` alone, and are made only
     when n > m, in rounds of ``_SAMPLE_CHUNK``: a sample is reproducible,
     and the first points of a larger sample are the smaller sample. Every
-    point is accepted against ``tol.residual`` on the orbit space (see
+    point is accepted against ``tol`` on the orbit space (see
     :func:`_level_sample`), and the error of the lowest-index point is
     raised; ValueError also when no mixture passes the triangle test in
     ``_SAMPLE_PATIENCE`` rounds in a row.

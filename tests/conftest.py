@@ -11,6 +11,7 @@ apex search by the batched sign kernel ``reference_cone_member``, the
 interpolation path built vector by vector at every time and the census
 built entry by entry; the tests compare the library with them."""
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
@@ -59,14 +60,23 @@ def round_ws():
     return WeightSystem(((0, 0),) * 3, ((-1, 0), (1, -1), (0, 1)))
 
 
+@functools.cache
+def admissible_systems(bound):
+    """The admissible systems up to ``bound``, enumerated once per session.
+    A Hypothesis test reads them by this call, not by a fixture: its
+    falsifying example prints every fixture argument, and the repr of
+    thousands of systems would bury it."""
+    return list(enumerate_admissible_systems(bound))
+
+
 @pytest.fixture(scope="session")
 def bound1_systems():
-    return list(enumerate_admissible_systems(1))
+    return admissible_systems(1)
 
 
 @pytest.fixture(scope="session")
 def bound2_systems():
-    return list(enumerate_admissible_systems(2))
+    return admissible_systems(2)
 
 
 def basis_change(m, d):

@@ -4,10 +4,11 @@
 plus ``lstsq``, per-point operator norms and ``eigvalsh``): the
 construction that the README's proposition proves exact at every regular
 point of the level set, computed in floats. It is the proposition's
-numerical check, and its regularity and ranks are the oracle of
-:func:`certify_points`. ``reference_project`` is the one-point
-Gauss-Newton projection with ``lstsq`` steps, the oracle of
-:func:`project_to_level`.
+numerical check, and its margin is the oracle of :func:`certify_points`'
+margin. The oracle of the Jacobian rank is :func:`support_rank`, the
+regularity lemma's support test on the exact generators.
+``reference_project`` is the one-point Gauss-Newton projection with
+``lstsq`` steps, the oracle of :func:`project_to_level`.
 """
 
 import json
@@ -39,7 +40,6 @@ from su3kahler.quadric import (
     ROUND_DATA,
     LevelSample,
     LevelSetPoint,
-    Tolerances,
     boundedness_residual,
     certification_sample,
     certify_point,
@@ -75,16 +75,31 @@ class Reference(NamedTuple):
     passed: bool
 
 
-def reference_certify(d, p, tol=Tolerances()):
-    """Every J_N field of one point: the Jacobian's rank and margin; the
-    rank of [Q | Z W]; J_N from ``lstsq``; |J_N^2 + 1|, |J_N X - Y| +
-    |J_N Y + X| and omega compatibility; the spectrum of omega(J_N -, -).
-    A rank failure ends the checks."""
+def support_rank(d, x):
+    """The Jacobian rank at a point x = (z, w) of the quadric by the
+    README's regularity lemma, in exact arithmetic on d's generators: 2
+    for a nonempty support, plus the rank of the span of the generators
+    g with x_g != 0, read from their crosses."""
+    gens = [g for g, v in zip((*d.a, *d.b), x) if v != 0]
+    if not gens:
+        return 0
+    if any(g[0] * h[1] - g[1] * h[0] for g in gens for h in gens):
+        return 4
+    return 3 if any(any(g) for g in gens) else 2
+
+
+def reference_certify(d, p, combined_cutoff=1e-9):
+    """Every J_N field of one point: the Jacobian's rank (by
+    :func:`support_rank`) and margin (by an SVD); the rank of [Q | Z W],
+    counting the singular values above ``combined_cutoff`` times the
+    largest; J_N from ``lstsq``; |J_N^2 + 1|, |J_N X - Y| + |J_N Y + X|
+    and omega compatibility; the spectrum of omega(J_N -, -). A rank
+    failure ends the checks."""
     scale = moment_scale(d)  # the moment rows and the frame on the unit data, as certify_points reads them
     jac = constraint_jacobian(d, p.z, p.w) / np.array([1.0, 1.0, scale, scale])[:, None]
     _, s, vt = np.linalg.svd(jac)
     smax = s[0] if s[0] > 0 else 1.0
-    jac_rank = int(np.sum(s > tol.rank_rel * smax))
+    jac_rank = support_rank(d, np.concatenate([p.z, p.w]))
     margin = float(s[3] / smax)
     if jac_rank < 4:
         return Reference(False, False, jac_rank, 0, margin, np.inf, np.inf, np.inf, (), False)
@@ -93,7 +108,7 @@ def reference_certify(d, p, tol=Tolerances()):
     xr, yr = c2r(x6), c2r(y6)
     span = np.column_stack([q, c2r(z6), c2r(w6)])
     s2 = np.linalg.svd(span, compute_uv=False)
-    combined_rank = int(np.sum(s2 > tol.rank_rel * s2[0]))
+    combined_rank = int(np.sum(s2 > combined_cutoff * s2[0]))
     if combined_rank != 10:
         return Reference(True, False, jac_rank, combined_rank, margin, np.inf, np.inf, np.inf, (), False)
     coords, *_ = np.linalg.lstsq(span, J12 @ q, rcond=None)
@@ -204,13 +219,13 @@ def test_batch_matches_reference_under_basis_change(orbifold_data):
 
 def test_mixed_batch_with_irregular_and_non_transversal_points():
     """Points of the quadric off the level set, where the proposition says
-    nothing: the closed form still reads regularity, rank and margin as
-    the oracle's SVD does, since the Gram lemma needs q = 0 alone. Data of
-    moment scale exactly 1, so the oracle factors the very matrices whose
-    Gram matrix the closed form reads, and even a coarse rank cutoff
-    decides alike. The cutoff makes some regular points non-transversal
-    for the oracle; z = (2, 0, 0), w = 0 is irregular (both moment rows
-    are A_1 = (1/2, 1/2))."""
+    nothing: the closed form still reads the margin as the oracle's SVD
+    does, since the Gram lemma needs q = 0 alone, and the rank as the
+    support test does. Data of moment scale exactly 1, so the oracle
+    factors the very matrices whose Gram matrix the closed form reads. A
+    coarse cutoff on the oracle's combined rank makes some regular points
+    non-transversal for it; z = (2, 0, 0), w = 0 is irregular (both moment
+    rows are A_1 = (1/2, 1/2))."""
     h = Fraction(1, 2)
     d = cone_data([(h, h), (h, -h), (h, 0)], [(h, -h), (h, h), (h, 0)])
     assert moment_scale(d) == 1.0
@@ -218,12 +233,11 @@ def test_mixed_batch_with_irregular_and_non_transversal_points():
     points = _quadric_points(rng, 30, 2)
     for k in (0, 7, 19):
         points.insert(k, LevelSetPoint(np.array([2.0 + 0j, 0, 0]), np.zeros(3, complex), (0, 0)))
-    tol = Tolerances(rank_rel=1e-2)
-    want = [reference_certify(d, p, tol=tol) for p in points]
+    want = [reference_certify(d, p, combined_cutoff=1e-2) for p in points]
     kinds = {(c.regular, c.transversal) for c in want}
     assert kinds == {(False, False), (True, False), (True, True)}
     with np.errstate(all="raise"):
-        assert_same_regularity(certify_points(d, points, tol=tol), want)
+        assert_same_regularity(certify_points(d, points), want)
 
 
 def test_verify_converts_its_cone_data_once(monkeypatch, capsys):
@@ -415,15 +429,15 @@ def test_lifted_pool_samples_meet_the_residuals_and_verify_s_certificates(capsys
     1e-15 relative of verify's."""
     triples = [t for pool in json.loads(CERTIFY_POOL.read_text())["categories"].values() for t in pool][::7]
     assert len(triples) == 257
-    tol = Tolerances()
+    tol = 1e-9  # verify's default --tol
     for config, samples, seed in triples:
         assert main(["verify", "--config", config, "--samples", str(samples), "--seed", str(seed)]) == 0
         printed = json.loads(capsys.readouterr().out)["results"]["certificates"]
         d = cli._problem(config)[1]
         x = certification_sample(d, samples, seed).states
-        assert np.all(np.abs((x[:, :3] * x[:, 3:]).sum(axis=1)) <= tol.residual), config
+        assert np.all(np.abs((x[:, :3] * x[:, 3:]).sum(axis=1)) <= tol), config
         residual = np.linalg.norm(moment_map(d, (x[:, :3], x[:, 3:])) - np.array(d.c, dtype=float), axis=1)
-        assert np.all(residual <= tol.residual * moment_scale(d)), config
+        assert np.all(residual <= tol * moment_scale(d)), config
         lifted = certify_points(d, [LevelSetPoint(row[:3], row[3:], (0.0, 0.0)) for row in x])
         assert [c.jacobian_rank for c in lifted] == [c["jacobian_rank"] for c in printed], config
         for c, want in zip(lifted, printed):
@@ -508,7 +522,7 @@ def test_a_prefix_of_a_sample_certifies_as_its_rows(orbifold_data):
 def test_a_point_off_the_quadric_is_refused(orbifold_data):
     """Off the quadric the Gram matrix is not block diagonal, so the
     closed form would be wrong there: the lowest point with
-    |sum z_j w_j| > tol.residual, or not a number, raises ValueError."""
+    |sum z_j w_j| > tol, or not a number, raises ValueError."""
     points = list(certification_sample(orbifold_data, 8, 0))
     off = LevelSetPoint(np.array([1.0 + 0j, 0, 0]), np.array([1e-6 + 0j, 0, 0]), (0.0, 0.0))
     nan = LevelSetPoint(np.array([np.nan + 0j, 0, 0]), np.zeros(3, complex), (0.0, 0.0))
@@ -516,7 +530,7 @@ def test_a_point_off_the_quadric_is_refused(orbifold_data):
         certify_points(orbifold_data, [*points[:3], off, nan])
     with pytest.raises(ValueError, match="^point 0 is off the quadric"):
         certify_points(orbifold_data, [nan])
-    assert certify_points(orbifold_data, [off], Tolerances(residual=1e-5))[0].regular
+    assert certify_points(orbifold_data, [off], 1e-5)[0].regular
 
 
 def test_a_point_of_huge_modulus_certifies_without_overflow(orbifold_data):
@@ -536,6 +550,39 @@ def test_a_point_of_huge_modulus_certifies_without_overflow(orbifold_data):
         scaled = [LevelSetPoint(np.ldexp(1.0, k) * p.z, np.ldexp(1.0, k) * p.w, (0.0, 0.0)) for p in seeds]
         with np.errstate(all="raise"):
             assert certify_points(orbifold_data, scaled) == want, k
+
+
+def test_the_rank_is_exact_where_the_unit_cross_squares_underflow():
+    """A_j = (M, M + 1) and B_j = (M + 1, M + 2) for M = 2^300: the unit
+    cross of A_1 and B_2 is -1 over a moment scale above 2^300, and its
+    square underflows to 0, so det G and the margin read 0.0. The point
+    z = (1, 0, 0), w = (0, 1, 0) has the support {A_1, B_2}, which spans
+    R^2, and certifies as rank 4 by the regularity lemma; a cutoff on the
+    singular values read 3 there. The margin is not asserted."""
+    m = 2**300
+    d = cone_data([(m, m + 1)] * 3, [(m + 1, m + 2)] * 3)
+    p = LevelSetPoint(np.array([1.0 + 0j, 0, 0]), np.array([0, 1.0 + 0j, 0]), (0.0, 0.0))
+    with np.errstate(all="raise"):
+        cert = certify_points(d, [p])[0]
+    assert cert.jacobian_rank == support_rank(d, np.concatenate([p.z, p.w])) == 4 and cert.regular
+
+
+def test_a_slice_lifts_nothing_until_its_states_are_read(monkeypatch, orbifold_data):
+    """A slice of a sample whose states were never read is lazy too: it
+    calls no lift until its own states are read, and then lifts its own
+    rows alone, bit for bit the same rows of the whole sample's states;
+    once those are read, a slice is a view of them."""
+    sample = certification_sample(orbifold_data, 50, 2)
+    whole, lift, lifted = quadric._lift(sample._rho), quadric._lift, []
+    monkeypatch.setattr(quadric, "_lift", lambda rho: lifted.append(len(rho)) or lift(rho))
+    slices = (slice(0, 0), slice(0, 1), slice(0, 7), slice(5, 33), slice(1, 50, 3))
+    parts = [sample[k] for k in slices]
+    assert lifted == []
+    for k, part in zip(slices, parts):
+        assert part.states.tobytes() == whole[k].tobytes() and lifted == [len(part)], k
+        lifted.clear()
+    assert sample.states.tobytes() == whole.tobytes() and lifted == [50]
+    assert np.shares_memory(sample[5:33].states, sample.states) and lifted == [50]
 
 
 def _mp_margin(d, p):
@@ -596,18 +643,17 @@ def _quadric_batch(draw):
 def test_closed_form_matches_the_svd_and_a_50_digit_oracle(batch):
     """On random points of the quadric over random integer data, nearly
     parallel generators and zero coordinates included, the closed-form
-    certificates give the ranks of an SVD of the 4 x 12 Jacobians
-    (``quadric._jacobian`` on the unit data), margins within 1e-12 of its
-    margins, and margins within 1e-13 relative of the 50-digit oracle
+    certificates give the exact ranks of :func:`support_rank`, margins
+    within 1e-12 of those of an SVD of the 4 x 12 Jacobians
+    (``quadric._jacobian`` on the unit data), and margins within 1e-13 relative of the 50-digit oracle
     :func:`_mp_margin`; and a margin of exactly 0 where the point's
     support spans a line and the oracle's is below 1e-12."""
     d, points = batch
-    tol = Tolerances()
-    certs = certify_points(d, points, tol)
+    certs = certify_points(d, points)
     x = np.array([np.concatenate([p.z, p.w]) for p in points])
     s = np.linalg.svd(quadric._jacobian(quadric._weight_arrays(d).unit_fg, x), compute_uv=False)
     smax = np.where(s[:, 0] > 0, s[:, 0], 1.0)
-    assert [c.jacobian_rank for c in certs] == (s > tol.rank_rel * smax[:, None]).sum(axis=1).tolist()
+    assert [c.jacobian_rank for c in certs] == [support_rank(d, row) for row in x]
     for cert, svd_margin, p in zip(certs, s[:, 3] / smax, points):
         assert abs(cert.regularity_margin - svd_margin) <= 1e-12
         want = _mp_margin(d, p)
@@ -646,7 +692,7 @@ def test_project_points_matches_sequential(name, orbifold_data):
 def test_project_points_stop_where_the_reference_stops(tol, orbifold_data):
     """Coarse stopping residuals: one round more or less moves the point."""
     for z, w in zip(*_perturbed_starts(orbifold_data, 12, 6, noise=5e-2)):
-        p = project_to_level(orbifold_data, z, w, tol=tol, tolerances=Tolerances(residual=tol))
+        p = project_to_level(orbifold_data, z, w, tol=tol, residual=tol)
         zr, wr = reference_project(orbifold_data, z, w, tol=tol)
         assert np.allclose(p.z, zr, rtol=0, atol=1e-12) and np.allclose(p.w, wr, rtol=0, atol=1e-12)
 
@@ -694,17 +740,17 @@ def test_moment_residual_is_accepted_relative_to_the_moment_scale(orbifold_data)
         d = cone_data([(scale * x, scale * y) for x, y in orbifold_data.a],
                       [(scale * x, scale * y) for x, y in orbifold_data.b])
         # a stopping residual of 1e-11 keeps the start
-        p = project_to_level(d, z, w, tol=1e-11, tolerances=Tolerances(residual=1e-11))
+        p = project_to_level(d, z, w, tol=1e-11, residual=1e-11)
         assert np.array_equal(p.w, w)
         assert p.residuals[0] == 0 and abs(p.residuals[1] - 2e-12 * scale) <= 1e-15 * scale
         with pytest.raises(ValueError, match="misses the level set"):
-            project_to_level(d, z, w, tol=1e-11, tolerances=Tolerances(residual=1e-13))
+            project_to_level(d, z, w, tol=1e-11, residual=1e-13)
 
 
 def test_projection_rejects_a_point_missing_the_acceptance_tolerance(orbifold_data):
     z0, w0 = _perturbed_starts(orbifold_data, 1, 5)
     with pytest.raises(ValueError, match="misses the level set"):
-        project_to_level(orbifold_data, z0[0], w0[0], tolerances=Tolerances(residual=1e-300))
+        project_to_level(orbifold_data, z0[0], w0[0], residual=1e-300)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf), complex(np.nan, 0)], ids=repr)
@@ -742,7 +788,7 @@ def test_orbit_rows_are_usable_above_the_squared_floor(orbifold_data):
     max s_k must exceed _NONZERO_FLOOR ** 2, so that max |z_k| and
     max |w_k| exceed _NONZERO_FLOOR."""
     fd = quadric._weight_arrays(orbifold_data)
-    tol = Tolerances(residual=1e300)  # the moment residual decides nothing here
+    tol = 1e300  # the moment residual decides nothing here
     for small, usable in ((1e-12, True), (2e-16, True), (1e-16, False), (0.0, False)):
         for side in (slice(0, 3), slice(3, 6)):  # every r_k, then every s_k
             rho = np.ones((3, 6))

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import basis_change, holds_by_memberships
+from conftest import admissible_systems, basis_change, holds_by_memberships
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,8 +112,8 @@ def weight_systems(draw, admissible):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_exact_layer_is_invariant_under_basis_change_relabelling_and_rescaling(data, bound2_systems):
-    d = derive(data.draw(weight_systems(bound2_systems)))
+def test_exact_layer_is_invariant_under_basis_change_relabelling_and_rescaling(data):
+    d = derive(data.draw(weight_systems(admissible_systems(2))))
     m = ((1, 0), (0, 1))
     for f in data.draw(st.lists(st.sampled_from(ELEMENTARY), min_size=1, max_size=4)):
         m = matmul(f, m)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +9,7 @@ import pytest
 from conftest import (
     J12,
     OMEGA12,
+    admissible_systems,
     basis_change,
     constraint_jacobian,
     embed_su3,
@@ -25,7 +27,6 @@ from su3kahler.isotropy import SupportPattern, singular_stratum_census
 from su3kahler.quadric import (
     ROUND_DATA,
     LevelSetPoint,
-    Tolerances,
     certification_sample,
     certify_point,
     certify_points,
@@ -34,7 +35,7 @@ from su3kahler.quadric import (
     moment_scale,
     project_to_level,
 )
-from su3kahler.weights import WeightSystem, check_level_set_conditions, cone_data, derive
+from su3kahler.weights import WeightSystem, check_level_set_conditions, cone_condition_holds, cone_data, derive
 
 
 def omega_form(u6, v6):
@@ -353,9 +354,9 @@ def test_certification_sample_is_seeded_and_prefix_stable(name, orbifold_data):
     assert _same_points(full, reference)
 
 
-def _sample_data(name, orbifold_data, bound2_systems):
+def _sample_data(name, orbifold_data):
     if name == "bound2":
-        return derive(bound2_systems[1000])
+        return derive(admissible_systems(2)[1000])
     return orbifold_data if name == "orbifold" else ROUND_DATA
 
 
@@ -420,12 +421,12 @@ def reference_sample(d, n, seed):
 
 
 @pytest.mark.parametrize("name", ["orbifold", "round", "bound2"])
-def test_certification_sample_provenance_is_bitwise(name, orbifold_data, bound2_systems):
+def test_certification_sample_provenance_is_bitwise(name, orbifold_data):
     """Seeds are the exact single-support points z_i = sqrt(a), w_j = sqrt(b)
     of the mixed witnesses (i, j, a, b), and every later point is the
     closed-form lift of a mixture of the slice's vertices, drawn from
     SeedSequence(seed) alone, all bit for bit."""
-    d = _sample_data(name, orbifold_data, bound2_systems)
+    d = _sample_data(name, orbifold_data)
     m = len(d.mixed_witnesses)
     for n in sorted({3, m, 20, 40}):
         points = certification_sample(d, n, 11)
@@ -443,17 +444,16 @@ def test_certification_sample_provenance_is_bitwise(name, orbifold_data, bound2_
 )
 @example("round", 1e-16, 30, 3)  # a closed-form point misses 1e-16
 @settings(max_examples=60, deadline=None)
-def test_every_sample_point_meets_the_acceptance_rule(orbifold_data, bound2_systems, name, residual, n, seed):
+def test_every_sample_point_meets_the_acceptance_rule(orbifold_data, name, residual, n, seed):
     """The acceptance rule is on the orbit space: every returned point's
     (r, s) has |Phi(r, s) - C| <= residual * moment_scale, the moment
     residual its LevelSetPoint reports. Its quadric residual is 0 by the
     orbit-space proposition, so the states lifted over it meet both
     residuals to rounding, 1e-14 (relative to the moment scale for Phi),
     whatever ``residual`` is."""
-    d = _sample_data(name, orbifold_data, bound2_systems)
-    tol = Tolerances(residual=residual)
+    d = _sample_data(name, orbifold_data)
     try:
-        points = certification_sample(d, n, seed, tol)
+        points = certification_sample(d, n, seed, residual)
     except ValueError as exc:
         assert "misses the level set" in str(exc)
         return
@@ -470,19 +470,18 @@ def test_only_the_returned_seeds_are_validated(orbifold_data):
     # the six seeds' (r, s) are their witness coefficients, which are dyadic
     # here, so their moment residual is 0.0; the first drawn point's is
     # about 5e-16
-    tol = Tolerances(residual=1e-16)
-    assert len(certification_sample(orbifold_data, 6, 0, tol)) == 6
+    assert len(certification_sample(orbifold_data, 6, 0, 1e-16)) == 6
     with pytest.raises(ValueError, match=r"^point misses the level set: residuals \(0\.0, 4\.96"):
-        certification_sample(orbifold_data, 7, 0, tol)
+        certification_sample(orbifold_data, 7, 0, 1e-16)
 
 
 def test_sample_points_are_validated_against_tol():
     """The round data's seeds meet any tolerance (their residuals are 0.0),
     and its closed-form points meet 1e-9 but not 1e-300."""
-    assert len(certification_sample(ROUND_DATA, 6, 0, Tolerances(residual=1e-300))) == 6
+    assert len(certification_sample(ROUND_DATA, 6, 0, 1e-300)) == 6
     assert len(certification_sample(ROUND_DATA, 30, 0)) == 30
     with pytest.raises(ValueError, match="point misses the level set"):
-        certification_sample(ROUND_DATA, 30, 0, Tolerances(residual=1e-300))
+        certification_sample(ROUND_DATA, 30, 0, 1e-300)
 
 
 # --- closed-form points ----------------------------------------------------------
@@ -495,12 +494,12 @@ def _t(p):
 
 @given(st.integers(0, 2855), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_closed_form_points_meet_the_residuals_and_heron(bound2_systems, index, seed):
+def test_closed_form_points_meet_the_residuals_and_heron(index, seed):
     """Every point after the seeds lies on the level set to rounding (the
     quadric's residual and the moment's relative to the moment scale both
     at most 1e-14), and its t_k pass Heron's test, both as the draw's
     mixture and as read back from the point."""
-    d = derive(bound2_systems[index])
+    d = derive(admissible_systems(2)[index])
     m = len(d.mixed_witnesses)
     points = certification_sample(d, m + 60, seed)
     for p in points[m:]:
@@ -673,3 +672,69 @@ def test_verify_margins_at_the_fixed_points_are_the_exact_vertex_margins(capsys,
             rho[i - 1], rho[j + 2] = a, b
             want = vertex_margin(d, rho)
             assert abs(got - want) <= 1e-14 * want, (config, i, j)
+
+
+def _unit_cross_partner(v):
+    """An integer vector u with cross(u, v) = 1, for a primitive v: from
+    the extended Euclidean algorithm, x v_x + y v_y = g = +-1, and
+    u = g (y, -x)."""
+    (g, x, y), (r, s, t) = (v[0], 1, 0), (v[1], 0, 1)
+    while r:
+        q = g // r
+        (g, x, y), (r, s, t) = (r, s, t), (g - q * r, x - q * s, y - q * t)
+    assert abs(g) == 1
+    return g * y, -g * x
+
+
+def _large_admissible_pool(bound, seed, size):
+    """``size`` admissible cone data with entries of about ``bound``: C,
+    A_1 and A_2 uniform in [-bound, bound]^2, B_j = C - A_j, and A_3 a
+    partner of cross(A_3, B_2) = +-1 plus k B_2 for k uniform in
+    [-3, 3]. The fixed point of (A_3, B_2), where that pair alone spans
+    R^2, has a unit cross of about bound^-2, so margins fall like
+    bound^-2; the draws whose cone condition fails are dropped."""
+    rng = random.Random(seed)
+    pool = []
+    while len(pool) < size:
+        c, a1, a2 = ((rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(3))
+        b2 = (c[0] - a2[0], c[1] - a2[1])
+        if math.gcd(*b2) != 1:
+            continue
+        (ux, uy), k, sign = _unit_cross_partner(b2), rng.randint(-3, 3), rng.choice((1, -1))
+        a = [a1, a2, (sign * (ux + k * b2[0]), sign * (uy + k * b2[1]))]
+        b = [(c[0] - x, c[1] - y) for x, y in a]
+        d = cone_data(a, b)
+        if cone_condition_holds(d):
+            pool.append(({"A": a, "B": b}, d))
+    return pool
+
+
+@pytest.mark.parametrize("exponent", [2, 3, 4, 5, 6])
+def test_large_admissible_data_certify_at_the_exact_vertex_margins(capsys, exponent):
+    """On 60 admissible systems with entries of about N = 10^exponent,
+    whose smallest fixed-point margins fall like N^-2 (to about 1e-11 at
+    10^5), ``verify --samples m`` certifies every fixed point at rank 4:
+    the rank is the support test, and no float cutoff decides it. Up to
+    N = 10^5 every system exits 0, and its m margins are
+    :func:`vertex_margin` within 1e-13 relative. At N = 10^6 no
+    certificate has rank < 4, and a system that fails, fails sampling
+    alone: a seed's |Phi - C|, the rounding of sums far above the moment
+    scale, exceeds the acceptance rule's tol * moment_scale."""
+    pool = _large_admissible_pool(10**exponent, f"large admissible data: 10^{exponent}", 60)
+    for config, d in pool:
+        witnesses = d.mixed_witnesses
+        code = main(["verify", "--config", json.dumps(config), "--samples", str(len(witnesses))])
+        results = json.loads(capsys.readouterr().out)["results"]
+        if exponent == 6 and code == 1:
+            assert list(results) == ["cone_condition", "error"] and results["cone_condition"] is True, config
+            assert results["error"].startswith("sampling failed: point misses the level set: residuals"), config
+            continue
+        assert code == 0 and results["all_passed"] is True, config
+        assert [c["jacobian_rank"] for c in results["certificates"]] == [4] * len(witnesses), config
+        if exponent == 6:
+            continue
+        for cert, (i, j, a, b) in zip(results["certificates"], witnesses, strict=True):
+            rho = [Fraction(0)] * 6
+            rho[i - 1], rho[j + 2] = a, b
+            want = vertex_margin(d, rho)
+            assert abs(cert["regularity_margin"] - want) <= 1e-13 * want, (config, i, j)

@@ -147,9 +147,8 @@ def derived(args, ws, d):
 
 def verify_reports():
     def certificates(args, ws, d):
-        tol = quad.Tolerances(residual=args.tol)
-        points = quad.certification_sample(d, args.samples, args.seed, tol=tol)
-        return [cert.to_json() for cert in quad.certify_points(d, points, tol=tol)]
+        points = quad.certification_sample(d, args.samples, args.seed, args.tol)
+        return [cert.to_json() for cert in quad.certify_points(d, points, args.tol)]
 
     argv = ["verify", "--config", ORBIFOLD_WEIGHTS, "--samples", "20"]
     return rendered_report(argv, {"certificates": certificates, "weights": weights})
