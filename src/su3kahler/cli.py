@@ -94,30 +94,41 @@ def _load_json_source(source: str) -> dict:
     return obj
 
 
+# The keys of a weight system config.
+_WEIGHT_KEYS = frozenset(("wL", "wR"))
+
+
 def _problem(source: str) -> tuple[wt.WeightSystem | None, wt.DerivedConeData]:
     """The one config parser: a weight system {"wL", "wR"} or raw cone
     data {"A", "B"}; every rejected entry becomes an InputError, and so does
-    a config with a key of neither kind or keys of both, naming them.
+    a config with a key of neither kind or keys of both, naming them. A
+    config of exactly the weight keys, the usual one, goes to the weight
+    system without building a key set.
 
     Cone data describes the weighted torus action directly; a weight
     system additionally pins the homomorphism pair (and may rescale the
     cone data by the integrality denominator).
     """
     obj = _load_json_source(source)
-    weight_keys, cone_keys = obj.keys() & {"wL", "wR"}, obj.keys() & {"A", "B"}
-    unknown = obj.keys() - weight_keys - cone_keys
-    if unknown:
-        raise InputError(f"unknown config keys {sorted(unknown)}: expected wL/wR (weights) or A/B (cone data)")
-    if weight_keys and cone_keys:
-        raise InputError(
-            f"config mixes weight keys {sorted(weight_keys)} with cone data keys {sorted(cone_keys)}: "
-            "give one of them"
-        )
+    weights = obj.keys() == _WEIGHT_KEYS
+    if not weights:
+        weight_keys, cone_keys = obj.keys() & _WEIGHT_KEYS, obj.keys() & {"A", "B"}
+        unknown = obj.keys() - weight_keys - cone_keys
+        if unknown:
+            raise InputError(
+                f"unknown config keys {sorted(unknown)}: expected wL/wR (weights) or A/B (cone data)"
+            )
+        if weight_keys and cone_keys:
+            raise InputError(
+                f"config mixes weight keys {sorted(weight_keys)} with cone data keys {sorted(cone_keys)}: "
+                "give one of them"
+            )
+        weights = bool(weight_keys)
     try:
-        if weight_keys:
+        if weights:
             ws = wt.WeightSystem.from_json(obj)
             return ws, ws.derived
-        if len(cone_keys) == 2:
+        if len(obj) == 2:  # both cone data keys, and nothing else
             return None, wt.cone_data(obj["A"], obj["B"])
     except (ValueError, TypeError) as exc:
         raise InputError(str(exc)) from exc
@@ -280,10 +291,20 @@ def _table_template(statuses, nl: str):
     return _template(form, nl)
 
 
+@functools.lru_cache(maxsize=8)
+def _outside_table_text(nl: str) -> str:
+    """The text at nl of a condition table with no member: both pair
+    tables of data where the condition holds."""
+    return _fill(_table_template(("outside",) * 9, nl), ())
+
+
 def _table_text(table, nl: str) -> str:
     """A condition table (one of a report's three, the evidence (status, n1,
     n2, den) of the nine pairs in order) as encoded text, each member's
-    coefficients n1/den and n2/den written as quotients."""
+    coefficients n1/den and n2/den written as quotients. The shared table
+    of nine non-members, ``weights._OUTSIDE_TABLE``, is one cached text."""
+    if table is wt._OUTSIDE_TABLE:
+        return _outside_table_text(nl)
     # status values, not members: a str caches its hash, an enum member
     # hashes through a Python-level __hash__
     statuses = tuple([status._value_ for status, _, _, _ in table])
@@ -383,7 +404,22 @@ def _census_text(divisors, witnesses, nl: str) -> str:
             first, middle, last = _census_entry(k, d1, d12, True, inner)
             na, nb, den = w
             entries.append(first + _quotient_text(na, den) + middle + _quotient_text(nb, den) + last)
-    return "[" + inner + ("," + inner).join(entries) + nl + "]"
+    return _list_text(entries, nl)
+
+
+def _list_text(texts, nl: str) -> str:
+    """A nonempty list at nl whose items, each on its own line, are these
+    JSON texts, as ``json.dumps(indent=2)`` writes it there."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+@functools.lru_cache(maxsize=4)  # hodge_model's two tables, one per branch, at one nl
+def _hodge_text(entries: tuple, nl: str) -> str:
+    """The Hodge dict of a cohomology report as encoded text, for the
+    table with these (bidegree, dimension) entries: written once per table
+    and nl."""
+    return _text(coh.HodgeTable(dict(entries)).to_json(), nl)
 
 
 # A certificate's shape is its Jacobian rank, 0 to 4; the certify pool
@@ -408,7 +444,7 @@ def _certificates_text(ranks: list, margins: list, nl: str) -> str:
     inner = nl + "  "
     formats = [_certificate_format(rank, inner) for rank in ranks]
     texts = json.dumps(margins)[1:-1].split(", ")
-    return ("[" + inner + ("," + inner).join(formats) + nl + "]") % tuple(texts)
+    return _list_text(formats, nl) % tuple(texts)
 
 
 def _report(command: str, config: dict, results: dict, passed: bool, wall: float) -> dict:
@@ -624,11 +660,11 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
     beta_str = [repr(b) if isinstance(b, coh.Eisenstein) else scalar_to_json(b) for b in beta]
     passed = tuple(basic_betti) == coh.BASIC_BETTI and derham == coh.SU3_DERHAM_BETTI
     results = {
-        "basic_betti": basic_betti,
-        "derham_betti": list(derham),
+        "basic_betti": _rendered(_list_text, [*map(str, basic_betti)]),
+        "derham_betti": _rendered(_list_text, [*map(str, derham)]),
         "derham_matches_su3": derham == coh.SU3_DERHAM_BETTI,
-        "hodge": hodge.to_json(),
-        "beta": beta_str,
+        "hodge": _rendered(_hodge_text, tuple(hodge.entries.items())),
+        "beta": _rendered(_list_text, [*map(encode_basestring_ascii, beta_str)]),
     }
     return results, passed
 

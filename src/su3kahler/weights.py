@@ -24,8 +24,11 @@ off one integer table per cone data, :attr:`DerivedConeData.sign_table`
 integers, the 27 decisions of :func:`check_cone_condition` (the nine mixed
 ones are one tuple per cone data, which the mixed witnesses read too),
 the mixed witnesses, regularity, compactness and the apex functional:
-:func:`_condition_evidence`, from which ``check`` writes its report. The
-library's objects (:class:`ConditionReport`, its memberships,
+:func:`_condition_evidence`, from which ``check`` writes its report.
+Where the condition holds, the nine crosses give all of these but the
+apex by the corollary's own formula, with no membership decided; data
+that fail it are decided pair by pair. The library's objects
+(:class:`ConditionReport`, its memberships,
 :attr:`DerivedConeData.mixed_witnesses`, the apex functional) are their
 ``Fraction`` views. The interpolation path
 needs no crosses of its own: by the README's path corollary it holds on
@@ -58,9 +61,9 @@ from typing import Iterator
 
 from .conegeom import (  # noqa: F401 (in_cone2 re-exported: the benchmark binds weights.in_cone2)
     ConeMembership,
-    MembershipStatus,
     SignTable,
     Vec2,
+    _INTERIOR,
     _OUTSIDE_EVIDENCE,
     _as_int,
     _check_int,
@@ -98,35 +101,42 @@ __all__ = [
 IVec2 = tuple[int, int]
 
 
-def _ivec(v) -> IVec2:
-    """A list or tuple of two ints (bools and floats rejected), or a
-    ValueError naming ``v``: a string or a dict would unpack into its
-    characters or keys."""
-    if not isinstance(v, (list, tuple)) or len(v) != 2 or type(v[0]) is not int or type(v[1]) is not int:
-        raise ValueError(f"integer weight vector expected, got {v!r}")
-    return (v[0], v[1])
-
-
 def _weight_rows(*named_sides) -> tuple[tuple[IVec2, IVec2, IVec2], ...]:
     """The one row check, shared by :class:`WeightSystem` and the
     enumeration grid: each (name, side) pair as three int pairs summing
     to zero.
 
-    Every side must be a list or tuple. Every entry is checked next
-    (bools and floats are rejected), then every side's length, then each
-    side's sum (``name`` labels it in the message); the first failure
-    raises ValueError.
+    Every side must be a list or tuple. Every entry is checked next, as a
+    list or tuple of two ints (bools and floats are rejected: a string or
+    a dict would unpack into its characters or keys), then every side's
+    length, then each side's sum (``name`` labels it in the message); the
+    first failure raises ValueError. One pass over the sides: a side that
+    is not a list raises at once, and every other fault is held, the first
+    of the earliest kind (an entry, a length, a sum), until the pass ends.
     """
+    rows = []
+    kind, message = 3, None  # the held fault: 0 an entry, 1 a length, 2 a sum
     for name, side in named_sides:
         if not isinstance(side, (list, tuple)):
             raise ValueError(f"{name} must be a list of three weight vectors, got {side!r}")
-    triples = tuple(tuple(_ivec(v) for v in side) for _, side in named_sides)
-    if any(len(t) != 3 for t in triples):
-        raise ValueError("exactly three weight vectors per side")
-    for (name, _), t in zip(named_sides, triples):
-        if (sum(v[0] for v in t), sum(v[1] for v in t)) != (0, 0):
-            raise ValueError(f"{name} must sum to zero, got {t}")
-    return triples
+        for v in side:
+            if not isinstance(v, (list, tuple)) or len(v) != 2 or type(v[0]) is not int or type(v[1]) is not int:
+                if kind > 0:
+                    kind, message = 0, f"integer weight vector expected, got {v!r}"
+                break
+        else:
+            if len(side) != 3:
+                if kind > 1:
+                    kind, message = 1, "exactly three weight vectors per side"
+                continue
+            (x1, y1), (x2, y2), (x3, y3) = side
+            row = ((x1, y1), (x2, y2), (x3, y3))
+            if (x1 + x2 + x3 or y1 + y2 + y3) and kind > 2:
+                kind, message = 2, f"{name} must sum to zero, got {row}"
+            rows.append(row)
+    if message is not None:
+        raise ValueError(message)
+    return tuple(rows)
 
 
 @dataclass(frozen=True, order=True)
@@ -259,17 +269,28 @@ class DerivedConeData:
     @functools.cached_property
     def _mixed_evidence(self) -> tuple[tuple, ...]:
         """C against cone(A_i, B_j), 0-based, at position 3*i + j, as the
-        integer evidence (status, n1, n2, den) of the sign table's
-        :meth:`~su3kahler.conegeom.SignTable.decide`, read once per
+        integer evidence (status, n1, n2, den) that the sign table's
+        :meth:`~su3kahler.conegeom.SignTable.decide` gives, read once per
         instance: the condition report, its text and the mixed witnesses
         all read it. A diagonal one with cross(A_i, B_i) != 0 is the shared
-        :data:`_DIAGONAL_EVIDENCE`, which C = A_i + B_i makes it; only the
-        others are decided."""
-        table = self.sign_table
-        crosses = table.crosses
+        :data:`_DIAGONAL_EVIDENCE`, which C = A_i + B_i makes it.
+
+        Where the condition holds (:attr:`_holds`), nothing is decided: by
+        the README's nine-sign corollary C = (s_j A_i + s_i B_j)/d_ij with
+        d_ij = cross(A_i, B_j) and s_k = d_kk, all of one sign, so the pair
+        i != j is (INTERIOR, s_j, s_i, d_ij), read off the nine crosses.
+        Elsewhere every pair but an independent diagonal one is decided."""
+        nine = self._nine_crosses
+        if self._holds:
+            s = nine[::4]
+            return tuple([
+                _DIAGONAL_EVIDENCE if i == j else (_INTERIOR, s[j], s[i], d)
+                for (i, j), d in zip(_ORDERED_PAIRS, nine)
+            ])
+        decide = self.sign_table.decide
         return tuple([
-            _DIAGONAL_EVIDENCE if i == j and crosses[i][3 + i] else table.decide(_C, i, 3 + j)
-            for i, j in _ORDERED_PAIRS
+            _DIAGONAL_EVIDENCE if i == j and d else decide(_C, i, 3 + j)
+            for (i, j), d in zip(_ORDERED_PAIRS, nine)
         ])
 
     @functools.cached_property
@@ -289,7 +310,7 @@ class DerivedConeData:
             if i == j:
                 continue
             if crosses[i][3 + j]:
-                w = (n1, n2, den) if status is MembershipStatus.INTERIOR else None
+                w = (n1, n2, den) if status is _INTERIOR else None
             else:
                 w = table.positive(_C, i, 3 + j)
             if w is not None:
@@ -321,10 +342,14 @@ _C = 6
 
 # C against cone(A_i, B_i) for independent A_i, B_i: C = A_i + B_i is
 # interior with coefficients (1, 1), as SignTable.decide finds it.
-_DIAGONAL_EVIDENCE = (MembershipStatus.INTERIOR, 1, 1, 1)
+_DIAGONAL_EVIDENCE = (_INTERIOR, 1, 1, 1)
 
 # The nine index pairs (i, j), 0-based, in the order of (i, j).
 _ORDERED_PAIRS = tuple(itertools.product(range(3), repeat=2))
+
+# The A-pair and B-pair tables of data where the condition holds: C lies
+# in none of the nine cones (the nine-sign corollary).
+_OUTSIDE_TABLE = (_OUTSIDE_EVIDENCE,) * 9
 
 
 def cone_data(a_vectors, b_vectors) -> DerivedConeData:
@@ -423,12 +448,20 @@ def _level_set_evidence(d: DerivedConeData) -> tuple:
     """The integers of :func:`check_level_set_conditions`: (witness,
     regular, compact, apex), with the first mixed witness (i, j, na, nb,
     den) of :attr:`DerivedConeData._witness_evidence` or None, and the apex
-    functional (x, y, den) of :attr:`DerivedConeData._apex` or None."""
+    functional (x, y, den) of :attr:`DerivedConeData._apex` or None.
+
+    Where the condition holds, the nine-sign corollary decides the rest:
+    every mixed cross is nonzero, so the data are regular, and C lies in
+    no A-pair cone, so they are compact exactly when an apex exists.
+    Elsewhere regularity reads the six mixed crosses and compactness the
+    two A-pair memberships that decide it."""
     witnesses = d._witness_evidence
+    apex = d._apex
+    if d._holds:
+        return witnesses[0], True, apex is not None, apex
     table = d.sign_table
     crosses = table.crosses
     regular = all(crosses[i][3 + j] for i, j in _MIXED_PAIRS)
-    apex = d._apex
     compact = apex is not None and all(table.decide(_C, 0, q) is _OUTSIDE_EVIDENCE for q in (1, 2))
     return witnesses[0] if witnesses else None, regular, compact, apex
 
@@ -488,21 +521,32 @@ def _condition_evidence(d: DerivedConeData) -> tuple:
     evidence tuples (status, n1, n2, den) of C against cone(A_i, A_j),
     cone(B_i, B_j) and cone(A_i, B_j) in order of (i, j), and the level
     set as :func:`_level_set_evidence` gives it. ``check`` writes its
-    report from these; :func:`check_cone_condition` is their view."""
+    report from these; :func:`check_cone_condition` is their view.
+
+    Where the condition holds, the nine-sign corollary gives every table
+    without a decision: both pair tables are the shared
+    :data:`_OUTSIDE_TABLE`, and the mixed one is
+    :attr:`DerivedConeData._mixed_evidence`, read off the nine crosses.
+    Elsewhere each pair is decided by the sign table's
+    :meth:`~su3kahler.conegeom.SignTable.decide`."""
+    if d._holds:
+        return True, (_OUTSIDE_TABLE, _OUTSIDE_TABLE, d._mixed_evidence), _level_set_evidence(d)
     decide = d.sign_table.decide
     a_pairs = [decide(_C, i, j) for i, j in _ORDERED_PAIRS]
     b_pairs = [decide(_C, 3 + i, 3 + j) for i, j in _ORDERED_PAIRS]
-    return cone_condition_holds(d), (a_pairs, b_pairs, d._mixed_evidence), _level_set_evidence(d)
+    return False, (a_pairs, b_pairs, d._mixed_evidence), _level_set_evidence(d)
 
 
 def check_cone_condition(d: DerivedConeData) -> ConditionReport:
     """The separating cone condition's verdict, :func:`cone_condition_holds`,
     with all 27 sub-results as its evidence: the ``Fraction`` views of
-    :func:`_condition_evidence`, each decided on d's sign table by
-    :meth:`~su3kahler.conegeom.SignTable.decide` (the nine mixed ones are
-    d's one tuple of them, which :attr:`DerivedConeData.mixed_witnesses`
-    reads too). By the nine-sign corollary the verdict holds exactly when
-    no A-pair or B-pair membership is a member and all nine mixed ones are."""
+    :func:`_condition_evidence`, read off d's nine crosses where the
+    condition holds and decided on d's sign table by
+    :meth:`~su3kahler.conegeom.SignTable.decide` where it fails (the nine
+    mixed ones are d's one tuple of them, which
+    :attr:`DerivedConeData.mixed_witnesses` reads too). By the nine-sign
+    corollary the verdict holds exactly when no A-pair or B-pair
+    membership is a member and all nine mixed ones are."""
     holds, tables, _ = _condition_evidence(d)
     a_pairs, b_pairs, mixed = (
         {(i + 1, j + 1): _membership_of(e) for (i, j), e in zip(_ORDERED_PAIRS, table)} for table in tables

@@ -9,7 +9,10 @@ lattice-pair freeness of its survivors), freeness by the homomorphisms,
 the witnesses by the former ``positive_combination`` in Fractions, the
 apex search by the batched sign kernel ``reference_cone_member``, the
 interpolation path built vector by vector at every time and the census
-built entry by entry; the tests compare the library with them."""
+built entry by entry; and the condition's integer evidence decided pair
+by pair on the sign table, as it was before the nine-sign corollary gave
+admissible evidence from the crosses. The tests compare the library with
+them."""
 
 import functools
 import itertools
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from su3kahler import DerivedConeData, WeightSystem, cone_data, enumerate_admissible_systems
-from su3kahler.conegeom import ConeMembership, MembershipStatus, cross, dot, is_zero, vadd, vscale
+from su3kahler.conegeom import ConeMembership, MembershipStatus, SignTable, cross, dot, is_zero, vadd, vscale
 from su3kahler.isotropy import (
     IsotropyGroup,
     StratumReport,
@@ -29,7 +32,7 @@ from su3kahler.isotropy import (
     invariant_factors_from_divisors,
 )
 from su3kahler.quadric import ROUND_DATA, LevelSetPoint, certification_sample, moment_map
-from su3kahler.weights import ConditionReport, LevelSetConditions, _MIXED_PAIRS
+from su3kahler.weights import _DIAGONAL_EVIDENCE, _MIXED_PAIRS, ConditionReport, LevelSetConditions
 
 
 @pytest.fixture(scope="session")
@@ -421,3 +424,60 @@ def reference_census(d):
         else:
             reports.append(StratumReport(pattern, group, True if pattern.is_full else None, None))
     return reports
+
+
+# --- the condition's evidence pair by pair --------------------------------------
+
+# The nine pairs (i, j), 0-based, in order of (i, j), and the row of C in
+# the sign table of (A_1, A_2, A_3, B_1, B_2, B_3, C).
+PAIRS = tuple(itertools.product(range(3), repeat=2))
+C_ROW = 6
+
+
+def reference_mixed_evidence(table):
+    """C against every cone(A_i, B_j) decided by ``SignTable.decide`` on
+    the table of (A_1, ..., B_3, C), except an independent diagonal pair:
+    C = A_i + B_i makes that the shared (INTERIOR, 1, 1, 1)."""
+    return tuple(
+        _DIAGONAL_EVIDENCE if i == j and table.crosses[i][3 + i] else table.decide(C_ROW, i, 3 + j)
+        for i, j in PAIRS
+    )
+
+
+def reference_witness_evidence(d):
+    """The integer mixed witnesses (i, j, na, nb, den), 1-based, i != j,
+    pair by pair on a fresh sign table of d: the INTERIOR decision of an
+    independent pair, ``SignTable.positive`` for a dependent one."""
+    table = SignTable((*d.a, *d.b, d.c))
+    witnesses = []
+    for (i, j), (status, n1, n2, den) in zip(PAIRS, reference_mixed_evidence(table)):
+        if i == j:
+            continue
+        if table.crosses[i][3 + j]:
+            w = (n1, n2, den) if status is MembershipStatus.INTERIOR else None
+        else:
+            w = table.positive(C_ROW, i, 3 + j)
+        if w is not None:
+            witnesses.append((i + 1, j + 1, *w))
+    return tuple(witnesses)
+
+
+def reference_condition_evidence(d):
+    """``weights._condition_evidence`` decided pair by pair on a fresh sign
+    table of d, each table a tuple: all 27 memberships by
+    ``SignTable.decide``; the verdict by the definition, no A-pair or
+    B-pair member and nine mixed ones; regularity from the six mixed
+    crosses; compactness from the apex and the two A-pair decisions
+    cone(A_1, A_2) and cone(A_1, A_3) (the README's compactness proof)."""
+    table = SignTable((*d.a, *d.b, d.c))
+    outside = MembershipStatus.OUTSIDE
+    a_pairs = tuple(table.decide(C_ROW, i, j) for i, j in PAIRS)
+    b_pairs = tuple(table.decide(C_ROW, 3 + i, 3 + j) for i, j in PAIRS)
+    mixed = reference_mixed_evidence(table)
+    holds = all(e[0] is outside for e in a_pairs + b_pairs) and all(e[0] is not outside for e in mixed)
+    witnesses = reference_witness_evidence(d)
+    regular = all(table.crosses[i][3 + j] for i, j in _MIXED_PAIRS)
+    apex = None if any(is_zero(g) for g in table.vectors[:C_ROW]) else table.apex(C_ROW)
+    compact = apex is not None and all(table.decide(C_ROW, 0, q)[0] is outside for q in (1, 2))
+    witness = witnesses[0] if witnesses else None
+    return holds, (a_pairs, b_pairs, mixed), (witness, regular, compact, apex)

@@ -496,6 +496,35 @@ def test_isotropy_derives_and_decides_once(capsys, monkeypatch):
         assert calls == {"derive": 1, "SignTable": 1, "_holds": 1}
 
 
+def test_admissible_reports_decide_no_membership(capsys, monkeypatch):
+    """Where the condition holds, the nine-sign corollary gives every
+    membership and witness from the nine crosses: check, isotropy and
+    verify on the README's weight system call SignTable.decide 0 times
+    (26, 6 and 6 when each pair was decided). The all-zero system fails
+    the condition, and its check decides all 27 memberships."""
+    from su3kahler import conegeom
+
+    calls = []
+    original = conegeom.SignTable.decide
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(conegeom.SignTable, "decide", counted)
+    for argv, expected in (
+        (("check", "--config", ORBIFOLD_CONFIG), 0),
+        (("isotropy", "--config", ORBIFOLD_CONFIG), 0),
+        (("verify", "--config", ORBIFOLD_CONFIG, "--samples", "5"), 0),
+        (("check", "--config", ZERO_CONFIG), 27),
+    ):
+        calls.clear()
+        code, out = run(capsys, *argv)
+        assert json.loads(out)["command"] == argv[0]
+        assert code == (1 if argv[-1] == ZERO_CONFIG else 0)
+        assert len(calls) == expected
+
+
 # --- verify: tolerances and scale ----------------------------------------------------
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import admissible_systems, basis_change, holds_by_memberships
+from conftest import admissible_systems, basis_change, holds_by_memberships, reference_condition_evidence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +84,7 @@ def exact_view(d, perm=IDENTITY):
     return (
         cone_condition_holds(d),
         holds_by_memberships(check_cone_condition(d)),
+        reference_condition_evidence(d)[0],
         (ls.nonempty, ls.regular, ls.compact),
         witnesses,
     )

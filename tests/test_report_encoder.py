@@ -230,6 +230,7 @@ ENVELOPES = [
     ("enumerate", "--bound", "1"),
     ("enumerate", "--bound", "-1"),
     ("cohomology",),
+    ("cohomology", "--branch", "degenerate"),  # the other Hodge branch, Eisenstein beta strings
     ("cohomology", "--beta", "1/2,-3/7"),
     ("cohomology", "--beta", "1/0,1"),
     ("cohomology", "--branch", "degenerate", "--beta", "1,1"),  # refused

@@ -9,6 +9,7 @@ the interpolation path, which the condition forces; and the table's gate
 on its entries."""
 
 import functools
+import itertools
 import re
 from fractions import Fraction
 
@@ -17,15 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    holds_by_memberships,
+    admissible_systems,
     reference_apex,
     reference_census,
+    reference_condition_evidence,
     reference_condition_holds,
     reference_condition_report,
     reference_in_cone2,
     reference_interpolation_path,
     reference_level_set,
     reference_mixed_witnesses,
+    reference_witness_evidence,
 )
 from su3kahler.conegeom import (
     MembershipStatus,
@@ -40,6 +43,7 @@ from su3kahler.conegeom import (
 from su3kahler.isotropy import singular_stratum_census
 from su3kahler.weights import (
     _DIAGONAL_EVIDENCE,
+    _condition_evidence,
     DerivedConeData,
     check_cone_condition,
     check_interpolation_path,
@@ -151,12 +155,40 @@ def test_an_independent_diagonal_membership_is_the_shared_constant(d):
 def test_nine_sign_verdict_matches_the_evidence_and_the_eight_tests(d):
     """The README's nine-sign corollary: the condition holds exactly when
     the nine crosses cross(A_i, B_j) are nonzero with one sign; the verdict
-    equals the 27 memberships' and the 8 tests' (each by its own crosses)."""
+    equals the 27 memberships' decided pair by pair (a report's own
+    memberships are read off the verdict where it holds) and the 8 tests'
+    (each by its own crosses)."""
     verdict = cone_condition_holds(fresh(d))
-    assert verdict == holds_by_memberships(check_cone_condition(fresh(d)))
+    assert verdict == reference_condition_evidence(d)[0]
     assert verdict == reference_condition_holds(*d.a, *d.b, d.c)
     nine = [cross(a, b) for a in d.a for b in d.b]
     assert verdict == (all(x > 0 for x in nine) or all(x < 0 for x in nine))
+
+
+def assert_evidence_is_the_per_pair_evidence(d):
+    """d's condition evidence, mixed evidence and witnesses, each read
+    first on fresh data, equal the evidence decided pair by pair."""
+    reference = reference_condition_evidence(d)
+    holds, tables, level_set = _condition_evidence(fresh(d))
+    assert (holds, tuple(map(tuple, tables)), level_set) == reference
+    assert fresh(d)._mixed_evidence == reference[1][2]
+    assert fresh(d)._witness_evidence == reference_witness_evidence(d)
+
+
+@given(configurations)
+@settings(max_examples=400, deadline=None)
+def test_evidence_equals_the_per_pair_evidence(d):
+    assert_evidence_is_the_per_pair_evidence(d)
+
+
+def test_admissible_evidence_equals_the_per_pair_evidence():
+    """Where the condition holds the evidence is read off the nine crosses
+    (the nine-sign corollary): every bound-2 system and every 97th bound-3
+    one."""
+    systems = [*admissible_systems(2), *itertools.islice(enumerate_admissible_systems(3), 0, None, 97)]
+    assert len(systems) == 2856 + 667
+    for ws in systems:
+        assert_evidence_is_the_per_pair_evidence(derive(ws))
 
 
 @given(st.lists(st.one_of(*(st.tuples(s, s) for s in SCALARS.values())), min_size=1, max_size=7))

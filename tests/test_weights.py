@@ -17,6 +17,7 @@ from conftest import (
     holds_by_memberships,
     reference_block_survivors,
     reference_cone_member,
+    reference_condition_evidence,
     reference_condition_holds,
     reference_free_by_homs,
     reference_free_by_pairs,
@@ -986,6 +987,11 @@ def test_streamed_systems_equal_validated_ones(bound2_systems):
         (((1, 0), (0, 0), (0, 0)), ((1.5, 0), (0, 0), (0, 0)), "integer weight vector expected, got (1.5, 0)"),
         (((1, 0), (0, 0), (0, 0)), ((0, 0), (0, 0)), "exactly three weight vectors per side"),
         (((1, 0), (0, 0), (0, 0)), ((0, 1), (0, 0), (0, 0)), "wL must sum to zero, got ((1, 0), (0, 0), (0, 0))"),
+        # a side that is not a list before any entry, and an entry before any length
+        (((1.0, 0), (0, 0), (-1, 0)), "wR", "wR must be a list of three weight vectors, got 'wR'"),
+        (((0, 0), (True, 0)), ((0, 0),) * 3, "integer weight vector expected, got (True, 0)"),
+        (((0, 0), (0, 0)), ((1.5, 0), (0, 0), (0, 0)), "integer weight vector expected, got (1.5, 0)"),
+        (((1, 0, 0), (0, 0), (-1, 0)), ((0, 0),) * 3, "integer weight vector expected, got (1, 0, 0)"),
     ],
 )
 def test_row_check_rejects_bad_triples(wl, wr, message):
@@ -1027,14 +1033,16 @@ def test_fast_path_agrees_with_evidence(bound2_systems):
     sample = bound2_systems[:: max(1, len(bound2_systems) // 100)]
     for ws in sample:
         d = derive(ws)
-        assert cone_condition_holds(d) == holds_by_memberships(check_cone_condition(d))
+        verdict = cone_condition_holds(d)
+        assert verdict == holds_by_memberships(check_cone_condition(d)) == reference_condition_evidence(d)[0]
 
 
 @given(st.tuples(small_vec, small_vec, small_vec), small_vec)
 @settings(max_examples=300)
 def test_fast_path_agrees_on_random_data(a_vectors, c):
     d = DerivedConeData(a_vectors, tuple(vsub(c, a) for a in a_vectors), c)
-    assert cone_condition_holds(d) == holds_by_memberships(check_cone_condition(d))
+    verdict = cone_condition_holds(d)
+    assert verdict == holds_by_memberships(check_cone_condition(d)) == reference_condition_evidence(d)[0]
 
 
 def test_cone_condition_symmetries(bound1_systems):
