@@ -197,22 +197,29 @@ def _keyed(o, keys):
 
 
 def _template(form, nl: str):
-    """The text of form at nl split at its gaps: the pieces between them,
-    and the key of each gap, in text order."""
+    """The text of form at nl, compiled for :func:`_fill`: a %-format of
+    its pieces between the gaps, each ``%`` doubled and ``%s`` at each
+    gap, and a getter of the gaps' keys, in text order, from the values,
+    which returns a tuple (one key's value wrapped, none for no keys)."""
     split = _GAP.split(json.dumps(form, indent=2, sort_keys=True).replace("\n", nl))
-    return tuple(split[::3]), tuple(int(q or b) for q, b in zip(split[1::3], split[2::3]))
+    keys = [int(q or b) for q, b in zip(split[1::3], split[2::3])]
+    fmt = "%s".join(piece.replace("%", "%%") for piece in split[::3])
+    if len(keys) > 1:
+        return fmt, operator.itemgetter(*keys)
+    if keys:
+        key = keys[0]
+        return fmt, lambda values: (values[key],)
+    return fmt, lambda values: ()
 
 
 def _fill(template, values) -> str:
-    """A template's text with str(values[k]) in each gap of key k. A value is
-    a JSON text, an int (not a bool), whose str() is json.dumps's text of
-    it, or, in a string gap, an int or a Fraction, whose str() is
-    ``scalar_to_json`` of it: digits, "-" and "/", which need no escape."""
-    pieces, keys = template
-    parts: list = [None] * (2 * len(pieces) - 1)
-    parts[::2] = pieces
-    parts[1::2] = [str(values[k]) for k in keys]
-    return "".join(parts)
+    """A template's text with str(values[k]) in each gap of key k, by one
+    ``%``. A value is a JSON text, an int (not a bool), whose str() is
+    json.dumps's text of it, or, in a string gap, an int or a Fraction,
+    whose str() is ``scalar_to_json`` of it: digits, "-" and "/", which
+    need no escape."""
+    fmt, getter = template
+    return fmt % getter(values)
 
 
 # The dict form of each block written from a leaf template, with zeros for
@@ -427,11 +434,11 @@ def _hodge_text(entries: tuple, nl: str) -> str:
 @functools.lru_cache(maxsize=8)
 def _certificate_format(jacobian_rank: int, nl: str) -> str:
     """The text at nl of a certificate of this Jacobian rank, as a
-    %-format with one ``%s``, for its regularity margin."""
+    %-format with one ``%s``, for its regularity margin: its template's
+    format."""
     from . import quadric as quad
 
-    pieces, _ = _template(quad.PointCertificate(jacobian_rank, _gap(0)).to_json(), nl)
-    return "%s".join(piece.replace("%", "%%") for piece in pieces)
+    return _template(quad.PointCertificate(jacobian_rank, _gap(0)).to_json(), nl)[0]
 
 
 def _certificates_text(ranks: list, margins: list, nl: str) -> str:
@@ -845,12 +852,17 @@ def _read_argv(argv) -> argparse.Namespace | None:
         k += 2
     if "command" not in attrs or not grammar.required <= seen:
         return None
-    return argparse.Namespace(**attrs)
+    args = argparse.Namespace()
+    args.__dict__.update(attrs)
+    return args
+
+
+# The attributes of a namespace that a report's config does not echo.
+_NOT_ECHOED = frozenset(("command", "out", "timing"))
 
 
 def _config_echo(args) -> dict:
-    skip = {"command", "out", "timing"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in _NOT_ECHOED}
 
 
 def main(argv=None) -> int:

@@ -367,6 +367,12 @@ class HodgeTable:
         return {"diamond": self.diamond(), "branch": list(self.branch)}
 
 
+def _beta_entry(x):
+    """An entry of beta: an :class:`Eisenstein` as it is, anything else
+    through the rational gate, which :meth:`Eisenstein.of` applies too."""
+    return x if isinstance(x, Eisenstein) else _scalar(x)
+
+
 def hodge_model(beta) -> HodgeTable:
     """Hodge numbers of the bigraded model with d(u) = beta.
 
@@ -378,12 +384,19 @@ def hodge_model(beta) -> HodgeTable:
     branch at (2, 1), (2, 2), (2, 3), which is (1, 2, 1) where
     b1^2 - b1*b2 + b2^2 = 0 (multiplication by beta from A^{1,1} to A^{2,2}
     drops rank) and (0, 0, 0) elsewhere; the README's Hodge-branch
-    corollary proves it.
+    corollary proves it. The form is evaluated in Q(omega) only when an
+    entry is an :class:`Eisenstein`: over Q it is positive definite, so
+    a rational beta, nonzero once past the first check, has the branch
+    (0, 0, 0). A rational entry passes the rational gate either way.
     """
-    b1, b2 = _vector(beta, Eisenstein.of)
+    b1, b2 = _vector(beta, _beta_entry)
     if not (b1 or b2):
         raise ValueError("beta must be nonzero")
-    branch = (0, 0, 0) if b1 * b1 - b1 * b2 + b2 * b2 else (1, 2, 1)
+    branch = (0, 0, 0)
+    if isinstance(b1, Eisenstein) or isinstance(b2, Eisenstein):
+        b1, b2 = Eisenstein.of(b1), Eisenstein.of(b2)
+        if not b1 * b1 - b1 * b2 + b2 * b2:
+            branch = (1, 2, 1)
     entries = {
         (p, q): _FIXED_HODGE.get((p, q), 0)
         for p in range(5)

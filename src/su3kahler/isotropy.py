@@ -13,9 +13,10 @@ trivial left homomorphism with a torus isomorphism on the right (the
 README's freeness corollary), which is therefore not computed.
 
 The census is kept as integers, :func:`_census_evidence`: the divisors
-(d1, d12) of every support pattern, read from the minors in the cone
-data's sign table, and the singletons' witnesses (na, nb, den), the
-data's integer mixed witnesses. ``isotropy`` writes its census from them;
+(d1, d12) of every support pattern, read from per-side tables over the
+subsets of {1, 2, 3} of the entries and minors in the cone data's sign
+table, and the singletons' witnesses (na, nb, den), the data's integer
+mixed witnesses. ``isotropy`` writes its census from them;
 :func:`singular_stratum_census` is their view as :class:`StratumReport`s.
 """
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -241,38 +241,33 @@ class StratumReport:
         }
 
 
-def _pattern_rows(pattern: SupportPattern) -> tuple[int, ...]:
-    """Indices of the pattern's exponent rows in (A_1, A_2, A_3, B_1, B_2, B_3)."""
-    return tuple(i - 1 for i in pattern.i_set) + tuple(2 + j for j in pattern.j_set)
-
-
-_GENERATOR_PAIRS = tuple(itertools.combinations(range(6), 2))
+# The nonempty subsets of {1, 2, 3}, singletons first, then pairs, then
+# the whole set: the index order of every per-side table of the census.
+_SUBSETS = tuple(s for size in (1, 2, 3) for s in itertools.combinations((1, 2, 3), size))
 
 
 def _census_patterns():
-    """For every valid pattern, in census order: (pattern, a getter of its
-    generator rows, a getter of its row pairs' indices in _GENERATOR_PAIRS,
-    (i, j) for a singleton {i} x {j} or None, whether it is the full
-    pattern). A getter returns a tuple of its indices, the first repeated
-    so that one index gives a tuple too; a gcd does not change."""
-    subsets = [s for size in (1, 2, 3) for s in itertools.combinations((1, 2, 3), size)]
+    """For every valid pattern, in census order: (pattern, the index of I
+    and of J in _SUBSETS, (i, j) for a singleton {i} x {j} or None,
+    whether it is the full pattern)."""
     patterns = []
-    for i_set in subsets:
-        for j_set in subsets:
+    for i_set in _SUBSETS:
+        for j_set in _SUBSETS:
             try:
                 patterns.append(SupportPattern(i_set, j_set))
             except ValueError:
                 continue  # only I = J = {k} fails the mixed-pair requirement
     patterns.sort(key=lambda p: (len(p.i_set), len(p.j_set), p.i_set, p.j_set))
-    pair_index = {pair: k for k, pair in enumerate(_GENERATOR_PAIRS)}
-    table = []
-    for pattern in patterns:
-        rows = _pattern_rows(pattern)
-        pairs = tuple(pair_index[pair] for pair in itertools.combinations(rows, 2))
-        singleton = (pattern.i_set[0], pattern.j_set[0]) if pattern.is_singleton else None
-        getters = (operator.itemgetter(*rows, rows[0]), operator.itemgetter(*pairs, pairs[0]))
-        table.append((pattern, *getters, singleton, pattern.is_full))
-    return tuple(table)
+    return tuple(
+        (
+            pattern,
+            _SUBSETS.index(pattern.i_set),
+            _SUBSETS.index(pattern.j_set),
+            (pattern.i_set[0], pattern.j_set[0]) if pattern.is_singleton else None,
+            pattern.is_full,
+        )
+        for pattern in patterns
+    )
 
 
 _CENSUS_PATTERNS = _census_patterns()
@@ -288,20 +283,48 @@ def _census_report(k: int, d1: int, d12: int, witness) -> StratumReport:
     return StratumReport(pattern, _group_from_divisors(d1, d12), realizable, witness)
 
 
+def _subset_gcds(x: int, y: int, z: int) -> tuple[int, ...]:
+    """The gcd of the values x, y, z at the indices of each subset in
+    _SUBSETS, in its order, up to sign: x, y, z, then the pairs, then all
+    three. Every divisor is a gcd of these, which drops the sign."""
+    xy = gcd(x, y)
+    return x, y, z, xy, gcd(x, z), gcd(y, z), gcd(xy, z)
+
+
+def _minor_gcds(m12: int, m13: int, m23: int) -> tuple[int, ...]:
+    """The gcd of the 2 x 2 minors of one side's rows at the indices of
+    each subset in _SUBSETS, up to sign, from the minors of rows (1, 2),
+    (1, 3) and (2, 3): a singleton has none, so its gcd is 0."""
+    return 0, 0, 0, m12, m13, m23, gcd(m12, m13, m23)
+
+
 def _census_evidence(d: DerivedConeData) -> tuple[list[tuple[int, int]], dict]:
     """The census's integers: its keys, the determinantal divisors (d1, d12)
     of every census pattern's rows in census order, d1 the gcd of the rows'
-    entries and d12 the gcd of their 2 x 2 minors, read from the 15
-    pairwise minors of the six generators in d's sign table; and the
-    singletons' witnesses, {(i, j): (na, nb, den)} for C = (na*A_i +
-    nb*B_j)/den with na/den, nb/den > 0, d's integer mixed witnesses.
-    ``isotropy`` writes its census from these; :func:`singular_stratum_census`
-    is their view."""
-    entry_gcds = [gcd(x, y) for x, y in _integer_generators(d)]
+    entries and d12 the gcd of their 2 x 2 minors; and the singletons'
+    witnesses, {(i, j): (na, nb, den)} for C = (na*A_i + nb*B_j)/den with
+    na/den, nb/den > 0, d's integer mixed witnesses. ``isotropy`` writes
+    its census from these; :func:`singular_stratum_census` is their view.
+
+    The rows of the pattern I x J are the A_i, i in I, and the B_j, j in J,
+    so their entries split by side and their minors into A-pairs, B-pairs
+    and mixed pairs. Each is one table over the 7 subsets of a side, read
+    from the generators and the crosses of d's sign table: the gcd of the
+    A_i's entries and of the A-pair minors for each I (0 for a singleton),
+    the same for the B_j, and the gcd of the mixed minors cross(A_i, B_j)
+    for each (I, J). A pattern's divisors are then gcd(eA[I], eB[J]) and
+    gcd(mA[I], mB[J], mX[I][J]): a gcd of gcds is the gcd of them all."""
+    a1, a2, a3, b1, b2, b3 = (gcd(x, y) for x, y in _integer_generators(d))
     # the table clears nothing from integer data: its crosses are the minors
     crosses = d.sign_table.crosses
-    minors = [crosses[p][q] for p, q in _GENERATOR_PAIRS]
-    divisors = [(gcd(*rows(entry_gcds)), gcd(*pairs(minors))) for _, rows, pairs, _, _ in _CENSUS_PATTERNS]
+    r1, r2, r3, s1, s2 = crosses[:5]
+    e_a, e_b = _subset_gcds(a1, a2, a3), _subset_gcds(b1, b2, b3)
+    m_a, m_b = _minor_gcds(r1[1], r1[2], r2[2]), _minor_gcds(s1[4], s1[5], s2[5])
+    # the mixed minors of each I against a single B_j, then of each I
+    # against each J
+    columns = [_subset_gcds(r1[q], r2[q], r3[q]) for q in (3, 4, 5)]
+    m_x = [_subset_gcds(*row) for row in zip(*columns)]
+    divisors = [(gcd(e_a[p], e_b[q]), gcd(m_a[p], m_b[q], m_x[p][q])) for _, p, q, _, _ in _CENSUS_PATTERNS]
     return divisors, {(i, j): (na, nb, den) for i, j, na, nb, den in d._witness_evidence}
 
 

@@ -368,21 +368,25 @@ def _level_sample(fd: _FloatData, rho: np.ndarray, tol: float, states: np.ndarra
     ``tol`` times the moment scale; given the complex states over rho, also
     unless their quadric residual |sum z_j w_j| is at most ``tol``. Without
     them rho is a point of the orbit space, whose quadric residual is 0 by
-    the README's proposition (*The orbit space*). Each residual and
-    verdict is one column. Phi is kept for the boundedness residual.
-    |Phi - C| is one hypot of its two components, so the residual of data
-    near 1e300 (about 1e284) is not squared into an overflow.
+    the README's proposition (*The orbit space*), so no quadric column is
+    built, and a failing row reports 0.0 for it. Each residual and verdict
+    is one column. Phi is kept for the boundedness residual. |Phi - C| is
+    one hypot of its two components, so the residual of data near 1e300
+    (about 1e284) is not squared into an overflow.
     """
     phi = _moment(fd.fg, rho)
     mom = np.hypot(*(phi - fd.c).T)
-    quad = np.zeros(len(rho)) if states is None else _quadric_residual(states)
     usable = _usable(rho, _NONZERO_FLOOR**2)
-    failing = ~(usable & (quad <= tol) & (mom <= tol * fd.scale))
-    if failing.any():
-        k = int(failing.argmax())
+    passing = usable & (mom <= tol * fd.scale)
+    if states is not None:
+        quad = _quadric_residual(states)
+        passing &= quad <= tol
+    if not passing.all():
+        k = int(passing.argmin())
         if not usable[k]:
             raise ValueError("z and w must both be finite and nonzero on the quadric")
-        raise ValueError(f"point misses the level set: residuals {(float(quad[k]), float(mom[k]))}")
+        residual = 0.0 if states is None else float(quad[k])
+        raise ValueError(f"point misses the level set: residuals {(residual, float(mom[k]))}")
     return LevelSample(rho, phi, mom, states)
 
 

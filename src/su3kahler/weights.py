@@ -65,7 +65,6 @@ from .conegeom import (  # noqa: F401 (in_cone2 re-exported: the benchmark binds
     Vec2,
     _INTERIOR,
     _OUTSIDE_EVIDENCE,
-    _as_int,
     _check_int,
     _membership_of,
     _vector,
@@ -99,6 +98,33 @@ __all__ = [
 ]
 
 IVec2 = tuple[int, int]
+
+
+class _fact:
+    """A fact of an instance, computed by ``func`` on its first read and
+    stored in the instance's ``__dict__`` under the attribute's name, as
+    the standard library's cached property does it from Python 3.12 on,
+    without the lock that Python 3.11's takes on every first read.
+
+    It has ``__get__`` alone, so a value in ``__dict__`` shadows it: every
+    later read is a plain attribute lookup, and a value put there before
+    the first read (the enumerator's ``free``) is read without a call.
+    Writing to ``__dict__`` directly works on frozen dataclasses, whose
+    ``==``, hash and repr read their fields only. An exception is not
+    cached: the next read calls ``func`` again."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def _weight_rows(*named_sides) -> tuple[tuple[IVec2, IVec2, IVec2], ...]:
@@ -162,13 +188,13 @@ class WeightSystem:
         (a, b, c), (d, e, f) = self.wl, self.wr
         return {"wL": [[*a], [*b], [*c]], "wR": [[*d], [*e], [*f]]}
 
-    @functools.cached_property
+    @_fact
     def derived(self) -> "DerivedConeData":
         """The cone data of this system, built by :func:`derive` on first
         use and cached on the instance (not a field, like :attr:`free`)."""
         return derive(self)
 
-    @functools.cached_property
+    @_fact
     def free(self) -> bool:
         """Whether the torus action is free (the quotient is the flag variety).
 
@@ -199,17 +225,19 @@ class DerivedConeData:
             if vadd(self.a[j], self.b[j]) != self.c:
                 raise ValueError(f"A_{j + 1} + B_{j + 1} != C")
 
-    @functools.cached_property
+    @_fact
     def integer_generators(self) -> tuple[IVec2, ...] | None:
         """The one integer view of the data: (A_1, A_2, A_3, B_1, B_2, B_3)
-        as int pairs, or None when some entry (C included) fails conegeom's
-        integer gate, as a float such as 1.0 does. Cached on the instance
-        like :attr:`mixed_witnesses`; the isotropy computations read it."""
+        as int pairs, read off :attr:`sign_table`, or None when some entry
+        (C included) is not an integer: the table clears a denominator
+        (its scale is not 1) or refuses the entry, as it does a float such
+        as 1.0 or a bool. Cached on the instance like
+        :attr:`mixed_witnesses`; the isotropy computations read it."""
         try:
-            rows = tuple((_as_int(x), _as_int(y)) for x, y in (*self.a, *self.b, self.c))
-        except ValueError:
+            table = self.sign_table
+        except TypeError:
             return None
-        return rows[:6]
+        return table.vectors[:_C] if table.scale == 1 else None
 
     @property
     def is_integer(self) -> bool:
@@ -218,14 +246,14 @@ class DerivedConeData:
     def generators(self) -> list[Vec2]:
         return [*self.a, *self.b]
 
-    @property
+    @_fact
     def _nine_crosses(self) -> list[int]:
         """The sign table's cross(A_i, B_j), 0-based, at position 3*i + j:
         the crosses of the cleared vectors, so the data's own crosses for
-        integer data."""
+        integer data. Read once per instance."""
         return [x for row in self.sign_table.crosses[:3] for x in row[3:_C]]
 
-    @functools.cached_property
+    @_fact
     def _holds(self) -> bool:
         """The separating cone condition, decided once per instance by the
         nine-sign rule on the sign table and cached; read it through
@@ -233,7 +261,7 @@ class DerivedConeData:
         nine = self._nine_crosses
         return _one_strict_sign(min(nine), max(nine))
 
-    @functools.cached_property
+    @_fact
     def sign_table(self) -> SignTable:
         """The one sign table of this data: A_1, A_2, A_3, B_1, B_2, B_3 and
         C (rows 0-5 and :data:`_C`) cleared of denominators, with their
@@ -244,7 +272,7 @@ class DerivedConeData:
         :attr:`mixed_witnesses`; it is not a field."""
         return SignTable((*self.a, *self.b, self.c))
 
-    @functools.cached_property
+    @_fact
     def _apex(self) -> tuple[int, int, int] | None:
         """The apex functional as integers (x, y, den), the covector
         (x/den, y/den), searched on the sign table
@@ -255,7 +283,7 @@ class DerivedConeData:
             return None
         return table.apex(_C)
 
-    @functools.cached_property
+    @_fact
     def apex_functional(self) -> Vec2 | None:
         """A covector strictly positive on all six generators, found in
         :func:`~su3kahler.conegeom.find_apex_functional`'s order, or None
@@ -266,7 +294,7 @@ class DerivedConeData:
         apex = self._apex
         return None if apex is None else (Fraction(apex[0], apex[2]), Fraction(apex[1], apex[2]))
 
-    @functools.cached_property
+    @_fact
     def _mixed_evidence(self) -> tuple[tuple, ...]:
         """C against cone(A_i, B_j), 0-based, at position 3*i + j, as the
         integer evidence (status, n1, n2, den) that the sign table's
@@ -293,7 +321,7 @@ class DerivedConeData:
             for (i, j), d in zip(_ORDERED_PAIRS, nine)
         ])
 
-    @functools.cached_property
+    @_fact
     def _witness_evidence(self) -> tuple[tuple[int, int, int, int, int], ...]:
         """(i, j, na, nb, den), in order of (i, j), for every i != j
         (1-based) with C = (na*A_i + nb*B_j)/den and na/den, nb/den > 0:
@@ -317,7 +345,7 @@ class DerivedConeData:
                 witnesses.append((i + 1, j + 1, *w))
         return tuple(witnesses)
 
-    @functools.cached_property
+    @_fact
     def mixed_witnesses(self) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
         """(i, j, a, b), in order of (i, j), for every i != j (1-based) with
         C = a*A_i + b*B_j and a, b > 0.

@@ -1,0 +1,34 @@
+"""The interleaved A/B timer of two trees, ``tools/ab_ops.py``, run on
+this tree against itself, and against a copy whose reports differ."""
+
+import json
+import shutil
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import ab_ops  # noqa: E402
+
+
+def test_a_tree_against_itself_gives_identical_outputs(capsys):
+    src = str(ROOT / "src")
+    assert ab_ops.main(["--a", src, "--b", src, "--seed", "11", "--ops", "30", "--passes", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["pass 0", "pass 1"]
+    summary = json.loads(lines[-1])
+    assert summary["ops"] == 30 and summary["identical_outputs"] and len(summary["passes"]) == 2
+    assert all(p["a_us_per_op"] > 0 and p["b_us_per_op"] > 0 and p["ratio"] > 0 for p in summary["passes"])
+    assert not any(m.startswith(ab_ops.PACKAGES) for m in sys.modules)
+
+
+def test_a_tree_whose_reports_differ_is_refused(tmp_path, capsys):
+    changed = tmp_path / "su3kahler"
+    shutil.copytree(ROOT / "src" / "su3kahler", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "cli.py"
+    text = cli.read_text()
+    assert text.count('values) + "\\n"') == 1
+    cli.write_text(text.replace('values) + "\\n"', 'values) + " \\n"'))
+    assert ab_ops.main(["--a", str(ROOT / "src"), "--b", str(tmp_path), "--seed", "11", "--ops", "30"]) == 1
+    assert "outputs differ on op 0" in capsys.readouterr().err

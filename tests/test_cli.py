@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -448,6 +447,9 @@ def test_isotropy_classifies_in_the_freeness_pass(capsys, monkeypatch):
 
 
 def test_isotropy_gates_its_cone_data_once(capsys, monkeypatch):
+    """The data's one integer gate is its sign table, whose scale is 1
+    exactly on integer data: no entry goes through ``_as_int`` (the next
+    test pins one sign table per op)."""
     from su3kahler import conegeom, isotropy, weights
 
     gated = []
@@ -462,7 +464,7 @@ def test_isotropy_gates_its_cone_data_once(capsys, monkeypatch):
             monkeypatch.setattr(module, "_as_int", counted)
     code, out = run(capsys, "isotropy", "--config", ORBIFOLD_CONFIG)
     assert code == 0 and json.loads(out)["results"]["census"]
-    assert len(gated) == 14  # each entry of A, B and C once
+    assert gated == []
 
 
 def test_isotropy_derives_and_decides_once(capsys, monkeypatch):
@@ -486,7 +488,7 @@ def test_isotropy_derives_and_decides_once(capsys, monkeypatch):
         calls["_holds"] += 1
         return decide(self)
 
-    holds = functools.cached_property(counted_decision)
+    holds = weights._fact(counted_decision)
     holds.__set_name__(weights.DerivedConeData, "_holds")
     monkeypatch.setattr(weights.DerivedConeData, "_holds", holds)
     for config in (ORBIFOLD_CONFIG, STANDARD_CONFIG):

@@ -214,6 +214,51 @@ def test_rational_beta_always_generic():
         assert hodge_model(beta).branch == (0, 0, 0)
 
 
+RATIONALS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions(max_denominator=10**4),
+    st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**6)),
+    st.sampled_from(["0", "1/2", " -3/7 ", "+12"]),
+)
+
+
+@given(st.tuples(RATIONALS, RATIONALS))
+@settings(max_examples=150, deadline=None)
+def test_rational_beta_has_the_branch_of_its_eisenstein_lift(beta):
+    """A rational beta skips Q(omega): its table is the one its lift into
+    Eisenstein gives, entry for entry, alone or beside an Eisenstein."""
+    lifted = tuple(map(Eisenstein.of, beta))
+    assume(lifted[0] or lifted[1])
+    table = hodge_model(beta)
+    assert table == hodge_model(lifted) and table.branch == (0, 0, 0)
+    assert hodge_model((beta[0], lifted[1])) == hodge_model((lifted[0], beta[1])) == table
+
+
+BAD_BETAS = [
+    (True, 1), (1, False), (0.5, 1), (1, float("nan")), ("1/0", 1), (1, "1.5"), ("x", 0), (None, 1),
+    "12", [1], (1, 0, 5), {"1": 0, "2": 0}, 7,
+]
+
+
+@pytest.mark.parametrize("beta", BAD_BETAS, ids=repr)
+def test_rational_beta_keeps_the_errors_of_its_gate(beta):
+    """The bool, float, string and shape errors of a rational beta are
+    those of reading it through Eisenstein.of, type and message."""
+    from su3kahler.conegeom import _vector
+
+    with pytest.raises((TypeError, ValueError)) as expected:
+        _vector(beta, Eisenstein.of)
+    with pytest.raises(expected.type) as raised:
+        hodge_model(beta)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("beta", [(0, 0), (F(0), "0"), ("0", Eisenstein.of(0))])
+def test_hodge_rejects_every_zero_beta(beta):
+    with pytest.raises(ValueError, match="beta must be nonzero"):
+        hodge_model(beta)
+
+
 def test_hodge_rejects_zero_beta():
     with pytest.raises(ValueError):
         hodge_model((0, 0))

@@ -26,7 +26,7 @@ from su3kahler.conegeom import (
     smith_invariant_factors,
     vscale,
 )
-from su3kahler.isotropy import _CENSUS_PATTERNS, _census_evidence, _integer_generators, _pattern_rows
+from su3kahler.isotropy import _CENSUS_PATTERNS, _census_evidence, _integer_generators
 from su3kahler.weights import (
     DerivedConeData,
     _condition_evidence,
@@ -169,7 +169,7 @@ def test_census_keys_are_the_smith_divisors(bound2_systems):
         keys, _ = _census_evidence(d)
         assert len(keys) == len(_CENSUS_PATTERNS) == 46
         for (pattern, *_), (d1, d12) in zip(_CENSUS_PATTERNS, keys):
-            rows = [gens[r] for r in _pattern_rows(pattern)]
+            rows = [gens[i - 1] for i in pattern.i_set] + [gens[2 + j] for j in pattern.j_set]
             assert invariant_factors_from_divisors(d1, d12) == smith_invariant_factors(rows)
 
 

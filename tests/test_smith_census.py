@@ -5,18 +5,29 @@ import itertools
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from math import gcd
+
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from su3kahler.conegeom import smith_invariant_factors
+from conftest import admissible_systems
+from su3kahler.conegeom import cross, smith_invariant_factors
 from su3kahler.isotropy import (
+    _CENSUS_PATTERNS,
     IsotropyGroup,
     StratumReport,
     SupportPattern,
+    _census_evidence,
     census_to_json,
     singular_stratum_census,
 )
-from su3kahler.weights import cone_data, derive, enumerate_admissible_systems, positive_combination
+from su3kahler.weights import (
+    cone_condition_holds,
+    cone_data,
+    derive,
+    enumerate_admissible_systems,
+    positive_combination,
+)
 
 
 def reference_smith(rows):
@@ -174,3 +185,80 @@ def test_census_matches_reference_on_scaled_cone_data(orbifold_data):
             [(s * x, s * y) for x, y in orbifold_data.b],
         )
         assert census_to_json(singular_stratum_census(d)) == census_to_json(reference_census(d))
+
+
+# --- the census keys against their definition ---------------------------------
+
+
+def divisors_from_scratch(d):
+    """(d1, d12) of every pattern's rows in census order, by definition:
+    the gcd of the rows' entries and the gcd of their 2 x 2 minors."""
+    keys = []
+    for pattern in REFERENCE_PATTERNS:
+        rows = [d.a[i - 1] for i in pattern.i_set] + [d.b[j - 1] for j in pattern.j_set]
+        d1 = gcd(*(x for row in rows for x in row))
+        d12 = gcd(*(cross(u, v) for k, u in enumerate(rows) for v in rows[k + 1:]))
+        keys.append((d1, d12))
+    return keys
+
+
+def test_census_patterns_are_in_reference_order():
+    assert [pattern for pattern, *_ in _CENSUS_PATTERNS] == REFERENCE_PATTERNS
+
+
+def test_census_keys_match_their_definition_on_bound2(bound2_systems):
+    assert len(bound2_systems) == 2856
+    for ws in bound2_systems:
+        d = derive(ws)
+        assert _census_evidence(d)[0] == divisors_from_scratch(d), ws
+
+
+def test_census_keys_match_their_definition_on_every_97th_bound3_system():
+    checked = 0
+    for ws in itertools.islice(enumerate_admissible_systems(3), 0, None, 97):
+        d = derive(ws)
+        assert _census_evidence(d)[0] == divisors_from_scratch(d), ws
+        checked += 1
+    assert checked > 500
+
+
+@st.composite
+def integer_cone_data(draw):
+    """Integer cone data: a bound-2 admissible system's data times a
+    nonzero integer (the condition holds), or C and one generator of each
+    index j drawn free, zero, or a multiple of one direction (parallel or
+    antiparallel), the other generator C minus it (the condition mostly
+    fails)."""
+    if draw(st.booleans()):
+        d = derive(draw(st.sampled_from(admissible_systems(2))))
+        k = draw(st.integers(-5, 5).filter(bool))
+        return cone_data([(k * x, k * y) for x, y in d.a], [(k * x, k * y) for x, y in d.b])
+    ints = st.integers(-6, 6)
+    direction = (draw(ints), draw(ints))
+
+    def vector():
+        kind = draw(st.sampled_from(("free", "zero", "along")))
+        if kind == "zero":
+            return (0, 0)
+        if kind == "along":
+            m = draw(st.integers(-3, 3))
+            return (m * direction[0], m * direction[1])
+        return (draw(ints), draw(ints))
+
+    c = vector()
+    a, b = [], []
+    for _ in range(3):
+        g = vector()
+        h = (c[0] - g[0], c[1] - g[1])
+        if draw(st.booleans()):
+            g, h = h, g
+        a.append(g)
+        b.append(h)
+    return cone_data(a, b)
+
+
+@given(integer_cone_data())
+@settings(max_examples=200, deadline=None)
+def test_census_keys_match_their_definition_on_degenerate_data(d):
+    event("condition holds" if cone_condition_holds(d) else "condition fails")
+    assert _census_evidence(d)[0] == divisors_from_scratch(d)
