@@ -542,8 +542,6 @@ def cmd_verify(args) -> tuple[dict, bool]:
         raise InputError(f"--samples must be <= {MAX_SAMPLES}")
     if args.seed < 0:
         raise InputError("--seed must be >= 0")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise InputError(f"--tol must be finite and > 0, got {args.tol}")
     ws, d = _problem(args.config)
     from . import quadric as quad  # the float layer: verify alone loads numpy
 
@@ -555,11 +553,11 @@ def cmd_verify(args) -> tuple[dict, bool]:
     # certify even without the cone condition when points exist, so that
     # failures surface as regular=false certificates rather than silence
     try:
-        sample = quad.certification_sample(d, args.samples, args.seed, tol=args.tol)
+        sample = quad.certification_sample(d, args.samples, args.seed)
     except (ValueError, RuntimeError) as exc:
         return {"cone_condition": condition_ok, "error": f"sampling failed: {exc}"}, False
     # certify_points' columns: a certificate passes when its Jacobian rank is 4
-    ranks, margins = quad._certificate_columns(d, sample, args.tol)
+    ranks, margins = quad._certificate_columns(d, sample)
     bound_residual, bounded = quad.boundedness_residual(d, sample)
     all_passed = condition_ok and bounded and ranks.count(4) == len(ranks)
     results = {
@@ -722,10 +720,6 @@ _TABLE = {
         _CONFIG,
         _Option("--samples", int, 100),
         _Option("--seed", int, 0),
-        _Option(
-            "--tol", float, 1e-9,
-            help="level-set residual tolerance for sample points (moment part relative to the data scale)",
-        ),
     )),
     "generate": _Command(cmd_generate, "weight systems from cone data", (
         _Option("--config", required=True, help='{"A": [...], "B": [...]} (inline or path)'),
@@ -809,7 +803,7 @@ def _read_argv(argv) -> argparse.Namespace | None:
     The grammar: global options, then a command, then its options; every
     flag spelled in full and given at most once, every value the next
     string, which must not start with "-", converted by the call argparse
-    makes (int, float or str) and checked against the choices. Anything
+    makes (int or str) and checked against the choices. Anything
     else (-h, abbreviations, --flag=value, repeats, negative numbers,
     missing or malformed values) is left to argparse, which keeps its
     behaviour for them.

@@ -21,9 +21,10 @@ bidegrees (1, 0) and (0, 1), and sends the first to a class beta in the
 Hodge-branch corollary): all are fixed except one branch, decided by the
 rank of multiplication by beta from bidegree (1, 1) to (2, 2), whose
 determinant is the anisotropic form b1^2 - b1*b2 + b2^2. So
-:func:`hodge_model` evaluates that form and builds no complex; hitting the
-degenerate branch requires scalars with a primitive cube root of unity
-adjoined, implemented exactly by :class:`Eisenstein`.
+:func:`hodge_model` evaluates that form, in closed form on the rational
+parts of its entries, and builds no complex; hitting the degenerate branch
+requires scalars with a primitive cube root of unity adjoined, implemented
+exactly by :class:`Eisenstein`.
 """
 
 from __future__ import annotations
@@ -343,6 +344,11 @@ _FIXED_HODGE = {
     (4, 3): 1,
     (4, 4): 1,
 }
+# Every bidegree with |p - q| <= 1 in [0, 4], in order: _FIXED_HODGE's
+# entry there, and 0 at the rest, the branch's three among them.
+_HODGE_ENTRIES = {
+    (p, q): _FIXED_HODGE.get((p, q), 0) for p in range(5) for q in range(max(0, p - 1), min(4, p + 1) + 1)
+}
 
 
 @dataclass(frozen=True)
@@ -368,9 +374,10 @@ class HodgeTable:
 
 
 def _beta_entry(x):
-    """An entry of beta: an :class:`Eisenstein` as it is, anything else
+    """An entry of beta as the rational parts (a, c) of a + c*omega: an
+    :class:`Eisenstein`'s own parts, and (x, 0) for anything else passed
     through the rational gate, which :meth:`Eisenstein.of` applies too."""
-    return x if isinstance(x, Eisenstein) else _scalar(x)
+    return (x.a, x.b) if isinstance(x, Eisenstein) else (_scalar(x), 0)
 
 
 def hodge_model(beta) -> HodgeTable:
@@ -384,23 +391,24 @@ def hodge_model(beta) -> HodgeTable:
     branch at (2, 1), (2, 2), (2, 3), which is (1, 2, 1) where
     b1^2 - b1*b2 + b2^2 = 0 (multiplication by beta from A^{1,1} to A^{2,2}
     drops rank) and (0, 0, 0) elsewhere; the README's Hodge-branch
-    corollary proves it. The form is evaluated in Q(omega) only when an
-    entry is an :class:`Eisenstein`: over Q it is positive definite, so
-    a rational beta, nonzero once past the first check, has the branch
-    (0, 0, 0). A rational entry passes the rational gate either way.
+    corollary proves it. The form is evaluated in closed form on the
+    entries' rational parts b_k = a_k + c_k*omega: with omega^2 =
+    -1 - omega, its rational part is q(a) - q(c) and its omega part is
+    2 a1 c1 + 2 a2 c2 - a1 c2 - a2 c1 - q(c), for q(x) = x1^2 - x1 x2 +
+    x2^2, both evaluated in ints. A rational beta has c = 0, so its form
+    is q(a), positive definite over Q, and its branch is (0, 0, 0).
     """
-    b1, b2 = _vector(beta, _beta_entry)
-    if not (b1 or b2):
+    (a1, c1), (a2, c2) = _vector(beta, _beta_entry)
+    if not (a1 or c1 or a2 or c2):
         raise ValueError("beta must be nonzero")
-    branch = (0, 0, 0)
-    if isinstance(b1, Eisenstein) or isinstance(b2, Eisenstein):
-        b1, b2 = Eisenstein.of(b1), Eisenstein.of(b2)
-        if not b1 * b1 - b1 * b2 + b2 * b2:
-            branch = (1, 2, 1)
-    entries = {
-        (p, q): _FIXED_HODGE.get((p, q), 0)
-        for p in range(5)
-        for q in range(max(0, p - 1), min(4, p + 1) + 1)
-    }
+    # the form is homogeneous: the parts times their denominators' product
+    # are integers with the same zeros, and ints multiply fast
+    den = a1.denominator * c1.denominator * a2.denominator * c2.denominator
+    a1, c1, a2, c2 = [x.numerator * (den // x.denominator) for x in (a1, c1, a2, c2)]
+    qc = c1 * c1 - c1 * c2 + c2 * c2
+    rational = a1 * a1 - a1 * a2 + a2 * a2 - qc
+    omega = 2 * (a1 * c1 + a2 * c2) - a1 * c2 - a2 * c1 - qc
+    branch = (0, 0, 0) if rational or omega else (1, 2, 1)
+    entries = dict(_HODGE_ENTRIES)
     entries.update(zip(((2, 1), (2, 2), (2, 3)), branch))
     return HodgeTable(entries)

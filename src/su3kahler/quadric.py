@@ -49,7 +49,10 @@ rho = (r, s), and Phi reads only rho too, so a sample stays in the orbit
 space from draw to certificate: :func:`certification_sample` returns a
 :class:`LevelSample` of the validated (n, 6) rows (r, s), with Phi and
 |Phi - C| as columns, and the certificates and the boundedness residual
-read them as they are. ``verify`` builds no complex state: its states
+read them as they are. A row is drawn in closed form, so its |Phi - C|
+is rounding alone, and it is accepted against the README's forward
+error bound of that rounding (:func:`_level_sample`), which no option
+sets. ``verify`` builds no complex state: its states
 are a view that :func:`_lift` makes from rho when a library caller reads
 them. ``verify`` renders the ranks and margins as two columns
 (:func:`_certificate_columns`) and builds no object per point; a
@@ -109,6 +112,11 @@ ROUND_DATA = cone_data([(1, 0)] * 3, [(0, 1)] * 3)
 _NONZERO_FLOOR = 1e-8  # max |z_j|, |w_j| must exceed this on the quadric
 _SAMPLE_CHUNK = 128    # vertex mixtures certification_sample draws per round
 _SAMPLE_PATIENCE = 32  # rounds in a row without an accepted mixture before it gives up
+# K u, for u = 2^-53 the unit roundoff: a sample row's computed |Phi - C|
+# is at most K u (|C| + sum_g rho_g |g|). K = 16 is the README's error
+# analysis (*Numerical certificates*): first-order terms 15 u, and u more
+# for every second-order term and for evaluating the bound itself.
+_ROUNDING = 16 * 2.0**-53
 _DIAGONALS = np.tile(np.eye(3), 2)  # the slice's vertices r_i = s_i = 1, where C = A_i + B_i
 _DIAGONALS.setflags(write=False)
 _BITS = 1 << np.arange(6)  # a support's bits: generator g, the coordinate x_g, is bit g
@@ -125,18 +133,21 @@ class LevelSetPoint:
 class LevelSample(Sequence):
     """n validated points of the level set over their orbit-space points,
     kept as columns: the (n, 6) squared moduli rho = (r, s) =
-    (|z|^2, |w|^2), Phi at each row (``phi``, (n, 2)) and the residual
-    column |Phi - C|. What :func:`certification_sample` returns;
+    (|z|^2, |w|^2), Phi at each row (``phi``, (n, 2)), the residual
+    column |Phi - C| and each row's rounding bound (see
+    :func:`_level_sample`). What :func:`certification_sample` returns;
     certificates and the boundedness residual read the columns. ``states``
     is the complex (n, 6) state array, made from rho by :func:`_lift` when
     it is first read. Indexing reads row k as a :class:`LevelSetPoint`
     whose z and w are views of it, with the residuals |sum z_j w_j| of
     that row and |Phi - C|, and a slice is the sample of its rows."""
 
-    __slots__ = ("_rho", "phi", "_mom", "_states")
+    __slots__ = ("_rho", "phi", "_mom", "_bound", "_states")
 
-    def __init__(self, rho: np.ndarray, phi: np.ndarray, mom: np.ndarray, states: np.ndarray | None = None):
-        self._rho, self.phi, self._mom, self._states = rho, phi, mom, states
+    def __init__(
+        self, rho: np.ndarray, phi: np.ndarray, mom: np.ndarray, bound: np.ndarray, states: np.ndarray | None = None
+    ):
+        self._rho, self.phi, self._mom, self._bound, self._states = rho, phi, mom, bound, states
 
     @property
     def states(self) -> np.ndarray:
@@ -150,7 +161,7 @@ class LevelSample(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             states = None if self._states is None else self._states[k]  # a slice lifts nothing
-            return LevelSample(self._rho[k], self.phi[k], self._mom[k], states)
+            return LevelSample(self._rho[k], self.phi[k], self._mom[k], self._bound[k], states)
         x = self.states[k]
         return LevelSetPoint(x[:3], x[3:], (float(_quadric_residual(x[None])[0]), float(self._mom[k])))
 
@@ -174,6 +185,7 @@ class _FloatData(NamedTuple):
     # then the three diagonals r_i = s_i = 1 (C = A_i + B_i)
     vertices: np.ndarray
     apex: tuple[float, float, float] | None  # (alpha_1, alpha_2, alpha(C)) of the apex functional
+    rounding: np.ndarray  # (7,): K u |g| for A_1, ..., B_3, then K u |C|; see :func:`_level_sample`
     # (10, 6): the weights of rho = |x|^2 in the sums that give the Gram
     # matrix of the unit Jacobian, P I_2 (+) G (see :func:`certify_points`),
     # one column per unit generator g: 1 (P), 4 |g|^2 (G_11 + G_22),
@@ -229,8 +241,9 @@ def _float_data(d: DerivedConeData) -> _FloatData:
     gram += [num * row[h] ** 2 / den4 if h > g else 0.0 for g, row in enumerate(table.crosses[:6]) for h in range(6)]
     independent = tuple([v != 0 for row in table.crosses[:6] for v in row[:6]])
     ranks = _rank_table(tuple(map(any, table.vectors[:6])), independent)
-    fd = _FloatData(fg, c, scale, fg / scale, vertices, apex, np.array(gram).reshape(10, 6), ranks)
-    for arr in (fd.fg, fd.c, fd.unit_fg, fd.vertices, fd.gram_weights, fd.ranks):
+    rounding = _ROUNDING * np.hypot(abc[:, 0], abc[:, 1])
+    fd = _FloatData(fg, c, scale, fg / scale, vertices, apex, rounding, np.array(gram).reshape(10, 6), ranks)
+    for arr in (fd.fg, fd.c, fd.unit_fg, fd.vertices, fd.rounding, fd.gram_weights, fd.ranks):
         arr.setflags(write=False)
     return fd
 
@@ -267,9 +280,11 @@ def _weight_arrays(d: DerivedConeData) -> _FloatData:
 def moment_scale(d: DerivedConeData) -> float:
     """max(|C|, |A_j|, |B_j|), or 1 for all-zero data.
 
-    Level-set residuals are measured against this scale: rescaling the
-    cone data by s > 0 leaves the level set's points unchanged and
-    multiplies both Phi - C and the scale by s.
+    :func:`project_to_level`'s residuals and the certificates' unit data
+    are measured against this scale: rescaling the cone data by s > 0
+    leaves the level set's points unchanged and multiplies both Phi - C
+    and the scale by s. A sample row's bound is measured against the sums
+    it rounds instead (:func:`_level_sample`).
     """
     return _weight_arrays(d).scale
 
@@ -307,27 +322,30 @@ def check_float_range(d: DerivedConeData) -> None:
 
 def boundedness_residual(d: DerivedConeData, points) -> tuple[float, bool]:
     """max |alpha(Phi(p)) - alpha(C)| over the points, for alpha the apex
-    functional of d, and whether it is at most 1e-10 * |alpha| *
-    :func:`moment_scale`. (0.0, True) for data without an apex functional
-    and for no points.
+    functional of d, and whether it is within its bound. (0.0, True) for
+    data without an apex functional and for no points.
 
     The exact fact behind it, alpha > 0 on every generator, so that M is
     compact, is ``check``'s apex functional; this float reads the one
-    component of Phi - C along alpha, which is at most |alpha| times the
-    moment residual |Phi - C|. It is not that residual's acceptance rule
-    restated: its bound is fixed and scale-covariant and does not follow
-    the residual tolerance ``tol`` (``verify --tol``), which bounds
-    |Phi - C| by tol * moment_scale. On a sample drawn in closed form it
-    measures the rounding of the linear map Phi at the sample's (r, s).
-    alpha and alpha(C) are the floats of d's one conversion; Phi of a
-    :class:`LevelSample` is the one its residual check computed."""
+    component of Phi - C along alpha. On a :class:`LevelSample`, drawn in
+    closed form, that is rounding alone, and the bound is the README's:
+    |alpha| times the sample's largest row bound (:func:`_level_sample`),
+    which bounds the rounding of Phi, plus K u |alpha| |C|, which bounds
+    the rounding of alpha(Phi) - alpha(C) itself (at most 4 u |alpha| |C|
+    to first order); Phi is the one the sample's residual check computed.
+    Listed points keep the fixed bound 1e-10 * |alpha| *
+    :func:`moment_scale`: their distance to M is the caller's. alpha and
+    alpha(C) are the floats of d's one conversion."""
     fd = _weight_arrays(d)
     if fd.apex is None or not len(points):
         return 0.0, True
     a1, a2, rhs = fd.apex
-    phi = points.phi if isinstance(points, LevelSample) else _moment(fd.fg, np.abs(_stack(points)) ** 2)
+    if isinstance(points, LevelSample):
+        phi, top = points.phi, float(points._bound.max() + fd.rounding[6])
+    else:
+        phi, top = _moment(fd.fg, np.abs(_stack(points)) ** 2), 1e-10 * fd.scale
     residual = float(np.max(np.abs(a1 * phi[:, 0] + a2 * phi[:, 1] - rhs)))
-    return residual, residual <= 1e-10 * (math.hypot(a1, a2) * fd.scale)
+    return residual, residual <= math.hypot(a1, a2) * top
 
 
 def _state(p) -> np.ndarray:
@@ -358,36 +376,34 @@ def _quadric_residual(x: np.ndarray) -> np.ndarray:
     return np.abs((x[:, :3] * x[:, 3:]).sum(axis=-1))
 
 
-def _level_sample(fd: _FloatData, rho: np.ndarray, tol: float, states: np.ndarray | None = None) -> LevelSample:
-    """(n, 6) squared moduli rho = (|z|^2, |w|^2) as a :class:`LevelSample`,
-    raising the ValueError of the lowest failing row, as a sequential loop
-    would.
+def _level_sample(fd: _FloatData, rho: np.ndarray) -> LevelSample:
+    """(n, 6) rows rho = (r, s) of the orbit space as a
+    :class:`LevelSample`, raising the ValueError of the lowest failing row,
+    as a sequential loop would.
 
     A row fails unless it is finite with max r_k and max s_k above
     ``_NONZERO_FLOOR ** 2``, and its moment residual |Phi - C| is at most
-    ``tol`` times the moment scale; given the complex states over rho, also
-    unless their quadric residual |sum z_j w_j| is at most ``tol``. Without
-    them rho is a point of the orbit space, whose quadric residual is 0 by
-    the README's proposition (*The orbit space*), so no quadric column is
-    built, and a failing row reports 0.0 for it. Each residual and verdict
-    is one column. Phi is kept for the boundedness residual. |Phi - C| is
-    one hypot of its two components, so the residual of data near 1e300
-    (about 1e284) is not squared into an overflow.
+    its finite rounding bound K u (|C| + sum_g rho_g |g|), the README's
+    forward error bound of the computed |Phi - C| at a row that
+    :func:`certification_sample` draws. A row's bound depends on its own
+    rho alone. Its quadric residual is 0 by the README's proposition
+    (*The orbit space*), so no quadric column is built. Each residual,
+    bound and verdict is one column. Phi and the bounds are kept for the
+    boundedness residual. |Phi - C| is one hypot of its two components,
+    so the residual of data near 1e300 (about 1e284) is not squared into
+    an overflow.
     """
     phi = _moment(fd.fg, rho)
     mom = np.hypot(*(phi - fd.c).T)
+    bound = fd.rounding[6] + np.add.reduce(rho * fd.rounding[:6], axis=-1)
     usable = _usable(rho, _NONZERO_FLOOR**2)
-    passing = usable & (mom <= tol * fd.scale)
-    if states is not None:
-        quad = _quadric_residual(states)
-        passing &= quad <= tol
+    passing = usable & (mom <= bound) & (bound < math.inf)
     if not passing.all():
         k = int(passing.argmin())
         if not usable[k]:
             raise ValueError("z and w must both be finite and nonzero on the quadric")
-        residual = 0.0 if states is None else float(quad[k])
-        raise ValueError(f"point misses the level set: residuals {(residual, float(mom[k]))}")
-    return LevelSample(rho, phi, mom, states)
+        raise ValueError(f"point misses the level set: row {k}, |Phi - C| = {mom[k]}, rounding bound {bound[k]}")
+    return LevelSample(rho, phi, mom, bound)
 
 
 # --- real-coordinate plumbing -------------------------------------------
@@ -422,22 +438,20 @@ def constraint_values(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> np.nd
     return np.concatenate([h[..., None].view(float), _moment(fd.fg, np.abs(x) ** 2) - fd.c], axis=-1)
 
 
-def project_to_level(
-    d: DerivedConeData, z0, w0, tol: float = 1e-12, max_iter: int = 50, residual: float = 1e-9
-) -> LevelSetPoint:
+def project_to_level(d: DerivedConeData, z0, w0, tol: float = 1e-12, max_iter: int = 50) -> LevelSetPoint:
     """Gauss-Newton projection of one ambient point (z0, w0) to the level set.
 
     Each of up to ``max_iter`` rounds reads F from one
     :func:`constraint_values` call, its moment rows divided by
     :func:`moment_scale` (so ``tol`` is relative), stops once |F| <= tol,
     and else steps by -J^+ F, the minimum-norm ``lstsq`` solution on the
-    unit Jacobian, which covers rank-deficient (collinear) data too. A
-    start within ``tol`` comes back unchanged; the result is accepted
-    against ``residual`` as :func:`certification_sample`'s points are.
-    Raises ValueError for a start with a zero factor or a non-finite entry
-    and for a point that misses the level set, and RuntimeError for a step
-    that collapses a factor or leaves the finite range and for no
-    convergence.
+    unit Jacobian, which covers rank-deficient (collinear) data too. The
+    stopping test is the acceptance: the point comes back with the
+    residuals (|sum z_j w_j|, |Phi - C|) of that last F, at most ``tol``
+    and ``tol`` times the moment scale. A start within ``tol`` comes back
+    unchanged. Raises ValueError for a start with a zero factor or a
+    non-finite entry, and RuntimeError for a step that collapses a factor
+    or leaves the finite range and for no convergence.
     """
     fd = _weight_arrays(d)
     x = _state((z0, w0)).reshape(1, 6)
@@ -446,10 +460,11 @@ def project_to_level(
         raise ValueError("starting point must have nonzero z and w" if finite else "starting point must be finite")
     rows = np.array([1.0, 1.0, fd.scale, fd.scale])
     for _ in range(max_iter):
-        f = constraint_values(d, x[0, :3], x[0, 3:]) / rows
-        if np.sqrt(np.add.reduce(f * f)) <= tol:
-            return _level_sample(fd, np.abs(x) ** 2, residual, x)[0]
-        x.view(float)[0] += np.linalg.lstsq(_jacobian(fd.unit_fg, x)[0], -f, rcond=None)[0]
+        f = constraint_values(d, x[0, :3], x[0, 3:])
+        unit = f / rows
+        if np.sqrt(np.add.reduce(unit * unit)) <= tol:
+            return LevelSetPoint(x[0, :3], x[0, 3:], tuple(np.hypot(f[0::2], f[1::2]).tolist()))
+        x.view(float)[0] += np.linalg.lstsq(_jacobian(fd.unit_fg, x)[0], -unit, rcond=None)[0]
         if not _usable(x)[0]:
             finite = np.isfinite(x).all()
             raise RuntimeError(
@@ -525,12 +540,14 @@ def certify_points(d: DerivedConeData, points, tol: float = 1e-9) -> list[PointC
 
     The points must lie on the quadric. A :class:`LevelSample` holds
     points (r, s) of the orbit space, which lie under points of M by the
-    README's orbit-space proposition, and is read as it is; in any other
-    sequence of :class:`LevelSetPoint`, a point whose |sum z_j w_j|
-    exceeds ``tol``, or is not a number, raises ValueError, since off the
-    quadric the Gram matrix gains the off-diagonal block 2 C (Re q, Im q).
-    A point of the quadric off Phi = C, such as the irregular
-    z = (2, 0, 0), w = 0, certifies exactly, but the proposition's
+    README's orbit-space proposition, and is read as it is, with ``tol``
+    unread; in any other sequence of :class:`LevelSetPoint`, a point whose
+    |sum z_j w_j| exceeds ``tol``, or is not a number, raises ValueError,
+    since off the quadric the Gram matrix gains the off-diagonal block
+    2 C (Re q, Im q). A listed point's distance to M is the caller's, so
+    ``tol`` stays a parameter here. A point of the quadric off Phi = C,
+    such as the irregular z = (2, 0, 0), w = 0, certifies exactly, but
+    the proposition's
     conclusions are about the points of M, those that
     :func:`certification_sample` and :func:`project_to_level` accept. Rank
     failures are reported, not raised.
@@ -538,7 +555,7 @@ def certify_points(d: DerivedConeData, points, tol: float = 1e-9) -> list[PointC
     return list(map(PointCertificate, *_certificate_columns(d, points, tol)))
 
 
-def _certificate_columns(d: DerivedConeData, points, tol: float) -> tuple[list[int], list[float]]:
+def _certificate_columns(d: DerivedConeData, points, tol: float = 1e-9) -> tuple[list[int], list[float]]:
     """The Jacobian ranks and regularity margins of :func:`certify_points`
     as two columns; ``verify`` renders them without building a certificate
     per point.
@@ -641,7 +658,7 @@ def _lift(rho: np.ndarray) -> np.ndarray:
     return x.reshape(-1, 12).view(complex)
 
 
-def certification_sample(d: DerivedConeData, n: int, seed, tol: float = 1e-9) -> LevelSample:
+def certification_sample(d: DerivedConeData, n: int, seed) -> LevelSample:
     """Deterministic batch of n level-set points for certification, as one
     :class:`LevelSample` of their points (r, s) of the orbit space.
 
@@ -661,9 +678,10 @@ def certification_sample(d: DerivedConeData, n: int, seed, tol: float = 1e-9) ->
     The draws come from ``SeedSequence(seed)`` alone, and are made only
     when n > m, in rounds of ``_SAMPLE_CHUNK``: a sample is reproducible,
     and the first points of a larger sample are the smaller sample. Every
-    point is accepted against ``tol`` on the orbit space (see
-    :func:`_level_sample`), and the error of the lowest-index point is
-    raised; ValueError also when no mixture passes the triangle test in
+    point is accepted on the orbit space when its |Phi - C|, rounding
+    alone, is within the README's forward error bound of that rounding
+    (see :func:`_level_sample`), and the error of the lowest-index point
+    is raised; ValueError also when no mixture passes the triangle test in
     ``_SAMPLE_PATIENCE`` rounds in a row.
     """
     _check_int("sample count", n)
@@ -683,4 +701,4 @@ def certification_sample(d: DerivedConeData, n: int, seed, tol: float = 1e-9) ->
             raise ValueError(f"no vertex mixture passed Heron's test in {draws} draws in a row")
         rho.append(rs[:count])
         count -= len(rs)
-    return _level_sample(fd, np.concatenate(rho), tol)
+    return _level_sample(fd, np.concatenate(rho))

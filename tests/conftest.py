@@ -180,6 +180,22 @@ def equivariance_residual(a, g, h):
     return float(np.linalg.norm(moved.z - z_expected) + np.linalg.norm(moved.w - w_expected))
 
 
+def push_mixture_rows(monkeypatch, factor, *rows):
+    """Make ``quadric._mixtures`` scale r_1 of the given rows of every
+    round it returns by ``factor``: 1 + 2^-20 pushes a row far past its
+    rounding bound, 16 * 2^-53 times |C| + sum_g rho_g |g|."""
+    from su3kahler import quadric
+
+    real = quadric._mixtures
+
+    def pushed(weights, vertices):
+        rs = real(weights, vertices)
+        rs[list(rows), 0] *= factor
+        return rs
+
+    monkeypatch.setattr(quadric, "_mixtures", pushed)
+
+
 def seed_point(d, i, j):
     """The exact level-set point supported on z_i and w_j: the seed that
     ``certification_sample`` builds for the mixed witness (i, j, a, b)."""

@@ -80,34 +80,34 @@ def pool_digest(ops) -> str:
 # A 5-sample op certifies fixed points only; a 20- or 50-sample op also
 # certifies the sample's closed-form points, which these entries pin.
 CERTIFY_DIGESTS = {
-    ("orbifold", 0): "0:1385:1469515ca14f078029ecf708206355ac",
-    ("orbifold", 6): "0:1385:e33f1ee0465f1249c8bee2f22a625cff",
-    ("orbifold", 12): "0:1385:a049256441570fe38d1f65150e28a081",
-    ("orbifold", 18): "0:1385:ce584b599830ec43a476856d2ada5b86",
-    ("orbifold", 24): "0:1385:ef245d5d9ad8ef211ae9f9ba79caae51",
-    ("orbifold", 30): "0:1387:e7f95b65ba2347539d891b7a59264aeb",
-    ("round", 0): "0:1383:67d38cb948fb0ac0d80d29ee116c0107",
-    ("round", 6): "0:1383:7f0ef6e19bcc4ca6ce75fd55c7d6ac99",
-    ("round", 12): "0:1383:1a30fdf80199baed2a36b09e51e525ab",
-    ("round", 18): "0:1383:bca44e964b6bc953f8acf1f47874842f",
-    ("round", 24): "0:1383:5a2bed8190fc52e1b4f3db10f759660c",
-    ("round", 30): "0:1385:a3d0ef7393fa2dea039fb91f9e1e3337",
-    ("bound2", 0): "0:1729:c9e7b360bf9c15af918455afe7478b1e",
-    ("bound2", 119): "0:10660:fa8830492ccd7c74c1e60908908e9f13",
-    ("bound2", 238): "0:4723:16f98c53298c268845cc50705bcd63dc",
-    ("bound2", 357): "0:1725:0804986b3cd6689fe129e6a506b7ac8a",
-    ("bound2", 476): "0:10688:7b4079660dc3cfac60aaea53903cca17",
-    ("bound2", 595): "0:4723:980525109d9b16260008e1d6d18f4885",
-    ("bound3", 0): "0:1731:14225fe39dfb6fe08470aafa7b021235",
-    ("bound3", 168): "0:1735:3b327b702b3b8cfd3e4af0a712e18d08",
-    ("bound3", 336): "0:1735:bba8515d708f4ac68042254e36ccc18b",
-    ("bound3", 504): "0:1730:af67e1bceb0db0180c96018de0053c16",
-    ("bound3", 672): "0:1731:9d0a46f60d80ad1991128b1ab8e4dd5b",
-    ("bound3", 840): "0:1729:762435fb1855122840b32b90242bddda",
-    ("bound3", 1008): "0:1738:500ffc9642dce800a8ff4adb2e35beed",
+    ("orbifold", 0): "0:1367:f50e9b59076e257e4fb03b0f92787b2b",
+    ("orbifold", 6): "0:1367:ea5007443bc045d03a050c2446d066c7",
+    ("orbifold", 12): "0:1367:ba2fc9142829e7fae9e8ce5b7f30631f",
+    ("orbifold", 18): "0:1367:32e1954889b665268b255e5ccd8aa667",
+    ("orbifold", 24): "0:1367:2a99a4dd48591c4f8dd542fc2ec36eaa",
+    ("orbifold", 30): "0:1369:a10a275444344a0be8915837c15caa41",
+    ("round", 0): "0:1365:e797f8c3ebad7f1353d4b91ecb36bde3",
+    ("round", 6): "0:1365:b0d24061092068fe703c988f45848f15",
+    ("round", 12): "0:1365:9d266da69e43b8cfcc868d1263532b33",
+    ("round", 18): "0:1365:b4c73dc1d3521a6d6436c36972f6ecfe",
+    ("round", 24): "0:1365:c91b3fa289faedf923c12dd50014d0f1",
+    ("round", 30): "0:1367:c62d3fcb198756f53c0c510ae080809f",
+    ("bound2", 0): "0:1711:df7533a4c9fe4c46adca133d1dfb3d8b",
+    ("bound2", 119): "0:10642:aa01bc73df8e027d3a107de66d7f5914",
+    ("bound2", 238): "0:4705:444ee416e25c9cf4e5f41c73f5e80e59",
+    ("bound2", 357): "0:1707:c2559f1ec0d1e30a874739da3165a507",
+    ("bound2", 476): "0:10670:431e04c8ab7b832d5ad636eabaadea86",
+    ("bound2", 595): "0:4705:bcd52cbeb6cc58ac1b2a2124a0efb9be",
+    ("bound3", 0): "0:1713:ce0a3ddeba0e9abe48e5b13cafb9c112",
+    ("bound3", 168): "0:1717:ae53feb5b7cb79f0a6078ec342d95a91",
+    ("bound3", 336): "0:1717:5d3790300bca11f5f625e70169909e18",
+    ("bound3", 504): "0:1712:630f93af76fd61d12b517cca0bd5357e",
+    ("bound3", 672): "0:1713:c5bab14fc30d40d1a13811ce626f69f8",
+    ("bound3", 840): "0:1711:88bad3e51a2a5650c3ec0ec83896a6b5",
+    ("bound3", 1008): "0:1720:6c92c10614ed47fdc365c7328a47f155",
 }
 # pool_digest(certify_ops(golden, 1)): all 1796 triples.
-CERTIFY_POOL_DIGEST = "56a5ca1dce6693913b82a35d04f11a95"
+CERTIFY_POOL_DIGEST = "f367ee91adabe51d94e9f8ff5c62011d"
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)

@@ -423,13 +423,13 @@ CERTIFY_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "golden" /
 
 def test_lifted_pool_samples_meet_the_residuals_and_verify_s_certificates(capsys):
     """On every 7th triple of the certify pool, the states lifted over the
-    sample's (r, s) lie on the level set to the default --tol:
+    sample's (r, s) lie on the level set to tol = 1e-9:
     |sum z_j w_j| <= tol and |Phi(|x|^2) - C| <= tol * moment_scale. Their
     certificates, read from |x|^2, have verify's ranks, and margins within
     1e-15 relative of verify's."""
     triples = [t for pool in json.loads(CERTIFY_POOL.read_text())["categories"].values() for t in pool][::7]
     assert len(triples) == 257
-    tol = 1e-9  # verify's default --tol
+    tol = 1e-9
     for config, samples, seed in triples:
         assert main(["verify", "--config", config, "--samples", str(samples), "--seed", str(seed)]) == 0
         printed = json.loads(capsys.readouterr().out)["results"]["certificates"]
@@ -692,7 +692,7 @@ def test_project_points_matches_sequential(name, orbifold_data):
 def test_project_points_stop_where_the_reference_stops(tol, orbifold_data):
     """Coarse stopping residuals: one round more or less moves the point."""
     for z, w in zip(*_perturbed_starts(orbifold_data, 12, 6, noise=5e-2)):
-        p = project_to_level(orbifold_data, z, w, tol=tol, residual=tol)
+        p = project_to_level(orbifold_data, z, w, tol=tol)
         zr, wr = reference_project(orbifold_data, z, w, tol=tol)
         assert np.allclose(p.z, zr, rtol=0, atol=1e-12) and np.allclose(p.w, wr, rtol=0, atol=1e-12)
 
@@ -734,23 +734,30 @@ def test_projection_evaluates_the_constraints_once_per_round(monkeypatch, orbifo
 
 def test_moment_residual_is_accepted_relative_to_the_moment_scale(orbifold_data):
     """z and w on disjoint supports make sum z_j w_j exactly 0, so only the
-    moment residual |Phi - C| = 2e-12 (up to rounding) decides."""
+    moment residual |Phi - C| = 2e-12 (up to rounding), divided by the
+    moment scale, meets the convergence test, which is the projection's
+    acceptance: at tol 1e-11 the start comes back with that residual, at
+    any scale; at tol 1e-13 the projection steps, and its point meets
+    1e-13 instead."""
     z, w = [1, 0, 0], [0, 1 + 1e-12, 0]
     for scale in (1, 10**6):
         d = cone_data([(scale * x, scale * y) for x, y in orbifold_data.a],
                       [(scale * x, scale * y) for x, y in orbifold_data.b])
-        # a stopping residual of 1e-11 keeps the start
-        p = project_to_level(d, z, w, tol=1e-11, residual=1e-11)
+        p = project_to_level(d, z, w, tol=1e-11)
         assert np.array_equal(p.w, w)
         assert p.residuals[0] == 0 and abs(p.residuals[1] - 2e-12 * scale) <= 1e-15 * scale
-        with pytest.raises(ValueError, match="misses the level set"):
-            project_to_level(d, z, w, tol=1e-11, residual=1e-13)
+        q = project_to_level(d, z, w, tol=1e-13)
+        assert not np.array_equal(q.w, w)
+        assert q.residuals[0] <= 1e-13 and q.residuals[1] <= 1e-13 * scale
 
 
 def test_projection_rejects_a_point_missing_the_acceptance_tolerance(orbifold_data):
+    """A projection is accepted by its convergence test alone, so a point
+    that misses tol after max_iter rounds is refused with RuntimeError, not
+    returned: no perturbed start reaches |F| <= 1e-300."""
     z0, w0 = _perturbed_starts(orbifold_data, 1, 5)
-    with pytest.raises(ValueError, match="misses the level set"):
-        project_to_level(orbifold_data, z0[0], w0[0], residual=1e-300)
+    with pytest.raises(RuntimeError, match="^no convergence to 1e-300 within 50 iterations$"):
+        project_to_level(orbifold_data, z0[0], w0[0], tol=1e-300)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf), complex(np.nan, 0)], ids=repr)
@@ -786,18 +793,19 @@ def test_usable_rows_are_the_nonzero_rows_among_finite_ones():
 def test_orbit_rows_are_usable_above_the_squared_floor(orbifold_data):
     """A sample's row (r, s) is refused as its states would be: max r_k and
     max s_k must exceed _NONZERO_FLOOR ** 2, so that max |z_k| and
-    max |w_k| exceed _NONZERO_FLOOR."""
-    fd = quadric._weight_arrays(orbifold_data)
-    tol = 1e300  # the moment residual decides nothing here
+    max |w_k| exceed _NONZERO_FLOOR. With zero weights and C = 0 every row
+    meets the moment equation exactly, within its bound 0.0, so usability
+    decides alone."""
+    fd = quadric._weight_arrays(orbifold_data)._replace(fg=np.zeros((2, 6)), c=np.zeros(2))
     for small, usable in ((1e-12, True), (2e-16, True), (1e-16, False), (0.0, False)):
         for side in (slice(0, 3), slice(3, 6)):  # every r_k, then every s_k
             rho = np.ones((3, 6))
             rho[1, side] = small
             if usable:
-                assert len(quadric._level_sample(fd, rho, tol)) == 3
+                assert len(quadric._level_sample(fd, rho)) == 3
             else:
                 with pytest.raises(ValueError, match="^z and w must both be finite and nonzero on the quadric$"):
-                    quadric._level_sample(fd, rho, tol)
+                    quadric._level_sample(fd, rho)
 
 
 # --- scale covariance ------------------------------------------------------------

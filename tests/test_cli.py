@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import push_mixture_rows
 
 import su3kahler
 from su3kahler import cli
@@ -530,28 +531,33 @@ def test_admissible_reports_decide_no_membership(capsys, monkeypatch):
 # --- verify: tolerances and scale ----------------------------------------------------
 
 
-def test_verify_tol_decides_the_verdict(capsys):
+def test_verify_refuses_a_row_pushed_past_its_rounding_bound(capsys, monkeypatch):
+    """A sample row's |Phi - C| is rounding alone, and a row that misses
+    its rounding bound is refused: with mixture rows 3 and 5 of each round
+    pushed, the 20-point sample of the orbifold data (6 fixed points, then
+    mixtures) fails at its row 9, the lowest failing one, with exit 1."""
     argv = ("verify", "--config", ORBIFOLD_CONE, "--samples", "20")
     code, out = run(capsys, *argv)
     assert code == 0 and json.loads(out)["pass"]
-    code, out = run(capsys, *argv, "--tol", "1e-300")
-    results = json.loads(out)["results"]
-    assert code == 1 and results["error"].startswith("sampling failed: point misses the level set")
-
-
-def test_verify_validates_sample_points_against_tol(capsys):
-    """Every sample point is checked against --tol: the round data's seeds
-    have residuals 0.0 and pass any tolerance, while its closed-form points
-    meet the default 1e-9 but not 1e-300."""
-    round_cone = '{"A": [[1,0],[1,0],[1,0]], "B": [[0,1],[0,1],[0,1]]}'
-    argv = ("verify", "--config", round_cone, "--samples", "30", "--seed", "3")
+    push_mixture_rows(monkeypatch, 1 + 2.0**-20, 3, 5)
     code, out = run(capsys, *argv)
-    assert code == 0 and json.loads(out)["pass"]
-    code, out = run(capsys, *argv, "--tol", "1e-300")
     results = json.loads(out)["results"]
-    assert code == 1 and results["error"].startswith("sampling failed: point misses the level set")
-    code, out = run(capsys, "verify", "--config", round_cone, "--samples", "6", "--tol", "1e-300")
+    assert code == 1 and list(results) == ["cone_condition", "error"]
+    assert results["error"].startswith("sampling failed: point misses the level set: row 9, |Phi - C| = ")
+
+
+def test_verify_validates_every_returned_row_and_no_other(capsys, monkeypatch):
+    """The round data's fixed points, the vertices r_i = 1 = s_j, meet the
+    bound with |Phi - C| = 0.0. With mixture rows 0 and 4 of each round
+    pushed past the bound, a 6-point sample draws no mixture and passes,
+    and a 30-point sample fails at row 6, its first mixture."""
+    round_cone = '{"A": [[1,0],[1,0],[1,0]], "B": [[0,1],[0,1],[0,1]]}'
+    push_mixture_rows(monkeypatch, 1 + 2.0**-20, 0, 4)
+    code, out = run(capsys, "verify", "--config", round_cone, "--samples", "6", "--seed", "3")
     assert code == 0 and json.loads(out)["pass"]
+    code, out = run(capsys, "verify", "--config", round_cone, "--samples", "30", "--seed", "3")
+    results = json.loads(out)["results"]
+    assert code == 1 and results["error"].startswith("sampling failed: point misses the level set: row 6, ")
 
 
 def test_verify_gives_up_when_no_mixture_closes_a_triangle(capsys, monkeypatch):
@@ -589,10 +595,12 @@ def test_verify_gives_up_when_no_mixture_closes_a_triangle(capsys, monkeypatch):
     "flag, value",
     [
         ("--seed", "-1"),
-        ("--tol", "nan"),
+        ("--tol", "nan"),  # the removed --tol, whatever its value
         ("--tol", "-1"),
         ("--tol", "0"),
         ("--tol", "inf"),
+        ("--tol", "1e-9"),  # its former default
+        ("--tol=1e-9", None),
         ("--tol-zero", "nan"),
         ("--tol-zero", "-0.5"),
         ("--tol-pos", "inf"),
@@ -602,20 +610,22 @@ def test_verify_gives_up_when_no_mixture_closes_a_triangle(capsys, monkeypatch):
     ],
 )
 def test_verify_usage_errors_exit_2_before_sampling(capsys, monkeypatch, flag, value):
-    """A bad --seed or --tol, and the removed --tol-zero and --tol-pos,
-    whatever their value, end in the usage envelope: a certificate no
-    longer measures a spectrum."""
+    """A bad --seed, and the removed --tol, --tol-zero and --tol-pos,
+    whatever their value and spelling, end in the usage envelope: a
+    sample row is accepted against its proven rounding bound, which no
+    option sets, and a certificate no longer measures a spectrum."""
     from su3kahler import quadric
 
     def refuse(*args, **kwargs):
         raise AssertionError("sampled despite a usage error")
 
     monkeypatch.setattr(quadric, "certification_sample", refuse)
-    code, out = run(capsys, "verify", "--config", ORBIFOLD_CONE, flag, value)
+    given = (flag,) if value is None else (flag, value)
+    code, out = run(capsys, "verify", "--config", ORBIFOLD_CONE, *given)
     report = json.loads(out)
     assert code == 2 and not report["pass"]
-    removed = flag in ("--tol-zero", "--tol-pos")
-    want = f"unrecognized arguments: {flag} {value}" if removed else f"{flag} must be "
+    removed = flag.startswith("--tol")
+    want = f"unrecognized arguments: {' '.join(given)}" if removed else f"{flag} must be "
     assert report["results"]["error"].startswith(want)
 
 

@@ -19,7 +19,7 @@ FLAGS = sorted({o.flag for o in cli._GLOBAL_OPTIONS} | {
 })
 # unique and ambiguous prefixes of the flags and commands, and other tokens
 # argparse gives a meaning to
-OTHER_FLAGS = ["--conf", "--t", "--ti", "--tol-", "--s", "--se", "--o", "--br", "--interp", "-h", "--help", "--", "-"]
+OTHER_FLAGS = ["--conf", "--t", "--ti", "--tol", "--s", "--se", "--o", "--br", "--interp", "-h", "--help", "--", "-"]
 COMMANDS = [*cli._TABLE, "chec", "bogus", ""]
 VALUES = [
     "0", "3", "8", "100", "-1", "-3", "+5", " 7 ", "1_000", "٣", "１２", "0x10", "2.5",
@@ -31,7 +31,6 @@ VALUES = [
 # values each option's type reads, beside the mixed VALUES
 VALID = {
     int: ["0", "3", "100", "+5", " 7 ", "1_000", "٣", "１２"],
-    float: ["1e-9", "2.5", "nan", "inf", "1e400", " 1E-8 ", "٣.٥"],
     str: [ORBIFOLD_CONE, "{...}", "", "x y", "check", "1/2,-3/7"],
 }
 
@@ -90,7 +89,7 @@ def test_table_grammar_accepts_and_refuses():
         ["check", "--config", ORBIFOLD_CONE],
         ["--timing", "--out", "r.json", "check", "--interp-steps", "٣", "--config", "{}"],
         ["--out", "check", "--timing", "cohomology"],
-        ["verify", "--tol", "1e400", "--samples", "0", "--config", "", "--seed", " 7 "],
+        ["verify", "--samples", "0", "--config", "", "--seed", " 7 "],
         ["cohomology", "--branch", "degenerate", "--beta", "1/2,-3/7"],
         ["enumerate", "--bound", "1_000"],
     ]
@@ -107,7 +106,8 @@ def test_table_grammar_accepts_and_refuses():
         ["check", "--config", "{}", "--timing"],  # a global option after the command
         ["check", "--config", "{}", "extra"],
         ["check", "--", "--config", "{}"],
-        ["verify", "--config", "{}", "--tol-pos", "nan"],  # a removed option
+        ["verify", "--config", "{}", "--tol-pos", "nan"],  # removed options
+        ["verify", "--config", "{}", "--tol", "1e-9"],
     ]
     assert all(assert_read_as_argparse_reads(argv) is not None for argv in accepted)
     assert all(cli._read_argv(argv) is None for argv in refused)

@@ -225,8 +225,9 @@ RATIONALS = st.one_of(
 @given(st.tuples(RATIONALS, RATIONALS))
 @settings(max_examples=150, deadline=None)
 def test_rational_beta_has_the_branch_of_its_eisenstein_lift(beta):
-    """A rational beta skips Q(omega): its table is the one its lift into
-    Eisenstein gives, entry for entry, alone or beside an Eisenstein."""
+    """A rational beta, read with omega parts 0, has the table its lift
+    into Eisenstein gives, entry for entry, alone or beside an
+    Eisenstein."""
     lifted = tuple(map(Eisenstein.of, beta))
     assume(lifted[0] or lifted[1])
     table = hodge_model(beta)
@@ -462,3 +463,35 @@ def test_hodge_model_builds_no_complex(monkeypatch):
     monkeypatch.setattr(cohomology, "exact_rank", refuse)
     assert hodge_model(GENERIC_BETA).branch == (0, 0, 0)
     assert hodge_model(DEGENERATE_BETA).branch == (1, 2, 1)
+
+
+def _q_omega_scalars():
+    """Elements of Q(omega) with parts of up to 30 digits over
+    denominators up to 10^6, and rationals in the types the gate reads."""
+    part = st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+    return st.one_of(st.builds(Eisenstein, part, part), part, st.integers(-(10**12), 10**12))
+
+
+@st.composite
+def _random_pairs_over_q_omega(draw):
+    """Random pairs, and pairs on the conic b1 = -w b2 or b1 = -w^2 b2,
+    with b2 drawn the same way."""
+    b2 = draw(_q_omega_scalars())
+    kind = draw(st.sampled_from(("random", "conic w", "conic w^2")))
+    if kind == "random":
+        b1 = draw(_q_omega_scalars())
+    else:
+        b1 = -(OMEGA if kind == "conic w" else OMEGA * OMEGA) * Eisenstein.of(b2)
+    assume(Eisenstein.of(b1) or Eisenstein.of(b2))
+    return b1, b2
+
+
+@given(_random_pairs_over_q_omega())
+@settings(max_examples=300, deadline=None)
+def test_hodge_branch_is_the_eisenstein_form_on_random_pairs(beta):
+    """The closed form on the entries' rational parts decides the branch
+    exactly as b1^2 - b1*b2 + b2^2 evaluated in Eisenstein arithmetic:
+    degenerate where that element of Q(omega) is 0."""
+    b1, b2 = map(Eisenstein.of, beta)
+    degenerate = not (b1 * b1 - b1 * b2 + b2 * b2)
+    assert hodge_model(beta).branch == ((1, 2, 1) if degenerate else (0, 0, 0))

@@ -14,6 +14,7 @@ from conftest import (
     constraint_jacobian,
     embed_su3,
     equivariance_residual,
+    push_mixture_rows,
     random_su3,
     seed_point,
     transverse_frame,
@@ -27,6 +28,7 @@ from su3kahler.isotropy import SupportPattern, singular_stratum_census
 from su3kahler.quadric import (
     ROUND_DATA,
     LevelSetPoint,
+    boundedness_residual,
     certification_sample,
     certify_point,
     certify_points,
@@ -146,13 +148,18 @@ def test_sample_point_rejects_unrealizable():
 
 
 def test_level_point_validation(orbifold_data):
-    """Every returned point passes the acceptance rule: nonzero factors
-    and small residuals."""
+    """A projected point is accepted by the projection's own convergence
+    test: nonzero factors, and the residuals of its last F, |sum z_j w_j|
+    at most tol and |Phi - C| at most tol times the moment scale. A
+    stopping residual of 1 keeps a start 0.21 off the level set, and
+    reports that residual; the default one moves it onto M."""
     with pytest.raises(ValueError, match="nonzero"):
         project_to_level(orbifold_data, [0, 0, 0], [0, 1, 0])
-    with pytest.raises(ValueError, match="misses the level set"):
-        # a stopping residual of 1 keeps the start, which misses the level set
-        project_to_level(orbifold_data, [1, 0, 0], [0, 1.1, 0], tol=1.0)
+    p = project_to_level(orbifold_data, [1, 0, 0], [0, 1.1, 0], tol=1.0)
+    assert list(p.z) == [1, 0, 0] and list(p.w) == [0, 1.1, 0]
+    assert p.residuals[0] == 0.0 and abs(p.residuals[1] - 0.21) <= 1e-15
+    q = project_to_level(orbifold_data, [1, 0, 0], [0, 1.1, 0])
+    assert max(q.residuals) <= 1e-12 * moment_scale(orbifold_data)
 
 
 # --- projection ------------------------------------------------------------------
@@ -436,52 +443,82 @@ def test_certification_sample_provenance_is_bitwise(name, orbifold_data):
             assert np.count_nonzero(p.z) == np.count_nonzero(p.w) == 1
 
 
-@given(
-    st.sampled_from(["orbifold", "round", "bound2"]),
-    st.sampled_from([1e-9, 1e-12, 1e-14, 1e-15, 1e-16]),
-    st.integers(1, 45),
-    st.integers(0, 2**32 - 1),
-)
-@example("round", 1e-16, 30, 3)  # a closed-form point misses 1e-16
+def _rounding_bound(d, rho):
+    """16 * 2^-53 * (|C| + sum_g rho_g |g|), a row's rounding bound, in
+    Python floats."""
+    norms = [math.hypot(*map(float, g)) for g in (*d.a, *d.b)]
+    return 16 * 2.0**-53 * (math.hypot(*map(float, d.c)) + sum(r * g for r, g in zip(rho.tolist(), norms)))
+
+
+@given(st.sampled_from(["orbifold", "round", "bound2"]), st.integers(1, 45), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_every_sample_point_meets_the_acceptance_rule(orbifold_data, name, residual, n, seed):
+def test_every_sample_point_meets_the_acceptance_rule(orbifold_data, name, n, seed):
     """The acceptance rule is on the orbit space: every returned point's
-    (r, s) has |Phi(r, s) - C| <= residual * moment_scale, the moment
-    residual its LevelSetPoint reports. Its quadric residual is 0 by the
-    orbit-space proposition, so the states lifted over it meet both
-    residuals to rounding, 1e-14 (relative to the moment scale for Phi),
-    whatever ``residual`` is."""
+    (r, s) has |Phi(r, s) - C|, the moment residual its LevelSetPoint
+    reports, within its rounding bound 16 * 2^-53 * (|C| +
+    sum_g rho_g |g|), and in fact within a quarter of it. Its quadric
+    residual is 0 by the orbit-space proposition, so the states lifted
+    over it meet both residuals to rounding, 1e-14 (relative to the
+    moment scale for Phi)."""
     d = _sample_data(name, orbifold_data)
-    try:
-        points = certification_sample(d, n, seed, residual)
-    except ValueError as exc:
-        assert "misses the level set" in str(exc)
-        return
+    points = certification_sample(d, n, seed)
     assert len(points) == n
     c, scale = np.array(d.c, dtype=float), moment_scale(d)
     mom = np.hypot(*(quadric._moment(quadric._weight_arrays(d).fg, points._rho) - c).T)
-    for p, m in zip(points, mom):
-        assert p.residuals[1] == m <= residual * scale
+    for p, rho, m in zip(points, points._rho, mom):
+        assert p.residuals[1] == m <= _rounding_bound(d, rho) / 4
         assert max(p.residuals[0], abs(np.sum(p.z * p.w))) <= 1e-14
         assert np.linalg.norm(moment_map(d, p) - c) <= 1e-14 * scale
 
 
-def test_only_the_returned_seeds_are_validated(orbifold_data):
-    # the six seeds' (r, s) are their witness coefficients, which are dyadic
-    # here, so their moment residual is 0.0; the first drawn point's is
-    # about 5e-16
-    assert len(certification_sample(orbifold_data, 6, 0, 1e-16)) == 6
-    with pytest.raises(ValueError, match=r"^point misses the level set: residuals \(0\.0, 4\.96"):
-        certification_sample(orbifold_data, 7, 0, 1e-16)
+@pytest.mark.parametrize("vertices", [3, 7, 9])
+def test_dirichlet_weights_are_gammas_times_one_reciprocal_of_their_sum(vertices):
+    """The README's rounding bound reads numpy's Dirichlet draw as its
+    gamma variates, added in order, each times the rounded reciprocal of
+    that sum: bit for bit so. Their exact sum is then within
+    gamma_(vertices + 1) of 1, and their float sum adds vertices - 1
+    roundings more."""
+    seed = np.random.SeedSequence(4)
+    weights = np.random.default_rng(seed).dirichlet(np.ones(vertices), 512)
+    gammas = np.random.default_rng(seed).standard_gamma(np.ones(vertices), (512, vertices))
+    total = np.zeros(512)
+    for column in gammas.T:
+        total = total + column
+    assert np.array_equal(weights, gammas * (1 / total)[:, None])
+    assert np.abs(weights.sum(axis=1) - 1).max() <= 2 * vertices * 2.0**-53
 
 
-def test_sample_points_are_validated_against_tol():
-    """The round data's seeds meet any tolerance (their residuals are 0.0),
-    and its closed-form points meet 1e-9 but not 1e-300."""
-    assert len(certification_sample(ROUND_DATA, 6, 0, 1e-300)) == 6
-    assert len(certification_sample(ROUND_DATA, 30, 0)) == 30
-    with pytest.raises(ValueError, match="point misses the level set"):
-        certification_sample(ROUND_DATA, 30, 0, 1e-300)
+def test_only_the_returned_seeds_are_validated(orbifold_data, monkeypatch):
+    """A round's rows past the sample's count are dropped unread: with
+    mixture row 1 of every round pushed past its bound, the 7-point sample
+    (the 6 fixed points and mixture row 0) passes, and the 8-point sample
+    fails at its row 7."""
+    push_mixture_rows(monkeypatch, 1 + 2.0**-20, 1)
+    assert len(certification_sample(orbifold_data, 7, 0)) == 7
+    with pytest.raises(ValueError, match=r"^point misses the level set: row 7, \|Phi - C\| = "):
+        certification_sample(orbifold_data, 8, 0)
+
+
+def test_sample_points_are_validated_against_their_rounding_bound(monkeypatch):
+    """The round data's fixed points meet their bound with |Phi - C| =
+    0.0, and its closed-form points meet theirs. A row pushed by 1 + 2^-52
+    stays within its bound; a row pushed by 1 + 2^-20 fails, and of two
+    failing rows the lower index is reported, its residual and bound
+    those of that row."""
+    sample = certification_sample(ROUND_DATA, 30, 0)
+    assert [p.residuals[1] for p in sample[:6]] == [0.0] * 6
+    with monkeypatch.context() as patch:
+        push_mixture_rows(patch, 1 + 2.0**-52, 4, 9)
+        assert len(certification_sample(ROUND_DATA, 30, 0)) == 30
+    push_mixture_rows(monkeypatch, 1 + 2.0**-20, 4, 9)
+    with pytest.raises(ValueError) as raised:
+        certification_sample(ROUND_DATA, 30, 0)
+    row = sample._rho[10].copy()
+    row[0] *= 1 + 2.0**-20
+    fd = quadric._weight_arrays(ROUND_DATA)
+    mom, bound = float(np.hypot(*(quadric._moment(fd.fg, row) - fd.c))), _rounding_bound(ROUND_DATA, row)
+    assert mom > 2**20 * bound
+    assert str(raised.value) == f"point misses the level set: row 10, |Phi - C| = {mom}, rounding bound {bound}"
 
 
 # --- closed-form points ----------------------------------------------------------
@@ -568,6 +605,28 @@ def test_boundedness_witness(orbifold_data):
         assert abs(a1 * phi[0] + a2 * phi[1] - alpha_c) <= 1e-10
         assert np.sum(np.abs(p.z) ** 2) <= alpha_c / min(gens) + 1e-9
         assert np.sum(np.abs(p.w) ** 2) <= alpha_c / min(gens) + 1e-9
+
+
+def test_boundedness_of_a_sample_passes_at_its_rounding_bound(orbifold_data):
+    """A sample's boundedness residual passes at |alpha| times its largest
+    row bound plus 16 * 2^-53 * |alpha| |C|, the rounding of
+    alpha(Phi) - alpha(C), and not beyond: Phi shifted along alpha by half
+    that bound passes, by twice it fails. Listed points keep the fixed
+    bound 1e-10 * |alpha| * moment_scale."""
+    sample = certification_sample(orbifold_data, 20, 0)
+    fd = quadric._weight_arrays(orbifold_data)
+    a1, a2, _ = fd.apex
+    norm = math.hypot(a1, a2)
+    top = max(_rounding_bound(orbifold_data, rho) for rho in sample._rho)
+    bound = norm * (top + 16 * 2.0**-53 * math.hypot(*map(float, orbifold_data.c)))
+    residual, bounded = boundedness_residual(orbifold_data, sample)
+    assert bounded and residual <= bound / 4
+    for shift, passes in ((0.5, True), (2.0, False)):
+        phi = sample.phi + shift * bound * np.array([a1, a2]) / norm**2  # alpha(Phi) moves by shift * bound
+        shifted = quadric.LevelSample(sample._rho, phi, sample._mom, sample._bound)
+        assert boundedness_residual(orbifold_data, shifted)[1] is passes
+    residual, bounded = boundedness_residual(orbifold_data, list(sample))
+    assert bounded and residual <= 1e-10 * norm * moment_scale(orbifold_data)
 
 
 def test_certificates_on_samples(orbifold_data):
@@ -714,25 +773,18 @@ def test_large_admissible_data_certify_at_the_exact_vertex_margins(capsys, expon
     """On 60 admissible systems with entries of about N = 10^exponent,
     whose smallest fixed-point margins fall like N^-2 (to about 1e-11 at
     10^5), ``verify --samples m`` certifies every fixed point at rank 4:
-    the rank is the support test, and no float cutoff decides it. Up to
-    N = 10^5 every system exits 0, and its m margins are
-    :func:`vertex_margin` within 1e-13 relative. At N = 10^6 no
-    certificate has rank < 4, and a system that fails, fails sampling
-    alone: a seed's |Phi - C|, the rounding of sums far above the moment
-    scale, exceeds the acceptance rule's tol * moment_scale."""
+    the rank is the support test, and no float cutoff decides it. Every
+    system exits 0, and its m margins are :func:`vertex_margin` within
+    1e-13 relative: a fixed point's |Phi - C|, the rounding of sums far
+    above the moment scale, is accepted against its own rounding bound,
+    and so is its boundedness residual."""
     pool = _large_admissible_pool(10**exponent, f"large admissible data: 10^{exponent}", 60)
     for config, d in pool:
         witnesses = d.mixed_witnesses
         code = main(["verify", "--config", json.dumps(config), "--samples", str(len(witnesses))])
         results = json.loads(capsys.readouterr().out)["results"]
-        if exponent == 6 and code == 1:
-            assert list(results) == ["cone_condition", "error"] and results["cone_condition"] is True, config
-            assert results["error"].startswith("sampling failed: point misses the level set: residuals"), config
-            continue
         assert code == 0 and results["all_passed"] is True, config
         assert [c["jacobian_rank"] for c in results["certificates"]] == [4] * len(witnesses), config
-        if exponent == 6:
-            continue
         for cert, (i, j, a, b) in zip(results["certificates"], witnesses, strict=True):
             rho = [Fraction(0)] * 6
             rho[i - 1], rho[j + 2] = a, b

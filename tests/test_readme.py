@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from su3kahler import enumerate_admissible_systems, weights
+from su3kahler import cli, enumerate_admissible_systems, weights
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -63,3 +63,18 @@ def test_enumeration_table_matches_the_stream(bound):
         count += 1
         free_count += ws.free
     assert (count, free_count) == (admissible, free)
+
+
+# The README's --words that are not options: argparse's help, an
+# abbreviation argparse refuses, a placeholder and pip's flag.
+NOT_OPTIONS = {"--help", "--conf", "--flag", "--no-build-isolation"}
+
+
+def test_every_flag_the_readme_names_is_an_option():
+    """Every --flag in the README is an option of the CLI's table, or one
+    of the listed non-options: prose about a removed option fails here."""
+    options = {o.flag for o in cli._GLOBAL_OPTIONS}
+    options |= {o.flag for command in cli._TABLE.values() for o in command.options}
+    named = set(re.findall(r"--[a-zA-Z][a-zA-Z0-9-]*", README.read_text()))
+    assert named - options - NOT_OPTIONS == set()
+    assert NOT_OPTIONS <= named and not NOT_OPTIONS & options
