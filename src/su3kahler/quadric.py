@@ -47,12 +47,14 @@ copy, and complex vectors and the projection's Jacobian rows are read as
 real ones that way. The certificates read only the squared moduli
 rho = (r, s), and Phi reads only rho too, so a sample stays in the orbit
 space from draw to certificate: :func:`certification_sample` returns a
-:class:`LevelSample` of the validated (n, 6) rows (r, s), with Phi and
-|Phi - C| as columns, and the certificates and the boundedness residual
-read them as they are. A row is drawn in closed form, so its |Phi - C|
-is rounding alone, and it is accepted against the README's forward
-error bound of that rounding (:func:`_level_sample`), which no option
-sets. ``verify`` builds no complex state: its states
+:class:`LevelSample` of the validated (n, 6) rows (r, s), with |Phi - C|
+as a column, and the certificates read the rows as they are. A row is
+drawn in closed form, so its |Phi - C| is rounding alone, and it is
+accepted against the README's forward error bound of that rounding
+(:func:`_level_sample`), which no option sets. The bound holds the whole
+vector Phi - C, so it bounds each of its components too; compactness
+is ``check``'s exact apex functional, and no float here weighs it.
+``verify`` builds no complex state: its states
 are a view that :func:`_lift` makes from rho when a library caller reads
 them. ``verify`` renders the ranks and margins as two columns
 (:func:`_certificate_columns`) and builds no object per point; a
@@ -60,14 +62,13 @@ them. ``verify`` renders the ranks and margins as two columns
 a caller asks for one.
 
 Exact numbers enter here once per cone data object: :func:`_float_data`
-reads A, B and C, the integer mixed witnesses and the integer apex
-functional of :class:`~su3kahler.weights.DerivedConeData`, and turns each
-quotient n/den into a float by one correctly rounded int division, the
-float ``float(Fraction(n, den))`` gives, without building a ``Fraction``;
-so are the squared crosses of the generators on the data divided by the
+reads A, B and C and the integer mixed witnesses of
+:class:`~su3kahler.weights.DerivedConeData`, and turns each quotient
+n/den into a float by one correctly rounded int division, the float
+``float(Fraction(n, den))`` gives, without building a ``Fraction``; so
+are the squared crosses of the generators on the data divided by the
 moment scale, which the certificates read. The range check, the sample's
-vertices, certificates and the boundedness residual all read that one
-conversion.
+vertices and the certificates all read that one conversion.
 
 Everything here is float; all exact decisions live in the other modules.
 This module and the integer-array search of :mod:`su3kahler.weights`
@@ -97,7 +98,6 @@ __all__ = [
     "project_to_level",
     "moment_scale",
     "check_float_range",
-    "boundedness_residual",
     "PointCertificate",
     "certify_point",
     "certify_points",
@@ -133,21 +133,21 @@ class LevelSetPoint:
 class LevelSample(Sequence):
     """n validated points of the level set over their orbit-space points,
     kept as columns: the (n, 6) squared moduli rho = (r, s) =
-    (|z|^2, |w|^2), Phi at each row (``phi``, (n, 2)), the residual
-    column |Phi - C| and each row's rounding bound (see
+    (|z|^2, |w|^2) and the residual column |Phi - C| (see
     :func:`_level_sample`). What :func:`certification_sample` returns;
-    certificates and the boundedness residual read the columns. ``states``
-    is the complex (n, 6) state array, made from rho by :func:`_lift` when
-    it is first read. Indexing reads row k as a :class:`LevelSetPoint`
-    whose z and w are views of it, with the residuals |sum z_j w_j| of
-    that row and |Phi - C|, and a slice is the sample of its rows."""
+    certificates read rho. ``states`` is the complex (n, 6) state array,
+    made from rho by :func:`_lift` when it is first read. Indexing reads
+    row k as a :class:`LevelSetPoint` with the residuals |sum z_j w_j| of
+    that row and |Phi - C|: its z and w are views of ``states`` once they
+    are read, and before that of row k lifted alone, which gives the same
+    bytes, since :func:`_lift` works row by row. Iterating reads
+    ``states``, so its points are views of it; a slice is the sample of
+    its rows."""
 
-    __slots__ = ("_rho", "phi", "_mom", "_bound", "_states")
+    __slots__ = ("_rho", "_mom", "_states")
 
-    def __init__(
-        self, rho: np.ndarray, phi: np.ndarray, mom: np.ndarray, bound: np.ndarray, states: np.ndarray | None = None
-    ):
-        self._rho, self.phi, self._mom, self._bound, self._states = rho, phi, mom, bound, states
+    def __init__(self, rho: np.ndarray, mom: np.ndarray, states: np.ndarray | None = None):
+        self._rho, self._mom, self._states = rho, mom, states
 
     @property
     def states(self) -> np.ndarray:
@@ -161,8 +161,15 @@ class LevelSample(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             states = None if self._states is None else self._states[k]  # a slice lifts nothing
-            return LevelSample(self._rho[k], self.phi[k], self._mom[k], self._bound[k], states)
-        x = self.states[k]
+            return LevelSample(self._rho[k], self._mom[k], states)
+        k = range(len(self))[k]  # a list's index rules: negative from the end, IndexError past it
+        x = _lift(self._rho[k : k + 1])[0] if self._states is None else self._states[k]
+        return self._point(x, k)
+
+    def __iter__(self):
+        return map(self._point, self.states, range(len(self)))
+
+    def _point(self, x: np.ndarray, k: int) -> LevelSetPoint:
         return LevelSetPoint(x[:3], x[3:], (float(_quadric_residual(x[None])[0]), float(self._mom[k])))
 
 
@@ -175,16 +182,10 @@ class _FloatData(NamedTuple):
     #                 the weights of z_1, z_2, z_3, w_1, w_2, w_3 in Phi's component k
     c: np.ndarray   # C as a float 2-vector
     scale: float    # moment scale, see :func:`moment_scale`
-    # fg divided by the scale. Certificates and the projection's Jacobian
-    # run on it: the level set and its tangent spaces are unchanged, while
-    # ranks, margins and steps become invariant under rescaling the cone
-    # data.
-    unit_fg: np.ndarray
     # (m + 3, 6): the (r_1, r_2, r_3, s_1, s_2, s_3) = (|z|^2, |w|^2) of the
     # slice's vertices, r_i = a and s_j = b per mixed witness (i, j, a, b),
     # then the three diagonals r_i = s_i = 1 (C = A_i + B_i)
     vertices: np.ndarray
-    apex: tuple[float, float, float] | None  # (alpha_1, alpha_2, alpha(C)) of the apex functional
     rounding: np.ndarray  # (7,): K u |g| for A_1, ..., B_3, then K u |C|; see :func:`_level_sample`
     # (10, 6): the weights of rho = |x|^2 in the sums that give the Gram
     # matrix of the unit Jacobian, P I_2 (+) G (see :func:`certify_points`),
@@ -198,16 +199,14 @@ class _FloatData(NamedTuple):
 
 def _float_data(d: DerivedConeData) -> _FloatData:
     """d's float data, raising ValueError unless every number is finite as
-    a float: each entry of A, B and C, the moment scale, each coefficient
-    of a mixed witness, and the apex functional and its norm times the
-    moment scale. Witness coefficients and the apex functional come from
-    the integer evidence ``d._witness_evidence`` and ``d._apex``, each
-    quotient one int division; alpha(C) is read off the sign table's
-    cleared C, so it too is one. So is each cross square: with the
-    moment scale p/q as a ratio of ints and the sign table's integer
-    crosses of the cleared generators, 16 cross(g, h)^2 on the unit data
-    is 16 cross^2 q^4 / (clearing^4 p^4), with no float rounding before
-    the one division and no float overflow for large entries."""
+    a float: each entry of A, B and C, the moment scale and each
+    coefficient of a mixed witness. Witness coefficients come from the
+    integer evidence ``d._witness_evidence``, each quotient one int
+    division. So is each cross square: with the moment scale p/q as a
+    ratio of ints and the sign table's integer crosses of the cleared
+    generators, 16 cross(g, h)^2 on the unit data is
+    16 cross^2 q^4 / (clearing^4 p^4), with no float rounding before the
+    one division and no float overflow for large entries."""
     try:
         abc = np.array([*d.a, *d.b, d.c], dtype=float)
         vectors = abc.tolist()
@@ -217,23 +216,17 @@ def _float_data(d: DerivedConeData) -> _FloatData:
         vertices[m:] = _DIAGONALS
         for row, (i, j, na, nb, den) in zip(vertices, d._witness_evidence):
             row[i - 1], row[j + 2] = na / den, nb / den
-        x, y, den = d._apex or (0, 0, 1)  # alpha = 0 without an apex functional
-        alpha = (x / den, y / den)
         if not math.isfinite(scale):
             raise ValueError("cone data outside the float range: moment scale overflows")
-        if not math.isfinite(scale * math.hypot(*alpha)):
-            raise ValueError("cone data outside the float range: moment scale times |apex functional| overflows")
-        table = d.sign_table
-        (cx, cy), clearing = table.vectors[-1], table.scale  # C times the clearing factor
-        apex = None if d._apex is None else (*alpha, (x * cx + y * cy) / (den * clearing))
     except OverflowError as exc:
         raise ValueError(f"cone data outside the float range: {exc}") from exc
     fg, c = np.ascontiguousarray(abc[:6].T), abc[6]
     # the Gram weights in Python floats and one array call: a numpy call per
     # row costs more than the arithmetic of these 60 entries
     units = [(x / scale, y / scale) for x, y in vectors[:6]]
+    table = d.sign_table
     p, q = scale.as_integer_ratio()
-    num, den4 = 16 * q**4, (clearing * p) ** 4
+    num, den4 = 16 * q**4, (table.scale * p) ** 4
     gram = [1.0] * 6
     gram += [4 * (x * x + y * y) for x, y in units]
     gram += [4 * (x * x - y * y) for x, y in units]
@@ -242,8 +235,8 @@ def _float_data(d: DerivedConeData) -> _FloatData:
     independent = tuple([v != 0 for row in table.crosses[:6] for v in row[:6]])
     ranks = _rank_table(tuple(map(any, table.vectors[:6])), independent)
     rounding = _ROUNDING * np.hypot(abc[:, 0], abc[:, 1])
-    fd = _FloatData(fg, c, scale, fg / scale, vertices, apex, rounding, np.array(gram).reshape(10, 6), ranks)
-    for arr in (fd.fg, fd.c, fd.unit_fg, fd.vertices, fd.rounding, fd.gram_weights, fd.ranks):
+    fd = _FloatData(fg, c, scale, vertices, rounding, np.array(gram).reshape(10, 6), ranks)
+    for arr in (fd.fg, fd.c, fd.vertices, fd.rounding, fd.gram_weights, fd.ranks):
         arr.setflags(write=False)
     return fd
 
@@ -266,9 +259,8 @@ _last_conversion: tuple = (None, None)
 
 def _weight_arrays(d: DerivedConeData) -> _FloatData:
     """d's float data, converted by :func:`_float_data` unless d is the
-    object converted last: a verify command reads one object four times
-    (range check, the sample, certificates and boundedness residual) and
-    converts it once."""
+    object converted last: a verify command reads one object three times
+    (range check, the sample and the certificates) and converts it once."""
     global _last_conversion
     last, fd = _last_conversion
     if last is not d:
@@ -311,41 +303,12 @@ def moment_map(d: DerivedConeData, p) -> np.ndarray:
 
 
 def check_float_range(d: DerivedConeData) -> None:
-    """Raise ValueError unless every exact number that sampling and
-    :func:`boundedness_residual` turn into floats is finite as a float: the
-    entries of A, B and C, the moment scale, the coefficients of the mixed
-    witnesses, and the apex functional and its norm times the moment
-    scale. This is d's one float conversion, which the rest of ``verify``
-    then reads."""
+    """Raise ValueError unless every exact number that sampling and the
+    certificates turn into floats is finite as a float: the entries of A,
+    B and C, the moment scale and the coefficients of the mixed witnesses.
+    This is d's one float conversion, which the rest of ``verify`` then
+    reads."""
     _weight_arrays(d)
-
-
-def boundedness_residual(d: DerivedConeData, points) -> tuple[float, bool]:
-    """max |alpha(Phi(p)) - alpha(C)| over the points, for alpha the apex
-    functional of d, and whether it is within its bound. (0.0, True) for
-    data without an apex functional and for no points.
-
-    The exact fact behind it, alpha > 0 on every generator, so that M is
-    compact, is ``check``'s apex functional; this float reads the one
-    component of Phi - C along alpha. On a :class:`LevelSample`, drawn in
-    closed form, that is rounding alone, and the bound is the README's:
-    |alpha| times the sample's largest row bound (:func:`_level_sample`),
-    which bounds the rounding of Phi, plus K u |alpha| |C|, which bounds
-    the rounding of alpha(Phi) - alpha(C) itself (at most 4 u |alpha| |C|
-    to first order); Phi is the one the sample's residual check computed.
-    Listed points keep the fixed bound 1e-10 * |alpha| *
-    :func:`moment_scale`: their distance to M is the caller's. alpha and
-    alpha(C) are the floats of d's one conversion."""
-    fd = _weight_arrays(d)
-    if fd.apex is None or not len(points):
-        return 0.0, True
-    a1, a2, rhs = fd.apex
-    if isinstance(points, LevelSample):
-        phi, top = points.phi, float(points._bound.max() + fd.rounding[6])
-    else:
-        phi, top = _moment(fd.fg, np.abs(_stack(points)) ** 2), 1e-10 * fd.scale
-    residual = float(np.max(np.abs(a1 * phi[:, 0] + a2 * phi[:, 1] - rhs)))
-    return residual, residual <= math.hypot(a1, a2) * top
 
 
 def _state(p) -> np.ndarray:
@@ -388,13 +351,11 @@ def _level_sample(fd: _FloatData, rho: np.ndarray) -> LevelSample:
     :func:`certification_sample` draws. A row's bound depends on its own
     rho alone. Its quadric residual is 0 by the README's proposition
     (*The orbit space*), so no quadric column is built. Each residual,
-    bound and verdict is one column. Phi and the bounds are kept for the
-    boundedness residual. |Phi - C| is one hypot of its two components,
-    so the residual of data near 1e300 (about 1e284) is not squared into
-    an overflow.
+    bound and verdict is one column. |Phi - C| is one hypot of its two
+    components, so the residual of data near 1e300 (about 1e284) is not
+    squared into an overflow.
     """
-    phi = _moment(fd.fg, rho)
-    mom = np.hypot(*(phi - fd.c).T)
+    mom = np.hypot(*(_moment(fd.fg, rho) - fd.c).T)
     bound = fd.rounding[6] + np.add.reduce(rho * fd.rounding[:6], axis=-1)
     usable = _usable(rho, _NONZERO_FLOOR**2)
     passing = usable & (mom <= bound) & (bound < math.inf)
@@ -403,7 +364,7 @@ def _level_sample(fd: _FloatData, rho: np.ndarray) -> LevelSample:
         if not usable[k]:
             raise ValueError("z and w must both be finite and nonzero on the quadric")
         raise ValueError(f"point misses the level set: row {k}, |Phi - C| = {mom[k]}, rounding bound {bound[k]}")
-    return LevelSample(rho, phi, mom, bound)
+    return LevelSample(rho, mom)
 
 
 # --- real-coordinate plumbing -------------------------------------------
@@ -458,13 +419,13 @@ def project_to_level(d: DerivedConeData, z0, w0, tol: float = 1e-12, max_iter: i
     if not _usable(x)[0]:
         finite = np.isfinite(x).all()
         raise ValueError("starting point must have nonzero z and w" if finite else "starting point must be finite")
-    rows = np.array([1.0, 1.0, fd.scale, fd.scale])
+    rows, unit_fg = np.array([1.0, 1.0, fd.scale, fd.scale]), fd.fg / fd.scale
     for _ in range(max_iter):
         f = constraint_values(d, x[0, :3], x[0, 3:])
         unit = f / rows
         if np.sqrt(np.add.reduce(unit * unit)) <= tol:
             return LevelSetPoint(x[0, :3], x[0, 3:], tuple(np.hypot(f[0::2], f[1::2]).tolist()))
-        x.view(float)[0] += np.linalg.lstsq(_jacobian(fd.unit_fg, x)[0], -unit, rcond=None)[0]
+        x.view(float)[0] += np.linalg.lstsq(_jacobian(unit_fg, x)[0], -unit, rcond=None)[0]
         if not _usable(x)[0]:
             finite = np.isfinite(x).all()
             raise RuntimeError(

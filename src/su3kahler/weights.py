@@ -289,8 +289,7 @@ class DerivedConeData:
         :func:`~su3kahler.conegeom.find_apex_functional`'s order, or None
         when a generator is zero or none exists: the ``Fraction`` view of
         :attr:`_apex`, which :func:`check_level_set_conditions` reports.
-        No command reads it: ``check`` writes :attr:`_apex`'s quotients and
-        ``verify`` weighs its boundedness residual with their floats."""
+        No command reads it: ``check`` writes :attr:`_apex`'s quotients."""
         apex = self._apex
         return None if apex is None else (Fraction(apex[0], apex[2]), Fraction(apex[1], apex[2]))
 

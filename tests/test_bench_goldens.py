@@ -80,34 +80,34 @@ def pool_digest(ops) -> str:
 # A 5-sample op certifies fixed points only; a 20- or 50-sample op also
 # certifies the sample's closed-form points, which these entries pin.
 CERTIFY_DIGESTS = {
-    ("orbifold", 0): "0:1367:f50e9b59076e257e4fb03b0f92787b2b",
-    ("orbifold", 6): "0:1367:ea5007443bc045d03a050c2446d066c7",
-    ("orbifold", 12): "0:1367:ba2fc9142829e7fae9e8ce5b7f30631f",
-    ("orbifold", 18): "0:1367:32e1954889b665268b255e5ccd8aa667",
-    ("orbifold", 24): "0:1367:2a99a4dd48591c4f8dd542fc2ec36eaa",
-    ("orbifold", 30): "0:1369:a10a275444344a0be8915837c15caa41",
-    ("round", 0): "0:1365:e797f8c3ebad7f1353d4b91ecb36bde3",
-    ("round", 6): "0:1365:b0d24061092068fe703c988f45848f15",
-    ("round", 12): "0:1365:9d266da69e43b8cfcc868d1263532b33",
-    ("round", 18): "0:1365:b4c73dc1d3521a6d6436c36972f6ecfe",
-    ("round", 24): "0:1365:c91b3fa289faedf923c12dd50014d0f1",
-    ("round", 30): "0:1367:c62d3fcb198756f53c0c510ae080809f",
-    ("bound2", 0): "0:1711:df7533a4c9fe4c46adca133d1dfb3d8b",
-    ("bound2", 119): "0:10642:aa01bc73df8e027d3a107de66d7f5914",
-    ("bound2", 238): "0:4705:444ee416e25c9cf4e5f41c73f5e80e59",
-    ("bound2", 357): "0:1707:c2559f1ec0d1e30a874739da3165a507",
-    ("bound2", 476): "0:10670:431e04c8ab7b832d5ad636eabaadea86",
-    ("bound2", 595): "0:4705:bcd52cbeb6cc58ac1b2a2124a0efb9be",
-    ("bound3", 0): "0:1713:ce0a3ddeba0e9abe48e5b13cafb9c112",
-    ("bound3", 168): "0:1717:ae53feb5b7cb79f0a6078ec342d95a91",
-    ("bound3", 336): "0:1717:5d3790300bca11f5f625e70169909e18",
-    ("bound3", 504): "0:1712:630f93af76fd61d12b517cca0bd5357e",
-    ("bound3", 672): "0:1713:c5bab14fc30d40d1a13811ce626f69f8",
-    ("bound3", 840): "0:1711:88bad3e51a2a5650c3ec0ec83896a6b5",
-    ("bound3", 1008): "0:1720:6c92c10614ed47fdc365c7328a47f155",
+    ("orbifold", 0): "0:1334:412f3f9b4c2c2191389add4a674c04fe",
+    ("orbifold", 6): "0:1334:8c98488b45b82bcb7e150c4b471f8637",
+    ("orbifold", 12): "0:1334:ab280f971518bcfb274b42e51977dbb1",
+    ("orbifold", 18): "0:1334:71a51afb89a73342de2cfc3ebab35d80",
+    ("orbifold", 24): "0:1334:dedd728c376ef119da95c36d69411a5e",
+    ("orbifold", 30): "0:1336:65d0d2378da3b5427b1941c0e0e697ae",
+    ("round", 0): "0:1332:55719a96a9919fee58e6534fa1a8dc9b",
+    ("round", 6): "0:1332:c23de93cb5e495f6f2041304a7b38332",
+    ("round", 12): "0:1332:74218d3b3464473b8e45a7e5c9896cd0",
+    ("round", 18): "0:1332:b2a8f2aceb2c5ebbe2d21c799e7b9afd",
+    ("round", 24): "0:1332:ff0e29dc42c59b5a2ec5da19c6a76e25",
+    ("round", 30): "0:1334:90ece5fc59088d47dda82afef331dba2",
+    ("bound2", 0): "0:1678:41b0a7c9737a74bce1401e4e45eaecfc",
+    ("bound2", 119): "0:10590:ffe021e7895bebf6a7763a044ea4e2c1",
+    ("bound2", 238): "0:4653:4f687cd86df6d8fbc78f1639d235bd5c",
+    ("bound2", 357): "0:1674:fc4286df8b0ea1c5aed3b5559b93af78",
+    ("bound2", 476): "0:10618:f3b7b6dc3a9e6763c9f83220126f26c8",
+    ("bound2", 595): "0:4654:5102848c6ef8c1f402c9e380c796f0c0",
+    ("bound3", 0): "0:1680:28058677bb0b3352e07d76b1fed253d6",
+    ("bound3", 168): "0:1684:6e9c173a73186bae4a2837636eac42ee",
+    ("bound3", 336): "0:1684:7935f75fba19d34b192354f37ccf0664",
+    ("bound3", 504): "0:1679:e52fb51dcac35596f789f103faf7bf5b",
+    ("bound3", 672): "0:1680:a0526c2d6157b3d7a1970cfa3c4eb9d0",
+    ("bound3", 840): "0:1678:73ac1896ffb6516c487cee4fd0e54c3b",
+    ("bound3", 1008): "0:1687:9626ad2a6b57aa709401517ed5826107",
 }
 # pool_digest(certify_ops(golden, 1)): all 1796 triples.
-CERTIFY_POOL_DIGEST = "f367ee91adabe51d94e9f8ff5c62011d"
+CERTIFY_POOL_DIGEST = "96480d2a1a290150e144f178adb348ee"
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)

@@ -23,6 +23,7 @@ import pytest
 from conftest import (
     J12,
     OMEGA12,
+    admissible_systems,
     basis_change,
     c2r,
     constraint_jacobian,
@@ -32,15 +33,15 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_bench_goldens import workloads
 from test_cli import THIN_SYSTEM
 
-from su3kahler import cli, quadric
+from su3kahler import cli, conegeom, quadric
 from su3kahler.cli import main
 from su3kahler.quadric import (
     ROUND_DATA,
     LevelSample,
     LevelSetPoint,
-    boundedness_residual,
     certification_sample,
     certify_point,
     certify_points,
@@ -241,9 +242,8 @@ def test_mixed_batch_with_irregular_and_non_transversal_points():
 
 
 def test_verify_converts_its_cone_data_once(monkeypatch, capsys):
-    """The range check, the sample's seeds and vertices, the certificates
-    and the boundedness residual of one verify share one float
-    conversion."""
+    """The range check, the sample's vertices and the certificates of one
+    verify share one float conversion."""
     conversions = []
     convert = quadric._float_data
 
@@ -262,10 +262,10 @@ def test_verify_converts_its_cone_data_once(monkeypatch, capsys):
 
 def test_float_intake_rounds_the_fraction_views(bound2_systems):
     """The seeds (the lift of the one conversion's fixed-point vertices)
-    and its apex floats are the Fraction views (mixed_witnesses,
-    apex_functional and alpha(C)) converted by float(), bit for bit: on bound-2 systems, on the same data times 2/7
-    (whose sign table clears a denominator), and on data with dependent
-    generators or without an apex functional."""
+    are the Fraction views of the mixed witnesses converted by float(), bit
+    for bit: on bound-2 systems, on the same data times 2/7 (whose sign
+    table clears a denominator), and on data with dependent generators or
+    without an apex functional."""
     data = [ROUND_DATA, cone_data([(0, 0)] * 3, [(0, 0)] * 3), cone_data([(3, 0)] * 3, [(3, 0)] * 3)]
     for ws in bound2_systems[::97]:
         d = derive(ws)
@@ -276,11 +276,6 @@ def test_float_intake_rounds_the_fraction_views(bound2_systems):
         for row, (i, j, a, b) in zip(seeds, d.mixed_witnesses):
             row[i - 1], row[j + 2] = np.sqrt(float(a)), np.sqrt(float(b))
         assert quadric._lift(fd.vertices[:-3]).tobytes() == seeds.tobytes()
-        alpha = d.apex_functional
-        if alpha is None:
-            assert fd.apex is None
-        else:
-            assert fd.apex == (float(alpha[0]), float(alpha[1]), float(alpha[0] * d.c[0] + alpha[1] * d.c[1]))
 
 
 def test_dependent_fields_data_in_a_batch():
@@ -417,6 +412,31 @@ def test_verify_builds_no_complex_state(monkeypatch, capsys, bound2_systems):
             assert json.loads(capsys.readouterr().out)["results"]["all_passed"] is True
 
 
+def test_verify_passes_exactly_under_the_cone_condition(monkeypatch, capsys):
+    """The README's corollary (*Numerical certificates*): whenever sampling
+    returns, all_passed is cone_condition. On every 7th bound-2 system,
+    every 97th bound-3 system and every 5th failing config of the audit
+    pool, at 5 samples; the apex search is refused, since compactness is
+    check's exact fact and verify weighs no apex functional."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify searched for an apex functional")
+
+    monkeypatch.setattr(conegeom.SignTable, "apex", refuse)
+    configs = [json.dumps(ws.to_json()) for ws in admissible_systems(2)[::7] + admissible_systems(3)[::97]]
+    failing = workloads.load_golden("audit")["categories"]["failing"]["items"][::5]
+    configs += [workloads.ws_config(item) for item in failing]
+    seen = Counter()
+    for config in configs:
+        code = main(["verify", "--config", config, "--samples", "5"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        if "error" not in results:
+            assert results["all_passed"] is results["cone_condition"], config
+            assert code == (0 if results["all_passed"] else 1), config
+        seen[results["cone_condition"], "error" in results] += 1
+    assert seen[True, False] == 408 + 667 and seen[False, False] > 200
+
+
 # The benchmark's pool of verify triples (config, samples, seed).
 CERTIFY_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "certify.json"
 
@@ -459,14 +479,11 @@ def test_verify_reports_the_margins_of_certify_points(capsys, bound2_systems):
         assert got == want, config
 
 
-def test_an_empty_sample_is_bounded_and_certifies_nothing(orbifold_data):
-    """No points: boundedness residual (0.0, True), as for data without an
-    apex functional, and no certificates, from a list or from an empty
-    slice of a sample."""
+def test_an_empty_sample_certifies_nothing(orbifold_data):
+    """No points, no certificates: from a list or from an empty slice of a
+    sample."""
     sample = certification_sample(orbifold_data, 5, 0)
-    assert quadric._weight_arrays(orbifold_data).apex is not None
     for empty in ([], sample[:0]):
-        assert boundedness_residual(orbifold_data, empty) == (0.0, True)
         assert certify_points(orbifold_data, empty) == []
 
 
@@ -482,9 +499,9 @@ def assert_same_certificates_to_rounding(got, want):
 def test_a_sample_reads_as_its_points(orbifold_data):
     """A sample's rows read as LevelSetPoints, views of its state array
     with the residuals it was accepted with, and a slice is the sample of
-    its rows; a list of those points certifies and bounds as the sample
-    does, to rounding, since it reads |x|^2 of the lifted states where the
-    sample reads its (r, s)."""
+    its rows; a list of those points certifies as the sample does, to
+    rounding, since it reads |x|^2 of the lifted states where the sample
+    reads its (r, s)."""
     sample = certification_sample(orbifold_data, 20, 5)
     assert isinstance(sample, LevelSample) and sample.states.shape == (20, 6) and len(sample) == 20
     points = list(sample)
@@ -495,8 +512,34 @@ def test_a_sample_reads_as_its_points(orbifold_data):
     assert isinstance(part, LevelSample) and np.array_equal(part.states, sample.states[3:11])
     assert [p.residuals for p in part] == [p.residuals for p in points[3:11]]
     assert_same_certificates_to_rounding(certify_points(orbifold_data, points), certify_points(orbifold_data, sample))
-    (listed, listed_ok), (drawn, drawn_ok) = (boundedness_residual(orbifold_data, p) for p in (points, sample))
-    assert listed_ok and drawn_ok and abs(listed - drawn) <= 1e-15 * moment_scale(orbifold_data)
+
+
+def test_a_sample_row_lifts_that_row_alone(monkeypatch, orbifold_data):
+    """sample[k] lifts row k alone while the states are unread, with the
+    bytes of row k of the whole lift, since the lift works row by row;
+    indices follow a list's rules. Iterating lifts the whole sample once,
+    and its points are views of the states."""
+    sample = certification_sample(orbifold_data, 50, 2)
+    whole = quadric._lift(sample._rho)
+    lifted = []
+    lift = quadric._lift
+
+    def counted(rho):
+        lifted.append(len(rho))
+        return lift(rho)
+
+    monkeypatch.setattr(quadric, "_lift", counted)
+    for k in (0, 17, 49, -1, -50):
+        p = sample[k]
+        assert np.concatenate([p.z, p.w]).tobytes() == whole[k].tobytes()
+        assert p.residuals[1] == sample._mom[k]
+    for k in (50, -51):
+        with pytest.raises(IndexError):
+            sample[k]
+    assert lifted == [1] * 5 and sample._states is None
+    points = list(sample)
+    assert lifted == [1] * 5 + [50] and all(np.shares_memory(p.z, sample.states) for p in points)
+    assert sample.states.tobytes() == whole.tobytes()
 
 
 def test_single_point_is_a_batch_of_one(orbifold_data):
@@ -651,7 +694,8 @@ def test_closed_form_matches_the_svd_and_a_50_digit_oracle(batch):
     d, points = batch
     certs = certify_points(d, points)
     x = np.array([np.concatenate([p.z, p.w]) for p in points])
-    s = np.linalg.svd(quadric._jacobian(quadric._weight_arrays(d).unit_fg, x), compute_uv=False)
+    fd = quadric._weight_arrays(d)
+    s = np.linalg.svd(quadric._jacobian(fd.fg / fd.scale, x), compute_uv=False)
     smax = np.where(s[:, 0] > 0, s[:, 0], 1.0)
     assert [c.jacobian_rank for c in certs] == [support_rank(d, row) for row in x]
     for cert, svd_margin, p in zip(certs, s[:, 3] / smax, points):

@@ -28,7 +28,6 @@ from su3kahler.isotropy import SupportPattern, singular_stratum_census
 from su3kahler.quadric import (
     ROUND_DATA,
     LevelSetPoint,
-    boundedness_residual,
     certification_sample,
     certify_point,
     certify_points,
@@ -607,28 +606,6 @@ def test_boundedness_witness(orbifold_data):
         assert np.sum(np.abs(p.w) ** 2) <= alpha_c / min(gens) + 1e-9
 
 
-def test_boundedness_of_a_sample_passes_at_its_rounding_bound(orbifold_data):
-    """A sample's boundedness residual passes at |alpha| times its largest
-    row bound plus 16 * 2^-53 * |alpha| |C|, the rounding of
-    alpha(Phi) - alpha(C), and not beyond: Phi shifted along alpha by half
-    that bound passes, by twice it fails. Listed points keep the fixed
-    bound 1e-10 * |alpha| * moment_scale."""
-    sample = certification_sample(orbifold_data, 20, 0)
-    fd = quadric._weight_arrays(orbifold_data)
-    a1, a2, _ = fd.apex
-    norm = math.hypot(a1, a2)
-    top = max(_rounding_bound(orbifold_data, rho) for rho in sample._rho)
-    bound = norm * (top + 16 * 2.0**-53 * math.hypot(*map(float, orbifold_data.c)))
-    residual, bounded = boundedness_residual(orbifold_data, sample)
-    assert bounded and residual <= bound / 4
-    for shift, passes in ((0.5, True), (2.0, False)):
-        phi = sample.phi + shift * bound * np.array([a1, a2]) / norm**2  # alpha(Phi) moves by shift * bound
-        shifted = quadric.LevelSample(sample._rho, phi, sample._mom, sample._bound)
-        assert boundedness_residual(orbifold_data, shifted)[1] is passes
-    residual, bounded = boundedness_residual(orbifold_data, list(sample))
-    assert bounded and residual <= 1e-10 * norm * moment_scale(orbifold_data)
-
-
 def test_certificates_on_samples(orbifold_data):
     for p in certification_sample(orbifold_data, 25, 0):
         assert certify_point(orbifold_data, p).passed
@@ -776,8 +753,7 @@ def test_large_admissible_data_certify_at_the_exact_vertex_margins(capsys, expon
     the rank is the support test, and no float cutoff decides it. Every
     system exits 0, and its m margins are :func:`vertex_margin` within
     1e-13 relative: a fixed point's |Phi - C|, the rounding of sums far
-    above the moment scale, is accepted against its own rounding bound,
-    and so is its boundedness residual."""
+    above the moment scale, is accepted against its own rounding bound."""
     pool = _large_admissible_pool(10**exponent, f"large admissible data: 10^{exponent}", 60)
     for config, d in pool:
         witnesses = d.mixed_witnesses

@@ -1,6 +1,10 @@
 """The README's ``## Library`` block runs as written and gives the values
 its comments state."""
 
+import functools
+import importlib
+import inspect
+import pkgutil
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -78,3 +82,41 @@ def test_every_flag_the_readme_names_is_an_option():
     named = set(re.findall(r"--[a-zA-Z][a-zA-Z0-9-]*", README.read_text()))
     assert named - options - NOT_OPTIONS == set()
     assert NOT_OPTIONS <= named and not NOT_OPTIONS & options
+
+
+MODULES = ("cli", "cohomology", "conegeom", "isotropy", "quadric", "weights")
+# a backticked name qualified by one of the package's modules, optionally
+# as su3kahler.module, and not part of a path such as perfbench/workloads.py
+MODULE_NAME = re.compile(r"(?<![\w./])(?:su3kahler\.)?(?:%s)(?:\.[A-Za-z_]\w*)+" % "|".join(MODULES))
+FILE_SUFFIX = re.compile(r"\.(?:py|json|md)$")
+
+
+def test_every_qualified_name_the_readme_backticks_resolves():
+    """Every backticked ``module.name[.attr]`` of the package's six
+    modules resolves, and so does every ``Class.attr`` of a package class:
+    prose about a removed function, field or attribute fails here. File
+    names such as ``cli.py`` are not names."""
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    classes = {
+        name: value
+        for module in MODULES
+        for name, value in vars(importlib.import_module(f"su3kahler.{module}")).items()
+        if inspect.isclass(value) and value.__module__.startswith("su3kahler.")
+    }
+    class_name = re.compile(r"(?<![\w./])(?:%s)(?:\.[A-Za-z_]\w*)+" % "|".join(sorted(classes, key=len, reverse=True)))
+    qualified = {name for span in spans for name in MODULE_NAME.findall(span) if not FILE_SUFFIX.search(name)}
+    attributes = {name for span in spans for name in class_name.findall(span)}
+    unresolved = []
+    for name in qualified:
+        try:
+            pkgutil.resolve_name(name if name.startswith("su3kahler.") else f"su3kahler.{name}")
+        except (AttributeError, ImportError):
+            unresolved.append(name)
+    for name in attributes:
+        owner, *path = name.split(".")
+        try:
+            functools.reduce(getattr, path, classes[owner])
+        except AttributeError:
+            unresolved.append(name)
+    assert len(qualified) > 20 and len(attributes) > 10
+    assert sorted(unresolved) == []
