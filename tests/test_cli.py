@@ -631,35 +631,40 @@ def test_verify_usage_errors_exit_2_before_sampling(capsys, monkeypatch, flag, v
 
 @pytest.mark.parametrize(
     "a, b",
-    [([[10**400, 0]] * 3, [[0, 1]] * 3)],  # entries past the float range
-    ids=["entries"],
+    [
+        ([[10**400, 0]] * 3, [[0, 1]] * 3),  # entries past the float range
+        ([[10**200, 0]] * 3, [[10**200, 0]] * 3),  # one ray: in range, the control
+    ],
+    ids=["entries", "apex"],
 )
 def test_verify_rejects_cone_data_outside_the_float_range(capsys, monkeypatch, a, b):
+    """Entries past the float range end in the usage envelope before
+    sampling. The apex case is the control: every generator (10^200, 0),
+    so the apex functional (10^200, 0) times the moment scale 2 * 10^200
+    is past the float range, but verify converts no apex functional and
+    every number it does convert is finite. It is sampled, the cone
+    condition fails and every point's support spans the ray alone: rank 3,
+    exit 1."""
     from su3kahler import quadric
+
+    config = json.dumps({"A": a, "B": b})
+    if a[0][0] == 10**200:
+        assert main(["verify", "--config", config, "--samples", "5"]) == 1
+        captured = capsys.readouterr()
+        results = json.loads(captured.out)["results"]
+        assert captured.err == "" and results["cone_condition"] is False and results["all_passed"] is False
+        assert [c["jacobian_rank"] for c in results["certificates"]] == [3] * 5
+        return
 
     def refuse(*args, **kwargs):
         raise AssertionError("sampled cone data outside the float range")
 
     monkeypatch.setattr(quadric, "certification_sample", refuse)
-    assert main(["verify", "--config", json.dumps({"A": a, "B": b})]) == 2
+    assert main(["verify", "--config", config]) == 2
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert not report["pass"] and captured.err == ""
     assert report["results"]["error"].startswith("cone data outside the float range: ")
-
-
-def test_verify_certifies_one_ray_data_near_1e200_as_failing(capsys):
-    """One ray, every generator (10^200, 0): the apex functional
-    (10^200, 0) times the moment scale 2 * 10^200 is past the float range,
-    but verify converts no apex functional, and every number it does
-    convert is finite. Sampling runs, the cone condition fails and every
-    point's support spans the ray alone: rank 3, exit 1."""
-    config = json.dumps({"A": [[10**200, 0]] * 3, "B": [[10**200, 0]] * 3})
-    assert main(["verify", "--config", config, "--samples", "5"]) == 1
-    captured = capsys.readouterr()
-    results = json.loads(captured.out)["results"]
-    assert captured.err == "" and results["cone_condition"] is False and results["all_passed"] is False
-    assert [c["jacobian_rank"] for c in results["certificates"]] == [3] * 5
 
 
 def test_valid_verify_samples_once_through_the_patched_name(capsys, monkeypatch):

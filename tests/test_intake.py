@@ -279,15 +279,25 @@ FLOAT_RANGE_CASES = [
         "moment scale overflows",
         id="moment-scale",
     ),
+    pytest.param(  # one ray: moment scale 2*10**200 times |apex functional (10**200, 0)| is past
+        {"A": [[10**200, 0]] * 3, "B": [[10**200, 0]] * 3},  # the float range, but verify
+        None,  # converts no apex functional: the data are in range and sampled
+        id="apex",
+    ),
 ]
 
 
 @pytest.mark.parametrize("config, message", FLOAT_RANGE_CASES)
 def test_cone_data_outside_the_float_range_exits_2_naming_the_number(config, message):
     """Every entry of the moment-scale case is finite as a float: the error
-    names the scale, not an entry."""
+    names the scale, not an entry. The apex case is the control: its only
+    product past the float range is one verify no longer forms, so it is
+    sampled and fails the cone condition with exit 1, naming no number."""
     code, report = run_main(["verify", "--config", json.dumps(config), "--samples", "5"])
-    assert code == 2 and report["results"]["error"] == f"cone data outside the float range: {message}"
+    if message is None:
+        assert code == 1 and "error" not in report["results"] and report["results"]["cone_condition"] is False
+    else:
+        assert code == 2 and report["results"]["error"] == f"cone data outside the float range: {message}"
 
 
 API_CALLS = {
