@@ -136,6 +136,8 @@ def _quotient_text(n: int, d: int) -> str:
     no denominator when it is 1. A numerator or denominator longer than
     str() writes (4300 digits) raises ValueError, as str() of the Fraction
     does."""
+    if d == 1:  # the diagonal 1s of a mixed table, a third of its quotients
+        return str(n)
     g = gcd(n, d)
     if d < 0:
         g = -g
@@ -239,7 +241,16 @@ class SignTable:
             )
         self.vectors = vs
         self.scale = n
-        self.crosses = [[x1 * y2 - y1 * x2 for x2, y2 in vs] for x1, y1 in vs]
+        # each cross once, mirrored: cross(v, u) = -cross(u, v) exactly on ints
+        crosses = [[0] * len(vs) for _ in vs]
+        for k, (x1, y1) in enumerate(vs):
+            row = crosses[k]
+            p = k
+            for x2, y2 in vs[k + 1:]:
+                p += 1
+                row[p] = c = x1 * y2 - y1 * x2
+                crosses[p][k] = -c
+        self.crosses = crosses
 
     def decide(self, k: int, p: int, q: int) -> tuple:
         """Vector k against cone(vector p, vector q), the one membership

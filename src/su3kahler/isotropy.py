@@ -12,11 +12,12 @@ i != j, being a lattice basis; under the cone condition this is also the
 trivial left homomorphism with a torus isomorphism on the right (the
 README's freeness corollary), which is therefore not computed.
 
-The census is kept as integers, :func:`_census_evidence`: the divisors
-(d1, d12) of every support pattern, read from per-side tables over the
-subsets of {1, 2, 3} of the entries and minors in the cone data's sign
-table, and the singletons' witnesses (na, nb, den), the data's integer
-mixed witnesses. ``isotropy`` writes its census from them;
+The census is kept as integers, :func:`_census_evidence`: one row per
+support pattern, in census order, with its divisors (d1, d12), read from
+per-side tables over the subsets of {1, 2, 3} of the entries and minors
+in the cone data's sign table, and a singleton's witness (na, nb, den),
+one of the data's integer mixed witnesses. ``isotropy`` writes each entry
+of its census from its row as the rows come;
 :func:`singular_stratum_census` is their view as :class:`StratumReport`s.
 """
 
@@ -28,6 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from typing import Iterator
 
 from .conegeom import _check_int, invariant_factors_from_divisors, scalar_to_json
 from .weights import (
@@ -298,13 +300,16 @@ def _minor_gcds(m12: int, m13: int, m23: int) -> tuple[int, ...]:
     return 0, 0, 0, m12, m13, m23, gcd(m12, m13, m23)
 
 
-def _census_evidence(d: DerivedConeData) -> tuple[list[tuple[int, int]], dict]:
-    """The census's integers: its keys, the determinantal divisors (d1, d12)
-    of every census pattern's rows in census order, d1 the gcd of the rows'
-    entries and d12 the gcd of their 2 x 2 minors; and the singletons'
-    witnesses, {(i, j): (na, nb, den)} for C = (na*A_i + nb*B_j)/den with
-    na/den, nb/den > 0, d's integer mixed witnesses. ``isotropy`` writes
-    its census from these; :func:`singular_stratum_census` is their view.
+def _census_evidence(d: DerivedConeData) -> Iterator[tuple[int, int, int, tuple[int, int, int] | None]]:
+    """The census's integers, one row (k, d1, d12, witness) per census
+    pattern, yielded in census order: the pattern's index k in
+    _CENSUS_PATTERNS; its key, the determinantal divisors of its rows, d1
+    the gcd of their entries and d12 the gcd of their 2 x 2 minors; and,
+    for a singleton {i} x {j}, its witness (na, nb, den) with
+    C = (na*A_i + nb*B_j)/den and na/den, nb/den > 0, one of d's integer
+    mixed witnesses, or None (always None for the other patterns).
+    ``isotropy`` writes each entry of its census as its row comes;
+    :func:`singular_stratum_census` is their view.
 
     The rows of the pattern I x J are the A_i, i in I, and the B_j, j in J,
     so their entries split by side and their minors into A-pairs, B-pairs
@@ -324,15 +329,17 @@ def _census_evidence(d: DerivedConeData) -> tuple[list[tuple[int, int]], dict]:
     # against each J
     columns = [_subset_gcds(r1[q], r2[q], r3[q]) for q in (3, 4, 5)]
     m_x = [_subset_gcds(*row) for row in zip(*columns)]
-    divisors = [(gcd(e_a[p], e_b[q]), gcd(m_a[p], m_b[q], m_x[p][q])) for _, p, q, _, _ in _CENSUS_PATTERNS]
-    return divisors, {(i, j): (na, nb, den) for i, j, na, nb, den in d._witness_evidence}
+    witnesses = {(i, j): (na, nb, den) for i, j, na, nb, den in d._witness_evidence}
+    for k, (_, p, q, singleton, _) in enumerate(_CENSUS_PATTERNS):
+        # a pattern that is not a singleton looks up None, which no witness has
+        yield k, gcd(e_a[p], e_b[q]), gcd(m_a[p], m_b[q], m_x[p][q]), witnesses.get(singleton)
 
 
 def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
     """Isotropy of every support pattern, with realizability where decidable.
 
     Each pattern's isotropy comes from its determinantal divisors, the
-    census keys of :func:`_census_evidence`.
+    census keys in the rows of :func:`_census_evidence`.
 
     Singleton patterns {i} x {j}, i != j, are realizable exactly when
     C = a*A_i + b*B_j with a, b > 0; the witness stores (a, b) (d's mixed
@@ -342,10 +349,8 @@ def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
     patterns would require a nonconvex phase-feasibility argument, so they
     are reported with isotropy only.
     """
-    divisors, witnesses = _census_evidence(d)
     reports = []
-    for k, ((_, _, _, singleton, _), (d1, d12)) in enumerate(zip(_CENSUS_PATTERNS, divisors)):
-        w = witnesses.get(singleton)  # None for a pattern that is not a singleton
+    for k, d1, d12, w in _census_evidence(d):
         witness = None if w is None else (Fraction(w[0], w[2]), Fraction(w[1], w[2]))
         reports.append(_census_report(k, d1, d12, witness))
     return reports

@@ -26,8 +26,9 @@ ones are one tuple per cone data, which the mixed witnesses read too),
 the mixed witnesses, regularity, compactness and the apex functional:
 :func:`_condition_evidence`, from which ``check`` writes its report.
 Where the condition holds, the nine crosses give all of these but the
-apex by the corollary's own formula, with no membership decided; data
-that fail it are decided pair by pair. The library's objects
+apex by the corollary's own formula, and the six same-side crosses the
+apex (the README's apex proposition), with no membership decided and no
+search; data that fail it are decided pair by pair. The library's objects
 (:class:`ConditionReport`, its memberships,
 :attr:`DerivedConeData.mixed_witnesses`, the apex functional) are their
 ``Fraction`` views. The interpolation path
@@ -179,10 +180,18 @@ class WeightSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightSystem":
+        """The system of a config's rows, checked once by the row check of
+        the constructor, with its messages, and built as the enumerator
+        builds a system, without the constructor's second pass."""
         try:
-            return cls(obj["wL"], obj["wR"])
+            wl, wr = _weight_rows(("wL", obj["wL"]), ("wR", obj["wR"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed weight system object: {exc}") from exc
+        ws = object.__new__(cls)
+        fields = ws.__dict__
+        fields["wl"] = wl
+        fields["wr"] = wr
+        return ws
 
     def to_json(self) -> dict:
         (a, b, c), (d, e, f) = self.wl, self.wr
@@ -275,10 +284,24 @@ class DerivedConeData:
     @_fact
     def _apex(self) -> tuple[int, int, int] | None:
         """The apex functional as integers (x, y, den), the covector
-        (x/den, y/den), searched on the sign table
-        (:meth:`~su3kahler.conegeom.SignTable.apex`), or None when a
-        generator is zero or none exists. Computed once per instance."""
+        (x/den, y/den), that the sign table's search
+        (:meth:`~su3kahler.conegeom.SignTable.apex`) finds, or None when a
+        generator is zero or none exists. Computed once per instance.
+
+        Where the condition holds, the search's pair is read off the six
+        same-side crosses (the README's apex proposition): with every
+        cross(A_i, B_j) of sign s, it is (A_p, B_q) for p the first i with
+        s*cross(A_i, A_k) >= 0 for every k and q the first j with
+        s*cross(B_j, B_k) <= 0 for every k, and both exist. Data that fail
+        the condition are searched."""
         table = self.sign_table
+        if self._holds:
+            crosses = table.crosses
+            s = 1 if crosses[0][3] > 0 else -1  # the sign of cross(A_1, B_1), and of all nine
+            p = _first_extreme(s * crosses[0][1], s * crosses[0][2], s * crosses[1][2])
+            q = _first_extreme(-s * crosses[3][4], -s * crosses[3][5], -s * crosses[4][5])
+            (xp, yp), (xq, yq) = table.vectors[p], table.vectors[3 + q]
+            return (table.scale * (yq - yp), table.scale * (xp - xq), crosses[p][3 + q])
         if any(is_zero(g) for g in table.vectors[:_C]):
             return None
         return table.apex(_C)
@@ -374,6 +397,21 @@ _DIAGONAL_EVIDENCE = (_INTERIOR, 1, 1, 1)
 # The nine index pairs (i, j), 0-based, in the order of (i, j).
 _ORDERED_PAIRS = tuple(itertools.product(range(3), repeat=2))
 
+
+def _first_extreme(x12, x13, x23):
+    """The first k, 0-based, whose row (x_k1, x_k2, x_k3) of an
+    antisymmetric 3 x 3 table is nonnegative, from the entries above its
+    diagonal, x12, x13 and x23. The table must have such a row, as the
+    crosses cross(g_k, g_l) of three vectors in an open half-plane have
+    (the README's apex proposition): then it is row 3 when rows 1 and 2
+    are not."""
+    if x12 >= 0 and x13 >= 0:
+        return 0
+    if x12 <= 0 and x23 >= 0:
+        return 1
+    return 2
+
+
 # The A-pair and B-pair tables of data where the condition holds: C lies
 # in none of the nine cones (the nine-sign corollary).
 _OUTSIDE_TABLE = (_OUTSIDE_EVIDENCE,) * 9
@@ -394,16 +432,27 @@ def cone_data(a_vectors, b_vectors) -> DerivedConeData:
 def _configuration(wl, w1r, w3r):
     """(A, B, C) with A_j = w_j^L - w_1^R, B_j = -w_j^L + w_3^R and
     C = w_3^R - w_1^R; w1r and w3r may be vectors of integer arrays, and then
-    every component is an array."""
+    every component is an array. The formulas of :func:`derive` and of the
+    enumeration block, kept in this array form as the tests' oracle of
+    the block."""
     a = tuple(vsub(w, w1r) for w in wl)
     b = tuple(vsub(w3r, w) for w in wl)
     return a, b, vsub(w3r, w1r)
 
 
 def derive(ws: WeightSystem) -> DerivedConeData:
-    """Derived cone data A_j = w_j^L - w_1^R, B_j = -w_j^L + w_3^R."""
-    # A_j + B_j = C re-asserted by the type
-    return DerivedConeData(*_configuration(ws.wl, ws.wr[0], ws.wr[2]))
+    """Derived cone data A_j = w_j^L - w_1^R, B_j = -w_j^L + w_3^R, read
+    off the entries of the two rows (:func:`_configuration`'s formulas)
+    and built as :meth:`WeightSystem.from_json` builds a system; the type's
+    check that A_j + B_j = C still runs."""
+    ((p1, q1), (p2, q2), (p3, q3)), ((x1, y1), _, (x3, y3)) = ws.wl, ws.wr
+    d = object.__new__(DerivedConeData)
+    fields = d.__dict__
+    fields["a"] = ((p1 - x1, q1 - y1), (p2 - x1, q2 - y1), (p3 - x1, q3 - y1))
+    fields["b"] = ((x3 - p1, y3 - q1), (x3 - p2, y3 - q2), (x3 - p3, y3 - q3))
+    fields["c"] = (x3 - x1, y3 - y1)
+    d.__post_init__()
+    return d
 
 
 # The six mixed pairs (i, j), i != j, 0-based, in the order freeness
@@ -478,14 +527,17 @@ def _level_set_evidence(d: DerivedConeData) -> tuple:
     functional (x, y, den) of :attr:`DerivedConeData._apex` or None.
 
     Where the condition holds, the nine-sign corollary decides the rest:
-    every mixed cross is nonzero, so the data are regular, and C lies in
+    every mixed pair has a witness, so the first is the pair (1, 2), read
+    off :attr:`DerivedConeData._mixed_evidence` without the other five;
+    every mixed cross is nonzero, so the data are regular; and C lies in
     no A-pair cone, so they are compact exactly when an apex exists.
     Elsewhere regularity reads the six mixed crosses and compactness the
     two A-pair memberships that decide it."""
-    witnesses = d._witness_evidence
     apex = d._apex
     if d._holds:
-        return witnesses[0], True, apex is not None, apex
+        _, na, nb, den = d._mixed_evidence[1]
+        return (1, 2, na, nb, den), True, apex is not None, apex
+    witnesses = d._witness_evidence
     table = d.sign_table
     crosses = table.crosses
     regular = all(crosses[i][3 + j] for i, j in _MIXED_PAIRS)
@@ -503,8 +555,9 @@ def check_level_set_conditions(d: DerivedConeData) -> LevelSetConditions:
     With an apex and A_j + B_j = C, C is in cone(A) iff it is in cone(B), and
     the pointed cone(A) is cone(A_1,A_2) | cone(A_1,A_3) (proof in the README),
     so two memberships decide compactness. Every test reads d's sign table;
-    the apex pair is searched in :func:`~su3kahler.conegeom.find_apex_functional`'s
-    order. The ``Fraction`` view of :func:`_level_set_evidence`.
+    the apex pair is the first of :func:`~su3kahler.conegeom.find_apex_functional`'s
+    search, read off the same-side crosses where the condition holds. The
+    ``Fraction`` view of :func:`_level_set_evidence`.
     """
     witness, regular, compact, _ = _level_set_evidence(d)
     if witness is not None:

@@ -1,10 +1,14 @@
 """The interleaved A/B timer of two trees, ``tools/ab_ops.py``, run on
-this tree against itself, and against a copy whose reports differ."""
+this tree against itself, and against a copy whose reports differ: the
+differing ops are counted, the first is named, every pass is still timed,
+and the run exits 1."""
 
 import json
 import shutil
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -17,9 +21,14 @@ def test_a_tree_against_itself_gives_identical_outputs(capsys):
     assert ab_ops.main(["--a", src, "--b", src, "--seed", "11", "--ops", "30", "--passes", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[:2]] == ["pass 0", "pass 1"]
+    assert all("(p50 " in line for line in lines[:2])
     summary = json.loads(lines[-1])
-    assert summary["ops"] == 30 and summary["identical_outputs"] and len(summary["passes"]) == 2
-    assert all(p["a_us_per_op"] > 0 and p["b_us_per_op"] > 0 and p["ratio"] > 0 for p in summary["passes"])
+    assert summary["ops"] == 30 and summary["identical_outputs"] and summary["differing_ops"] == 0
+    assert len(summary["passes"]) == 2
+    for p in summary["passes"]:
+        assert all(p[key] > 0 for key in ("a_us_per_op", "b_us_per_op", "ratio", "a_p50_us", "b_p50_us", "p50_ratio"))
+        assert p["p50_ratio"] == pytest.approx(p["a_p50_us"] / p["b_p50_us"], rel=1e-3)
+    assert summary["median_p50_ratio"] > 0
     assert not any(m.startswith(ab_ops.PACKAGES) for m in sys.modules)
 
 
@@ -30,5 +39,14 @@ def test_a_tree_whose_reports_differ_is_refused(tmp_path, capsys):
     text = cli.read_text()
     assert text.count('values) + "\\n"') == 1
     cli.write_text(text.replace('values) + "\\n"', 'values) + " \\n"'))
-    assert ab_ops.main(["--a", str(ROOT / "src"), "--b", str(tmp_path), "--seed", "11", "--ops", "30"]) == 1
-    assert "outputs differ on op 0" in capsys.readouterr().err
+    argv = ["--a", str(ROOT / "src"), "--b", str(tmp_path), "--seed", "11", "--ops", "30", "--passes", "2"]
+    assert ab_ops.main(argv) == 1
+    out, err = capsys.readouterr()
+    # every report differs by its last bytes; the first differing op alone is named
+    assert err.count("outputs differ") == 1 and "outputs differ on op 0" in err
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["pass 0", "pass 1"]
+    summary = json.loads(lines[-1])
+    assert not summary["identical_outputs"] and summary["differing_ops"] == 30
+    assert len(summary["passes"]) == 2 and all(p["b_us_per_op"] > 0 for p in summary["passes"])
+    assert not any(m.startswith(ab_ops.PACKAGES) for m in sys.modules)

@@ -28,9 +28,10 @@ from su3kahler import (
     in_cone2,
     smith_invariant_factors,
 )
+from su3kahler import weights
 from su3kahler.cli import MAX_CONFIG_BYTES, main
 from su3kahler.isotropy import IsotropyGroup
-from su3kahler.weights import positive_combination
+from su3kahler.weights import DerivedConeData, WeightSystem, derive, positive_combination
 
 ENVELOPE_KEYS = {"command", "config", "results", "pass", "wall_time_s"}
 COMMANDS = (("check",), ("isotropy",), ("generate",), ("verify", "--samples", "1"))
@@ -377,3 +378,66 @@ def test_a_malformed_config_shape_exits_2_naming_the_value(command, config, mess
     error = json.loads(out)["results"]["error"]
     assert code == 2 and message in error
     assert "iterable" not in error and "unpack" not in error
+
+
+# --- WeightSystem.from_json and derive, built without the constructors ------
+
+
+def assert_same_object(x, y):
+    """x and y are equal, of one type, with one hash and one repr, and hold
+    the same fields and nothing else."""
+    assert type(x) is type(y) and x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    assert x.__dict__ == y.__dict__
+
+
+def test_from_json_and_derive_build_what_the_constructors_build(bound2_systems):
+    """On every bound-2 system, the system read from its JSON and its
+    derived cone data are the objects the dataclass constructors build."""
+    assert len(bound2_systems) == 2856
+    for ws in bound2_systems:
+        read = WeightSystem.from_json(json.loads(json.dumps(ws.to_json())))
+        built = WeightSystem(ws.wl, ws.wr)
+        assert_same_object(read, built)
+        assert read <= built <= read
+        a, b, c = weights._configuration(ws.wl, ws.wr[0], ws.wr[2])
+        assert_same_object(derive(read), DerivedConeData(a, b, c))
+
+
+WR_ROWS = [[1, 0], [0, 1], [-1, -1]]
+MALFORMED_WEIGHT_OBJECTS = [
+    {"wR": WR_ROWS},
+    {"wL": WR_ROWS},
+    [WR_ROWS, WR_ROWS],
+    "wL",
+    None,
+    {"wL": [[1, 0], [0, 1], [-1, 0]], "wR": WR_ROWS},
+    {"wL": WR_ROWS, "wR": [[1, 0], [0, 1]]},
+    {"wL": WR_ROWS, "wR": [[1, 0], [0, 1], [-1, -1], [0, 0]]},
+    {"wL": [[1.0, 0], [0, 1], [-1, -1]], "wR": WR_ROWS},
+    {"wL": [[True, 0], [0, 1], [-1, -1]], "wR": WR_ROWS},
+    {"wL": [[1, 0], [0, 1], [-1, -1]], "wR": [[1, 0], [0, 1], [-1, -1, 0]]},
+    {"wL": [[1, 0], [0, 1]], "wR": [[1, 0], [0, 1], [-1, 0]]},
+    {"wL": [[1, 0], [0, 2], [-1, -1]], "wR": [[1, 0], [0, 1], "ab"]},
+    *(param.values[0] for param in MALFORMED_SHAPES if "wL" in param.values[0]),
+]
+
+
+@pytest.mark.parametrize("obj", MALFORMED_WEIGHT_OBJECTS, ids=repr)
+def test_from_json_refuses_as_the_constructor_does(obj):
+    """A malformed object is refused with the message the constructor's
+    row check gives, after the same prefix."""
+    with pytest.raises((KeyError, TypeError, ValueError)) as constructed:
+        WeightSystem(obj["wL"], obj["wR"])
+    with pytest.raises(ValueError) as read:
+        WeightSystem.from_json(obj)
+    assert str(read.value) == f"malformed weight system object: {constructed.value}"
+
+
+def test_derive_runs_the_sum_check_and_the_type_refuses_other_sums(monkeypatch):
+    with pytest.raises(ValueError, match=r"A_2 \+ B_2 != C"):
+        DerivedConeData(((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 1), (0, 0)), (1, 1))
+    checked = []
+    original = DerivedConeData.__post_init__
+    monkeypatch.setattr(DerivedConeData, "__post_init__", lambda self: checked.append(self) or original(self))
+    d = derive(WeightSystem(WR_ROWS, WR_ROWS))
+    assert checked == [d]

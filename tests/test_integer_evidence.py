@@ -152,11 +152,13 @@ def test_quotient_text_cases(n, d, text):
 
 
 def test_quotient_text_past_the_digit_limit_raises_as_str_does():
+    """Also for d == 1, which writes str(n) without a gcd, and d == -1."""
     n = 10**4400 + 1
-    with pytest.raises(ValueError, match="Exceeds the limit"):
-        str(Fraction(n, 3))
-    with pytest.raises(ValueError, match="Exceeds the limit"):
-        _quotient_text(n, 3)
+    for d in (3, 1, -1):
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str(Fraction(n, d))
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            _quotient_text(n, d)
 
 
 def test_census_keys_are_the_smith_divisors(bound2_systems):
@@ -166,7 +168,7 @@ def test_census_keys_are_the_smith_divisors(bound2_systems):
     for ws in bound2_systems:
         d = derive(ws)
         gens = _integer_generators(d)
-        keys, _ = _census_evidence(d)
+        keys = [(d1, d12) for _, d1, d12, _ in _census_evidence(d)]
         assert len(keys) == len(_CENSUS_PATTERNS) == 46
         for (pattern, *_), (d1, d12) in zip(_CENSUS_PATTERNS, keys):
             rows = [gens[i - 1] for i in pattern.i_set] + [gens[2 + j] for j in pattern.j_set]

@@ -10,21 +10,21 @@ condition report and the census are written from their integer evidence
 is compared with the dict form of the reports the library builds from the
 same data or evidence."""
 
-import functools
 import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su3kahler import cli
+from su3kahler import isotropy
 from su3kahler.isotropy import (
     _CENSUS_PATTERNS,
     Classification,
     FreenessVerdict,
-    _census_evidence,
     _census_report,
     census_to_json,
     singular_stratum_census,
@@ -65,7 +65,7 @@ def integer_cone_data(draw):
 @settings(max_examples=150, deadline=None)
 def test_census_of_cone_data_renders_its_dict_form(d, nl):
     census = singular_stratum_census(d)
-    assert cli._census_text(*_census_evidence(d), nl) == walk(census_to_json(census), nl)
+    assert cli._census_text(d, nl) == walk(census_to_json(census), nl)
 
 
 # divisor pairs of rank 2 (d1 | d12), rank 1 (d12 = 0) and rank 0
@@ -80,29 +80,48 @@ witness_integers = st.one_of(
 )
 witnesses = st.tuples(st.integers(-50, 50), st.integers(-50, 50), witness_integers)
 SINGLETONS = [singleton for _, _, _, singleton, _ in _CENSUS_PATTERNS if singleton is not None]
+
+
+def census_rows(drawn):
+    """The rows (k, d1, d12, witness) of _census_evidence, in census order,
+    for drawn divisors per pattern and witnesses of some singletons."""
+    divisors, singleton_witnesses = drawn
+    return [
+        (k, d1, d12, singleton_witnesses.get(singleton))
+        for k, ((d1, d12), (_, _, _, singleton, _)) in enumerate(zip(divisors, _CENSUS_PATTERNS))
+    ]
+
+
 synthetic_evidence = st.tuples(
     st.lists(divisor_pairs, min_size=46, max_size=46),
     st.dictionaries(st.sampled_from(SINGLETONS), witnesses),
-)
+).map(census_rows)
 
 
-def census_of(divisors, witnesses):
+def census_of(rows):
     """The census reports of synthetic integer evidence, built as
     singular_stratum_census builds them."""
     reports = []
-    for k, ((_, _, _, singleton, _), (d1, d12)) in enumerate(zip(_CENSUS_PATTERNS, divisors)):
-        w = witnesses.get(singleton)
+    for k, d1, d12, w in rows:
         witness = None if w is None else (Fraction(w[0], w[2]), Fraction(w[1], w[2]))
         reports.append(_census_report(k, d1, d12, witness))
     return reports
 
 
+def evidence_of(rows):
+    """isotropy._census_evidence replaced by these rows for any cone data,
+    for as long as the context lasts: cli._census_text reads it there."""
+    return mock.patch.object(isotropy, "_census_evidence", lambda d: iter(rows))
+
+
 @given(synthetic_evidence, indents)
 @settings(max_examples=150, deadline=None)
-def test_synthetic_census_renders_its_dict_form(evidence, nl):
+def test_synthetic_census_renders_its_dict_form(rows, nl):
     """Any divisors per pattern and any singleton witnesses, zero, negative,
     unit and 30-digit quotients included."""
-    assert cli._census_text(*evidence, nl) == walk(census_to_json(census_of(*evidence)), nl)
+    with evidence_of(rows):
+        text = cli._census_text(None, nl)
+    assert text == walk(census_to_json(census_of(rows)), nl)
 
 
 special_floats = st.sampled_from(
@@ -132,7 +151,7 @@ def test_freeness_block_renders_its_dict_form(pair, nl):
 
 @given(st.lists(certificates, max_size=4), synthetic_evidence, failing_pairs)
 @settings(max_examples=60, deadline=None)
-def test_rendered_values_encode_inside_a_report(certs, evidence, pair):
+def test_rendered_values_encode_inside_a_report(certs, rows, pair):
     """Rendered result values in a report's envelope encode like their dict
     forms."""
     verdict = FreenessVerdict(pair)
@@ -140,16 +159,18 @@ def test_rendered_values_encode_inside_a_report(certs, evidence, pair):
         "certificates": cli._rendered(
             cli._certificates_text, [c.jacobian_rank for c in certs], [c.regularity_margin for c in certs]
         ),
-        "census": cli._Rendered(functools.partial(cli._census_text, *evidence)),
+        "census": cli._rendered(cli._census_text, None),
         "freeness": cli._rendered(cli._freeness_text, verdict),
     }
     plain = {
         "certificates": [c.to_json() for c in certs],
-        "census": census_to_json(census_of(*evidence)),
+        "census": census_to_json(census_of(rows)),
         "freeness": verdict.to_json(),
     }
     expected = json.dumps(cli._report("isotropy", {}, plain, True, 0.0), indent=2, sort_keys=True) + "\n"
-    assert cli._report_text("isotropy", {}, rendered, True, 0.0) == expected
+    with evidence_of(rows):
+        text = cli._report_text("isotropy", {}, rendered, True, 0.0)
+    assert text == expected
 
 
 rationals = st.one_of(small, st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))

@@ -10,6 +10,7 @@ on its entries."""
 
 import functools
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -40,11 +41,13 @@ from su3kahler.conegeom import (
     vscale,
     vsub,
 )
+from su3kahler import weights
 from su3kahler.isotropy import singular_stratum_census
 from su3kahler.weights import (
     _DIAGONAL_EVIDENCE,
     _condition_evidence,
     DerivedConeData,
+    WeightSystem,
     check_cone_condition,
     check_interpolation_path,
     check_level_set_conditions,
@@ -334,3 +337,105 @@ def test_all_zero_data_match_the_reference():
     d = DerivedConeData(((0, 0),) * 3, ((0, 0),) * 3, (0, 0))
     assert check_cone_condition(d) == reference_condition_report(d)
     assert singular_stratum_census(d) == reference_census(d)
+
+
+# --- the table's crosses, each computed once and mirrored ---------------------
+
+
+@st.composite
+def vector_lists(draw):
+    """Up to 8 vectors of one scalar kind, each drawn free, zero, or a
+    multiple of one direction (parallel for a positive multiplier,
+    antiparallel for a negative one)."""
+    scalars = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    direction = (draw(scalars), draw(scalars))
+    vector = st.one_of(
+        st.tuples(scalars, scalars),
+        st.just((0, 0)),
+        st.integers(-3, 3).map(lambda m: vscale(m, direction)),
+    )
+    return draw(st.lists(vector, max_size=8))
+
+
+@given(vector_lists())
+@settings(max_examples=300, deadline=None)
+def test_crosses_are_the_49_product_definition(vectors):
+    """Every entry of the table, each cross computed once and mirrored, is
+    the cross product of its two cleared vectors, and scale**2 times that
+    of the input vectors."""
+    table = SignTable(vectors)
+    vs = table.vectors
+    assert table.crosses == [[cross(u, v) for v in vs] for u in vs]
+    assert table.crosses == [[cross(u, v) * table.scale**2 for v in vectors] for u in vectors]
+
+
+# --- the apex read off the same-side crosses, by the apex proposition -------
+
+
+def searched_apex(d):
+    """The apex of d's six generators by the sign table's pair search."""
+    return SignTable((*d.a, *d.b, d.c)).apex(6)
+
+
+BOUND3_BLOCKS = sorted(random.Random(20261020).sample(range(1369), 40))
+
+
+def admissible_samples():
+    """Every admissible bound-2 system's data, those of the admissible
+    systems of 40 seeded bound-3 wL blocks, and every 7th bound-2 system's
+    data scaled by three rationals, whose sign table clears a denominator
+    (its scale is not 1)."""
+    yield from (fresh(d) for d in bound2_data())
+    for k in BOUND3_BLOCKS:
+        yield from (derive(ws) for ws in enumerate_admissible_systems(3, part=(k, 1369)))
+    for d in bound2_data()[::7]:
+        for t in (Fraction(3, 7), Fraction(HUGE + 1, 3), Fraction(2, HUGE + 7)):
+            scaled = DerivedConeData(*(tuple(vscale(t, v) for v in vs) for vs in (d.a, d.b)), vscale(t, d.c))
+            assert scaled.sign_table.scale != 1
+            yield scaled
+
+
+def counted_searches(monkeypatch) -> list:
+    """The n of every SignTable.apex(n) call from now on, in order."""
+    searches = []
+    original = SignTable.apex
+    monkeypatch.setattr(SignTable, "apex", lambda self, n: searches.append(n) or original(self, n))
+    return searches
+
+
+def test_apex_read_off_the_crosses_is_the_search(monkeypatch):
+    """Where the condition holds, _apex reads the search's pair off the six
+    same-side crosses, for either sign of the nine, without a search."""
+    searches = counted_searches(monkeypatch)
+    signs = {1: 0, -1: 0}
+    checked = 0
+    for d in admissible_samples():
+        assert cone_condition_holds(d)
+        searches.clear()
+        apex = d._apex
+        assert searches == []
+        assert apex is not None and apex == searched_apex(d)
+        signs[1 if d._nine_crosses[0] > 0 else -1] += 1
+        checked += 1
+    assert checked > 4000 and min(signs.values()) > 1000, (checked, signs)
+
+
+def test_data_that_fail_the_condition_reach_the_search(monkeypatch):
+    """The search still decides the apex of data that fail the condition
+    and have no zero generator, once per cone data, as the reference does:
+    every 13th system of the bound-2 grid that fails it."""
+    rows = weights._weight_grid(2)[0]
+    searches = counted_searches(monkeypatch)
+    checked = 0
+    for wl, wr in itertools.islice(itertools.product(rows, rows), 0, None, 13):
+        d = derive(WeightSystem(wl, wr))
+        gens = [*d.a, *d.b]
+        if cone_condition_holds(d) or (0, 0) in gens:
+            continue
+        searches.clear()
+        apex = d._apex
+        assert d._apex == apex and searches == [6]
+        reference = reference_apex(gens)
+        assert (None if apex is None else (Fraction(apex[0], apex[2]), Fraction(apex[1], apex[2]))) == reference
+        checked += 1
+    assert checked > 5000

@@ -14,10 +14,12 @@ the ``audit`` or ``certify`` workload for the seed, with its warm-up list
 run first on both trees, then ``gc.freeze()``. Every pass runs each op on
 both trees back to back, alternating which goes first op by op, so a
 drift of the host moves both sides alike. The first pass compares each
-op's exit code and stdout between the trees and stops with exit 1 at the
-first difference. Each pass prints the us/op of each tree and the ratio
-a/b (above 1 when b is faster); the last line is one JSON object with
-every pass.
+op's exit code and stdout between the trees, counts the ops that differ
+and prints the argv of the first one to stderr; timing goes on, and the
+tool exits 1 after the last pass when any op differed. Each pass prints,
+for each tree, the mean us/op and the median op's latency, and the ratios
+a/b of both (above 1 when b is faster); the last line is one JSON object
+with every pass and the count of differing ops.
 """
 
 from __future__ import annotations
@@ -76,25 +78,24 @@ def _run(cli, argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-class OutputsDiffer(Exception):
-    pass
-
-
-def _pass(clis, ops, compare: bool) -> list[float]:
-    """Seconds spent by each tree over the ops, alternating the order op by
-    op; with compare, each op's (code, stdout) must agree (OutputsDiffer
-    otherwise)."""
-    spent = [0.0, 0.0]
+def _pass(clis, ops, compare: bool) -> tuple[tuple[list[float], list[float]], int]:
+    """The seconds each tree spent on each op, alternating the order op by
+    op, and, with compare, the count of ops whose (code, stdout) differ
+    between the trees; the first of them is named on stderr."""
+    times = ([], [])
+    differing = 0
     for k, op in enumerate(ops):
         order = (0, 1) if k % 2 == 0 else (1, 0)
         results = [None, None]
         for side in order:
             start = perf_counter()
             results[side] = _run(clis[side], op.argv)
-            spent[side] += perf_counter() - start
+            times[side].append(perf_counter() - start)
         if compare and results[0] != results[1]:
-            raise OutputsDiffer(f"outputs differ on op {k}: {' '.join(op.argv)}")
-    return spent
+            if not differing:
+                print(f"outputs differ on op {k}: {' '.join(op.argv)}", file=sys.stderr, flush=True)
+            differing += 1
+    return times, differing
 
 
 def main(argv=None) -> int:
@@ -123,25 +124,33 @@ def main(argv=None) -> int:
             _pass(clis, warmup, compare=False)
             gc.collect()
             gc.freeze()
-            passes = []
+            passes, differing = [], 0
             for k in range(args.passes):
-                a, b = (s / len(ops) * 1e6 for s in _pass(clis, ops, compare=k == 0))
-                passes.append({"a_us_per_op": round(a, 2), "b_us_per_op": round(b, 2), "ratio": round(a / b, 4)})
-                print(f"pass {k}: a {a:.2f} us/op, b {b:.2f} us/op, a/b {a / b:.4f}", flush=True)
-    except OutputsDiffer as exc:
-        print(exc, file=sys.stderr)
-        return 1
+                times, count = _pass(clis, ops, compare=k == 0)
+                differing += count
+                a, b = (sum(t) / len(t) * 1e6 for t in times)
+                a50, b50 = (statistics.median(t) * 1e6 for t in times)
+                passes.append({
+                    "a_us_per_op": round(a, 2), "b_us_per_op": round(b, 2), "ratio": round(a / b, 4),
+                    "a_p50_us": round(a50, 2), "b_p50_us": round(b50, 2), "p50_ratio": round(a50 / b50, 4),
+                })
+                print(
+                    f"pass {k}: a {a:.2f} us/op (p50 {a50:.2f}), b {b:.2f} us/op (p50 {b50:.2f}), "
+                    f"a/b {a / b:.4f} (p50 {a50 / b50:.4f})",
+                    flush=True,
+                )
     finally:
         gc.unfreeze()
         sys.path[:] = saved_path
         for module in [m for m in sys.modules if m.split(".")[0] in PACKAGES]:
             del sys.modules[module]
-    ratios = [p["ratio"] for p in passes]
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "ops": len(ops), "a": args.a, "b": args.b,
-        "identical_outputs": True, "passes": passes, "median_ratio": statistics.median(ratios),
+        "identical_outputs": not differing, "differing_ops": differing, "passes": passes,
+        "median_ratio": statistics.median(p["ratio"] for p in passes),
+        "median_p50_ratio": statistics.median(p["p50_ratio"] for p in passes),
     }))
-    return 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
