@@ -391,16 +391,16 @@ def _census_entry(k: int, d1: int, d12: int, witness: bool, nl: str) -> tuple[st
     return tuple(_fill(template, [*numbers, "\0", "\0"]).split("\0"))
 
 
-def _census_text(d: wt.DerivedConeData, nl: str) -> str:
+def _census_text(rows, nl: str) -> str:
     """``census_to_json(singular_stratum_census(d))`` as encoded text,
     written from its integers, the rows (k, d1, d12, witness) of
-    ``isotropy._census_evidence(d)``, each entry as its row comes: the
-    census key (d1, d12) of the k-th pattern and, for a singleton with a
-    witness (na, nb, den), its witness point, the quotients na/den and
-    nb/den."""
+    ``isotropy._census_evidence(d)``, read once, each entry as its row
+    comes: the census key (d1, d12) of the k-th pattern and, for a
+    singleton with a witness (na, nb, den), its witness point, the
+    quotients na/den and nb/den."""
     inner = nl + "  "
     entries = []
-    for k, d1, d12, w in iso._census_evidence(d):
+    for k, d1, d12, w in rows:
         if w is None:
             entries += _census_entry(k, d1, d12, False, inner)
         else:
@@ -526,7 +526,7 @@ def cmd_isotropy(args) -> tuple[dict, bool]:
         "derived": _rendered(_derived_text, d),
         "freeness": _rendered(_freeness_text, verdict),
         "classification": iso.Classification.of(verdict.free).value,
-        "census": _rendered(_census_text, d),
+        "census": _rendered(_census_text, iso._census_evidence(d)),
     }
     return results, True
 
@@ -849,19 +849,8 @@ def _read_argv(argv) -> argparse.Namespace | None:
 _NOT_ECHOED = frozenset(("command", "out", "timing"))
 
 
-# Each command's argv in the plain grammar makes one key set in one order:
-# one pass over the audit pool meets 2, and the six commands fit in 32 with
-# argparse's orders.
-@functools.lru_cache(maxsize=32)
-def _echoed_keys(keys: tuple) -> tuple:
-    """The keys of a namespace with these attributes, in their order, that
-    a report's config echoes, sorted: once per key set, not per op."""
-    return tuple(sorted(k for k in keys if k not in _NOT_ECHOED))
-
-
 def _config_echo(args) -> dict:
-    attrs = vars(args)
-    return {k: attrs[k] for k in _echoed_keys(tuple(attrs))}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in _NOT_ECHOED}
 
 
 def main(argv=None) -> int:

@@ -241,16 +241,7 @@ class SignTable:
             )
         self.vectors = vs
         self.scale = n
-        # each cross once, mirrored: cross(v, u) = -cross(u, v) exactly on ints
-        crosses = [[0] * len(vs) for _ in vs]
-        for k, (x1, y1) in enumerate(vs):
-            row = crosses[k]
-            p = k
-            for x2, y2 in vs[k + 1:]:
-                p += 1
-                row[p] = c = x1 * y2 - y1 * x2
-                crosses[p][k] = -c
-        self.crosses = crosses
+        self.crosses = [[x1 * y2 - y1 * x2 for x2, y2 in vs] for x1, y1 in vs]
 
     def decide(self, k: int, p: int, q: int) -> tuple:
         """Vector k against cone(vector p, vector q), the one membership

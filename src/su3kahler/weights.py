@@ -182,7 +182,9 @@ class WeightSystem:
     def from_json(cls, obj: dict) -> "WeightSystem":
         """The system of a config's rows, checked once by the row check of
         the constructor, with its messages, and built as the enumerator
-        builds a system, without the constructor's second pass."""
+        builds a system: no frozen dataclass ``__init__`` and
+        ``__post_init__``, which set each field twice through
+        ``object.__setattr__``."""
         try:
             wl, wr = _weight_rows(("wL", obj["wL"]), ("wR", obj["wR"]))
         except (KeyError, TypeError, ValueError) as exc:

@@ -164,11 +164,10 @@ def test_one_audit_pass_evicts_from_no_cache():
     info = {f.__name__: f.cache_info() for f in caches}
     for name, i in info.items():
         assert i.misses == i.currsize <= i.maxsize, (name, i)
-    prefixes = ("_condition", "_table", "_census", "_leaf", "_echo")
+    prefixes = ("_condition", "_table", "_census", "_leaf")
     met = {name: i.currsize for name, i in info.items() if name.startswith(prefixes)}
     assert met == {
         "_condition_frame": 9, "_table_template": 93, "_census_entry_template": 46, "_census_entry": 615,
         "_leaf_template": 4,  # weights, derived, and freeness free and orbifold
-        "_echoed_keys": 2,  # the namespaces of check and of isotropy
     }
     assert info["_group_from_divisors"].currsize == 34

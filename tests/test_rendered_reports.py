@@ -14,17 +14,16 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su3kahler import cli
-from su3kahler import isotropy
 from su3kahler.isotropy import (
     _CENSUS_PATTERNS,
     Classification,
     FreenessVerdict,
+    _census_evidence,
     _census_report,
     census_to_json,
     singular_stratum_census,
@@ -65,7 +64,7 @@ def integer_cone_data(draw):
 @settings(max_examples=150, deadline=None)
 def test_census_of_cone_data_renders_its_dict_form(d, nl):
     census = singular_stratum_census(d)
-    assert cli._census_text(d, nl) == walk(census_to_json(census), nl)
+    assert cli._census_text(_census_evidence(d), nl) == walk(census_to_json(census), nl)
 
 
 # divisor pairs of rank 2 (d1 | d12), rank 1 (d12 = 0) and rank 0
@@ -108,20 +107,12 @@ def census_of(rows):
     return reports
 
 
-def evidence_of(rows):
-    """isotropy._census_evidence replaced by these rows for any cone data,
-    for as long as the context lasts: cli._census_text reads it there."""
-    return mock.patch.object(isotropy, "_census_evidence", lambda d: iter(rows))
-
-
 @given(synthetic_evidence, indents)
 @settings(max_examples=150, deadline=None)
 def test_synthetic_census_renders_its_dict_form(rows, nl):
     """Any divisors per pattern and any singleton witnesses, zero, negative,
     unit and 30-digit quotients included."""
-    with evidence_of(rows):
-        text = cli._census_text(None, nl)
-    assert text == walk(census_to_json(census_of(rows)), nl)
+    assert cli._census_text(rows, nl) == walk(census_to_json(census_of(rows)), nl)
 
 
 special_floats = st.sampled_from(
@@ -159,7 +150,7 @@ def test_rendered_values_encode_inside_a_report(certs, rows, pair):
         "certificates": cli._rendered(
             cli._certificates_text, [c.jacobian_rank for c in certs], [c.regularity_margin for c in certs]
         ),
-        "census": cli._rendered(cli._census_text, None),
+        "census": cli._rendered(cli._census_text, rows),
         "freeness": cli._rendered(cli._freeness_text, verdict),
     }
     plain = {
@@ -168,9 +159,7 @@ def test_rendered_values_encode_inside_a_report(certs, rows, pair):
         "freeness": verdict.to_json(),
     }
     expected = json.dumps(cli._report("isotropy", {}, plain, True, 0.0), indent=2, sort_keys=True) + "\n"
-    with evidence_of(rows):
-        text = cli._report_text("isotropy", {}, rendered, True, 0.0)
-    assert text == expected
+    assert cli._report_text("isotropy", {}, rendered, True, 0.0) == expected
 
 
 rationals = st.one_of(small, st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))

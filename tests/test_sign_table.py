@@ -339,36 +339,6 @@ def test_all_zero_data_match_the_reference():
     assert singular_stratum_census(d) == reference_census(d)
 
 
-# --- the table's crosses, each computed once and mirrored ---------------------
-
-
-@st.composite
-def vector_lists(draw):
-    """Up to 8 vectors of one scalar kind, each drawn free, zero, or a
-    multiple of one direction (parallel for a positive multiplier,
-    antiparallel for a negative one)."""
-    scalars = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
-    direction = (draw(scalars), draw(scalars))
-    vector = st.one_of(
-        st.tuples(scalars, scalars),
-        st.just((0, 0)),
-        st.integers(-3, 3).map(lambda m: vscale(m, direction)),
-    )
-    return draw(st.lists(vector, max_size=8))
-
-
-@given(vector_lists())
-@settings(max_examples=300, deadline=None)
-def test_crosses_are_the_49_product_definition(vectors):
-    """Every entry of the table, each cross computed once and mirrored, is
-    the cross product of its two cleared vectors, and scale**2 times that
-    of the input vectors."""
-    table = SignTable(vectors)
-    vs = table.vectors
-    assert table.crosses == [[cross(u, v) for v in vs] for u in vs]
-    assert table.crosses == [[cross(u, v) * table.scale**2 for v in vectors] for u in vectors]
-
-
 # --- the apex read off the same-side crosses, by the apex proposition -------
 
 
