@@ -109,9 +109,7 @@ __all__ = [
 ROUND_DATA = cone_data([(1, 0)] * 3, [(0, 1)] * 3)
 
 
-_NONZERO_FLOOR = 1e-8  # max |z_j|, |w_j| must exceed this on the quadric
-_SAMPLE_CHUNK = 128    # vertex mixtures certification_sample draws per round
-_SAMPLE_PATIENCE = 32  # rounds in a row without an accepted mixture before it gives up
+_NONZERO_FLOOR = 1e-8  # max |z_j|, |w_j| of a projection's start and steps must exceed this
 # K u, for u = 2^-53 the unit roundoff: a sample row's computed |Phi - C|
 # is at most K u (|C| + sum_g rho_g |g|). K = 16 is the README's error
 # analysis (*Numerical certificates*): first-order terms 15 u, and u more
@@ -200,13 +198,14 @@ class _FloatData(NamedTuple):
 def _float_data(d: DerivedConeData) -> _FloatData:
     """d's float data, raising ValueError unless every number is finite as
     a float: each entry of A, B and C, the moment scale and each
-    coefficient of a mixed witness. Witness coefficients come from the
-    integer evidence ``d._witness_evidence``, each quotient one int
-    division. So is each cross square: with the moment scale p/q as a
-    ratio of ints and the sign table's integer crosses of the cleared
-    generators, 16 cross(g, h)^2 on the unit data is
-    16 cross^2 q^4 / (clearing^4 p^4), with no float rounding before the
-    one division and no float overflow for large entries."""
+    coefficient of a mixed witness, which must also not round to 0.
+    Witness coefficients come from the integer evidence
+    ``d._witness_evidence``, each quotient one int division. So is each
+    cross square: with the moment scale p/q as a ratio of ints and the
+    sign table's integer crosses of the cleared generators,
+    16 cross(g, h)^2 on the unit data is 16 cross^2 q^4 / (clearing^4 p^4),
+    with no float rounding before the one division and no float overflow
+    for large entries."""
     try:
         abc = np.array([*d.a, *d.b, d.c], dtype=float)
         vectors = abc.tolist()
@@ -218,6 +217,8 @@ def _float_data(d: DerivedConeData) -> _FloatData:
             row[i - 1], row[j + 2] = na / den, nb / den
         if not math.isfinite(scale):
             raise ValueError("cone data outside the float range: moment scale overflows")
+        if np.count_nonzero(vertices[:m]) < 2 * m:
+            raise ValueError("cone data outside the float range: a witness coefficient rounds to 0")
     except OverflowError as exc:
         raise ValueError(f"cone data outside the float range: {exc}") from exc
     fg, c = np.ascontiguousarray(abc[:6].T), abc[6]
@@ -325,13 +326,12 @@ def _stack(points) -> np.ndarray:
     return np.concatenate([v for p in points for v in (p.z, p.w)]).reshape(-1, 6)
 
 
-def _usable(x: np.ndarray, floor: float = _NONZERO_FLOOR) -> np.ndarray:
-    """Per row of (n, 6) states, or of their squared moduli against the
-    squared floor: max |z_j| and max |w_j| both exceed ``floor`` and are
-    finite. A row holding an infinity or a NaN fails, so no non-finite
-    value ever reaches a factorization."""
+def _usable(x: np.ndarray) -> np.ndarray:
+    """Per row of (n, 6) states: max |z_j| and max |w_j| both exceed
+    ``_NONZERO_FLOOR`` and are finite. A row holding an infinity or a NaN
+    fails, so no non-finite value ever reaches a factorization."""
     top = np.abs(x).reshape(-1, 2, 3).max(axis=-1)
-    return ((top > floor) & (top < math.inf)).all(axis=-1)
+    return ((top > _NONZERO_FLOOR) & (top < math.inf)).all(axis=-1)
 
 
 def _quadric_residual(x: np.ndarray) -> np.ndarray:
@@ -344,25 +344,22 @@ def _level_sample(fd: _FloatData, rho: np.ndarray) -> LevelSample:
     :class:`LevelSample`, raising the ValueError of the lowest failing row,
     as a sequential loop would.
 
-    A row fails unless it is finite with max r_k and max s_k above
-    ``_NONZERO_FLOOR ** 2``, and its moment residual |Phi - C| is at most
-    its finite rounding bound K u (|C| + sum_g rho_g |g|), the README's
-    forward error bound of the computed |Phi - C| at a row that
-    :func:`certification_sample` draws. A row's bound depends on its own
-    rho alone. Its quadric residual is 0 by the README's proposition
-    (*The orbit space*), so no quadric column is built. Each residual,
-    bound and verdict is one column. |Phi - C| is one hypot of its two
-    components, so the residual of data near 1e300 (about 1e284) is not
-    squared into an overflow.
+    A row fails unless its moment residual |Phi - C| is at most its finite
+    rounding bound K u (|C| + sum_g rho_g |g|), the README's forward error
+    bound of the computed |Phi - C| at a row that
+    :func:`certification_sample` draws; a row holding an infinity or a NaN
+    fails so, since its residual or its bound is not a finite number. A
+    row's bound depends on its own rho alone. Its quadric residual is 0 by
+    the README's proposition (*The orbit space*), so no quadric column is
+    built. Each residual, bound and verdict is one column. |Phi - C| is
+    one hypot of its two components, so the residual of data near 1e300
+    (about 1e284) is not squared into an overflow.
     """
     mom = np.hypot(*(_moment(fd.fg, rho) - fd.c).T)
     bound = fd.rounding[6] + np.add.reduce(rho * fd.rounding[:6], axis=-1)
-    usable = _usable(rho, _NONZERO_FLOOR**2)
-    passing = usable & (mom <= bound) & (bound < math.inf)
+    passing = (mom <= bound) & (bound < math.inf)
     if not passing.all():
         k = int(passing.argmin())
-        if not usable[k]:
-            raise ValueError("z and w must both be finite and nonzero on the quadric")
         raise ValueError(f"point misses the level set: row {k}, |Phi - C| = {mom[k]}, rounding bound {bound[k]}")
     return LevelSample(rho, mom)
 
@@ -573,9 +570,11 @@ def _heron(t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
     return 2 * (t1 * t2 + t2 * t3 + t3 * t1) - (t1 * t1 + t2 * t2 + t3 * t3)
 
 
-def _mixtures(weights: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """The mixtures (r, s) = weights @ vertices whose t_k = r_k s_k pass
-    Heron's test H > 0, in row order, as (k, 6); a non-finite H fails.
+def _mixtures(weights: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mixtures (r, s) = weights @ vertices, as (k, 6), and whether
+    their t_k = r_k s_k pass Heron's test H > 0, as (k,); a non-finite H
+    fails, and the caller silences numpy's overflow and invalid warnings
+    where it can arise.
 
     Each mixture is summed vertex by vertex, in order: ``np.add.reduce``
     over the leading vertex axis of a (vertex, coordinate, mixture) array
@@ -583,10 +582,8 @@ def _mixtures(weights: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     and equals the same sum in Python floats. The work runs coordinate by
     coordinate, each numpy loop over all the mixtures of the round.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H is rejected
-        rs = np.add.reduce(weights.T[:, None, :] * vertices[:, :, None], axis=0)  # (r, s) as (6, rows)
-        keep = _heron(*(rs[:3] * rs[3:])) > 0
-    return rs[:, keep].T
+    rs = np.add.reduce(weights.T[:, None, :] * vertices[:, :, None], axis=0)  # (r, s) as (6, rows)
+    return rs.T, _heron(*(rs[:3] * rs[3:])) > 0
 
 
 def _lift(rho: np.ndarray) -> np.ndarray:
@@ -626,40 +623,43 @@ def certification_sample(d: DerivedConeData, n: int, seed) -> LevelSample:
     Point k < m is the k-th vertex of d's slice, r_i = a and s_j = b for
     the k-th mixed witness (i, j, a, b): the fixed points, where the
     Jacobian is the worst conditioned on the data measured so far. Each
-    later point is a Dirichlet(1, ..., 1) mixture of the slice's vertices
-    (the mixed witnesses and the three diagonals r_i = s_i = 1), kept by
-    :func:`_mixtures` when the sqrt(r_k s_k) are the sides of a triangle,
-    H > 0. The moment equation is linear in (r, s), so every mixture meets
-    it, and by the orbit-space proposition every kept mixture lies under a
-    whole T^4 orbit of points of M. Certificates are invariant under T^4,
-    so they read (r, s) alone; ``states`` lifts each point to one point of
-    its orbit by :func:`_lift`, with z real and w_1 real and positive, only
-    when it is read. No iteration runs.
+    later point is a mixture of the slice's vertices (the mixed witnesses
+    and the three diagonals r_i = s_i = 1), by Dirichlet(1, ..., 1)
+    weights, one draw per point. While a mixture fails Heron's test H > 0
+    (:func:`_mixtures`), its weights are pulled halfway to the centroid of
+    the diagonals, w/2 on each fixed point and w/2 + 1/6 on each diagonal,
+    and it is tested again. The moment equation is linear in (r, s), so
+    every mixture meets it; the centroid r = s = (1/3, 1/3, 1/3) has
+    H = 1/27 > 0 for every cone data, so by the README's centroid
+    proposition every row passes within its bound on the rounds, and by
+    the orbit-space proposition it lies under a whole T^4 orbit of points
+    of M. Certificates are invariant under T^4, so they read (r, s)
+    alone; ``states`` lifts each point to one point of its orbit by
+    :func:`_lift`, with z real and w_1 real and positive, only when it is
+    read.
 
-    The draws come from ``SeedSequence(seed)`` alone, and are made only
-    when n > m, in rounds of ``_SAMPLE_CHUNK``: a sample is reproducible,
-    and the first points of a larger sample are the smaller sample. Every
-    point is accepted on the orbit space when its |Phi - C|, rounding
-    alone, is within the README's forward error bound of that rounding
-    (see :func:`_level_sample`), and the error of the lowest-index point
-    is raised; ValueError also when no mixture passes the triangle test in
-    ``_SAMPLE_PATIENCE`` rounds in a row.
+    The draws come from ``SeedSequence(seed)`` alone, n - m weight rows
+    made only when n > m, and row k is pulled on its own draw alone: a
+    sample is reproducible, and the first points of a larger sample are
+    the smaller sample. Every point is accepted on the orbit space when
+    its |Phi - C|, rounding alone, is within the README's forward error
+    bound of that rounding (see :func:`_level_sample`), and the error of
+    the lowest-index point is raised; no other error is.
     """
     _check_int("sample count", n)
     if n < 1:
         raise ValueError("sample count must be >= 1")
     fd = _weight_arrays(d)
     m = len(fd.vertices) - 3
-    if not m:
-        raise ValueError("no realizable single-support point; nothing to sample")
-    rho, count, idle = [fd.vertices[:min(n, m)]], n - m, 0
-    rng = np.random.default_rng(np.random.SeedSequence(seed)) if count > 0 else None
-    while count > 0:
-        rs = _mixtures(rng.dirichlet(np.ones(m + 3), _SAMPLE_CHUNK), fd.vertices)
-        idle = 0 if len(rs) else idle + 1
-        if idle == _SAMPLE_PATIENCE:
-            draws = _SAMPLE_PATIENCE * _SAMPLE_CHUNK
-            raise ValueError(f"no vertex mixture passed Heron's test in {draws} draws in a row")
-        rho.append(rs[:count])
-        count -= len(rs)
-    return _level_sample(fd, np.concatenate(rho))
+    rho = np.empty((n, 6))
+    rho[:m] = fd.vertices[:min(n, m)]
+    if n > m:
+        weights = np.random.default_rng(np.random.SeedSequence(seed)).dirichlet(np.ones(m + 3), n - m)
+        pull = np.repeat([0.0, 1 / 6], [m, 3])  # w/2 + pull: halfway to the diagonals' centroid
+        rows = np.arange(m, n)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H fails
+            while len(rows):
+                rho[rows], passing = _mixtures(weights, fd.vertices)  # a failing row is written again
+                failing = ~passing
+                rows, weights = rows[failing], weights[failing] * 0.5 + pull
+    return _level_sample(fd, rho)

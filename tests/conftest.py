@@ -182,16 +182,17 @@ def equivariance_residual(a, g, h):
 
 def push_mixture_rows(monkeypatch, factor, *rows):
     """Make ``quadric._mixtures`` scale r_1 of the given rows of every
-    round it returns by ``factor``: 1 + 2^-20 pushes a row far past its
-    rounding bound, 16 * 2^-53 times |C| + sum_g rho_g |g|."""
+    round it returns, those the round has, by ``factor``, after their
+    Heron test: 1 + 2^-20 pushes a row far past its rounding bound,
+    16 * 2^-53 times |C| + sum_g rho_g |g|."""
     from su3kahler import quadric
 
     real = quadric._mixtures
 
     def pushed(weights, vertices):
-        rs = real(weights, vertices)
-        rs[list(rows), 0] *= factor
-        return rs
+        rs, passing = real(weights, vertices)
+        rs[[k for k in rows if k < len(rs)], 0] *= factor
+        return rs, passing
 
     monkeypatch.setattr(quadric, "_mixtures", pushed)
 

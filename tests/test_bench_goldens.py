@@ -93,11 +93,11 @@ CERTIFY_DIGESTS = {
     ("round", 24): "0:1332:ff0e29dc42c59b5a2ec5da19c6a76e25",
     ("round", 30): "0:1334:90ece5fc59088d47dda82afef331dba2",
     ("bound2", 0): "0:1678:41b0a7c9737a74bce1401e4e45eaecfc",
-    ("bound2", 119): "0:10590:ffe021e7895bebf6a7763a044ea4e2c1",
-    ("bound2", 238): "0:4653:4f687cd86df6d8fbc78f1639d235bd5c",
+    ("bound2", 119): "0:10590:0dc69f3c3772485efe0dd4d6de935928",
+    ("bound2", 238): "0:4654:f5a41687758e51caba6f90606c4006a2",
     ("bound2", 357): "0:1674:fc4286df8b0ea1c5aed3b5559b93af78",
-    ("bound2", 476): "0:10618:f3b7b6dc3a9e6763c9f83220126f26c8",
-    ("bound2", 595): "0:4654:5102848c6ef8c1f402c9e380c796f0c0",
+    ("bound2", 476): "0:10621:db564495ca621c2b16acec8579b104bb",
+    ("bound2", 595): "0:4660:d52ee882618d519da4cf584ab527c674",
     ("bound3", 0): "0:1680:28058677bb0b3352e07d76b1fed253d6",
     ("bound3", 168): "0:1684:6e9c173a73186bae4a2837636eac42ee",
     ("bound3", 336): "0:1684:7935f75fba19d34b192354f37ccf0664",
@@ -107,7 +107,7 @@ CERTIFY_DIGESTS = {
     ("bound3", 1008): "0:1687:9626ad2a6b57aa709401517ed5826107",
 }
 # pool_digest(certify_ops(golden, 1)): all 1796 triples.
-CERTIFY_POOL_DIGEST = "96480d2a1a290150e144f178adb348ee"
+CERTIFY_POOL_DIGEST = "f0da40abd6ec2f4efd1e4e7b65f8180d"
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)

@@ -12,6 +12,8 @@ regularity lemma's support test on the exact generators.
 """
 
 import json
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -50,7 +52,7 @@ from su3kahler.quadric import (
     moment_scale,
     project_to_level,
 )
-from su3kahler.weights import cone_data, derive
+from su3kahler.weights import cone_condition_holds, cone_data, derive
 
 # The oracle's pass rule: each operator error at most OPERATOR_TOL, and
 # exactly 2 eigenvalues of omega(J_N -, -) within ZERO_TOL of 0 and 6 at
@@ -413,11 +415,13 @@ def test_verify_builds_no_complex_state(monkeypatch, capsys, bound2_systems):
 
 
 def test_verify_passes_exactly_under_the_cone_condition(monkeypatch, capsys):
-    """The README's corollary (*Numerical certificates*): whenever sampling
-    returns, all_passed is cone_condition. On every 7th bound-2 system,
-    every 97th bound-3 system and every 5th failing config of the audit
-    pool, at 5 samples; the apex search is refused, since compactness is
-    check's exact fact and verify weighs no apex functional."""
+    """The README's corollary (*Numerical certificates*): sampling always
+    returns, and all_passed is cone_condition. On every 7th bound-2
+    system, every 97th bound-3 system and every 5th failing config of the
+    audit pool, at 10 samples, past the at most 6 fixed points, so that
+    pulled mixtures are drawn on every config, the failing ones with no
+    fixed point included; the apex search is refused, since compactness
+    is check's exact fact and verify weighs no apex functional."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("verify searched for an apex functional")
@@ -428,13 +432,66 @@ def test_verify_passes_exactly_under_the_cone_condition(monkeypatch, capsys):
     configs += [workloads.ws_config(item) for item in failing]
     seen = Counter()
     for config in configs:
-        code = main(["verify", "--config", config, "--samples", "5"])
+        code = main(["verify", "--config", config, "--samples", "10"])
         results = json.loads(capsys.readouterr().out)["results"]
-        if "error" not in results:
-            assert results["all_passed"] is results["cone_condition"], config
-            assert code == (0 if results["all_passed"] else 1), config
-        seen[results["cone_condition"], "error" in results] += 1
-    assert seen[True, False] == 408 + 667 and seen[False, False] > 200
+        assert "error" not in results and len(results["certificates"]) == 10, config
+        assert results["all_passed"] is results["cone_condition"], config
+        assert code == (0 if results["all_passed"] else 1), config
+        seen[results["cone_condition"]] += 1
+    assert seen[True] == 408 + 667 and seen[False] == len(failing)
+
+
+def mixed_size_pool(seed, exponent, count):
+    """count admissible cone data in the JSON form of a config: C and each
+    A_j with entries uniform in [-10^k, 10^k], k uniform in 0..exponent
+    for each vector, B_j = C - A_j, drawn from random.Random(seed) until
+    the nine-sign rule holds."""
+    rng = random.Random(seed)
+    configs = []
+    while len(configs) < count:
+        c, *a = [[rng.randint(-(10**k), 10**k) for _ in range(2)] for k in [rng.randint(0, exponent) for _ in range(4)]]
+        b = [[c[0] - x, c[1] - y] for x, y in a]
+        if cone_condition_holds(cone_data(a, b)):
+            configs.append(json.dumps({"A": a, "B": b}))
+    return configs
+
+
+# ROADMAP item 22 (c)'s N = 10^4 and N = 10^6 systems: thin slices, where
+# few Dirichlet mixtures pass Heron's test.
+LARGE_SYSTEMS = [
+    ([(-3963, -4178), (-9994, -9889), (-59113, -67972)], [(11071, 13954), (17102, 19665), (66221, 77748)]),
+    (
+        [(110296, -269276), (421287, -886267), (3159091, -6235431)],
+        [(-604848, 1190697), (-915839, 1807688), (-3653643, 7156852)],
+    ),
+]
+
+
+@pytest.mark.parametrize("exponent", [3, 8, 12, 18, 30])
+def test_verify_passes_on_admissible_data_of_mixed_entry_sizes(capsys, monkeypatch, exponent):
+    """Every row passes within the README's bound of 1 + ceil(log2(16 V))
+    Heron tests, V the largest vertex coordinate (the centroid
+    proposition), so verify --samples 50 exits 0 on every system of a
+    seeded admissible pool whose entries span up to 10^30, and on item
+    22 (c)'s two systems."""
+    rounds = []
+    real = quadric._mixtures
+
+    def counted(weights, vertices):
+        rounds.append(len(weights))
+        return real(weights, vertices)
+
+    monkeypatch.setattr(quadric, "_mixtures", counted)
+    configs = mixed_size_pool(2027 + exponent, exponent, 100)
+    if exponent == 8:
+        configs += [json.dumps({"A": a, "B": b}) for a, b in LARGE_SYSTEMS]
+    for config in configs:
+        rounds.clear()
+        code = main(["verify", "--config", config, "--samples", "50", "--seed", "1"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0 and results["all_passed"] and len(results["certificates"]) == 50, config
+        top = float(quadric._weight_arrays(cli._problem(config)[1]).vertices.max())
+        assert 0 < len(rounds) <= 1 + math.ceil(math.log2(16 * top)), config
 
 
 # The benchmark's pool of verify triples (config, samples, seed).
@@ -834,22 +891,44 @@ def test_usable_rows_are_the_nonzero_rows_among_finite_ones():
         assert not quadric._usable(y).any()
 
 
-def test_orbit_rows_are_usable_above_the_squared_floor(orbifold_data):
-    """A sample's row (r, s) is refused as its states would be: max r_k and
-    max s_k must exceed _NONZERO_FLOOR ** 2, so that max |z_k| and
-    max |w_k| exceed _NONZERO_FLOOR. With zero weights and C = 0 every row
-    meets the moment equation exactly, within its bound 0.0, so usability
-    decides alone."""
+@pytest.mark.parametrize("n", [10**16, 10**30, 10**100], ids=["1e16", "1e30", "1e100"])
+def test_tiny_fixed_point_coordinates_pass_with_no_floor(capsys, n):
+    """A sample row is accepted by its rounding bound alone, with no floor
+    on max r_k or max s_k. On A = ((1, 0), (N, -N), (1, 0)),
+    B = ((0, 1), (1 - N, 1 + N), (0, 1)) the fixed point (2, 1) has
+    r_2 = 1/N, at most 1e-16: check and verify both exit 0. At N = 10^100
+    the smallest margin reads 0.0, where a unit cross square underflows
+    (the fixed point (1, 3), unit cross about 1e-200), while every rank
+    stays 4."""
+    a, b = [[1, 0], [n, -n], [1, 0]], [[0, 1], [1 - n, 1 + n], [0, 1]]
+    config = json.dumps({"A": a, "B": b})
+    assert main(["check", "--config", config]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--config", config, "--samples", "50"]) == 0
+    certificates = json.loads(capsys.readouterr().out)["results"]["certificates"]
+    assert [c["jacobian_rank"] for c in certificates] == [4] * 50
+    d = cone_data(a, b)
+    k = [(i, j) for i, j, _, _ in d.mixed_witnesses].index((2, 1))
+    assert certification_sample(d, 50, 0)._rho[k].tolist() == [0.0, 1 / n, 0.0, 2.0, 0.0, 0.0]
+    assert (min(c["regularity_margin"] for c in certificates) == 0.0) is (n == 10**100)
+
+
+def test_level_rows_fail_by_their_bound_alone(orbifold_data):
+    """With zero weights and C = 0 every row meets the moment equation
+    exactly, within its bound: rows with coordinates as small as the least
+    subnormal, or 0, pass, and a row holding an infinity or a NaN fails,
+    since its residual or its bound is not finite."""
     fd = quadric._weight_arrays(orbifold_data)._replace(fg=np.zeros((2, 6)), c=np.zeros(2))
-    for small, usable in ((1e-12, True), (2e-16, True), (1e-16, False), (0.0, False)):
+    for small in (1e-12, 1e-300, 5e-324, 0.0):
         for side in (slice(0, 3), slice(3, 6)):  # every r_k, then every s_k
             rho = np.ones((3, 6))
             rho[1, side] = small
-            if usable:
-                assert len(quadric._level_sample(fd, rho)) == 3
-            else:
-                with pytest.raises(ValueError, match="^z and w must both be finite and nonzero on the quadric$"):
-                    quadric._level_sample(fd, rho)
+            assert len(quadric._level_sample(fd, rho)) == 3
+    for bad in (np.inf, np.nan):
+        rho = np.ones((3, 6))
+        rho[1, 4] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"^point misses the level set: row 1, "):
+            quadric._level_sample(fd, rho)
 
 
 # --- scale covariance ------------------------------------------------------------

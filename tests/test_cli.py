@@ -195,10 +195,13 @@ def test_counts_at_their_ceilings_are_accepted(capsys):
     assert code == 0 and interpolation["ok"]
     assert interpolation["times"][:2] == ["0", f"1/{steps}"] and len(interpolation["times"]) == steps + 1
     # C = 0 is no positive combination of independent A_i and B_j = -A_j:
-    # no seed point, so the count passes its gate and sampling fails at once
+    # no fixed point, yet the diagonals' centroid meets Phi = C, so every
+    # point is a pulled mixture; the cone condition fails, so exit 1
     no_seed = '{"A": [[1,0],[0,1],[-1,-1]], "B": [[-1,0],[0,-1],[1,1]]}'
     code, out = run(capsys, "verify", "--config", no_seed, "--samples", str(cli.MAX_SAMPLES))
-    assert code == 1 and json.loads(out)["results"]["error"].startswith("sampling failed: ")
+    results = json.loads(out)["results"]
+    assert code == 1 and "error" not in results and results["cone_condition"] is False
+    assert len(results["certificates"]) == cli.MAX_SAMPLES
 
 
 def test_verify_without_condition_exits_1(capsys):
@@ -560,35 +563,39 @@ def test_verify_validates_every_returned_row_and_no_other(capsys, monkeypatch):
     assert code == 1 and results["error"].startswith("sampling failed: point misses the level set: row 6, ")
 
 
-def test_verify_gives_up_when_no_mixture_closes_a_triangle(capsys, monkeypatch):
-    """A witness coefficient near 1e200 puts t_1 = r_1 s_1 of every mixture
-    near 1e200 too, so Heron's value overflows and no draw is accepted
-    (an H that is not finite fails the test): verify ends in "sampling
-    failed" with exit 1 after _SAMPLE_PATIENCE rounds of _SAMPLE_CHUNK
-    draws, and no more."""
-    import numpy as np
+def test_verify_pulls_every_failing_mixture_within_the_round_bound(capsys, monkeypatch):
+    """A witness coefficient near 1e200 puts t_1 = r_1 s_1 of most
+    mixtures near 1e200 too, so Heron's value overflows, and an H that is
+    not finite fails the test. Each failing row is pulled halfway to the
+    diagonals' centroid, again and again: the _mixtures calls, one per
+    round, on ever fewer rows, stay within the README's bound
+    1 + ceil(log2(16 V)) for V the largest vertex coordinate. The data
+    fail the cone condition, so verify returns all 20 certificates and
+    exits 1 with no error."""
+    import math
 
     from su3kahler import quadric
 
     n = 10**200
     a = [[1, 0], [n, 1], [0, 1]]
     b = [[-x, n - y] for x, y in a]  # A_i + B_i = C = (0, n)
-    draws = []
-    make_rng = np.random.default_rng
+    config = json.dumps({"A": a, "B": b})
+    rows = []
+    real = quadric._mixtures
 
-    class CountedRng:
-        def __init__(self, seed):
-            self.rng = make_rng(seed)
+    def counted(weights, vertices):
+        rows.append(len(weights))
+        return real(weights, vertices)
 
-        def dirichlet(self, alpha, size):
-            draws.append(size)
-            return self.rng.dirichlet(alpha, size)
-
-    monkeypatch.setattr(np.random, "default_rng", CountedRng)
-    code, out = run(capsys, "verify", "--config", json.dumps({"A": a, "B": b}), "--samples", "20")
+    monkeypatch.setattr(quadric, "_mixtures", counted)
+    code, out = run(capsys, "verify", "--config", config, "--samples", "20")
     results = json.loads(out)["results"]
-    assert code == 1 and results["error"].startswith("sampling failed: no vertex mixture passed Heron's test")
-    assert draws == [quadric._SAMPLE_CHUNK] * quadric._SAMPLE_PATIENCE
+    assert code == 1 and "error" not in results and results["cone_condition"] is False
+    assert len(results["certificates"]) == 20
+    fd = quadric._weight_arrays(cli._problem(config)[1])
+    m, top = len(fd.vertices) - 3, float(fd.vertices.max())
+    assert top > 1e199 and rows[0] == 20 - m and rows == sorted(rows, reverse=True)
+    assert 600 < len(rows) <= 1 + math.ceil(math.log2(16 * top))
 
 
 @pytest.mark.parametrize(

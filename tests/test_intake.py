@@ -280,6 +280,11 @@ FLOAT_RANGE_CASES = [
         "moment scale overflows",
         id="moment-scale",
     ),
+    pytest.param(  # C = (0, 1) = a A_1 + b B_2 with a = 10^-340 and b = 10^-170: a rounds to 0
+        {"A": [[-(10**170), 0], [-1, 1 - 10**170], [1, 0]], "B": [[10**170, 1], [1, 10**170], [-1, 1]]},
+        "a witness coefficient rounds to 0",
+        id="witness-underflow",
+    ),
     pytest.param(  # one ray: moment scale 2*10**200 times |apex functional (10**200, 0)| is past
         {"A": [[10**200, 0]] * 3, "B": [[10**200, 0]] * 3},  # the float range, but verify
         None,  # converts no apex functional: the data are in range and sampled

@@ -351,7 +351,7 @@ def test_certification_sample_is_seeded_and_prefix_stable(name, orbifold_data):
     d = orbifold_data if name == "orbifold" else ROUND_DATA
     full = certification_sample(d, 300, 5)
     assert _same_points(certification_sample(d, 300, 5), full)
-    for m in (1, 6, 7, 8, 23, 150):  # past the first round of draws, too
+    for m in (1, 6, 7, 8, 23, 150):  # fixed points alone, then draws
         assert _same_points(certification_sample(d, m, 5), full[:m])
     other = certification_sample(d, 300, 6)
     assert _same_points(other[:6], full[:6])
@@ -408,21 +408,24 @@ def _closed_form_point(rs):
 
 
 def reference_sample(d, n, seed):
-    """certification_sample's points, one at a time: the seeds, then the
-    mixtures of the slice's vertices by Dirichlet(1, ..., 1) weights drawn
-    in rounds of quadric._SAMPLE_CHUNK from default_rng(seed), summed
-    vertex by vertex, that pass Heron's test, lifted in closed form."""
+    """certification_sample's points, one at a time: the seeds, then one
+    mixture of the slice's vertices per Dirichlet(1, ..., 1) weight row of
+    the n - m drawn from default_rng(seed), summed vertex by vertex and
+    pulled halfway to the diagonals' centroid (w/2 on each fixed point,
+    w/2 + 1/6 on each diagonal) until it passes Heron's test, lifted in
+    closed form."""
     vertices = _slice_vertices(d)
+    m = len(vertices) - 3
     points = [
         LevelSetPoint(np.sqrt(np.array(v[:3], dtype=complex)), np.sqrt(np.array(v[3:], dtype=complex)), (0.0, 0.0))
         for v in vertices[:-3]
     ][:n]
-    rng = np.random.default_rng(seed)
-    while len(points) < n:
-        for weights in rng.dirichlet(np.ones(len(vertices)), quadric._SAMPLE_CHUNK).tolist():
-            rs = _kept_mixture(weights, vertices)
-            if rs is not None and len(points) < n:
-                points.append(_closed_form_point(rs))
+    if n > m:
+        pull = [0.0] * m + [1 / 6] * 3
+        for weights in np.random.default_rng(seed).dirichlet(np.ones(len(vertices)), n - m).tolist():
+            while (rs := _kept_mixture(weights, vertices)) is None:
+                weights = [w * 0.5 + c for w, c in zip(weights, pull)]
+            points.append(_closed_form_point(rs))
     return points
 
 
@@ -487,15 +490,26 @@ def test_dirichlet_weights_are_gammas_times_one_reciprocal_of_their_sum(vertices
     assert np.abs(weights.sum(axis=1) - 1).max() <= 2 * vertices * 2.0**-53
 
 
-def test_only_the_returned_seeds_are_validated(orbifold_data, monkeypatch):
-    """A round's rows past the sample's count are dropped unread: with
-    mixture row 1 of every round pushed past its bound, the 7-point sample
-    (the 6 fixed points and mixture row 0) passes, and the 8-point sample
-    fails at its row 7."""
-    push_mixture_rows(monkeypatch, 1 + 2.0**-20, 1)
-    assert len(certification_sample(orbifold_data, 7, 0)) == 7
-    with pytest.raises(ValueError, match=r"^point misses the level set: row 7, \|Phi - C\| = "):
-        certification_sample(orbifold_data, 8, 0)
+def test_one_weight_row_is_drawn_per_point_past_the_fixed_points(orbifold_data, monkeypatch):
+    """No row is drawn that the sample does not return: n - m weight rows
+    in one draw past the m = 6 fixed points of the orbifold data, and no
+    generator at all for n <= m."""
+    draws = []
+    make_rng = np.random.default_rng
+
+    class CountedRng:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def dirichlet(self, alpha, size):
+            draws.append((len(alpha), size))
+            return self.rng.dirichlet(alpha, size)
+
+    monkeypatch.setattr(np.random, "default_rng", CountedRng)
+    for n in (3, 6, 7, 8, 40):
+        draws.clear()
+        assert len(certification_sample(orbifold_data, n, 0)) == n
+        assert draws == ([(9, n - 6)] if n > 6 else [])
 
 
 def test_sample_points_are_validated_against_their_rounding_bound(monkeypatch):
@@ -545,20 +559,20 @@ def test_closed_form_points_meet_the_residuals_and_heron(index, seed):
         assert np.all(p.z.imag == 0) and p.w[0].imag == 0 and p.w[0].real > 0  # the section
 
 
-def test_lift_keeps_exactly_the_draws_that_pass_heron(orbifold_data):
-    """Of a round of mixtures, _mixtures returns the (r, s) of the rows
-    whose Heron value, summed vertex by vertex in Python floats, is
-    positive, in row order and bit for bit, and rejects every other row;
-    _lift maps them to the closed-form points over them."""
+def test_mixtures_flag_exactly_the_draws_that_pass_heron(orbifold_data):
+    """Of a round of mixtures, _mixtures returns the (r, s) of every row,
+    summed vertex by vertex as in Python floats, in row order and bit for
+    bit, and flags those whose Heron value is positive; _lift maps them
+    to the closed-form points over them."""
     fd = quadric._weight_arrays(orbifold_data)
     vertices = _slice_vertices(orbifold_data)
     weights = np.random.default_rng(3).dirichlet(np.ones(len(vertices)), 500)
-    kept = [rs for rs in (_kept_mixture(w, vertices) for w in weights.tolist()) if rs is not None]
-    rho = quadric._mixtures(weights, fd.vertices)
-    assert 0 < len(kept) < len(weights)
-    assert rho.tolist() == kept
-    lifted = [LevelSetPoint(row[:3], row[3:], (0.0, 0.0)) for row in quadric._lift(rho)]
-    assert _same_points(lifted, [_closed_form_point(rs) for rs in kept])
+    kept = [_kept_mixture(w, vertices) for w in weights.tolist()]
+    rho, passing = quadric._mixtures(weights, fd.vertices)
+    assert passing.tolist() == [rs is not None for rs in kept] and 0 < passing.sum() < len(weights)
+    assert rho[passing].tolist() == [rs for rs in kept if rs is not None]
+    lifted = [LevelSetPoint(row[:3], row[3:], (0.0, 0.0)) for row in quadric._lift(rho[passing])]
+    assert _same_points(lifted, [_closed_form_point(rs) for rs in kept if rs is not None])
 
 
 def _slice_distances(d, points):

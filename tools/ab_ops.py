@@ -15,17 +15,23 @@ run first on both trees, then ``gc.freeze()``. Every pass runs each op on
 both trees back to back, alternating which goes first op by op, so a
 drift of the host moves both sides alike. The first pass compares each
 op's exit code and stdout between the trees, counts the ops that differ
-and prints the argv of the first one to stderr; timing goes on, and the
-tool exits 1 after the last pass when any op differed. Each pass prints,
-for each tree, the mean us/op and the median op's latency, and the ratios
-a/b of both (above 1 when b is faster); the last line is one JSON object
-with every pass and the count of differing ops.
+and prints the argv of the first one to stderr. It also runs the
+benchmark's own gate, ``perfbench.workloads.gate``, on each op's output
+from each tree, counts the failures per tree and prints the first
+failing op of each tree to stderr, so a deliberate output change is
+checked against what the benchmark checks. Timing goes on, and the tool
+exits 1 after the last pass when any op differed or failed its gate.
+Each pass prints, for each tree, the mean us/op and the median op's
+latency, and the ratios a/b of both (above 1 when b is faster); the last
+line is one JSON object with every pass, the count of differing ops and
+the gate failures of each tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import importlib
 import io
@@ -78,12 +84,14 @@ def _run(cli, argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def _pass(clis, ops, compare: bool) -> tuple[tuple[list[float], list[float]], int]:
+def _pass(clis, ops, gate=None) -> tuple[tuple[list[float], list[float]], int, list[int]]:
     """The seconds each tree spent on each op, alternating the order op by
-    op, and, with compare, the count of ops whose (code, stdout) differ
-    between the trees; the first of them is named on stderr."""
+    op. With ``gate``, the benchmark's gate of an op and its (code,
+    stdout), also the count of ops whose (code, stdout) differ between the
+    trees and the count of gate failures of each tree; the first op of
+    each kind is named on stderr."""
     times = ([], [])
-    differing = 0
+    differing, failures = 0, [0, 0]
     for k, op in enumerate(ops):
         order = (0, 1) if k % 2 == 0 else (1, 0)
         results = [None, None]
@@ -91,11 +99,19 @@ def _pass(clis, ops, compare: bool) -> tuple[tuple[list[float], list[float]], in
             start = perf_counter()
             results[side] = _run(clis[side], op.argv)
             times[side].append(perf_counter() - start)
-        if compare and results[0] != results[1]:
+        if gate is None:
+            continue
+        if results[0] != results[1]:
             if not differing:
                 print(f"outputs differ on op {k}: {' '.join(op.argv)}", file=sys.stderr, flush=True)
             differing += 1
-    return times, differing
+        for side, result in enumerate(results):
+            outcome = gate(op, result)
+            if not outcome.ok:
+                if not failures[side]:
+                    print(f"gate fails on op {k} of {'ab'[side]}: {outcome.detail}", file=sys.stderr, flush=True)
+                failures[side] += 1
+    return times, differing, failures
 
 
 def main(argv=None) -> int:
@@ -121,13 +137,15 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as scratch:
             sys.path.insert(0, scratch)
             clis = [_load(tree, Path(scratch), name) for tree, name in zip((args.a, args.b), PACKAGES)]
-            _pass(clis, warmup, compare=False)
+            _pass(clis, warmup)
             gc.collect()
             gc.freeze()
-            passes, differing = [], 0
+            passes = []
             for k in range(args.passes):
-                times, count = _pass(clis, ops, compare=k == 0)
-                differing += count
+                gate = functools.partial(wl.gate, args.workload, golden) if k == 0 else None
+                times, count, failures = _pass(clis, ops, gate)
+                if k == 0:
+                    differing, gate_failures = count, dict(zip("ab", failures))
                 a, b = (sum(t) / len(t) * 1e6 for t in times)
                 a50, b50 = (statistics.median(t) * 1e6 for t in times)
                 passes.append({
@@ -146,11 +164,12 @@ def main(argv=None) -> int:
             del sys.modules[module]
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "ops": len(ops), "a": args.a, "b": args.b,
-        "identical_outputs": not differing, "differing_ops": differing, "passes": passes,
+        "identical_outputs": not differing, "differing_ops": differing, "gate_failures": gate_failures,
+        "passes": passes,
         "median_ratio": statistics.median(p["ratio"] for p in passes),
         "median_p50_ratio": statistics.median(p["p50_ratio"] for p in passes),
     }))
-    return 1 if differing else 0
+    return 1 if differing or any(gate_failures.values()) else 0
 
 
 if __name__ == "__main__":
