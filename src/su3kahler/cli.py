@@ -21,10 +21,14 @@ without argparse; every other argv (help, abbreviations,
 behaviour for it.
 
 ``check`` and ``isotropy`` write every exact number of their reports
-from integers read off the cone data's sign table
-(``weights._condition_evidence``, ``isotropy._census_evidence``), each
-quotient n/d as text while the report renders, into templates keyed by
-the shape of the text; no ``Fraction`` or report object is built per op.
+from integers read off the cone data's sign table, each quotient n/d as
+text while the report renders, into templates keyed by the shape of the
+text; no ``Fraction`` or report object is built per op. Where the cone
+condition holds, the nine-sign corollary fixes that shape for the whole
+report, so it is one template, filled by one ``%`` (``_check_template``,
+``_isotropy_template``, from the nine crosses and
+``isotropy._census_numbers``); ``check`` on other data writes its parts
+from ``weights._condition_evidence``.
 
 This module does not import numpy. ``verify`` imports the float layer,
 :mod:`su3kahler.quadric`, when it runs, and ``enumerate`` loads numpy
@@ -173,43 +177,74 @@ def _text(o, nl: str) -> str:
     return json.dumps(o, indent=2, sort_keys=True).replace("\n", nl)
 
 
-def _gap(key: int, quoted: bool = False) -> str:
+def _gap(key: int, quoted: bool = False, integer: bool = False) -> str:
     """The gap of a template for the value of this key, inside a string's
-    quotes if quoted: a control character and the key, which json.dumps
-    writes as \\u0000key inside quotes or "\\u0001key" for a bare gap, since
-    it escapes every control character."""
-    return ("\0" if quoted else "\1") + str(key)
+    quotes if quoted, else bare, for an int or for a JSON text: a control
+    character and the key, which json.dumps writes as \\u0000key inside
+    quotes, "\\u0002key" for an int's bare gap or "\\u0001key" for another
+    bare gap, since it escapes every control character."""
+    return ("\0" if quoted else "\2" if integer else "\1") + str(key)
 
 
-# A gap in json.dumps's text: a quoted one, or a bare one with its quotes.
-_GAP = re.compile(r'\\u0000(\d+)|"\\u0001(\d+)"')
+# A gap in json.dumps's text: a quoted one, or a bare one with its quotes
+# and the kind of its value, 1 (a JSON text) or 2 (an int).
+_GAP = re.compile(r'\\u0000(\d+)|"\\u000([12])(\d+)"')
 
 
 def _keyed(o, keys):
     """o with each leaf replaced by a gap keyed by the next of keys (in the
-    order o lists its leaves), quoted for a str; None (an absent value) and
-    bools (verdicts) stay."""
+    order o lists its leaves), quoted for a str and an int's for an int;
+    None (an absent value) and bools (verdicts) stay."""
     if isinstance(o, (list, tuple)):
         return [_keyed(x, keys) for x in o]
     if isinstance(o, dict):
         return {k: _keyed(v, keys) for k, v in o.items()}
-    return o if o is None or isinstance(o, bool) else _gap(next(keys), isinstance(o, str))
+    if o is None or isinstance(o, bool):
+        return o
+    return _gap(next(keys), isinstance(o, str), isinstance(o, int))
+
+
+def _split(form, nl: str):
+    """json.dumps's text of form at nl split at its gaps: the pieces
+    between them, each ``%`` doubled, and each gap's (key, whether its
+    value is an int), in text order."""
+    split = _GAP.split(json.dumps(form, indent=2, sort_keys=True).replace("\n", nl))
+    pieces = [piece.replace("%", "%%") for piece in split[::4]]
+    return pieces, [(int(q or b), kind == "2") for q, kind, b in zip(split[1::4], split[2::4], split[3::4])]
+
+
+def _getter(keys: list):
+    """A getter of these keys' values, in order, which returns a tuple (one
+    key's value wrapped, none for no keys)."""
+    if len(keys) > 1:
+        return operator.itemgetter(*keys)
+    if keys:
+        key = keys[0]
+        return lambda values: (values[key],)
+    return lambda values: ()
 
 
 def _template(form, nl: str):
     """The text of form at nl, compiled for :func:`_fill`: a %-format of
-    its pieces between the gaps, each ``%`` doubled and ``%s`` at each
-    gap, and a getter of the gaps' keys, in text order, from the values,
-    which returns a tuple (one key's value wrapped, none for no keys)."""
-    split = _GAP.split(json.dumps(form, indent=2, sort_keys=True).replace("\n", nl))
-    keys = [int(q or b) for q, b in zip(split[1::3], split[2::3])]
-    fmt = "%s".join(piece.replace("%", "%%") for piece in split[::3])
-    if len(keys) > 1:
-        return fmt, operator.itemgetter(*keys)
-    if keys:
-        key = keys[0]
-        return fmt, lambda values: (values[key],)
-    return fmt, lambda values: ()
+    its pieces between the gaps, with ``%s`` at each gap, and the getter of
+    the gaps' keys, in text order."""
+    pieces, gaps = _split(form, nl)
+    return "%s".join(pieces), _getter([key for key, _ in gaps])
+
+
+def _ascii_template(form):
+    """The text of form at the top level compiled for one bytes ``%``, as
+    a report compiled whole is filled (:func:`_report_text`): a bytes
+    %-format of its pieces between the gaps, with ``%d`` at an int's gap
+    and ``%s`` at any other, whose value is its ASCII text as bytes, and
+    the getter of the gaps' keys, in text order. json.dumps escapes every
+    character past ASCII, so the text encodes byte for byte; bytes ``%``
+    finds each ``%`` with memchr where str ``%`` reads its format character
+    by character, which halves the fill of a 16.5 kB ``isotropy`` report."""
+    pieces, gaps = _split(form, "\n")
+    specs = ["%d" if integer else "%s" for _, integer in gaps]
+    fmt = "".join(itertools.chain(*zip(pieces, specs), pieces[-1:])).encode()
+    return fmt, _getter([key for key, _ in gaps])
 
 
 def _fill(template, values) -> str:
@@ -223,18 +258,15 @@ def _fill(template, values) -> str:
 
 
 # The dict form of each block written from a leaf template, with zeros for
-# its entries, by kind: freeness has one form per verdict, its failing pair
-# null or present.
+# its entries, by kind.
 _ZERO = ((0, 0),) * 3
 _LEAF_PROBES = {
     "weights": wt.WeightSystem(_ZERO, _ZERO),
     "derived": wt.DerivedConeData(_ZERO, _ZERO, (0, 0)),
-    "free": iso.FreenessVerdict(None),
-    "orbifold": iso.FreenessVerdict((0, 0, 0)),
 }
 
 
-@functools.lru_cache(maxsize=16)  # the four kinds, at each nl they are written at
+@functools.lru_cache(maxsize=8)  # the two kinds, at each nl they are written at
 def _leaf_template(kind: str, nl: str):
     """The dict form of the probe of this kind at nl, with a gap for each
     entry keyed by its position in the order the dict form lists them."""
@@ -251,16 +283,10 @@ def _derived_text(d: wt.DerivedConeData, nl: str) -> str:
     return _fill(_leaf_template("derived", nl), [*itertools.chain(*d.a, *d.b, d.c)])
 
 
-def _freeness_text(verdict: iso.FreenessVerdict, nl: str) -> str:
-    """``verdict.to_json()`` as encoded text, for a verdict without a
-    classification (so consistent)."""
-    kind = "free" if verdict.free else "orbifold"
-    return _fill(_leaf_template(kind, nl), verdict.failing_pair or ())
-
-
 # The template caches are sized from their distinct keys over one pass of
-# the audit pool (10673 ops, 5335 of them check): 9 condition frames, 93
-# table shapes.
+# the audit pool (10673 ops, 5335 of them check, 1465 of those on data that
+# fail the condition, the only ones written part by part): 8 condition
+# frames, 92 table shapes.
 @functools.lru_cache(maxsize=16)  # the verdicts allow at most 13 frames at one nl
 def _condition_frame(holds: bool, level_flags: tuple, nl: str):
     """A condition report with this verdict and a level-set block with
@@ -298,20 +324,10 @@ def _table_template(statuses, nl: str):
     return _template(form, nl)
 
 
-@functools.lru_cache(maxsize=8)
-def _outside_table_text(nl: str) -> str:
-    """The text at nl of a condition table with no member: both pair
-    tables of data where the condition holds."""
-    return _fill(_table_template(("outside",) * 9, nl), ())
-
-
 def _table_text(table, nl: str) -> str:
     """A condition table (one of a report's three, the evidence (status, n1,
     n2, den) of the nine pairs in order) as encoded text, each member's
-    coefficients n1/den and n2/den written as quotients. The shared table
-    of nine non-members, ``weights._OUTSIDE_TABLE``, is one cached text."""
-    if table is wt._OUTSIDE_TABLE:
-        return _outside_table_text(nl)
+    coefficients n1/den and n2/den written as quotients."""
     # status values, not members: a str caches its hash, an enum member
     # hashes through a Python-level __hash__
     statuses = tuple([status._value_ for status, _, _, _ in table])
@@ -348,66 +364,6 @@ def _interpolation_json(times, ok: bool) -> dict:
         "times": [scalar_to_json(t) for t in times],
         "ok": ok,
     }
-
-
-@functools.lru_cache(maxsize=8)
-def _interpolation_text(steps: int, nl: str) -> str:
-    """``_interpolation_json`` at the default times of ``steps`` as encoded
-    text, built once per step count and nl. ``check`` writes it only when
-    the cone condition holds, and by the README's path corollary the path
-    then holds, so its verdict is true."""
-    return _text(_interpolation_json(wt.default_interpolation_times(steps), True), nl)
-
-
-# One pass over the audit pool meets 46 census entry shapes (every pattern
-# of rank 2, each singleton with a witness).
-@functools.lru_cache(maxsize=256)  # 3 ranks, and a singleton's witness or none: 156 at one nl
-def _census_entry_template(k: int, rank: int, witness: bool, nl: str):
-    """The k-th census entry at nl with a group of this rank and a witness
-    point present or absent, with a gap for each number of its group,
-    keyed by its position among them, and then for each entry of its
-    witness point. Read off a probe report of the pattern."""
-    d1, d12 = ((0, 0), (1, 0), (1, 1))[rank]
-    probe = iso._census_report(k, d1, d12, (0, 0) if witness else None).to_json()
-    keys = itertools.count()
-    isotropy = {key: v if isinstance(v, str) else _keyed(v, keys) for key, v in probe["isotropy"].items()}
-    return _template({**probe, "isotropy": isotropy, "witness_point": _keyed(probe["witness_point"], keys)}, nl)
-
-
-# One pass over the audit pool (3870 censuses) meets 615 keys: 429 of the
-# 40 patterns that are not singletons and 186 of the 6 singletons.
-@functools.lru_cache(maxsize=1024)
-def _census_entry(k: int, d1: int, d12: int, witness: bool, nl: str) -> tuple[str, ...]:
-    """The text at nl of the k-th census entry whose rows have determinantal
-    divisors d1 and d12, with a witness point present or absent, split
-    where its witness point's two entries go (one piece without one). The
-    template of its shape filled with the numbers of its group's dict form,
-    in the order the template's gaps take them: no probe is rendered per
-    divisor pair."""
-    group = iso._group_from_divisors(d1, d12)
-    template = _census_entry_template(k, group.rank, witness, nl)
-    form = group.to_json().values()
-    numbers = [x for v in form if not isinstance(v, str) for x in (v if isinstance(v, list) else (v,))]
-    return tuple(_fill(template, [*numbers, "\0", "\0"]).split("\0"))
-
-
-def _census_text(rows, nl: str) -> str:
-    """``census_to_json(singular_stratum_census(d))`` as encoded text,
-    written from its integers, the rows (k, d1, d12, witness) of
-    ``isotropy._census_evidence(d)``, read once, each entry as its row
-    comes: the census key (d1, d12) of the k-th pattern and, for a
-    singleton with a witness (na, nb, den), its witness point, the
-    quotients na/den and nb/den."""
-    inner = nl + "  "
-    entries = []
-    for k, d1, d12, w in rows:
-        if w is None:
-            entries += _census_entry(k, d1, d12, False, inner)
-        else:
-            first, middle, last = _census_entry(k, d1, d12, True, inner)
-            na, nb, den = w
-            entries.append(first + _quotient_text(na, den) + middle + _quotient_text(nb, den) + last)
-    return _list_text(entries, nl)
 
 
 def _list_text(texts, nl: str) -> str:
@@ -460,6 +416,14 @@ def _report(command: str, config: dict, results: dict, passed: bool, wall: float
     }
 
 
+def _envelope(command: str, config_keys, results, keys) -> dict:
+    """``_report`` of a ``command`` report with these results, with a gap
+    keyed by the next of keys for each value of a config echo with these
+    keys, then for pass and then for the wall time."""
+    config = {key: _gap(next(keys)) for key in config_keys}
+    return _report(command, config, results, _gap(next(keys)), _gap(next(keys)))
+
+
 # One pass over the audit pool meets 4 envelopes (check; isotropy with a
 # census or an error; cohomology); six commands with at most three result
 # key sets each fit in 32.
@@ -467,22 +431,171 @@ def _report(command: str, config: dict, results: dict, passed: bool, wall: float
 def _envelope_template(command: str, config_keys: tuple, result_keys: tuple):
     """The envelope of a ``command`` report with these config and result
     keys, as ``json.dumps(_report(...), indent=2, sort_keys=True)`` writes
-    it, with a gap for each value keyed by its position in (*config values,
-    *result values, pass, wall time)."""
+    it, with a gap for each value keyed by its position in (*result values,
+    *config values, pass, wall time)."""
     keys = itertools.count()
-    config = {key: _gap(next(keys)) for key in config_keys}
     results = {key: _gap(next(keys)) for key in result_keys}
-    return _template(_report(command, config, results, _gap(next(keys)), _gap(next(keys))), "\n")
+    return _template(_envelope(command, config_keys, results, keys), "\n")
 
 
-def _report_text(command: str, config: dict, results: dict, passed: bool, wall: float) -> str:
+class _Whole(NamedTuple):
+    """The results of a report compiled whole, as a command returns them:
+    the template of the whole report, envelope included, from
+    :func:`_ascii_template`, and a function that lists the values of its
+    gaps up to the config echo. The report calls it as it renders
+    (:func:`_report_text`), so a number past ``str()``'s digit limit ends
+    in the ``cannot render the report`` envelope, as it does on the part
+    path."""
+
+    template: tuple
+    values: Callable[[], list]
+
+
+def _echo_keys(command: str) -> tuple:
+    """The keys of a ``command`` report's config echo (``_config_echo``):
+    the attributes of its options, sorted."""
+    return tuple(sorted(o.dest for o in _TABLE[command].options))
+
+
+def _witness_texts(d: wt.DerivedConeData) -> list[bytes]:
+    """The ASCII texts of the coefficients of C in cone(A_i, B_j) for the six
+    mixed pairs i != j, in order of (i, j), for data where the cone
+    condition holds: n1/den and n2/den of each pair's evidence in
+    ``d._mixed_evidence``, read off the nine crosses. They are ``check``'s
+    mixed table and ``isotropy``'s singleton witness points, and the pair
+    (1, 2) is also the level-set witness."""
+    mixed = d._mixed_evidence
+    texts = []
+    for k in (1, 2, 3, 5, 6, 7):  # the positions 3*i + j, 0-based, with i != j
+        _, n1, n2, den = mixed[k]
+        texts += (_quotient_text(n1, den).encode(), _quotient_text(n2, den).encode())
+    return texts
+
+
+def _admissible_condition(keys) -> dict:
+    """``check_cone_condition(d).to_json()`` for data where the condition
+    holds, with a gap keyed by the next of keys for each coefficient of
+    the mixed pairs i != j, in order, and then for each entry of the apex
+    functional; the level-set witness, the pair (1, 2), shares that pair's
+    gaps. By the nine-sign corollary C lies in none of the A-pair and
+    B-pair cones, is interior to every mixed one, on the diagonal with
+    coefficients (1, 1), and every level-set condition holds."""
+    pairs = list(itertools.product((1, 2, 3), repeat=2))
+    outside = dict.fromkeys(pairs, ConeMembership(MembershipStatus.OUTSIDE))
+    mixed = dict.fromkeys(pairs, ConeMembership(MembershipStatus.INTERIOR, (1, 1)))  # C = A_i + B_i
+    level_set = wt.LevelSetConditions(True, (1, 2, 0, 0), True, True, (0, 0))
+    form = wt.ConditionReport(True, outside, outside, mixed, level_set).to_json()
+    for i, j in pairs:
+        if i != j:
+            entry = form["mixed_pairs"][f"{i},{j}"]
+            entry["coefficients"] = _keyed(entry["coefficients"], keys)
+    level_set = form["level_set"]
+    level_set["nonempty_witness"].update(zip("ab", form["mixed_pairs"]["1,2"]["coefficients"]))
+    level_set["apex_functional"] = _keyed(level_set["apex_functional"], keys)
+    return form
+
+
+# A compiled report is cached per shape: one pass over the audit pool meets
+# 2 check shapes (weights or cone data, at the default --interp-steps) and
+# all 4 isotropy shapes.
+@functools.lru_cache(maxsize=8)
+def _check_template(weights: bool, steps: int):
+    """The text of a ``check`` report of data where the cone condition
+    holds, at this ``--interp-steps``, of a weight system or of cone data,
+    compiled whole. Its gaps are keyed by position in the values of
+    :func:`_check_values`, then the config echo, pass and the wall time;
+    the interpolation block has no gap, since by the README's path
+    corollary it is a constant of the step count."""
+    keys = itertools.count()
+    results = {
+        "derived": _gap(next(keys)),
+        "condition": _admissible_condition(keys),
+        "interpolation": _interpolation_json(wt.default_interpolation_times(steps), True),
+        "weights": _keyed(_LEAF_PROBES["weights"].to_json(), keys) if weights else None,
+    }
+    return _ascii_template(_envelope("check", _echo_keys("check"), results, keys))
+
+
+def _check_values(ws: wt.WeightSystem | None, d: wt.DerivedConeData) -> list:
+    """The values of a compiled ``check`` report's gaps up to the config
+    echo: the text of d, the 12 mixed coefficients, the apex functional's
+    two entries and the 12 weights of ws, if any."""
+    x, y, den = d._apex  # present where the condition holds (the apex proposition)
+    values = [_derived_text(d, "\n    ").encode(), *_witness_texts(d)]
+    values += (_quotient_text(x, den).encode(), _quotient_text(y, den).encode())
+    if ws is not None:
+        values += itertools.chain(*ws.wl, *ws.wr)
+    return values
+
+
+def _census(keys) -> list:
+    """``census_to_json(singular_stratum_census(d))`` for integer data where
+    the cone condition holds, with a gap keyed by the next of keys for the
+    order and the two factors of each pattern's group, pattern by pattern,
+    and then for each entry of the singletons' witness points, in order:
+    by the README's census-shape proposition every group is finite of rank
+    2 and every singleton has its witness."""
+    census = []
+    for k, (_, _, _, singleton, _) in enumerate(iso._CENSUS_PATTERNS):
+        entry = iso._census_report(k, 1, 1, (0, 0) if singleton else None).to_json()
+        group = entry["isotropy"]
+        group.update(_keyed({"order": group["order"], "factors": group["factors"]}, keys))
+        census.append(entry)
+    for entry in census:
+        if entry["witness_point"] is not None:
+            entry["witness_point"] = _keyed(entry["witness_point"], keys)
+    return census
+
+
+@functools.lru_cache(maxsize=4)  # weights or cone data, free or orbifold
+def _isotropy_template(weights: bool, free: bool):
+    """The text of an ``isotropy`` report of data where the cone condition
+    holds, of a weight system or of cone data, with a free or an orbifold
+    action, compiled whole. Its gaps are keyed by position in the values
+    of :func:`_isotropy_values`, then the config echo, pass and the wall
+    time."""
+    keys = itertools.count()
+    results = {
+        "derived": _gap(next(keys)),
+        "freeness": _keyed(iso.FreenessVerdict(None if free else (0, 0, 0)).to_json(), keys),
+        "census": _census(keys),
+        "weights": _keyed(_LEAF_PROBES["weights"].to_json(), keys) if weights else None,
+        "classification": iso.Classification.of(free).value,
+    }
+    return _ascii_template(_envelope("isotropy", _echo_keys("isotropy"), results, keys))
+
+
+def _isotropy_values(ws: wt.WeightSystem | None, d: wt.DerivedConeData, failing) -> list:
+    """The values of a compiled ``isotropy`` report's gaps up to the config
+    echo: the text of d, the failing pair, if any, the order d12 and the
+    factors d1 and d12/d1 of each census group, the 12 singleton witness
+    coefficients and the 12 weights of ws, if any."""
+    values = [_derived_text(d, "\n    ").encode()]
+    if failing is not None:
+        values += failing
+    values += iso._census_numbers(d)
+    values += _witness_texts(d)
+    if ws is not None:
+        values += itertools.chain(*ws.wl, *ws.wr)
+    return values
+
+
+def _report_text(command: str, config: dict, results, passed: bool, wall: float) -> str:
     """``json.dumps(_report(command, config, results, passed, wall),
-    indent=2, sort_keys=True)`` and a final newline, from one cached
-    envelope per command and key sets. Every config and result value
-    starts on a line indented by four spaces, where ``_text`` writes it;
-    pass and the wall time are leaves."""
-    values = [_text(v, "\n    ") for v in (*config.values(), *results.values(), passed, wall)]
-    return _fill(_envelope_template(command, tuple(config), tuple(results)), values) + "\n"
+    indent=2, sort_keys=True)`` and a final newline. Results compiled whole
+    (:class:`_Whole`) fill their own template by one bytes ``%``, and a
+    results dict fills one cached envelope per command and key sets, each
+    of its values written by ``_text`` on a line indented by four spaces,
+    as is every config value; pass and the wall time are leaves."""
+    echo = [_text(v, "\n    ") for v in (*config.values(), passed, wall)]
+    if type(results) is _Whole:
+        fmt, getter = results.template
+        values = results.values() + [text.encode() for text in echo]
+        text = (fmt % getter(values)).decode()
+    else:
+        values = [_text(v, "\n    ") for v in results.values()]
+        text = _fill(_envelope_template(command, tuple(config), tuple(results)), values + echo)
+    return text + "\n"
 
 
 def _monomial(v) -> str:
@@ -495,24 +608,25 @@ def _monomial(v) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def cmd_check(args) -> tuple[dict, bool]:
+def cmd_check(args) -> tuple[dict | _Whole, bool]:
     if args.interp_steps < 1:
         raise InputError("--interp-steps must be >= 1")
     if args.interp_steps > MAX_INTERP_STEPS:
         raise InputError(f"--interp-steps must be <= {MAX_INTERP_STEPS}")
     ws, d = _problem(args.config)
-    evidence = wt._condition_evidence(d)
-    holds = evidence[0]
+    if d._holds:  # the verdict cone_condition_holds reads; the nine-sign corollary fixes the report's shape
+        template = _check_template(ws is not None, args.interp_steps)
+        return _Whole(template, functools.partial(_check_values, ws, d)), True
     results = {
         "weights": None if ws is None else _rendered(_weights_text, ws),
         "derived": _rendered(_derived_text, d),
-        "condition": _rendered(_condition_text, evidence),
-        "interpolation": _rendered(_interpolation_text, args.interp_steps) if holds else None,
+        "condition": _rendered(_condition_text, wt._condition_evidence(d)),
+        "interpolation": None,
     }
-    return results, holds
+    return results, False
 
 
-def cmd_isotropy(args) -> tuple[dict, bool]:
+def cmd_isotropy(args) -> tuple[dict | _Whole, bool]:
     ws, d = _problem(args.config)
     if not d.is_integer:
         raise InputError("isotropy analysis requires integer cone data")
@@ -520,15 +634,9 @@ def cmd_isotropy(args) -> tuple[dict, bool]:
         return {"error": "cone condition fails; isotropy analysis requires it"}, False
     # the lattice-pair test, once: a weight system's own verdict is the same
     # test on the same data (ws.derived is d), so the two agree
-    verdict = iso.FreenessVerdict(wt._failing_pair(d._nine_crosses))
-    results = {
-        "weights": None if ws is None else _rendered(_weights_text, ws),
-        "derived": _rendered(_derived_text, d),
-        "freeness": _rendered(_freeness_text, verdict),
-        "classification": iso.Classification.of(verdict.free).value,
-        "census": _rendered(_census_text, iso._census_evidence(d)),
-    }
-    return results, True
+    failing = wt._failing_pair(d._nine_crosses)
+    template = _isotropy_template(ws is not None, failing is None)
+    return _Whole(template, functools.partial(_isotropy_values, ws, d, failing)), True
 
 
 def cmd_verify(args) -> tuple[dict, bool]:

@@ -12,13 +12,14 @@ i != j, being a lattice basis; under the cone condition this is also the
 trivial left homomorphism with a torus isomorphism on the right (the
 README's freeness corollary), which is therefore not computed.
 
-The census is kept as integers, :func:`_census_evidence`: one row per
-support pattern, in census order, with its divisors (d1, d12), read from
-per-side tables over the subsets of {1, 2, 3} of the entries and minors
-in the cone data's sign table, and a singleton's witness (na, nb, den),
-one of the data's integer mixed witnesses. ``isotropy`` writes each entry
-of its census from its row as the rows come;
-:func:`singular_stratum_census` is their view as :class:`StratumReport`s.
+The census is kept as integers, :func:`_census_numbers`: the
+determinantal divisors d1 and d12 = d1*d2 of each support pattern and
+d12/d1, in census order, read from per-side tables over the subsets of {1, 2, 3} of the
+entries and minors in the cone data's sign table. ``isotropy`` writes its
+census from them and the data's mixed witnesses in one compiled template,
+since under the cone condition the census has one shape (the README's
+census-shape proposition); :func:`singular_stratum_census` is their view,
+one :class:`StratumReport` per pattern.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Iterator
 
 from .conegeom import _check_int, invariant_factors_from_divisors, scalar_to_json
 from .weights import (
@@ -274,6 +274,9 @@ def _census_patterns():
 
 _CENSUS_PATTERNS = _census_patterns()
 
+# The index of I and of J in _SUBSETS for each census pattern, in order.
+_CENSUS_INDICES = tuple((p, q) for _, p, q, _, _ in _CENSUS_PATTERNS)
+
 
 def _census_report(k: int, d1: int, d12: int, witness) -> StratumReport:
     """The report of the k-th census pattern with these determinantal
@@ -300,16 +303,14 @@ def _minor_gcds(m12: int, m13: int, m23: int) -> tuple[int, ...]:
     return 0, 0, 0, m12, m13, m23, gcd(m12, m13, m23)
 
 
-def _census_evidence(d: DerivedConeData) -> Iterator[tuple[int, int, int, tuple[int, int, int] | None]]:
-    """The census's integers, one row (k, d1, d12, witness) per census
-    pattern, yielded in census order: the pattern's index k in
-    _CENSUS_PATTERNS; its key, the determinantal divisors of its rows, d1
-    the gcd of their entries and d12 the gcd of their 2 x 2 minors; and,
-    for a singleton {i} x {j}, its witness (na, nb, den) with
-    C = (na*A_i + nb*B_j)/den and na/den, nb/den > 0, one of d's integer
-    mixed witnesses, or None (always None for the other patterns).
-    ``isotropy`` writes each entry of its census as its row comes;
-    :func:`singular_stratum_census` is their view.
+def _census_numbers(d: DerivedConeData) -> list[int]:
+    """The census's integers, three per census pattern, in census order:
+    d12, d1 and d12 // d1, for the determinantal divisors of the pattern's
+    rows, d1 the gcd of their entries and d12 the gcd of their 2 x 2
+    minors; where d1 = 0 the rows are 0, so d12 = 0, and the third is 0.
+    Where d12 != 0 they are the group's order and its invariant factors,
+    in the order ``isotropy`` writes them in its census's one template;
+    :func:`singular_stratum_census` reads the divisors.
 
     The rows of the pattern I x J are the A_i, i in I, and the B_j, j in J,
     so their entries split by side and their minors into A-pairs, B-pairs
@@ -329,17 +330,19 @@ def _census_evidence(d: DerivedConeData) -> Iterator[tuple[int, int, int, tuple[
     # against each J
     columns = [_subset_gcds(r1[q], r2[q], r3[q]) for q in (3, 4, 5)]
     m_x = [_subset_gcds(*row) for row in zip(*columns)]
-    witnesses = {(i, j): (na, nb, den) for i, j, na, nb, den in d._witness_evidence}
-    for k, (_, p, q, singleton, _) in enumerate(_CENSUS_PATTERNS):
-        # a pattern that is not a singleton looks up None, which no witness has
-        yield k, gcd(e_a[p], e_b[q]), gcd(m_a[p], m_b[q], m_x[p][q]), witnesses.get(singleton)
+    numbers = []
+    for p, q in _CENSUS_INDICES:  # one loop: a second one over the divisors costs a sixth more
+        d1 = gcd(e_a[p], e_b[q])
+        d12 = gcd(m_a[p], m_b[q], m_x[p][q])
+        numbers += (d12, d1, d12 // d1 if d1 else 0)
+    return numbers
 
 
 def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
     """Isotropy of every support pattern, with realizability where decidable.
 
     Each pattern's isotropy comes from its determinantal divisors, the
-    census keys in the rows of :func:`_census_evidence`.
+    census keys d1 and d12 of :func:`_census_numbers`.
 
     Singleton patterns {i} x {j}, i != j, are realizable exactly when
     C = a*A_i + b*B_j with a, b > 0; the witness stores (a, b) (d's mixed
@@ -347,13 +350,16 @@ def singular_stratum_census(d: DerivedConeData) -> list[StratumReport]:
     full-support pattern is realizable because the strata with a vanishing
     coordinate form finitely many proper closed subsets. Intermediate
     patterns would require a nonconvex phase-feasibility argument, so they
-    are reported with isotropy only.
+    are reported with isotropy only. Under the cone condition every group
+    is finite and every singleton has its witness (the README's
+    census-shape proposition).
     """
-    reports = []
-    for k, d1, d12, w in _census_evidence(d):
-        witness = None if w is None else (Fraction(w[0], w[2]), Fraction(w[1], w[2]))
-        reports.append(_census_report(k, d1, d12, witness))
-    return reports
+    numbers = _census_numbers(d)  # non-integer data raise ValueError here
+    witnesses = {(i, j): (Fraction(na, den), Fraction(nb, den)) for i, j, na, nb, den in d._witness_evidence}
+    return [
+        _census_report(k, d1, d12, witnesses.get(singleton))  # a non-singleton looks up None
+        for k, (d12, d1, (_, _, _, singleton, _)) in enumerate(zip(numbers[::3], numbers[1::3], _CENSUS_PATTERNS))
+    ]
 
 
 def census_to_json(census: list[StratumReport]) -> list[dict]:

@@ -62,13 +62,21 @@ them. ``verify`` renders the ranks and margins as two columns
 a caller asks for one.
 
 Exact numbers enter here once per cone data object: :func:`_float_data`
-reads A, B and C and the integer mixed witnesses of
-:class:`~su3kahler.weights.DerivedConeData`, and turns each quotient
-n/den into a float by one correctly rounded int division, the float
-``float(Fraction(n, den))`` gives, without building a ``Fraction``; so
-are the squared crosses of the generators on the data divided by the
-moment scale, which the certificates read. The range check, the sample's
-vertices and the certificates all read that one conversion.
+reads the sign table's cleared integers of A, B and C and the integer
+mixed witnesses of :class:`~su3kahler.weights.DerivedConeData`, and
+turns each quotient n/den into a float by one correctly rounded int
+division, the float ``float(Fraction(n, den))`` gives, without building a
+``Fraction``; so are the squared crosses of the generators on the data
+divided by the moment scale, which the certificates read. Data whose
+largest entry lies outside [2^-512, 2^512] are divided by a power of two
+2^k first, which brings it near 1: the level set, the witnesses and every
+certificate are invariant under that scaling, so a float fault of the
+data's size alone (an overflow of Phi near 1e300, a zero moment scale
+near 1e-320) cannot fail ``verify``; only the data's own dynamic range
+can, a witness coefficient past the float range. Values reported in the
+data's units (Phi, |Phi - C|, the moment scale) are multiplied back by
+2^k. The range check, the sample's vertices and the certificates all
+read that one conversion.
 
 Everything here is float; all exact decisions live in the other modules.
 This module and the integer-array search of :mod:`su3kahler.weights`
@@ -80,6 +88,7 @@ imports it only for ``verify``, so the exact commands never load numpy.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -115,6 +124,10 @@ _NONZERO_FLOOR = 1e-8  # max |z_j|, |w_j| of a projection's start and steps must
 # analysis (*Numerical certificates*): first-order terms 15 u, and u more
 # for every second-order term and for evaluating the bound itself.
 _ROUNDING = 16 * 2.0**-53
+# Data whose largest entry is 2^e, |e| <= this, are converted as they are;
+# others are divided by 2^e first (see :func:`_float_data`). Entries and
+# witness products of up to 2^512 stay far inside the float range.
+_SAFE_EXPONENT = 512
 _DIAGONALS = np.tile(np.eye(3), 2)  # the slice's vertices r_i = s_i = 1, where C = A_i + B_i
 _DIAGONALS.setflags(write=False)
 _BITS = 1 << np.arange(6)  # a support's bits: generator g, the coordinate x_g, is bit g
@@ -193,30 +206,53 @@ class _FloatData(NamedTuple):
     # sum_g rho_g sum_h row(4 + g)_h rho_h is Cauchy-Binet's det G
     gram_weights: np.ndarray
     ranks: np.ndarray  # (64,): the Jacobian rank of each support, see :func:`_rank_table`
+    shift: int  # k: fg, c, scale and rounding are the data's divided by 2^k
+
+
+def _in_data_units(fd: _FloatData, x):
+    """x, a value of the float data such as Phi or |Phi - C|, in the
+    cone data's units: times 2^k (an infinity past the float range)."""
+    if not fd.shift:
+        return x
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, fd.shift)
 
 
 def _float_data(d: DerivedConeData) -> _FloatData:
-    """d's float data, raising ValueError unless every number is finite as
-    a float: each entry of A, B and C, the moment scale and each
-    coefficient of a mixed witness, which must also not round to 0.
-    Witness coefficients come from the integer evidence
-    ``d._witness_evidence``, each quotient one int division. So is each
-    cross square: with the moment scale p/q as a ratio of ints and the
-    sign table's integer crosses of the cleared generators,
-    16 cross(g, h)^2 on the unit data is 16 cross^2 q^4 / (clearing^4 p^4),
-    with no float rounding before the one division and no float overflow
-    for large entries."""
+    """d's float data, raising ValueError unless each coefficient of a
+    mixed witness is finite as a float and does not round to 0.
+
+    A, B and C are read off the sign table's cleared integers v, the data
+    times the clearing ``table.scale``, each entry v / (clearing 2^k) by
+    one correctly rounded int division: for k = 0 the float of the entry
+    itself. k is 0 while the largest entry is within 2^+-_SAFE_EXPONENT,
+    and else the exponent e of the largest entry, 2^(e-1) < max |entry| <
+    2^(e+1), read off the bit lengths of the largest |v| and the clearing:
+    the data divided by 2^e then have their largest entry near 1, so no
+    entry, the moment scale or Phi overflows, and the moment scale does
+    not underflow. Scaling the data leaves the level set, the witnesses
+    and the unit data unchanged. Witness coefficients come from the
+    integer evidence ``d._witness_evidence``, each quotient one int
+    division. So is each cross square: with the moment scale p/q of the
+    divided data as a ratio of ints and the sign table's integer crosses
+    of the cleared generators, 16 cross(g, h)^2 on the unit data is
+    16 cross^2 q^4 / (clearing^4 2^4k p^4), with no float rounding before
+    the one division and no float overflow for large entries."""
+    table = d.sign_table
+    top = max(map(abs, itertools.chain.from_iterable(table.vectors)))
+    shift = top.bit_length() - table.scale.bit_length() if top else 0
+    if abs(shift) <= _SAFE_EXPONENT:
+        shift = 0
+    up, den = (-shift, table.scale) if shift < 0 else (0, table.scale << shift)
+    vectors = [[(x << up) / den, (y << up) / den] for x, y in table.vectors]
+    abc = np.array(vectors)
+    scale = max(math.hypot(*v) for v in vectors) or 1.0
     try:
-        abc = np.array([*d.a, *d.b, d.c], dtype=float)
-        vectors = abc.tolist()
-        scale = max(math.hypot(*v) for v in vectors) or 1.0
         m = len(d._witness_evidence)
         vertices = np.zeros((m + 3, 6))
         vertices[m:] = _DIAGONALS
         for row, (i, j, na, nb, den) in zip(vertices, d._witness_evidence):
             row[i - 1], row[j + 2] = na / den, nb / den
-        if not math.isfinite(scale):
-            raise ValueError("cone data outside the float range: moment scale overflows")
         if np.count_nonzero(vertices[:m]) < 2 * m:
             raise ValueError("cone data outside the float range: a witness coefficient rounds to 0")
     except OverflowError as exc:
@@ -225,9 +261,8 @@ def _float_data(d: DerivedConeData) -> _FloatData:
     # the Gram weights in Python floats and one array call: a numpy call per
     # row costs more than the arithmetic of these 60 entries
     units = [(x / scale, y / scale) for x, y in vectors[:6]]
-    table = d.sign_table
     p, q = scale.as_integer_ratio()
-    num, den4 = 16 * q**4, (table.scale * p) ** 4
+    num, den4 = 16 * q**4 << max(-4 * shift, 0), (table.scale * p) ** 4 << max(4 * shift, 0)
     gram = [1.0] * 6
     gram += [4 * (x * x + y * y) for x, y in units]
     gram += [4 * (x * x - y * y) for x, y in units]
@@ -236,7 +271,7 @@ def _float_data(d: DerivedConeData) -> _FloatData:
     independent = tuple([v != 0 for row in table.crosses[:6] for v in row[:6]])
     ranks = _rank_table(tuple(map(any, table.vectors[:6])), independent)
     rounding = _ROUNDING * np.hypot(abc[:, 0], abc[:, 1])
-    fd = _FloatData(fg, c, scale, vertices, rounding, np.array(gram).reshape(10, 6), ranks)
+    fd = _FloatData(fg, c, scale, vertices, rounding, np.array(gram).reshape(10, 6), ranks, shift)
     for arr in (fd.fg, fd.c, fd.vertices, fd.rounding, fd.gram_weights, fd.ranks):
         arr.setflags(write=False)
     return fd
@@ -277,9 +312,11 @@ def moment_scale(d: DerivedConeData) -> float:
     are measured against this scale: rescaling the cone data by s > 0
     leaves the level set's points unchanged and multiplies both Phi - C
     and the scale by s. A sample row's bound is measured against the sums
-    it rounds instead (:func:`_level_sample`).
+    it rounds instead (:func:`_level_sample`). Past the float range it is
+    an infinity.
     """
-    return _weight_arrays(d).scale
+    fd = _weight_arrays(d)
+    return float(_in_data_units(fd, fd.scale))
 
 
 def _moment(fg: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -300,15 +337,16 @@ def moment_map(d: DerivedConeData, p) -> np.ndarray:
     ``p`` may also be a pair of stacked (n, 3) arrays; the result is then
     (n, 2).
     """
-    return _moment(_weight_arrays(d).fg, np.abs(_state(p)) ** 2)
+    fd = _weight_arrays(d)
+    return _in_data_units(fd, _moment(fd.fg, np.abs(_state(p)) ** 2))
 
 
 def check_float_range(d: DerivedConeData) -> None:
     """Raise ValueError unless every exact number that sampling and the
-    certificates turn into floats is finite as a float: the entries of A,
-    B and C, the moment scale and the coefficients of the mixed witnesses.
-    This is d's one float conversion, which the rest of ``verify`` then
-    reads."""
+    certificates turn into floats is finite as a float and does not round
+    to 0: the coefficients of the mixed witnesses, which scaling the data
+    leaves as they are (A, B and C are scaled into the float range). This
+    is d's one float conversion, which the rest of ``verify`` then reads."""
     _weight_arrays(d)
 
 
@@ -358,8 +396,10 @@ def _level_sample(fd: _FloatData, rho: np.ndarray) -> LevelSample:
     mom = np.hypot(*(_moment(fd.fg, rho) - fd.c).T)
     bound = fd.rounding[6] + np.add.reduce(rho * fd.rounding[:6], axis=-1)
     passing = (mom <= bound) & (bound < math.inf)
+    mom = _in_data_units(fd, mom)
     if not passing.all():
         k = int(passing.argmin())
+        bound = _in_data_units(fd, bound)
         raise ValueError(f"point misses the level set: row {k}, |Phi - C| = {mom[k]}, rounding bound {bound[k]}")
     return LevelSample(rho, mom)
 
@@ -393,7 +433,8 @@ def constraint_values(d: DerivedConeData, z: np.ndarray, w: np.ndarray) -> np.nd
     fd = _weight_arrays(d)
     x = _state((z, w))
     h = (x[..., :3] * x[..., 3:]).sum(axis=-1)
-    return np.concatenate([h[..., None].view(float), _moment(fd.fg, np.abs(x) ** 2) - fd.c], axis=-1)
+    moment = _in_data_units(fd, _moment(fd.fg, np.abs(x) ** 2) - fd.c)
+    return np.concatenate([h[..., None].view(float), moment], axis=-1)
 
 
 def project_to_level(d: DerivedConeData, z0, w0, tol: float = 1e-12, max_iter: int = 50) -> LevelSetPoint:
@@ -416,7 +457,8 @@ def project_to_level(d: DerivedConeData, z0, w0, tol: float = 1e-12, max_iter: i
     if not _usable(x)[0]:
         finite = np.isfinite(x).all()
         raise ValueError("starting point must have nonzero z and w" if finite else "starting point must be finite")
-    rows, unit_fg = np.array([1.0, 1.0, fd.scale, fd.scale]), fd.fg / fd.scale
+    scale = moment_scale(d)
+    rows, unit_fg = np.array([1.0, 1.0, scale, scale]), fd.fg / fd.scale
     for _ in range(max_iter):
         f = constraint_values(d, x[0, :3], x[0, 3:])
         unit = f / rows

@@ -498,3 +498,30 @@ def reference_condition_evidence(d):
     compact = apex is not None and all(table.decide(C_ROW, 0, q)[0] is outside for q in (1, 2))
     witness = witnesses[0] if witnesses else None
     return holds, (a_pairs, b_pairs, mixed), (witness, regular, compact, apex)
+
+
+def library_report(argv, wall=0.0) -> dict:
+    """The report dict of argv, a ``check`` command or an ``isotropy``
+    command on data where the cone condition holds, built from the
+    library's objects and their ``to_json``: the dict whose
+    ``json.dumps(indent=2, sort_keys=True)`` the CLI must print, with this
+    wall time."""
+    from su3kahler import cli
+    from su3kahler import isotropy as iso
+    from su3kahler import weights as wt
+
+    args = cli._parser().parse_args(argv)
+    ws, d = cli._problem(args.config)
+    holds = wt.cone_condition_holds(d)
+    results = {"weights": None if ws is None else ws.to_json(), "derived": d.to_json()}
+    if args.command == "check":
+        times = wt.default_interpolation_times(args.interp_steps)
+        results["condition"] = wt.check_cone_condition(d).to_json()
+        results["interpolation"] = cli._interpolation_json(times, wt.check_interpolation_path(d)) if holds else None
+    else:
+        assert args.command == "isotropy" and holds
+        verdict = iso.freeness_check(d)
+        results["freeness"] = verdict.to_json()
+        results["classification"] = iso.Classification.of(verdict.free).value
+        results["census"] = iso.census_to_json(iso.singular_stratum_census(d))
+    return cli._report(args.command, cli._config_echo(args), results, holds, wall)

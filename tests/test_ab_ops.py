@@ -17,6 +17,13 @@ sys.path.insert(0, str(ROOT / "tools"))
 import ab_ops  # noqa: E402
 
 
+class Op:
+    """An op as ab_ops reads it: its category and command."""
+
+    def __init__(self, category, index, command):
+        self.category, self.index, self.command = category, index, command
+
+
 def test_a_tree_against_itself_gives_identical_outputs(capsys):
     src = str(ROOT / "src")
     assert ab_ops.main(["--a", src, "--b", src, "--seed", "11", "--ops", "30", "--passes", "2"]) == 0
@@ -31,7 +38,19 @@ def test_a_tree_against_itself_gives_identical_outputs(capsys):
         assert all(p[key] > 0 for key in ("a_us_per_op", "b_us_per_op", "ratio", "a_p50_us", "b_p50_us", "p50_ratio"))
         assert p["p50_ratio"] == pytest.approx(p["a_p50_us"] / p["b_p50_us"], rel=1e-3)
     assert summary["median_p50_ratio"] > 0
+    # the ratio of each (category, command) of the ops, the median over passes
+    by_command = summary["by_command"]
+    assert by_command and all(ratio > 0 for commands in by_command.values() for ratio in commands.values())
+    assert {command for commands in by_command.values() for command in commands} <= {"check", "isotropy", "cohomology"}
     assert not any(m.startswith(ab_ops.PACKAGES) for m in sys.modules)
+
+
+def test_by_command_is_the_ratio_of_each_command_s_mean_time():
+    """Per (category, command), the ratio of the two trees' summed (so
+    mean) times over its ops, whatever the other ops take."""
+    ops = [Op("bound2", 0, "check"), Op("bound2", 1, "isotropy"), Op("bound2", 2, "check"), Op("raw", 0, "check")]
+    a, b = [2.0, 9.0, 4.0, 1.0], [1.0, 3.0, 2.0, 4.0]
+    assert ab_ops._by_command(ops, (a, b)) == {"bound2": {"check": 2.0, "isotropy": 3.0}, "raw": {"check": 0.25}}
 
 
 def test_a_tree_whose_reports_differ_is_refused(tmp_path, capsys):
@@ -39,8 +58,8 @@ def test_a_tree_whose_reports_differ_is_refused(tmp_path, capsys):
     shutil.copytree(ROOT / "src" / "su3kahler", changed, ignore=shutil.ignore_patterns("__pycache__"))
     cli = changed / "cli.py"
     text = cli.read_text()
-    assert text.count('values) + "\\n"') == 1
-    cli.write_text(text.replace('values) + "\\n"', 'values) + " \\n"'))
+    assert text.count('return text + "\\n"') == 1  # every report's last line
+    cli.write_text(text.replace('return text + "\\n"', 'return text + " \\n"'))
     argv = ["--a", str(ROOT / "src"), "--b", str(tmp_path), "--seed", "11", "--ops", "30", "--passes", "2"]
     assert ab_ops.main(argv) == 1
     out, err = capsys.readouterr()

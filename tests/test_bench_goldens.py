@@ -150,9 +150,11 @@ def test_every_pool_config_is_one_kind():
 def test_one_audit_pass_evicts_from_no_cache():
     """One pass of check and isotropy over every audit-pool item, from
     empty caches, passes every golden gate and evicts nothing: each
-    lru_cache of cli, and isotropy's _group_from_divisors, which the census
-    entries read on a miss, ends with as many entries as misses, within its
-    size. The keys met are the counts the caches' comments give."""
+    lru_cache of cli ends with as many entries as misses, within its size.
+    The keys met are the counts the caches' comments give. The compiled
+    reports read no group object, so isotropy's _group_from_divisors, which
+    singular_stratum_census reads, holds only the trivial group of the
+    census template's probe."""
     golden = workloads.load_golden("audit")
     caches = [f for f in vars(cli).values() if hasattr(f, "cache_info")]
     caches += [isotropy._group_from_divisors]
@@ -164,10 +166,11 @@ def test_one_audit_pass_evicts_from_no_cache():
     info = {f.__name__: f.cache_info() for f in caches}
     for name, i in info.items():
         assert i.misses == i.currsize <= i.maxsize, (name, i)
-    prefixes = ("_condition", "_table", "_census", "_leaf")
+    prefixes = ("_condition", "_table", "_check", "_isotropy", "_leaf")
     met = {name: i.currsize for name, i in info.items() if name.startswith(prefixes)}
     assert met == {
-        "_condition_frame": 9, "_table_template": 93, "_census_entry_template": 46, "_census_entry": 615,
-        "_leaf_template": 4,  # weights, derived, and freeness free and orbifold
+        "_condition_frame": 8, "_table_template": 92,  # failing check data alone
+        "_check_template": 2, "_isotropy_template": 4,  # the compiled shapes
+        "_leaf_template": 2,  # weights and derived
     }
-    assert info["_group_from_divisors"].currsize == 34
+    assert info["_group_from_divisors"].currsize == 1

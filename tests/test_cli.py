@@ -639,14 +639,16 @@ def test_verify_usage_errors_exit_2_before_sampling(capsys, monkeypatch, flag, v
 @pytest.mark.parametrize(
     "a, b",
     [
-        ([[10**400, 0]] * 3, [[0, 1]] * 3),  # entries past the float range
+        # a witness coefficient of 10^-340, which scaling the data leaves as it is
+        ([[-(10**170), 0], [-1, 1 - 10**170], [1, 0]], [[10**170, 1], [1, 10**170], [-1, 1]]),
         ([[10**200, 0]] * 3, [[10**200, 0]] * 3),  # one ray: in range, the control
     ],
-    ids=["entries", "apex"],
+    ids=["witness", "apex"],
 )
 def test_verify_rejects_cone_data_outside_the_float_range(capsys, monkeypatch, a, b):
-    """Entries past the float range end in the usage envelope before
-    sampling. The apex case is the control: every generator (10^200, 0),
+    """A witness coefficient past the float range, or rounding to 0, ends
+    in the usage envelope before sampling: scaling the data, which brings
+    entries past the float range into it, leaves it as it is. The apex case is the control: every generator (10^200, 0),
     so the apex functional (10^200, 0) times the moment scale 2 * 10^200
     is past the float range, but verify converts no apex functional and
     every number it does convert is finite. It is sampled, the cone

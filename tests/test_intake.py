@@ -258,28 +258,52 @@ def test_a_string_outside_the_rational_grammar_exits_2(text):
 
 def test_a_report_past_the_digit_limit_exits_2():
     """Every entry is under the 4300-digit intake limit and the condition
-    holds, but a witness denominator is longer than str() writes."""
+    holds, but a witness denominator is longer than str() writes: in
+    check's mixed table and in isotropy's singleton witness points, each
+    written into its report's one compiled template as the report
+    renders. A census group's order, a gcd of 2 x 2 minors, past the
+    limit ends there too."""
     n = 10**3000 + 7
     c = (n + 1, n + 1)
     a = [(n + 4, -4), (2 * n - 4, 2), (3 * n + 2, 5)]
     b = [(c[0] - x, c[1] - y) for x, y in a]
     config = json.dumps({"A": [[str(x), str(y)] for x, y in a], "B": [[str(x), str(y)] for x, y in b]})
-    code, report = run_main(["check", "--config", config])
-    assert code == 2 and set(report) == ENVELOPE_KEYS and report["pass"] is False
-    assert report["results"]["error"].startswith("cannot render the report: Exceeds the limit (4300 digits)")
+    m = 10**2200 + 1  # every minor of the data times m is a multiple of m^2, past 4300 digits
+    big = json.dumps({"A": [[m * x, m * y] for x, y in ORBIFOLD_A], "B": [[m * x, m * y] for x, y in ORBIFOLD_B]})
+    for argv in (["check", "--config", config], ["isotropy", "--config", config], ["isotropy", "--config", big]):
+        code, report = run_main(argv)
+        assert code == 2 and set(report) == ENVELOPE_KEYS and report["pass"] is False, argv
+        assert report["results"]["error"].startswith("cannot render the report: Exceeds the limit (4300 digits)")
 
 
 # X is finite as a float, but |(X, X)| is not.
 X = 15 * 10**307
+SCALED_CASES = [
+    pytest.param({"A": [[10**400, 0]] * 3, "B": [[0, 1]] * 3}, 0, id="entry"),
+    pytest.param(
+        {"A": [[X, X], [-X, -X], [X, -X]], "B": [[-X, 1 - X], [X, 1 + X], [-X, 1 + X]]}, 1, id="moment-scale"
+    ),
+]
+
+
+@pytest.mark.parametrize("config, code", SCALED_CASES)
+def test_cone_data_past_the_float_range_is_scaled_into_it(capsys, config, code):
+    """An entry past the float range (10^400), or a moment scale past it
+    (|(X, X)| for a finite X), no longer ends in the usage envelope: the
+    float data are the data divided by a power of two, so they are
+    sampled and certified, every certificate at rank 4, and the exit code
+    is the verdict: 0 where the cone condition holds, 1 where it fails.
+    The entry case's margins are 0.0, the float of its exact margins
+    near 10^-400, which the data's own range (10^400 against 1) puts
+    below the float range."""
+    assert main(["verify", "--config", json.dumps(config), "--samples", "5"]) == code
+    captured = capsys.readouterr()
+    results = json.loads(captured.out)["results"]
+    assert captured.err == "" and "error" not in results and results["cone_condition"] is (code == 0)
+    assert [c["jacobian_rank"] for c in results["certificates"]] == [4] * 5
+
+
 FLOAT_RANGE_CASES = [
-    pytest.param(
-        {"A": [[10**400, 0]] * 3, "B": [[0, 1]] * 3}, "int too large to convert to float", id="entry"
-    ),
-    pytest.param(
-        {"A": [[X, X], [-X, -X], [X, -X]], "B": [[-X, 1 - X], [X, 1 + X], [-X, 1 + X]]},
-        "moment scale overflows",
-        id="moment-scale",
-    ),
     pytest.param(  # C = (0, 1) = a A_1 + b B_2 with a = 10^-340 and b = 10^-170: a rounds to 0
         {"A": [[-(10**170), 0], [-1, 1 - 10**170], [1, 0]], "B": [[10**170, 1], [1, 10**170], [-1, 1]]},
         "a witness coefficient rounds to 0",
@@ -295,10 +319,12 @@ FLOAT_RANGE_CASES = [
 
 @pytest.mark.parametrize("config, message", FLOAT_RANGE_CASES)
 def test_cone_data_outside_the_float_range_exits_2_naming_the_number(config, message):
-    """Every entry of the moment-scale case is finite as a float: the error
-    names the scale, not an entry. The apex case is the control: its only
-    product past the float range is one verify no longer forms, so it is
-    sampled and fails the cone condition with exit 1, naming no number."""
+    """A witness coefficient is invariant under scaling the data, so data
+    whose own range puts one past the float range, or rounds it to 0,
+    still end in the usage envelope. The apex case is the control: its
+    only product past the float range is one verify no longer forms, so it
+    is sampled and fails the cone condition with exit 1, naming no
+    number."""
     code, report = run_main(["verify", "--config", json.dumps(config), "--samples", "5"])
     if message is None:
         assert code == 1 and "error" not in report["results"] and report["results"]["cone_condition"] is False

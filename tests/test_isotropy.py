@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import reference_free_by_homs
+from conftest import admissible_systems, reference_free_by_homs
 from su3kahler.cli import main
+from su3kahler.conegeom import cross
 
 from su3kahler.isotropy import (
     Classification,
@@ -19,6 +21,7 @@ from su3kahler.isotropy import (
 from su3kahler.weights import (
     DerivedConeData,
     WeightSystem,
+    cone_condition_holds,
     cone_data,
     derive,
     enumerate_admissible_systems,
@@ -356,3 +359,56 @@ def test_freeness_verdict_carries_the_classification(bound1_systems, standard_ws
     mixed = freeness_check(orbifold_data, standard_ws)
     assert mixed.classification is Classification.FREE_FLAG_CASE
     assert not mixed.free and not mixed.classification_consistent
+
+
+# --- the census's one shape (the README's Proposition (census shape)) -----
+
+
+def assert_census_has_its_one_shape(d):
+    """Every census group of d is finite of rank 2, every singleton
+    {i} x {j} has its interior witness (s_j/d_ij, s_i/d_ij), with
+    d_ij = cross(A_i, B_j) and s_k = d_kk, and the full pattern is
+    realizable: the shape ``isotropy``'s one compiled template writes."""
+    nine = [cross(a, b) for a in d.a for b in d.b]
+    census = singular_stratum_census(d)
+    assert len(census) == 46
+    for report in census:
+        assert report.isotropy.rank == 2 and report.isotropy.is_finite
+        if report.pattern.is_singleton:
+            (i,), (j,) = report.pattern.i_set, report.pattern.j_set
+            d_ij, s_i, s_j = nine[3 * i + j - 4], nine[4 * i - 4], nine[4 * j - 4]
+            assert report.realizable is True and report.witness == (Fraction(s_j, d_ij), Fraction(s_i, d_ij))
+        else:
+            assert report.witness is None
+            assert report.realizable is (True if report.pattern.is_full else None)
+
+
+def random_rational_admissible(rng, count):
+    """count admissible cone data with rational entries (numerators in
+    [-6, 6], denominators up to 4), drawn by rejection, each cleared of
+    its denominators into integer data by its sign table."""
+    found = []
+    while len(found) < count:
+        c, a1, a2, a3 = (
+            (Fraction(rng.randint(-6, 6), rng.randint(1, 4)), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+            for _ in range(4)
+        )
+        a = [a1, a2, a3]
+        d = cone_data(a, [(c[0] - x, c[1] - y) for x, y in a])
+        if cone_condition_holds(d):
+            vectors = d.sign_table.vectors
+            found.append(cone_data(vectors[:3], vectors[3:6]))
+    return found
+
+
+def test_census_has_one_shape_where_the_condition_holds(bound2_systems):
+    """Checked on every admissible bound-2 system, every 7th bound-3 one
+    and 60 seeded random rational admissible cone data, cleared of their
+    denominators."""
+    systems = [*bound2_systems, *admissible_systems(3)[::7]]
+    assert len(systems) == 2856 + 9237
+    for ws in systems:
+        assert_census_has_its_one_shape(derive(ws))
+    for d in random_rational_admissible(random.Random("census shape"), 60):
+        assert d.is_integer and cone_condition_holds(d)
+        assert_census_has_its_one_shape(d)

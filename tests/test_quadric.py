@@ -759,6 +759,72 @@ def _large_admissible_pool(bound, seed, size):
     return pool
 
 
+def _scaled(config, exponent):
+    """The cone data of config with every entry times 10^exponent, as ints
+    or, for a negative exponent, "p/q" strings."""
+    if exponent >= 0:
+        return {k: [[x * 10**exponent for x in v] for v in config[k]] for k in ("A", "B")}
+    return {k: [[f"{x}/{10**-exponent}" for x in v] for v in config[k]] for k in ("A", "B")}
+
+
+SCALED_SYSTEMS = {
+    "orbifold": {"A": [[1, 0], [1, 0], [2, -1]], "B": [[0, 1], [0, 1], [-1, 2]]},
+    "large": _large_admissible_pool(10**6, "large admissible data: 10^6", 1)[0][0],
+}
+
+
+def _verify(capsys, config, samples=6):
+    """verify's exit code, results and stderr on config (the test
+    configuration raises every warning, numpy's overflow warnings
+    included, as an error)."""
+    code = main(["verify", "--config", json.dumps(config), "--samples", str(samples), "--seed", "1"])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out)["results"], captured.err
+
+
+@pytest.mark.parametrize("exponent", [150, 300, 301, 302, 400, -310, -400])
+@pytest.mark.parametrize("name", sorted(SCALED_SYSTEMS))
+def test_admissible_data_of_any_size_verify_at_their_unscaled_margins(capsys, name, exponent):
+    """Admissible data scaled by 10^exponent, past where Phi overflowed
+    (10^295) or an entry did (10^302), and down to rationals of 10^-400:
+    float data are the exact data divided by a power of two, which leaves
+    the level set, the witnesses and the unit data as they are. Each
+    scaled system exits 0 with no output on stderr and no warning, with
+    each margin within 1e-13 relative of the unscaled run's (the entries
+    round differently, by 2^-53 relative each). What still exits 2 is data
+    whose own dynamic range leaves the float range, a witness coefficient
+    past it or rounding to 0 (``test_intake.py``'s ``witness-underflow``)."""
+    config = SCALED_SYSTEMS[name]
+    code, unscaled, err = _verify(capsys, config)
+    assert code == 0 and err == ""
+    code, results, err = _verify(capsys, _scaled(config, exponent))
+    assert code == 0 and err == "" and results["all_passed"] is True
+    for cert, want in zip(results["certificates"], unscaled["certificates"], strict=True):
+        assert cert["jacobian_rank"] == want["jacobian_rank"] == 4
+        assert abs(cert["regularity_margin"] - want["regularity_margin"]) <= 1e-13 * want["regularity_margin"]
+
+
+def test_data_units_survive_the_scaling():
+    """Phi, the constraint values, a projection's residuals and the
+    moment scale are reported in the data's units: for data scaled by
+    2^600, where the float data are divided by 2^600, exactly 2^600 times
+    those of the unscaled data, and an infinity where that leaves the
+    float range."""
+    d = cone_data([(1, 0), (1, 0), (2, -1)], [(0, 1), (0, 1), (-1, 2)])
+    big = cone_data(*([(x << 600, y << 600) for x, y in side] for side in (d.a, d.b)))
+    z, w = np.array([0.3, 0.5j, 0.2]), np.array([0.1, -0.4, 0.7j])
+    assert quadric.moment_scale(big) == math.ldexp(quadric.moment_scale(d), 600)
+    np.testing.assert_array_equal(quadric.moment_map(big, (z, w)), np.ldexp(quadric.moment_map(d, (z, w)), 600))
+    f, g = quadric.constraint_values(d, z, w), quadric.constraint_values(big, z, w)
+    np.testing.assert_array_equal(g, [*f[:2], *np.ldexp(f[2:], 600)])
+    point = quadric.certification_sample(d, 1, 0)[0]
+    h, mom = quadric.project_to_level(big, point.z, point.w).residuals
+    assert mom <= 1e-12 * quadric.moment_scale(big)
+    huge = cone_data(*([(x << 1100, y << 1100) for x, y in side] for side in (d.a, d.b)))
+    assert quadric.moment_scale(huge) == math.inf
+    assert quadric.certification_sample(huge, 4, 0).__len__() == 4
+
+
 @pytest.mark.parametrize("exponent", [2, 3, 4, 5, 6])
 def test_large_admissible_data_certify_at_the_exact_vertex_margins(capsys, exponent):
     """On 60 admissible systems with entries of about N = 10^exponent,

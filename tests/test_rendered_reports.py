@@ -1,15 +1,18 @@
-"""The report parts that ``check``, ``isotropy``, ``verify`` and
-``enumerate`` write from cached templates, against ``json.dumps`` of
-their dict forms (``census_to_json``, ``PointCertificate.to_json``,
-``ConditionReport.to_json`` with its level-set block, the interpolation
-block, ``WeightSystem.to_json``, ``DerivedConeData.to_json`` and
-``FreenessVerdict.to_json``) at several starting indents, and the stream
-lines against ``json.dumps``. The
-condition report and the census are written from their integer evidence
-(``weights._condition_evidence``, ``isotropy._census_evidence``), so each
-is compared with the dict form of the reports the library builds from the
-same data or evidence."""
+"""The report parts that ``check``, ``verify`` and ``enumerate`` write
+from cached templates, against ``json.dumps`` of their dict forms
+(``PointCertificate.to_json``, ``ConditionReport.to_json`` with its
+level-set block, ``WeightSystem.to_json`` and ``DerivedConeData.to_json``)
+at several starting indents, and the stream lines against ``json.dumps``.
+The ``check`` and ``isotropy`` reports of data where the cone condition
+holds are compiled whole, one template per shape: their census,
+freeness block and interpolation block are compared with the dict form
+of the whole report, on cone data and on synthetic values. The condition
+report is written from its integer evidence
+(``weights._condition_evidence``), so it is compared with the dict form of
+the report the library builds from the same data."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -18,15 +21,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import admissible_systems, library_report
 from su3kahler import cli
 from su3kahler.isotropy import (
     _CENSUS_PATTERNS,
     Classification,
     FreenessVerdict,
-    _census_evidence,
     _census_report,
     census_to_json,
-    singular_stratum_census,
 )
 from su3kahler.quadric import PointCertificate
 from su3kahler.weights import (
@@ -51,27 +53,49 @@ small = st.integers(-4, 4)
 vectors = st.tuples(small, small)
 
 
+entries = st.integers(-(10**20), 10**20)
+
+
 @st.composite
-def integer_cone_data(draw):
-    """Integer A_j and C with B_j = C - A_j: no condition imposed, so the
-    census sees zero, parallel and antiparallel generators."""
-    c = draw(vectors)
-    a = draw(st.lists(vectors, min_size=3, max_size=3))
-    return cone_data(a, [(c[0] - x, c[1] - y) for x, y in a])
+def weight_rows(draw, values=entries):
+    """Three integer vectors summing to zero."""
+    (x1, y1), (x2, y2) = draw(st.tuples(st.tuples(values, values), st.tuples(values, values)))
+    return ((x1, y1), (x2, y2), (-x1 - x2, -y1 - y2))
 
 
-@given(integer_cone_data(), indents)
-@settings(max_examples=150, deadline=None)
-def test_census_of_cone_data_renders_its_dict_form(d, nl):
-    census = singular_stratum_census(d)
-    assert cli._census_text(_census_evidence(d), nl) == walk(census_to_json(census), nl)
+def stdlib(report) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-# divisor pairs of rank 2 (d1 | d12), rank 1 (d12 = 0) and rank 0
-divisor_pairs = st.one_of(
-    st.builds(lambda d1, k: (d1, d1 * k), st.integers(1, 12), st.integers(0, 12)),
-    st.just((0, 0)),
+BOUND2 = admissible_systems(2)
+# integer 2 x 2 matrices of determinant +-1, the torus basis changes
+unimodular = st.sampled_from(
+    [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)), ((2, 1), (1, 1)), ((1, -3), (0, -1))]
 )
+
+
+@given(st.sampled_from(BOUND2), st.integers(1, 12), unimodular)
+@settings(max_examples=150, deadline=None)
+def test_census_of_cone_data_renders_its_dict_form(ws, k, m):
+    """Admissible bound-2 data, scaled by k and changed by a torus basis
+    change m, given as cone data: the compiled isotropy report, its census
+    included, prints the dict form of the library's report."""
+    (p, q), (r, t) = m
+
+    def moved(v):
+        return [k * (p * v[0] + q * v[1]), k * (r * v[0] + t * v[1])]
+
+    d = ws.derived
+    argv = ["isotropy", "--config", json.dumps({"A": [*map(moved, d.a)], "B": [*map(moved, d.b)]})]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert out.getvalue() == stdlib(library_report(argv))
+
+
+# divisor pairs of rank 2 (d1 | d12, d12 != 0): every census group where
+# the condition holds is finite (the README's census-shape proposition)
+divisor_pairs = st.builds(lambda d1, k: (d1, d1 * k), st.integers(1, 12), st.integers(1, 12))
 big = 10**29
 witness_integers = st.one_of(
     st.integers(-50, 50).filter(bool),  # negative, unit or not
@@ -79,40 +103,52 @@ witness_integers = st.one_of(
 )
 witnesses = st.tuples(st.integers(-50, 50), st.integers(-50, 50), witness_integers)
 SINGLETONS = [singleton for _, _, _, singleton, _ in _CENSUS_PATTERNS if singleton is not None]
+failing_pairs = st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**20)))
+WS = WeightSystem(((1, -2), (3, 4), (-4, -2)), ((5, 0), (-6, 7), (1, -7)))
 
 
-def census_rows(drawn):
-    """The rows (k, d1, d12, witness) of _census_evidence, in census order,
-    for drawn divisors per pattern and witnesses of some singletons."""
-    divisors, singleton_witnesses = drawn
-    return [
-        (k, d1, d12, singleton_witnesses.get(singleton))
+def synthetic_isotropy(divisors, singleton_witnesses, pair, ws):
+    """The text of a compiled isotropy report filled with these values,
+    and the report dict of the same values built from the library's
+    objects."""
+    d = ws.derived
+    witness_texts, witness_points = [], {}
+    for singleton in SINGLETONS:
+        na, nb, den = singleton_witnesses[singleton]
+        witness_texts += (cli._quotient_text(na, den).encode(), cli._quotient_text(nb, den).encode())
+        witness_points[singleton] = (Fraction(na, den), Fraction(nb, den))
+    values = [cli._derived_text(d, "\n    ").encode(), *(pair or ())]
+    for d1, d12 in divisors:
+        values += (d12, d1, d12 // d1)
+    values += [*witness_texts, *itertools.chain(*ws.wl, *ws.wr)]
+    whole = cli._Whole(cli._isotropy_template(True, pair is None), lambda: list(values))
+    text = cli._report_text("isotropy", {"config": "x"}, whole, True, 0.0)
+    census = [
+        _census_report(k, d1, d12, witness_points.get(singleton))
         for k, ((d1, d12), (_, _, _, singleton, _)) in enumerate(zip(divisors, _CENSUS_PATTERNS))
     ]
+    verdict = FreenessVerdict(pair)
+    results = {
+        "weights": ws.to_json(),
+        "derived": d.to_json(),
+        "freeness": verdict.to_json(),
+        "classification": Classification.of(verdict.free).value,
+        "census": census_to_json(census),
+    }
+    return text, cli._report("isotropy", {"config": "x"}, results, True, 0.0)
 
 
-synthetic_evidence = st.tuples(
+@given(
     st.lists(divisor_pairs, min_size=46, max_size=46),
-    st.dictionaries(st.sampled_from(SINGLETONS), witnesses),
-).map(census_rows)
-
-
-def census_of(rows):
-    """The census reports of synthetic integer evidence, built as
-    singular_stratum_census builds them."""
-    reports = []
-    for k, d1, d12, w in rows:
-        witness = None if w is None else (Fraction(w[0], w[2]), Fraction(w[1], w[2]))
-        reports.append(_census_report(k, d1, d12, witness))
-    return reports
-
-
-@given(synthetic_evidence, indents)
+    st.fixed_dictionaries({singleton: witnesses for singleton in SINGLETONS}),
+)
 @settings(max_examples=150, deadline=None)
-def test_synthetic_census_renders_its_dict_form(rows, nl):
-    """Any divisors per pattern and any singleton witnesses, zero, negative,
-    unit and 30-digit quotients included."""
-    assert cli._census_text(rows, nl) == walk(census_to_json(census_of(rows)), nl)
+def test_synthetic_census_renders_its_dict_form(divisors, singleton_witnesses):
+    """Any rank-2 divisors per pattern and any singleton witnesses, zero,
+    negative, unit and 30-digit quotients included, in the compiled
+    isotropy template."""
+    text, report = synthetic_isotropy(divisors, singleton_witnesses, None, WS)
+    assert text == stdlib(report)
 
 
 special_floats = st.sampled_from(
@@ -129,37 +165,36 @@ def test_certificates_render_their_dict_forms(certs, nl):
     assert cli._certificates_text(ranks, margins, nl) == walk([c.to_json() for c in certs], nl)
 
 
-failing_pairs = st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**20)))
-
-
-@given(failing_pairs, indents)
+@given(failing_pairs)
 @settings(max_examples=100, deadline=None)
-def test_freeness_block_renders_its_dict_form(pair, nl):
-    """Both shapes: free (no failing pair) and orbifold (a failing pair)."""
-    verdict = FreenessVerdict(pair)
-    assert cli._freeness_text(verdict, nl) == walk(verdict.to_json(), nl)
+def test_freeness_block_renders_its_dict_form(pair):
+    """Both shapes of the compiled isotropy report: free (no failing pair)
+    and orbifold (a failing pair)."""
+    divisors = [(1, 1)] * 46
+    singleton_witnesses = dict.fromkeys(SINGLETONS, (1, 2, 3))
+    text, report = synthetic_isotropy(divisors, singleton_witnesses, pair, WS)
+    assert text == stdlib(report)
 
 
-@given(st.lists(certificates, max_size=4), synthetic_evidence, failing_pairs)
+@given(st.lists(certificates, max_size=4), weight_rows(), weight_rows())
 @settings(max_examples=60, deadline=None)
-def test_rendered_values_encode_inside_a_report(certs, rows, pair):
+def test_rendered_values_encode_inside_a_report(certs, wl, wr):
     """Rendered result values in a report's envelope encode like their dict
     forms."""
-    verdict = FreenessVerdict(pair)
+    ws = WeightSystem(wl, wr)
     rendered = {
         "certificates": cli._rendered(
             cli._certificates_text, [c.jacobian_rank for c in certs], [c.regularity_margin for c in certs]
         ),
-        "census": cli._rendered(cli._census_text, rows),
-        "freeness": cli._rendered(cli._freeness_text, verdict),
+        "weights": cli._rendered(cli._weights_text, ws),
+        "derived": cli._rendered(cli._derived_text, ws.derived),
     }
     plain = {
         "certificates": [c.to_json() for c in certs],
-        "census": census_to_json(census_of(rows)),
-        "freeness": verdict.to_json(),
+        "weights": ws.to_json(),
+        "derived": ws.derived.to_json(),
     }
-    expected = json.dumps(cli._report("isotropy", {}, plain, True, 0.0), indent=2, sort_keys=True) + "\n"
-    assert cli._report_text("isotropy", {}, rendered, True, 0.0) == expected
+    assert cli._report_text("verify", {}, rendered, True, 0.0) == stdlib(cli._report("verify", {}, plain, True, 0.0))
 
 
 rationals = st.one_of(small, st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool))
@@ -211,22 +246,17 @@ def test_condition_frame_renders_every_level_set_shape():
     assert seen == {(part, present) for part in ("holds", "witness", "apex") for present in (False, True)}
 
 
-@given(st.integers(1, 50), indents)
+@given(st.integers(1, 50), st.sampled_from(BOUND2[::50]))
 @settings(max_examples=150, deadline=None)
-def test_interpolation_block_renders_its_dict_form(steps, nl):
-    """check writes the block only when the path holds, so its verdict is true."""
-    times = default_interpolation_times(steps)
-    assert cli._interpolation_text(steps, nl) == walk(cli._interpolation_json(times, True), nl)
-
-
-entries = st.integers(-(10**20), 10**20)
-
-
-@st.composite
-def weight_rows(draw, values=entries):
-    """Three integer vectors summing to zero."""
-    (x1, y1), (x2, y2) = draw(st.tuples(st.tuples(values, values), st.tuples(values, values)))
-    return ((x1, y1), (x2, y2), (-x1 - x2, -y1 - y2))
+def test_interpolation_block_renders_its_dict_form(steps, ws):
+    """check writes the block only when the path holds, so its verdict is
+    true: the compiled check report at any step count prints the dict form
+    of the library's report."""
+    argv = ["check", "--config", json.dumps(ws.to_json()), "--interp-steps", str(steps)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert out.getvalue() == stdlib(library_report(argv))
 
 
 @given(weight_rows(st.one_of(st.integers(-3, 3), entries)), weight_rows(), indents)

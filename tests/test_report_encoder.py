@@ -122,16 +122,18 @@ def test_unsupported_keys_raise_type_error():
 
 def rendered_report(argv, dict_forms):
     """The envelope arguments of argv's report as the CLI builds them, with
-    the values of dict_forms' keys in results rendered from templates, and
-    the report's dict with each of them replaced by dict_form(args, ws, d),
-    the library's dict form."""
+    the values of dict_forms' keys in results rendered from templates, or
+    the whole results compiled into one (``check`` and ``isotropy`` where
+    the cone condition holds), and the report's dict with each of them
+    replaced by dict_form(args, ws, d), the library's dict form."""
     args = cli._parser().parse_args(argv)
     results, passed = cli._COMMANDS[args.command](args)
     assert passed
     ws, d = cli._problem(args.config)
-    plain = dict(results)
+    whole = isinstance(results, cli._Whole)
+    plain = {} if whole else dict(results)
     for key, dict_form in dict_forms.items():
-        assert isinstance(results[key], cli._Rendered)
+        assert whole or isinstance(results[key], cli._Rendered)
         plain[key] = dict_form(args, ws, d)
     config = cli._config_echo(args)
     return (args.command, config, results, passed, 0.0), cli._report(args.command, config, plain, passed, 0.0)
@@ -161,8 +163,13 @@ def isotropy_reports():
     def freeness(args, ws, d):
         return iso.freeness_check(d).to_json()
 
+    def classification(args, ws, d):
+        return iso.Classification.of(iso.freeness_check(d).free).value
+
     argv = ["isotropy", "--config", ORBIFOLD_WEIGHTS]
-    dict_forms = {"census": census, "freeness": freeness, "weights": weights, "derived": derived}
+    dict_forms = {
+        "census": census, "freeness": freeness, "classification": classification, "weights": weights, "derived": derived
+    }
     return rendered_report(argv, dict_forms)
 
 

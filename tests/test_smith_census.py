@@ -17,7 +17,7 @@ from su3kahler.isotropy import (
     IsotropyGroup,
     StratumReport,
     SupportPattern,
-    _census_evidence,
+    _census_numbers,
     census_to_json,
     singular_stratum_census,
 )
@@ -203,11 +203,13 @@ def divisors_from_scratch(d):
 
 
 def census_keys(d):
-    """The census keys (d1, d12) of _census_evidence's rows, whose indices
-    must run through the patterns in census order."""
-    rows = list(_census_evidence(d))
-    assert [k for k, *_ in rows] == list(range(len(_CENSUS_PATTERNS)))
-    return [(d1, d12) for _, d1, d12, _ in rows]
+    """The census keys (d1, d12) of _census_numbers, three numbers (d12,
+    d1, d12 // d1) per pattern in census order, the third 0 with d1."""
+    numbers = _census_numbers(d)
+    assert len(numbers) == 3 * len(_CENSUS_PATTERNS)
+    for d12, d1, d2 in zip(*[iter(numbers)] * 3):
+        assert d2 == (d12 // d1 if d1 else 0)
+    return list(zip(numbers[1::3], numbers[::3]))
 
 
 def test_census_patterns_are_in_reference_order():

@@ -23,8 +23,11 @@ checked against what the benchmark checks. Timing goes on, and the tool
 exits 1 after the last pass when any op differed or failed its gate.
 Each pass prints, for each tree, the mean us/op and the median op's
 latency, and the ratios a/b of both (above 1 when b is faster); the last
-line is one JSON object with every pass, the count of differing ops and
-the gate failures of each tree.
+line is one JSON object with every pass, the count of differing ops, the
+gate failures of each tree and ``by_command``: for each category of the
+pool and each command in it, the ratio a/b of the two trees' mean time
+on its ops, the median over the passes, which shows where a change of
+the whole ratio lands.
 """
 
 from __future__ import annotations
@@ -114,6 +117,18 @@ def _pass(clis, ops, gate=None) -> tuple[tuple[list[float], list[float]], int, l
     return times, differing, failures
 
 
+def _by_command(ops, times) -> dict:
+    """The ratio a/b of the two trees' mean time on the ops of each
+    category and command, as {category: {command: ratio}}: the mean of
+    each side's seconds over the same ops, so the ratio of their sums."""
+    sums: dict = {}
+    for op, a, b in zip(ops, *times):
+        total = sums.setdefault(op.category, {}).setdefault(op.command, [0.0, 0.0])
+        total[0] += a
+        total[1] += b
+    return {category: {command: a / b for command, (a, b) in commands.items()} for category, commands in sums.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--a", required=True, help="the reference tree: a directory or git:REV")
@@ -140,12 +155,13 @@ def main(argv=None) -> int:
             _pass(clis, warmup)
             gc.collect()
             gc.freeze()
-            passes = []
+            passes, by_command = [], []
             for k in range(args.passes):
                 gate = functools.partial(wl.gate, args.workload, golden) if k == 0 else None
                 times, count, failures = _pass(clis, ops, gate)
                 if k == 0:
                     differing, gate_failures = count, dict(zip("ab", failures))
+                by_command.append(_by_command(ops, times))
                 a, b = (sum(t) / len(t) * 1e6 for t in times)
                 a50, b50 = (statistics.median(t) * 1e6 for t in times)
                 passes.append({
@@ -168,6 +184,13 @@ def main(argv=None) -> int:
         "passes": passes,
         "median_ratio": statistics.median(p["ratio"] for p in passes),
         "median_p50_ratio": statistics.median(p["p50_ratio"] for p in passes),
+        "by_command": {
+            category: {
+                command: round(statistics.median(ratios[category][command] for ratios in by_command), 4)
+                for command in commands
+            }
+            for category, commands in by_command[0].items()
+        },
     }))
     return 1 if differing or any(gate_failures.values()) else 0
 
