@@ -587,14 +587,14 @@ def _report_text(command: str, config: dict, results, passed: bool, wall: float)
     results dict fills one cached envelope per command and key sets, each
     of its values written by ``_text`` on a line indented by four spaces,
     as is every config value; pass and the wall time are leaves."""
-    echo = [_text(v, "\n    ") for v in (*config.values(), passed, wall)]
     if type(results) is _Whole:
         fmt, getter = results.template
-        values = results.values() + [text.encode() for text in echo]
+        values = results.values()
+        values += [_text(v, "\n    ").encode() for v in (*config.values(), passed, wall)]
         text = (fmt % getter(values)).decode()
     else:
-        values = [_text(v, "\n    ") for v in results.values()]
-        text = _fill(_envelope_template(command, tuple(config), tuple(results)), values + echo)
+        values = [_text(v, "\n    ") for v in (*results.values(), *config.values(), passed, wall)]
+        text = _fill(_envelope_template(command, tuple(config), tuple(results)), values)
     return text + "\n"
 
 

@@ -68,15 +68,15 @@ turns each quotient n/den into a float by one correctly rounded int
 division, the float ``float(Fraction(n, den))`` gives, without building a
 ``Fraction``; so are the squared crosses of the generators on the data
 divided by the moment scale, which the certificates read. Data whose
-largest entry lies outside [2^-512, 2^512] are divided by a power of two
-2^k first, which brings it near 1: the level set, the witnesses and every
-certificate are invariant under that scaling, so a float fault of the
-data's size alone (an overflow of Phi near 1e300, a zero moment scale
-near 1e-320) cannot fail ``verify``; only the data's own dynamic range
-can, a witness coefficient past the float range. Values reported in the
-data's units (Phi, |Phi - C|, the moment scale) are multiplied back by
-2^k. The range check, the sample's vertices and the certificates all
-read that one conversion.
+moment scale lies outside [2^-512, 2^512] are divided by a power of two
+2^k first, which brings their largest entry near 1: the level set, the
+witnesses and every certificate are invariant under that scaling, so a
+float fault of the data's size alone (an overflow of Phi near 1e300, a
+zero moment scale near 1e-320) cannot fail ``verify``; only the data's
+own dynamic range can, a witness coefficient past the float range.
+Values reported in the data's units (Phi, |Phi - C|, the moment scale)
+are multiplied back by 2^k. The range check, the sample's vertices and
+the certificates all read that one conversion.
 
 Everything here is float; all exact decisions live in the other modules.
 This module and the integer-array search of :mod:`su3kahler.weights`
@@ -124,10 +124,11 @@ _NONZERO_FLOOR = 1e-8  # max |z_j|, |w_j| of a projection's start and steps must
 # analysis (*Numerical certificates*): first-order terms 15 u, and u more
 # for every second-order term and for evaluating the bound itself.
 _ROUNDING = 16 * 2.0**-53
-# Data whose largest entry is 2^e, |e| <= this, are converted as they are;
-# others are divided by 2^e first (see :func:`_float_data`). Entries and
-# witness products of up to 2^512 stay far inside the float range.
-_SAFE_EXPONENT = 512
+# Data whose moment scale lies in this range are converted as they are;
+# others are divided by a power of two first (see :func:`_float_data`).
+# Entries and witness products of up to 2^512 stay far inside the float
+# range.
+_SAFE_SCALES = (2.0**-512, 2.0**512)
 _DIAGONALS = np.tile(np.eye(3), 2)  # the slice's vertices r_i = s_i = 1, where C = A_i + B_i
 _DIAGONALS.setflags(write=False)
 _BITS = 1 << np.arange(6)  # a support's bits: generator g, the coordinate x_g, is bit g
@@ -218,20 +219,28 @@ def _in_data_units(fd: _FloatData, x):
         return np.ldexp(x, fd.shift)
 
 
+def _divided(table, shift: int) -> list[list[float]]:
+    """The vectors of a sign table as floats of the data divided by
+    2^shift: each cleared integer over the clearing times 2^shift, by one
+    correctly rounded int division, so for shift 0 the float of the entry
+    itself. An entry past the float range raises OverflowError."""
+    up, den = (-shift, table.scale) if shift < 0 else (0, table.scale << shift)
+    return [[(x << up) / den, (y << up) / den] for x, y in table.vectors]
+
+
 def _float_data(d: DerivedConeData) -> _FloatData:
     """d's float data, raising ValueError unless each coefficient of a
     mixed witness is finite as a float and does not round to 0.
 
-    A, B and C are read off the sign table's cleared integers v, the data
-    times the clearing ``table.scale``, each entry v / (clearing 2^k) by
-    one correctly rounded int division: for k = 0 the float of the entry
-    itself. k is 0 while the largest entry is within 2^+-_SAFE_EXPONENT,
-    and else the exponent e of the largest entry, 2^(e-1) < max |entry| <
-    2^(e+1), read off the bit lengths of the largest |v| and the clearing:
-    the data divided by 2^e then have their largest entry near 1, so no
-    entry, the moment scale or Phi overflows, and the moment scale does
-    not underflow. Scaling the data leaves the level set, the witnesses
-    and the unit data unchanged. Witness coefficients come from the
+    A, B and C are read off the sign table's cleared integers (see
+    :func:`_divided`) as the data divided by 2^k. k is 0 while the moment
+    scale lies in _SAFE_SCALES, which costs data in that range one
+    comparison, and else the exponent e of the largest entry,
+    2^(e-1) < max |entry| < 2^(e+1), read off the bit lengths of the
+    largest cleared integer and of the clearing: the data divided by 2^e
+    have their largest entry near 1, so no entry, the moment scale or Phi
+    overflows, and the moment scale does not underflow. Scaling the data
+    leaves the level set, the witnesses and the unit data unchanged. Witness coefficients come from the
     integer evidence ``d._witness_evidence``, each quotient one int
     division. So is each cross square: with the moment scale p/q of the
     divided data as a ratio of ints and the sign table's integer crosses
@@ -239,14 +248,19 @@ def _float_data(d: DerivedConeData) -> _FloatData:
     16 cross^2 q^4 / (clearing^4 2^4k p^4), with no float rounding before
     the one division and no float overflow for large entries."""
     table = d.sign_table
-    top = max(map(abs, itertools.chain.from_iterable(table.vectors)))
-    shift = top.bit_length() - table.scale.bit_length() if top else 0
-    if abs(shift) <= _SAFE_EXPONENT:
-        shift = 0
-    up, den = (-shift, table.scale) if shift < 0 else (0, table.scale << shift)
-    vectors = [[(x << up) / den, (y << up) / den] for x, y in table.vectors]
+    shift = 0
+    try:
+        vectors = _divided(table, shift)
+        scale = max(math.hypot(*v) for v in vectors)
+    except OverflowError:  # an entry past the float range
+        scale = math.inf
+    if not _SAFE_SCALES[0] <= scale <= _SAFE_SCALES[1]:
+        top = max(map(abs, itertools.chain.from_iterable(table.vectors)))
+        if top:  # else the data are 0, and so is every float of them
+            shift = top.bit_length() - table.scale.bit_length()
+            vectors = _divided(table, shift)
+        scale = max(math.hypot(*v) for v in vectors) or 1.0
     abc = np.array(vectors)
-    scale = max(math.hypot(*v) for v in vectors) or 1.0
     try:
         m = len(d._witness_evidence)
         vertices = np.zeros((m + 3, 6))

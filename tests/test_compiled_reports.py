@@ -8,6 +8,7 @@ null, rational entries included), at several ``--interp-steps``, with
 
 import importlib.util
 import json
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -120,7 +121,5 @@ def test_the_compiled_templates_are_built_on_first_use():
         "assert cli._check_template.cache_info().currsize == 0; "
         "assert cli._isotropy_template.cache_info().currsize == 0"
     )
-    import subprocess
-
     src = str(Path(cli.__file__).resolve().parent.parent)
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
