@@ -240,11 +240,12 @@ def _float_data(d: DerivedConeData) -> _FloatData:
     largest cleared integer and of the clearing: the data divided by 2^e
     have their largest entry near 1, so no entry, the moment scale or Phi
     overflows, and the moment scale does not underflow. Scaling the data
-    leaves the level set, the witnesses and the unit data unchanged. Witness coefficients come from the
-    integer evidence ``d._witness_evidence``, each quotient one int
-    division. So is each cross square: with the moment scale p/q of the
-    divided data as a ratio of ints and the sign table's integer crosses
-    of the cleared generators, 16 cross(g, h)^2 on the unit data is
+    leaves the level set, the witnesses and the unit data unchanged.
+    Witness coefficients come from the integer evidence
+    ``d._witness_evidence``, each quotient one int division. So is each
+    cross square: with the moment scale p/q of the divided data as a
+    ratio of ints and the sign table's integer crosses of the cleared
+    generators, 16 cross(g, h)^2 on the unit data is
     16 cross^2 q^4 / (clearing^4 2^4k p^4), with no float rounding before
     the one division and no float overflow for large entries."""
     table = d.sign_table
