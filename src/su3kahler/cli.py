@@ -688,19 +688,6 @@ def cmd_generate(args) -> tuple[dict, bool]:
     return results, True
 
 
-class _RowTexts(dict):
-    """The JSON text of each weight-grid row as a side of a stream line,
-    made on first use. One table serves every bound: a row's text does not
-    depend on it."""
-
-    def __missing__(self, row):
-        text = self[row] = json.dumps([list(v) for v in row])
-        return text
-
-
-_ROW_TEXTS = _RowTexts()
-
-
 @functools.lru_cache(maxsize=2)
 def _line_template(free: bool) -> tuple[str, ...]:
     """A stream line of a system with this verdict, split where its wL and
@@ -711,33 +698,26 @@ def _line_template(free: bool) -> tuple[str, ...]:
     return tuple(json.dumps(line, sort_keys=True).split(json.dumps("\0")))
 
 
-def _stream_blocks(systems):
-    """For each wL block of the stream: the text of its lines, its system
-    count and its free count. A system's line is ``json.dumps(line,
-    sort_keys=True)`` and a newline, for line its ``to_json()`` with its
-    ``free`` verdict and classification added."""
-    templates = [_line_template(free) for free in (False, True)]
-    end = templates[0][-1] + "\n"
-    for wl, block in itertools.groupby(systems, operator.attrgetter("wl")):
-        wl_text = _ROW_TEXTS[wl]
-        starts = [head + wl_text + middle for head, middle, _ in templates]  # by verdict
-        block = list(block)
-        lines = [starts[ws.free] + _ROW_TEXTS[ws.wr] for ws in block]
-        yield end.join(lines) + end, len(block), sum(ws.free for ws in block)
-
-
 def cmd_enumerate(args) -> tuple[dict, bool]:
+    """One line per admissible system, ``json.dumps(line, sort_keys=True)``
+    for line its ``to_json()`` with its ``free`` verdict and classification
+    added, written from the search's blocks: the head for the verdict, the
+    texts of the wL and wR grid rows and the closing brace, one ``write``
+    per wL block."""
     try:
-        systems = wt.enumerate_admissible_systems(args.bound)
+        blocks = wt._admissible_blocks(args.bound)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    count = 0
-    free_count = 0
+    texts = [json.dumps([list(v) for v in row]) for row in wt._weight_grid(args.bound)[0]]
+    templates = [_line_template(free) for free in (False, True)]
+    end = templates[0][-1] + "\n"
+    count = free_count = 0
     write = sys.stdout.write
-    for text, n, n_free in _stream_blocks(systems):
-        write(text)
-        count += n
-        free_count += n_free
+    for row, keep, free in blocks:
+        starts = [head + texts[row] + middle for head, middle, _ in templates]  # by verdict
+        write(end.join([starts[f] + texts[i] for i, f in zip(keep, free)]) + end)
+        count += len(keep)
+        free_count += sum(free)
     results = {"bound": args.bound, "count": count, "free_count": free_count}
     return results, True
 

@@ -795,47 +795,20 @@ def enumerate_admissible_systems(
     the outer wL blocks); merging and sorting the slices reproduces the
     full stream, so the enumeration parallelizes over processes.
 
-    Each outer wL block is decided at once against every wR: the nine
-    crosses cross(A_i, B_j) of every candidate form one (9, n) array,
-    :func:`_block_crosses` of the wL row and the grid's wR columns in the
-    narrowest integer type that holds them (:func:`_block_dtype`), and the
-    nine-sign rule reads its least and greatest entry per candidate.
-    Survivors come out in grid order, so the stream stays lexicographic.
-    The block also decides each survivor's freeness by the lattice-pair
-    test (:func:`_failing_pair`) off the six off-diagonal rows of the same
-    array and fills in :attr:`WeightSystem.free`. Yielded systems are
-    built from grid rows validated once per bound, without a second check.
-    Arguments are checked when this is called: a bound or a part entry
-    that is not an int (a bool or a float) raises TypeError, and a
-    negative bound, a bound past :data:`MAX_BOUND` or an invalid part
-    raises ValueError, before anything is allocated.
+    The systems of :func:`_admissible_blocks`, each built from two grid
+    rows validated once per bound, without a second check, and carrying
+    its block's freeness verdict as :attr:`WeightSystem.free`. Arguments
+    are checked when this is called, as :func:`_admissible_blocks` does.
     """
-    _check_int("bound", bound)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    if bound > MAX_BOUND:
-        raise ValueError(f"bound must be <= {MAX_BOUND}")
-    if part is not None:
-        k, n = part
-        _check_int("part index", k)
-        _check_int("part count", n)
-        if not (n >= 1 and 0 <= k < n):
-            raise ValueError(f"invalid partition {part!r}")
-    return _admissible_stream(bound, part)
+    return _systems(bound, _admissible_blocks(bound, part))
 
 
-def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[WeightSystem]:
-    rows, triples, wr, mixed = _weight_grid(bound)
-    k, n = (0, 1) if part is None else part
+def _systems(bound: int, blocks) -> Iterator[WeightSystem]:
+    rows = _weight_grid(bound)[0]
     new = object.__new__
-    for row in range(k, len(rows), n):
-        nine = _block_crosses(triples[row], wr)
-        keep = _one_strict_sign(nine.min(0), nine.max(0)).nonzero()[0]
-        if not keep.size:
-            continue
+    for row, keep, free in blocks:
         wl = rows[row]
-        free = (abs(nine[mixed, keep]) == 1).all(0).tolist()  # as _failing_pair
-        for i, verdict in zip(keep.tolist(), free):
+        for i, verdict in zip(keep, free):
             # a system of two checked grid rows, with its verdict: nothing
             # is checked again
             ws = new(WeightSystem)
@@ -844,3 +817,49 @@ def _admissible_stream(bound: int, part: tuple[int, int] | None) -> Iterator[Wei
             fields["wr"] = rows[i]
             fields["free"] = verdict
             yield ws
+
+
+def _admissible_blocks(bound: int, part: tuple[int, int] | None = None):
+    """The search's decisions: for each wL block with a survivor, in grid
+    order, the wL row's index into the grid of the bound
+    (:func:`_weight_grid`), the list of its survivors' wR indices, in grid
+    order, and the list of their freeness verdicts. ``part=(k, n)`` keeps
+    the blocks at rows k, k + n, k + 2n, ...
+
+    Each outer wL block is decided at once against every wR: the nine
+    crosses cross(A_i, B_j) of every candidate form one (9, n) array,
+    :func:`_block_crosses` of the wL row and the grid's wR columns in the
+    narrowest integer type that holds them (:func:`_block_dtype`), and the
+    nine-sign rule reads its least and greatest entry per candidate. The
+    block also decides each survivor's freeness by the lattice-pair test
+    (:func:`_failing_pair`) off the six off-diagonal rows of the same
+    array. Arguments are checked when this is called: a bound or a part
+    entry that is not an int (a bool or a float) raises TypeError, and a
+    negative bound, a bound past :data:`MAX_BOUND` or a part that is not a
+    tuple or list (k, n) with 0 <= k < n raises ValueError, before
+    anything is allocated.
+    """
+    _check_int("bound", bound)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    if bound > MAX_BOUND:
+        raise ValueError(f"bound must be <= {MAX_BOUND}")
+    if part is not None:
+        if not (isinstance(part, (tuple, list)) and len(part) == 2):
+            raise ValueError(f"invalid partition {part!r}")
+        k, n = part
+        _check_int("part index", k)
+        _check_int("part count", n)
+        if not (n >= 1 and 0 <= k < n):
+            raise ValueError(f"invalid partition {part!r}")
+    return _blocks(bound, part)
+
+
+def _blocks(bound: int, part: tuple[int, int] | None):
+    rows, triples, wr, mixed = _weight_grid(bound)
+    k, n = (0, 1) if part is None else part
+    for row in range(k, len(rows), n):
+        nine = _block_crosses(triples[row], wr)
+        keep = _one_strict_sign(nine.min(0), nine.max(0)).nonzero()[0]
+        if keep.size:  # the freeness verdicts as _failing_pair decides them
+            yield row, keep.tolist(), (abs(nine[mixed, keep]) == 1).all(0).tolist()

@@ -3,6 +3,7 @@ BLAKE2b digest. A refactor of any layer on the report path must leave
 these bytes unchanged."""
 
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,34 @@ def test_readme_example_stdout_is_pinned(capsys, argv, code, length, digest):
     assert main(list(argv)) == code
     data = capsys.readouterr().out.encode()
     assert (len(data), hashlib.blake2b(data, digest_size=16).hexdigest()) == (length, digest)
+
+
+class DigestSink:
+    """A stdout that keeps only the byte length and BLAKE2b digest of what
+    is written to it."""
+
+    def __init__(self):
+        self.length = 0
+        self.hash = hashlib.blake2b(digest_size=16)
+
+    def write(self, text):
+        data = text.encode()
+        self.length += len(data)
+        self.hash.update(data)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_bound4_stdout_is_pinned(monkeypatch):
+    """The 545016 lines of bound 4 (the README's digest), hashed as they
+    are written, so the 65 MB of text are never held."""
+    sink = DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["enumerate", "--bound", "4"]) == 0
+    monkeypatch.undo()
+    assert (sink.length, sink.hash.hexdigest()) == (64821084, "191a97d0532e94efdba13823e7a31f9c")
 
 
 # argparse's help text at 80 columns, recorded before the parser was built

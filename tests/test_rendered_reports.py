@@ -11,18 +11,20 @@ report is written from its integer evidence
 (``weights._condition_evidence``), so it is compared with the dict form of
 the report the library builds from the same data."""
 
+import argparse
 import contextlib
 import io
 import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import admissible_systems, library_report
-from su3kahler import cli
+from su3kahler import cli, weights
 from su3kahler.isotropy import (
     _CENSUS_PATTERNS,
     Classification,
@@ -267,36 +269,37 @@ def test_weights_block_renders_its_dict_form(wl, wr, nl):
 
 
 @st.composite
-def streams(draw):
-    """Systems of rows with entries in [-bound, bound] for a bound from 1 to
-    4, zero and negative ones included, with freeness verdicts, in blocks
-    of consecutive equal wL as the enumeration yields them."""
+def searches(draw):
+    """A bound from 1 to 4 and blocks of its grid's rows as
+    ``weights._admissible_blocks`` yields them: ascending wL rows, each
+    with ascending wR rows and their freeness verdicts."""
     bound = draw(st.integers(1, 4))
-    rows = weight_rows(st.integers(-bound, bound)).filter(
-        lambda row: all(abs(x) <= bound for v in row for x in v)
-    )
-    tails = st.lists(st.tuples(rows, st.booleans()), min_size=1, max_size=5)
-    blocks = draw(st.lists(st.tuples(rows, tails), max_size=6))
-    systems = []
-    for wl, tail in blocks:
-        for wr, free in tail:
-            ws = WeightSystem(wl, wr)
-            ws.__dict__["free"] = free  # the verdict, stamped as the enumerator stamps it
-            systems.append(ws)
-    return systems
+    n_rows = (3 * bound * bound + 3 * bound + 1) ** 2
+    rows = st.integers(0, n_rows - 1)
+    blocks = []
+    for row in sorted(draw(st.lists(rows, max_size=6, unique=True))):
+        keep = sorted(draw(st.lists(rows, min_size=1, max_size=5, unique=True)))
+        blocks.append((row, keep, draw(st.lists(st.booleans(), min_size=len(keep), max_size=len(keep)))))
+    return bound, blocks
 
 
-@given(streams())
+@given(searches())
 @settings(max_examples=150, deadline=None)
-def test_stream_lines_match_json_dumps(systems):
-    blocks = list(cli._stream_blocks(iter(systems)))
-    expected = [
-        {**ws.to_json(), "free": ws.free, "classification": Classification.of(ws.free).value}
-        for ws in systems
-    ]
-    assert "".join(text for text, _, _ in blocks) == "".join(
-        json.dumps(line, sort_keys=True) + "\n" for line in expected
-    )
-    assert sum(n for _, n, _ in blocks) == len(systems)
-    assert sum(n_free for _, _, n_free in blocks) == sum(ws.free for ws in systems)
-    assert len(blocks) == len([wl for wl, _ in itertools.groupby(ws.wl for ws in systems)])
+def test_stream_lines_match_json_dumps(search):
+    """``enumerate`` writes each block's systems, the wL row against each
+    survivor's wR row with its verdict, as ``json.dumps(line,
+    sort_keys=True)`` lines, and counts them and the free ones."""
+    bound, blocks = search
+
+    def admissible_blocks(b):
+        assert b == bound
+        return iter(blocks)
+
+    out = io.StringIO()
+    with mock.patch.object(weights, "_admissible_blocks", admissible_blocks), contextlib.redirect_stdout(out):
+        results, ok = cli.cmd_enumerate(argparse.Namespace(bound=bound))
+    rows = weights._weight_grid(bound)[0]
+    systems = [(WeightSystem(rows[row], rows[i]), f) for row, keep, free in blocks for i, f in zip(keep, free)]
+    expected = [{**ws.to_json(), "free": f, "classification": Classification.of(f).value} for ws, f in systems]
+    assert out.getvalue() == "".join(json.dumps(line, sort_keys=True) + "\n" for line in expected)
+    assert ok and results == {"bound": bound, "count": len(systems), "free_count": sum(f for _, f in systems)}

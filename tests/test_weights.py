@@ -4,6 +4,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -526,9 +527,25 @@ def test_block_width_from_the_bound_alone(no_grid, bound, dtype):
 )
 def test_enumerate_checks_its_arguments_when_called(no_grid, bound, part, error):
     """A bool, a float or a bad part fails at the call, not at the first
-    next, and before any grid is built."""
-    with pytest.raises(error):
-        enumerate_admissible_systems(bound, part=part)
+    next, and before any grid is built, for the library's stream and for
+    the blocks that ``enumerate`` writes from."""
+    for search in (enumerate_admissible_systems, weights._admissible_blocks):
+        with pytest.raises(error):
+            search(bound, part=part)
+
+
+@pytest.mark.parametrize(
+    "part",
+    [{3, 1}, {0: 1, 1: 3}, 5, (0, 1, 2), (), (1,), "01", range(2), np.array([0, 2])],
+    ids=["set", "dict", "int", "triple", "empty", "single", "str", "range", "array"],
+)
+def test_enumerate_takes_part_only_as_a_pair(no_grid, part):
+    """A part is a tuple or a list of two entries. A set (read in hash
+    order), a dict (read as its keys), an int, another length or another
+    iterable raises ValueError naming it, at the call."""
+    for search in (enumerate_admissible_systems, weights._admissible_blocks):
+        with pytest.raises(ValueError, match=re.escape(f"invalid partition {part!r}")):
+            search(2, part=part)
 
 
 BOUND7_BLOCKS = sorted(random.Random(20261019).sample(range(28561), 16))
@@ -568,6 +585,62 @@ def test_streamed_freeness_is_the_lattice_pair_test(bound2_systems):
     assert len(bound2_systems) == BOUND2_COUNT
     for ws in bound2_systems:
         assert ws.free == (weights._failing_pair(derive(ws)._nine_crosses) is None)
+
+
+@functools.cache
+def reference_systems(bound, k):
+    """(wL, wR, free) of the admissible systems in the wL block at grid row
+    k, in grid order: kept when the nine crosses of
+    ``weights._configuration``'s A_i and B_j are all nonzero with one sign,
+    free when ``weights._failing_pair`` finds no failing mixed pair."""
+    triples = _weight_triples(bound)
+    wl = triples[k]
+    found = []
+    for wr in triples:
+        a, b, _ = weights._configuration(wl, wr[0], wr[2])
+        nine = [cross(a[i], b[j]) for i in range(3) for j in range(3)]
+        if min(nine) > 0 or max(nine) < 0:
+            found.append((wl, wr, weights._failing_pair(nine) is None))
+    return tuple(found)
+
+
+def streamed(bound, part=None):
+    """(wL, wR, free) of every system the library's stream yields; each
+    carries its verdict in its ``__dict__``, as the block decided it."""
+    systems = list(enumerate_admissible_systems(bound, part=part))
+    assert all(type(ws) is WeightSystem and "free" in ws.__dict__ for ws in systems)
+    return [(ws.wl, ws.wr, ws.free) for ws in systems]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_stream_is_the_reference_blocks_in_grid_order(bound):
+    n_blocks = len(_weight_triples(bound))
+    assert streamed(bound) == [s for k in range(n_blocks) for s in reference_systems(bound, k)]
+
+
+# the part counts the tests pass (the bound-1 and bound-3 merges, the
+# isotropy sample, the sweep's slices), applied at bound 2
+@pytest.mark.parametrize("n", [1, 3, 7, 50, 361, 1369])
+@pytest.mark.parametrize("form", [tuple, list])
+def test_every_part_form_streams_its_reference_blocks(n, form):
+    """Each slice (k, n), as a tuple or a list, is the reference blocks at
+    rows k, k + n, ... of bound 2's 361, in order: every k for the small
+    counts, 12 seeded ones (and the last) for the one-block counts."""
+    n_blocks = len(_weight_triples(2))
+    ks = range(n) if n <= 50 else [*random.Random(n).sample(range(n), 12), n - 1]
+    for k in ks:
+        expected = [s for row in range(k, n_blocks, n) for s in reference_systems(2, row)]
+        assert streamed(2, form((k, n))) == expected
+
+
+@pytest.mark.parametrize("n", [50, 1369])
+def test_seeded_bound3_parts_stream_their_reference_blocks(n):
+    """Seeded slices of the bound-3 search: the isotropy sample's 50
+    parts (28 blocks each) and the sweep's 1369 (one block each)."""
+    n_blocks = len(_weight_triples(3))
+    for k in random.Random(20261022 + n).sample(range(n), 2 if n == 50 else 24):
+        expected = [s for row in range(k, n_blocks, n) for s in reference_systems(3, row)]
+        assert streamed(3, (k, n)) == expected
 
 
 def test_enumerate_bound2_has_nontrivial_left(bound2_systems):

@@ -1,6 +1,7 @@
 """Interleaved A/B timing of two su3kahler trees on the benchmark's CLI ops.
 
     python tools/ab_ops.py --a git:HEAD~1 --b src --workload audit --seed 7 --ops 2000 --passes 5
+    python tools/ab_ops.py --a git:HEAD~1 --b src --workload sweep --seed 7 --ops 1000 --passes 5
 
 Each tree is a directory holding ``su3kahler/`` (a ``src`` directory, or
 a repository root with ``src/su3kahler``) or ``git:REV``, whose
@@ -10,24 +11,30 @@ into a temporary directory and imported into this one process, so the two
 run on the same interpreter, heap and CPU state.
 
 The op list is the benchmark's own: ``perfbench.workloads.make_ops`` of
-the ``audit`` or ``certify`` workload for the seed, with its warm-up list
-run first on both trees, then ``gc.freeze()``. Every pass runs each op on
-both trees back to back, alternating which goes first op by op, so a
-drift of the host moves both sides alike. The first pass compares each
-op's exit code and stdout between the trees, counts the ops that differ
-and prints the argv of the first one to stderr. It also runs the
-benchmark's own gate, ``perfbench.workloads.gate``, on each op's output
-from each tree, counts the failures per tree and prints the first
-failing op of each tree to stderr, so a deliberate output change is
-checked against what the benchmark checks. Timing goes on, and the tool
+the ``sweep``, ``audit`` or ``certify`` workload for the seed, with its
+warm-up list run first on both trees, then ``gc.freeze()``. An audit or
+certify op is the tree's ``cli.main`` on the op's argv; a sweep op is
+``perfbench.workloads.run_sweep_slice`` itself, with the workload
+module's ``weights`` and ``isotropy`` names bound to the tree's modules
+for the op and restored after it. Every pass runs each op on both
+trees back to back, alternating which goes first op by op, so a drift of
+the host moves both sides alike. The first pass compares each op's
+output (exit code and stdout, or a slice's count and text) between the
+trees, counts the ops that differ and names the first one (its argv, or
+its slice) on stderr. It also runs the benchmark's own gate,
+``perfbench.workloads.gate``, on each op's output from each tree, counts
+the failures per tree and prints the first failing op of each tree to
+stderr, so a deliberate output change is checked against what the
+benchmark checks. Timing goes on, and the tool
 exits 1 after the last pass when any op differed or failed its gate.
 Each pass prints, for each tree, the mean us/op and the median op's
 latency, and the ratios a/b of both (above 1 when b is faster); the last
 line is one JSON object with every pass, the count of differing ops, the
 gate failures of each tree and ``by_command``: for each category of the
-pool and each command in it, the ratio a/b of the two trees' mean time
-on its ops, the median over the passes, which shows where a change of
-the whole ratio lands.
+pool and each command in it, the count of its ops and the ratio a/b of
+the two trees' mean time on them, the median over the passes, which
+shows where a change of the whole ratio lands (a cell of a few dozen ops
+moves by several percent on noise alone).
 """
 
 from __future__ import annotations
@@ -72,27 +79,38 @@ def _package_dir(tree: str, scratch: Path, name: str) -> Path:
     raise SystemExit(f"no su3kahler package under {tree}")
 
 
-def _load(tree: str, scratch: Path, name: str):
-    """The cli module of the tree, imported as package ``name``."""
+def _load(tree: str, scratch: Path, name: str, wl):
+    """The op runner of the tree, imported as package ``name``: its
+    ``cli.main`` on an op's argv, or ``wl.run_sweep_slice`` of a sweep op
+    with ``wl``'s ``weights`` and ``isotropy`` bound to the tree's."""
     shutil.copytree(
         _package_dir(tree, scratch, name), scratch / name, ignore=shutil.ignore_patterns("__pycache__")
     )
-    return importlib.import_module(f"{name}.cli")
+    cli = importlib.import_module(f"{name}.cli")
+    weights, isotropy = (importlib.import_module(f"{name}.{module}") for module in ("weights", "isotropy"))
+
+    def run(op):
+        if op.command != "slice":
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(list(op.argv))
+            return code, out.getvalue()
+        saved = wl.weights, wl.isotropy
+        wl.weights, wl.isotropy = weights, isotropy
+        try:
+            return wl.run_sweep_slice(op.index)
+        finally:
+            wl.weights, wl.isotropy = saved
+
+    return run
 
 
-def _run(cli, argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
-    return code, out.getvalue()
-
-
-def _pass(clis, ops, gate=None) -> tuple[tuple[list[float], list[float]], int, list[int]]:
+def _pass(runners, ops, gate=None) -> tuple[tuple[list[float], list[float]], int, list[int]]:
     """The seconds each tree spent on each op, alternating the order op by
-    op. With ``gate``, the benchmark's gate of an op and its (code,
-    stdout), also the count of ops whose (code, stdout) differ between the
-    trees and the count of gate failures of each tree; the first op of
-    each kind is named on stderr."""
+    op. With ``gate``, the benchmark's gate of an op and its output, also
+    the count of ops whose output differs between the trees and the count
+    of gate failures of each tree; the first op of each kind is named on
+    stderr."""
     times = ([], [])
     differing, failures = 0, [0, 0]
     for k, op in enumerate(ops):
@@ -100,13 +118,14 @@ def _pass(clis, ops, gate=None) -> tuple[tuple[list[float], list[float]], int, l
         results = [None, None]
         for side in order:
             start = perf_counter()
-            results[side] = _run(clis[side], op.argv)
+            results[side] = runners[side](op)
             times[side].append(perf_counter() - start)
         if gate is None:
             continue
         if results[0] != results[1]:
             if not differing:
-                print(f"outputs differ on op {k}: {' '.join(op.argv)}", file=sys.stderr, flush=True)
+                name = " ".join(op.argv) or f"slice {op.index}"
+                print(f"outputs differ on op {k}: {name}", file=sys.stderr, flush=True)
             differing += 1
         for side, result in enumerate(results):
             outcome = gate(op, result)
@@ -118,22 +137,27 @@ def _pass(clis, ops, gate=None) -> tuple[tuple[list[float], list[float]], int, l
 
 
 def _by_command(ops, times) -> dict:
-    """The ratio a/b of the two trees' mean time on the ops of each
-    category and command, as {category: {command: ratio}}: the mean of
-    each side's seconds over the same ops, so the ratio of their sums."""
+    """The op count and the ratio a/b of the two trees' mean time on the
+    ops of each category and command, as {category: {command: {"ops": n,
+    "ratio": r}}}: the mean of each side's seconds over the same ops, so
+    the ratio of their sums."""
     sums: dict = {}
     for op, a, b in zip(ops, *times):
-        total = sums.setdefault(op.category, {}).setdefault(op.command, [0.0, 0.0])
-        total[0] += a
-        total[1] += b
-    return {category: {command: a / b for command, (a, b) in commands.items()} for category, commands in sums.items()}
+        total = sums.setdefault(op.category, {}).setdefault(op.command, [0, 0.0, 0.0])
+        total[0] += 1
+        total[1] += a
+        total[2] += b
+    return {
+        category: {command: {"ops": n, "ratio": a / b} for command, (n, a, b) in commands.items()}
+        for category, commands in sums.items()
+    }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--a", required=True, help="the reference tree: a directory or git:REV")
     parser.add_argument("--b", required=True, help="the tree compared with it: a directory or git:REV")
-    parser.add_argument("--workload", choices=("audit", "certify"), default="audit")
+    parser.add_argument("--workload", choices=("sweep", "audit", "certify"), default="audit")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--ops", type=int, default=2000)
     parser.add_argument("--passes", type=int, default=5)
@@ -151,14 +175,14 @@ def main(argv=None) -> int:
         warmup = wl.make_ops(args.workload, golden, args.seed, wl.WARMUP_OPS[args.workload], stream="warmup")
         with tempfile.TemporaryDirectory() as scratch:
             sys.path.insert(0, scratch)
-            clis = [_load(tree, Path(scratch), name) for tree, name in zip((args.a, args.b), PACKAGES)]
-            _pass(clis, warmup)
+            runners = [_load(tree, Path(scratch), name, wl) for tree, name in zip((args.a, args.b), PACKAGES)]
+            _pass(runners, warmup)
             gc.collect()
             gc.freeze()
             passes, by_command = [], []
             for k in range(args.passes):
                 gate = functools.partial(wl.gate, args.workload, golden) if k == 0 else None
-                times, count, failures = _pass(clis, ops, gate)
+                times, count, failures = _pass(runners, ops, gate)
                 if k == 0:
                     differing, gate_failures = count, dict(zip("ab", failures))
                 by_command.append(_by_command(ops, times))
@@ -186,8 +210,11 @@ def main(argv=None) -> int:
         "median_p50_ratio": statistics.median(p["p50_ratio"] for p in passes),
         "by_command": {
             category: {
-                command: round(statistics.median(ratios[category][command] for ratios in by_command), 4)
-                for command in commands
+                command: {
+                    "ops": cell["ops"],
+                    "ratio": round(statistics.median(cells[category][command]["ratio"] for cells in by_command), 4),
+                }
+                for command, cell in commands.items()
             }
             for category, commands in by_command[0].items()
         },
